@@ -33,6 +33,7 @@ from .lattice import (
 )
 from .oracle import (
     OracleConfig,
+    compare,
     extract_multiplicities,
     kernel_roots,
     restriction_series,

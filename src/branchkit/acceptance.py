@@ -30,9 +30,9 @@ from .lattice import (
 from .oracle import (
     OracleConfig,
     check_antisymmetry,
+    compare,
     restriction_series,
     torus_restriction_sides,
-    verify_closed_form,
 )
 from .quaternionic import (
     branching_table,
@@ -229,7 +229,7 @@ def ac3(store) -> CriterionResult:
     sp_lams = _sp1q_parameters(6)
     extra = [wadd(l, weight([3, 2, 1])) for l in sp_lams[:4]]
     for lam in sp_lams + extra:
-        lhs, rhs = sp1q_su2_restriction_sides(ctx2, lam, step_bound=16)
+        lhs, rhs = sp1q_su2_restriction_sides(ctx2, lam, cfg)
         for w in set(lhs.coeffs) | set(rhs.coeffs):
             c = rhs.coefficient(w)
             if c is None:
@@ -258,8 +258,8 @@ def _ac4_runs(store):
         ctx, lams = _quaternionic_parameters(label, count)
         for lam in lams:
             series = restriction_series(ctx, lam, cfg)
-            report = verify_closed_form(ctx, lam, cfg)
             table = branching_table(ctx, lam, cutoff=cfg.step_bound)
+            report = compare(ctx, series, table)
             runs.append((label, ctx, lam, series, report, table))
     store["ac4"] = runs
     return runs
@@ -302,13 +302,14 @@ def ac6(store) -> CriterionResult:
         return _result("AC-6", "sp(1,q) closed form vs oracle", 120, t0, False,
                        "binomial specialization fails at q = 2")
     total = 0
+    cfg = OracleConfig(step_bound=10)
     for q, lam_list in (
         (2, [(4, 2, 1), (5, 3, 1), (6, 3, 2)]),
         (3, [(5, 3, 2, 1), (6, 4, 2, 1), (6, 3, 2, 1)]),
     ):
         ctx = sp1q_context(q)
         for coords in lam_list:
-            rep = sp1q_verify(ctx, weight(coords), step_bound=10)
+            rep = sp1q_verify(ctx, weight(coords), cfg)
             if not rep.agree:
                 return _result("AC-6", "sp(1,q) closed form vs oracle", 120, t0, False,
                                f"q={q} {coords}: {rep.mismatches[:3]}")

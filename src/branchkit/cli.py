@@ -9,8 +9,10 @@ errors.
 Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
 coordinates as coefficients over the simple roots of the form's positive
-system.  The environment variable BRANCHKIT_GROUP_ORDER_BOUND overrides the
-Weyl enumeration safety bound.
+system.  Both families (quat and sp1q) share one oracle (see ``oracle``).
+The environment variable BRANCHKIT_GROUP_ORDER_BOUND overrides the Weyl
+enumeration safety bound of either family's oracle; a value that is not a
+positive integer exits with status 2.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .quaternionic import (
     quaternionic_context,
 )
 from .repweights import restrict_weights
+from .rootsystems import env_bound
 from .specialcases import (
     hermitian_data,
     kss_admissible_report,
@@ -51,8 +54,31 @@ from .specialcases import (
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json")
 
 
-def _group_order_bound(default=10**5) -> int:
-    return int(os.environ.get("BRANCHKIT_GROUP_ORDER_BOUND", default))
+def _oracle_config(step_bound: int) -> OracleConfig:
+    return OracleConfig(step_bound, env_bound("BRANCHKIT_GROUP_ORDER_BOUND", 10**5))
+
+
+def _oracle_payload(report) -> dict:
+    return {
+        "agree": report.agree,
+        "comparedWeights": report.compared,
+        "mismatches": [
+            {"mu": format_weight(mu), "closed": str(a), "oracle": str(b)}
+            for mu, a, b in report.mismatches
+        ],
+    }
+
+
+def _family(args):
+    """Context, parameter, closed-form table builder and oracle check of the
+    requested family."""
+    if args.family == "quat":
+        ctx = quaternionic_context(args.form)
+        closed, verify = branching_table, verify_closed_form
+    else:
+        ctx = sp1q_context(_sp1q_param(args.form))
+        closed, verify = sp1q_branching_table, sp1q_verify
+    return ctx, _parse_lambda(args, ctx.rd.simple), closed, verify
 
 
 def _emit(payload: dict, output: str) -> str:
@@ -110,65 +136,28 @@ def cmd_list_forms(args) -> int:
 
 
 def cmd_branch(args) -> int:
+    ctx, lam, closed, verify = _family(args)
+    table = closed(ctx, lam, args.cutoff)
+    payload = {
+        "command": "branch",
+        "family": args.family,
+        "form": args.form,
+        "lambda": format_weight(lam),
+        "cutoff": args.cutoff,
+        "completePairingBound": str(table.pairing_bound),
+        "entries": _entries_json(table.entries),
+        "oracleChecked": False,
+    }
+    if args.check_oracle:
+        report = verify(ctx, lam, _oracle_config(args.step_bound))
+        payload["oracleChecked"] = True
+        payload["oracle"] = _oracle_payload(report)
+        if not report.agree:
+            raise InternalError("closed form disagrees with the oracle")
     if args.family == "quat":
-        ctx = quaternionic_context(args.form)
-        lam = _parse_lambda(args, ctx.rd.simple)
-        table = branching_table(ctx, lam, args.cutoff)
-        payload = {
-            "command": "branch",
-            "family": "quat",
-            "form": args.form,
-            "lambda": format_weight(lam),
-            "cutoff": args.cutoff,
-            "completePairingBound": str(table.pairing_bound),
-            "entries": _entries_json(table.entries),
-            "oracleChecked": False,
-        }
-        if args.check_oracle:
-            cfg = OracleConfig(args.step_bound, _group_order_bound())
-            report = verify_closed_form(ctx, lam, cfg)
-            payload["oracleChecked"] = True
-            payload["oracle"] = {
-                "agree": report.agree,
-                "comparedWeights": report.compared,
-                "mismatches": [
-                    {"mu": format_weight(mu), "closed": str(a), "oracle": str(b)}
-                    for mu, a, b in report.mismatches
-                ],
-            }
-            if not report.agree:
-                raise InternalError("closed form disagrees with the oracle")
         violations = check_table_dominance(ctx, table)
         if violations:
             raise InternalError(f"non-dominant parameters in the table: {violations[:3]}")
-    else:
-        q = _sp1q_param(args.form)
-        ctx = sp1q_context(q)
-        lam = _parse_lambda(args, ctx.rd.simple)
-        table = sp1q_branching_table(ctx, lam, args.cutoff)
-        payload = {
-            "command": "branch",
-            "family": "sp1q",
-            "form": args.form,
-            "lambda": format_weight(lam),
-            "cutoff": args.cutoff,
-            "completePairingBound": str(table.pairing_bound),
-            "entries": _entries_json(table.entries),
-            "oracleChecked": False,
-        }
-        if args.check_oracle:
-            report = sp1q_verify(ctx, lam, args.step_bound)
-            payload["oracleChecked"] = True
-            payload["oracle"] = {
-                "agree": report.agree,
-                "comparedWeights": report.compared,
-                "mismatches": [
-                    {"mu": format_weight(mu), "closed": str(a), "oracle": str(b)}
-                    for mu, a, b in report.mismatches
-                ],
-            }
-            if not report.agree:
-                raise InternalError("closed form disagrees with the oracle")
     sys.stdout.write(_emit(payload, args.output))
     return 0
 
@@ -254,27 +243,15 @@ def cmd_weights(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.family == "quat":
-        ctx = quaternionic_context(args.form)
-        lam = _parse_lambda(args, ctx.rd.simple)
-        cfg = OracleConfig(args.step_bound, _group_order_bound())
-        report = verify_closed_form(ctx, lam, cfg)
-    else:
-        ctx = sp1q_context(_sp1q_param(args.form))
-        lam = _parse_lambda(args, ctx.rd.simple)
-        report = sp1q_verify(ctx, lam, args.step_bound)
+    ctx, lam, _, verify = _family(args)
+    report = verify(ctx, lam, _oracle_config(args.step_bound))
     payload = {
         "command": "oracle-check",
         "family": args.family,
         "form": args.form,
         "lambda": format_weight(lam),
         "stepBound": args.step_bound,
-        "agree": report.agree,
-        "comparedWeights": report.compared,
-        "mismatches": [
-            {"mu": format_weight(mu), "closed": str(a), "oracle": str(b)}
-            for mu, a, b in report.mismatches
-        ],
+        **_oracle_payload(report),
     }
     sys.stdout.write(_emit(payload, args.output))
     return 0

@@ -1,11 +1,15 @@
 """Independent evaluation of the distributional branching formulas.
 
 For a quaternionic form the restriction of a discrete series to the su(2,1)
-subgroup is encoded by a signed coset sum of convolved Heaviside series over
+subgroup, and for sp(1,q) the restriction to the sp(1,1) subgroup, is
+encoded by a signed coset sum of convolved Heaviside series over
 per-element multisets; antisymmetrizing in the reflection S_b and reading off
 the coefficients on the positive side recovers the branching multiplicities.
 This module evaluates that sum with exact truncation bookkeeping and extracts
 tables to compare against the closed form.
+
+Both families run through the same functions; ``OracleContext`` lists what
+they read from a family's context.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -22,10 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Protocol
 
 from .errors import DomainError, InternalError, ResourceError
 from .formal import DeltaSeries, convolve, convolve_multiset, dirac, from_multiplicities
-from .lattice import Weight, apply_matrix, coroot_pairing, inner, is_zero, mat_mul
+from .lattice import (
+    InnerProductForm,
+    Weight,
+    apply_matrix,
+    coroot_pairing,
+    inner,
+    is_zero,
+    mat_mul,
+)
 from .quaternionic import (
     BranchingTable,
     QuaternionicContext,
@@ -34,8 +47,40 @@ from .quaternionic import (
     lam2_weight_table,
     validate_small_dominant,
 )
-from .repweights import restrict_weights
-from .rootsystems import WeylElement, coset_reps, half_sum, weyl_generate
+from .repweights import CompactFactor, restrict_weights
+from .rootsystems import RootDatum, WeylElement, coset_reps, half_sum, weyl_generate
+
+
+class OracleContext(Protocol):
+    """What the oracle reads from a family's context.  QuaternionicContext
+    (su(2,1) subgroup) and specialcases.Sp1qContext (sp(1,1) subgroup) both
+    provide it."""
+
+    rd: RootDatum
+    beta: Weight
+    s_beta: tuple                         # reflection matrix in beta
+    k2_factor: CompactFactor
+    kernel_positive: tuple[Weight, ...]   # positive k2 roots killed by q_u
+
+    @property
+    def form(self) -> InnerProductForm: ...
+
+    @property
+    def noncompact_positive(self) -> tuple[Weight, ...]: ...
+
+    @property
+    def h_roots(self) -> frozenset: ...   # roots of the subgroup
+
+    def q_u(self, v: Weight) -> Weight: ...   # onto the subgroup torus
+
+    def q_u_k2(self, v: Weight) -> Weight: ...   # onto the su(2) torus inside k2
+
+    def positive_side(self, mu: Weight) -> bool:
+        """The side of the S_b wall that carries the multiplicities."""
+
+    def check_extracted(self, series: DeltaSeries, mu: Weight, c: int) -> None:
+        """Family check on a certified positive-side coefficient c at mu;
+        raises InternalError on failure."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +111,7 @@ def kernel_roots(ctx: QuaternionicContext):
     return by_kernel
 
 
-def weyl_polynomial(ctx: QuaternionicContext, sigma: Weight) -> Fraction:
+def weyl_polynomial(ctx: OracleContext, sigma: Weight) -> Fraction:
     """Product of pairings with the kernel roots, normalized at their half-sum."""
     kernel = ctx.kernel_positive
     if not kernel:
@@ -80,7 +125,7 @@ def weyl_polynomial(ctx: QuaternionicContext, sigma: Weight) -> Fraction:
     return num / den
 
 
-def compact_quotient_weights(ctx: QuaternionicContext) -> dict:
+def compact_quotient_weights(ctx: OracleContext) -> dict:
     """Multiset of projections of the k2 positive roots outside the kernel;
     these are the torus weights of the compact quotient directions."""
     out: dict = {}
@@ -98,7 +143,7 @@ def compact_quotient_weights(ctx: QuaternionicContext) -> dict:
     return out
 
 
-def _k2_weyl(ctx: QuaternionicContext, cfg: OracleConfig):
+def _k2_weyl(ctx: OracleContext, cfg: OracleConfig):
     try:
         return weyl_generate(ctx.form, ctx.k2_factor.simple, cfg.group_order_bound)
     except ResourceError:
@@ -108,15 +153,15 @@ def _k2_weyl(ctx: QuaternionicContext, cfg: OracleConfig):
         ) from None
 
 
-def _kernel_cosets(ctx: QuaternionicContext, cfg: OracleConfig):
+def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig):
     elements = _k2_weyl(ctx, cfg)
     return coset_reps(elements, ctx.kernel_positive, ctx.form)
 
 
-def restriction_multiset(ctx: QuaternionicContext, w: WeylElement, flip: bool) -> dict:
+def restriction_multiset(ctx: OracleContext, w: WeylElement, flip: bool) -> dict:
     """Convolution multiset of one coset term: quotient weights joined with
     the projections of the transformed noncompact positive roots, with the
-    su(2,1) roots removed.  Must be strict (checked by the caller's convolution)."""
+    subgroup roots removed.  Must be strict (checked by the caller's convolution)."""
     ms = dict(compact_quotient_weights(ctx))
     h_roots = ctx.h_roots
     for g in ctx.noncompact_positive:
@@ -138,14 +183,19 @@ def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleCo
     of Heaviside convolutions."""
     table = lam2_weight_table(ctx, lam)
     lhs = from_multiplicities(restrict_weights(table, ctx.q_u_k2))
-
     _, lam2 = decompose_parameter(ctx, lam)
+    return lhs, torus_coset_sum(ctx, lam2, cfg)
+
+
+def torus_coset_sum(ctx: OracleContext, lam2: Weight, cfg: OracleConfig) -> DeltaSeries:
+    """Right side of the torus restriction identity: the signed coset sum of
+    Heaviside convolutions over the compact quotient weights, with the Weyl
+    polynomial at each transformed lam2 as coefficient."""
     quotient = compact_quotient_weights(ctx)
     prefactor = (-1) ** sum(quotient.values())
-    reps = _kernel_cosets(ctx, cfg)
     acc: dict = {}
     regions = []
-    for s in reps:
+    for s in _kernel_cosets(ctx, cfg):
         slam2 = apply_matrix(s.matrix, lam2)
         coeff = Fraction(prefactor * s.sign) * weyl_polynomial(ctx, slam2)
         if coeff == 0:
@@ -154,8 +204,7 @@ def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleCo
         for wgt, c in term.coeffs.items():
             acc[wgt] = acc.get(wgt, Fraction(0)) + coeff * c
         regions.extend(term.regions)
-    rhs = _integral_series(acc, tuple(regions))
-    return lhs, rhs
+    return _integral_series(acc, tuple(regions))
 
 
 def _integral_series(acc: dict, regions) -> DeltaSeries:
@@ -170,15 +219,19 @@ def _integral_series(acc: dict, regions) -> DeltaSeries:
 
 
 def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
+    """Signed distributional series of a quaternionic parameter (see _coset_series)."""
+    validate_small_dominant(ctx, lam)
+    return _coset_series(ctx, lam, cfg)
+
+
+def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
     """Signed distributional series whose positive side encodes the branching
     multiplicities: sum over cosets (and their S_b translates) of
     sign * weylpoly * delta at the projected parameter, convolved with the
-    Heaviside series of the term's multiset."""
-    validate_small_dominant(ctx, lam)
-    reps = _kernel_cosets(ctx, cfg)
+    Heaviside series of the term's multiset.  The caller validates lam."""
     acc: dict = {}
     regions = []
-    for s in reps:
+    for s in _kernel_cosets(ctx, cfg):
         for flip in (False, True):
             matrix = mat_mul(ctx.s_beta, s.matrix) if flip else s.matrix
             sign = -s.sign if flip else s.sign
@@ -210,19 +263,18 @@ def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
     return problems
 
 
-def extract_multiplicities(ctx: QuaternionicContext, series: DeltaSeries) -> BranchingTable:
+def extract_multiplicities(ctx: OracleContext, series: DeltaSeries) -> BranchingTable:
     """Branching table read off the positive side of the antisymmetrized series.
 
     Only certified weights are reported; a negative coefficient on the
     positive side signals an antisymmetrization failure (bug or insufficient
-    truncation) and raises InternalError.
+    truncation) and raises InternalError, as does a failed family check.
     """
     entries = {}
     for wgt, c in series.coeffs.items():
-        if inner(ctx.form, wgt, ctx.beta) <= 0:
+        if not ctx.positive_side(wgt) or not series.certain_at(wgt):
             continue
-        if not series.certain_at(wgt):
-            continue
+        ctx.check_extracted(series, wgt, c)
         if c < 0:
             raise InternalError(f"antisymmetrization failure at {wgt}: coefficient {c}")
         entries[wgt] = c
@@ -236,19 +288,17 @@ class ComparisonReport:
     mismatches: tuple
 
 
-def verify_closed_form(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
-    """Compare the closed-form table against the oracle extraction on the full
+def compare(ctx: OracleContext, series: DeltaSeries, closed: BranchingTable) -> ComparisonReport:
+    """Compare a closed-form table against the oracle extraction on the full
     certified region.  Every candidate parameter (from either side) that the
     truncated series certifies must match exactly; uncertified candidates are
     skipped."""
-    series = restriction_series(ctx, lam, cfg)
     oracle_table = extract_multiplicities(ctx, series)
-    closed = branching_table(ctx, lam, cutoff=cfg.step_bound)
     candidates = set(closed.entries) | set(oracle_table.entries)
     mismatches = []
     compared = 0
     for mu in sorted(candidates):
-        if inner(ctx.form, mu, ctx.beta) <= 0:
+        if not ctx.positive_side(mu):
             continue
         if coroot_pairing(ctx.form, mu, ctx.beta) > closed.pairing_bound:
             continue  # outside the closed table's completeness region
@@ -260,3 +310,9 @@ def verify_closed_form(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
         if got != want:
             mismatches.append((mu, want, got))
     return ComparisonReport(not mismatches, compared, tuple(mismatches))
+
+
+def verify_closed_form(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
+    """Closed-form table at cutoff = step bound against the oracle series."""
+    series = restriction_series(ctx, lam, cfg)
+    return compare(ctx, series, branching_table(ctx, lam, cfg.step_bound))

@@ -93,6 +93,13 @@ class QuaternionicContext:
         form = self.form
         return wscale(inner(form, v, self.w_line) / inner(form, self.w_line, self.w_line), self.w_line)
 
+    def positive_side(self, mu: Weight) -> bool:
+        """The side (mu, beta) > 0 of the S_b wall, which carries the multiplicities."""
+        return inner(self.form, mu, self.beta) > 0
+
+    def check_extracted(self, series, mu: Weight, c: int) -> None:
+        """No per-entry check; ``oracle.check_antisymmetry`` covers the series."""
+
 
 def quaternionic_context(label: str) -> QuaternionicContext:
     """Build and verify the full embedding context for a form label."""

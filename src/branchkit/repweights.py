@@ -10,7 +10,6 @@ aborts with InternalError.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,13 +24,13 @@ from .lattice import (
     wadd,
     wsub,
 )
-from .rootsystems import PositiveSystem, half_sum, simple_elements
+from .rootsystems import PositiveSystem, env_bound, half_sum, simple_elements
 
 DIMENSION_BOUND = 10**7
 
 
 def dimension_bound() -> int:
-    return int(os.environ.get("BRANCHKIT_DIMENSION_BOUND", DIMENSION_BOUND))
+    return env_bound("BRANCHKIT_DIMENSION_BOUND", DIMENSION_BOUND)
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,8 +43,24 @@ from .lattice import (
 WEYL_ORDER_BOUND = 10**6
 
 
+def env_bound(name: str, default: int) -> int:
+    """A safety bound read from the environment variable ``name``, or
+    ``default`` when it is unset.  Anything but a positive integer raises
+    ConfigurationError."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise ConfigurationError(f"{name} must be a positive integer, got {raw!r}")
+
+
 def weyl_order_bound() -> int:
-    return int(os.environ.get("BRANCHKIT_GROUP_ORDER_BOUND", WEYL_ORDER_BOUND))
+    return env_bound("BRANCHKIT_GROUP_ORDER_BOUND", WEYL_ORDER_BOUND)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Restriction results outside the su(2,1) family: the constant answer for
-SO(3,2n), the closed-form branching from sp(1,q) to its sp(1,1) subgroup with
-its own distributional oracle, and the root-set criterion for admissibility
-of discrete series of Hermitian forms over the semisimple factor of K.
+SO(3,2n), the closed-form branching from sp(1,q) to its sp(1,1) subgroup
+(checked by the shared distributional oracle in ``oracle``), and the root-set
+criterion for admissibility of discrete series of Hermitian forms over the
+semisimple factor of K.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigurationError, DomainError, InternalError
-from .formal import DeltaSeries, convolve, convolve_multiset, dirac, from_multiplicities
+from .formal import DeltaSeries, from_multiplicities
 from .lattice import (
     InnerProductForm,
     Weight,
@@ -20,7 +21,6 @@ from .lattice import (
     coroot_pairing,
     identity_form,
     inner,
-    is_zero,
     mat_mul,
     reflection_matrix,
     wadd,
@@ -30,6 +30,8 @@ from .lattice import (
     wsub,
     zero_weight,
 )
+from .oracle import ComparisonReport, OracleConfig, _coset_series, compare, torus_coset_sum
+from .quaternionic import BranchingTable
 from .repweights import (
     CompactFactor,
     cached_freudenthal,
@@ -40,11 +42,8 @@ from .repweights import (
 from .rootsystems import (
     PositiveSystem,
     RootDatum,
-    coset_reps,
-    half_sum,
     positive_system,
     simple_elements,
-    weyl_generate,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,6 +87,7 @@ class Sp1qContext:
     kernel_positive: tuple[Weight, ...]
     s_beta: tuple                   # reflection in beta = sign flip of e0
     su2_root: Weight                # 2 e1, the su(2) inside k2 used for strings
+    mirrors: tuple                  # (matrix, sign): the four-fold antisymmetry
 
     @property
     def form(self) -> InnerProductForm:
@@ -104,6 +104,21 @@ class Sp1qContext:
     def q_u_k2(self, v: Weight) -> Weight:
         """Projection onto the su(2) torus inside k2: keep coordinate 1."""
         return tuple(x if i == 1 else Fraction(0) for i, x in enumerate(v))
+
+    def positive_side(self, mu: Weight) -> bool:
+        """The open quadrant a > 0, k > 0 of mu = a e0 + k e1."""
+        return mu[0] > 0 and mu[1] > 0
+
+    def check_extracted(self, series: DeltaSeries, mu: Weight, c: int) -> None:
+        """A certified coefficient is off the singular wall a = k, and the
+        series is odd under each sign flip of e0 and e1 and even under both,
+        wherever the mirror point is certified."""
+        if mu[0] == mu[1]:
+            raise InternalError("nonzero coefficient on the singular wall a = k")
+        for matrix, sign in self.mirrors:
+            got = series.coefficient(apply_matrix(matrix, mu))
+            if got is not None and got != sign * c:
+                raise InternalError("four-fold antisymmetry fails at %s" % (mu,))
 
 
 def _sp1q_roots(q: int):
@@ -162,6 +177,8 @@ def sp1q_context(q: int) -> Sp1qContext:
     )
     k2_factor = CompactFactor.from_positive(form, k2_positive)
     kernel = tuple(g for g in k2_positive if g[0] == 0 and g[1] == 0)
+    s_beta = reflection_matrix(form, beta)
+    s_e1 = reflection_matrix(form, e1)
     return Sp1qContext(
         q=q,
         rd=rd,
@@ -170,8 +187,9 @@ def sp1q_context(q: int) -> Sp1qContext:
         h_roots=h_roots,
         k2_factor=k2_factor,
         kernel_positive=kernel,
-        s_beta=reflection_matrix(form, beta),
+        s_beta=s_beta,
         su2_root=wscale(2, e1),
+        mirrors=((s_beta, -1), (s_e1, -1), (mat_mul(s_beta, s_e1), 1)),
     )
 
 
@@ -192,18 +210,7 @@ def sp1q_string_table(ctx: Sp1qContext, lam: Weight) -> dict:
     return su2_string_decompose(table, ctx.su2_root)
 
 
-@dataclass(frozen=True, eq=False)
-class Sp1qTable:
-    """Branching table for sp(1, q) -> sp(1, 1); keys are (a, k) coordinates
-    a e0 + k e1.  Complete for a <= pairing_bound."""
-
-    entries: dict  # Weight -> positive int
-    pairing_bound: Fraction | None
-    q: int
-    lam: Weight | None
-
-
-def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Sp1qTable:
+def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
     """Closed form: strings at k e1 contribute N_k C(p + 2q - 3, 2q - 3) at
     (a0 + q - 1 + p) e0 + k e1 for p >= 0, where a0 is the e0-component of lam.
 
@@ -225,149 +232,23 @@ def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Sp1qTabl
     for mu in entries:
         if not (mu[0] > mu[1] > 0):
             raise InternalError("emitted parameter is not dominant for the subgroup")
-    return Sp1qTable(entries, a0 + (ctx.q - 1) + cutoff, ctx.q, lam)
+    return BranchingTable(entries, a0 + (ctx.q - 1) + cutoff, ctx.rd.label, lam)
 
 
-def _sp1q_kernel_cosets(ctx: Sp1qContext, order_bound: int):
-    elements = weyl_generate(ctx.form, ctx.k2_factor.simple, order_bound)
-    return coset_reps(elements, ctx.kernel_positive, ctx.form)
-
-
-def _sp1q_weyl_polynomial(ctx: Sp1qContext, sigma: Weight) -> Fraction:
-    kernel = ctx.kernel_positive
-    if not kernel:
-        return Fraction(1)
-    rho_z = half_sum(ctx.form.dim, kernel)
-    num = Fraction(1)
-    den = Fraction(1)
-    for g in kernel:
-        num *= inner(ctx.form, sigma, g)
-        den *= inner(ctx.form, rho_z, g)
-    return num / den
-
-
-def sp1q_quotient_weights(ctx: Sp1qContext) -> dict:
-    """Projections of the compact positive roots outside the kernel, with the
-    sp(1,1) roots removed: 2(q-1) copies of e1."""
-    out: dict = {}
-    kernel = set(ctx.kernel_positive)
-    for g in ctx.rd.compact_positive:
-        if g in kernel:
-            continue
-        p = ctx.q_u(g)
-        if is_zero(p):
-            raise InternalError("kernel filter missed a vanishing projection")
-        if p in ctx.h_roots:
-            continue
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
-def sp1q_term_multiset(ctx: Sp1qContext, w, flip: bool) -> dict:
-    ms = dict(sp1q_quotient_weights(ctx))
-    for g in ctx.noncompact_positive:
-        img = apply_matrix(w.matrix, g)
-        if flip:
-            img = apply_matrix(ctx.s_beta, img)
-        p = ctx.q_u(img)
-        if is_zero(p):
-            raise InternalError("noncompact root projects to zero")
-        if p in ctx.h_roots:
-            continue
-        ms[p] = ms.get(p, 0) + 1
-    return ms
-
-
-def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, step_bound: int,
-                            order_bound: int = 10**5) -> DeltaSeries:
+def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
     """Signed coset sum encoding the sp(1,1) branching; its coefficients on
     the open quadrant (a > 0, k > 0) are the multiplicities."""
     sp1q_validate(ctx, lam)
-    reps = _sp1q_kernel_cosets(ctx, order_bound)
-    acc: dict = {}
-    regions = []
-    for s in reps:
-        for flip in (False, True):
-            matrix = mat_mul(ctx.s_beta, s.matrix) if flip else s.matrix
-            sign = -s.sign if flip else s.sign
-            wlam = apply_matrix(matrix, lam)
-            varpi = _sp1q_weyl_polynomial(ctx, wlam)
-            ms = sp1q_term_multiset(ctx, s, flip)
-            prefactor = (-1) ** sum(ms.values())
-            coeff = Fraction(sign * prefactor) * varpi
-            term = convolve(dirac(ctx.q_u(wlam)), convolve_multiset(ms, step_bound))
-            for wgt, c in term.coeffs.items():
-                acc[wgt] = acc.get(wgt, Fraction(0)) + coeff * c
-            regions.extend(term.regions)
-    coeffs = {}
-    for wgt, c in acc.items():
-        if c == 0:
-            continue
-        if c.denominator != 1:
-            raise InternalError("coset sum produced a non-integer coefficient")
-        coeffs[wgt] = int(c)
-    return DeltaSeries(coeffs, tuple(regions))
+    return _coset_series(ctx, lam, cfg)
 
 
-def sp1q_extract(ctx: Sp1qContext, series: DeltaSeries) -> Sp1qTable:
-    """Table from the open-quadrant coefficients; verifies the four-fold
-    antisymmetry pattern under the two sign flips within the certified set."""
-    s_e1 = reflection_matrix(ctx.form, ctx.su2_root)
-    entries = {}
-    for wgt, c in series.coeffs.items():
-        a, k = wgt[0], wgt[1]
-        if a <= 0 or k <= 0:
-            continue
-        if not series.certain_at(wgt):
-            continue
-        if a == k:
-            raise InternalError("nonzero coefficient on the singular wall a = k")
-        if c < 0:
-            raise InternalError(f"antisymmetrization failure at {wgt}")
-        entries[wgt] = c
-        for matrix, want in (
-            (ctx.s_beta, -c),
-            (s_e1, -c),
-            (mat_mul(ctx.s_beta, s_e1), c),
-        ):
-            mirror = apply_matrix(matrix, wgt)
-            got = series.coefficient(mirror)
-            if got is not None and got != want:
-                raise InternalError("four-fold antisymmetry fails at %s" % (wgt,))
-    return Sp1qTable(entries, None, ctx.q, None)
+def sp1q_verify(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
+    """Closed form at cutoff = step bound vs oracle extraction on the certified region."""
+    series = sp1q_restriction_series(ctx, lam, cfg)
+    return compare(ctx, series, sp1q_branching_table(ctx, lam, cfg.step_bound))
 
 
-@dataclass(frozen=True, eq=False)
-class Sp1qReport:
-    agree: bool
-    compared: int
-    mismatches: tuple
-
-
-def sp1q_verify(ctx: Sp1qContext, lam: Weight, step_bound: int) -> Sp1qReport:
-    """Closed form vs oracle extraction on the certified region."""
-    series = sp1q_restriction_series(ctx, lam, step_bound)
-    oracle = sp1q_extract(ctx, series)
-    closed = sp1q_branching_table(ctx, lam, cutoff=step_bound)
-    candidates = set(closed.entries) | set(oracle.entries)
-    mismatches = []
-    compared = 0
-    for mu in sorted(candidates):
-        if mu[0] <= 0 or mu[1] <= 0:
-            continue
-        if mu[0] > closed.pairing_bound:
-            continue
-        got = series.coefficient(mu)
-        if got is None:
-            continue
-        compared += 1
-        want = closed.entries.get(mu, 0)
-        if got != want:
-            mismatches.append((mu, want, got))
-    return Sp1qReport(not mismatches, compared, tuple(mismatches))
-
-
-def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, step_bound: int):
+def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig):
     """Both sides of the restriction identity from sp(q) to the su(2) on the
     first compact coordinate: antisymmetrized string parameters on the left,
     the signed coset sum with the Weyl polynomial on the right."""
@@ -379,28 +260,8 @@ def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, step_bound: int):
         down = wneg(up)
         lhs_coeffs[down] = lhs_coeffs.get(down, 0) - nk
     lhs = from_multiplicities(lhs_coeffs)
-
     _, lam2 = sp1q_decompose(ctx, lam)
-    quotient = sp1q_quotient_weights(ctx)
-    prefactor = (-1) ** sum(quotient.values())
-    reps = _sp1q_kernel_cosets(ctx, 10**5)
-    acc: dict = {}
-    regions = []
-    for s in reps:
-        slam2 = apply_matrix(s.matrix, lam2)
-        coeff = Fraction(prefactor * s.sign) * _sp1q_weyl_polynomial(ctx, slam2)
-        term = convolve(dirac(ctx.q_u_k2(slam2)), convolve_multiset(quotient, step_bound))
-        for wgt, c in term.coeffs.items():
-            acc[wgt] = acc.get(wgt, Fraction(0)) + coeff * c
-        regions.extend(term.regions)
-    coeffs = {}
-    for wgt, c in acc.items():
-        if c == 0:
-            continue
-        if c.denominator != 1:
-            raise InternalError("coset sum produced a non-integer coefficient")
-        coeffs[wgt] = int(c)
-    return lhs, DeltaSeries(coeffs, tuple(regions))
+    return lhs, torus_coset_sum(ctx, lam2, cfg)
 
 
 # ---------------------------------------------------------------------------

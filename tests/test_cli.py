@@ -80,6 +80,9 @@ def test_branch_sp1q(capsys, schema):
     payload = json.loads(out)
     jsonschema.validate(payload, schema)
     assert payload["entries"][0] == {"mu": "5,1,0", "mult": "1"}
+    assert payload["oracle"]["agree"] is True
+    assert payload["oracle"]["comparedWeights"] > 0
+    assert payload["oracle"]["mismatches"] == []
 
 
 def test_admissible_hermitian(capsys, schema):
@@ -142,15 +145,32 @@ def test_bad_form_label_exit_code(capsys):
     assert "so4_n" in err
 
 
-def test_resource_error_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "4")
-    code, _, err = run_cli(
-        capsys,
-        "oracle-check", "quat", "--form", "so4_n:4", "--lambda", "4,3,2,1",
-        "--step-bound", "4",
-    )
+@pytest.mark.parametrize("bound,argv", [
+    ("4", ["quat", "--form", "so4_n:4", "--lambda", "4,3,2,1"]),
+    ("10", ["sp1q", "--form", "sp1_q:3", "--lambda=5,3,2,1"]),
+], ids=["quat", "sp1q"])
+def test_resource_error_exit_code(capsys, monkeypatch, bound, argv):
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", bound)
+    code, _, err = run_cli(capsys, "oracle-check", *argv, "--step-bound", "4")
     assert code == 3
     assert "bound" in err
+
+
+ORACLE_ARGV = ["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "4"]
+
+
+@pytest.mark.parametrize("variable,value,argv", [
+    ("BRANCHKIT_GROUP_ORDER_BOUND", "abc", ORACLE_ARGV),
+    ("BRANCHKIT_GROUP_ORDER_BOUND", "0", ORACLE_ARGV),
+    # AC-2 builds Freudenthal tables without the memo, so it reads the bound
+    ("BRANCHKIT_DIMENSION_BOUND", "1e3", ["selftest", "--only", "AC-2"]),
+], ids=["group-order-abc", "group-order-0", "dimension-1e3"])
+def test_malformed_bound_variable_exit_code(capsys, monkeypatch, variable, value, argv):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert variable in err and repr(value) in err
 
 
 def test_selftest_single_criterion(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from branchkit.errors import ConfigurationError, DomainError
 from branchkit.lattice import inner, weight, wneg, wscale
+from branchkit.oracle import OracleConfig, extract_multiplicities, weyl_polynomial
 from branchkit.specialcases import (
     antiholomorphic_chamber_parameter,
     chamber_system,
@@ -15,7 +16,6 @@ from branchkit.specialcases import (
     so3_admissible,
     sp1q_branching_table,
     sp1q_context,
-    sp1q_extract,
     sp1q_restriction_series,
     sp1q_string_table,
     sp1q_su2_restriction_sides,
@@ -77,15 +77,13 @@ def test_sp1q_binomial_specialization():
 
 
 def test_sp1q_weyl_polynomial_sample(sp13):
-    from branchkit.specialcases import _sp1q_weyl_polynomial
-
     # kernel = C2 on the last two coordinates; at sigma = 3 d2 + d3 the
     # product of pairings over {2d2, 2d3, d2+-d3} normalized at rho_z gives
     # s2 s3 (s2^2 - s3^2) / 6 = 3 * 1 * 8 / 6 = 4
     sigma = weight([0, 0, 3, 1])
-    assert _sp1q_weyl_polynomial(sp13, sigma) == 4
+    assert weyl_polynomial(sp13, sigma) == 4
     rho_z = weight([0, 0, 2, 1])
-    assert _sp1q_weyl_polynomial(sp13, rho_z) == 1
+    assert weyl_polynomial(sp13, rho_z) == 1
 
 
 def test_sp1q_trivial_rep_table(sp12):
@@ -123,14 +121,14 @@ def test_sp1q_non_dominant_rejected(sp12):
 
 def test_sp1q_oracle_agreement(sp12, sp13):
     for ctx, coords in [(sp12, (5, 3, 1)), (sp13, (5, 3, 2, 1))]:
-        report = sp1q_verify(ctx, weight(coords), step_bound=8)
+        report = sp1q_verify(ctx, weight(coords), OracleConfig(step_bound=8))
         assert report.agree and report.compared >= 5
 
 
 def test_sp1q_extract_antisymmetry(sp12):
     lam = weight([5, 2, 1])
-    series = sp1q_restriction_series(sp12, lam, step_bound=8)
-    table = sp1q_extract(sp12, series)
+    series = sp1q_restriction_series(sp12, lam, OracleConfig(step_bound=8))
+    table = extract_multiplicities(sp12, series)
     assert table.entries
     for wgt in series.coeffs:
         assert wgt[0] != 0 and wgt[1] != 0  # walls vanish identically
@@ -141,7 +139,7 @@ def test_sp1q_extract_antisymmetry(sp12):
 
 def test_sp1q_su2_restriction_sides(sp12, sp13):
     for ctx, coords in [(sp12, (6, 4, 1)), (sp13, (7, 4, 2, 1))]:
-        lhs, rhs = sp1q_su2_restriction_sides(ctx, weight(coords), step_bound=14)
+        lhs, rhs = sp1q_su2_restriction_sides(ctx, weight(coords), OracleConfig(step_bound=14))
         assert lhs.coeffs  # antisymmetrized string parameters
         for x in set(lhs.coeffs) | set(rhs.coeffs):
             got = rhs.coefficient(x)
