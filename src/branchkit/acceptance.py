@@ -20,6 +20,7 @@ from math import comb
 from .errors import InternalError
 from .formal import convolve, heaviside, heaviside_power
 from .lattice import (
+    format_weight,
     identity_form,
     inner,
     reflect,
@@ -80,20 +81,19 @@ def _result(ident, title, limit, started, passed, detail) -> CriterionResult:
 def ac1(store) -> CriterionResult:
     """Heaviside powers equal iterated convolutions, r <= 6 at 50 steps."""
     from .formal import dirac
-    from .lattice import zero_weight
 
     t0 = time.time()
-    gamma = weight([1, -1, 0])
+    gamma = (2, -2, 0)  # the root (1, -1, 0) in doubled, integral coordinates
     n = 50
     checked = 0
     base = heaviside(gamma, n)
     for r in range(7):
         direct = heaviside_power(gamma, r, n)
-        iterated = dirac(zero_weight(3))
+        iterated = dirac((0, 0, 0))
         for _ in range(r):
             iterated = convolve(iterated, base)
         for k in range(n + 1):
-            x = wscale(Fraction(r, 2) + k, gamma)
+            x = tuple((r + 2 * k) * g // 2 for g in gamma)
             want = direct.coefficient(x)
             got = iterated.coefficient(x)
             if got is None or want is None or got != want:
@@ -219,7 +219,7 @@ def ac3(store) -> CriterionResult:
                     continue
                 if c != lhs.coeffs.get(w, 0):
                     return _result("AC-3", "torus restriction identity", 120, t0, False,
-                                   f"{label}: mismatch at {w}")
+                                   f"{label}: mismatch at {format_weight(rhs.chart.to_weight(w))}")
                 checked += 1
             uncovered = [w for w in lhs.coeffs if rhs.coefficient(w) is None]
             if uncovered:
@@ -236,7 +236,7 @@ def ac3(store) -> CriterionResult:
                 continue
             if c != lhs.coeffs.get(w, 0):
                 return _result("AC-3", "torus restriction identity", 120, t0, False,
-                               f"sp(1,2): mismatch at {w}")
+                               f"sp(1,2): mismatch at {format_weight(rhs.chart.to_weight(w))}")
             checked += 1
         uncovered = [w for w in lhs.coeffs if rhs.coefficient(w) is None]
         if uncovered:

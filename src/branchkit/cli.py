@@ -23,7 +23,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .acceptance import run_all
 from .errors import (
     BranchkitError,
     ConfigurationError,
@@ -97,12 +96,15 @@ def _emit(payload: dict, output: str) -> str:
 
 def _parse_lambda(args, ctx_simple_roots):
     lam = parse_weight(args.lam)
+    dim = len(ctx_simple_roots[0])
+    if args.basis == "ambient" and len(lam) != dim:
+        raise DomainError(f"expected {dim} coordinates in --lambda, got {len(lam)}")
     if args.basis == "simple":
         if len(lam) != len(ctx_simple_roots):
             raise DomainError(
                 f"simple-basis input needs {len(ctx_simple_roots)} coefficients"
             )
-        total = zero_weight(len(ctx_simple_roots[0]))
+        total = zero_weight(dim)
         for c, a in zip(lam, ctx_simple_roots):
             total = wadd(total, wscale(c, a))
         return total
@@ -157,7 +159,8 @@ def cmd_branch(args) -> int:
     if args.family == "quat":
         violations = check_table_dominance(ctx, table)
         if violations:
-            raise InternalError(f"non-dominant parameters in the table: {violations[:3]}")
+            shown = "; ".join(format_weight(mu) for mu, _, _ in violations[:3])
+            raise InternalError(f"non-dominant parameters in the table: {shown}")
     sys.stdout.write(_emit(payload, args.output))
     return 0
 
@@ -258,6 +261,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_all  # only selftest needs the criteria
+
     selected = set(args.only.split(",")) if args.only else None
     results = run_all(selected)
     ok = all(r.passed and r.within_limit for r in results)

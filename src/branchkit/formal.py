@@ -1,11 +1,18 @@
-"""Finitely truncated formal delta distributions on the weight lattice.
+"""Finitely truncated formal delta distributions on an integer lattice.
 
-A ``DeltaSeries`` stores integer coefficients on finitely many weights plus a
-truncation contract.  The contract is a conjunction of ``ValidityRegion``s;
-the series is guaranteed to agree with the untruncated distribution at every
-weight certified by all of them.  Queries outside the certified set return
-``None`` ("unknown"), never 0, so truncated garbage can never be mistaken for
-an exact value.
+A ``DeltaSeries`` stores integer coefficients on finitely many points plus a
+truncation contract.  Points, region bases and directions are tuples of
+``int``.  The oracle builds its series on the integer chart of their span
+(``lattice.Chart``, kept as ``DeltaSeries.chart``): r <= 2 ambient
+coordinates scaled by twice the common denominator of the term bases and
+directions, so that every point and every half-sum base is integral.
+Weights are mapped back only where they are reported.
+
+The contract is a conjunction of ``ValidityRegion``s; the series is
+guaranteed to agree with the untruncated distribution at every point
+certified by all of them.  Queries outside the certified set return ``None``
+("unknown"), never 0, so truncated garbage can never be mistaken for an
+exact value.
 
 An empty region tuple certifies everything: it is used for finite series
 (Dirac combinations) that are exact by construction.  A region with
@@ -18,46 +25,59 @@ directions certifies a point x when either
 
 Soundness of the decomposition search relies on the direction multiset being
 pointed (no nonzero nonnegative combination sums to zero).  This is certified
-at construction by a strictly positive linear functional on the directions;
-for linearly dependent directions the functional also bounds how many steps
-any alternative decomposition of a certified point can use, and the Heaviside
-factors are expanded far enough to cover all of them.
+by a strictly positive linear functional on the directions; for linearly
+dependent directions the functional also bounds how many steps any
+alternative decomposition of a certified point can use, and the Heaviside
+factors are expanded far enough to cover all of them.  The search handles
+direction sets of rank at most 2.
 
-Series are immutable after construction and all operations are pure.
+Each series owns its certification memo: the minimal step count per
+(direction multiset, offset x - base), shared by the regions with the same
+directions, and the verdict per point.  Series are otherwise immutable and
+all operations are pure.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError, InternalError
-from .lattice import (
-    Weight,
-    format_weight,
-    is_zero,
-    rational_solve,
-    wadd,
-    wscale,
-    wsub,
-    zero_weight,
-)
+from .lattice import format_weight, rational_solve
 
-WeightMultiset = dict[Weight, int]
+Point = tuple[int, ...]
+PointMultiset = dict[Point, int]
 
 
-def _independent_basis(dirs: list[Weight]) -> list[Weight]:
-    basis: list[Weight] = []
+def _padd(a: Point, b: Point) -> Point:
+    return tuple(map(operator.add, a, b))
+
+
+def _psub(a: Point, b: Point) -> Point:
+    return tuple(map(operator.sub, a, b))
+
+
+def _half(v: Point) -> Point:
+    if any(x % 2 for x in v):
+        raise DomainError(
+            f"half of ({format_weight(v)}) is not an integer point; double the points"
+        )
+    return tuple(x // 2 for x in v)
+
+
+def _independent_basis(dirs: list[Point]) -> list[Point]:
+    basis: list[Point] = []
     for d in dirs:
         if rational_solve(basis, d) is None:
             basis.append(d)
     return basis
 
 
-def _positive_functional(dirs: list[Weight]) -> dict[Weight, Fraction]:
+def _positive_functional(dirs: list[Point]) -> dict[Point, Fraction]:
     """Values of a linear functional that is > 0 on every direction.
 
     Existence certifies that the multiset is pointed (strict in the sense
@@ -83,7 +103,7 @@ def _positive_functional(dirs: list[Weight]) -> dict[Weight, Fraction]:
     raise DomainError("cannot certify strictness of the direction multiset")
 
 
-def _planar_functional(dirs, coords) -> dict[Weight, Fraction]:
+def _planar_functional(dirs, coords) -> dict[Point, Fraction]:
     """Positive functional for dependent rank-2 direction sets.
 
     The 2D coordinate rays are sorted by angle exactly; the set is pointed iff
@@ -135,151 +155,140 @@ def _planar_functional(dirs, coords) -> dict[Weight, Fraction]:
     return values
 
 
+class _Cone:
+    """Integer search data of one pointed set of distinct directions.
+
+    The positive functional of ``_positive_functional`` is scaled to an
+    integer covector ``f`` on the pivot coordinates, the first coordinates
+    on which the span is injective (``phi[d] = f . d`` is the functional up
+    to one positive factor).  An independent subset of ``rank`` directions
+    is solved for exactly; the other ("free") directions are enumerated,
+    each up to the functional's budget.
+    """
+
+    def __init__(self, dirs: tuple[Point, ...]):
+        self.rank = 0
+        if not dirs:
+            return
+        phi = _positive_functional(list(dirs))  # also certifies strictness
+        basis = _independent_basis(list(dirs))
+        self.rank = rank = len(basis)
+        if rank > 2:
+            raise DomainError("cannot certify direction sets of rank above 2")
+        dim = len(dirs[0])
+        if rank == 1:
+            self.pivots = (next(k for k in range(dim) if basis[0][k]),)
+        else:
+            a, b = basis
+            self.pivots = next((i, j) for i in range(dim) for j in range(i + 1, dim)
+                               if a[i] * b[j] - a[j] * b[i])
+        self.span = basis
+        self.check_span = dim > rank
+        self.free = tuple(d for d in dirs if d not in basis)
+        self.last = tuple(self._project(d) for d in basis)
+        cov = rational_solve([tuple(g[k] for g in basis) for k in self.pivots],
+                             tuple(phi[g] for g in basis))
+        den = lcm(*(c.denominator for c in cov))
+        self.f = tuple(int(c * den) for c in cov)
+        self.phi = {d: sum(map(operator.mul, self.f, self._project(d))) for d in dirs}
+
+    def _project(self, v: Point) -> Point:
+        return tuple(v[k] for k in self.pivots)
+
+    def _in_span(self, v: Point) -> bool:
+        if self.rank == 1:
+            (u,), (i,) = self.span, self.pivots
+            return all(x * u[i] == v[i] * y for x, y in zip(v, u))
+        (a, b), (i, j) = self.span, self.pivots
+        det = a[i] * b[j] - a[j] * b[i]
+        ca = v[i] * b[j] - v[j] * b[i]
+        cb = a[i] * v[j] - a[j] * v[i]
+        return all(det * x == ca * y + cb * z for x, y, z in zip(v, a, b))
+
+    def _solve_last(self, t: Point):
+        """Step count of the unique decomposition of t over the last
+        directions, or None when it is not a nonnegative integer one."""
+        if self.rank == 1:
+            ((a,),) = self.last
+            c, r = divmod(t[0], a)
+            return None if r or c < 0 else c
+        (a0, a1), (b0, b1) = self.last
+        det = a0 * b1 - a1 * b0
+        ca, ra = divmod(t[0] * b1 - t[1] * b0, det)
+        cb, rb = divmod(a0 * t[1] - a1 * t[0], det)
+        if ra or rb or ca < 0 or cb < 0:
+            return None
+        return ca + cb
+
+    def min_steps(self, v: Point):
+        """Minimal sum of a nonnegative integer decomposition of v, or None."""
+        if not self.rank:
+            return None if any(v) else 0
+        if self.check_span and not self._in_span(v):
+            return None
+        t = self._project(v)
+        if not self.free:
+            return self._solve_last(t)
+        budget = sum(map(operator.mul, self.f, t))
+        if budget < 0:
+            return None
+        best = None
+        stack = [(0, t, budget, 0)]  # (free directions used, rest, its budget, steps)
+        while stack:
+            idx, t, budget, total = stack.pop()
+            if best is not None and total >= best:
+                continue
+            if idx == len(self.free):
+                got = self._solve_last(t)
+                if got is not None and (best is None or total + got < best):
+                    best = total + got
+                continue
+            d = self.free[idx]
+            dp, pd = self._project(d), self.phi[d]
+            for c in range(budget // pd + 1):
+                stack.append((idx + 1, tuple(x - c * y for x, y in zip(t, dp)),
+                              budget - c * pd, total + c))
+        return best
+
+
+class _Memo:
+    """Certification memo of one series (see the module docstring)."""
+
+    def __init__(self):
+        self.cones: dict = {}      # directions -> _Cone
+        self.steps: dict = {}      # (directions, offset) -> minimal steps or None
+        self.verdicts: dict = {}   # point -> certified?
+
+    def min_steps(self, directions, v: Point):
+        key = (directions, v)
+        got = self.steps.get(key, self)  # self: not yet computed
+        if got is self:
+            cone = self.cones.get(directions)
+            if cone is None:
+                cone = self.cones[directions] = _Cone(tuple(d for d, _ in directions))
+            got = self.steps[key] = cone.min_steps(v)
+        return got
+
+
 @dataclass(frozen=True)
 class ValidityRegion:
     """Truncated cone {base + sum c_g g : c_g in Z>=0, sum c_g <= step_bound}."""
 
-    base: Weight
-    directions: tuple[tuple[Weight, int], ...]  # sorted (direction, multiplicity)
+    base: Point
+    directions: tuple[tuple[Point, int], ...]  # sorted (direction, multiplicity)
     step_bound: int
 
-    def min_total_steps(self, x: Weight):
+    def min_total_steps(self, x: Point, memo: _Memo | None = None):
         """Minimal total step count decomposing x, or None if x is outside the cone."""
-        dirs = [d for d, _ in self.directions]
-        v = wsub(x, self.base)
-        if not dirs:
-            return 0 if is_zero(v) else None
-        return _min_steps(v, dirs)
+        v = _psub(x, self.base)
+        if memo is None:
+            return _Cone(tuple(d for d, _ in self.directions)).min_steps(v)
+        return memo.min_steps(self.directions, v)
 
-    def contains(self, x: Weight) -> bool:
-        mt = self.min_total_steps(x)
-        return mt is not None and mt <= self.step_bound
-
-    def certain_at(self, x: Weight) -> bool:
+    def certain_at(self, x: Point, memo: _Memo | None = None) -> bool:
         """True when the truncated series is known exact at x (value or known 0)."""
-        mt = self.min_total_steps(x)
+        mt = self.min_total_steps(x, memo)
         return mt is None or mt <= self.step_bound
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_functional(dirs: tuple) -> dict:
-    return _positive_functional(list(dirs))
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_independent(dirs: tuple) -> bool:
-    return len(_independent_basis(list(dirs))) == len(dirs)
-
-
-@functools.lru_cache(maxsize=None)
-def _dependent_data(dirs: tuple):
-    """Basis, per-direction basis coordinates and an index order putting an
-    independent pair last, for the dependent-decomposition search."""
-    basis = _independent_basis(list(dirs))
-    coords = {d: rational_solve(basis, d) for d in dirs}
-    order = list(dirs)
-    if len(basis) == 2:
-        pair = None
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                a, b = coords[order[i]], coords[order[j]]
-                if a[0] * b[1] - a[1] * b[0] != 0:
-                    pair = (i, j)
-        i, j = pair
-        order = [d for k, d in enumerate(order) if k not in (i, j)] + [order[i], order[j]]
-    return tuple(basis), coords, tuple(order)
-
-
-def _min_steps(v: Weight, dirs: list[Weight]):
-    """Minimal sum of a nonnegative integer decomposition of v over dirs."""
-    key = tuple(dirs)
-    if _cached_independent(key):
-        sol = rational_solve(dirs, v)
-        if sol is None:
-            return None
-        if any(c < 0 or c.denominator != 1 for c in sol):
-            return None
-        return int(sum(sol))
-    phi = _cached_functional(key)
-    basis, coords, order = _dependent_data(key)
-    vc = rational_solve(list(basis), v)
-    if vc is None:
-        return None
-    target = Fraction(0)
-    sol0 = rational_solve(list(dirs), v)
-    for c, d in zip(sol0, dirs):
-        target += Fraction(c) * phi[d]
-    if target < 0:
-        return None
-    best = None
-
-    if len(basis) == 2:
-        free, pa, pb = order[:-2], order[-2], order[-1]
-        a, b = coords[pa], coords[pb]
-        det = a[0] * b[1] - a[1] * b[0]
-
-        def solve_pair(t0, t1):
-            ca = (t0 * b[1] - t1 * b[0]) / det
-            cb = (a[0] * t1 - a[1] * t0) / det
-            if ca < 0 or cb < 0 or ca.denominator != 1 or cb.denominator != 1:
-                return None
-            return int(ca + cb)
-
-        def rec(idx, t0, t1, rest_phi, total):
-            nonlocal best
-            if best is not None and total >= best:
-                return
-            if idx == len(free):
-                got = solve_pair(t0, t1)
-                if got is not None and (best is None or total + got < best):
-                    best = total + got
-                return
-            d = free[idx]
-            dc = coords[d]
-            cmax = int(rest_phi / phi[d])
-            for c in range(cmax + 1):
-                rec(idx + 1, t0 - c * dc[0], t1 - c * dc[1], rest_phi - c * phi[d], total + c)
-
-        rec(0, vc[0], vc[1], target, 0)
-        return best
-
-    # rank 1: tiny coin-style search over all but the last direction
-    def rec1(idx, rest, rest_phi, total):
-        nonlocal best
-        if best is not None and total >= best:
-            return
-        if idx == len(dirs) - 1:
-            c = _exact_multiple(rest, dirs[idx])
-            if c is not None and (best is None or total + c < best):
-                best = total + c
-            return
-        d = dirs[idx]
-        cmax = int(rest_phi / phi[d])
-        for c in range(cmax + 1):
-            rec1(idx + 1, wsub(rest, wscale(c, d)), rest_phi - c * phi[d], total + c)
-
-    rec1(0, v, target, 0)
-    return best
-
-
-def _exact_multiple(v: Weight, d: Weight):
-    """c >= 0 integer with v = c*d, else None."""
-    if is_zero(v):
-        return 0
-    ratio = None
-    for x, y in zip(v, d):
-        if y == 0:
-            if x != 0:
-                return None
-        else:
-            r = x / y
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return None
-    if ratio is None or ratio < 0 or ratio.denominator != 1:
-        return None
-    return int(ratio)
 
 
 EXACT: tuple[ValidityRegion, ...] = ()  # empty conjunction: exact everywhere
@@ -287,19 +296,29 @@ EXACT: tuple[ValidityRegion, ...] = ()  # empty conjunction: exact everywhere
 
 @dataclass(frozen=True)
 class DeltaSeries:
-    """Finitely supported integer-coefficient distribution with a validity contract."""
+    """Finitely supported integer-coefficient distribution with a validity contract.
 
-    coeffs: dict  # Weight -> int, no zero entries
+    ``chart`` is the ``lattice.Chart`` whose integer coordinates the points
+    are, when the series was built from weights.
+    """
+
+    coeffs: dict  # Point -> int, no zero entries
     regions: tuple[ValidityRegion, ...] = EXACT
+    chart: object = None
+    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
-    def coefficient(self, x: Weight):
+    def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""
         if not self.certain_at(x):
             return None
         return self.coeffs.get(x, 0)
 
-    def certain_at(self, x: Weight) -> bool:
-        return all(r.certain_at(x) for r in self.regions)
+    def certain_at(self, x: Point) -> bool:
+        verdicts = self._memo.verdicts
+        got = verdicts.get(x)
+        if got is None:
+            got = verdicts[x] = all(r.certain_at(x, self._memo) for r in self.regions)
+        return got
 
     def support(self):
         return sorted(self.coeffs.keys())
@@ -309,8 +328,8 @@ def _clean(coeffs: dict) -> dict:
     return {w: c for w, c in coeffs.items() if c != 0}
 
 
-def dirac(gamma: Weight) -> DeltaSeries:
-    """The distribution concentrated at one weight; exact everywhere."""
+def dirac(gamma: Point) -> DeltaSeries:
+    """The distribution concentrated at one point; exact everywhere."""
     return DeltaSeries({gamma: 1}, EXACT)
 
 
@@ -319,24 +338,26 @@ def from_multiplicities(mults: dict) -> DeltaSeries:
     return DeltaSeries(_clean(dict(mults)), EXACT)
 
 
-def heaviside(gamma: Weight, n_steps: int) -> DeltaSeries:
+def heaviside(gamma: Point, n_steps: int) -> DeltaSeries:
     """Truncation of delta_{g/2} + delta_{g/2+g} + delta_{g/2+2g} + ..."""
     return heaviside_power(gamma, 1, n_steps)
 
 
-def heaviside_power(gamma: Weight, r: int, n_steps: int) -> DeltaSeries:
+def heaviside_power(gamma: Point, r: int, n_steps: int) -> DeltaSeries:
     """r-fold convolution power of the Heaviside series, built directly from
-    the binomial formula: coefficient C(n+r-1, r-1) at (r/2 + n) * gamma."""
+    the binomial formula: coefficient C(n+r-1, r-1) at (r/2 + n) * gamma.
+    The base r * gamma / 2 must be integral."""
     if r < 0:
         raise DomainError("negative Heaviside power")
     if n_steps < 0:
         raise DomainError("negative truncation bound")
     if r == 0:
-        return dirac(zero_weight(len(gamma)))
-    if is_zero(gamma):
+        return dirac((0,) * len(gamma))
+    if not any(gamma):
         raise DomainError("non-strict multiset: Heaviside direction is zero")
-    base = wscale(Fraction(r, 2), gamma)
-    coeffs = {wadd(base, wscale(n, gamma)): comb(n + r - 1, r - 1) for n in range(n_steps + 1)}
+    base = _half(tuple(r * x for x in gamma))
+    coeffs = {tuple(x + n * y for x, y in zip(base, gamma)): comb(n + r - 1, r - 1)
+              for n in range(n_steps + 1)}
     region = ValidityRegion(base, ((gamma, r),), n_steps)
     return DeltaSeries(coeffs, (region,))
 
@@ -350,10 +371,11 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
     multisets merge and the step bound is the minimum of the two.
     """
     coeffs: dict = {}
+    get, plus = coeffs.get, operator.add
     for u, cu in a.coeffs.items():
         for v, cv in b.coeffs.items():
-            w = wadd(u, v)
-            coeffs[w] = coeffs.get(w, 0) + cu * cv
+            w = tuple(map(plus, u, v))
+            coeffs[w] = get(w, 0) + cu * cv
     coeffs = _clean(coeffs)
 
     if not a.regions and not b.regions:
@@ -363,7 +385,7 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
         if len(exact.coeffs) * len(cone.regions) > 64:
             raise InternalError("contract explosion convolving a large exact series")
         regions = tuple(
-            ValidityRegion(wadd(r.base, u), r.directions, r.step_bound)
+            ValidityRegion(_padd(r.base, u), r.directions, r.step_bound)
             for u in sorted(exact.coeffs)
             for r in cone.regions
         )
@@ -375,14 +397,14 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
     for d, m in rb.directions:
         merged[d] = merged.get(d, 0) + m
     region = ValidityRegion(
-        wadd(ra.base, rb.base),
+        _padd(ra.base, rb.base),
         tuple(sorted(merged.items())),
         min(ra.step_bound, rb.step_bound),
     )
     return DeltaSeries(coeffs, (region,))
 
 
-def convolve_multiset(ms: WeightMultiset, n_steps: int) -> DeltaSeries:
+def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
     """Convolution of Heaviside series over a strict multiset of directions.
 
     Equals the product of ``heaviside_power`` over the distinct directions.
@@ -393,23 +415,17 @@ def convolve_multiset(ms: WeightMultiset, n_steps: int) -> DeltaSeries:
     """
     if not ms:
         raise DomainError("empty multiset")
-    if any(is_zero(d) for d in ms):
+    if any(not any(d) for d in ms):
         raise DomainError("non-strict multiset: contains the zero weight")
     dirs = sorted(ms.keys())
-    phi = _positive_functional(dirs)  # also certifies strictness
-    if len(_independent_basis(dirs)) == len(dirs):
-        expand = {d: n_steps for d in dirs}
-    else:
-        max_phi = max(phi.values())
-        expand = {d: int(Fraction(n_steps) * max_phi / phi[d]) for d in dirs}
+    phi = _Cone(tuple(dirs)).phi  # also certifies strictness
+    max_phi = max(phi.values())
 
     result = None
     for d in dirs:
-        factor = heaviside_power(d, ms[d], expand[d])
+        factor = heaviside_power(d, ms[d], n_steps * max_phi // phi[d])
         result = factor if result is None else convolve(result, factor)
-    base = zero_weight(len(dirs[0]))
-    for d in dirs:
-        base = wadd(base, wscale(Fraction(ms[d], 2), d))
+    base = _half(tuple(sum(ms[d] * d[k] for d in dirs) for k in range(len(dirs[0]))))
     region = ValidityRegion(base, tuple(sorted(ms.items())), n_steps)
     return DeltaSeries(result.coeffs, (region,))
 
@@ -419,7 +435,7 @@ def add(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
     for w, c in b.coeffs.items():
         coeffs[w] = coeffs.get(w, 0) + c
     regions = a.regions + tuple(r for r in b.regions if r not in a.regions)
-    return DeltaSeries(_clean(coeffs), regions)
+    return DeltaSeries(_clean(coeffs), regions, a.chart)
 
 
 def subtract(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
@@ -428,8 +444,8 @@ def subtract(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
 
 def scale(c: int, a: DeltaSeries) -> DeltaSeries:
     if c == 0:
-        return DeltaSeries({}, a.regions)
-    return DeltaSeries({w: c * v for w, v in a.coeffs.items()}, a.regions)
+        return DeltaSeries({}, a.regions, a.chart)
+    return DeltaSeries({w: c * v for w, v in a.coeffs.items()}, a.regions, a.chart)
 
 
 def series_to_json(s: DeltaSeries) -> str:

@@ -4,15 +4,20 @@ coroot pairings and reflections.
 A weight is a plain tuple of ``Fraction``; ``Fraction`` keeps itself in lowest
 terms with a positive denominator, so weights compare exactly and can be used
 as dict keys directly.  All values are immutable and all operations are pure.
+
+``rational_solve`` converts int entries to ``Fraction`` on entry, so its
+answer is exact for int input too.  A ``Chart`` gives the span of finitely
+many weights integer coordinates; the oracle's series live on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, InternalError
 
 Weight = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -189,6 +194,7 @@ def rational_solve(columns: Sequence[Weight], target: Weight):
     k = len(columns)
     # augmented matrix, rows indexed by coordinates
     rows = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
+    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
     for c in range(k):
@@ -213,3 +219,65 @@ def rational_solve(columns: Sequence[Weight], target: Weight):
     for i, c in enumerate(pivots):
         sol[c] = rows[i][k]
     return tuple(sol)
+
+
+def _echelon(vectors: Sequence[Weight]):
+    """Reduced row echelon form of the vectors' span: (pivot columns, rows)."""
+    rows: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        for p, row in zip(pivots, rows):
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        v = [x / v[lead] for x in v]
+        for i, row in enumerate(rows):
+            if row[lead]:
+                f = row[lead]
+                rows[i] = [x - f * y for x, y in zip(row, v)]
+        pivots.append(lead)
+        rows.append(v)
+    return tuple(pivots), tuple(map(tuple, rows))
+
+
+class Chart:
+    """Integer coordinates on the span of finitely many weights.
+
+    A weight w of the span has the point ``scale * w[c]`` for c in
+    ``coords``, the pivot coordinates of the span, on which it is injective:
+    w = sum_j w[coords[j]] * rows[j].  ``scale`` is twice the common
+    denominator of the spanning weights at the pivots, so their points are
+    even and half the sum of any of them is a point.
+    """
+
+    def __init__(self, vectors: Sequence[Weight]):
+        self.coords, self.rows = _echelon(vectors)
+        den = lcm(1, *(Fraction(v[c]).denominator for v in vectors for c in self.coords))
+        self.scale = 2 * den
+
+    def to_point(self, w: Weight) -> tuple[int, ...]:
+        """Integer coordinates of w; InternalError when w is off the lattice."""
+        scaled = [Fraction(w[c]) * self.scale for c in self.coords]
+        if any(x.denominator != 1 for x in scaled) or self.to_weight(scaled) != tuple(w):
+            raise InternalError(f"weight {format_weight(w)} is off the chart lattice")
+        return tuple(int(x) for x in scaled)
+
+    def to_weight(self, p: Sequence) -> Weight:
+        """The weight with integer coordinates p."""
+        out = [Fraction(0)] * len(self.rows[0]) if self.rows else []
+        for x, row in zip(p, self.rows):
+            if x:
+                x = Fraction(x, self.scale)
+                out = [o + x * y for o, y in zip(out, row)]
+        return tuple(out)
+
+    def covector(self, functional) -> tuple[int, ...]:
+        """Integer covector c with sum c_j p_j a positive multiple of
+        functional(to_weight(p)), for a linear functional on the span."""
+        values = [Fraction(functional(row)) for row in self.rows]
+        den = lcm(1, *(v.denominator for v in values))
+        return tuple(int(v * den) for v in values)

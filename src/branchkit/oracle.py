@@ -18,23 +18,37 @@ The torus restriction identity (whose left side is computable directly from
 the weight table) pins this convention down empirically, and positivity of
 the extracted multiplicities confirms it on the full formula.
 
+Each series is built on one integer chart (``lattice.Chart``) of the span
+of its term bases and directions: rank 2 for the coset series, rank 1 for the
+torus identity.  Products, the signed accumulation, certification and
+extraction run on int points; weights are mapped back only for points that
+are reported, compared or passed to a family check.  The Heaviside product of
+each distinct multiset is built once and translated to every term that uses
+it.
+
 The per-term truncation regions are kept as a conjunction on the final
 series; a parameter is compared only where every term is certified exact.
+The extraction certifies each positive-side point once (the series memoizes
+the verdicts) and ``compare`` reuses its table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Protocol
 
 from .errors import DomainError, InternalError, ResourceError
-from .formal import DeltaSeries, convolve, convolve_multiset, dirac, from_multiplicities
+from .formal import DeltaSeries, convolve, convolve_multiset, dirac
 from .lattice import (
+    Chart,
     InnerProductForm,
     Weight,
     apply_matrix,
     coroot_pairing,
+    format_weight,
     inner,
     is_zero,
     mat_mul,
@@ -66,6 +80,11 @@ class OracleContext(Protocol):
     def form(self) -> InnerProductForm: ...
 
     @property
+    def side_roots(self) -> tuple[Weight, ...]:
+        """The multiplicities sit on the side {mu : (mu, g) > 0 for every g}
+        of the S_b wall."""
+
+    @property
     def noncompact_positive(self) -> tuple[Weight, ...]: ...
 
     @property
@@ -75,12 +94,10 @@ class OracleContext(Protocol):
 
     def q_u_k2(self, v: Weight) -> Weight: ...   # onto the su(2) torus inside k2
 
-    def positive_side(self, mu: Weight) -> bool:
-        """The side of the S_b wall that carries the multiplicities."""
-
     def check_extracted(self, series: DeltaSeries, mu: Weight, c: int) -> None:
-        """Family check on a certified positive-side coefficient c at mu;
-        raises InternalError on failure."""
+        """Family check on a certified positive-side coefficient c at mu (a
+        weight; ``series.chart`` maps it to its point); raises InternalError
+        on failure."""
 
 
 @dataclass(frozen=True)
@@ -182,9 +199,15 @@ def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleCo
     attached to lam: the pushed-forward weight table, and the signed coset sum
     of Heaviside convolutions."""
     table = lam2_weight_table(ctx, lam)
-    lhs = from_multiplicities(restrict_weights(table, ctx.q_u_k2))
     _, lam2 = decompose_parameter(ctx, lam)
-    return lhs, torus_coset_sum(ctx, lam2, cfg)
+    rhs = torus_coset_sum(ctx, lam2, cfg)
+    return on_chart(rhs.chart, restrict_weights(table, ctx.q_u_k2)), rhs
+
+
+def on_chart(chart: Chart, mults: dict) -> DeltaSeries:
+    """Finite exact series sum_w mults[w] * delta_w on the points of chart."""
+    coeffs = {chart.to_point(w): m for w, m in mults.items() if m}
+    return DeltaSeries(coeffs, (), chart)
 
 
 def torus_coset_sum(ctx: OracleContext, lam2: Weight, cfg: OracleConfig) -> DeltaSeries:
@@ -193,29 +216,47 @@ def torus_coset_sum(ctx: OracleContext, lam2: Weight, cfg: OracleConfig) -> Delt
     polynomial at each transformed lam2 as coefficient."""
     quotient = compact_quotient_weights(ctx)
     prefactor = (-1) ** sum(quotient.values())
-    acc: dict = {}
-    regions = []
+    terms = []
     for s in _kernel_cosets(ctx, cfg):
         slam2 = apply_matrix(s.matrix, lam2)
         coeff = Fraction(prefactor * s.sign) * weyl_polynomial(ctx, slam2)
         if coeff == 0:
             raise InternalError("Weyl polynomial vanished on a coset representative")
-        term = convolve(dirac(ctx.q_u_k2(slam2)), convolve_multiset(quotient, cfg.step_bound))
-        for wgt, c in term.coeffs.items():
-            acc[wgt] = acc.get(wgt, Fraction(0)) + coeff * c
+        terms.append((coeff, ctx.q_u_k2(slam2), quotient))
+    return _signed_sum(terms, cfg.step_bound)
+
+
+def _signed_sum(terms, step_bound: int) -> DeltaSeries:
+    """The sum of coeff * delta_base * (Heaviside product over ms) over the
+    (coeff, base, ms) terms, on the chart of their bases and directions.
+
+    Coefficients are accumulated as ints over the LCM of the term
+    coefficients' denominators; the sum must divide back exactly."""
+    chart = Chart([base for _, base, _ in terms] + [d for _, _, ms in terms for d in ms])
+    den = lcm(*(coeff.denominator for coeff, _, _ in terms))
+    products: dict = {}
+    acc: dict = {}
+    get = acc.get
+    regions = []
+    for coeff, base, ms in terms:
+        key = frozenset(ms.items())
+        if key not in products:
+            products[key] = convolve_multiset(
+                {chart.to_point(d): m for d, m in ms.items()}, step_bound
+            )
+        term = convolve(dirac(chart.to_point(base)), products[key])
+        k = int(coeff * den)
+        for p, c in term.coeffs.items():
+            acc[p] = get(p, 0) + k * c
         regions.extend(term.regions)
-    return _integral_series(acc, tuple(regions))
-
-
-def _integral_series(acc: dict, regions) -> DeltaSeries:
     coeffs = {}
-    for wgt, c in acc.items():
-        if c == 0:
-            continue
-        if c.denominator != 1:
+    for p, c in acc.items():
+        q, r = divmod(c, den)
+        if r:
             raise InternalError("coset sum produced a non-integer coefficient")
-        coeffs[wgt] = int(c)
-    return DeltaSeries(coeffs, regions)
+        if q:
+            coeffs[p] = q
+    return DeltaSeries(coeffs, tuple(regions), chart)
 
 
 def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
@@ -229,8 +270,7 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig) -> DeltaSe
     multiplicities: sum over cosets (and their S_b translates) of
     sign * weylpoly * delta at the projected parameter, convolved with the
     Heaviside series of the term's multiset.  The caller validates lam."""
-    acc: dict = {}
-    regions = []
+    terms = []
     for s in _kernel_cosets(ctx, cfg):
         for flip in (False, True):
             matrix = mat_mul(ctx.s_beta, s.matrix) if flip else s.matrix
@@ -239,27 +279,30 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig) -> DeltaSe
             varpi = weyl_polynomial(ctx, wlam)
             ms = restriction_multiset(ctx, s, flip)
             prefactor = (-1) ** sum(ms.values())
-            coeff = Fraction(sign * prefactor) * varpi
-            term = convolve(dirac(ctx.q_u(wlam)), convolve_multiset(ms, cfg.step_bound))
-            for wgt, c in term.coeffs.items():
-                acc[wgt] = acc.get(wgt, Fraction(0)) + coeff * c
-            regions.extend(term.regions)
-    return _integral_series(acc, tuple(regions))
+            terms.append((Fraction(sign * prefactor) * varpi, ctx.q_u(wlam), ms))
+    return _signed_sum(terms, cfg.step_bound)
+
+
+def _side(ctx: OracleContext, chart: Chart):
+    """Positive-side test on the integer points of chart."""
+    covectors = [chart.covector(lambda w, g=g: inner(ctx.form, w, g)) for g in ctx.side_roots]
+    return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
 
 
 def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
     """On the certified region: zero on the S_b wall, odd across it."""
+    chart = series.chart
     problems = []
-    for wgt in series.coeffs:
+    weights = {p: chart.to_weight(p) for p in series.coeffs}
+    for p, wgt in weights.items():
         if inner(ctx.form, wgt, ctx.beta) == 0:
-            problems.append(("wall", wgt, series.coeffs[wgt]))
-    for wgt, c in series.coeffs.items():
-        mirror = apply_matrix(ctx.s_beta, wgt)
-        cm = series.coefficient(mirror)
-        if cm is None or not series.certain_at(wgt):
+            problems.append(("wall", wgt, series.coeffs[p]))
+    for p, c in series.coeffs.items():
+        cm = series.coefficient(chart.to_point(apply_matrix(ctx.s_beta, weights[p])))
+        if cm is None or not series.certain_at(p):
             continue
         if cm != -c:
-            problems.append(("mirror", wgt, (c, cm)))
+            problems.append(("mirror", weights[p], (c, cm)))
     return problems
 
 
@@ -270,14 +313,19 @@ def extract_multiplicities(ctx: OracleContext, series: DeltaSeries) -> Branching
     positive side signals an antisymmetrization failure (bug or insufficient
     truncation) and raises InternalError, as does a failed family check.
     """
+    chart = series.chart
+    positive = _side(ctx, chart)
     entries = {}
-    for wgt, c in series.coeffs.items():
-        if not ctx.positive_side(wgt) or not series.certain_at(wgt):
+    for p, c in series.coeffs.items():
+        if not positive(p) or not series.certain_at(p):
             continue
-        ctx.check_extracted(series, wgt, c)
+        mu = chart.to_weight(p)
+        ctx.check_extracted(series, mu, c)
         if c < 0:
-            raise InternalError(f"antisymmetrization failure at {wgt}: coefficient {c}")
-        entries[wgt] = c
+            raise InternalError(
+                f"antisymmetrization failure at {format_weight(mu)}: coefficient {c}"
+            )
+        entries[mu] = c
     return BranchingTable(entries, None, ctx.rd.label, None)
 
 
@@ -292,19 +340,23 @@ def compare(ctx: OracleContext, series: DeltaSeries, closed: BranchingTable) -> 
     """Compare a closed-form table against the oracle extraction on the full
     certified region.  Every candidate parameter (from either side) that the
     truncated series certifies must match exactly; uncertified candidates are
-    skipped."""
-    oracle_table = extract_multiplicities(ctx, series)
-    candidates = set(closed.entries) | set(oracle_table.entries)
+    skipped.  Extracted entries are taken as certified; only closed-form
+    entries missing from the extraction are certified here."""
+    extracted = extract_multiplicities(ctx, series).entries
+    positive = _side(ctx, series.chart)
     mismatches = []
     compared = 0
-    for mu in sorted(candidates):
-        if not ctx.positive_side(mu):
-            continue
+    for mu in sorted(set(closed.entries) | set(extracted)):
         if coroot_pairing(ctx.form, mu, ctx.beta) > closed.pairing_bound:
             continue  # outside the closed table's completeness region
-        got = series.coefficient(mu)
+        got = extracted.get(mu)
         if got is None:
-            continue  # not certified by the truncation
+            p = series.chart.to_point(mu)
+            if not positive(p):
+                continue
+            got = series.coefficient(p)
+            if got is None:
+                continue  # not certified by the truncation
         compared += 1
         want = closed.entries.get(mu, 0)
         if got != want:
@@ -312,7 +364,18 @@ def compare(ctx: OracleContext, series: DeltaSeries, closed: BranchingTable) -> 
     return ComparisonReport(not mismatches, compared, tuple(mismatches))
 
 
+def require_compared(report: ComparisonReport, cfg: OracleConfig) -> ComparisonReport:
+    """The report, unless it compared no point: "agree" would then mean nothing."""
+    if not report.compared:
+        raise DomainError(
+            f"the oracle certified no point to compare at step bound {cfg.step_bound}; "
+            "raise the step bound"
+        )
+    return report
+
+
 def verify_closed_form(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
     """Closed-form table at cutoff = step bound against the oracle series."""
     series = restriction_series(ctx, lam, cfg)
-    return compare(ctx, series, branching_table(ctx, lam, cfg.step_bound))
+    report = compare(ctx, series, branching_table(ctx, lam, cfg.step_bound))
+    return require_compared(report, cfg)

@@ -93,9 +93,10 @@ class QuaternionicContext:
         form = self.form
         return wscale(inner(form, v, self.w_line) / inner(form, self.w_line, self.w_line), self.w_line)
 
-    def positive_side(self, mu: Weight) -> bool:
+    @property
+    def side_roots(self) -> tuple[Weight, ...]:
         """The side (mu, beta) > 0 of the S_b wall, which carries the multiplicities."""
-        return inner(self.form, mu, self.beta) > 0
+        return (self.beta,)
 
     def check_extracted(self, series, mu: Weight, c: int) -> None:
         """No per-entry check; ``oracle.check_antisymmetry`` covers the series."""

@@ -18,6 +18,7 @@ from .lattice import (
     InnerProductForm,
     Weight,
     coroot_pairing,
+    format_weight,
     inner,
     rational_solve,
     reflect,
@@ -61,9 +62,9 @@ def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> HCParameter:
     for g in rd.roots:
         p = coroot_pairing(rd.form, lam, g)
         if p == 0:
-            raise DomainError(f"parameter is singular against root {g}")
+            raise DomainError(f"parameter is singular against root {format_weight(g)}")
         if p.denominator != 1:
-            raise DomainError(f"parameter is not integral against root {g}")
+            raise DomainError(f"parameter is not integral against root {format_weight(g)}")
     for g in system.chosen:
         if inner(rd.form, lam, g) <= 0:
             raise DomainError("parameter is not dominant for the given positive system")

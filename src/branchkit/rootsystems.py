@@ -27,6 +27,7 @@ from .lattice import (
     Weight,
     apply_matrix,
     coroot_pairing,
+    format_weight,
     identity_form,
     identity_matrix,
     mat_mul,
@@ -419,7 +420,9 @@ def quaternionic_root_datum(label: str) -> RootDatum:
     for g in positive:
         p = coroot_pairing(form, g, beta)
         if p not in (0, 1, 2):
-            raise InternalError(f"unexpected highest-root pairing {p} for {g}")
+            raise InternalError(
+                f"unexpected highest-root pairing {p} for {format_weight(g)}"
+            )
         compactness[g] = p != 1
         compactness[wneg(g)] = p != 1
     return RootDatum(label, form, rd.roots, positive, tuple(simples), compactness)

@@ -13,12 +13,13 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigurationError, DomainError, InternalError
-from .formal import DeltaSeries, from_multiplicities
+from .formal import DeltaSeries
 from .lattice import (
     InnerProductForm,
     Weight,
     apply_matrix,
     coroot_pairing,
+    format_weight,
     identity_form,
     inner,
     mat_mul,
@@ -30,7 +31,15 @@ from .lattice import (
     wsub,
     zero_weight,
 )
-from .oracle import ComparisonReport, OracleConfig, _coset_series, compare, torus_coset_sum
+from .oracle import (
+    ComparisonReport,
+    OracleConfig,
+    _coset_series,
+    compare,
+    on_chart,
+    require_compared,
+    torus_coset_sum,
+)
 from .quaternionic import BranchingTable
 from .repweights import (
     CompactFactor,
@@ -105,9 +114,10 @@ class Sp1qContext:
         """Projection onto the su(2) torus inside k2: keep coordinate 1."""
         return tuple(x if i == 1 else Fraction(0) for i, x in enumerate(v))
 
-    def positive_side(self, mu: Weight) -> bool:
+    @property
+    def side_roots(self) -> tuple[Weight, ...]:
         """The open quadrant a > 0, k > 0 of mu = a e0 + k e1."""
-        return mu[0] > 0 and mu[1] > 0
+        return (self.beta, self.su2_root)
 
     def check_extracted(self, series: DeltaSeries, mu: Weight, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
@@ -116,9 +126,9 @@ class Sp1qContext:
         if mu[0] == mu[1]:
             raise InternalError("nonzero coefficient on the singular wall a = k")
         for matrix, sign in self.mirrors:
-            got = series.coefficient(apply_matrix(matrix, mu))
+            got = series.coefficient(series.chart.to_point(apply_matrix(matrix, mu)))
             if got is not None and got != sign * c:
-                raise InternalError("four-fold antisymmetry fails at %s" % (mu,))
+                raise InternalError(f"four-fold antisymmetry fails at {format_weight(mu)}")
 
 
 def _sp1q_roots(q: int):
@@ -245,7 +255,8 @@ def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) ->
 def sp1q_verify(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
     """Closed form at cutoff = step bound vs oracle extraction on the certified region."""
     series = sp1q_restriction_series(ctx, lam, cfg)
-    return compare(ctx, series, sp1q_branching_table(ctx, lam, cfg.step_bound))
+    report = compare(ctx, series, sp1q_branching_table(ctx, lam, cfg.step_bound))
+    return require_compared(report, cfg)
 
 
 def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig):
@@ -259,9 +270,9 @@ def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig)
         lhs_coeffs[up] = lhs_coeffs.get(up, 0) + nk
         down = wneg(up)
         lhs_coeffs[down] = lhs_coeffs.get(down, 0) - nk
-    lhs = from_multiplicities(lhs_coeffs)
     _, lam2 = sp1q_decompose(ctx, lam)
-    return lhs, torus_coset_sum(ctx, lam2, cfg)
+    rhs = torus_coset_sum(ctx, lam2, cfg)
+    return on_chart(rhs.chart, lhs_coeffs), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +504,9 @@ def hermitian_data(label: str) -> HermitianData:
     root_set = set(roots)
     for g in list(cert) + list(conj):
         if g not in root_set:
-            raise InternalError(f"certificate element {g} is not a root of {label}")
+            raise InternalError(
+                f"certificate element {format_weight(g)} is not a root of {label}"
+            )
     return HermitianData(label, rd, psi_h, tuple(cert), tuple(conj), tube)
 
 
@@ -532,7 +545,7 @@ def chamber_system(hd: HermitianData, lam: Weight) -> frozenset:
     for g in hd.rd.positive:
         c = inner(hd.rd.form, lam, g)
         if c == 0:
-            raise DomainError(f"parameter is singular against root {g}")
+            raise DomainError(f"parameter is singular against root {format_weight(g)}")
         chosen.add(g if c > 0 else wneg(g))
     return frozenset(chosen)
 
@@ -543,9 +556,9 @@ def validate_hermitian_parameter(hd: HermitianData, lam: Weight):
     for g in rd.roots:
         c = coroot_pairing(rd.form, lam, g)
         if c == 0:
-            raise DomainError(f"parameter is singular against root {g}")
+            raise DomainError(f"parameter is singular against root {format_weight(g)}")
         if c.denominator != 1:
-            raise DomainError(f"parameter is not integral against root {g}")
+            raise DomainError(f"parameter is not integral against root {format_weight(g)}")
     for g in rd.compact_positive:
         if inner(rd.form, lam, g) <= 0:
             raise DomainError("parameter is not dominant for the compact positive system")

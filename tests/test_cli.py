@@ -137,6 +137,38 @@ def test_oracle_check_command(capsys, schema):
     assert payload["mismatches"] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "sp1q", "--form", "sp1_q:2", "--lambda=4,2,1", "--step-bound", "1"],
+    ["branch", "sp1q", "--form", "sp1_q:3", "--lambda=5,3,2,1", "--check-oracle",
+     "--step-bound", "1"],
+], ids=["oracle-check", "branch"])
+def test_empty_comparison_exit_code(capsys, argv):
+    # at step bound 1 the truncation certifies no point of the closed table;
+    # "agree" must not be reported for a comparison of nothing
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "step bound 1" in err and "raise the step bound" in err
+
+
+def test_wrong_length_lambda_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle-check", "quat", "--form", "g2_2", "--lambda=5,3", "--step-bound", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "expected 3 coordinates" in err
+
+
+def test_error_message_prints_weights(capsys):
+    code, _, err = run_cli(
+        capsys, "admissible", "hermitian", "--form", "su_pq:2,3", "--lambda=1,0,0,0,0"
+    )
+    assert code == 2
+    assert "Fraction(" not in err
+    assert "singular against root 0,-1,0,0,1" in err
+
+
 def test_bad_form_label_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "branch", "quat", "--form", "so4_n:2", "--lambda", "1,2,3"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchkit.errors import DomainError
 from branchkit.formal import (
+    ValidityRegion,
     add,
     convolve,
     convolve_multiset,
@@ -19,10 +20,27 @@ from branchkit.formal import (
     series_to_json,
     subtract,
 )
-from branchkit.lattice import weight, wadd, wscale
 
-G = weight([1, 0])
-H = weight([0, 1])
+# Points are int tuples; G and H are the unit weights in doubled coordinates,
+# so that every half-sum base below is an integer point.
+G = (2, 0)
+H = (0, 2)
+
+
+def wscale(c, g):
+    """c * g as an int point; c may be a half-integer."""
+    out = [Fraction(c) * x for x in g]
+    assert all(x.denominator == 1 for x in out)
+    return tuple(int(x) for x in out)
+
+
+def wadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def weight(coords):
+    """The doubled coordinates of a weight."""
+    return wscale(2, tuple(coords))
 
 
 def test_dirac_basics():
@@ -183,7 +201,63 @@ def test_json_dump_shape():
     s = heaviside(G, 1)
     payload = json.loads(series_to_json(s))
     assert payload["entries"] == [
-        {"weight": "1/2,0", "coeff": "1"},
-        {"weight": "3/2,0", "coeff": "1"},
+        {"weight": "1,0", "coeff": "1"},
+        {"weight": "3,0", "coeff": "1"},
     ]
     assert payload["validity"][0]["stepBound"] == 1
+
+
+def test_heaviside_rejects_off_lattice_base():
+    # the base (1/2) * (1, 0) is not an integer point
+    with pytest.raises(DomainError):
+        heaviside((1, 0), 3)
+
+
+def _brute_min_steps(v, dirs):
+    """Least step count reaching v from 0, by breadth-first search over the
+    points whose value under a positive functional stays within v's."""
+    m = 1 + max(abs(x) for x, _ in dirs)
+    f = (1, m) if all(y > 0 or (y == 0 and x > 0) for x, y in dirs) else (-1, -m)
+    value = lambda p: f[0] * p[0] + f[1] * p[1]
+    budget = value(v)
+    frontier = {(0, 0)}
+    for steps in range(max(budget, -1) + 1):
+        if v in frontier:
+            return steps
+        frontier = {
+            q for p in frontier for d in dirs
+            for q in [(p[0] + d[0], p[1] + d[1])] if value(q) <= budget
+        }
+    return None
+
+
+# directions in the pointed half plane {y > 0} + {y = 0, x > 0}, optionally negated
+_upper = st.tuples(st.integers(-3, 3), st.integers(0, 3)).filter(
+    lambda d: d[1] > 0 or d[0] > 0
+)
+
+
+@st.composite
+def _direction_sets(draw):
+    kind = draw(st.sampled_from(["independent", "collinear", "dependent"]))
+    if kind == "collinear":
+        u = draw(_upper)
+        dirs = {tuple(k * x for x in u) for k in draw(st.sets(st.integers(1, 3), min_size=2))}
+    else:
+        size = (1, 2) if kind == "independent" else (3, 4)  # two may be parallel
+        dirs = draw(st.sets(_upper, min_size=size[0], max_size=size[1]))
+    if draw(st.booleans()):
+        dirs = {(-x, -y) for x, y in dirs}
+    return sorted(dirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _direction_sets(),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+)
+def test_min_steps_matches_brute_force(dirs, counts, noise):
+    v = tuple(sum(c * d[k] for c, d in zip(counts, dirs)) + noise[k] for k in range(2))
+    region = ValidityRegion((0, 0), tuple((d, 1) for d in dirs), 0)
+    assert region.min_total_steps(v) == _brute_min_steps(v, dirs)

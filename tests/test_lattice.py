@@ -120,3 +120,9 @@ def test_rational_solve_consistent_and_inconsistent():
     cols = [weight([1, 0, 1]), weight([0, 1, 1])]
     assert rational_solve(cols, weight([2, 3, 5])) == (Fraction(2), Fraction(3))
     assert rational_solve(cols, weight([2, 3, 6])) is None
+
+
+def test_rational_solve_is_exact_on_int_input():
+    sol = rational_solve([(2, 0), (0, 3)], (1, 1))
+    assert sol == (Fraction(1, 2), Fraction(1, 3))
+    assert all(isinstance(x, Fraction) for x in sol)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from branchkit.errors import ResourceError
-from branchkit.formal import DeltaSeries, dirac, subtract
+from branchkit.errors import InternalError, ResourceError
+from branchkit.formal import DeltaSeries
 from branchkit.lattice import (
+    Chart,
     apply_matrix,
     inner,
     weight,
@@ -18,6 +19,7 @@ from branchkit.oracle import (
     compact_quotient_weights,
     extract_multiplicities,
     kernel_roots,
+    on_chart,
     restriction_multiset,
     restriction_series,
     torus_restriction_sides,
@@ -25,6 +27,7 @@ from branchkit.oracle import (
     weyl_polynomial,
 )
 from branchkit.quaternionic import decompose_parameter, quaternionic_context
+from branchkit.specialcases import sp1q_context, sp1q_restriction_series
 from branchkit.rootsystems import weyl_generate
 
 CFG = OracleConfig(step_bound=8)
@@ -92,7 +95,7 @@ def test_quotient_weights_single_direction(su22, so44, f44):
 def test_torus_restriction_trivial_rep(g2):
     lam = wadd(g2.fw1, g2.beta)  # trivial k2 representation
     lhs, rhs = torus_restriction_sides(g2, lam, CFG)
-    zero = weight([0, 0, 0])
+    zero = rhs.chart.to_point(weight([0, 0, 0]))
     assert lhs.coeffs == {zero: 1}
     assert rhs.coefficient(zero) == 1
     for x in rhs.coeffs:
@@ -104,7 +107,8 @@ def test_torus_restriction_string(g2):
     lam = wadd(wscale(3, g2.fw1), g2.beta)  # 3-dimensional k2 representation
     lhs, rhs = torus_restriction_sides(g2, lam, OracleConfig(step_bound=10))
     a1 = weight([1, -1, 0])
-    assert lhs.coeffs == {wneg(a1): 1, weight([0, 0, 0]): 1, a1: 1}
+    point = rhs.chart.to_point
+    assert lhs.coeffs == {point(wneg(a1)): 1, point(weight([0, 0, 0])): 1, point(a1): 1}
     for x in set(lhs.coeffs) | set(rhs.coeffs):
         got = rhs.coefficient(x)
         if got is not None:
@@ -128,22 +132,25 @@ def test_restriction_series_antisymmetry(g2):
     lam = wadd(wscale(2, g2.fw1), g2.beta)
     series = restriction_series(g2, lam, CFG)
     assert check_antisymmetry(g2, series) == []
-    for x in series.coeffs:
+    chart = series.chart
+    for p in series.coeffs:
+        x = chart.to_weight(p)
         assert inner(g2.form, x, g2.beta) != 0
-        mirror = apply_matrix(g2.s_beta, x)
+        mirror = chart.to_point(apply_matrix(g2.s_beta, x))
         got = series.coefficient(mirror)
-        if got is not None and series.certain_at(x):
-            assert got == -series.coeffs[x]
+        if got is not None and series.certain_at(p):
+            assert got == -series.coeffs[p]
 
 
 def test_extract_multiplicities_synthetic():
     ctx = quaternionic_context("g2_2")
     mu = wadd(wscale(2, ctx.beta), ctx.fw1)
     mirror = apply_matrix(ctx.s_beta, mu)
-    series = subtract(dirac(mu), dirac(mirror))
+    chart = Chart([mu, mirror])
+    series = on_chart(chart, {mu: 1, mirror: -1})
     table = extract_multiplicities(ctx, series)
     assert table.entries == {mu: 1}
-    empty = extract_multiplicities(ctx, DeltaSeries({}, ()))
+    empty = extract_multiplicities(ctx, DeltaSeries({}, (), chart))
     assert empty.entries == {}
 
 
@@ -187,3 +194,32 @@ def test_closed_form_available_beyond_oracle():
         for q in range(3 - p):
             mu = wadd(base, wadd(wscale(p, ctx.fw1), wscale(q, ctx.fw2)))
             assert table.entries[mu] == comb(p + d - 2, d - 2) * comb(q + d - 2, d - 2)
+
+
+@pytest.mark.parametrize("label,coords", [
+    ("g2_2", None),
+    ("so4_n:4", (5, 3, 2, 1)),
+    ("sp1_q:2", (5, 2, 1)),
+])
+def test_chart_round_trips_series_points(label, coords):
+    if label == "sp1_q:2":
+        ctx = sp1q_context(2)
+        series = sp1q_restriction_series(ctx, weight(coords), CFG)
+    else:
+        ctx = quaternionic_context(label)
+        lam = wadd(wscale(2, ctx.fw1), ctx.beta) if coords is None else weight(coords)
+        series = restriction_series(ctx, lam, CFG)
+    chart = series.chart
+    assert len(chart.coords) == 2
+    for p in series.coeffs:
+        w = chart.to_weight(p)
+        assert ctx.q_u(w) == w  # on the subgroup torus
+        assert chart.to_point(w) == p
+    w = chart.to_weight(next(iter(series.coeffs)))
+    half_step = wadd(w, wscale(Fraction(1, 2 * chart.scale), chart.rows[0]))
+    with pytest.raises(InternalError):
+        chart.to_point(half_step)  # non-integral chart coordinate
+    off = next(k for k in range(len(w)) if k not in chart.coords)
+    off_plane = tuple(x + (k == off) for k, x in enumerate(w))
+    with pytest.raises(InternalError):
+        chart.to_point(off_plane)  # same chart coordinates, off the span

@@ -130,9 +130,10 @@ def test_sp1q_extract_antisymmetry(sp12):
     series = sp1q_restriction_series(sp12, lam, OracleConfig(step_bound=8))
     table = extract_multiplicities(sp12, series)
     assert table.entries
-    for wgt in series.coeffs:
+    for p in series.coeffs:
+        wgt = series.chart.to_weight(p)
         assert wgt[0] != 0 and wgt[1] != 0  # walls vanish identically
-        if series.certain_at(wgt):
+        if series.certain_at(p):
             # certified points never sit on the singular lines a = +-k
             assert wgt[0] != wgt[1] and wgt[0] != -wgt[1]
 
