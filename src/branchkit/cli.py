@@ -10,9 +10,10 @@ Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
 coordinates as coefficients over the simple roots of the form's positive
 system.  Both families (quat and sp1q) share one oracle (see ``oracle``).
-The environment variable BRANCHKIT_GROUP_ORDER_BOUND overrides the Weyl
-enumeration safety bound of either family's oracle; a value that is not a
-positive integer exits with status 2.
+The environment variable BRANCHKIT_GROUP_ORDER_BOUND overrides the bound on
+the number of W(K2)/W_Z cosets of either family's oracle (default 10^5; a
+form with more cosets exits with status 3); a value that is not a positive
+integer exits with status 2.
 """
 
 from __future__ import annotations

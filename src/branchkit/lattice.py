@@ -275,6 +275,21 @@ class Chart:
                 out = [o + x * y for o, y in zip(out, row)]
         return tuple(out)
 
+    def linear_map(self, matrix: Matrix) -> tuple[tuple[int, ...], ...]:
+        """Integer matrix A whose product A p is the point of
+        ``apply_matrix(matrix, to_weight(p))``; InternalError when the map
+        leaves the span or A is not integral."""
+        columns = []
+        for row in self.rows:
+            image = apply_matrix(matrix, row)
+            column = [image[c] for c in self.coords]
+            if self.to_weight([x * self.scale for x in column]) != image:
+                raise InternalError("the linear map leaves the chart's span")
+            if any(x.denominator != 1 for x in column):
+                raise InternalError("the linear map is not integral on the chart lattice")
+            columns.append(column)
+        return tuple(tuple(int(x) for x in row) for row in zip(*columns))
+
     def covector(self, functional) -> tuple[int, ...]:
         """Integer covector c with sum c_j p_j a positive multiple of
         functional(to_weight(p)), for a linear functional on the span."""

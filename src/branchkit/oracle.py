@@ -11,6 +11,12 @@ tables to compare against the closed form.
 Both families run through the same functions; ``OracleContext`` lists what
 they read from a family's context.
 
+The cosets W_Z\\W(K2), W_Z generated by the kernel roots, are enumerated as
+the W(K2)-orbit of one vector whose stabilizer is W_Z, never as the whole
+group, so every quaternionic family is in reach (56 cosets for e8_m24);
+``OracleConfig.coset_bound`` caps their number.  W(K2) permutes the
+noncompact positive roots, so each flip has one term multiset for all cosets.
+
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
 so every coset term carries the prefactor (-1)^(number of Heaviside factors).
@@ -49,9 +55,13 @@ from .lattice import (
     apply_matrix,
     coroot_pairing,
     format_weight,
+    identity_matrix,
     inner,
     is_zero,
     mat_mul,
+    reflect,
+    reflection_matrix,
+    zero_weight,
 )
 from .quaternionic import (
     BranchingTable,
@@ -62,7 +72,7 @@ from .quaternionic import (
     validate_small_dominant,
 )
 from .repweights import CompactFactor, restrict_weights
-from .rootsystems import RootDatum, WeylElement, coset_reps, half_sum, weyl_generate
+from .rootsystems import RootDatum, WeylElement, half_sum
 
 
 class OracleContext(Protocol):
@@ -102,13 +112,13 @@ class OracleContext(Protocol):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation depth and the Weyl-enumeration safety bound."""
+    """Truncation depth and the safety bound on the number of W(K2)/W_Z cosets."""
 
     step_bound: int = 12
-    group_order_bound: int = 10**5
+    coset_bound: int = 10**5
 
     def __post_init__(self):
-        if self.step_bound <= 0 or self.group_order_bound <= 0:
+        if self.step_bound <= 0 or self.coset_bound <= 0:
             raise DomainError("oracle bounds must be positive")
 
 
@@ -160,19 +170,47 @@ def compact_quotient_weights(ctx: OracleContext) -> dict:
     return out
 
 
-def _k2_weyl(ctx: OracleContext, cfg: OracleConfig):
-    try:
-        return weyl_generate(ctx.form, ctx.k2_factor.simple, cfg.group_order_bound)
-    except ResourceError:
-        raise ResourceError(
-            "compact-factor Weyl group exceeds the oracle bound "
-            f"{cfg.group_order_bound}; only the closed form is available for {ctx.rd.label}"
-        ) from None
+def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig) -> tuple[WeylElement, ...]:
+    """Minimal representatives of the right cosets W_Z\\W(K2), in order of length.
 
-
-def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig):
-    elements = _k2_weyl(ctx, cfg)
-    return coset_reps(elements, ctx.kernel_positive, ctx.form)
+    W_Z, the reflection group of the kernel roots, is the stabilizer in
+    W(K2) of v = q_u_k2(g) for a k2 root g outside the kernel (a stabilizer is
+    generated by the reflections it contains), so the cosets W_Z w are in
+    bijection with the orbit points w^-1 v.  A breadth-first walk over the
+    orbit by simple reflections reaches each point first along a shortest
+    word, whose inverse is the minimal representative; see Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4.  At most ``cfg.coset_bound``
+    representatives are built.
+    """
+    form = ctx.form
+    kernel = set(ctx.kernel_positive)
+    positive = ctx.k2_factor.positive
+    # with every k2 root in the kernel, v = 0 has all of W(K2) = W_Z as stabilizer
+    v = next((ctx.q_u_k2(g) for g in positive if g not in kernel), zero_weight(form.dim))
+    if {g for g in positive if inner(form, g, v) == 0} != kernel:
+        raise InternalError("the orbit vector's stabilizer is not the kernel-root group")
+    gens = [reflection_matrix(form, g) for g in ctx.k2_factor.simple]
+    reps = [WeylElement((), identity_matrix(form.dim), 1)]
+    orbit = {v}
+    frontier = [(v, reps[0])]
+    while frontier:
+        nxt = []
+        for x, w in frontier:
+            for i, g in enumerate(gens):
+                y = apply_matrix(g, x)
+                if y in orbit:
+                    continue
+                if len(orbit) == cfg.coset_bound:
+                    raise ResourceError(
+                        f"W(K2)/W_Z coset count exceeds the oracle bound {cfg.coset_bound}; "
+                        f"only the closed form is available for {ctx.rd.label}"
+                    )
+                orbit.add(y)
+                rep = WeylElement(w.word + (i,), mat_mul(w.matrix, g), -w.sign)
+                reps.append(rep)
+                nxt.append((y, rep))
+        frontier = nxt
+    return tuple(reps)
 
 
 def restriction_multiset(ctx: OracleContext, w: WeylElement, flip: bool) -> dict:
@@ -270,14 +308,22 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig) -> DeltaSe
     multiplicities: sum over cosets (and their S_b translates) of
     sign * weylpoly * delta at the projected parameter, convolved with the
     Heaviside series of the term's multiset.  The caller validates lam."""
+    cosets = _kernel_cosets(ctx, cfg)
+    # W(K2) permutes the noncompact positive roots, so every coset of one flip
+    # has the multiset of the identity
+    noncompact = set(ctx.noncompact_positive)
+    for g in ctx.k2_factor.simple:
+        if {reflect(ctx.form, x, g) for x in noncompact} != noncompact:
+            raise InternalError("a compact-factor reflection moves a noncompact positive root")
+    multisets = {flip: restriction_multiset(ctx, cosets[0], flip) for flip in (False, True)}
     terms = []
-    for s in _kernel_cosets(ctx, cfg):
+    for s in cosets:
+        slam = apply_matrix(s.matrix, lam)
         for flip in (False, True):
-            matrix = mat_mul(ctx.s_beta, s.matrix) if flip else s.matrix
             sign = -s.sign if flip else s.sign
-            wlam = apply_matrix(matrix, lam)
+            wlam = apply_matrix(ctx.s_beta, slam) if flip else slam
             varpi = weyl_polynomial(ctx, wlam)
-            ms = restriction_multiset(ctx, s, flip)
+            ms = multisets[flip]
             prefactor = (-1) ** sum(ms.values())
             terms.append((Fraction(sign * prefactor) * varpi, ctx.q_u(wlam), ms))
     return _signed_sum(terms, cfg.step_bound)
@@ -292,17 +338,19 @@ def _side(ctx: OracleContext, chart: Chart):
 def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
     """On the certified region: zero on the S_b wall, odd across it."""
     chart = series.chart
-    problems = []
-    weights = {p: chart.to_weight(p) for p in series.coeffs}
-    for p, wgt in weights.items():
-        if inner(ctx.form, wgt, ctx.beta) == 0:
-            problems.append(("wall", wgt, series.coeffs[p]))
+    wall = chart.covector(lambda w: inner(ctx.form, w, ctx.beta))
+    mirror = chart.linear_map(ctx.s_beta)
+    problems = [
+        ("wall", chart.to_weight(p), c)
+        for p, c in series.coeffs.items()
+        if not sum(map(mul, wall, p))
+    ]
     for p, c in series.coeffs.items():
-        cm = series.coefficient(chart.to_point(apply_matrix(ctx.s_beta, weights[p])))
+        cm = series.coefficient(tuple(sum(map(mul, row, p)) for row in mirror))
         if cm is None or not series.certain_at(p):
             continue
         if cm != -c:
-            problems.append(("mirror", weights[p], (c, cm)))
+            problems.append(("mirror", chart.to_weight(p), (c, cm)))
     return problems
 
 

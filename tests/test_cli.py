@@ -179,13 +179,22 @@ def test_bad_form_label_exit_code(capsys):
 
 @pytest.mark.parametrize("bound,argv", [
     ("4", ["quat", "--form", "so4_n:4", "--lambda", "4,3,2,1"]),
-    ("10", ["sp1q", "--form", "sp1_q:3", "--lambda=5,3,2,1"]),
+    ("5", ["sp1q", "--form", "sp1_q:3", "--lambda=5,3,2,1"]),
 ], ids=["quat", "sp1q"])
 def test_resource_error_exit_code(capsys, monkeypatch, bound, argv):
     monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", bound)
     code, _, err = run_cli(capsys, "oracle-check", *argv, "--step-bound", "4")
     assert code == 3
     assert "bound" in err
+
+
+def test_coset_bound_admits_exactly_the_coset_count(capsys, monkeypatch):
+    # sp1_q:3 has 6 cosets W_Z\W(K2): a bound of 6 runs, 5 refuses
+    argv = ["oracle-check", "sp1q", "--form", "sp1_q:3", "--lambda=5,3,2,1", "--step-bound", "4"]
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "6")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "5")
+    assert run_cli(capsys, *argv)[0] == 3
 
 
 ORACLE_ARGV = ["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "4"]

@@ -8,6 +8,7 @@ from branchkit.lattice import (
     Chart,
     apply_matrix,
     inner,
+    rational_solve,
     weight,
     wadd,
     wneg,
@@ -15,6 +16,7 @@ from branchkit.lattice import (
 )
 from branchkit.oracle import (
     OracleConfig,
+    _kernel_cosets,
     check_antisymmetry,
     compact_quotient_weights,
     extract_multiplicities,
@@ -28,7 +30,7 @@ from branchkit.oracle import (
 )
 from branchkit.quaternionic import decompose_parameter, quaternionic_context
 from branchkit.specialcases import sp1q_context, sp1q_restriction_series
-from branchkit.rootsystems import weyl_generate
+from branchkit.rootsystems import coset_reps, weyl_generate
 
 CFG = OracleConfig(step_bound=8)
 
@@ -165,7 +167,46 @@ def test_oracle_rejects_large_forms():
     ctx = quaternionic_context("e6_2")
     lam = ctx.psi.rho
     with pytest.raises(ResourceError):
-        restriction_series(ctx, lam, OracleConfig(step_bound=4, group_order_bound=16))
+        restriction_series(ctx, lam, OracleConfig(step_bound=4, coset_bound=16))
+
+
+@pytest.mark.parametrize("label,cosets", [("e6_2", 20), ("e7_m5", 32), ("e8_m24", 56)])
+def test_verify_closed_form_exceptional(label, cosets):
+    ctx = quaternionic_context(label)
+    assert len(_kernel_cosets(ctx, CFG)) == cosets
+    report = verify_closed_form(ctx, ctx.psi.rho, OracleConfig(step_bound=4))
+    assert report.agree
+    assert report.compared >= 15
+
+
+def _context(label):
+    name, _, q = label.partition(":")
+    return sp1q_context(int(q)) if name == "sp1_q" else quaternionic_context(label)
+
+
+def _coset_terms(ctx, cosets, lam):
+    """Sorted (q_u(w lam), sign * varpi(w lam), multiset) over the cosets: what
+    a representative contributes to the coset series."""
+    terms = []
+    for w in cosets:
+        wlam = apply_matrix(w.matrix, lam)
+        ms = restriction_multiset(ctx, w, flip=False)
+        terms.append((ctx.q_u(wlam), w.sign * weyl_polynomial(ctx, wlam), tuple(sorted(ms.items()))))
+    return sorted(terms)
+
+
+@pytest.mark.parametrize("label", [
+    "g2_2", "su2_n:1", "su2_n:2", "so4_n:3", "so4_n:4", "so4_n:6", "f4_4", "sp1_q:2", "sp1_q:3",
+])
+def test_kernel_cosets_match_group_partition(label):
+    ctx = _context(label)
+    lam = ctx.sigma.rho if label.startswith("sp1_q") else ctx.psi.rho
+    orbit = _kernel_cosets(ctx, CFG)
+    reference = coset_reps(
+        weyl_generate(ctx.form, ctx.k2_factor.simple), ctx.kernel_positive, ctx.form
+    )
+    assert len(orbit) == len(reference)
+    assert _coset_terms(ctx, orbit, lam) == _coset_terms(ctx, reference, lam)
 
 
 def test_verify_closed_form_odd_orthogonal_realization():
@@ -179,8 +220,8 @@ def test_verify_closed_form_odd_orthogonal_realization():
 
 
 def test_closed_form_available_beyond_oracle():
-    # the closed form needs no Weyl enumeration: it works where the oracle
-    # refuses, here with the trivial compact-factor representation
+    # the closed form needs no Weyl enumeration: it works at any cutoff
+    # without the oracle, here with the trivial compact-factor representation
     from branchkit.quaternionic import branching_table
     from math import comb
 
@@ -196,19 +237,21 @@ def test_closed_form_available_beyond_oracle():
             assert table.entries[mu] == comb(p + d - 2, d - 2) * comb(q + d - 2, d - 2)
 
 
+def _series(label, coords):
+    ctx = _context(label)
+    if label.startswith("sp1_q"):
+        return ctx, sp1q_restriction_series(ctx, weight(coords), CFG)
+    lam = wadd(wscale(2, ctx.fw1), ctx.beta) if coords is None else weight(coords)
+    return ctx, restriction_series(ctx, lam, CFG)
+
+
 @pytest.mark.parametrize("label,coords", [
     ("g2_2", None),
     ("so4_n:4", (5, 3, 2, 1)),
     ("sp1_q:2", (5, 2, 1)),
 ])
 def test_chart_round_trips_series_points(label, coords):
-    if label == "sp1_q:2":
-        ctx = sp1q_context(2)
-        series = sp1q_restriction_series(ctx, weight(coords), CFG)
-    else:
-        ctx = quaternionic_context(label)
-        lam = wadd(wscale(2, ctx.fw1), ctx.beta) if coords is None else weight(coords)
-        series = restriction_series(ctx, lam, CFG)
+    ctx, series = _series(label, coords)
     chart = series.chart
     assert len(chart.coords) == 2
     for p in series.coeffs:
@@ -223,3 +266,23 @@ def test_chart_round_trips_series_points(label, coords):
     off_plane = tuple(x + (k == off) for k, x in enumerate(w))
     with pytest.raises(InternalError):
         chart.to_point(off_plane)  # same chart coordinates, off the span
+
+
+@pytest.mark.parametrize("label,coords", [("g2_2", None), ("so4_n:4", (5, 3, 2, 1))])
+def test_chart_linear_map_matches_fraction_path(label, coords):
+    ctx, series = _series(label, coords)
+    chart = series.chart
+    mirror = chart.linear_map(ctx.s_beta)
+    for p in series.coeffs:
+        want = chart.to_point(apply_matrix(ctx.s_beta, chart.to_weight(p)))
+        assert tuple(sum(a * x for a, x in zip(row, p)) for row in mirror) == want
+    half = tuple(tuple(x / 2 for x in row) for row in ctx.s_beta)
+    with pytest.raises(InternalError):
+        chart.linear_map(half)  # not integral on the chart lattice
+    dim = len(ctx.s_beta)
+    unit = [tuple(Fraction(i == k) for i in range(dim)) for k in range(dim)]
+    k = next(k for k in range(dim) if rational_solve(list(chart.rows), unit[k]) is None)
+    c = chart.coords[0]
+    off = tuple(tuple(Fraction(i == k and j == c) for j in range(dim)) for i in range(dim))
+    with pytest.raises(InternalError):
+        chart.linear_map(off)  # w -> w[c] e_k sends the first chart row off the span
