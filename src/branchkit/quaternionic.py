@@ -155,8 +155,9 @@ def _verify_projections(ctx: QuaternionicContext):
     and their projections fall on the two fundamental weights."""
     targets = {ctx.fw1, ctx.fw2}
     special = {ctx.alpha, wsub(ctx.beta, ctx.alpha)}
-    for g in ctx.noncompact_positive:
-        if wsub(ctx.beta, g) not in set(ctx.noncompact_positive):
+    noncompact = set(ctx.noncompact_positive)
+    for g in noncompact:
+        if wsub(ctx.beta, g) not in noncompact:
             raise InternalError("beta - gamma is not a noncompact positive root")
         if g in special:
             continue

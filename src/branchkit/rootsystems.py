@@ -2,6 +2,13 @@
 and Weyl-group machinery (generation, minimal coset representatives, chamber
 enumeration).
 
+Every family's root system is realized here (``_base_system``): the
+quaternionic forms, sp(1, q) and the Hermitian forms all take their roots and
+simple roots from it.  A positive system is the closure of the simple roots
+under adding a simple root while the sum stays a root, and the highest root is
+the positive root that no simple root raises; both are set lookups on the
+root list, with no linear solve.
+
 All systems live in standard Bourbaki coordinates with the Euclidean inner
 product.  Every quantity consumed downstream (coroot pairings, Weyl
 polynomial ratios, sign tests, orthogonal projections) is invariant under
@@ -127,78 +134,44 @@ class WeylElement:
 # root collections per family, in Bourbaki coordinates
 
 
-def _signed_pairs(n: int, both=True, singles=None, scale=1):
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * n
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(v))
+def _vector(n: int, entries) -> Weight:
+    """The weight of length n with the given {coordinate: value} entries."""
+    v = [Fraction(0)] * n
+    for i, x in entries.items():
+        v[i] = Fraction(x)
+    return tuple(v)
+
+
+def _chain(n: int, length: int):
+    """The simple roots e_i - e_{i+1} for i < length, in R^n."""
+    return [_vector(n, {i: 1, i + 1: -1}) for i in range(length)]
+
+
+def _signed_pairs(n: int, singles=None):
+    roots = [_vector(n, {i: si, j: sj})
+             for i in range(n) for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
     if singles is not None:
-        for i in range(n):
-            for s in (1, -1):
-                v = [Fraction(0)] * n
-                v[i] = Fraction(s * singles)
-                roots.append(tuple(v))
+        roots += [_vector(n, {i: s * singles}) for i in range(n) for s in (1, -1)]
     return roots
 
 
 def _type_a(rank: int):
     n = rank + 1
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = [Fraction(0)] * n
-                v[i], v[j] = Fraction(1), Fraction(-1)
-                roots.append(tuple(v))
-    simples = []
-    for i in range(rank):
-        v = [Fraction(0)] * n
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        simples.append(tuple(v))
-    return roots, simples
+    roots = [_vector(n, {i: 1, j: -1}) for i in range(n) for j in range(n) if i != j]
+    return roots, _chain(n, rank)
 
 
 def _type_b(rank: int):
-    roots = _signed_pairs(rank, singles=1)
-    simples = []
-    for i in range(rank - 1):
-        v = [Fraction(0)] * rank
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        simples.append(tuple(v))
-    v = [Fraction(0)] * rank
-    v[rank - 1] = Fraction(1)
-    simples.append(tuple(v))
-    return roots, simples
+    return _signed_pairs(rank, singles=1), _chain(rank, rank - 1) + [_vector(rank, {rank - 1: 1})]
 
 
 def _type_c(rank: int):
-    roots = _signed_pairs(rank, singles=2)
-    simples = []
-    for i in range(rank - 1):
-        v = [Fraction(0)] * rank
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        simples.append(tuple(v))
-    v = [Fraction(0)] * rank
-    v[rank - 1] = Fraction(2)
-    simples.append(tuple(v))
-    return roots, simples
+    return _signed_pairs(rank, singles=2), _chain(rank, rank - 1) + [_vector(rank, {rank - 1: 2})]
 
 
 def _type_d(rank: int):
-    roots = _signed_pairs(rank)
-    simples = []
-    for i in range(rank - 1):
-        v = [Fraction(0)] * rank
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        simples.append(tuple(v))
-    v = [Fraction(0)] * rank
-    v[rank - 2], v[rank - 1] = Fraction(1), Fraction(1)
-    simples.append(tuple(v))
-    return roots, simples
+    last = _vector(rank, {rank - 2: 1, rank - 1: 1})
+    return _signed_pairs(rank), _chain(rank, rank - 1) + [last]
 
 
 def _type_g2():
@@ -296,14 +269,17 @@ def _type_e(rank: int):
 
 
 def _positive_from_simples(roots, simples):
-    """Positive roots = nonnegative combinations of the simple roots."""
-    positive = []
-    for g in roots:
-        sol = rational_solve(list(simples), g)
-        if sol is None:
-            raise InternalError("root outside the span of the simple roots")
-        if all(c >= 0 for c in sol):
-            positive.append(g)
+    """Positive roots: the simple roots, closed under adding a simple root
+    while the sum is still a root.  Every positive root is reached, since it
+    is a chain of simple roots whose partial sums are all roots (Humphreys,
+    Introduction to Lie Algebras, 10.2); a root outside the span of the simple
+    roots is not, and breaks the half split."""
+    root_set = set(roots)
+    positive = set(simples)
+    level = positive
+    while level:
+        level = {wadd(g, a) for g in level for a in simples} & root_set
+        positive |= level
     if 2 * len(positive) != len(roots):
         raise InternalError("positive system does not split the roots in half")
     return tuple(sorted(positive))
@@ -322,15 +298,10 @@ def simple_elements(positives, form: InnerProductForm):
 
 
 def highest_root(rd: RootDatum) -> Weight:
-    """The unique positive root of maximal height."""
-    simples = list(rd.simple)
-
-    def height(g):
-        sol = rational_solve(simples, g)
-        return sum(sol)
-
-    best = max(rd.positive, key=height)
-    top = [g for g in rd.positive if height(g) == height(best)]
+    """The positive root that no simple root raises to another root; it is
+    unique exactly when the system is irreducible (Humphreys, 10.4)."""
+    roots = set(rd.roots)
+    top = [g for g in rd.positive if all(wadd(g, a) not in roots for a in rd.simple)]
     if len(top) != 1:
         raise InternalError("highest root is not unique; reducible system?")
     return top[0]
@@ -411,21 +382,19 @@ def quaternionic_root_datum(label: str) -> RootDatum:
         m = (4 + param) // 2
         family = "D" if (4 + param) % 2 == 0 else "B"
         roots, simples = _base_system(family, m)
-    dim = len(roots[0])
-    form = identity_form(dim)
+    form = identity_form(len(roots[0]))
     positive = _positive_from_simples(roots, simples)
-    rd = RootDatum(label, form, tuple(sorted(roots)), positive, tuple(simples), {})
+    compactness = {}  # filled below; highest_root reads no labels
+    rd = RootDatum(label, form, tuple(sorted(roots)), positive, tuple(simples), compactness)
     beta = highest_root(rd)
-    compactness = {}
     for g in positive:
         p = coroot_pairing(form, g, beta)
         if p not in (0, 1, 2):
             raise InternalError(
                 f"unexpected highest-root pairing {p} for {format_weight(g)}"
             )
-        compactness[g] = p != 1
-        compactness[wneg(g)] = p != 1
-    return RootDatum(label, form, rd.roots, positive, tuple(simples), compactness)
+        compactness[g] = compactness[wneg(g)] = p != 1
+    return rd
 
 
 def small_system(rd: RootDatum):

@@ -3,6 +3,11 @@ SO(3,2n), the closed-form branching from sp(1,q) to its sp(1,1) subgroup
 (checked by the shared distributional oracle in ``oracle``), and the root-set
 criterion for admissibility of discrete series of Hermitian forms over the
 semisimple factor of K.
+
+The root systems come from ``rootsystems._base_system``: C_{q+1} for sp(1, q),
+and A, C, D, E_6, E_7 for the Hermitian forms.  sp(1, q) labels its compact
+roots by one explicit rule; a Hermitian form labels a root compact when it is
+orthogonal to the central direction z of K.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ from .repweights import (
 from .rootsystems import (
     PositiveSystem,
     RootDatum,
+    _base_system,
+    _positive_from_simples,
+    _vector,
     positive_system,
     simple_elements,
 )
@@ -131,52 +139,19 @@ class Sp1qContext:
                 raise InternalError(f"four-fold antisymmetry fails at {format_weight(mu)}")
 
 
-def _sp1q_roots(q: int):
-    n = q + 1
-    roots = []
-    for i in range(n):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(2)
-        roots.append(tuple(v))
-        roots.append(tuple(-x for x in v))
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    u = [Fraction(0)] * n
-                    u[i], u[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(u))
-    simples = []
-    for i in range(n - 1):
-        v = [Fraction(0)] * n
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        simples.append(tuple(v))
-    v = [Fraction(0)] * n
-    v[n - 1] = Fraction(2)
-    simples.append(tuple(v))
-    return roots, simples
-
-
 @functools.lru_cache(maxsize=None)
 def sp1q_context(q: int) -> Sp1qContext:
-    """Build the sp(1, q) context; compactness is stored explicitly: the long
-    root 2 e0 and everything inside the sp(q) block are compact, the mixed
-    short roots e0 +- ej are noncompact."""
+    """Build the sp(1, q) context on the C_{q+1} system of ``rootsystems``;
+    compactness is one explicit rule: the long root 2 e0 and everything
+    inside the sp(q) block are compact, the mixed short roots e0 +- ej are
+    noncompact."""
     if q < 2:
         raise ConfigurationError("sp(1, q) branching requires q >= 2")
-    roots, simples = _sp1q_roots(q)
-    n = q + 1
-    form = identity_form(n)
-    positive = []
-    compactness = {}
-    for g in roots:
-        nonzero = [i for i, x in enumerate(g) if x]
-        compact = 0 not in nonzero or nonzero == [0]
-        compactness[g] = compact
-        first = g[nonzero[0]]
-        if first > 0:
-            positive.append(g)
-    rd = RootDatum("sp1_q:%d" % q, form, tuple(sorted(roots)), tuple(sorted(positive)),
-                   tuple(simples), compactness)
+    roots, simples = _base_system("C", q + 1)
+    form = identity_form(q + 1)
+    compactness = {g: not g[0] or not any(g[1:]) for g in roots}
+    rd = RootDatum("sp1_q:%d" % q, form, tuple(sorted(roots)),
+                   _positive_from_simples(roots, simples), tuple(simples), compactness)
     beta = tuple([Fraction(2)] + [Fraction(0)] * q)
     e0 = tuple([Fraction(1)] + [Fraction(0)] * q)
     e1 = tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * (q - 1))
@@ -308,16 +283,7 @@ def _su_pq_data(p: int, q: int):
     if p < 1 or q < 1 or p > q:
         raise DomainError("su(p, q) certificates require 1 <= p <= q")
     n = p + q
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = [Fraction(0)] * n
-                v[i], v[j] = Fraction(1), Fraction(-1)
-                roots.append(tuple(v))
-    compact = lambda g: (
-        all(x == 0 for x in g[p:]) or all(x == 0 for x in g[:p])
-    )
+    roots, _ = _base_system("A", n - 1)
     gammas = []
     bs = []
     for i in range(1, p + 1):
@@ -327,86 +293,34 @@ def _su_pq_data(p: int, q: int):
             bs.append(i + 1 + t_num // t_den + p)
         else:
             bs.append(i + t_num // t_den + p)
-    cert = []
-    conj = []
-    for i in range(1, p + 1):
-        v = [Fraction(0)] * n
-        v[i - 1], v[gammas[i - 1] - 1] = Fraction(1), Fraction(-1)
-        cert.append(tuple(v))
-        u = [Fraction(0)] * n
-        u[i - 1], u[bs[i - 1] - 1] = Fraction(-1), Fraction(1)
-        conj.append(tuple(u))
-    return roots, compact, cert, conj, p == q
+    cert = [_vector(n, {i: 1, gammas[i] - 1: -1}) for i in range(p)]
+    conj = [_vector(n, {i: -1, bs[i] - 1: 1}) for i in range(p)]
+    return roots, weight([q] * p + [-p] * q), cert, conj, p == q
 
 
 def _sp_nr_data(n: int):
     if n < 1:
         raise DomainError("sp(n, R) requires n >= 1")
-    roots = []
-    for i in range(n):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(2)
-        roots.append(tuple(v))
-        roots.append(tuple(-x for x in v))
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    u = [Fraction(0)] * n
-                    u[i], u[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(u))
-    compact = lambda g: sum(g) == 0
+    roots, _ = _base_system("C", n)
     l = n // 2
-    cert = []
-    if n % 2:
-        v = [Fraction(0)] * n
-        v[l] = Fraction(2)
-        cert.append(tuple(v))
-    for k in range(1, l + 1):
-        v = [Fraction(0)] * n
-        v[k - 1], v[n - k] = Fraction(1), Fraction(1)
-        cert.append(tuple(v))
+    cert = [_vector(n, {l: 2})] if n % 2 else []
+    cert += [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
     conj = [wneg(g) for g in cert]
-    return roots, compact, cert, conj, True
+    return roots, weight([1] * n), cert, conj, True
 
 
 def _so_star_data(n: int):
     if n < 3:
         raise DomainError("so*(2n) requires n >= 3")
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    u = [Fraction(0)] * n
-                    u[i], u[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(u))
-    compact = lambda g: sum(g) == 0
+    roots, _ = _base_system("D", n)
     l = n // 2
-    cert = []
-    for k in range(1, l + 1):
-        v = [Fraction(0)] * n
-        v[k - 1], v[n - k] = Fraction(1), Fraction(1)
-        cert.append(tuple(v))
-    if n % 2 == 0:
-        conj = [wneg(g) for g in cert]
-        tube = True
-    else:
-        v = [Fraction(0)] * n
-        v[l], v[l + 1] = Fraction(1), Fraction(1)
-        cert.append(tuple(v))
-        conj = []
-        for k in range(1, l + 1):
-            u = [Fraction(0)] * n
-            u[k - 1], u[n - k] = Fraction(-1), Fraction(-1)
-            conj.append(tuple(u))
-        u = [Fraction(0)] * n
-        u[l - 1], u[l] = Fraction(-1), Fraction(-1)
-        conj.append(tuple(u))
-        tube = False
-    return roots, compact, cert, conj, tube
-
-
-_E_HALF = Fraction(1, 2)
+    cert = [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
+    conj = [wneg(g) for g in cert]
+    tube = n % 2 == 0
+    if not tube:
+        cert.append(_vector(n, {l: 1, l + 1: 1}))
+        conj.append(_vector(n, {l - 1: -1, l: -1}))
+    return roots, weight([1] * n), cert, conj, tube
 
 
 def _e_vector(signs):
@@ -420,29 +334,26 @@ _ETA2 = _e_vector([-1, -1, 1, 1, -1, 1, -1, 1])
 
 
 def _e6_m14_data():
-    from .rootsystems import _type_e
-
-    roots, _ = _type_e(6)
+    roots, _ = _base_system("E", 6)
     z = weight([0, 0, 0, 0, 0, -1, -1, 1])  # central direction e8 - e7 - e6
-    compact = lambda g: inner(identity_form(8), g, z) == 0
-    e = lambda i: tuple(Fraction(1 if j == i - 1 else 0) for j in range(8))
-    cert = [_EPS1, _EPS2, wadd(e(1), e(5)), wadd(e(2), e(5))]
+    compact = [_vector(8, {0: 1, 4: 1}), _vector(8, {1: 1, 4: 1})]  # e1 + e5, e2 + e5
+    cert = [_EPS1, _EPS2] + compact
     # conjugate set: negate the noncompact members only; negating the compact
     # members would make the set unusable against any chamber
-    conj = [wneg(_EPS1), wneg(_EPS2), wadd(e(1), e(5)), wadd(e(2), e(5))]
-    return roots, compact, cert, conj, False, z
+    conj = [wneg(_EPS1), wneg(_EPS2)] + compact
+    return roots, z, cert, conj, False
 
 
 def _e7_m25_data():
-    from .rootsystems import _type_e
-
-    roots, _ = _type_e(7)
+    roots, _ = _base_system("E", 7)
     z = weight([0, 0, 0, 0, 0, 2, -1, 1])  # direction orthogonal to the e6 part
-    compact = lambda g: inner(identity_form(8), g, z) == 0
-    e = lambda i: tuple(Fraction(1 if j == i - 1 else 0) for j in range(8))
-    cert = [_ETA1, _ETA2, wadd(e(1), e(6))]
+    cert = [_ETA1, _ETA2, _vector(8, {0: 1, 5: 1})]  # e1 + e6
     conj = [wneg(g) for g in cert]
-    return roots, compact, cert, conj, True, z
+    return roots, z, cert, conj, True
+
+
+_HERMITIAN_BUILDERS = {"su_pq": _su_pq_data, "sp_n_R": _sp_nr_data, "so_star": _so_star_data,
+                       "e6_m14": _e6_m14_data, "e7_m25": _e7_m25_data}
 
 
 def parse_hermitian_label(label: str):
@@ -469,24 +380,11 @@ def parse_hermitian_label(label: str):
 def hermitian_data(label: str) -> HermitianData:
     """Assemble the realized Hermitian form and its certificate sets."""
     name, params = parse_hermitian_label(label)
-    z = None
-    if name == "su_pq":
-        p, q = params
-        roots, compact, cert, conj, tube = _su_pq_data(p, q)
-        z = weight([q] * p + [-p] * q)
-    elif name == "sp_n_R":
-        roots, compact, cert, conj, tube = _sp_nr_data(params[0])
-        z = weight([1] * params[0])
-    elif name == "so_star":
-        roots, compact, cert, conj, tube = _so_star_data(params[0])
-        z = weight([1] * params[0])
-    elif name == "e6_m14":
-        roots, compact, cert, conj, tube, z = _e6_m14_data()
-    else:
-        roots, compact, cert, conj, tube, z = _e7_m25_data()
+    roots, z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
     dim = len(roots[0])
     form = identity_form(dim)
-    compactness = {g: compact(g) for g in roots}
+    # K is the centralizer of the central direction z
+    compactness = {g: inner(form, g, z) == 0 for g in roots}
     # holomorphic system: positive on the central direction for noncompact
     # roots, a fixed generic order on the compact ones
     v_reg = _compact_regular_vector(name, dim)
@@ -585,12 +483,8 @@ def kss_admissible(hd: HermitianData, lam: Weight) -> bool:
 def kss_admissible_report(hd: HermitianData, lam: Weight):
     """(decision, reason) pair for user-facing output."""
     validate_hermitian_parameter(hd, lam)
-    chamber = chamber_system(hd, lam)
-    contained = (
-        frozenset(hd.certificate) <= chamber
-        or frozenset(hd.certificate_conjugate) <= chamber
-    )
-    admissible = (not contained) if hd.tube else contained
+    admissible = kss_admissible_system(hd, chamber_system(hd, lam))
+    contained = admissible != hd.tube
     if hd.tube:
         reason = (
             "tube domain: an obstruction set lies in the chamber system"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -220,3 +222,20 @@ def test_selftest_single_criterion(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["criteria"][0]["id"] == "AC-7"
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
+def test_tables_golden_digests(capsys):
+    """Every ``tables`` request of the benchmark's golden set prints exactly
+    the bytes whose SHA-256 is stored there: the byte-identical-output gate
+    for refactors, without the oracle requests."""
+    rows = json.loads(GOLDEN.read_text())["workloads"]["tables"]
+    assert len(rows) == 71
+    changed = []
+    for row in rows:
+        code, out, _ = run_cli(capsys, *row["argv"])
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != row["sha256"]:
+            changed.append(" ".join(row["argv"]))
+    assert changed == []

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from branchkit.errors import ConfigurationError, DomainError, ResourceError
+from branchkit.errors import ConfigurationError, DomainError, InternalError, ResourceError
 from branchkit.lattice import (
     apply_matrix,
     coroot_pairing,
     identity_form,
     inner,
+    rational_solve,
     weight,
     wneg,
     wadd,
@@ -15,7 +16,11 @@ from branchkit.lattice import (
 )
 from branchkit.quaternionic import admissible_system
 from branchkit.rootsystems import (
+    RootDatum,
+    _base_system,
+    _positive_from_simples,
     coset_reps,
+    highest_root,
     positive_system,
     positive_systems_containing,
     quaternionic_root_datum,
@@ -23,9 +28,73 @@ from branchkit.rootsystems import (
     small_system,
     weyl_generate,
 )
+from branchkit.specialcases import hermitian_data, sp1q_context
 
 ALL_FORMS = ["g2_2", "f4_4", "su2_n:2", "su2_n:3", "su2_n:4", "so4_n:3",
              "so4_n:4", "so4_n:5", "e6_2", "e7_m5", "e8_m24"]
+SP1Q_FORMS = ["sp1_q:2", "sp1_q:3", "sp1_q:4"]
+HERMITIAN_FORMS = ["su_pq:2,2", "su_pq:2,3", "su_pq:2,4", "su_pq:3,5",
+                   "sp_n_R:2", "sp_n_R:3", "sp_n_R:4", "sp_n_R:5",
+                   "so_star:4", "so_star:5", "so_star:6", "so_star:7",
+                   "e6_m14", "e7_m25"]
+BASE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+                ("D", 4), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+
+
+def _root_datum(label):
+    if label in SP1Q_FORMS:
+        return sp1q_context(int(label.partition(":")[2])).rd
+    if label in HERMITIAN_FORMS:
+        return hermitian_data(label).rd
+    return quaternionic_root_datum(label)
+
+
+def _solved_positive(roots, simples):
+    """Reference: a root is positive when its coefficients over the simple
+    roots, found by a linear solve, are all nonnegative."""
+    positive = []
+    for g in roots:
+        sol = rational_solve(list(simples), g)
+        assert sol is not None
+        if all(c >= 0 for c in sol):
+            positive.append(g)
+    return tuple(sorted(positive))
+
+
+@pytest.mark.parametrize("family,rank", BASE_SYSTEMS)
+def test_positive_closure_matches_solve(family, rank):
+    roots, simples = _base_system(family, rank)
+    assert _positive_from_simples(roots, simples) == _solved_positive(roots, simples)
+
+
+@pytest.mark.parametrize("label", ALL_FORMS + SP1Q_FORMS + HERMITIAN_FORMS)
+def test_datum_positive_matches_solve(label):
+    rd = _root_datum(label)
+    assert rd.positive == _solved_positive(rd.roots, rd.simple)
+
+
+@pytest.mark.parametrize("label", ALL_FORMS)
+def test_highest_root_has_maximal_height(label):
+    rd = quaternionic_root_datum(label)
+    height = {g: sum(rational_solve(list(rd.simple), g)) for g in rd.positive}
+    top = max(height.values())
+    assert [g for g in rd.positive if height[g] == top] == [highest_root(rd)]
+
+
+def test_highest_root_rejects_reducible_datum():
+    a, b = weight([1, -1, 0, 0]), weight([0, 0, 1, -1])  # A1 x A1
+    roots = (a, b, wneg(a), wneg(b))
+    positive = _positive_from_simples(roots, (a, b))
+    rd = RootDatum("a1xa1", identity_form(4), tuple(sorted(roots)), positive, (a, b), {})
+    with pytest.raises(InternalError, match="not unique"):
+        highest_root(rd)
+
+
+def test_positive_closure_rejects_root_outside_span():
+    roots, simples = _base_system("A", 2)
+    stray = weight([1, 1, 1])
+    with pytest.raises(InternalError, match="half"):
+        _positive_from_simples(roots + [stray, wneg(stray)], simples)
 
 
 def test_g2_noncompact_positive_set(g2):

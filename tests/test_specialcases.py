@@ -164,6 +164,26 @@ def test_certificates_are_roots_everywhere():
             assert g in roots, (label, g)
 
 
+@pytest.mark.parametrize("label,expected", [
+    ("su_pq:2,3", 2 * 1 + 3 * 2),
+    ("su_pq:3,5", 3 * 2 + 5 * 4),
+    ("sp_n_R:3", 3 * 2),
+    ("so_star:4", 4 * 3),
+    ("so_star:5", 5 * 4),
+    ("e6_m14", 40),
+    ("e7_m25", 72),
+])
+def test_hermitian_compact_root_counts(label, expected):
+    rd = hermitian_data(label).rd
+    assert sum(rd.is_compact(g) for g in rd.roots) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sp1q_compact_root_count(q):
+    rd = sp1q_context(q).rd
+    assert sum(rd.is_compact(g) for g in rd.roots) == 2 * q * q + 2
+
+
 def test_su_pq_index_formulas():
     hd = hermitian_data("su_pq:2,4")
     assert set(hd.certificate) == {
