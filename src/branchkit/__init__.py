@@ -24,7 +24,6 @@ from .lattice import (
     Weight,
     coroot_pairing,
     format_weight,
-    gram_form,
     identity_form,
     inner,
     parse_weight,

@@ -144,7 +144,7 @@ def ac2(store) -> CriterionResult:
                     return _result("AC-2", "Freudenthal consistency", 30, t0, False,
                                    f"Weyl invariance fails on {name} {coeffs}")
             # convex hull: the dominant representative stays under hw
-            dom = _ac2_dominant_rep(v, factor)
+            dom = _dominant(factor.form, v, factor.simple)
             sol = rational_solve(list(factor.simple), wsub(hw, dom))
             if sol is None or any(c < 0 for c in sol):
                 return _result("AC-2", "Freudenthal consistency", 30, t0, False,
@@ -169,11 +169,13 @@ def _dominant_with_pairings(factor: CompactFactor, coeffs):
     return tuple(sol)
 
 
-def _ac2_dominant_rep(v, factor):
+def _dominant(form, v, roots):
+    """Reflect v in the roots while one pairs negatively with it: the
+    Fraction reference for the dominant representative."""
     while True:
-        for a in factor.simple:
-            if inner(factor.form, v, a) < 0:
-                v = reflect(factor.form, v, a)
+        for a in roots:
+            if inner(form, v, a) < 0:
+                v = reflect(form, v, a)
                 break
         else:
             return v
@@ -389,15 +391,7 @@ def _random_regular(hd, rng):
             chamber_system(hd, lam)
         except Exception:
             continue
-        # normalize to compact dominance
-        changed = True
-        while changed:
-            changed = False
-            for a in hd.rd.compact_positive:
-                if inner(hd.rd.form, lam, a) < 0:
-                    lam = reflect(hd.rd.form, lam, a)
-                    changed = True
-        return lam
+        return _dominant(hd.rd.form, lam, hd.rd.compact_positive)
 
 
 def ac9(store) -> CriterionResult:

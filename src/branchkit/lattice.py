@@ -5,6 +5,12 @@ A weight is a plain tuple of ``Fraction``; ``Fraction`` keeps itself in lowest
 terms with a positive denominator, so weights compare exactly and can be used
 as dict keys directly.  All values are immutable and all operations are pure.
 
+Weights are Euclidean: every root system is realized in orthonormal
+coordinates, so the inner product is the coordinate dot product, with no
+matrix of pairings to multiply through, and coroot pairings, reflections and
+reflection matrices are dot-product formulas.  An ``InnerProductForm`` only
+names the dimension of that space.
+
 ``rational_solve`` converts int entries to ``Fraction`` on entry, so its
 answer is exact for int input too.  A ``Chart`` gives the span of finitely
 many weights integer coordinates; the oracle's series live on them.
@@ -57,11 +63,9 @@ def is_zero(a: Weight) -> bool:
     return all(x == 0 for x in a)
 
 
-def dot(a: Weight, b: Weight) -> Fraction:
-    """Standard coordinate dot product (identity Gram matrix)."""
-    if len(a) != len(b):
-        raise DimensionError(f"weight lengths differ: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def int_point(a: Weight, scale: int) -> tuple[int, ...]:
+    """The int tuple scale * a; scale must be a multiple of every denominator of a."""
+    return tuple(x.numerator * (scale // x.denominator) for x in a)
 
 
 def parse_weight(text: str) -> Weight:
@@ -81,48 +85,24 @@ def format_weight(w: Weight) -> str:
 
 @dataclass(frozen=True)
 class InnerProductForm:
-    """A symmetric positive-definite rational Gram matrix on the ambient space.
+    """The Euclidean inner product on the ambient space Q^dim.
 
-    Positive-definiteness is assumed from construction; only the root-system
-    builders create these.
+    Every root system is realized in orthonormal coordinates, so the form is
+    the coordinate dot product and carries only its dimension.
     """
 
-    gram: Matrix
     dim: int
-
-    def __post_init__(self):
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
-            raise DimensionError("gram matrix shape does not match dim")
-        for i in range(self.dim):
-            if self.gram[i][i] <= 0:
-                raise DomainError("gram diagonal must be positive")
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise DomainError("gram matrix must be symmetric")
 
 
 def identity_form(dim: int) -> InnerProductForm:
-    rows = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-    )
-    return InnerProductForm(rows, dim)
-
-
-def gram_form(rows: Sequence[Sequence]) -> InnerProductForm:
-    gram = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return InnerProductForm(gram, len(gram))
+    return InnerProductForm(dim)
 
 
 def inner(form: InnerProductForm, a: Weight, b: Weight) -> Fraction:
-    """Exact bilinear form a^T . gram . b."""
+    """Exact coordinate dot product of two weights of the form's space."""
     if len(a) != form.dim or len(b) != form.dim:
         raise DimensionError("weight length does not match form dimension")
-    total = Fraction(0)
-    for i, ai in enumerate(a):
-        if ai:
-            row = form.gram[i]
-            total += ai * sum((row[j] * bj for j, bj in enumerate(b) if bj), Fraction(0))
-    return total
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
 
 def coroot_pairing(form: InnerProductForm, lam: Weight, gamma: Weight) -> Fraction:
@@ -145,25 +125,16 @@ def identity_matrix(dim: int) -> Matrix:
     )
 
 
-def reflection_matrix(form: InnerProductForm, gamma: Weight) -> Matrix:
-    """Matrix of the reflection in gamma, acting on column vectors."""
+def reflection_matrix(gamma: Weight) -> Matrix:
+    """Matrix of the reflection in gamma, I - 2 gamma gamma^T / (gamma, gamma),
+    acting on column vectors."""
     if is_zero(gamma):
         raise DomainError("reflection in the zero vector")
-    n = form.dim
-    gg = inner(form, gamma, gamma)
-    # row i of G.gamma, used for <e_j, gamma-check>
-    ggamma = tuple(
-        sum((form.gram[j][k] * gamma[k] for k in range(n)), Fraction(0))
-        for j in range(n)
+    c = Fraction(-2) / sum(x * x for x in gamma)
+    return tuple(
+        tuple((i == j) + c * gi * gj for j, gj in enumerate(gamma))
+        for i, gi in enumerate(gamma)
     )
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = Fraction(1 if i == j else 0) - 2 * gamma[i] * ggamma[j] / gg
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def apply_matrix(m: Matrix, v: Weight) -> Weight:

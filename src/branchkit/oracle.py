@@ -189,7 +189,7 @@ def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig) -> tuple[WeylElement, 
     v = next((ctx.q_u_k2(g) for g in positive if g not in kernel), zero_weight(form.dim))
     if {g for g in positive if inner(form, g, v) == 0} != kernel:
         raise InternalError("the orbit vector's stabilizer is not the kernel-root group")
-    gens = [reflection_matrix(form, g) for g in ctx.k2_factor.simple]
+    gens = [reflection_matrix(g) for g in ctx.k2_factor.simple]
     reps = [WeylElement((), identity_matrix(form.dim), 1)]
     orbit = {v}
     frontier = [(v, reps[0])]

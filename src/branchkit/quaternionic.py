@@ -42,6 +42,7 @@ from .repweights import (
     HCParameter,
     cached_freudenthal,
     hc_to_highest_weight,
+    restrict_weights,
     validate_hc_parameter,
 )
 from .rootsystems import (
@@ -144,7 +145,7 @@ def quaternionic_context(label: str) -> QuaternionicContext:
         w_line=w_line,
         k2_factor=k2_factor,
         kernel_positive=kernel,
-        s_beta=reflection_matrix(form, beta),
+        s_beta=reflection_matrix(beta),
     )
     _verify_projections(ctx)
     return ctx
@@ -215,24 +216,33 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
     """Closed-form branching table for the restriction to the su(2,1) subgroup.
 
     ``cutoff`` bounds p + q; the table is then complete for all parameters mu
-    with <mu, beta-check> <= <lam, beta-check> + (d - 1) + cutoff.
+    with <mu, beta-check> <= <lam, beta-check> + (d - 1) + cutoff.  The
+    binomials need d >= 2, so su(2,1) itself (d = 1) is rejected.
     """
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
+    if ctx.d < 2:
+        raise DomainError(
+            f"the closed form needs d >= 2 noncompact root pairs, {ctx.rd.label} has d = "
+            f"{ctx.d}: it is su(2,1) itself, and its restriction to su(2,1) is the identity"
+        )
     validate_small_dominant(ctx, lam)
     lam1, _ = decompose_parameter(ctx, lam)
     table = lam2_weight_table(ctx, lam)
     d = ctx.d
     offset = Fraction(d - 1, 2)
+    base = wadd(lam1, wadd(wscale(offset, ctx.fw1), wscale(offset, ctx.fw2)))
+    steps = [
+        (wadd(wscale(p, ctx.fw1), wscale(q, ctx.fw2)), comb(p + d - 2, d - 2) * comb(q + d - 2, d - 2))
+        for p in range(cutoff + 1) for q in range(cutoff + 1 - p)
+    ]
     entries: dict = {}
-    for nu, mult in table.mults.items():
-        sigma = ctx.q_u_k2(nu)
-        base = wadd(wadd(lam1, sigma), wadd(wscale(offset, ctx.fw1), wscale(offset, ctx.fw2)))
-        for p in range(cutoff + 1):
-            cp = comb(p + d - 2, d - 2)
-            for q in range(cutoff + 1 - p):
-                mu = wadd(base, wadd(wscale(p, ctx.fw1), wscale(q, ctx.fw2)))
-                entries[mu] = entries.get(mu, 0) + mult * cp * comb(q + d - 2, d - 2)
+    # mu depends on nu only through its projection sigma = q_u_k2(nu)
+    for sigma, mult in restrict_weights(table, ctx.q_u_k2).items():
+        shifted = wadd(base, sigma)
+        for step, c in steps:
+            mu = wadd(shifted, step)
+            entries[mu] = entries.get(mu, 0) + mult * c
     bound = coroot_pairing(ctx.form, lam, ctx.beta) + (d - 1) + cutoff
     return BranchingTable(entries, bound, ctx.rd.label, lam)
 

@@ -2,9 +2,13 @@
 weight multiplicities, the Weyl dimension formula, infinitesimal-character to
 highest-weight conversion, and pushforward of weight tables along projections.
 
-Everything is exact.  The Freudenthal recursion runs over rationals and the
-resulting multiplicities are asserted integral; a non-integer intermediate
-aborts with InternalError.
+Everything is exact.  Freudenthal's recursion runs over the dominant orbit
+representatives (Moody-Patera, Bull. AMS 7, 1982) on int points: every weight
+of the representation, root and the half-sum is scaled by twice the common
+denominator of the highest weight and the roots, so pairings, reflections and
+norms are integer arithmetic, and weights are mapped back to Fractions only
+for the returned table.  The resulting multiplicities are asserted integral; a
+non-integer intermediate aborts with InternalError.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 
 from .errors import DomainError, InternalError, ResourceError
 from .lattice import (
@@ -20,12 +26,13 @@ from .lattice import (
     coroot_pairing,
     format_weight,
     inner,
+    int_point,
     rational_solve,
-    reflect,
     wadd,
+    wneg,
     wsub,
 )
-from .rootsystems import PositiveSystem, env_bound, half_sum, simple_elements
+from .rootsystems import PositiveSystem, RootDatum, env_bound, half_sum, simple_elements
 
 DIMENSION_BOUND = 10**7
 
@@ -48,6 +55,22 @@ class CompactFactor:
         pos = tuple(sorted(positive))
         return cls(form, pos, simple_elements(pos, form), half_sum(form.dim, pos))
 
+    @functools.cached_property
+    def coweight_covectors(self) -> tuple[tuple[int, ...], ...]:
+        """Int covectors, one per simple root: a positive multiple of its
+        fundamental coweight, which pairs to 1 with that simple root and to 0
+        with the others.  On the span of the simple roots, the sign of a
+        covector's pairing is the sign of that simple root's coefficient."""
+        columns = [tuple(inner(self.form, a, b) for b in self.simple) for a in self.simple]
+        out = []
+        for i in range(len(self.simple)):
+            coeffs = rational_solve(columns, tuple(int(i == j) for j in range(len(self.simple))))
+            coweight = [sum(c * a[k] for c, a in zip(coeffs, self.simple))
+                        for k in range(self.form.dim)]
+            den = lcm(1, *(x.denominator for x in coweight))
+            out.append(tuple(int(x * den) for x in coweight))
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class HCParameter:
@@ -57,16 +80,25 @@ class HCParameter:
     system: PositiveSystem
 
 
+def regular_integral_pairings(rd: RootDatum, lam: Weight) -> dict:
+    """{g: <lam, g-check>} over the positive roots of rd, one pairing per
+    root, once lam is checked regular and integral.  A failure names the
+    first failing root in the sorted order of all roots, as a scan over both
+    signs would: a root and its negative fail together."""
+    pairings = {g: coroot_pairing(rd.form, lam, g) for g in rd.positive}
+    bad = {r: c for g, c in pairings.items() if c == 0 or c.denominator != 1
+           for r in (g, wneg(g))}
+    if bad:
+        first = min(bad)
+        problem = "singular" if bad[first] == 0 else "not integral"
+        raise DomainError(f"parameter is {problem} against root {format_weight(first)}")
+    return pairings
+
+
 def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> HCParameter:
-    rd = system.parent
-    for g in rd.roots:
-        p = coroot_pairing(rd.form, lam, g)
-        if p == 0:
-            raise DomainError(f"parameter is singular against root {format_weight(g)}")
-        if p.denominator != 1:
-            raise DomainError(f"parameter is not integral against root {format_weight(g)}")
+    pairings = regular_integral_pairings(system.parent, lam)
     for g in system.chosen:
-        if inner(rd.form, lam, g) <= 0:
+        if (pairings[g] if g in pairings else -pairings[wneg(g)]) <= 0:
             raise DomainError("parameter is not dominant for the given positive system")
     return HCParameter(lam, system)
 
@@ -84,7 +116,10 @@ def hc_to_highest_weight(lam2: Weight, factor: CompactFactor) -> Weight:
 
 def weyl_dimension(hw: Weight, factor: CompactFactor) -> int:
     """Product formula for the dimension of the highest-weight representation."""
-    _check_dominant_integral(hw, factor)
+    for g in factor.positive:
+        p = coroot_pairing(factor.form, hw, g)
+        if p < 0 or p.denominator != 1:
+            raise DomainError("highest weight must be dominant integral")
     num = Fraction(1)
     shifted = wadd(hw, factor.rho)
     for g in factor.positive:
@@ -94,39 +129,38 @@ def weyl_dimension(hw: Weight, factor: CompactFactor) -> int:
     return int(num)
 
 
-def _check_dominant_integral(hw: Weight, factor: CompactFactor):
-    for g in factor.positive:
-        p = coroot_pairing(factor.form, hw, g)
-        if p < 0 or p.denominator != 1:
-            raise DomainError("highest weight must be dominant integral")
+def _reflect(v: tuple, a: tuple, aa: int) -> tuple:
+    """Reflection of the int point v in the int root a, with aa = (a, a).
+    Exact for a weight integral for the factor: 2 (v, a) / (a, a) is its
+    coroot pairing."""
+    k = 2 * sum(map(mul, v, a)) // aa
+    return tuple(x - k * y for x, y in zip(v, a))
 
 
-def _dominant_representative(v: Weight, factor: CompactFactor) -> Weight:
+def _dominant_representative(v: tuple, simple) -> tuple:
+    """The dominant point of the Weyl orbit of v; ``simple`` holds (a, (a, a))."""
     while True:
-        for a in factor.simple:
-            if inner(factor.form, v, a) < 0:
-                v = reflect(factor.form, v, a)
+        for a, aa in simple:
+            if sum(map(mul, v, a)) < 0:
+                v = _reflect(v, a, aa)
                 break
         else:
             return v
 
 
-def _dominant_weights(hw: Weight, factor: CompactFactor):
+def _dominant_weights(hw: tuple, positive, simple, covectors):
     """All dominant weights of the representation, found by walking down
-    positive-root steps through dominant representatives."""
+    positive-root steps through dominant representatives.  A dominant point
+    is kept when hw minus it is a nonnegative combination of simple roots:
+    its pairing with every coweight covector is nonnegative."""
     found = {hw}
     frontier = [hw]
     while frontier:
         nxt = []
         for v in frontier:
-            for g in factor.positive:
-                c = wsub(v, g)
-                cd = _dominant_representative(c, factor)
-                if cd in found:
-                    continue
-                # keep only weights below hw in the dominance order
-                sol = rational_solve(list(factor.simple), wsub(hw, cd))
-                if sol is None or any(x < 0 for x in sol):
+            for g in positive:
+                cd = _dominant_representative(tuple(map(sub, v, g)), simple)
+                if cd in found or any(sum(map(mul, f, map(sub, hw, cd))) < 0 for f in covectors):
                     continue
                 found.add(cd)
                 nxt.append(cd)
@@ -149,61 +183,63 @@ class WeightMultTable:
 def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
     """Weight multiplicities by Freudenthal's recursion, extended over Weyl
     orbits.  Dimension above the configured bound raises ResourceError."""
-    _check_dominant_integral(hw, factor)
-    dim = weyl_dimension(hw, factor)
+    dim = weyl_dimension(hw, factor)  # checks that hw is dominant integral
     if dim > dimension_bound():
         raise ResourceError(f"representation dimension {dim} exceeds the bound")
-    dominant = _dominant_weights(hw, factor)
-    shifted = wadd(hw, factor.rho)
-    top_norm = inner(factor.form, shifted, shifted)
-    order = sorted(
-        dominant,
-        key=lambda v: (-inner(factor.form, wadd(v, factor.rho), wadd(v, factor.rho)), v),
-    )
+    scale = 2 * lcm(1, *(x.denominator for v in (hw, *factor.positive) for x in v))
+    positive = [int_point(g, scale) for g in factor.positive]
+    simple = [(a, sum(map(mul, a, a))) for a in (int_point(g, scale) for g in factor.simple)]
+    rho = int_point(factor.rho, scale)
+    top = int_point(hw, scale)
+    dominant = _dominant_weights(top, positive, simple, factor.coweight_covectors)
+
+    def norm(v):
+        """|v + rho|^2, scaled by scale^2 like every pairing below."""
+        return sum((x + r) ** 2 for x, r in zip(v, rho))
+
+    top_norm = norm(top)
     mults: dict = {}
-    for v in order:
-        if v == hw:
-            mults[v] = Fraction(1)
+    for v in sorted(dominant, key=lambda v: (-norm(v), v)):
+        if v == top:
+            mults[v] = 1
             continue
-        vr = wadd(v, factor.rho)
-        denom = top_norm - inner(factor.form, vr, vr)
+        denom = top_norm - norm(v)
         if denom <= 0:
             raise InternalError("Freudenthal denominator is not positive")
-        total = Fraction(0)
-        for g in factor.positive:
-            k = 1
+        total = 0
+        for g in positive:
+            u = tuple(map(add, v, g))
             while True:
-                u = wadd(v, tuple(k * x for x in g))
-                ud = _dominant_representative(u, factor)
+                ud = _dominant_representative(u, simple)
                 m = mults.get(ud)
                 if m is None:
                     if ud not in dominant:
                         break
                     raise InternalError("Freudenthal visited an uncomputed weight")
-                total += m * inner(factor.form, u, g)
-                k += 1
-        m = 2 * total / denom
-        if m.denominator != 1:
+                total += m * sum(map(mul, u, g))
+                u = tuple(map(add, u, g))
+        m, r = divmod(2 * total, denom)
+        if r:
             raise InternalError("Freudenthal produced a non-integer multiplicity")
         mults[v] = m
     table: dict = {}
     for v, m in mults.items():
-        for u in _orbit(v, factor):
-            table[u] = int(m)
+        for u in _orbit(v, simple):
+            table[tuple(Fraction(x, scale) for x in u)] = m
     got = sum(table.values())
     if got != dim:
         raise InternalError(f"weight table sums to {got}, Weyl dimension is {dim}")
     return WeightMultTable(hw, table, factor)
 
 
-def _orbit(v: Weight, factor: CompactFactor):
+def _orbit(v: tuple, simple):
     seen = {v}
     frontier = [v]
     while frontier:
         nxt = []
         for u in frontier:
-            for a in factor.simple:
-                r = reflect(factor.form, u, a)
+            for a, aa in simple:
+                r = _reflect(u, a, aa)
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)

@@ -26,6 +26,8 @@ import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 
 from .errors import ConfigurationError, DomainError, InternalError, ResourceError
 from .lattice import (
@@ -37,14 +39,15 @@ from .lattice import (
     format_weight,
     identity_form,
     identity_matrix,
+    int_point,
     mat_mul,
     rational_solve,
+    reflect,
     reflection_matrix,
     wadd,
     weight,
     wneg,
     wscale,
-    wsub,
     zero_weight,
 )
 
@@ -108,10 +111,7 @@ class PositiveSystem:
 
 def positive_system(rd: RootDatum, chosen=None) -> PositiveSystem:
     roots = tuple(sorted(chosen)) if chosen is not None else rd.positive
-    rho = zero_weight(rd.form.dim)
-    for g in roots:
-        rho = wadd(rho, g)
-    return PositiveSystem(rd, roots, wscale(Fraction(1, 2), rho))
+    return PositiveSystem(rd, roots, half_sum(rd.form.dim, roots))
 
 
 def half_sum(form_dim: int, roots) -> Weight:
@@ -286,15 +286,17 @@ def _positive_from_simples(roots, simples):
 
 
 def simple_elements(positives, form: InnerProductForm):
-    """Indecomposable elements of a positive subset (its simple roots)."""
-    pos = set(positives)
-    sums = set()
-    for a in positives:
-        for b in positives:
-            s = wadd(a, b)
-            if s in pos:
-                sums.add(s)
-    return tuple(sorted(g for g in positives if g not in sums))
+    """Indecomposable elements of a positive subset (its simple roots): those
+    that are not the sum of two of its elements.  The search runs on int
+    tuples, scaled by the common denominator, and stops for each element at
+    its first decomposition; ``form`` names the ambient space."""
+    den = lcm(1, *(x.denominator for g in positives for x in g))
+    points = [int_point(g, den) for g in positives]
+    pos = set(points)
+    return tuple(sorted(
+        g for g, p in zip(positives, points)
+        if not any(tuple(map(sub, p, a)) in pos for a in points)
+    ))
 
 
 def highest_root(rd: RootDatum) -> Weight:
@@ -429,7 +431,7 @@ def weyl_generate(form: InnerProductForm, generators, order_bound=None):
     group order would exceed the bound.
     """
     bound = order_bound if order_bound is not None else weyl_order_bound()
-    gens = [reflection_matrix(form, g) for g in generators]
+    gens = [reflection_matrix(g) for g in generators]
     ident = identity_matrix(form.dim)
     seen = {ident: ()}
     frontier = [ident]
@@ -464,7 +466,7 @@ def coset_reps(elements, subsystem_positive, form: InnerProductForm):
     """
     for a in subsystem_positive:
         for b in subsystem_positive:
-            r = wsub(b, wscale(coroot_pairing(form, b, a), a))
+            r = reflect(form, b, a)
             if r not in subsystem_positive and wneg(r) not in subsystem_positive:
                 raise DomainError("subsystem is not closed under its own reflections")
     sub_simple = simple_elements(subsystem_positive, form)

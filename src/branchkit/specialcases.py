@@ -23,7 +23,6 @@ from .lattice import (
     InnerProductForm,
     Weight,
     apply_matrix,
-    coroot_pairing,
     format_weight,
     identity_form,
     inner,
@@ -34,7 +33,6 @@ from .lattice import (
     wneg,
     wscale,
     wsub,
-    zero_weight,
 )
 from .oracle import (
     ComparisonReport,
@@ -50,6 +48,7 @@ from .repweights import (
     CompactFactor,
     cached_freudenthal,
     hc_to_highest_weight,
+    regular_integral_pairings,
     su2_string_decompose,
     validate_hc_parameter,
 )
@@ -59,6 +58,7 @@ from .rootsystems import (
     _base_system,
     _positive_from_simples,
     _vector,
+    half_sum,
     positive_system,
     simple_elements,
 )
@@ -162,8 +162,8 @@ def sp1q_context(q: int) -> Sp1qContext:
     )
     k2_factor = CompactFactor.from_positive(form, k2_positive)
     kernel = tuple(g for g in k2_positive if g[0] == 0 and g[1] == 0)
-    s_beta = reflection_matrix(form, beta)
-    s_e1 = reflection_matrix(form, e1)
+    s_beta = reflection_matrix(beta)
+    s_e1 = reflection_matrix(e1)
     return Sp1qContext(
         q=q,
         rd=rd,
@@ -423,18 +423,9 @@ def holomorphic_chamber_parameter(hd: HermitianData) -> Weight:
 
 
 def antiholomorphic_chamber_parameter(hd: HermitianData) -> Weight:
-    chosen = _flip_noncompact(hd, hd.psi_h.chosen_set())
-    total = zero_weight(hd.rd.form.dim)
-    for g in chosen:
-        total = wadd(total, g)
-    return wscale(Fraction(1, 2), total)
-
-
-def _flip_noncompact(hd: HermitianData, chosen: frozenset) -> frozenset:
-    out = set()
-    for g in chosen:
-        out.add(g if hd.rd.is_compact(g) else wneg(g))
-    return frozenset(out)
+    """The half-sum of the holomorphic system with its noncompact roots negated."""
+    rd = hd.rd
+    return half_sum(rd.form.dim, [g if rd.is_compact(g) else wneg(g) for g in hd.psi_h.chosen])
 
 
 def chamber_system(hd: HermitianData, lam: Weight) -> frozenset:
@@ -448,18 +439,14 @@ def chamber_system(hd: HermitianData, lam: Weight) -> frozenset:
     return frozenset(chosen)
 
 
-def validate_hermitian_parameter(hd: HermitianData, lam: Weight):
-    """Regular, integral, dominant for the compact part of the holomorphic system."""
-    rd = hd.rd
-    for g in rd.roots:
-        c = coroot_pairing(rd.form, lam, g)
-        if c == 0:
-            raise DomainError(f"parameter is singular against root {format_weight(g)}")
-        if c.denominator != 1:
-            raise DomainError(f"parameter is not integral against root {format_weight(g)}")
-    for g in rd.compact_positive:
-        if inner(rd.form, lam, g) <= 0:
-            raise DomainError("parameter is not dominant for the compact positive system")
+def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> frozenset:
+    """Regular, integral, dominant for the compact part of the holomorphic
+    system; returns the chamber system of lam, from the same one pairing per
+    positive root."""
+    pairings = regular_integral_pairings(hd.rd, lam)
+    if any(pairings[g] <= 0 for g in hd.rd.compact_positive):
+        raise DomainError("parameter is not dominant for the compact positive system")
+    return frozenset(g if c > 0 else wneg(g) for g, c in pairings.items())
 
 
 def kss_admissible_system(hd: HermitianData, chamber: frozenset) -> bool:
@@ -476,14 +463,12 @@ def kss_admissible_system(hd: HermitianData, chamber: frozenset) -> bool:
 
 
 def kss_admissible(hd: HermitianData, lam: Weight) -> bool:
-    validate_hermitian_parameter(hd, lam)
-    return kss_admissible_system(hd, chamber_system(hd, lam))
+    return kss_admissible_system(hd, validate_hermitian_parameter(hd, lam))
 
 
 def kss_admissible_report(hd: HermitianData, lam: Weight):
     """(decision, reason) pair for user-facing output."""
-    validate_hermitian_parameter(hd, lam)
-    admissible = kss_admissible_system(hd, chamber_system(hd, lam))
+    admissible = kss_admissible_system(hd, validate_hermitian_parameter(hd, lam))
     contained = admissible != hd.tube
     if hd.tube:
         reason = (

@@ -162,6 +162,17 @@ def test_wrong_length_lambda_exit_code(capsys):
     assert "expected 3 coordinates" in err
 
 
+def test_closed_form_rejects_su21_itself(capsys):
+    code, out, err = run_cli(
+        capsys, "branch", "quat", "--form", "su2_n:1", "--lambda=2,0,-2", "--cutoff", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the closed form needs d >= 2")
+    assert "su2_n:1 has d = 1" in err
+    assert "Traceback" not in err
+
+
 def test_error_message_prints_weights(capsys):
     code, _, err = run_cli(
         capsys, "admissible", "hermitian", "--form", "su_pq:2,3", "--lambda=1,0,0,0,0"
@@ -227,15 +238,27 @@ def test_selftest_single_criterion(capsys):
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
-def test_tables_golden_digests(capsys):
-    """Every ``tables`` request of the benchmark's golden set prints exactly
-    the bytes whose SHA-256 is stored there: the byte-identical-output gate
-    for refactors, without the oracle requests."""
-    rows = json.loads(GOLDEN.read_text())["workloads"]["tables"]
-    assert len(rows) == 71
+def _golden_changes(capsys, workload, count):
+    """The argv of every golden request of ``workload`` whose output differs."""
+    rows = json.loads(GOLDEN.read_text())["workloads"][workload]
+    assert len(rows) == count
     changed = []
     for row in rows:
         code, out, _ = run_cli(capsys, *row["argv"])
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != row["sha256"]:
             changed.append(" ".join(row["argv"]))
-    assert changed == []
+    return changed
+
+
+def test_tables_golden_digests(capsys):
+    """Every ``tables`` request of the benchmark's golden set prints exactly
+    the bytes whose SHA-256 is stored there: the byte-identical-output gate
+    for refactors, without the oracle requests."""
+    assert _golden_changes(capsys, "tables", 71) == []
+
+
+@pytest.mark.parametrize("workload,count", [("oracle_dense", 24), ("oracle_wide", 12)])
+def test_oracle_golden_digests(capsys, workload, count):
+    """The same gate on the oracle requests: their series are built with the
+    reflection matrices and pairings of ``lattice``."""
+    assert _golden_changes(capsys, workload, count) == []

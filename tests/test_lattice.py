@@ -6,23 +6,27 @@ from hypothesis import strategies as st
 
 from branchkit.errors import DimensionError, DomainError
 from branchkit.lattice import (
+    apply_matrix,
     coroot_pairing,
     format_weight,
-    gram_form,
     identity_form,
     inner,
     parse_weight,
     rational_solve,
     reflect,
+    reflection_matrix,
+    wadd,
     weight,
+    wscale,
+    wsub,
 )
+from branchkit.rootsystems import _type_g2
 
-# rank-2 system with one short and one long simple root, long norm 2:
-# gram over the simple-root basis
-G2_GRAM = gram_form([[Fraction(2, 3), -1], [-1, 2]])
-A1_SHORT = weight([1, 0])
-A2_LONG = weight([0, 1])
-BETA = weight([3, 2])  # highest root in simple coordinates
+# G2 in the plane x + y + z = 0 of Q^3, with the Euclidean inner product:
+# short simple root norm 2, long simple root norm 6
+G2_ROOTS, (A1_SHORT, A2_LONG) = _type_g2()
+G2 = identity_form(3)
+BETA = weight([-1, -1, 2])  # highest root 3 a1 + 2 a2
 
 
 def test_inner_orthonormal():
@@ -32,8 +36,10 @@ def test_inner_orthonormal():
 
 
 def test_inner_short_long_highest_root():
-    assert inner(G2_GRAM, A1_SHORT, BETA) == 0
-    assert inner(G2_GRAM, BETA, BETA) == 2
+    assert BETA in G2_ROOTS
+    assert inner(G2, A1_SHORT, BETA) == 0
+    assert inner(G2, BETA, BETA) == inner(G2, A2_LONG, A2_LONG) == 6
+    assert inner(G2, A1_SHORT, A1_SHORT) == 2
 
 
 def test_inner_dimension_mismatch():
@@ -48,8 +54,16 @@ def test_coroot_pairing_self_is_two():
 
 
 def test_coroot_pairing_short_long():
-    assert coroot_pairing(G2_GRAM, A2_LONG, BETA) == 1
-    assert coroot_pairing(G2_GRAM, BETA, A2_LONG) == 1
+    assert coroot_pairing(G2, A2_LONG, BETA) == 1
+    assert coroot_pairing(G2, BETA, A2_LONG) == 1
+    assert coroot_pairing(G2, A1_SHORT, A2_LONG) == -1
+    assert coroot_pairing(G2, A2_LONG, A1_SHORT) == -3
+
+
+def test_reflect_short_long():
+    assert reflect(G2, A1_SHORT, BETA) == A1_SHORT
+    assert reflect(G2, BETA, A2_LONG) == wsub(BETA, A2_LONG)
+    assert reflect(G2, A2_LONG, A1_SHORT) == wadd(A2_LONG, wscale(3, A1_SHORT))
 
 
 def test_coroot_pairing_zero_root_rejected():
@@ -91,6 +105,13 @@ def test_inner_symmetric_and_reflection_isometry(a, b):
     wa, wb = weight(a), weight(b)
     assert inner(form, wa, wb) == inner(form, wb, wa)
     assert inner(form, reflect(form, wa, g), reflect(form, wb, g)) == inner(form, wa, wb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals, min_size=3, max_size=3), st.sampled_from(G2_ROOTS))
+def test_reflection_matrix_matches_reflect(coords, g):
+    lam = weight(coords)
+    assert apply_matrix(reflection_matrix(g), lam) == reflect(G2, lam, g)
 
 
 @settings(max_examples=40, deadline=None)

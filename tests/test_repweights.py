@@ -8,6 +8,7 @@ from branchkit.lattice import (
     identity_form,
     inner,
     rational_solve,
+    reflect,
     weight,
     wadd,
     wneg,
@@ -190,3 +191,68 @@ def test_validate_hc_parameter_g2():
         validate_hc_parameter(weight([1, -1, 0]), ps)  # singular against itself
     with pytest.raises(DomainError):
         validate_hc_parameter(wscale(Fraction(1, 2), ps.rho), ps)  # not integral
+
+
+QUATERNIONIC_FACTORS = ("g2_2", "su2_n:1", "su2_n:2", "su2_n:3", "so4_n:3", "so4_n:4",
+                        "so4_n:5", "so4_n:6", "f4_4", "e6_2", "e7_m5", "e8_m24")
+HERMITIAN_FACTORS = ("su_pq:1,2", "su_pq:2,3", "sp_n_R:3", "so_star:5", "e6_m14", "e7_m25")
+
+
+@functools.lru_cache(maxsize=None)
+def _reached_factor(label):
+    """The compact factor a form hands to Freudenthal, and the highest weight
+    of its base parameter: k2 of a quaternionic form or of sp(1, q), the
+    semisimple part of K of a Hermitian form."""
+    from branchkit.quaternionic import decompose_parameter, quaternionic_context
+    from branchkit.specialcases import hermitian_data, sp1q_context, sp1q_decompose
+
+    if label.startswith("sp1_q:"):
+        ctx = sp1q_context(int(label.split(":")[1]))
+        return ctx.k2_factor, sp1q_decompose(ctx, ctx.sigma.rho)[1]
+    if label in HERMITIAN_FACTORS:
+        hd = hermitian_data(label)
+        return CompactFactor.from_positive(hd.rd.form, hd.rd.compact_positive), hd.psi_h.rho
+    ctx = quaternionic_context(label)
+    return ctx.k2_factor, decompose_parameter(ctx, ctx.psi.rho)[1]
+
+
+def _with_pairings(factor, coeffs):
+    """A weight with the given coroot pairings against the simple roots."""
+    cols = [tuple(a[j] for a in factor.simple) for j in range(factor.form.dim)]
+    target = tuple(Fraction(c) * inner(factor.form, a, a) / 2 for c, a in zip(coeffs, factor.simple))
+    return tuple(rational_solve(cols, target))
+
+
+@pytest.mark.parametrize(
+    "label", QUATERNIONIC_FACTORS + ("sp1_q:2", "sp1_q:3", "sp1_q:4") + HERMITIAN_FACTORS
+)
+def test_freudenthal_tables_of_reached_factors(label):
+    """On the base highest weight of the form, and that weight plus each
+    fundamental weight and plus the first and last together (each of
+    dimension at most 1000): the table is invariant under every simple
+    reflection, sums to the Weyl dimension, and splits into su(2)-strings
+    with nonnegative counts along every simple root."""
+    factor, lam2 = _reached_factor(label)
+    base = hc_to_highest_weight(lam2, factor)
+    rank = len(factor.simple)
+    pairings = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if rank > 1:
+        pairings.append(tuple(int(j in (0, rank - 1)) for j in range(rank)))
+    highest = [base] + [wadd(base, _with_pairings(factor, c)) for c in pairings]
+    tested = 0
+    for hw in highest:
+        dim = weyl_dimension(hw, factor)
+        if dim > 1000:
+            continue
+        table = freudenthal(hw, factor)
+        assert sum(table.mults.values()) == dim
+        for v, m in table.mults.items():
+            assert m > 0
+            for a in factor.simple:
+                assert table.mults.get(reflect(factor.form, v, a)) == m
+        for a in factor.simple:
+            strings = su2_string_decompose(table, a)
+            assert all(n > 0 for n in strings.values())
+            assert sum(k * n for k, n in strings.items()) == dim
+        tested += 1
+    assert tested >= min(2, rank + 1)
