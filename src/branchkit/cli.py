@@ -19,6 +19,7 @@ integer exits with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -350,9 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves no state
+    in it, so every call parses as a fresh parser would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DomainError, ConfigurationError) as exc:

@@ -31,10 +31,13 @@ alternative decomposition of a certified point can use, and the Heaviside
 factors are expanded far enough to cover all of them.  The search handles
 direction sets of rank at most 2.
 
-Each series owns its certification memo: the minimal step count per
-(direction multiset, offset x - base), shared by the regions with the same
-directions, and the verdict per point.  Series are otherwise immutable and
-all operations are pure.
+The pure integer kernels are memoized per process, keyed by their int
+inputs: one ``_Cone`` per direction tuple, its minimal step count per offset
+x - base, and the Heaviside product ``convolve_multiset`` per (multiset,
+step bound), returned with read-only coefficients.  None of them is built
+at import, and what they return depends on their inputs alone, so results
+do not depend on the order of requests.  Each series keeps its verdict per
+point; series are otherwise immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
+from types import MappingProxyType
 
 from .errors import DomainError, InternalError
 from .lattice import format_weight, rational_solve
@@ -251,23 +255,17 @@ class _Cone:
         return best
 
 
-class _Memo:
-    """Certification memo of one series (see the module docstring)."""
+@functools.lru_cache(maxsize=None)
+def _cone(dirs: tuple[Point, ...]) -> _Cone:
+    """The search data of a pointed set of distinct directions (memoized)."""
+    return _Cone(dirs)
 
-    def __init__(self):
-        self.cones: dict = {}      # directions -> _Cone
-        self.steps: dict = {}      # (directions, offset) -> minimal steps or None
-        self.verdicts: dict = {}   # point -> certified?
 
-    def min_steps(self, directions, v: Point):
-        key = (directions, v)
-        got = self.steps.get(key, self)  # self: not yet computed
-        if got is self:
-            cone = self.cones.get(directions)
-            if cone is None:
-                cone = self.cones[directions] = _Cone(tuple(d for d, _ in directions))
-            got = self.steps[key] = cone.min_steps(v)
-        return got
+@functools.lru_cache(maxsize=None)
+def _min_steps(directions: tuple[tuple[Point, int], ...], v: Point):
+    """Minimal step count of the offset v over the directions of a region
+    (memoized): ``_Cone.min_steps`` of its distinct directions."""
+    return _cone(tuple(d for d, _ in directions)).min_steps(v)
 
 
 @dataclass(frozen=True)
@@ -278,16 +276,13 @@ class ValidityRegion:
     directions: tuple[tuple[Point, int], ...]  # sorted (direction, multiplicity)
     step_bound: int
 
-    def min_total_steps(self, x: Point, memo: _Memo | None = None):
+    def min_total_steps(self, x: Point):
         """Minimal total step count decomposing x, or None if x is outside the cone."""
-        v = _psub(x, self.base)
-        if memo is None:
-            return _Cone(tuple(d for d, _ in self.directions)).min_steps(v)
-        return memo.min_steps(self.directions, v)
+        return _min_steps(self.directions, _psub(x, self.base))
 
-    def certain_at(self, x: Point, memo: _Memo | None = None) -> bool:
+    def certain_at(self, x: Point) -> bool:
         """True when the truncated series is known exact at x (value or known 0)."""
-        mt = self.min_total_steps(x, memo)
+        mt = self.min_total_steps(x)
         return mt is None or mt <= self.step_bound
 
 
@@ -305,7 +300,7 @@ class DeltaSeries:
     coeffs: dict  # Point -> int, no zero entries
     regions: tuple[ValidityRegion, ...] = EXACT
     chart: object = None
-    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""
@@ -314,10 +309,10 @@ class DeltaSeries:
         return self.coeffs.get(x, 0)
 
     def certain_at(self, x: Point) -> bool:
-        verdicts = self._memo.verdicts
+        verdicts = self._verdicts
         got = verdicts.get(x)
         if got is None:
-            got = verdicts[x] = all(r.certain_at(x, self._memo) for r in self.regions)
+            got = verdicts[x] = all(r.certain_at(x) for r in self.regions)
         return got
 
     def support(self):
@@ -411,23 +406,29 @@ def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
     Exact on {half-sum + combinations with total steps <= n_steps}; with
     linearly dependent directions each factor is expanded beyond n_steps by
     the positive-functional bound so that every decomposition of a certified
-    point is covered.
+    point is covered.  Memoized per (multiset, n_steps); the coefficients of
+    the returned series are read-only.
     """
     if not ms:
         raise DomainError("empty multiset")
-    if any(not any(d) for d in ms):
+    return _convolve_multiset(tuple(sorted(ms.items())), n_steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _convolve_multiset(items: tuple[tuple[Point, int], ...], n_steps: int) -> DeltaSeries:
+    if any(not any(d) for d, _ in items):
         raise DomainError("non-strict multiset: contains the zero weight")
-    dirs = sorted(ms.keys())
-    phi = _Cone(tuple(dirs)).phi  # also certifies strictness
+    dirs = tuple(d for d, _ in items)
+    phi = _cone(dirs).phi  # also certifies strictness
     max_phi = max(phi.values())
 
     result = None
-    for d in dirs:
-        factor = heaviside_power(d, ms[d], n_steps * max_phi // phi[d])
+    for d, m in items:
+        factor = heaviside_power(d, m, n_steps * max_phi // phi[d])
         result = factor if result is None else convolve(result, factor)
-    base = _half(tuple(sum(ms[d] * d[k] for d in dirs) for k in range(len(dirs[0]))))
-    region = ValidityRegion(base, tuple(sorted(ms.items())), n_steps)
-    return DeltaSeries(result.coeffs, (region,))
+    base = _half(tuple(sum(m * d[k] for d, m in items) for k in range(len(dirs[0]))))
+    region = ValidityRegion(base, items, n_steps)
+    return DeltaSeries(MappingProxyType(result.coeffs), (region,))
 
 
 def add(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:

@@ -17,6 +17,15 @@ group, so every quaternionic family is in reach (56 cosets for e8_m24);
 ``OracleConfig.coset_bound`` caps their number.  W(K2) permutes the
 noncompact positive roots, so each flip has one term multiset for all cosets.
 
+What depends only on the form is built once per process and per coset bound
+(``oracle_plan``, memoized like the contexts): the coset representatives,
+the check that the compact reflections permute the noncompact positive
+roots, and both flips' multisets.  A request with a smaller bound gets its
+own plan, so its bound is enforced as if nothing were cached.  The Heaviside
+products, the strictness cones and their step counts are memoized in
+``formal`` by their int inputs.  Every per-parameter check still runs on
+each request, and results do not depend on the order of requests.
+
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
 so every coset term carries the prefactor (-1)^(number of Heaviside factors).
@@ -40,6 +49,7 @@ the verdicts) and ``compare`` reuses its table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -69,6 +79,7 @@ from .quaternionic import (
     branching_table,
     decompose_parameter,
     lam2_weight_table,
+    require_proper_subgroup,
     validate_small_dominant,
 )
 from .repweights import CompactFactor, restrict_weights
@@ -140,16 +151,20 @@ def kernel_roots(ctx: QuaternionicContext):
 
 def weyl_polynomial(ctx: OracleContext, sigma: Weight) -> Fraction:
     """Product of pairings with the kernel roots, normalized at their half-sum."""
-    kernel = ctx.kernel_positive
-    if not kernel:
-        return Fraction(1)
-    rho_z = half_sum(ctx.form.dim, kernel)
     num = Fraction(1)
-    den = Fraction(1)
-    for g in kernel:
+    for g in ctx.kernel_positive:
         num *= inner(ctx.form, sigma, g)
+    return num / _weyl_normalizer(ctx)
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_normalizer(ctx: OracleContext) -> Fraction:
+    """The kernel-root product at rho_Z, their half-sum (memoized per context)."""
+    rho_z = half_sum(ctx.form.dim, ctx.kernel_positive)
+    den = Fraction(1)
+    for g in ctx.kernel_positive:
         den *= inner(ctx.form, rho_z, g)
-    return num / den
+    return den
 
 
 def compact_quotient_weights(ctx: OracleContext) -> dict:
@@ -170,7 +185,7 @@ def compact_quotient_weights(ctx: OracleContext) -> dict:
     return out
 
 
-def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig) -> tuple[WeylElement, ...]:
+def _kernel_cosets(ctx: OracleContext, coset_bound: int) -> tuple[WeylElement, ...]:
     """Minimal representatives of the right cosets W_Z\\W(K2), in order of length.
 
     W_Z, the reflection group of the kernel roots, is the stabilizer in
@@ -179,7 +194,7 @@ def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig) -> tuple[WeylElement, 
     bijection with the orbit points w^-1 v.  A breadth-first walk over the
     orbit by simple reflections reaches each point first along a shortest
     word, whose inverse is the minimal representative; see Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4.  At most ``cfg.coset_bound``
+    Combinatorics of Coxeter Groups, 2.4.  At most ``coset_bound``
     representatives are built.
     """
     form = ctx.form
@@ -200,9 +215,9 @@ def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig) -> tuple[WeylElement, 
                 y = apply_matrix(g, x)
                 if y in orbit:
                     continue
-                if len(orbit) == cfg.coset_bound:
+                if len(orbit) == coset_bound:
                     raise ResourceError(
-                        f"W(K2)/W_Z coset count exceeds the oracle bound {cfg.coset_bound}; "
+                        f"W(K2)/W_Z coset count exceeds the oracle bound {coset_bound}; "
                         f"only the closed form is available for {ctx.rd.label}"
                     )
                 orbit.add(y)
@@ -211,6 +226,35 @@ def _kernel_cosets(ctx: OracleContext, cfg: OracleConfig) -> tuple[WeylElement, 
                 nxt.append((y, rep))
         frontier = nxt
     return tuple(reps)
+
+
+@dataclass(frozen=True, eq=False)
+class OraclePlan:
+    """What the coset series of one form reads besides the parameter."""
+
+    cosets: tuple[WeylElement, ...]   # minimal representatives of W_Z\\W(K2)
+    # per flip (False, True): sorted (direction, multiplicity) items of every
+    # coset's multiset, and the Heaviside prefactor (-1)^(their count)
+    multisets: tuple[tuple[tuple[Weight, int], ...], ...]
+    prefactors: tuple[int, int]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_plan(ctx: OracleContext, coset_bound: int) -> OraclePlan:
+    """The form's plan under one coset bound (memoized per context and bound;
+    ResourceError when the form has more than ``coset_bound`` cosets)."""
+    cosets = _kernel_cosets(ctx, coset_bound)
+    # W(K2) permutes the noncompact positive roots, so every coset of one flip
+    # has the multiset of the identity
+    noncompact = set(ctx.noncompact_positive)
+    for g in ctx.k2_factor.simple:
+        if {reflect(ctx.form, x, g) for x in noncompact} != noncompact:
+            raise InternalError("a compact-factor reflection moves a noncompact positive root")
+    multisets = tuple(
+        tuple(sorted(restriction_multiset(ctx, cosets[0], flip).items())) for flip in (False, True)
+    )
+    prefactors = tuple((-1) ** sum(m for _, m in ms) for ms in multisets)
+    return OraclePlan(cosets, multisets, prefactors)
 
 
 def restriction_multiset(ctx: OracleContext, w: WeylElement, flip: bool) -> dict:
@@ -252,10 +296,10 @@ def torus_coset_sum(ctx: OracleContext, lam2: Weight, cfg: OracleConfig) -> Delt
     """Right side of the torus restriction identity: the signed coset sum of
     Heaviside convolutions over the compact quotient weights, with the Weyl
     polynomial at each transformed lam2 as coefficient."""
-    quotient = compact_quotient_weights(ctx)
-    prefactor = (-1) ** sum(quotient.values())
+    quotient = tuple(sorted(compact_quotient_weights(ctx).items()))
+    prefactor = (-1) ** sum(m for _, m in quotient)
     terms = []
-    for s in _kernel_cosets(ctx, cfg):
+    for s in oracle_plan(ctx, cfg.coset_bound).cosets:
         slam2 = apply_matrix(s.matrix, lam2)
         coeff = Fraction(prefactor * s.sign) * weyl_polynomial(ctx, slam2)
         if coeff == 0:
@@ -266,23 +310,25 @@ def torus_coset_sum(ctx: OracleContext, lam2: Weight, cfg: OracleConfig) -> Delt
 
 def _signed_sum(terms, step_bound: int) -> DeltaSeries:
     """The sum of coeff * delta_base * (Heaviside product over ms) over the
-    (coeff, base, ms) terms, on the chart of their bases and directions.
+    (coeff, base, ms) terms, ms a sorted tuple of (direction, multiplicity),
+    on the chart of their distinct bases and directions.
 
     Coefficients are accumulated as ints over the LCM of the term
     coefficients' denominators; the sum must divide back exactly."""
-    chart = Chart([base for _, base, _ in terms] + [d for _, _, ms in terms for d in ms])
+    multisets = dict.fromkeys(ms for _, _, ms in terms)
+    chart = Chart(list(dict.fromkeys(
+        [base for _, base, _ in terms] + [d for ms in multisets for d, _ in ms]
+    )))
+    products = {
+        ms: convolve_multiset({chart.to_point(d): m for d, m in ms}, step_bound)
+        for ms in multisets
+    }
     den = lcm(*(coeff.denominator for coeff, _, _ in terms))
-    products: dict = {}
     acc: dict = {}
     get = acc.get
     regions = []
     for coeff, base, ms in terms:
-        key = frozenset(ms.items())
-        if key not in products:
-            products[key] = convolve_multiset(
-                {chart.to_point(d): m for d, m in ms.items()}, step_bound
-            )
-        term = convolve(dirac(chart.to_point(base)), products[key])
+        term = convolve(dirac(chart.to_point(base)), products[ms])
         k = int(coeff * den)
         for p, c in term.coeffs.items():
             acc[p] = get(p, 0) + k * c
@@ -299,6 +345,9 @@ def _signed_sum(terms, step_bound: int) -> DeltaSeries:
 
 def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
     """Signed distributional series of a quaternionic parameter (see _coset_series)."""
+    require_proper_subgroup(
+        ctx, "the oracle needs a Heaviside direction to convolve, that is d >= 2 "
+        "noncompact root pairs")
     validate_small_dominant(ctx, lam)
     return _coset_series(ctx, lam, cfg)
 
@@ -308,24 +357,16 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig) -> DeltaSe
     multiplicities: sum over cosets (and their S_b translates) of
     sign * weylpoly * delta at the projected parameter, convolved with the
     Heaviside series of the term's multiset.  The caller validates lam."""
-    cosets = _kernel_cosets(ctx, cfg)
-    # W(K2) permutes the noncompact positive roots, so every coset of one flip
-    # has the multiset of the identity
-    noncompact = set(ctx.noncompact_positive)
-    for g in ctx.k2_factor.simple:
-        if {reflect(ctx.form, x, g) for x in noncompact} != noncompact:
-            raise InternalError("a compact-factor reflection moves a noncompact positive root")
-    multisets = {flip: restriction_multiset(ctx, cosets[0], flip) for flip in (False, True)}
+    plan = oracle_plan(ctx, cfg.coset_bound)
     terms = []
-    for s in cosets:
+    for s in plan.cosets:
         slam = apply_matrix(s.matrix, lam)
         for flip in (False, True):
             sign = -s.sign if flip else s.sign
             wlam = apply_matrix(ctx.s_beta, slam) if flip else slam
             varpi = weyl_polynomial(ctx, wlam)
-            ms = multisets[flip]
-            prefactor = (-1) ** sum(ms.values())
-            terms.append((Fraction(sign * prefactor) * varpi, ctx.q_u(wlam), ms))
+            terms.append((Fraction(sign * plan.prefactors[flip]) * varpi, ctx.q_u(wlam),
+                          plan.multisets[flip]))
     return _signed_sum(terms, cfg.step_bound)
 
 

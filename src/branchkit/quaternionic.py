@@ -21,6 +21,7 @@ Conventions locked against the distributional oracle (see ``oracle``):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -103,8 +104,9 @@ class QuaternionicContext:
         """No per-entry check; ``oracle.check_antisymmetry`` covers the series."""
 
 
+@functools.lru_cache(maxsize=None)
 def quaternionic_context(label: str) -> QuaternionicContext:
-    """Build and verify the full embedding context for a form label."""
+    """Build and verify the full embedding context for a form label (memoized)."""
     rd = quaternionic_root_datum(label)
     psi, beta, alpha = small_system(rd)
     form = rd.form
@@ -166,6 +168,17 @@ def _verify_projections(ctx: QuaternionicContext):
             raise InternalError("projection of a noncompact root misses L1, L2")
 
 
+def require_proper_subgroup(ctx: QuaternionicContext, need: str) -> None:
+    """Raise DomainError unless d >= 2: for su(2,1) itself (d = 1) the subgroup
+    is the whole group and the restriction is the identity.  ``need`` opens
+    the message and says what needs d >= 2."""
+    if ctx.d < 2:
+        raise DomainError(
+            f"{need}, {ctx.rd.label} has d = {ctx.d}: it is su(2,1) itself, and its "
+            "restriction to su(2,1) is the identity"
+        )
+
+
 def decompose_parameter(ctx: QuaternionicContext, lam: Weight):
     """Split lam into its component along beta and the orthogonal rest."""
     form = ctx.form
@@ -221,11 +234,7 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
     """
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
-    if ctx.d < 2:
-        raise DomainError(
-            f"the closed form needs d >= 2 noncompact root pairs, {ctx.rd.label} has d = "
-            f"{ctx.d}: it is su(2,1) itself, and its restriction to su(2,1) is the identity"
-        )
+    require_proper_subgroup(ctx, "the closed form needs d >= 2 noncompact root pairs")
     validate_small_dominant(ctx, lam)
     lam1, _ = decompose_parameter(ctx, lam)
     table = lam2_weight_table(ctx, lam)

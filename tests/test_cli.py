@@ -1,11 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchkit.cli import SCHEMA_PATH, main
+from branchkit.errors import BranchkitError
+from branchkit.quaternionic import quaternionic_context
+from branchkit.specialcases import hermitian_data, sp1q_context
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +182,35 @@ def test_closed_form_rejects_su21_itself(capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_rejects_su21_itself(capsys):
+    # su(2,1) has no Heaviside direction: the oracle says so before building
+    # a series, as the closed form does
+    code, out, err = run_cli(
+        capsys, "oracle-check", "quat", "--form", "su2_n:1", "--lambda=2,0,-2",
+        "--step-bound", "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the oracle needs a Heaviside direction")
+    assert "su2_n:1 has d = 1" in err
+    assert "restriction to su(2,1) is the identity" in err
+    assert "empty multiset" not in err
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    # the parser is built once per process; a call that fails to parse must
+    # not change what the next call prints
+    argv = ["branch", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--cutoff", "2"]
+    code, alone, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--cutoff", "x",
+              "--check-oracle", "--basis", "simple"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv)[:2] == (0, alone)
+
+
 def test_error_message_prints_weights(capsys):
     code, _, err = run_cli(
         capsys, "admissible", "hermitian", "--form", "su_pq:2,3", "--lambda=1,0,0,0,0"
@@ -210,6 +248,31 @@ def test_coset_bound_admits_exactly_the_coset_count(capsys, monkeypatch):
     assert run_cli(capsys, *argv)[0] == 3
 
 
+def test_coset_bound_admits_exactly_the_coset_count_in_reverse(capsys, monkeypatch):
+    # a refused bound caches nothing that the next, larger bound would miss
+    argv = ["oracle-check", "sp1q", "--form", "sp1_q:3", "--lambda=5,3,2,1", "--step-bound", "4"]
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "5")
+    assert run_cli(capsys, *argv)[0] == 3
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "6")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_coset_bound_checked_after_cached_plan(capsys, monkeypatch):
+    # so4_n:4 has 8 cosets; a plan cached under the default bound must not
+    # let a smaller bound through
+    argv = ["oracle-check", "quat", "--form", "so4_n:4", "--lambda=4,3,2,1", "--step-bound", "4"]
+    monkeypatch.delenv("BRANCHKIT_GROUP_ORDER_BOUND", raising=False)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "7")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == ("resource error: W(K2)/W_Z coset count exceeds the oracle bound 7; "
+                   "only the closed form is available for so4_n:4\n")
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "8")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 ORACLE_ARGV = ["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "4"]
 
 
@@ -238,12 +301,12 @@ def test_selftest_single_criterion(capsys):
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
-def _golden_changes(capsys, workload, count):
+def _golden_changes(capsys, workload, count, reverse=False):
     """The argv of every golden request of ``workload`` whose output differs."""
     rows = json.loads(GOLDEN.read_text())["workloads"][workload]
     assert len(rows) == count
     changed = []
-    for row in rows:
+    for row in reversed(rows) if reverse else rows:
         code, out, _ = run_cli(capsys, *row["argv"])
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != row["sha256"]:
             changed.append(" ".join(row["argv"]))
@@ -262,3 +325,99 @@ def test_oracle_golden_digests(capsys, workload, count):
     """The same gate on the oracle requests: their series are built with the
     reflection matrices and pairings of ``lattice``."""
     assert _golden_changes(capsys, workload, count) == []
+
+
+def test_oracle_golden_digests_in_reverse_order(capsys):
+    """The per-process memos (contexts, oracle plans, Heaviside products,
+    step counts) are shared by all requests: replaying both oracle workloads
+    backwards in one process, from empty memos, must print the same bytes."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("branchkit")]:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    assert _golden_changes(capsys, "oracle_wide", 12, reverse=True) == []
+    assert _golden_changes(capsys, "oracle_dense", 24, reverse=True) == []
+
+
+# the boundary labels of each family, next to small valid ones
+_LABELS = ("su2_n:0", "su2_n:1", "so4_n:2", "sp1_q:1", "su_pq:0,1", "so_star:2", "sp_n_R:0",
+           "g2_2", "su2_n:2", "so4_n:3", "sp1_q:2", "su_pq:1,2", "sp_n_R:2")
+_coordinate = st.one_of(st.integers(-4, 6).map(str),
+                        st.sampled_from(["1/2", "-3/2", "5/2", "x", ""]))
+
+
+def _rho(label):
+    """The half-sum of the positive system a parameter of ``label`` is
+    validated against, or None for a label no family accepts."""
+    name, _, param = label.partition(":")
+    try:
+        if name == "sp1_q":
+            return sp1q_context(int(param)).sigma.rho
+        if name in ("su_pq", "so_star", "sp_n_R"):
+            return hermitian_data(label).psi_h.rho
+        return quaternionic_context(label).psi.rho
+    except BranchkitError:
+        return None
+
+
+@st.composite
+def _lambda(draw, label):
+    """--lambda: either random coordinates, or rho or 3 rho of the label,
+    possibly moved by at most 1 per coordinate (often a valid parameter)."""
+    rho = _rho(label)
+    if rho is None or draw(st.booleans()):
+        return "--lambda=" + ",".join(draw(st.lists(_coordinate, max_size=6)))
+    c = draw(st.sampled_from([1, 3]))
+    moved = st.lists(st.integers(-1, 1), min_size=len(rho), max_size=len(rho))
+    noise = draw(st.one_of(st.just([0] * len(rho)), moved))
+    return "--lambda=" + ",".join(str(c * x + n) for x, n in zip(rho, noise))
+
+
+@st.composite
+def _argv(draw):
+    label = draw(st.sampled_from(_LABELS))
+    lam = draw(_lambda(label))
+    basis = draw(st.sampled_from([[], [], ["--basis", "simple"]]))
+    matching = "sp1q" if label.startswith("sp1_q") else "quat"
+    family = draw(st.sampled_from([matching, matching, "quat", "sp1q"]))
+    step = ["--step-bound", str(draw(st.integers(0, 3)))]
+    commands = ["branch", "oracle", "weights", "hermitian", "so3"]
+    hermitian = label.startswith(("su_pq", "so_star", "sp_n_R"))
+    natural = ["hermitian"] if hermitian else ["branch", "oracle", "weights"]
+    command = draw(st.sampled_from(natural * 2 + commands))
+    if command == "branch":
+        check = draw(st.sampled_from([[], ["--check-oracle", *step]]))
+        return ["branch", family, "--form", label, "--cutoff", str(draw(st.integers(-1, 4))),
+                *check, lam, *basis]
+    if command == "oracle":
+        return ["oracle-check", family, "--form", label, *step, lam, *basis]
+    if command == "weights":
+        project = draw(st.sampled_from(["none", "torus"]))
+        return ["weights", "--form", label, "--project", project, lam, *basis]
+    if command == "hermitian":
+        return ["admissible", "hermitian", "--form", label, lam, *basis]
+    return ["admissible", "so3", "--n", str(draw(st.integers(-1, 12)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv(), st.sampled_from([None, "1", "2", "abc"]))
+def test_cli_exits_cleanly_on_any_input(schema, argv, bound):
+    """No input ends in a traceback or an internal error: the exit code is 0,
+    2 or 3, and a successful call prints schema-valid JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop("BRANCHKIT_GROUP_ORDER_BOUND", None)
+    if bound is not None:
+        os.environ["BRANCHKIT_GROUP_ORDER_BOUND"] = bound
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    finally:
+        os.environ.pop("BRANCHKIT_GROUP_ORDER_BOUND", None)
+        if saved is not None:
+            os.environ["BRANCHKIT_GROUP_ORDER_BOUND"] = saved
+    assert code in (0, 2, 3), (argv, bound, err.getvalue())
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), schema)

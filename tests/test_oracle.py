@@ -173,7 +173,7 @@ def test_oracle_rejects_large_forms():
 @pytest.mark.parametrize("label,cosets", [("e6_2", 20), ("e7_m5", 32), ("e8_m24", 56)])
 def test_verify_closed_form_exceptional(label, cosets):
     ctx = quaternionic_context(label)
-    assert len(_kernel_cosets(ctx, CFG)) == cosets
+    assert len(_kernel_cosets(ctx, CFG.coset_bound)) == cosets
     report = verify_closed_form(ctx, ctx.psi.rho, OracleConfig(step_bound=4))
     assert report.agree
     assert report.compared >= 15
@@ -201,7 +201,7 @@ def _coset_terms(ctx, cosets, lam):
 def test_kernel_cosets_match_group_partition(label):
     ctx = _context(label)
     lam = ctx.sigma.rho if label.startswith("sp1_q") else ctx.psi.rho
-    orbit = _kernel_cosets(ctx, CFG)
+    orbit = _kernel_cosets(ctx, CFG.coset_bound)
     reference = coset_reps(
         weyl_generate(ctx.form, ctx.k2_factor.simple), ctx.kernel_positive, ctx.form
     )
