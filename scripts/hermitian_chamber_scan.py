@@ -10,38 +10,21 @@ keep them.
 Run from the repository root:  python scripts/hermitian_chamber_scan.py
 """
 
-from branchkit.lattice import apply_matrix
-from branchkit.rootsystems import weyl_generate
+from branchkit.rootsystems import positive_system, positive_systems_containing
 from branchkit.specialcases import hermitian_data, kss_admissible_system
 
 FORMS = ["su_pq:2,2", "su_pq:2,3", "su_pq:2,4", "sp_n_R:2", "sp_n_R:3",
          "so_star:4", "so_star:5"]
 
 
-def chambers(hd):
-    rd = hd.rd
-    compact = frozenset(rd.compact_positive)
-    seen = set()
-    for e in weyl_generate(rd.form, rd.simple):
-        chosen = frozenset(apply_matrix(e.matrix, g) for g in rd.positive)
-        if chosen in seen:
-            continue
-        seen.add(chosen)
-        if frozenset(g for g in chosen if rd.is_compact(g)) == compact:
-            yield chosen
-
-
 def main():
     print(f"{'form':>12s} {'tube':>5s} {'chambers':>9s} {'admissible':>11s}")
     for label in FORMS:
         hd = hermitian_data(label)
-        total = 0
-        good = 0
-        for chamber in chambers(hd):
-            total += 1
-            if kss_admissible_system(hd, chamber):
-                good += 1
-        print(f"{label:>12s} {str(hd.tube):>5s} {total:>9d} {good:>11d}")
+        delta = positive_system(hd.rd, frozenset(hd.rd.compact_positive))
+        chambers = [s.chosen_set() for s in positive_systems_containing(hd.rd, delta)]
+        good = sum(kss_admissible_system(hd, chamber) for chamber in chambers)
+        print(f"{label:>12s} {str(hd.tube):>5s} {len(chambers):>9d} {good:>11d}")
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from .specialcases import (
     sp1q_context,
     sp1q_string_table,
     sp1q_verify,
+    sp1q_weight_table,
 )
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json")
@@ -215,12 +216,7 @@ def cmd_weights(args) -> int:
                 for k, n in strings.items()
             }
         else:
-            from .repweights import cached_freudenthal, hc_to_highest_weight
-            from .specialcases import sp1q_decompose
-
-            _, lam2 = sp1q_decompose(ctx, lam)
-            hw = hc_to_highest_weight(lam2, ctx.k2_factor)
-            table = cached_freudenthal(ctx.rd.label, hw, ctx.k2_factor)
+            table = sp1q_weight_table(ctx, lam)
             entries = {format_weight(v): m for v, m in table.mults.items()}
     else:
         ctx = quaternionic_context(label)

@@ -38,12 +38,17 @@ step bound), returned with read-only coefficients.  None of them is built
 at import, and what they return depends on their inputs alone, so results
 do not depend on the order of requests.  Each series keeps its verdict per
 point; series are otherwise immutable and all operations are pure.
+
+The oracle reads ``convolve_multiset``, ``ValidityRegion`` and
+``DeltaSeries``: it adds each memoized product in place at its terms' bases
+and translates the product's region there itself.  ``convolve`` with its
+contract merge, ``dirac``, ``heaviside`` and ``heaviside_power`` build the
+products and serve AC-1 and the tests.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -315,22 +320,10 @@ class DeltaSeries:
             got = verdicts[x] = all(r.certain_at(x) for r in self.regions)
         return got
 
-    def support(self):
-        return sorted(self.coeffs.keys())
-
-
-def _clean(coeffs: dict) -> dict:
-    return {w: c for w, c in coeffs.items() if c != 0}
-
 
 def dirac(gamma: Point) -> DeltaSeries:
     """The distribution concentrated at one point; exact everywhere."""
     return DeltaSeries({gamma: 1}, EXACT)
-
-
-def from_multiplicities(mults: dict) -> DeltaSeries:
-    """Finite exact series sum_w mults[w] * delta_w."""
-    return DeltaSeries(_clean(dict(mults)), EXACT)
 
 
 def heaviside(gamma: Point, n_steps: int) -> DeltaSeries:
@@ -371,7 +364,7 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
         for v, cv in b.coeffs.items():
             w = tuple(map(plus, u, v))
             coeffs[w] = get(w, 0) + cu * cv
-    coeffs = _clean(coeffs)
+    coeffs = {w: c for w, c in coeffs.items() if c}
 
     if not a.regions and not b.regions:
         return DeltaSeries(coeffs, EXACT)
@@ -429,41 +422,3 @@ def _convolve_multiset(items: tuple[tuple[Point, int], ...], n_steps: int) -> De
     base = _half(tuple(sum(m * d[k] for d, m in items) for k in range(len(dirs[0]))))
     region = ValidityRegion(base, items, n_steps)
     return DeltaSeries(MappingProxyType(result.coeffs), (region,))
-
-
-def add(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
-    coeffs = dict(a.coeffs)
-    for w, c in b.coeffs.items():
-        coeffs[w] = coeffs.get(w, 0) + c
-    regions = a.regions + tuple(r for r in b.regions if r not in a.regions)
-    return DeltaSeries(_clean(coeffs), regions, a.chart)
-
-
-def subtract(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
-    return add(a, scale(-1, b))
-
-
-def scale(c: int, a: DeltaSeries) -> DeltaSeries:
-    if c == 0:
-        return DeltaSeries({}, a.regions, a.chart)
-    return DeltaSeries({w: c * v for w, v in a.coeffs.items()}, a.regions, a.chart)
-
-
-def series_to_json(s: DeltaSeries) -> str:
-    payload = {
-        "entries": [
-            {"weight": format_weight(w), "coeff": str(s.coeffs[w])} for w in s.support()
-        ],
-        "validity": [
-            {
-                "base": format_weight(r.base),
-                "directions": [
-                    {"direction": format_weight(d), "multiplicity": m}
-                    for d, m in r.directions
-                ],
-                "stepBound": r.step_bound,
-            }
-            for r in s.regions
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -13,18 +13,20 @@ they read from a family's context.
 
 The cosets W_Z\\W(K2), W_Z generated by the kernel roots, are enumerated as
 the W(K2)-orbit of one vector whose stabilizer is W_Z, never as the whole
-group, so every quaternionic family is in reach (56 cosets for e8_m24);
-``OracleConfig.coset_bound`` caps their number.  W(K2) permutes the
-noncompact positive roots, so each flip has one term multiset for all cosets.
+group, so every quaternionic family is in reach (56 cosets for e8_m24, n for
+su2_n:n, at most 2n for so4_n:n).  W(K2) permutes the noncompact positive
+roots, so each flip has one term multiset for all cosets.
 
-What depends only on the form is built once per process and per coset bound
-(``oracle_plan``, memoized like the contexts): the coset representatives,
-the check that the compact reflections permute the noncompact positive
-roots, and both flips' multisets.  A request with a smaller bound gets its
-own plan, so its bound is enforced as if nothing were cached.  The Heaviside
-products, the strictness cones and their step counts are memoized in
-``formal`` by their int inputs.  Every per-parameter check still runs on
-each request, and results do not depend on the order of requests.
+What depends only on the form is built once per process (``oracle_plan``,
+memoized like the contexts): the coset representatives, the check that the
+compact reflections permute the noncompact positive roots, and the term
+multisets of the branching series (both flips) and of the torus identity.
+``OracleConfig.coset_bound`` caps the number of cosets; it is checked
+against the plan on every request, so a cached plan never lets a request
+past its bound.  The Heaviside products, the strictness cones and their step
+counts are memoized in ``formal`` by their int inputs.  Every per-parameter
+check still runs on each request, and results do not depend on the order of
+requests.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -38,8 +40,8 @@ of its term bases and directions: rank 2 for the coset series, rank 1 for the
 torus identity.  Products, the signed accumulation, certification and
 extraction run on int points; weights are mapped back only for points that
 are reported, compared or passed to a family check.  The Heaviside product of
-each distinct multiset is built once and translated to every term that uses
-it.
+each distinct multiset is built once and added in place at every term's base,
+with its validity region translated there.
 
 The per-term truncation regions are kept as a conjunction on the final
 series; a parameter is compared only where every term is certified exact.
@@ -53,11 +55,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Protocol
 
 from .errors import DomainError, InternalError, ResourceError
-from .formal import DeltaSeries, convolve, convolve_multiset, dirac
+from .formal import DeltaSeries, ValidityRegion, convolve_multiset
 from .lattice import (
     Chart,
     InnerProductForm,
@@ -76,7 +78,7 @@ from .lattice import (
 from .quaternionic import (
     BranchingTable,
     QuaternionicContext,
-    branching_table,
+    _branching_table,
     decompose_parameter,
     lam2_weight_table,
     require_proper_subgroup,
@@ -185,7 +187,7 @@ def compact_quotient_weights(ctx: OracleContext) -> dict:
     return out
 
 
-def _kernel_cosets(ctx: OracleContext, coset_bound: int) -> tuple[WeylElement, ...]:
+def _kernel_cosets(ctx: OracleContext) -> tuple[WeylElement, ...]:
     """Minimal representatives of the right cosets W_Z\\W(K2), in order of length.
 
     W_Z, the reflection group of the kernel roots, is the stabilizer in
@@ -194,8 +196,7 @@ def _kernel_cosets(ctx: OracleContext, coset_bound: int) -> tuple[WeylElement, .
     bijection with the orbit points w^-1 v.  A breadth-first walk over the
     orbit by simple reflections reaches each point first along a shortest
     word, whose inverse is the minimal representative; see Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4.  At most ``coset_bound``
-    representatives are built.
+    Combinatorics of Coxeter Groups, 2.4.
     """
     form = ctx.form
     kernel = set(ctx.kernel_positive)
@@ -215,11 +216,6 @@ def _kernel_cosets(ctx: OracleContext, coset_bound: int) -> tuple[WeylElement, .
                 y = apply_matrix(g, x)
                 if y in orbit:
                     continue
-                if len(orbit) == coset_bound:
-                    raise ResourceError(
-                        f"W(K2)/W_Z coset count exceeds the oracle bound {coset_bound}; "
-                        f"only the closed form is available for {ctx.rd.label}"
-                    )
                 orbit.add(y)
                 rep = WeylElement(w.word + (i,), mat_mul(w.matrix, g), -w.sign)
                 reps.append(rep)
@@ -230,31 +226,37 @@ def _kernel_cosets(ctx: OracleContext, coset_bound: int) -> tuple[WeylElement, .
 
 @dataclass(frozen=True, eq=False)
 class OraclePlan:
-    """What the coset series of one form reads besides the parameter."""
+    """What the coset sums of one form read besides the parameter."""
 
     cosets: tuple[WeylElement, ...]   # minimal representatives of W_Z\\W(K2)
-    # per flip (False, True): sorted (direction, multiplicity) items of every
-    # coset's multiset, and the Heaviside prefactor (-1)^(their count)
-    multisets: tuple[tuple[tuple[Weight, int], ...], ...]
-    prefactors: tuple[int, int]
+    # (flip, sorted (direction, multiplicity) items, Heaviside prefactor
+    # (-1)^(their count)) per term of a coset: both flips for the branching
+    # series, the quotient multiset unflipped for the torus identity
+    series_terms: tuple[tuple[bool, tuple[tuple[Weight, int], ...], int], ...]
+    torus_terms: tuple[tuple[bool, tuple[tuple[Weight, int], ...], int], ...]
+
+
+def _term(flip: bool, ms: dict) -> tuple:
+    items = tuple(sorted(ms.items()))
+    return flip, items, (-1) ** sum(m for _, m in items)
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_plan(ctx: OracleContext, coset_bound: int) -> OraclePlan:
-    """The form's plan under one coset bound (memoized per context and bound;
-    ResourceError when the form has more than ``coset_bound`` cosets)."""
-    cosets = _kernel_cosets(ctx, coset_bound)
+def oracle_plan(ctx: OracleContext) -> OraclePlan:
+    """The form's plan (memoized per context).  The coset bound is not
+    applied here; ``_coset_series`` checks it on every request."""
+    cosets = _kernel_cosets(ctx)
     # W(K2) permutes the noncompact positive roots, so every coset of one flip
     # has the multiset of the identity
     noncompact = set(ctx.noncompact_positive)
     for g in ctx.k2_factor.simple:
         if {reflect(ctx.form, x, g) for x in noncompact} != noncompact:
             raise InternalError("a compact-factor reflection moves a noncompact positive root")
-    multisets = tuple(
-        tuple(sorted(restriction_multiset(ctx, cosets[0], flip).items())) for flip in (False, True)
+    return OraclePlan(
+        cosets,
+        tuple(_term(flip, restriction_multiset(ctx, cosets[0], flip)) for flip in (False, True)),
+        (_term(False, compact_quotient_weights(ctx)),),
     )
-    prefactors = tuple((-1) ** sum(m for _, m in ms) for ms in multisets)
-    return OraclePlan(cosets, multisets, prefactors)
 
 
 def restriction_multiset(ctx: OracleContext, w: WeylElement, flip: bool) -> dict:
@@ -282,7 +284,7 @@ def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleCo
     of Heaviside convolutions."""
     table = lam2_weight_table(ctx, lam)
     _, lam2 = decompose_parameter(ctx, lam)
-    rhs = torus_coset_sum(ctx, lam2, cfg)
+    rhs = _coset_series(ctx, lam2, cfg, torus=True)
     return on_chart(rhs.chart, restrict_weights(table, ctx.q_u_k2)), rhs
 
 
@@ -292,26 +294,46 @@ def on_chart(chart: Chart, mults: dict) -> DeltaSeries:
     return DeltaSeries(coeffs, (), chart)
 
 
-def torus_coset_sum(ctx: OracleContext, lam2: Weight, cfg: OracleConfig) -> DeltaSeries:
-    """Right side of the torus restriction identity: the signed coset sum of
-    Heaviside convolutions over the compact quotient weights, with the Weyl
-    polynomial at each transformed lam2 as coefficient."""
-    quotient = tuple(sorted(compact_quotient_weights(ctx).items()))
-    prefactor = (-1) ** sum(m for _, m in quotient)
+def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
+                  torus: bool = False) -> DeltaSeries:
+    """Signed distributional series of one loop over the plan's cosets s.
+
+    Each of the plan's terms (flip, ms, prefactor), with w lam = S_b s lam
+    when flipped and s lam otherwise, contributes
+    sign * prefactor * weylpoly(w lam) at the projection of w lam, convolved
+    with the Heaviside series of ms.  The branching series (both flips,
+    projected onto the subgroup torus) encodes the multiplicities on its
+    positive side.  With ``torus``, lam is the k2 part lam2 and the series
+    is the right side of the torus restriction identity (the quotient
+    multiset, projected onto the su(2) torus inside k2).  The caller
+    validates lam.
+    """
+    plan = oracle_plan(ctx)
+    if len(plan.cosets) > cfg.coset_bound:
+        raise ResourceError(
+            f"W(K2)/W_Z coset count exceeds the oracle bound {cfg.coset_bound}; "
+            f"only the closed form is available for {ctx.rd.label}"
+        )
+    project, kinds = (ctx.q_u_k2, plan.torus_terms) if torus else (ctx.q_u, plan.series_terms)
     terms = []
-    for s in oracle_plan(ctx, cfg.coset_bound).cosets:
-        slam2 = apply_matrix(s.matrix, lam2)
-        coeff = Fraction(prefactor * s.sign) * weyl_polynomial(ctx, slam2)
-        if coeff == 0:
-            raise InternalError("Weyl polynomial vanished on a coset representative")
-        terms.append((coeff, ctx.q_u_k2(slam2), quotient))
+    for s in plan.cosets:
+        slam = apply_matrix(s.matrix, lam)
+        for flip, ms, prefactor in kinds:
+            sign = -s.sign if flip else s.sign
+            wlam = apply_matrix(ctx.s_beta, slam) if flip else slam
+            coeff = Fraction(sign * prefactor) * weyl_polynomial(ctx, wlam)
+            if coeff == 0:
+                raise InternalError("Weyl polynomial vanished on a coset representative")
+            terms.append((coeff, project(wlam), ms))
     return _signed_sum(terms, cfg.step_bound)
 
 
 def _signed_sum(terms, step_bound: int) -> DeltaSeries:
     """The sum of coeff * delta_base * (Heaviside product over ms) over the
     (coeff, base, ms) terms, ms a sorted tuple of (direction, multiplicity),
-    on the chart of their distinct bases and directions.
+    on the chart of their distinct bases and directions.  Each memoized
+    product is added in place at its term's base, and its region is
+    translated there.
 
     Coefficients are accumulated as ints over the LCM of the term
     coefficients' denominators; the sum must divide back exactly."""
@@ -328,11 +350,14 @@ def _signed_sum(terms, step_bound: int) -> DeltaSeries:
     get = acc.get
     regions = []
     for coeff, base, ms in terms:
-        term = convolve(dirac(chart.to_point(base)), products[ms])
+        b = chart.to_point(base)
+        product = products[ms]
         k = int(coeff * den)
-        for p, c in term.coeffs.items():
+        for p, c in product.coeffs.items():
+            p = tuple(map(add, p, b))
             acc[p] = get(p, 0) + k * c
-        regions.extend(term.regions)
+        regions.extend(ValidityRegion(tuple(map(add, r.base, b)), r.directions, r.step_bound)
+                       for r in product.regions)
     coeffs = {}
     for p, c in acc.items():
         q, r = divmod(c, den)
@@ -350,24 +375,6 @@ def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
         "noncompact root pairs")
     validate_small_dominant(ctx, lam)
     return _coset_series(ctx, lam, cfg)
-
-
-def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
-    """Signed distributional series whose positive side encodes the branching
-    multiplicities: sum over cosets (and their S_b translates) of
-    sign * weylpoly * delta at the projected parameter, convolved with the
-    Heaviside series of the term's multiset.  The caller validates lam."""
-    plan = oracle_plan(ctx, cfg.coset_bound)
-    terms = []
-    for s in plan.cosets:
-        slam = apply_matrix(s.matrix, lam)
-        for flip in (False, True):
-            sign = -s.sign if flip else s.sign
-            wlam = apply_matrix(ctx.s_beta, slam) if flip else slam
-            varpi = weyl_polynomial(ctx, wlam)
-            terms.append((Fraction(sign * plan.prefactors[flip]) * varpi, ctx.q_u(wlam),
-                          plan.multisets[flip]))
-    return _signed_sum(terms, cfg.step_bound)
 
 
 def _side(ctx: OracleContext, chart: Chart):
@@ -465,6 +472,6 @@ def require_compared(report: ComparisonReport, cfg: OracleConfig) -> ComparisonR
 
 def verify_closed_form(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
     """Closed-form table at cutoff = step bound against the oracle series."""
-    series = restriction_series(ctx, lam, cfg)
-    report = compare(ctx, series, branching_table(ctx, lam, cfg.step_bound))
+    series = restriction_series(ctx, lam, cfg)  # validates lam
+    report = compare(ctx, series, _branching_table(ctx, lam, cfg.step_bound))
     return require_compared(report, cfg)

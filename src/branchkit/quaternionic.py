@@ -202,8 +202,7 @@ def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> HCParamete
 def lam2_weight_table(ctx: QuaternionicContext, lam: Weight):
     """Weight table of the k2-representation attached to lam (memoized)."""
     _, lam2 = decompose_parameter(ctx, lam)
-    hw = hc_to_highest_weight(lam2, ctx.k2_factor)
-    return cached_freudenthal(ctx.rd.label, hw, ctx.k2_factor)
+    return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +235,11 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
         raise DomainError("cutoff must be nonnegative")
     require_proper_subgroup(ctx, "the closed form needs d >= 2 noncompact root pairs")
     validate_small_dominant(ctx, lam)
+    return _branching_table(ctx, lam, cutoff)
+
+
+def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
+    """``branching_table`` without its checks, for a caller that has made them."""
     lam1, _ = decompose_parameter(ctx, lam)
     table = lam2_weight_table(ctx, lam)
     d = ctx.d
@@ -274,7 +278,9 @@ def check_table_dominance(ctx: QuaternionicContext, table: BranchingTable):
 
 def admissible_system(ctx: QuaternionicContext, sigma: PositiveSystem) -> bool:
     """Discrete series with parameters dominant for sigma restrict admissibly
-    to the su(2,1) subgroup iff sigma is the small system itself."""
+    to the su(2,1) subgroup iff sigma is the small system itself.  Needs
+    d >= 2, like the closed form and the oracle."""
+    require_proper_subgroup(ctx, "the admissibility decision needs d >= 2 noncompact root pairs")
     compact = frozenset(g for g in ctx.rd.roots if ctx.rd.is_compact(g))
     delta = frozenset(ctx.rd.compact_positive)
     if sigma.chosen_set() & compact != delta:

@@ -9,6 +9,11 @@ denominator of the highest weight and the roots, so pairings, reflections and
 norms are integer arithmetic, and weights are mapped back to Fractions only
 for the returned table.  The resulting multiplicities are asserted integral; a
 non-integer intermediate aborts with InternalError.
+
+Every route from a parameter to a compact-factor weight table
+(``quaternionic.lam2_weight_table``, ``specialcases.sp1q_weight_table``)
+ends in ``cached_freudenthal``, one per-process memo keyed by (highest
+weight, factor).
 """
 
 from __future__ import annotations
@@ -282,16 +287,8 @@ def su2_string_decompose(table: WeightMultTable, root: Weight) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_table(cache_key, hw: Weight):
-    factor = _FACTOR_CACHE[cache_key]
+def cached_freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
+    """``freudenthal``, memoized per process by (highest weight, factor).
+    A factor is keyed by identity (``CompactFactor`` has eq=False); the
+    contexts are memoized, so each form passes one factor object."""
     return freudenthal(hw, factor)
-
-
-_FACTOR_CACHE: dict = {}
-
-
-def cached_freudenthal(label: str, hw: Weight, factor: CompactFactor) -> WeightMultTable:
-    """Memoized table lookup keyed by (owning form label, highest weight)."""
-    key = (label, factor.positive)
-    _FACTOR_CACHE.setdefault(key, factor)
-    return _cached_table(key, hw)

@@ -41,7 +41,6 @@ from .oracle import (
     compare,
     on_chart,
     require_compared,
-    torus_coset_sum,
 )
 from .quaternionic import BranchingTable
 from .repweights import (
@@ -187,12 +186,15 @@ def sp1q_decompose(ctx: Sp1qContext, lam: Weight):
     return lam1, wsub(lam, lam1)
 
 
+def sp1q_weight_table(ctx: Sp1qContext, lam: Weight):
+    """Weight table of the sp(q)-representation attached to lam (memoized)."""
+    _, lam2 = sp1q_decompose(ctx, lam)
+    return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
+
+
 def sp1q_string_table(ctx: Sp1qContext, lam: Weight) -> dict:
     """su(2)-string content {k: N_k} of the sp(q)-representation attached to lam."""
-    _, lam2 = sp1q_decompose(ctx, lam)
-    hw = hc_to_highest_weight(lam2, ctx.k2_factor)
-    table = cached_freudenthal(ctx.rd.label, hw, ctx.k2_factor)
-    return su2_string_decompose(table, ctx.su2_root)
+    return su2_string_decompose(sp1q_weight_table(ctx, lam), ctx.su2_root)
 
 
 def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
@@ -205,6 +207,11 @@ def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Branchin
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
     sp1q_validate(ctx, lam)
+    return _sp1q_branching_table(ctx, lam, cutoff)
+
+
+def _sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
+    """``sp1q_branching_table`` without its checks, for a caller that has made them."""
     strings = sp1q_string_table(ctx, lam)
     a0 = lam[0]
     entries = {}
@@ -229,8 +236,8 @@ def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) ->
 
 def sp1q_verify(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
     """Closed form at cutoff = step bound vs oracle extraction on the certified region."""
-    series = sp1q_restriction_series(ctx, lam, cfg)
-    report = compare(ctx, series, sp1q_branching_table(ctx, lam, cfg.step_bound))
+    series = sp1q_restriction_series(ctx, lam, cfg)  # validates lam
+    report = compare(ctx, series, _sp1q_branching_table(ctx, lam, cfg.step_bound))
     return require_compared(report, cfg)
 
 
@@ -246,7 +253,7 @@ def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig)
         down = wneg(up)
         lhs_coeffs[down] = lhs_coeffs.get(down, 0) - nk
     _, lam2 = sp1q_decompose(ctx, lam)
-    rhs = torus_coset_sum(ctx, lam2, cfg)
+    rhs = _coset_series(ctx, lam2, cfg, torus=True)
     return on_chart(rhs.chart, lhs_coeffs), rhs
 
 

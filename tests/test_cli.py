@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchkit import repweights
 from branchkit.cli import SCHEMA_PATH, main
 from branchkit.errors import BranchkitError
 from branchkit.quaternionic import quaternionic_context
@@ -146,6 +149,31 @@ def test_oracle_check_command(capsys, schema):
     assert payload["agree"] is True
     assert payload["comparedWeights"] > 0
     assert payload["mismatches"] == []
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "4"], 1),
+    (["oracle-check", "sp1q", "--form", "sp1_q:2", "--lambda=4,2,1", "--step-bound", "6"], 1),
+    (["branch", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--cutoff", "2",
+      "--check-oracle", "--step-bound", "4"], 2),
+], ids=["oracle-check-quat", "oracle-check-sp1q", "branch-check-oracle"])
+def test_lambda_validated_once_per_oracle_check(capsys, monkeypatch, argv, calls):
+    # the series entry point validates lambda; the closed table it is compared
+    # with is not validated again (a plain branch validates once more)
+    original = repweights.validate_hc_parameter
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("branchkit") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,7 +326,22 @@ def test_selftest_single_criterion(capsys):
     assert payload["criteria"][0]["id"] == "AC-7"
 
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = BENCH / "golden.json"
+
+
+def test_bench_tracer_hooks_resolve():
+    # the benchmark's traced run wraps these names; a deletion must not
+    # silently break it (bench/tracer.py is only read, never installed here)
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANS and tracer.COUNTS
+    for mod, attr in tracer.SPANS + tracer.COUNTS:
+        target = importlib.import_module("branchkit." + mod)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (mod, attr)
 
 
 def _golden_changes(capsys, workload, count, reverse=False):

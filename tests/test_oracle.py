@@ -117,6 +117,17 @@ def test_torus_restriction_string(g2):
             assert got == lhs.coeffs.get(x, 0)
 
 
+def test_torus_identity_checks_the_coset_bound(g2):
+    # the torus identity runs the same coset loop, and the same bound check,
+    # as the branching series; g2_2 has 2 cosets
+    lam = wadd(wscale(3, g2.fw1), g2.beta)
+    assert len(_kernel_cosets(g2)) == 2
+    with pytest.raises(ResourceError, match="exceeds the oracle bound 1; "):
+        torus_restriction_sides(g2, lam, OracleConfig(step_bound=4, coset_bound=1))
+    lhs, rhs = torus_restriction_sides(g2, lam, OracleConfig(step_bound=4, coset_bound=2))
+    assert lhs.coeffs
+
+
 def test_weyl_polynomial_reflection_invariance(su23):
     # the summand identity: the polynomial only sees the beta-orthogonal part
     lam = weight([5, 3, 1, 0, -4])
@@ -173,7 +184,7 @@ def test_oracle_rejects_large_forms():
 @pytest.mark.parametrize("label,cosets", [("e6_2", 20), ("e7_m5", 32), ("e8_m24", 56)])
 def test_verify_closed_form_exceptional(label, cosets):
     ctx = quaternionic_context(label)
-    assert len(_kernel_cosets(ctx, CFG.coset_bound)) == cosets
+    assert len(_kernel_cosets(ctx)) == cosets
     report = verify_closed_form(ctx, ctx.psi.rho, OracleConfig(step_bound=4))
     assert report.agree
     assert report.compared >= 15
@@ -201,7 +212,7 @@ def _coset_terms(ctx, cosets, lam):
 def test_kernel_cosets_match_group_partition(label):
     ctx = _context(label)
     lam = ctx.sigma.rho if label.startswith("sp1_q") else ctx.psi.rho
-    orbit = _kernel_cosets(ctx, CFG.coset_bound)
+    orbit = _kernel_cosets(ctx)
     reference = coset_reps(
         weyl_generate(ctx.form, ctx.k2_factor.simple), ctx.kernel_positive, ctx.form
     )

@@ -156,6 +156,18 @@ def test_prop_admissibility_dichotomy(g2):
     assert admissible_system(g2, positive_system(g2.rd, frozenset(flipped))) is False
 
 
+def test_admissible_system_rejects_su21_itself():
+    # d = 1: the subgroup is the whole group, so no chamber is decided, as the
+    # closed form and the oracle decide nothing there either
+    ctx = quaternionic_context("su2_n:1")
+    delta = positive_system(ctx.rd, frozenset(ctx.rd.compact_positive))
+    systems = positive_systems_containing(ctx.rd, delta)
+    assert len(systems) == 3
+    for sigma in systems:
+        with pytest.raises(DomainError, match="su2_n:1 has d = 1"):
+            admissible_system(ctx, sigma)
+
+
 def test_admissible_system_requires_compact_part(g2):
     bad = {wneg(g) if g == g2.beta else g for g in g2.psi.chosen_set()}
     with pytest.raises(DomainError):
