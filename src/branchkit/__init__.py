@@ -34,11 +34,9 @@ from .oracle import (
     OracleConfig,
     compare,
     extract_multiplicities,
-    kernel_roots,
     restriction_series,
     torus_restriction_sides,
     verify_closed_form,
-    weyl_polynomial,
 )
 from .quaternionic import (
     BranchingTable,

@@ -13,11 +13,13 @@ names the dimension of that space.
 
 ``rational_solve`` converts int entries to ``Fraction`` on entry, so its
 answer is exact for int input too.  A ``Chart`` gives the span of finitely
-many weights integer coordinates; the oracle's series live on them.
+many weights integer coordinates at a chosen scale, and linear maps integer
+matrices on them; the oracle's plans and series live on them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -66,6 +68,12 @@ def is_zero(a: Weight) -> bool:
 def int_point(a: Weight, scale: int) -> tuple[int, ...]:
     """The int tuple scale * a; scale must be a multiple of every denominator of a."""
     return tuple(x.numerator * (scale // x.denominator) for x in a)
+
+
+def scaled_point(a: Weight) -> tuple[tuple[int, ...], int]:
+    """(d a, d) for d the common denominator of a."""
+    d = lcm(1, *(x.denominator for x in a))
+    return int_point(a, d), d
 
 
 def parse_weight(text: str) -> Weight:
@@ -222,13 +230,20 @@ class Chart:
     ``coords``, the pivot coordinates of the span, on which it is injective:
     w = sum_j w[coords[j]] * rows[j].  ``scale`` is twice the common
     denominator of the spanning weights at the pivots, so their points are
-    even and half the sum of any of them is a point.
+    even and half the sum of any of them is a point.  ``at_scale`` gives the
+    span another scale, for a caller that knows which points it needs.
     """
 
     def __init__(self, vectors: Sequence[Weight]):
         self.coords, self.rows = _echelon(vectors)
         den = lcm(1, *(Fraction(v[c]).denominator for v in vectors for c in self.coords))
         self.scale = 2 * den
+
+    def at_scale(self, scale: int) -> Chart:
+        """The chart of the same span with the given scale."""
+        chart = copy.copy(self)
+        chart.scale = scale
+        return chart
 
     def to_point(self, w: Weight) -> tuple[int, ...]:
         """Integer coordinates of w; InternalError when w is off the lattice."""
@@ -246,13 +261,14 @@ class Chart:
                 out = [o + x * y for o, y in zip(out, row)]
         return tuple(out)
 
-    def linear_map(self, matrix: Matrix) -> tuple[tuple[int, ...], ...]:
+    def linear_map(self, fn) -> tuple[tuple[int, ...], ...]:
         """Integer matrix A whose product A p is the point of
-        ``apply_matrix(matrix, to_weight(p))``; InternalError when the map
-        leaves the span or A is not integral."""
+        ``fn(to_weight(p))``, for a linear map fn on weights; A does not
+        depend on the scale.  InternalError when the map leaves the span or A
+        is not integral."""
         columns = []
         for row in self.rows:
-            image = apply_matrix(matrix, row)
+            image = fn(row)
             column = [image[c] for c in self.coords]
             if self.to_weight([x * self.scale for x in column]) != image:
                 raise InternalError("the linear map leaves the chart's span")

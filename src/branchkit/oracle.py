@@ -6,27 +6,23 @@ encoded by a signed coset sum of convolved Heaviside series over
 per-element multisets; antisymmetrizing in the reflection S_b and reading off
 the coefficients on the positive side recovers the branching multiplicities.
 This module evaluates that sum with exact truncation bookkeeping and extracts
-tables to compare against the closed form.
-
-Both families run through the same functions; ``OracleContext`` lists what
-they read from a family's context.
+tables to compare against the closed form.  Both families run through the
+same functions; ``OracleContext`` lists what they read from a family.
 
 The cosets W_Z\\W(K2), W_Z generated by the kernel roots, are enumerated as
 the W(K2)-orbit of one vector whose stabilizer is W_Z, never as the whole
-group, so every quaternionic family is in reach (56 cosets for e8_m24, n for
-su2_n:n, at most 2n for so4_n:n).  W(K2) permutes the noncompact positive
-roots, so each flip has one term multiset for all cosets.
+group, so every quaternionic family is in reach (56 cosets for e8_m24).
+W(K2) permutes the noncompact positive roots, so each flip has one term
+multiset for all cosets.
 
-What depends only on the form is built once per process (``oracle_plan``,
-memoized like the contexts): the coset representatives, the check that the
-compact reflections permute the noncompact positive roots, and the term
-multisets of the branching series (both flips) and of the torus identity.
-``OracleConfig.coset_bound`` caps the number of cosets; it is checked
-against the plan on every request, so a cached plan never lets a request
-past its bound.  The Heaviside products, the strictness cones and their step
-counts are memoized in ``formal`` by their int inputs.  Every per-parameter
-check still runs on each request, and results do not depend on the order of
-requests.
+What depends only on the form is built once per process, lazily, as integer
+data (``oracle_plan``): one chart per form and kind (the projection's image:
+rank 2 for the branching series, rank 1 for the torus identity), each flip's
+multiset as chart points, and per (coset, flip) the int maps from the scaled
+parameter to the term's base point and kernel-root pairings (``CosetSum``).
+A request scales lam to ints once and runs its coset loop on ints.  The
+coset bound and every per-parameter check run on every request, so results
+do not depend on the order of requests.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -35,18 +31,11 @@ The torus restriction identity (whose left side is computable directly from
 the weight table) pins this convention down empirically, and positivity of
 the extracted multiplicities confirms it on the full formula.
 
-Each series is built on one integer chart (``lattice.Chart``) of the span
-of its term bases and directions: rank 2 for the coset series, rank 1 for the
-torus identity.  Products, the signed accumulation, certification and
-extraction run on int points; weights are mapped back only for points that
-are reported, compared or passed to a family check.  The Heaviside product of
-each distinct multiset is built once and added in place at every term's base,
-with its validity region translated there.
-
-The per-term truncation regions are kept as a conjunction on the final
-series; a parameter is compared only where every term is certified exact.
-The extraction certifies each positive-side point once (the series memoizes
-the verdicts) and ``compare`` reuses its table.
+Products, the signed accumulation, certification and extraction run on int
+points; weights are mapped back only for points that are reported, compared
+or passed to a family check.  The per-term truncation regions are kept as a
+conjunction on the final series; a parameter is compared only where every
+term is certified exact, and each positive-side point is certified once.
 """
 
 from __future__ import annotations
@@ -54,7 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Protocol
 
@@ -64,15 +53,13 @@ from .lattice import (
     Chart,
     InnerProductForm,
     Weight,
-    apply_matrix,
     coroot_pairing,
     format_weight,
-    identity_matrix,
     inner,
+    int_point,
     is_zero,
-    mat_mul,
     reflect,
-    reflection_matrix,
+    scaled_point,
     zero_weight,
 )
 from .quaternionic import (
@@ -85,7 +72,7 @@ from .quaternionic import (
     validate_small_dominant,
 )
 from .repweights import CompactFactor, restrict_weights
-from .rootsystems import RootDatum, WeylElement, half_sum
+from .rootsystems import RootDatum, half_sum
 
 
 class OracleContext(Protocol):
@@ -95,9 +82,9 @@ class OracleContext(Protocol):
 
     rd: RootDatum
     beta: Weight
-    s_beta: tuple                         # reflection matrix in beta
     k2_factor: CompactFactor
     kernel_positive: tuple[Weight, ...]   # positive k2 roots killed by q_u
+    mirrors: tuple   # (roots, sign): series symmetries, (S_b, -1) first
 
     @property
     def form(self) -> InnerProductForm: ...
@@ -117,10 +104,10 @@ class OracleContext(Protocol):
 
     def q_u_k2(self, v: Weight) -> Weight: ...   # onto the su(2) torus inside k2
 
-    def check_extracted(self, series: DeltaSeries, mu: Weight, c: int) -> None:
-        """Family check on a certified positive-side coefficient c at mu (a
-        weight; ``series.chart`` maps it to its point); raises InternalError
-        on failure."""
+    def check_extracted(self, series: DeltaSeries, p: tuple, mu: Weight, c: int) -> None:
+        """Family check on a certified positive-side coefficient c of a
+        branching series at its point p, whose weight is mu; raises
+        InternalError on failure."""
 
 
 @dataclass(frozen=True)
@@ -133,30 +120,6 @@ class OracleConfig:
     def __post_init__(self):
         if self.step_bound <= 0 or self.coset_bound <= 0:
             raise DomainError("oracle bounds must be positive")
-
-
-def kernel_roots(ctx: QuaternionicContext):
-    """Positive compact roots annihilated by the projection onto the su(2,1)
-    torus; verified against the orthogonality characterization."""
-    by_kernel = tuple(
-        g for g in ctx.k2_factor.positive if is_zero(ctx.q_u(g))
-    )
-    by_orthogonality = tuple(
-        g
-        for g in ctx.rd.compact_positive
-        if inner(ctx.form, g, ctx.alpha) == 0 and inner(ctx.form, g, ctx.beta) == 0
-    )
-    if by_kernel != by_orthogonality or by_kernel != ctx.kernel_positive:
-        raise InternalError("kernel-root characterizations disagree")
-    return by_kernel
-
-
-def weyl_polynomial(ctx: OracleContext, sigma: Weight) -> Fraction:
-    """Product of pairings with the kernel roots, normalized at their half-sum."""
-    num = Fraction(1)
-    for g in ctx.kernel_positive:
-        num *= inner(ctx.form, sigma, g)
-    return num / _weyl_normalizer(ctx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,16 +150,30 @@ def compact_quotient_weights(ctx: OracleContext) -> dict:
     return out
 
 
-def _kernel_cosets(ctx: OracleContext) -> tuple[WeylElement, ...]:
-    """Minimal representatives of the right cosets W_Z\\W(K2), in order of length.
+def _reflect_scaled(v: tuple, a: tuple, aa: int) -> tuple:
+    """The reflection of the scaled vector v = (X, D) in the int root a, with
+    aa = (a, a), as a scaled vector in lowest terms."""
+    x, d = v
+    k = 2 * sum(map(mul, x, a))
+    y = [xi * aa - k * ai for xi, ai in zip(x, a)]
+    g = gcd(d * aa, *y)
+    return tuple(yi // g for yi in y), d * aa // g
+
+
+def _kernel_cosets(ctx: OracleContext, vectors=()) -> tuple:
+    """Minimal representatives s of the right cosets W_Z\\W(K2), in order of
+    length, as (reduced word, images s^T x of the vectors x, all as
+    ``scaled_point`` pairs); s is the product of the word's simple
+    reflections, left to right.
 
     W_Z, the reflection group of the kernel roots, is the stabilizer in
     W(K2) of v = q_u_k2(g) for a k2 root g outside the kernel (a stabilizer is
-    generated by the reflections it contains), so the cosets W_Z w are in
-    bijection with the orbit points w^-1 v.  A breadth-first walk over the
+    generated by the reflections it contains), so the cosets W_Z s are in
+    bijection with the orbit points s^T v.  A breadth-first walk over the
     orbit by simple reflections reaches each point first along a shortest
     word, whose inverse is the minimal representative; see Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4.
+    Combinatorics of Coxeter Groups, 2.4.  A step s -> s g reflects v and
+    every carried image in g, in int arithmetic at O(dim) each.
     """
     form = ctx.form
     kernel = set(ctx.kernel_positive)
@@ -205,77 +182,131 @@ def _kernel_cosets(ctx: OracleContext) -> tuple[WeylElement, ...]:
     v = next((ctx.q_u_k2(g) for g in positive if g not in kernel), zero_weight(form.dim))
     if {g for g in positive if inner(form, g, v) == 0} != kernel:
         raise InternalError("the orbit vector's stabilizer is not the kernel-root group")
-    gens = [reflection_matrix(g) for g in ctx.k2_factor.simple]
-    reps = [WeylElement((), identity_matrix(form.dim), 1)]
-    orbit = {v}
-    frontier = [(v, reps[0])]
+    simple = [(a, sum(map(mul, a, a))) for a, _ in map(scaled_point, ctx.k2_factor.simple)]
+    # W(K2) permutes the noncompact positive roots, so every coset of one flip
+    # has the multiset of the identity
+    noncompact = set(map(scaled_point, ctx.noncompact_positive))
+    if any({_reflect_scaled(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
+        raise InternalError("a compact-factor reflection moves a noncompact positive root")
+    first = ((), (scaled_point(v), *vectors))
+    reps = [first]
+    orbit = {first[1][0]}
+    frontier = [first]
     while frontier:
         nxt = []
-        for x, w in frontier:
-            for i, g in enumerate(gens):
-                y = apply_matrix(g, x)
+        for word, images in frontier:
+            for i, (a, aa) in enumerate(simple):
+                y = _reflect_scaled(images[0], a, aa)
                 if y in orbit:
                     continue
                 orbit.add(y)
-                rep = WeylElement(w.word + (i,), mat_mul(w.matrix, g), -w.sign)
+                rep = (word + (i,), (y, *(_reflect_scaled(x, a, aa) for x in images[1:])))
                 reps.append(rep)
-                nxt.append((y, rep))
+                nxt.append(rep)
         frontier = nxt
-    return tuple(reps)
+    return tuple((word, images[1:]) for word, images in reps)
+
+
+@dataclass(frozen=True, eq=False)
+class CosetSum:
+    """One kind of coset sum as integer data.  For lam with common
+    denominator den and L = den * lam, the term of a coset s and a flip has
+    its base at the point A L of ``chart`` rescaled by den, and coefficient
+    factor * prod(c . L) / (denominator * den**len(c's)) over its kernel
+    covectors c.  ``factor`` is the sign of s, negated for the flip, times
+    the Heaviside prefactor; ``multisets`` hold each flip's directions as
+    sorted (point, multiplicity) items of ``chart``."""
+
+    chart: Chart      # the projection's image at the base scale s0
+    terms: tuple      # (A, kernel covectors, factor, index into multisets) per (coset, flip)
+    multisets: tuple
+    denominator: Fraction
 
 
 @dataclass(frozen=True, eq=False)
 class OraclePlan:
     """What the coset sums of one form read besides the parameter."""
 
-    cosets: tuple[WeylElement, ...]   # minimal representatives of W_Z\\W(K2)
-    # (flip, sorted (direction, multiplicity) items, Heaviside prefactor
-    # (-1)^(their count)) per term of a coset: both flips for the branching
-    # series, the quotient multiset unflipped for the torus identity
-    series_terms: tuple[tuple[bool, tuple[tuple[Weight, int], ...], int], ...]
-    torus_terms: tuple[tuple[bool, tuple[tuple[Weight, int], ...], int], ...]
+    words: tuple[tuple[int, ...], ...]   # minimal representatives of W_Z\\W(K2)
+    series: CosetSum    # both flips, projected onto the subgroup torus
+    torus: CosetSum     # the quotient multiset unflipped, onto the su(2) torus in k2
 
 
-def _term(flip: bool, ms: dict) -> tuple:
-    items = tuple(sorted(ms.items()))
-    return flip, items, (-1) ** sum(m for _, m in items)
+def _reflections(form: InnerProductForm, roots):
+    """The product of the reflections in roots, as a function on weights."""
+    return lambda w: functools.reduce(lambda x, g: reflect(form, x, g), roots, w)
+
+
+def _coset_sum(ctx: OracleContext, cosets, chart: Chart, project, flips, noncompact) -> CosetSum:
+    """The integer data of one kind of coset sum.  ``cosets`` holds per coset
+    its word and, per flip, the scaled images of the flipped chart covectors,
+    then of the flipped kernel roots.  A flip's directions are the quotient
+    weights and the flipped noncompact roots' projections."""
+    coords, r = chart.coords, len(chart.coords)
+    h_roots = {tuple(h[c] for c in coords) for h in ctx.h_roots if project(h) == h}
+    quotient = {tuple(w[c] for c in coords): m for w, m in compact_quotient_weights(ctx).items()}
+    multisets = []
+    for images in cosets[0][1]:
+        ms = dict(quotient)
+        for g, k in map(scaled_point, noncompact):
+            p = tuple(Fraction(sum(map(mul, x, g)), d * k) for x, d in images[:r])
+            if not any(p):
+                raise InternalError("noncompact root projects to zero")
+            if p not in h_roots:
+                ms[p] = ms.get(p, 0) + 1
+        multisets.append(ms)
+    s0 = 2 * lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[:r]),
+                 *(x.denominator for ms in multisets for p in ms for x in p))
+    t = lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[r:]))
+    prefactors = [(-1) ** sum(ms.values()) for ms in multisets]
+    terms = tuple(
+        (tuple(tuple(s0 // d * xi for xi in x) for x, d in images[:r]),
+         tuple(tuple(t // d * xi for xi in x) for x, d in images[r:]),
+         (-1) ** (len(word) + flip) * prefactors[i], i)
+        for word, per_flip in cosets for i, (flip, images) in enumerate(zip(flips, per_flip))
+    )
+    return CosetSum(
+        chart.at_scale(s0),
+        terms,
+        tuple(tuple(sorted((int_point(p, s0), m) for p, m in ms.items())) for ms in multisets),
+        _weyl_normalizer(ctx) * t ** len(ctx.kernel_positive),
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def oracle_plan(ctx: OracleContext) -> OraclePlan:
     """The form's plan (memoized per context).  The coset bound is not
     applied here; ``_coset_series`` checks it on every request."""
-    cosets = _kernel_cosets(ctx)
-    # W(K2) permutes the noncompact positive roots, so every coset of one flip
-    # has the multiset of the identity
-    noncompact = set(ctx.noncompact_positive)
-    for g in ctx.k2_factor.simple:
-        if {reflect(ctx.form, x, g) for x in noncompact} != noncompact:
-            raise InternalError("a compact-factor reflection moves a noncompact positive root")
-    return OraclePlan(
-        cosets,
-        tuple(_term(flip, restriction_multiset(ctx, cosets[0], flip)) for flip in (False, True)),
-        (_term(False, compact_quotient_weights(ctx)),),
+    dim, flipped = ctx.form.dim, _reflections(ctx.form, (ctx.beta,))
+    kinds = ((ctx.q_u, (False, True), ctx.noncompact_positive), (ctx.q_u_k2, (False,), ()))
+    charts = []  # (chart of the image, covectors m_c with project(v)[c] = (m_c, v))
+    for project, _, _ in kinds:
+        images = [project(tuple(Fraction(i == j) for j in range(dim))) for i in range(dim)]
+        chart = Chart(images)
+        charts.append((chart, [tuple(img[c] for img in images) for c in chart.coords]))
+    # per kind and flip, the vectors its terms read: the chart covectors,
+    # then the kernel roots, flipped; the walk carries each distinct one once
+    reads = []
+    for (_, flips, _), (_, rows) in zip(kinds, charts):
+        vs = (*rows, *ctx.kernel_positive)
+        reads.append([tuple(map(flipped, vs)) if flip else vs for flip in flips])
+    index = {v: i for i, v in enumerate(dict.fromkeys(v for kind in reads for vs in kind for v in vs))}
+    cosets = _kernel_cosets(ctx, [scaled_point(v) for v in index])
+    series, torus = (
+        _coset_sum(ctx, [(word, [[images[index[v]] for v in vs] for vs in kind])
+                         for word, images in cosets], chart, project, flips, noncompact)
+        for (project, flips, noncompact), (chart, _), kind in zip(kinds, charts, reads)
     )
+    return OraclePlan(tuple(word for word, _ in cosets), series, torus)
 
 
-def restriction_multiset(ctx: OracleContext, w: WeylElement, flip: bool) -> dict:
-    """Convolution multiset of one coset term: quotient weights joined with
-    the projections of the transformed noncompact positive roots, with the
-    subgroup roots removed.  Must be strict (checked by the caller's convolution)."""
-    ms = dict(compact_quotient_weights(ctx))
-    h_roots = ctx.h_roots
-    for g in ctx.noncompact_positive:
-        img = apply_matrix(w.matrix, g)
-        if flip:
-            img = apply_matrix(ctx.s_beta, img)
-        p = ctx.q_u(img)
-        if is_zero(p):
-            raise InternalError("noncompact root projects to zero")
-        if p in h_roots:
-            continue
-        ms[p] = ms.get(p, 0) + 1
-    return ms
+@functools.lru_cache(maxsize=None)
+def mirror_maps(ctx: OracleContext) -> tuple:
+    """(int map, sign) per ``ctx.mirrors`` on the plan's series chart, at
+    any scale (memoized per context)."""
+    chart = oracle_plan(ctx).series.chart
+    return tuple((chart.linear_map(_reflections(ctx.form, roots)), sign)
+                 for roots, sign in ctx.mirrors)
 
 
 def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig):
@@ -298,74 +329,51 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
                   torus: bool = False) -> DeltaSeries:
     """Signed distributional series of one loop over the plan's cosets s.
 
-    Each of the plan's terms (flip, ms, prefactor), with w lam = S_b s lam
-    when flipped and s lam otherwise, contributes
-    sign * prefactor * weylpoly(w lam) at the projection of w lam, convolved
-    with the Heaviside series of ms.  The branching series (both flips,
-    projected onto the subgroup torus) encodes the multiplicities on its
-    positive side.  With ``torus``, lam is the k2 part lam2 and the series
-    is the right side of the torus restriction identity (the quotient
-    multiset, projected onto the su(2) torus inside k2).  The caller
+    Each (coset, flip) term, with w lam = S_b s lam when flipped and s lam
+    otherwise, contributes sign * prefactor * weylpoly(w lam) at the
+    projection of w lam, convolved with the Heaviside series of its flip's
+    multiset: the branching series, or with ``torus`` (lam the k2 part) the
+    right side of the torus identity.  On the plan's integer data, each
+    memoized product is added in place at its term's base, with its region
+    translated there, and the int sum is divided once, exactly.  The caller
     validates lam.
     """
     plan = oracle_plan(ctx)
-    if len(plan.cosets) > cfg.coset_bound:
+    if len(plan.words) > cfg.coset_bound:
         raise ResourceError(
             f"W(K2)/W_Z coset count exceeds the oracle bound {cfg.coset_bound}; "
             f"only the closed form is available for {ctx.rd.label}"
         )
-    project, kinds = (ctx.q_u_k2, plan.torus_terms) if torus else (ctx.q_u, plan.series_terms)
-    terms = []
-    for s in plan.cosets:
-        slam = apply_matrix(s.matrix, lam)
-        for flip, ms, prefactor in kinds:
-            sign = -s.sign if flip else s.sign
-            wlam = apply_matrix(ctx.s_beta, slam) if flip else slam
-            coeff = Fraction(sign * prefactor) * weyl_polynomial(ctx, wlam)
-            if coeff == 0:
-                raise InternalError("Weyl polynomial vanished on a coset representative")
-            terms.append((coeff, project(wlam), ms))
-    return _signed_sum(terms, cfg.step_bound)
-
-
-def _signed_sum(terms, step_bound: int) -> DeltaSeries:
-    """The sum of coeff * delta_base * (Heaviside product over ms) over the
-    (coeff, base, ms) terms, ms a sorted tuple of (direction, multiplicity),
-    on the chart of their distinct bases and directions.  Each memoized
-    product is added in place at its term's base, and its region is
-    translated there.
-
-    Coefficients are accumulated as ints over the LCM of the term
-    coefficients' denominators; the sum must divide back exactly."""
-    multisets = dict.fromkeys(ms for _, _, ms in terms)
-    chart = Chart(list(dict.fromkeys(
-        [base for _, base, _ in terms] + [d for ms in multisets for d, _ in ms]
-    )))
-    products = {
-        ms: convolve_multiset({chart.to_point(d): m for d, m in ms}, step_bound)
-        for ms in multisets
-    }
-    den = lcm(*(coeff.denominator for coeff, _, _ in terms))
+    kind = plan.torus if torus else plan.series
+    point, den = scaled_point(lam)
+    products = [
+        convolve_multiset({tuple(den * x for x in d): m for d, m in ms}, cfg.step_bound)
+        for ms in kind.multisets
+    ]
     acc: dict = {}
     get = acc.get
     regions = []
-    for coeff, base, ms in terms:
-        b = chart.to_point(base)
-        product = products[ms]
-        k = int(coeff * den)
-        for p, c in product.coeffs.items():
+    for maps, kernel, num, i in kind.terms:
+        for c in kernel:
+            num *= sum(map(mul, c, point))
+        if not num:
+            raise InternalError("Weyl polynomial vanished on a coset representative")
+        b = tuple(sum(map(mul, row, point)) for row in maps)
+        for p, c in products[i].coeffs.items():
             p = tuple(map(add, p, b))
-            acc[p] = get(p, 0) + k * c
+            acc[p] = get(p, 0) + num * c
         regions.extend(ValidityRegion(tuple(map(add, r.base, b)), r.directions, r.step_bound)
-                       for r in product.regions)
+                       for r in products[i].regions)
+    # every term's coefficient is its numerator over this one denominator
+    denominator = kind.denominator * den ** len(ctx.kernel_positive)
     coeffs = {}
     for p, c in acc.items():
-        q, r = divmod(c, den)
+        q, r = divmod(c * denominator.denominator, denominator.numerator)
         if r:
             raise InternalError("coset sum produced a non-integer coefficient")
         if q:
             coeffs[p] = q
-    return DeltaSeries(coeffs, tuple(regions), chart)
+    return DeltaSeries(coeffs, tuple(regions), kind.chart.at_scale(kind.chart.scale * den))
 
 
 def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
@@ -384,10 +392,11 @@ def _side(ctx: OracleContext, chart: Chart):
 
 
 def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
-    """On the certified region: zero on the S_b wall, odd across it."""
+    """On the certified region of a branching series of ctx: zero on the S_b
+    wall, odd across it."""
     chart = series.chart
     wall = chart.covector(lambda w: inner(ctx.form, w, ctx.beta))
-    mirror = chart.linear_map(ctx.s_beta)
+    mirror, _ = mirror_maps(ctx)[0]  # S_b
     problems = [
         ("wall", chart.to_weight(p), c)
         for p, c in series.coeffs.items()
@@ -416,7 +425,7 @@ def extract_multiplicities(ctx: OracleContext, series: DeltaSeries) -> Branching
         if not positive(p) or not series.certain_at(p):
             continue
         mu = chart.to_weight(p)
-        ctx.check_extracted(series, mu, c)
+        ctx.check_extracted(series, p, mu, c)
         if c < 0:
             raise InternalError(
                 f"antisymmetrization failure at {format_weight(mu)}: coefficient {c}"

@@ -32,7 +32,6 @@ from .lattice import (
     Weight,
     coroot_pairing,
     inner,
-    reflection_matrix,
     wadd,
     wneg,
     wscale,
@@ -68,7 +67,7 @@ class QuaternionicContext:
     w_line: Weight           # beta - 2 alpha, spanning the torus direction in k2
     k2_factor: CompactFactor
     kernel_positive: tuple[Weight, ...]   # positive compact roots killed by q_u
-    s_beta: tuple            # reflection matrix in beta
+    mirrors: tuple           # ((beta,), -1): the branching series is odd under S_b
 
     @property
     def form(self) -> InnerProductForm:
@@ -100,7 +99,7 @@ class QuaternionicContext:
         """The side (mu, beta) > 0 of the S_b wall, which carries the multiplicities."""
         return (self.beta,)
 
-    def check_extracted(self, series, mu: Weight, c: int) -> None:
+    def check_extracted(self, series, p: tuple, mu: Weight, c: int) -> None:
         """No per-entry check; ``oracle.check_antisymmetry`` covers the series."""
 
 
@@ -147,7 +146,7 @@ def quaternionic_context(label: str) -> QuaternionicContext:
         w_line=w_line,
         k2_factor=k2_factor,
         kernel_positive=kernel,
-        s_beta=reflection_matrix(beta),
+        mirrors=(((beta,), -1),),
     )
     _verify_projections(ctx)
     return ctx

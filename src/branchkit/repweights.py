@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 
-from .errors import DomainError, InternalError, ResourceError
+from .errors import DimensionError, DomainError, InternalError, ResourceError
 from .lattice import (
     InnerProductForm,
     Weight,
@@ -33,6 +33,7 @@ from .lattice import (
     inner,
     int_point,
     rational_solve,
+    scaled_point,
     wadd,
     wneg,
     wsub,
@@ -85,18 +86,33 @@ class HCParameter:
     system: PositiveSystem
 
 
+@functools.lru_cache(maxsize=None)
+def _coroot_covectors(rd: RootDatum):
+    """(g, a, 2 k, (a, a)) per positive root g, a = k g an int point, so that
+    <v, g-check> = 2 k (a, v) / (a, a) (memoized per root datum)."""
+    out = []
+    for g in rd.positive:
+        a, k = scaled_point(g)
+        out.append((g, a, 2 * k, sum(map(mul, a, a))))
+    return tuple(out)
+
+
 def regular_integral_pairings(rd: RootDatum, lam: Weight) -> dict:
-    """{g: <lam, g-check>} over the positive roots of rd, one pairing per
-    root, once lam is checked regular and integral.  A failure names the
-    first failing root in the sorted order of all roots, as a scan over both
-    signs would: a root and its negative fail together."""
-    pairings = {g: coroot_pairing(rd.form, lam, g) for g in rd.positive}
-    bad = {r: c for g, c in pairings.items() if c == 0 or c.denominator != 1
-           for r in (g, wneg(g))}
+    """{g: <lam, g-check>} over the positive roots of rd, as ints paired on
+    lam's int point, once lam is checked regular and integral.  A failure
+    names the first failing root in the sorted order of all roots, as a scan
+    over both signs would: a root and its negative fail together."""
+    if len(lam) != rd.form.dim:
+        raise DimensionError("weight length does not match form dimension")
+    point, den = scaled_point(lam)
+    pairings, bad = {}, {}
+    for g, a, m, aa in _coroot_covectors(rd):
+        pairings[g], r = divmod(m * sum(map(mul, a, point)), aa * den)
+        if r or not pairings[g]:
+            bad[g] = bad[wneg(g)] = "not integral" if r else "singular"
     if bad:
         first = min(bad)
-        problem = "singular" if bad[first] == 0 else "not integral"
-        raise DomainError(f"parameter is {problem} against root {format_weight(first)}")
+        raise DomainError(f"parameter is {bad[first]} against root {format_weight(first)}")
     return pairings
 
 

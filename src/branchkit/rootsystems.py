@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import add, mul, sub
 
 from .errors import ConfigurationError, DomainError, InternalError, ResourceError
 from .lattice import (
@@ -273,16 +273,18 @@ def _positive_from_simples(roots, simples):
     while the sum is still a root.  Every positive root is reached, since it
     is a chain of simple roots whose partial sums are all roots (Humphreys,
     Introduction to Lie Algebras, 10.2); a root outside the span of the simple
-    roots is not, and breaks the half split."""
-    root_set = set(roots)
-    positive = set(simples)
+    roots is not, and breaks the half split.  The closure runs on int points."""
+    den = lcm(1, *(x.denominator for g in roots for x in g))
+    by_point = {int_point(g, den): g for g in roots}
+    steps = [int_point(a, den) for a in simples]
+    positive = set(steps)
     level = positive
     while level:
-        level = {wadd(g, a) for g in level for a in simples} & root_set
+        level = {tuple(map(add, p, a)) for p in level for a in steps} & by_point.keys()
         positive |= level
     if 2 * len(positive) != len(roots):
         raise InternalError("positive system does not split the roots in half")
-    return tuple(sorted(positive))
+    return tuple(sorted(by_point[p] for p in positive))
 
 
 def simple_elements(positives, form: InnerProductForm):
@@ -302,8 +304,11 @@ def simple_elements(positives, form: InnerProductForm):
 def highest_root(rd: RootDatum) -> Weight:
     """The positive root that no simple root raises to another root; it is
     unique exactly when the system is irreducible (Humphreys, 10.4)."""
-    roots = set(rd.roots)
-    top = [g for g in rd.positive if all(wadd(g, a) not in roots for a in rd.simple)]
+    den = lcm(1, *(x.denominator for g in rd.roots for x in g))
+    roots = {int_point(g, den) for g in rd.roots}
+    steps = [int_point(a, den) for a in rd.simple]
+    top = [g for g, p in zip(rd.positive, (int_point(g, den) for g in rd.positive))
+           if all(tuple(map(add, p, a)) not in roots for a in steps)]
     if len(top) != 1:
         raise InternalError("highest root is not unique; reducible system?")
     return top[0]
@@ -389,13 +394,16 @@ def quaternionic_root_datum(label: str) -> RootDatum:
     compactness = {}  # filled below; highest_root reads no labels
     rd = RootDatum(label, form, tuple(sorted(roots)), positive, tuple(simples), compactness)
     beta = highest_root(rd)
-    for g in positive:
-        p = coroot_pairing(form, g, beta)
-        if p not in (0, 1, 2):
+    den = lcm(1, *(x.denominator for g in positive for x in g))
+    b = int_point(beta, den)
+    bb = sum(map(mul, b, b))
+    for g in positive:  # n / bb = <g, beta-check>, on int points
+        n = 2 * sum(map(mul, int_point(g, den), b))
+        if n not in (0, bb, 2 * bb):
             raise InternalError(
-                f"unexpected highest-root pairing {p} for {format_weight(g)}"
+                f"unexpected highest-root pairing {Fraction(n, bb)} for {format_weight(g)}"
             )
-        compactness[g] = compactness[wneg(g)] = p != 1
+        compactness[g] = compactness[wneg(g)] = n != bb
     return rd
 
 

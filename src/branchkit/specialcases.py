@@ -16,18 +16,16 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .errors import ConfigurationError, DomainError, InternalError
 from .formal import DeltaSeries
 from .lattice import (
     InnerProductForm,
     Weight,
-    apply_matrix,
     format_weight,
     identity_form,
     inner,
-    mat_mul,
-    reflection_matrix,
     wadd,
     weight,
     wneg,
@@ -39,6 +37,7 @@ from .oracle import (
     OracleConfig,
     _coset_series,
     compare,
+    mirror_maps,
     on_chart,
     require_compared,
 )
@@ -101,9 +100,8 @@ class Sp1qContext:
     h_roots: frozenset              # roots of the sp(1,1) subalgebra
     k2_factor: CompactFactor        # sp(q) on coordinates 1..q
     kernel_positive: tuple[Weight, ...]
-    s_beta: tuple                   # reflection in beta = sign flip of e0
     su2_root: Weight                # 2 e1, the su(2) inside k2 used for strings
-    mirrors: tuple                  # (matrix, sign): the four-fold antisymmetry
+    mirrors: tuple                  # (roots, sign): the four-fold antisymmetry
 
     @property
     def form(self) -> InnerProductForm:
@@ -126,14 +124,14 @@ class Sp1qContext:
         """The open quadrant a > 0, k > 0 of mu = a e0 + k e1."""
         return (self.beta, self.su2_root)
 
-    def check_extracted(self, series: DeltaSeries, mu: Weight, c: int) -> None:
+    def check_extracted(self, series: DeltaSeries, p: tuple, mu: Weight, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
         series is odd under each sign flip of e0 and e1 and even under both,
         wherever the mirror point is certified."""
         if mu[0] == mu[1]:
             raise InternalError("nonzero coefficient on the singular wall a = k")
-        for matrix, sign in self.mirrors:
-            got = series.coefficient(series.chart.to_point(apply_matrix(matrix, mu)))
+        for mirror, sign in mirror_maps(self):
+            got = series.coefficient(tuple(sum(map(mul, row, p)) for row in mirror))
             if got is not None and got != sign * c:
                 raise InternalError(f"four-fold antisymmetry fails at {format_weight(mu)}")
 
@@ -161,8 +159,6 @@ def sp1q_context(q: int) -> Sp1qContext:
     )
     k2_factor = CompactFactor.from_positive(form, k2_positive)
     kernel = tuple(g for g in k2_positive if g[0] == 0 and g[1] == 0)
-    s_beta = reflection_matrix(beta)
-    s_e1 = reflection_matrix(e1)
     return Sp1qContext(
         q=q,
         rd=rd,
@@ -171,9 +167,8 @@ def sp1q_context(q: int) -> Sp1qContext:
         h_roots=h_roots,
         k2_factor=k2_factor,
         kernel_positive=kernel,
-        s_beta=s_beta,
         su2_root=wscale(2, e1),
-        mirrors=((s_beta, -1), (s_e1, -1), (mat_mul(s_beta, s_e1), 1)),
+        mirrors=(((beta,), -1), ((e1,), -1), ((beta, e1), 1)),
     )
 
 

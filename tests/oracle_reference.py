@@ -1,0 +1,114 @@
+"""Fraction reference for the oracle's integer coset plan.
+
+This is the coset loop the package ran before its plans became integer data:
+coset representatives as Fraction matrices, each term's parameter image
+``apply_matrix``-ed, projected by ``q_u`` / ``q_u_k2`` and weighted by the
+Weyl polynomial of the kernel roots, and the signed sum accumulated in
+Fractions.  Tests compare the package against it point for point.
+"""
+
+from operator import add
+
+from branchkit.errors import InternalError
+from branchkit.formal import ValidityRegion, convolve_multiset
+from branchkit.lattice import (
+    apply_matrix,
+    identity_matrix,
+    inner,
+    is_zero,
+    mat_mul,
+    reflection_matrix,
+)
+from branchkit.oracle import compact_quotient_weights, oracle_plan, _weyl_normalizer
+from branchkit.rootsystems import WeylElement
+
+
+def kernel_roots(ctx):
+    """Positive compact roots annihilated by the projection onto the su(2,1)
+    torus; verified against the orthogonality characterization."""
+    by_kernel = tuple(g for g in ctx.k2_factor.positive if is_zero(ctx.q_u(g)))
+    by_orthogonality = tuple(
+        g
+        for g in ctx.rd.compact_positive
+        if inner(ctx.form, g, ctx.alpha) == 0 and inner(ctx.form, g, ctx.beta) == 0
+    )
+    if by_kernel != by_orthogonality or by_kernel != ctx.kernel_positive:
+        raise InternalError("kernel-root characterizations disagree")
+    return by_kernel
+
+
+def weyl_polynomial(ctx, sigma):
+    """Product of pairings with the kernel roots, normalized at their half-sum."""
+    num = 1
+    for g in ctx.kernel_positive:
+        num *= inner(ctx.form, sigma, g)
+    return num / _weyl_normalizer(ctx)
+
+
+def restriction_multiset(ctx, w, flip: bool) -> dict:
+    """The convolution multiset of the coset term of w: quotient weights
+    joined with the projections of the transformed noncompact positive
+    roots, subgroup roots removed."""
+    ms = dict(compact_quotient_weights(ctx))
+    for g in ctx.noncompact_positive:
+        img = apply_matrix(w.matrix, g)
+        if flip:
+            img = apply_matrix(reflection_matrix(ctx.beta), img)
+        p = ctx.q_u(img)
+        if is_zero(p):
+            raise InternalError("noncompact root projects to zero")
+        if p not in ctx.h_roots:
+            ms[p] = ms.get(p, 0) + 1
+    return ms
+
+
+def coset_elements(ctx):
+    """The plan's coset representatives as WeylElements: a word's matrix is
+    the product of its simple reflections, left to right."""
+    gens = [reflection_matrix(g) for g in ctx.k2_factor.simple]
+    words = oracle_plan(ctx).words
+    matrices = {(): identity_matrix(ctx.form.dim)}
+    for word in words[1:]:  # in order of length: every word's prefix comes first
+        matrices[word] = mat_mul(matrices[word[:-1]], gens[word[-1]])
+    return [WeylElement(word, matrices[word], (-1) ** len(word)) for word in words]
+
+
+def coset_terms(ctx, lam, torus: bool = False):
+    """(coefficient, base weight, multiset) per (coset, flip), in the plan's
+    order: the branching series' terms, or with ``torus`` those of the torus
+    identity's right side (lam is then the k2 part lam2)."""
+    s_beta = reflection_matrix(ctx.beta)
+    cosets = coset_elements(ctx)
+    project = ctx.q_u_k2 if torus else ctx.q_u
+    kinds = [(False, compact_quotient_weights(ctx))] if torus else [
+        (flip, restriction_multiset(ctx, cosets[0], flip)) for flip in (False, True)
+    ]
+    terms = []
+    for s in cosets:
+        slam = apply_matrix(s.matrix, lam)
+        for flip, ms in kinds:
+            wlam = apply_matrix(s_beta, slam) if flip else slam
+            sign = -s.sign if flip else s.sign
+            coeff = sign * (-1) ** sum(ms.values()) * weyl_polynomial(ctx, wlam)
+            if coeff == 0:
+                raise InternalError("Weyl polynomial vanished on a coset representative")
+            terms.append((coeff, project(wlam), ms))
+    return terms
+
+
+def reference_series(terms, chart, step_bound):
+    """(coefficients, regions) of the signed sum of the terms on chart, with
+    Fraction coefficients; every base and direction must be a chart point."""
+    acc = {}
+    regions = []
+    for coeff, base, ms in terms:
+        b = chart.to_point(base)
+        product = convolve_multiset({chart.to_point(d): m for d, m in ms.items()}, step_bound)
+        for p, c in product.coeffs.items():
+            p = tuple(map(add, p, b))
+            acc[p] = acc.get(p, 0) + coeff * c
+        regions.extend(ValidityRegion(tuple(map(add, r.base, b)), r.directions, r.step_bound)
+                       for r in product.regions)
+    if any(c.denominator != 1 for c in acc.values()):
+        raise InternalError("coset sum produced a non-integer coefficient")
+    return {p: int(c) for p, c in acc.items() if c}, tuple(regions)

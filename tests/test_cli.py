@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -342,6 +343,30 @@ def test_bench_tracer_hooks_resolve():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), (mod, attr)
+
+
+SETUP_PROBE = """
+import sys
+from bench import run, workloads
+
+for forms in workloads.SETUP_FORMS.values():
+    run.fresh_setup(forms)
+    memos = (sys.modules["branchkit.oracle"].oracle_plan,
+             sys.modules["branchkit.oracle"].mirror_maps,
+             sys.modules["branchkit.repweights"]._coroot_covectors)
+    print(*(memo.cache_info().currsize for memo in memos))
+"""
+
+
+def test_bench_setup_builds_no_oracle_plan():
+    # the benchmark's set-up_s is a fresh import plus root data: the oracle's
+    # plans and the integer coroot covectors must stay lazy, built by the
+    # first request that needs them
+    root = BENCH.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-c", SETUP_PROBE], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:-1] == ["0 0 0"] * 3
 
 
 def _golden_changes(capsys, workload, count, reverse=False):

@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchkit.errors import InternalError, ResourceError
 from branchkit.formal import DeltaSeries
 from branchkit.lattice import (
     Chart,
     apply_matrix,
+    coroot_pairing,
     inner,
     rational_solve,
+    reflection_matrix,
     weight,
     wadd,
     wneg,
@@ -16,23 +21,47 @@ from branchkit.lattice import (
 )
 from branchkit.oracle import (
     OracleConfig,
+    _coset_series,
     _kernel_cosets,
     check_antisymmetry,
     compact_quotient_weights,
     extract_multiplicities,
-    kernel_roots,
+    mirror_maps,
     on_chart,
-    restriction_multiset,
+    oracle_plan,
     restriction_series,
     torus_restriction_sides,
     verify_closed_form,
+)
+from branchkit.quaternionic import (
+    decompose_parameter,
+    quaternionic_context,
+    validate_small_dominant,
+)
+from branchkit.specialcases import (
+    Sp1qContext,
+    sp1q_context,
+    sp1q_decompose,
+    sp1q_restriction_series,
+    sp1q_validate,
+)
+from branchkit.rootsystems import coset_reps, simple_elements, weyl_generate
+from oracle_reference import (
+    coset_elements,
+    coset_terms,
+    kernel_roots,
+    reference_series,
+    restriction_multiset,
     weyl_polynomial,
 )
-from branchkit.quaternionic import decompose_parameter, quaternionic_context
-from branchkit.specialcases import sp1q_context, sp1q_restriction_series
-from branchkit.rootsystems import coset_reps, weyl_generate
 
 CFG = OracleConfig(step_bound=8)
+
+
+def _plan_multiset(ctx, flip: bool, torus: bool = False) -> dict:
+    """The plan's multiset of one flip, as weights."""
+    kind = oracle_plan(ctx).torus if torus else oracle_plan(ctx).series
+    return {kind.chart.to_weight(p): m for p, m in kind.multisets[flip]}
 
 
 def test_kernel_roots_g2_empty(g2):
@@ -73,6 +102,7 @@ def test_restriction_multiset_g2(g2):
     assert ms == {g2.fw1: 1, g2.fw2: 1, a1: 1}
     flipped = restriction_multiset(g2, identity, flip=True)
     assert flipped == {wneg(g2.fw1): 1, wneg(g2.fw2): 1, a1: 1}
+    assert _plan_multiset(g2, False) == ms and _plan_multiset(g2, True) == flipped
 
 
 def test_restriction_multiset_weyl_invariance(so44):
@@ -84,6 +114,8 @@ def test_restriction_multiset_weyl_invariance(so44):
     assert reference[so44.fw2] == so44.d - 1
     for e in elements:
         assert restriction_multiset(so44, e, flip=False) == reference
+    assert _plan_multiset(so44, False) == reference
+    assert _plan_multiset(so44, False, torus=True) == compact_quotient_weights(so44)
 
 
 def test_quotient_weights_single_direction(su22, so44, f44):
@@ -137,7 +169,7 @@ def test_weyl_polynomial_reflection_invariance(su23):
         wlam = apply_matrix(e.matrix, lam)
         wlam2 = apply_matrix(e.matrix, lam2)
         assert weyl_polynomial(su23, wlam) == weyl_polynomial(su23, wlam2)
-        flipped = apply_matrix(su23.s_beta, wlam)
+        flipped = apply_matrix(reflection_matrix(su23.beta), wlam)
         assert weyl_polynomial(su23, flipped) == weyl_polynomial(su23, wlam2)
 
 
@@ -149,7 +181,7 @@ def test_restriction_series_antisymmetry(g2):
     for p in series.coeffs:
         x = chart.to_weight(p)
         assert inner(g2.form, x, g2.beta) != 0
-        mirror = chart.to_point(apply_matrix(g2.s_beta, x))
+        mirror = chart.to_point(apply_matrix(reflection_matrix(g2.beta), x))
         got = series.coefficient(mirror)
         if got is not None and series.certain_at(p):
             assert got == -series.coeffs[p]
@@ -158,7 +190,7 @@ def test_restriction_series_antisymmetry(g2):
 def test_extract_multiplicities_synthetic():
     ctx = quaternionic_context("g2_2")
     mu = wadd(wscale(2, ctx.beta), ctx.fw1)
-    mirror = apply_matrix(ctx.s_beta, mu)
+    mirror = apply_matrix(reflection_matrix(ctx.beta), mu)
     chart = Chart([mu, mirror])
     series = on_chart(chart, {mu: 1, mirror: -1})
     table = extract_multiplicities(ctx, series)
@@ -207,16 +239,17 @@ def _coset_terms(ctx, cosets, lam):
 
 
 @pytest.mark.parametrize("label", [
-    "g2_2", "su2_n:1", "su2_n:2", "so4_n:3", "so4_n:4", "so4_n:6", "f4_4", "sp1_q:2", "sp1_q:3",
+    "g2_2", "su2_n:1", "su2_n:2", "su2_n:3", "su2_n:4", "su2_n:5", "so4_n:3", "so4_n:4",
+    "so4_n:5", "so4_n:6", "f4_4", "sp1_q:2", "sp1_q:3", "sp1_q:4",
 ])
 def test_kernel_cosets_match_group_partition(label):
     ctx = _context(label)
     lam = ctx.sigma.rho if label.startswith("sp1_q") else ctx.psi.rho
-    orbit = _kernel_cosets(ctx)
+    orbit = coset_elements(ctx)
     reference = coset_reps(
         weyl_generate(ctx.form, ctx.k2_factor.simple), ctx.kernel_positive, ctx.form
     )
-    assert len(orbit) == len(reference)
+    assert len(orbit) == len(reference) == len(_kernel_cosets(ctx))
     assert _coset_terms(ctx, orbit, lam) == _coset_terms(ctx, reference, lam)
 
 
@@ -283,17 +316,98 @@ def test_chart_round_trips_series_points(label, coords):
 def test_chart_linear_map_matches_fraction_path(label, coords):
     ctx, series = _series(label, coords)
     chart = series.chart
-    mirror = chart.linear_map(ctx.s_beta)
+    s_beta = reflection_matrix(ctx.beta)
+    mirror = chart.linear_map(lambda w: apply_matrix(s_beta, w))
     for p in series.coeffs:
-        want = chart.to_point(apply_matrix(ctx.s_beta, chart.to_weight(p)))
+        want = chart.to_point(apply_matrix(s_beta, chart.to_weight(p)))
         assert tuple(sum(a * x for a, x in zip(row, p)) for row in mirror) == want
-    half = tuple(tuple(x / 2 for x in row) for row in ctx.s_beta)
+    assert mirror_maps(ctx)[0] == (mirror, -1)
+    half = tuple(tuple(x / 2 for x in row) for row in s_beta)
     with pytest.raises(InternalError):
-        chart.linear_map(half)  # not integral on the chart lattice
-    dim = len(ctx.s_beta)
+        chart.linear_map(lambda w: apply_matrix(half, w))  # not integral on the chart lattice
+    dim = ctx.form.dim
     unit = [tuple(Fraction(i == k) for i in range(dim)) for k in range(dim)]
     k = next(k for k in range(dim) if rational_solve(list(chart.rows), unit[k]) is None)
     c = chart.coords[0]
     off = tuple(tuple(Fraction(i == k and j == c) for j in range(dim)) for i in range(dim))
     with pytest.raises(InternalError):
-        chart.linear_map(off)  # w -> w[c] e_k sends the first chart row off the span
+        chart.linear_map(lambda w: apply_matrix(off, w))  # w -> w[c] e_k sends the first chart row off the span
+
+
+# ---------------------------------------------------------------------------
+# the integer coset plan against the Fraction coset loop it replaced
+
+
+REFERENCE_FORMS = (
+    "g2_2", "su2_n:2", "su2_n:3", "su2_n:4", "su2_n:5", "so4_n:3", "so4_n:4", "so4_n:5",
+    "so4_n:6", "f4_4", "e6_2", "e7_m5", "e8_m24", "sp1_q:2", "sp1_q:3", "sp1_q:4",
+)
+
+
+def _system(ctx):
+    """The positive system a parameter of the family must be dominant for."""
+    return ctx.sigma if isinstance(ctx, Sp1qContext) else ctx.psi
+
+
+def _fundamental_weights(ctx):
+    """Weights w_i in the span of the system's simple roots a_j with
+    <w_i, a_j-check> = delta_ij."""
+    simple = simple_elements(_system(ctx).chosen, ctx.form)
+    n = len(simple)
+    columns = [tuple(coroot_pairing(ctx.form, a, b) for b in simple) for a in simple]
+    out = []
+    for i in range(n):
+        x = rational_solve(columns, tuple(Fraction(i == j) for j in range(n)))
+        out.append(tuple(sum(c * a[k] for c, a in zip(x, simple)) for k in range(ctx.form.dim)))
+    return out
+
+
+def _dominant(ctx, coeffs):
+    """rho + sum c_i w_i over the system's fundamental weights."""
+    lam = _system(ctx).rho
+    for c, w in zip(coeffs, _fundamental_weights(ctx)):
+        lam = wadd(lam, wscale(c, w))
+    return lam
+
+
+def _check_against_reference(ctx, lam, step_bound):
+    """Both kinds of coset sum at lam equal the Fraction reference point for
+    point, with identical regions, on the plan's chart; that chart is the
+    one the reference's terms span, at a multiple of its scale, so every
+    base the plan computes is on the old lattice too."""
+    sp1q = isinstance(ctx, Sp1qContext)
+    (sp1q_validate if sp1q else validate_small_dominant)(ctx, lam)
+    lam2 = (sp1q_decompose if sp1q else decompose_parameter)(ctx, lam)[1]
+    for torus, mu in ((False, lam), (True, lam2)):
+        series = _coset_series(ctx, mu, OracleConfig(step_bound=step_bound), torus=torus)
+        terms = coset_terms(ctx, mu, torus)
+        chart = series.chart
+        spanned = Chart(list(dict.fromkeys(
+            [base for _, base, _ in terms] + [d for _, _, ms in terms for d in ms])))
+        assert (spanned.coords, spanned.rows) == (chart.coords, chart.rows)
+        assert chart.scale % spanned.scale == 0
+        coeffs, regions = reference_series(terms, chart, step_bound)
+        assert series.coeffs == coeffs
+        assert series.regions == regions
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_integer_plan_matches_fraction_reference(label):
+    ctx = _context(label)
+    rng = random.Random(label)
+    n = len(_fundamental_weights(ctx))
+    lams = [_dominant(ctx, ())] + [_dominant(ctx, [rng.randrange(3) for _ in range(n)])
+                                   for _ in range(3)]
+    if label == "so4_n:3":
+        assert any(x.denominator == 2 for lam in lams for x in lam)  # half-integral
+    for lam in lams:
+        _check_against_reference(ctx, lam, step_bound=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(label=st.sampled_from(["g2_2", "su2_n:2"]),
+       coeffs=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+       step_bound=st.integers(1, 6))
+def test_integer_plan_matches_fraction_reference_property(label, coeffs, step_bound):
+    ctx = quaternionic_context(label)
+    _check_against_reference(ctx, _dominant(ctx, coeffs), step_bound)

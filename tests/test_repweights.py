@@ -1,10 +1,13 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
-from branchkit.errors import DomainError, ResourceError
+from branchkit.errors import DimensionError, DomainError, ResourceError
 from branchkit.lattice import (
+    coroot_pairing,
+    format_weight,
     identity_form,
     inner,
     rational_solve,
@@ -20,12 +23,14 @@ from branchkit.repweights import (
     CompactFactor,
     freudenthal,
     hc_to_highest_weight,
+    regular_integral_pairings,
     restrict_weights,
     su2_string_decompose,
     validate_hc_parameter,
     weyl_dimension,
 )
 from branchkit.rootsystems import positive_system, quaternionic_root_datum
+from branchkit.specialcases import sp1q_context
 
 
 def a2_factor():
@@ -256,3 +261,43 @@ def test_freudenthal_tables_of_reached_factors(label):
             assert sum(k * n for k, n in strings.items()) == dim
         tested += 1
     assert tested >= min(2, rank + 1)
+
+
+def _fraction_pairings(rd, lam):
+    """Reference: the Fraction scan that ``regular_integral_pairings``
+    replaced, one coroot pairing per positive root."""
+    pairings = {g: coroot_pairing(rd.form, lam, g) for g in rd.positive}
+    bad = {r: c for g, c in pairings.items() if c == 0 or c.denominator != 1
+           for r in (g, wneg(g))}
+    if bad:
+        first = min(bad)
+        problem = "singular" if bad[first] == 0 else "not integral"
+        raise DomainError(f"parameter is {problem} against root {format_weight(first)}")
+    return pairings
+
+
+@pytest.mark.parametrize("label", ["g2_2", "so4_n:3", "sp1_q:2"])
+def test_regular_integral_pairings_match_fraction_scan(label):
+    rd = sp1q_context(2).rd if label == "sp1_q:2" else quaternionic_root_datum(label)
+    rho = positive_system(rd).rho
+    # rho, rho moved onto every root's wall (singular, maybe also not
+    # integral), and seeded parameters with denominators 1, 2 and 3
+    lams = [rho] + [wsub(rho, wscale(coroot_pairing(rd.form, rho, g) / 2, g)) for g in rd.positive]
+    rng = random.Random(label)
+    lams += [weight(Fraction(rng.randrange(-12, 13), den) for _ in rho)
+             for den in (1, 2, 3) for _ in range(10)]
+    outcomes = set()
+    for lam in lams:
+        try:
+            want = _fraction_pairings(rd, lam)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                regular_integral_pairings(rd, lam)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split(" against")[0])
+        else:
+            assert regular_integral_pairings(rd, lam) == want
+            outcomes.add("valid")
+    assert outcomes == {"valid", "parameter is singular", "parameter is not integral"}
+    with pytest.raises(DimensionError):
+        regular_integral_pairings(rd, rho[:-1])

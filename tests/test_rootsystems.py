@@ -9,6 +9,7 @@ from branchkit.lattice import (
     identity_form,
     inner,
     rational_solve,
+    reflection_matrix,
     weight,
     wneg,
     wadd,
@@ -164,7 +165,7 @@ def test_noncompact_involution_and_weyl_stability(fixture, request):
     elements = weyl_generate(ctx.form, ctx.k2_factor.simple)
     for e in elements:
         assert {apply_matrix(e.matrix, g) for g in psi_n} == psi_n
-    flipped = {apply_matrix(ctx.s_beta, g) for g in psi_n}
+    flipped = {apply_matrix(reflection_matrix(ctx.beta), g) for g in psi_n}
     assert flipped == {wneg(g) for g in psi_n}
 
 

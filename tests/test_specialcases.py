@@ -4,7 +4,7 @@ import pytest
 
 from branchkit.errors import ConfigurationError, DomainError
 from branchkit.lattice import inner, weight, wneg, wscale
-from branchkit.oracle import OracleConfig, extract_multiplicities, weyl_polynomial
+from branchkit.oracle import OracleConfig, extract_multiplicities
 from branchkit.specialcases import (
     antiholomorphic_chamber_parameter,
     chamber_system,
@@ -21,6 +21,7 @@ from branchkit.specialcases import (
     sp1q_su2_restriction_sides,
     sp1q_verify,
 )
+from oracle_reference import weyl_polynomial
 
 # ---------------------------------------------------------------------------
 # SO(3, n)
