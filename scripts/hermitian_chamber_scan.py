@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Chamber census for admissibility over the semisimple factor of K.
 
-For each Hermitian form, enumerates the full Weyl group, walks every chamber
-containing the compact positive system, and reports how many of them carry
-discrete series with admissible restriction to K_ss.  Tube domains lose the
+For each Hermitian form, walks every chamber containing the compact positive
+system (across noncompact walls, see
+``rootsystems.positive_systems_containing``) and reports how many of them
+carry discrete series with admissible restriction to K_ss.  Tube domains lose the
 holomorphic and antiholomorphic chambers (and usually more); non-tube forms
 keep them.
 
@@ -14,7 +15,7 @@ from branchkit.rootsystems import positive_system, positive_systems_containing
 from branchkit.specialcases import hermitian_data, kss_admissible_system
 
 FORMS = ["su_pq:2,2", "su_pq:2,3", "su_pq:2,4", "sp_n_R:2", "sp_n_R:3",
-         "so_star:4", "so_star:5"]
+         "so_star:4", "so_star:5", "e6_m14", "e7_m25"]
 
 
 def main():

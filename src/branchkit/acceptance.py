@@ -45,7 +45,6 @@ from .repweights import CompactFactor, freudenthal, weyl_dimension
 from .rootsystems import positive_system, positive_systems_containing
 from .specialcases import (
     antiholomorphic_chamber_parameter,
-    chamber_system,
     hermitian_data,
     holomorphic_chamber_parameter,
     kss_admissible,
@@ -53,6 +52,7 @@ from .specialcases import (
     sp1q_context,
     sp1q_su2_restriction_sides,
     sp1q_verify,
+    validate_hermitian_parameter,
 )
 
 
@@ -326,17 +326,19 @@ def ac6(store) -> CriterionResult:
 def ac7(store) -> CriterionResult:
     """Exactly the small system is admissible among chambers containing it."""
     t0 = time.time()
-    ctx = quaternionic_context("g2_2")
-    delta = positive_system(ctx.rd, frozenset(ctx.rd.compact_positive))
-    systems = positive_systems_containing(ctx.rd, delta)
-    if len(systems) != 3:
-        return _result("AC-7", "admissible chamber dichotomy", 1, t0, False,
-                       f"expected 3 systems, found {len(systems)}")
-    flags = [admissible_system(ctx, s) for s in systems]
-    small = [s for s, f in zip(systems, flags) if f]
-    ok = sum(flags) == 1 and small[0].chosen_set() == ctx.psi.chosen_set()
-    return _result("AC-7", "admissible chamber dichotomy", 1, t0, ok,
-                   "small system uniquely admissible" if ok else f"flags {flags}")
+    forms = (("g2_2", 3), ("su2_n:2", 6), ("su2_n:3", 10), ("so4_n:3", 6), ("so4_n:4", 12),
+             ("f4_4", 12))
+    for label, count in forms:
+        ctx = quaternionic_context(label)
+        delta = positive_system(ctx.rd, frozenset(ctx.rd.compact_positive))
+        systems = positive_systems_containing(ctx.rd, delta)
+        admissible = [s.chosen_set() for s in systems if admissible_system(ctx, s)]
+        if len(systems) != count or admissible != [ctx.psi.chosen_set()]:
+            return _result("AC-7", "admissible chamber dichotomy", 1, t0, False,
+                           f"{label}: {len(admissible)} of {len(systems)} systems admissible, "
+                           f"expected the small one of {count}")
+    return _result("AC-7", "admissible chamber dichotomy", 1, t0, True,
+                   f"small system uniquely admissible on {len(forms)} forms")
 
 
 _AC8_CASES = (
@@ -348,9 +350,10 @@ _AC8_CASES = (
 
 
 def ac8(store) -> CriterionResult:
-    """Tube dichotomy at the holomorphic chamber plus chamber invariants."""
+    """Tube dichotomy at the holomorphic chamber plus chamber invariants on
+    every chamber that contains the compact positive system."""
     t0 = time.time()
-    rng = random.Random(20110811)
+    chambers = 0
     for label, expected in _AC8_CASES:
         hd = hermitian_data(label)
         lam = holomorphic_chamber_parameter(hd)
@@ -364,12 +367,15 @@ def ac8(store) -> CriterionResult:
         conjugate_is_negation = frozenset(hd.certificate_conjugate) == frozenset(
             tuple(-x for x in g) for g in hd.certificate
         )
-        for _ in range(100):
-            lam = _random_regular(hd, rng)
-            chamber = chamber_system(hd, lam)
+        delta = positive_system(hd.rd, frozenset(hd.rd.compact_positive))
+        for psi in positive_systems_containing(hd.rd, delta):
+            chamber = psi.chosen_set()
+            if validate_hermitian_parameter(hd, psi.rho) != chamber:
+                return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
+                               f"{label}: rho of a chamber lies in another chamber")
             a1 = kss_admissible_system(hd, chamber)
             # chamber constancy: any parameter with the same chamber agrees
-            if kss_admissible(hd, wscale(2, lam)) is not a1:
+            if kss_admissible(hd, wscale(2, psi.rho)) is not a1:
                 return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
                                f"{label}: chamber constancy fails")
             if conjugate_is_negation:
@@ -379,19 +385,9 @@ def ac8(store) -> CriterionResult:
                 if kss_admissible_system(hd, flipped) is not a1:
                     return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0,
                                    False, f"{label}: sign-flip symmetry fails")
+            chambers += 1
     return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, True,
-                   "4 fixtures, 100 random chambers per form, invariants hold")
-
-
-def _random_regular(hd, rng):
-    dim = hd.rd.form.dim
-    while True:
-        lam = weight([rng.randrange(-40, 41) for _ in range(dim)])
-        try:
-            chamber_system(hd, lam)
-        except Exception:
-            continue
-        return _dominant(hd.rd.form, lam, hd.rd.compact_positive)
+                   f"4 fixtures, all {chambers} chambers, invariants hold")
 
 
 def ac9(store) -> CriterionResult:

@@ -57,7 +57,8 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.
 
 
 def _oracle_config(step_bound: int) -> OracleConfig:
-    return OracleConfig(step_bound, env_bound("BRANCHKIT_GROUP_ORDER_BOUND", 10**5))
+    bound = env_bound("BRANCHKIT_GROUP_ORDER_BOUND", OracleConfig.coset_bound)
+    return OracleConfig(step_bound, bound)
 
 
 def _oracle_payload(report) -> dict:

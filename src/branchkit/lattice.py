@@ -23,6 +23,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, InternalError
@@ -261,21 +262,20 @@ class Chart:
                 out = [o + x * y for o, y in zip(out, row)]
         return tuple(out)
 
-    def linear_map(self, fn) -> tuple[tuple[int, ...], ...]:
-        """Integer matrix A whose product A p is the point of
-        ``fn(to_weight(p))``, for a linear map fn on weights; A does not
-        depend on the scale.  InternalError when the map leaves the span or A
-        is not integral."""
+    def linear_map(self, fn) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(A, k) for an int matrix A and the least k >= 1 such that A p / k
+        is the point of ``fn(to_weight(p))``, for a linear map fn on weights;
+        neither depends on the scale.  InternalError when the map leaves the
+        span."""
         columns = []
         for row in self.rows:
             image = fn(row)
             column = [image[c] for c in self.coords]
             if self.to_weight([x * self.scale for x in column]) != image:
                 raise InternalError("the linear map leaves the chart's span")
-            if any(x.denominator != 1 for x in column):
-                raise InternalError("the linear map is not integral on the chart lattice")
             columns.append(column)
-        return tuple(tuple(int(x) for x in row) for row in zip(*columns))
+        k = lcm(1, *(x.denominator for column in columns for x in column))
+        return tuple(tuple(int(x * k) for x in row) for row in zip(*columns)), k
 
     def covector(self, functional) -> tuple[int, ...]:
         """Integer covector c with sum c_j p_j a positive multiple of
@@ -283,3 +283,13 @@ class Chart:
         values = [Fraction(functional(row)) for row in self.rows]
         den = lcm(1, *(v.denominator for v in values))
         return tuple(int(v * den) for v in values)
+
+
+def map_point(linear_map, p: Sequence[int]):
+    """The point A p / k of a ``Chart.linear_map`` (A, k) at p, or None when
+    k does not divide A p: the image is then off the chart lattice."""
+    a, k = linear_map
+    q = tuple(sum(map(mul, row, p)) for row in a)
+    if k > 1:
+        q = None if any(x % k for x in q) else tuple(x // k for x in q)
+    return q

@@ -58,6 +58,7 @@ from .lattice import (
     inner,
     int_point,
     is_zero,
+    map_point,
     reflect,
     scaled_point,
     zero_weight,
@@ -302,8 +303,8 @@ def oracle_plan(ctx: OracleContext) -> OraclePlan:
 
 @functools.lru_cache(maxsize=None)
 def mirror_maps(ctx: OracleContext) -> tuple:
-    """(int map, sign) per ``ctx.mirrors`` on the plan's series chart, at
-    any scale (memoized per context)."""
+    """(``Chart.linear_map``, sign) per ``ctx.mirrors`` on the plan's series
+    chart, at any scale (memoized per context)."""
     chart = oracle_plan(ctx).series.chart
     return tuple((chart.linear_map(_reflections(ctx.form, roots)), sign)
                  for roots, sign in ctx.mirrors)
@@ -393,7 +394,7 @@ def _side(ctx: OracleContext, chart: Chart):
 
 def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
     """On the certified region of a branching series of ctx: zero on the S_b
-    wall, odd across it."""
+    wall, odd across it, with every mirror point on the chart lattice."""
     chart = series.chart
     wall = chart.covector(lambda w: inner(ctx.form, w, ctx.beta))
     mirror, _ = mirror_maps(ctx)[0]  # S_b
@@ -403,7 +404,11 @@ def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
         if not sum(map(mul, wall, p))
     ]
     for p, c in series.coeffs.items():
-        cm = series.coefficient(tuple(sum(map(mul, row, p)) for row in mirror))
+        q = map_point(mirror, p)
+        if q is None:
+            problems.append(("mirror", chart.to_weight(p), "off the lattice"))
+            continue
+        cm = series.coefficient(q)
         if cm is None or not series.certain_at(p):
             continue
         if cm != -c:

@@ -1,6 +1,7 @@
 """Realized root systems with compact/noncompact labels, positive systems,
-and Weyl-group machinery (generation, minimal coset representatives, chamber
-enumeration).
+the walk over the chambers that contain the compact positive system, and
+whole-group Weyl machinery (generation, minimal coset representatives) kept
+as a brute-force reference.
 
 Every family's root system is realized here (``_base_system``): the
 quaternionic forms, sp(1, q) and the Hermitian forms all take their roots and
@@ -34,7 +35,6 @@ from .lattice import (
     InnerProductForm,
     Matrix,
     Weight,
-    apply_matrix,
     coroot_pairing,
     format_weight,
     identity_form,
@@ -51,9 +51,6 @@ from .lattice import (
     zero_weight,
 )
 
-WEYL_ORDER_BOUND = 10**6
-
-
 def env_bound(name: str, default: int) -> int:
     """A safety bound read from the environment variable ``name``, or
     ``default`` when it is unset.  Anything but a positive integer raises
@@ -68,10 +65,6 @@ def env_bound(name: str, default: int) -> int:
     except ValueError:
         pass
     raise ConfigurationError(f"{name} must be a positive integer, got {raw!r}")
-
-
-def weyl_order_bound() -> int:
-    return env_bound("BRANCHKIT_GROUP_ORDER_BOUND", WEYL_ORDER_BOUND)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,14 +424,13 @@ def small_system(rd: RootDatum):
     return ps, beta, alpha
 
 
-def weyl_generate(form: InnerProductForm, generators, order_bound=None):
+def weyl_generate(form: InnerProductForm, generators, order_bound=10**6):
     """Enumerate the reflection group generated by the given roots.
 
     Breadth-first over reduced words; output sorted by (word length, word),
     each element carrying its matrix and sign.  Raises ResourceError when the
-    group order would exceed the bound.
+    group order would exceed ``order_bound``.
     """
-    bound = order_bound if order_bound is not None else weyl_order_bound()
     gens = [reflection_matrix(g) for g in generators]
     ident = identity_matrix(form.dim)
     seen = {ident: ()}
@@ -452,9 +444,9 @@ def weyl_generate(form: InnerProductForm, generators, order_bound=None):
                 if m2 not in seen:
                     seen[m2] = w + (i,)
                     nxt.append(m2)
-                    if len(seen) > bound:
+                    if len(seen) > order_bound:
                         raise ResourceError(
-                            f"Weyl group order exceeds the bound {bound}"
+                            f"Weyl group order exceeds the bound {order_bound}"
                         )
         frontier = nxt
     elements = [
@@ -503,22 +495,47 @@ def coset_reps(elements, subsystem_positive, form: InnerProductForm):
 
 
 def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
-    """All positive systems of the full root system whose compact part is delta.
+    """All positive systems of the full root system whose compact part is
+    delta, sorted by their roots; [] when delta is the compact part of none.
 
-    Enumerates the Weyl chambers of the full group and filters; this is only
-    feasible for desk-scale forms and respects the group order bound.
+    Their chambers fill the convex cone where delta is dominant, so a
+    breadth-first walk across noncompact walls reaches each of them once
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  A chamber Psi is
+    keyed by its 2 rho on int points and carries its simple roots: crossing
+    the wall of a noncompact simple root g gives 2 rho - 2 g and s_g of the
+    simple roots.  The walk starts from ``rd.positive``, first reflected into
+    delta's chamber by the roots of delta.
     """
-    compact = frozenset(g for g in rd.roots if rd.is_compact(g))
-    elements = weyl_generate(rd.form, rd.simple)
-    base = rd.positive
-    seen = set()
-    out = []
-    for e in elements:
-        chosen = frozenset(apply_matrix(e.matrix, g) for g in base)
-        if chosen in seen:
-            continue
-        seen.add(chosen)
-        if chosen & compact == delta.chosen_set():
-            out.append(positive_system(rd, chosen))
-    out.sort(key=lambda ps: ps.chosen)
-    return out
+    den = lcm(1, *(x.denominator for g in rd.roots for x in g))
+    point = {g: int_point(g, den) for g in rd.roots}
+    if not delta.chosen_set() <= point.keys():
+        return []
+    norm = {p: sum(map(mul, p, p)) for p in point.values()}
+    compact = {p for g, p in point.items() if rd.is_compact(g)}
+    wanted = {point[g] for g in delta.chosen}
+
+    def reflect_in(x, a):  # x pairs integrally with the coroot of a
+        k = 2 * sum(map(mul, x, a)) // norm[a]
+        return tuple(xi - k * ai for xi, ai in zip(x, a))
+
+    key = tuple(map(sum, zip(*(point[g] for g in rd.positive))))
+    simple = [point[g] for g in rd.simple]
+    for _ in wanted:  # enough reflections when delta is a positive system
+        a = next((a for a in wanted if sum(map(mul, key, a)) < 0), None)
+        if a is None:
+            break
+        key, simple = reflect_in(key, a), [reflect_in(b, a) for b in simple]
+    if {p for p in compact if sum(map(mul, p, key)) > 0} != wanted:
+        return []
+    queue, seen = [(key, simple)], {key}
+    for key, simple in queue:  # breadth first: the queue grows as it is read
+        for g in simple:
+            crossed = tuple(x - 2 * y for x, y in zip(key, g))
+            if g not in compact and crossed not in seen:
+                seen.add(crossed)
+                queue.append((crossed, [reflect_in(b, g) for b in simple]))
+    systems = []
+    for key in seen:
+        chosen = tuple(sorted(g for g, p in point.items() if sum(map(mul, p, key)) > 0))
+        systems.append(PositiveSystem(rd, chosen, tuple(Fraction(x, 2 * den) for x in key)))
+    return sorted(systems, key=lambda ps: ps.chosen)

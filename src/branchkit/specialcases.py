@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import mul
 
 from .errors import ConfigurationError, DomainError, InternalError
 from .formal import DeltaSeries
@@ -26,6 +25,7 @@ from .lattice import (
     format_weight,
     identity_form,
     inner,
+    map_point,
     wadd,
     weight,
     wneg,
@@ -131,7 +131,10 @@ class Sp1qContext:
         if mu[0] == mu[1]:
             raise InternalError("nonzero coefficient on the singular wall a = k")
         for mirror, sign in mirror_maps(self):
-            got = series.coefficient(tuple(sum(map(mul, row, p)) for row in mirror))
+            q = map_point(mirror, p)
+            if q is None:
+                raise InternalError(f"a mirror of {format_weight(mu)} is off the chart lattice")
+            got = series.coefficient(q)
             if got is not None and got != sign * c:
                 raise InternalError(f"four-fold antisymmetry fails at {format_weight(mu)}")
 
@@ -428,17 +431,6 @@ def antiholomorphic_chamber_parameter(hd: HermitianData) -> Weight:
     """The half-sum of the holomorphic system with its noncompact roots negated."""
     rd = hd.rd
     return half_sum(rd.form.dim, [g if rd.is_compact(g) else wneg(g) for g in hd.psi_h.chosen])
-
-
-def chamber_system(hd: HermitianData, lam: Weight) -> frozenset:
-    """Positive system {g : (lam, g-check) > 0} attached to a regular lam."""
-    chosen = set()
-    for g in hd.rd.positive:
-        c = inner(hd.rd.form, lam, g)
-        if c == 0:
-            raise DomainError(f"parameter is singular against root {format_weight(g)}")
-        chosen.add(g if c > 0 else wneg(g))
-    return frozenset(chosen)
 
 
 def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> frozenset:

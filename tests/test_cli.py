@@ -327,6 +327,15 @@ def test_selftest_single_criterion(capsys):
     assert payload["criteria"][0]["id"] == "AC-7"
 
 
+def test_group_order_bound_leaves_the_chamber_walk_alone(capsys, monkeypatch):
+    # the variable bounds only the oracle's coset count: AC-7 walks chambers
+    # and enumerates no group
+    monkeypatch.setenv("BRANCHKIT_GROUP_ORDER_BOUND", "2")
+    code, out, _ = run_cli(capsys, "selftest", "--only", "AC-7")
+    assert code == 0
+    assert out.startswith("AC-7  PASS")
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = BENCH / "golden.json"
 

@@ -12,6 +12,7 @@ from branchkit.lattice import (
     apply_matrix,
     coroot_pairing,
     inner,
+    map_point,
     rational_solve,
     reflection_matrix,
     weight,
@@ -173,6 +174,26 @@ def test_weyl_polynomial_reflection_invariance(su23):
         assert weyl_polynomial(su23, flipped) == weyl_polynomial(su23, wlam2)
 
 
+def test_check_antisymmetry_e6_2():
+    # on the e6_2 series chart S_b is half an integer matrix, yet every
+    # series point mirrors to a lattice point
+    ctx = quaternionic_context("e6_2")
+    series = restriction_series(ctx, ctx.psi.rho, OracleConfig(step_bound=3))
+    assert len(series.coeffs) == 272
+    assert check_antisymmetry(ctx, series) == []
+
+
+def test_check_antisymmetry_reports_off_lattice_mirror():
+    # a point whose S_b image the chart's k = 2 does not divide
+    ctx = quaternionic_context("e6_2")
+    mirror, _ = mirror_maps(ctx)[0]
+    assert mirror[1] == 2
+    chart = oracle_plan(ctx).series.chart
+    p = next(p for p in ((1, 0), (0, 1), (1, 1)) if map_point(mirror, p) is None)
+    problems = check_antisymmetry(ctx, DeltaSeries({p: 1}, (), chart))
+    assert ("mirror", chart.to_weight(p), "off the lattice") in problems
+
+
 def test_restriction_series_antisymmetry(g2):
     lam = wadd(wscale(2, g2.fw1), g2.beta)
     series = restriction_series(g2, lam, CFG)
@@ -318,13 +339,23 @@ def test_chart_linear_map_matches_fraction_path(label, coords):
     chart = series.chart
     s_beta = reflection_matrix(ctx.beta)
     mirror = chart.linear_map(lambda w: apply_matrix(s_beta, w))
+    assert mirror[1] == 1
     for p in series.coeffs:
         want = chart.to_point(apply_matrix(s_beta, chart.to_weight(p)))
-        assert tuple(sum(a * x for a, x in zip(row, p)) for row in mirror) == want
+        assert tuple(sum(a * x for a, x in zip(row, p)) for row in mirror[0]) == want
+        assert map_point(mirror, p) == want
     assert mirror_maps(ctx)[0] == (mirror, -1)
     half = tuple(tuple(x / 2 for x in row) for row in s_beta)
-    with pytest.raises(InternalError):
-        chart.linear_map(lambda w: apply_matrix(half, w))  # not integral on the chart lattice
+    halved = chart.linear_map(lambda w: apply_matrix(half, w))
+    assert halved == (mirror[0], 2)  # s_beta / 2: the same matrix over k = 2
+    for p in list(series.coeffs) + [(1, 0), (0, 1)]:
+        image = apply_matrix(half, chart.to_weight(p))
+        if all(x % 2 == 0 for x in map_point(mirror, p)):
+            assert map_point(halved, p) == chart.to_point(image)
+        else:
+            assert map_point(halved, p) is None  # off the chart lattice
+            with pytest.raises(InternalError):
+                chart.to_point(image)
     dim = ctx.form.dim
     unit = [tuple(Fraction(i == k) for i in range(dim)) for k in range(dim)]
     k = next(k for k in range(dim) if rational_solve(list(chart.rows), unit[k]) is None)

@@ -9,18 +9,20 @@ from branchkit.lattice import (
     identity_form,
     inner,
     rational_solve,
+    reflect,
     reflection_matrix,
     weight,
     wneg,
     wadd,
     wscale,
 )
-from branchkit.quaternionic import admissible_system
+from branchkit.quaternionic import admissible_system, quaternionic_context
 from branchkit.rootsystems import (
     RootDatum,
     _base_system,
     _positive_from_simples,
     coset_reps,
+    half_sum,
     highest_root,
     positive_system,
     positive_systems_containing,
@@ -45,7 +47,7 @@ BASE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C"
 def _root_datum(label):
     if label in SP1Q_FORMS:
         return sp1q_context(int(label.partition(":")[2])).rd
-    if label in HERMITIAN_FORMS:
+    if label.startswith(("su_pq", "sp_n_R", "so_star", "e6_m14", "e7_m25")):
         return hermitian_data(label).rd
     return quaternionic_root_datum(label)
 
@@ -247,6 +249,87 @@ def test_positive_systems_containing_g2(g2):
         assert frozenset(g2.rd.compact_positive) <= s.chosen_set()
     flags = [admissible_system(g2, s) for s in systems]
     assert sum(flags) == 1
+
+
+def _compact_part(rd):
+    return positive_system(rd, frozenset(rd.compact_positive))
+
+
+def _systems_by_enumeration(rd, delta):
+    """The chambers containing delta, found by mapping the positive system
+    through every element of the whole Weyl group."""
+    compact = frozenset(g for g in rd.roots if rd.is_compact(g))
+    seen, out = set(), []
+    for e in weyl_generate(rd.form, rd.simple):
+        chosen = frozenset(apply_matrix(e.matrix, g) for g in rd.positive)
+        if chosen not in seen:
+            seen.add(chosen)
+            if chosen & compact == delta.chosen_set():
+                out.append(positive_system(rd, chosen))
+    out.sort(key=lambda ps: ps.chosen)
+    return out
+
+
+@pytest.mark.parametrize("label", [
+    "g2_2", "su2_n:1", "su2_n:2", "su2_n:3", "so4_n:3", "so4_n:4",
+    "su_pq:1,2", "su_pq:2,2", "su_pq:2,3", "sp_n_R:2", "sp_n_R:3", "so_star:4",
+])
+def test_chamber_walk_matches_group_enumeration(label):
+    rd = _root_datum(label)
+    delta = _compact_part(rd)
+    walked = positive_systems_containing(rd, delta)
+    reference = _systems_by_enumeration(rd, delta)
+    assert [s.chosen for s in walked] == [s.chosen for s in reference]
+    assert [s.rho for s in walked] == [s.rho for s in reference]
+
+
+@pytest.mark.parametrize("label,count", [
+    ("g2_2", 3), ("su2_n:2", 6), ("su2_n:3", 10), ("su2_n:4", 15), ("su2_n:5", 21),
+    ("so4_n:3", 6), ("so4_n:4", 12), ("so4_n:5", 12), ("so4_n:6", 20),
+    ("f4_4", 12), ("e6_2", 36), ("e7_m5", 63), ("e8_m24", 120),
+])
+def test_quaternionic_chambers_and_small_system(label, count):
+    # |W| / |W_K| chambers, and the small system is the only admissible one
+    ctx = quaternionic_context(label)
+    systems = positive_systems_containing(ctx.rd, _compact_part(ctx.rd))
+    assert len(systems) == count
+    admissible = [s.chosen_set() for s in systems if admissible_system(ctx, s)]
+    assert admissible == [ctx.psi.chosen_set()]
+
+
+@pytest.mark.parametrize("label,count", [
+    ("su_pq:2,4", 15), ("sp_n_R:3", 8), ("so_star:5", 16), ("e6_m14", 27), ("e7_m25", 56),
+])
+def test_hermitian_chamber_counts(label, count):
+    rd = hermitian_data(label).rd
+    systems = positive_systems_containing(rd, _compact_part(rd))
+    assert len(systems) == count
+    assert len({s.chosen for s in systems}) == count
+    for s in systems:
+        assert s.rho == half_sum(rd.form.dim, s.chosen)
+        assert frozenset(rd.compact_positive) <= s.chosen_set()
+
+
+def test_chamber_walk_rejects_a_delta_that_is_no_compact_part():
+    rd = hermitian_data("su_pq:2,3").rd
+    compact = frozenset(rd.compact_positive)
+    nonsimple = next(g for g in sorted(compact) if g not in rd.simple)
+    not_closed = (compact - {nonsimple}) | {wneg(nonsimple)}
+    assert positive_systems_containing(rd, positive_system(rd, not_closed)) == []
+    assert positive_systems_containing(rd, positive_system(rd)) == []  # noncompact roots
+
+
+def test_chamber_walk_from_another_compact_chamber(so44):
+    # delta moved by a compact simple reflection: the walk first moves 2 rho
+    # into delta's dominant chamber
+    rd = so44.rd
+    a = next(g for g in rd.simple if rd.is_compact(g))
+    moved = positive_system(rd, frozenset(reflect(rd.form, g, a) for g in rd.compact_positive))
+    walked = positive_systems_containing(rd, moved)
+    reference = _systems_by_enumeration(rd, moved)
+    assert len(walked) == 12
+    assert [s.chosen for s in walked] == [s.chosen for s in reference]
+    assert [s.rho for s in walked] == [s.rho for s in reference]
 
 
 def test_simple_elements_of_k2(so44):

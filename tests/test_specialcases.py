@@ -7,7 +7,6 @@ from branchkit.lattice import inner, weight, wneg, wscale
 from branchkit.oracle import OracleConfig, extract_multiplicities
 from branchkit.specialcases import (
     antiholomorphic_chamber_parameter,
-    chamber_system,
     hermitian_data,
     holomorphic_chamber_parameter,
     kss_admissible,
@@ -289,8 +288,7 @@ def test_sign_flip_swaps_certificates():
         assert frozenset(hd.certificate_conjugate) == frozenset(
             wneg(g) for g in hd.certificate
         )
-        lam = holomorphic_chamber_parameter(hd)
-        chamber = chamber_system(hd, lam)
+        chamber = hd.psi_h.chosen_set()  # the holomorphic chamber
         flipped = frozenset(
             g if hd.rd.is_compact(g) else wneg(g) for g in chamber
         )
