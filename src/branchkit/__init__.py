@@ -12,6 +12,7 @@ from .errors import (
 )
 from .formal import (
     DeltaSeries,
+    ProductSum,
     ValidityRegion,
     convolve,
     convolve_multiset,

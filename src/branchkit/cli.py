@@ -13,7 +13,10 @@ system.  Both families (quat and sp1q) share one oracle (see ``oracle``).
 The environment variable BRANCHKIT_GROUP_ORDER_BOUND overrides the bound on
 the number of W(K2)/W_Z cosets of either family's oracle (default 10^5; a
 form with more cosets exits with status 3); a value that is not a positive
-integer exits with status 2.
+integer exits with status 2.  BRANCHKIT_DIMENSION_BOUND (default 10^7), read
+the same way, caps the Freudenthal tables, the closed-form tables and the
+oracle's Heaviside products and windows; each size is counted before it is
+built, and a request above the bound exits with status 3.
 """
 
 from __future__ import annotations

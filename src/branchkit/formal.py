@@ -32,17 +32,22 @@ direction sets of rank at most 2.
 
 The pure integer kernels are memoized per process, keyed by their int
 inputs: one ``_Cone`` per direction tuple, its minimal step count per offset
-x - base, and the Heaviside product ``convolve_multiset`` per (multiset,
-step bound), returned with read-only coefficients.  None of them is built
-at import, and what they return depends on their inputs alone, so results
-do not depend on the order of requests.  Each series keeps its verdict per
-point; series are otherwise immutable and all operations are pure.
+x - base, the Heaviside product ``convolve_multiset`` per (multiset, step
+bound), returned with read-only coefficients, and the product's window (its
+coefficients on the points its region certifies with a decomposition) per
+the same key.  None of them is built at import, and what they return
+depends on their inputs alone, so results do not depend on the order of
+requests.  Each series keeps its verdict per point; series are otherwise
+immutable and all operations are pure.
 
-The oracle reads ``convolve_multiset``, ``ValidityRegion`` and
-``DeltaSeries``: it adds each memoized product in place at its terms' bases
-and translates the product's region there itself.  ``convolve`` with its
-contract merge, ``dirac``, ``heaviside`` and ``heaviside_power`` build the
-products and serve AC-1 and the tests.
+The oracle reads ``convolve_multiset``, ``product_size`` and ``ProductSum``:
+a signed sum of memoized products translated to its terms' bases, over one
+denominator.  A ``ProductSum`` certifies and evaluates one point at a time,
+from the terms' windows, and reports the union of the windows as the only
+points where a certified coefficient can be nonzero; its dense coefficients
+and translated regions, a ``DeltaSeries``'s two fields, are built only when
+read.  ``convolve`` with its contract merge, ``dirac``, ``heaviside`` and
+``heaviside_power`` build the products and serve AC-1 and the tests.
 """
 
 from __future__ import annotations
@@ -312,6 +317,10 @@ class DeltaSeries:
             return None
         return self.coeffs.get(x, 0)
 
+    def candidate_points(self):
+        """The points where a certified coefficient can be nonzero: the support."""
+        return iter(self.coeffs)
+
     def certain_at(self, x: Point) -> bool:
         verdicts = self._verdicts
         got = verdicts.get(x)
@@ -391,6 +400,18 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
     return DeltaSeries(coeffs, (region,))
 
 
+def product_size(ms: PointMultiset, n_steps: int) -> int:
+    """The number of points of the grid of factor steps that
+    ``convolve_multiset`` runs through for ms at n_steps: an upper bound on
+    the product's support, and so on its window, counted without building
+    either."""
+    if not ms:
+        raise DomainError("empty multiset")
+    phi = _cone(tuple(sorted(ms))).phi  # also certifies strictness
+    top = max(phi.values())
+    return functools.reduce(operator.mul, (n_steps * top // f + 1 for f in phi.values()))
+
+
 def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
     """Convolution of Heaviside series over a strict multiset of directions.
 
@@ -421,3 +442,109 @@ def _convolve_multiset(items: tuple[tuple[Point, int], ...], n_steps: int) -> De
     base = _half(tuple(sum(m * d[k] for d, m in items) for k in range(len(dirs[0]))))
     region = ValidityRegion(base, items, n_steps)
     return DeltaSeries(MappingProxyType(result.coeffs), (region,))
+
+
+@functools.lru_cache(maxsize=None)
+def _window(items: tuple[tuple[Point, int], ...], n_steps: int):
+    """{offset: coefficient} of the product over items at n_steps on its
+    window {half-sum + sum c_g g : c_g in Z>=0, sum c_g <= n_steps}, the
+    points its region certifies with a decomposition (memoized, read-only)."""
+    product = _convolve_multiset(items, n_steps)
+    level = {product.regions[0].base}
+    window = set(level)
+    for _ in range(n_steps):
+        level = {_padd(p, d) for p in level for d, _ in items} - window
+        window |= level
+    return MappingProxyType({p: product.coeffs[p] for p in window})
+
+
+class ProductSum:
+    """The series sum_t num_t * P_t(x - b_t) / denominator of translated
+    Heaviside products P_t = ``convolve_multiset``, evaluated per point.
+
+    ``terms`` holds (b_t, num_t, index into ``products``) with int bases and
+    numerators; the denominator is a positive Fraction.  Its contract is the
+    conjunction of the products' regions translated to the terms' bases,
+    stated per point: a term certifies x when x - b_t lies in its product's
+    window, where it adds num_t * P_t(x - b_t), or has no decomposition over
+    the product's directions at all, where the product is 0 and known to be.
+    So ``certain_at`` and ``coefficient`` evaluate one point, divide its sum
+    once (exactly, or InternalError) and keep the verdict.  A certified
+    point with a nonzero coefficient lies in some term's window, so
+    ``candidate_points`` yields every point a reader of certified values
+    needs.
+    ``coeffs`` (the whole truncated sum) and ``regions`` are built on first
+    access, for readers of the dense series.
+    """
+
+    def __init__(self, terms: tuple, products: tuple, denominator: Fraction, chart):
+        self.terms = terms
+        self.products = products
+        self.denominator = denominator
+        self.chart = chart
+        self._windows = [_window(p.regions[0].directions, p.regions[0].step_bound)
+                         for p in products]
+        self._values: dict = {}
+
+    def window_size(self) -> int:
+        """The total size of the terms' windows, counted with repeats: what
+        ``candidate_points`` runs through."""
+        return sum(len(self._windows[i]) for _, _, i in self.terms)
+
+    def candidate_points(self):
+        """The points where a certified coefficient can be nonzero: the
+        union of the terms' windows, once each."""
+        seen = set()
+        for b, _, i in self.terms:
+            for o in self._windows[i]:
+                p = tuple(map(operator.add, o, b))
+                if p not in seen:
+                    seen.add(p)
+                    yield p
+
+    def coefficient(self, x: Point):
+        """Exact coefficient at x, or None when x is outside the contract."""
+        values = self._values
+        if x in values:
+            return values[x]
+        total = 0
+        sub = operator.sub
+        for b, num, i in self.terms:
+            o = tuple(map(sub, x, b))
+            c = self._windows[i].get(o)
+            if c is not None:
+                total += num * c
+                continue
+            region = self.products[i].regions[0]
+            if _min_steps(region.directions, _psub(o, region.base)) is not None:
+                values[x] = None
+                return None
+        values[x] = got = self._divide(total)
+        return got
+
+    def certain_at(self, x: Point) -> bool:
+        return self.coefficient(x) is not None
+
+    def _divide(self, total: int) -> int:
+        den = self.denominator
+        q, r = divmod(total * den.denominator, den.numerator)
+        if r:
+            raise InternalError("coset sum produced a non-integer coefficient")
+        return q
+
+    @functools.cached_property
+    def coeffs(self) -> dict:
+        """Every nonzero coefficient of the truncated sum, certified or not."""
+        acc: dict = {}
+        get, plus = acc.get, operator.add
+        for b, num, i in self.terms:
+            for p, c in self.products[i].coeffs.items():
+                p = tuple(map(plus, p, b))
+                acc[p] = get(p, 0) + num * c
+        return {p: q for p, q in ((p, self._divide(c)) for p, c in acc.items()) if q}
+
+    @functools.cached_property
+    def regions(self) -> tuple[ValidityRegion, ...]:
+        """The contract as regions: each term's product region at its base."""
+        return tuple(ValidityRegion(_padd(r.base, b), r.directions, r.step_bound)
+                     for b, _, i in self.terms for r in self.products[i].regions)

@@ -232,13 +232,17 @@ class Chart:
     w = sum_j w[coords[j]] * rows[j].  ``scale`` is twice the common
     denominator of the spanning weights at the pivots, so their points are
     even and half the sum of any of them is a point.  ``at_scale`` gives the
-    span another scale, for a caller that knows which points it needs.
+    span another scale, for a caller that knows which points it needs.  The
+    rows are also kept as ints over one denominator, so that mapping a point
+    to its weight and back is int arithmetic.
     """
 
     def __init__(self, vectors: Sequence[Weight]):
         self.coords, self.rows = _echelon(vectors)
         den = lcm(1, *(Fraction(v[c]).denominator for v in vectors for c in self.coords))
         self.scale = 2 * den
+        self._row_den = lcm(1, *(x.denominator for row in self.rows for x in row))
+        self._columns = tuple(zip(*((int(x * self._row_den) for x in row) for row in self.rows)))
 
     def at_scale(self, scale: int) -> Chart:
         """The chart of the same span with the given scale."""
@@ -248,19 +252,18 @@ class Chart:
 
     def to_point(self, w: Weight) -> tuple[int, ...]:
         """Integer coordinates of w; InternalError when w is off the lattice."""
-        scaled = [Fraction(w[c]) * self.scale for c in self.coords]
-        if any(x.denominator != 1 for x in scaled) or self.to_weight(scaled) != tuple(w):
-            raise InternalError(f"weight {format_weight(w)} is off the chart lattice")
-        return tuple(int(x) for x in scaled)
+        scale, den = self.scale, self.scale * self._row_den
+        p = tuple(w[c].numerator * scale // w[c].denominator for c in self.coords)
+        # p is the point of w exactly when p maps back to w
+        if all(x.numerator * den == sum(map(mul, p, column)) * x.denominator
+               for x, column in zip(w, self._columns)):
+            return p
+        raise InternalError(f"weight {format_weight(w)} is off the chart lattice")
 
     def to_weight(self, p: Sequence) -> Weight:
         """The weight with integer coordinates p."""
-        out = [Fraction(0)] * len(self.rows[0]) if self.rows else []
-        for x, row in zip(p, self.rows):
-            if x:
-                x = Fraction(x, self.scale)
-                out = [o + x * y for o, y in zip(out, row)]
-        return tuple(out)
+        den = self.scale * self._row_den
+        return tuple(Fraction(sum(map(mul, p, column)), den) for column in self._columns)
 
     def linear_map(self, fn) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(A, k) for an int matrix A and the least k >= 1 such that A p / k
@@ -277,12 +280,18 @@ class Chart:
         k = lcm(1, *(x.denominator for column in columns for x in column))
         return tuple(tuple(int(x * k) for x in row) for row in zip(*columns)), k
 
+    def functional(self, fn) -> tuple[tuple[int, ...], int]:
+        """(c, D) for an integer covector c and an int D > 0 with
+        fn(to_weight(p)) = sum c_j p_j / D, for a linear functional fn on the
+        span; D depends on the scale."""
+        values = [Fraction(fn(row)) for row in self.rows]
+        den = lcm(1, *(v.denominator for v in values))
+        return tuple(int(v * den) for v in values), den * self.scale
+
     def covector(self, functional) -> tuple[int, ...]:
         """Integer covector c with sum c_j p_j a positive multiple of
         functional(to_weight(p)), for a linear functional on the span."""
-        values = [Fraction(functional(row)) for row in self.rows]
-        den = lcm(1, *(v.denominator for v in values))
-        return tuple(int(v * den) for v in values)
+        return self.functional(functional)[0]
 
 
 def map_point(linear_map, p: Sequence[int]):

@@ -31,11 +31,19 @@ The torus restriction identity (whose left side is computable directly from
 the weight table) pins this convention down empirically, and positivity of
 the extracted multiplicities confirms it on the full formula.
 
-Products, the signed accumulation, certification and extraction run on int
-points; weights are mapped back only for points that are reported, compared
-or passed to a family check.  The per-term truncation regions are kept as a
-conjunction on the final series; a parameter is compared only where every
-term is certified exact, and each positive-side point is certified once.
+Products, certification, evaluation, extraction and comparison run on int
+points; weights are mapped back only for extracted entries and for a
+family's check.  A request builds each term's base point and int numerator
+once and returns a ``formal.ProductSum``: the conjunction of the per-term
+truncation regions, stated per point.  A term certifies a point when the
+offset from its base lies in its product's step-bound window, where the
+term adds its value, or has no decomposition over the product's directions
+at all; the sum of a certified point is divided once, exactly.  A certified
+point with a nonzero coefficient lies in some term's window, so extraction
+evaluates only the positive-side points of the union of the windows, and
+comparison adds only the closed table's entries; neither reads the dense
+series.  The sizes of the closed table, the products and the windows are
+checked against the dimension bound before they are built.
 """
 
 from __future__ import annotations
@@ -44,11 +52,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Protocol
 
 from .errors import DomainError, InternalError, ResourceError
-from .formal import DeltaSeries, ValidityRegion, convolve_multiset
+from .formal import DeltaSeries, ProductSum, convolve_multiset, product_size
 from .lattice import (
     Chart,
     InnerProductForm,
@@ -72,7 +80,7 @@ from .quaternionic import (
     require_proper_subgroup,
     validate_small_dominant,
 )
-from .repweights import CompactFactor, restrict_weights
+from .repweights import CompactFactor, check_size, restrict_weights
 from .rootsystems import RootDatum, half_sum
 
 
@@ -105,7 +113,7 @@ class OracleContext(Protocol):
 
     def q_u_k2(self, v: Weight) -> Weight: ...   # onto the su(2) torus inside k2
 
-    def check_extracted(self, series: DeltaSeries, p: tuple, mu: Weight, c: int) -> None:
+    def check_extracted(self, series: ProductSum, p: tuple, mu: Weight, c: int) -> None:
         """Family check on a certified positive-side coefficient c of a
         branching series at its point p, whose weight is mu; raises
         InternalError on failure."""
@@ -327,7 +335,7 @@ def on_chart(chart: Chart, mults: dict) -> DeltaSeries:
 
 
 def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
-                  torus: bool = False) -> DeltaSeries:
+                  torus: bool = False) -> ProductSum:
     """Signed distributional series of one loop over the plan's cosets s.
 
     Each (coset, flip) term, with w lam = S_b s lam when flipped and s lam
@@ -335,9 +343,11 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
     projection of w lam, convolved with the Heaviside series of its flip's
     multiset: the branching series, or with ``torus`` (lam the k2 part) the
     right side of the torus identity.  On the plan's integer data, each
-    memoized product is added in place at its term's base, with its region
-    translated there, and the int sum is divided once, exactly.  The caller
-    validates lam.
+    term's base point and int numerator are computed once; the returned
+    ``ProductSum`` evaluates the memoized products at the points it is
+    asked for, over one denominator.  The sizes of the products and of the
+    terms' windows are checked against the dimension bound before they are
+    built.  The caller validates lam.
     """
     plan = oracle_plan(ctx)
     if len(plan.words) > cfg.coset_bound:
@@ -347,37 +357,27 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
         )
     kind = plan.torus if torus else plan.series
     point, den = scaled_point(lam)
-    products = [
-        convolve_multiset({tuple(den * x for x in d): m for d, m in ms}, cfg.step_bound)
-        for ms in kind.multisets
-    ]
-    acc: dict = {}
-    get = acc.get
-    regions = []
+    multisets = [{tuple(den * x for x in d): m for d, m in ms} for ms in kind.multisets]
+    for ms in multisets:
+        check_size(product_size(ms, cfg.step_bound),
+                   f"a Heaviside product at step bound {cfg.step_bound}")
+    products = tuple(convolve_multiset(ms, cfg.step_bound) for ms in multisets)
+    terms = []
     for maps, kernel, num, i in kind.terms:
         for c in kernel:
             num *= sum(map(mul, c, point))
         if not num:
             raise InternalError("Weyl polynomial vanished on a coset representative")
-        b = tuple(sum(map(mul, row, point)) for row in maps)
-        for p, c in products[i].coeffs.items():
-            p = tuple(map(add, p, b))
-            acc[p] = get(p, 0) + num * c
-        regions.extend(ValidityRegion(tuple(map(add, r.base, b)), r.directions, r.step_bound)
-                       for r in products[i].regions)
+        terms.append((tuple(sum(map(mul, row, point)) for row in maps), num, i))
     # every term's coefficient is its numerator over this one denominator
-    denominator = kind.denominator * den ** len(ctx.kernel_positive)
-    coeffs = {}
-    for p, c in acc.items():
-        q, r = divmod(c * denominator.denominator, denominator.numerator)
-        if r:
-            raise InternalError("coset sum produced a non-integer coefficient")
-        if q:
-            coeffs[p] = q
-    return DeltaSeries(coeffs, tuple(regions), kind.chart.at_scale(kind.chart.scale * den))
+    series = ProductSum(tuple(terms), products,
+                        kind.denominator * den ** len(ctx.kernel_positive),
+                        kind.chart.at_scale(kind.chart.scale * den))
+    check_size(series.window_size(), f"the oracle's windows at step bound {cfg.step_bound}")
+    return series
 
 
-def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
+def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig) -> ProductSum:
     """Signed distributional series of a quaternionic parameter (see _coset_series)."""
     require_proper_subgroup(
         ctx, "the oracle needs a Heaviside direction to convolve, that is d >= 2 "
@@ -392,7 +392,7 @@ def _side(ctx: OracleContext, chart: Chart):
     return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
 
 
-def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
+def check_antisymmetry(ctx: QuaternionicContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
     wall, odd across it, with every mirror point on the chart lattice."""
     chart = series.chart
@@ -416,18 +416,23 @@ def check_antisymmetry(ctx: QuaternionicContext, series: DeltaSeries):
     return problems
 
 
-def extract_multiplicities(ctx: OracleContext, series: DeltaSeries) -> BranchingTable:
+def extract_multiplicities(ctx: OracleContext, series: ProductSum) -> BranchingTable:
     """Branching table read off the positive side of the antisymmetrized series.
 
     Only certified weights are reported; a negative coefficient on the
     positive side signals an antisymmetrization failure (bug or insufficient
     truncation) and raises InternalError, as does a failed family check.
+    Every certified nonzero coefficient lies in some term's window, so only
+    the windows' positive-side points are evaluated.
     """
     chart = series.chart
     positive = _side(ctx, chart)
     entries = {}
-    for p, c in series.coeffs.items():
-        if not positive(p) or not series.certain_at(p):
+    for p in series.candidate_points():
+        if not positive(p):
+            continue
+        c = series.coefficient(p)
+        if not c:  # uncertified, or certified zero
             continue
         mu = chart.to_weight(p)
         ctx.check_extracted(series, p, mu, c)
@@ -446,31 +451,45 @@ class ComparisonReport:
     mismatches: tuple
 
 
-def compare(ctx: OracleContext, series: DeltaSeries, closed: BranchingTable) -> ComparisonReport:
+def compare(ctx: OracleContext, series: ProductSum, closed: BranchingTable) -> ComparisonReport:
     """Compare a closed-form table against the oracle extraction on the full
-    certified region.  Every candidate parameter (from either side) that the
-    truncated series certifies must match exactly; uncertified candidates are
-    skipped.  Extracted entries are taken as certified; only closed-form
-    entries missing from the extraction are certified here."""
-    extracted = extract_multiplicities(ctx, series).entries
-    positive = _side(ctx, series.chart)
+    certified region.  Every candidate parameter (from either side) within
+    the closed table's pairing bound that the truncated series certifies
+    must match exactly; uncertified candidates are skipped.
+
+    Candidates are the extracted entries (the windows' certified positive
+    points) and the closed table's entries, both as chart points; the
+    pairing bound is an exact integer covector test on points.  Only closed
+    entries missing from the extraction are evaluated here.  Mismatches are
+    (weight, closed, oracle) triples sorted by weight.
+    """
+    chart = series.chart
+    covector, den = chart.functional(lambda w: coroot_pairing(ctx.form, w, ctx.beta))
+    bound = closed.pairing_bound
+
+    def within(p):  # <mu, beta-check> = covector . p / den <= bound
+        return sum(map(mul, covector, p)) * bound.denominator <= bound.numerator * den
+
+    candidates = {chart.to_point(mu): (mu, m, None) for mu, m in closed.entries.items()}
+    for mu, got in extract_multiplicities(ctx, series).entries.items():
+        p = chart.to_point(mu)
+        candidates[p] = mu, candidates.get(p, (mu, 0, None))[1], got
+    positive = _side(ctx, chart)
     mismatches = []
     compared = 0
-    for mu in sorted(set(closed.entries) | set(extracted)):
-        if coroot_pairing(ctx.form, mu, ctx.beta) > closed.pairing_bound:
-            continue  # outside the closed table's completeness region
-        got = extracted.get(mu)
+    for p, (mu, want, got) in candidates.items():
+        if not within(p):
+            continue
         if got is None:
-            p = series.chart.to_point(mu)
             if not positive(p):
                 continue
             got = series.coefficient(p)
             if got is None:
                 continue  # not certified by the truncation
         compared += 1
-        want = closed.entries.get(mu, 0)
         if got != want:
             mismatches.append((mu, want, got))
+    mismatches.sort()
     return ComparisonReport(not mismatches, compared, tuple(mismatches))
 
 

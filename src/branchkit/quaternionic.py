@@ -41,6 +41,7 @@ from .repweights import (
     CompactFactor,
     HCParameter,
     cached_freudenthal,
+    check_size,
     hc_to_highest_weight,
     restrict_weights,
     validate_hc_parameter,
@@ -240,7 +241,9 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
 def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
     """``branching_table`` without its checks, for a caller that has made them."""
     lam1, _ = decompose_parameter(ctx, lam)
-    table = lam2_weight_table(ctx, lam)
+    sigmas = restrict_weights(lam2_weight_table(ctx, lam), ctx.q_u_k2).items()
+    check_size(len(sigmas) * (cutoff + 1) * (cutoff + 2) // 2,
+               f"the closed table at cutoff {cutoff}")
     d = ctx.d
     offset = Fraction(d - 1, 2)
     base = wadd(lam1, wadd(wscale(offset, ctx.fw1), wscale(offset, ctx.fw2)))
@@ -250,7 +253,7 @@ def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Bran
     ]
     entries: dict = {}
     # mu depends on nu only through its projection sigma = q_u_k2(nu)
-    for sigma, mult in restrict_weights(table, ctx.q_u_k2).items():
+    for sigma, mult in sigmas:
         shifted = wadd(base, sigma)
         for step, c in steps:
             mu = wadd(shifted, step)

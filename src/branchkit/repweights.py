@@ -14,6 +14,10 @@ Every route from a parameter to a compact-factor weight table
 (``quaternionic.lam2_weight_table``, ``specialcases.sp1q_weight_table``)
 ends in ``cached_freudenthal``, one per-process memo keyed by (highest
 weight, factor).
+
+The dimension bound (``BRANCHKIT_DIMENSION_BOUND``) caps the size of a
+Freudenthal table, and through ``check_size`` that of a closed-form table and
+of the oracle's Heaviside products, each counted before it is built.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ DIMENSION_BOUND = 10**7
 
 def dimension_bound() -> int:
     return env_bound("BRANCHKIT_DIMENSION_BOUND", DIMENSION_BOUND)
+
+
+def check_size(count: int, what: str) -> None:
+    """Raise ResourceError when ``what`` could hold more than the dimension
+    bound allows; ``count``, an upper bound on its size, is counted before
+    anything is allocated."""
+    bound = dimension_bound()
+    if count > bound:
+        raise ResourceError(
+            f"{what} would hold up to {count} entries, above the bound {bound} "
+            "(BRANCHKIT_DIMENSION_BOUND)"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigurationError, DomainError, InternalError
-from .formal import DeltaSeries
+from .formal import ProductSum
 from .lattice import (
     InnerProductForm,
     Weight,
@@ -45,6 +45,7 @@ from .quaternionic import BranchingTable
 from .repweights import (
     CompactFactor,
     cached_freudenthal,
+    check_size,
     hc_to_highest_weight,
     regular_integral_pairings,
     su2_string_decompose,
@@ -124,7 +125,7 @@ class Sp1qContext:
         """The open quadrant a > 0, k > 0 of mu = a e0 + k e1."""
         return (self.beta, self.su2_root)
 
-    def check_extracted(self, series: DeltaSeries, p: tuple, mu: Weight, c: int) -> None:
+    def check_extracted(self, series: ProductSum, p: tuple, mu: Weight, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
         series is odd under each sign flip of e0 and e1 and even under both,
         wherever the mirror point is certified."""
@@ -211,6 +212,7 @@ def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Branchin
 def _sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
     """``sp1q_branching_table`` without its checks, for a caller that has made them."""
     strings = sp1q_string_table(ctx, lam)
+    check_size(len(strings) * (cutoff + 1), f"the closed table at cutoff {cutoff}")
     a0 = lam[0]
     entries = {}
     for k, nk in strings.items():
@@ -225,7 +227,7 @@ def _sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Branchi
     return BranchingTable(entries, a0 + (ctx.q - 1) + cutoff, ctx.rd.label, lam)
 
 
-def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> DeltaSeries:
+def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ProductSum:
     """Signed coset sum encoding the sp(1,1) branching; its coefficients on
     the open quadrant (a > 0, k > 0) are the multiplicities."""
     sp1q_validate(ctx, lam)

@@ -1,24 +1,35 @@
-"""Fraction reference for the oracle's integer coset plan.
+"""Fraction reference for the oracle's integer coset plan, and the dense
+extraction and comparison it replaced.
 
 This is the coset loop the package ran before its plans became integer data:
 coset representatives as Fraction matrices, each term's parameter image
 ``apply_matrix``-ed, projected by ``q_u`` / ``q_u_k2`` and weighted by the
 Weyl polynomial of the kernel roots, and the signed sum accumulated in
-Fractions.  Tests compare the package against it point for point.
+Fractions.  ``reference_extract`` and ``reference_compare`` are the
+extraction and comparison the package ran before it evaluated only the
+terms' windows: they read every coefficient of a dense ``DeltaSeries`` and
+certify each positive-side point against all of its regions, and compare
+weights with Fraction pairings.  Tests compare the package against both
+point for point.
 """
 
-from operator import add
+from itertools import product
+from operator import add, mul
 
 from branchkit.errors import InternalError
 from branchkit.formal import ValidityRegion, convolve_multiset
 from branchkit.lattice import (
     apply_matrix,
+    coroot_pairing,
+    format_weight,
     identity_matrix,
     inner,
     is_zero,
     mat_mul,
     reflection_matrix,
 )
+from branchkit.oracle import ComparisonReport
+from branchkit.quaternionic import BranchingTable
 from branchkit.oracle import compact_quotient_weights, oracle_plan, _weyl_normalizer
 from branchkit.rootsystems import WeylElement
 
@@ -112,3 +123,63 @@ def reference_series(terms, chart, step_bound):
     if any(c.denominator != 1 for c in acc.values()):
         raise InternalError("coset sum produced a non-integer coefficient")
     return {p: int(c) for p, c in acc.items() if c}, tuple(regions)
+
+
+def region_points(region):
+    """The points base + sum c_g g (c_g >= 0 integers, sum c_g <= step bound)
+    of a region, by brute force over the step counts."""
+    n = region.step_bound
+    dirs = [d for d, _ in region.directions]
+    return {
+        tuple(b + sum(c * d[k] for c, d in zip(counts, dirs)) for k, b in enumerate(region.base))
+        for counts in product(range(n + 1), repeat=len(dirs)) if sum(counts) <= n
+    }
+
+
+def _side(ctx, chart):
+    covectors = [chart.covector(lambda w, g=g: inner(ctx.form, w, g)) for g in ctx.side_roots]
+    return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
+
+
+def reference_extract(ctx, series):
+    """The branching table on the positive side of a dense series: every
+    stored coefficient there that all regions certify."""
+    chart = series.chart
+    positive = _side(ctx, chart)
+    entries = {}
+    for p, c in series.coeffs.items():
+        if not positive(p) or not series.certain_at(p):
+            continue
+        mu = chart.to_weight(p)
+        ctx.check_extracted(series, p, mu, c)
+        if c < 0:
+            raise InternalError(
+                f"antisymmetrization failure at {format_weight(mu)}: coefficient {c}"
+            )
+        entries[mu] = c
+    return BranchingTable(entries, None, ctx.rd.label, None)
+
+
+def reference_compare(ctx, series, closed):
+    """The closed table against the extraction of a dense series, over the
+    sorted union of both sides' weights, with Fraction pairings."""
+    extracted = reference_extract(ctx, series).entries
+    positive = _side(ctx, series.chart)
+    mismatches = []
+    compared = 0
+    for mu in sorted(set(closed.entries) | set(extracted)):
+        if coroot_pairing(ctx.form, mu, ctx.beta) > closed.pairing_bound:
+            continue
+        got = extracted.get(mu)
+        if got is None:
+            p = series.chart.to_point(mu)
+            if not positive(p):
+                continue
+            got = series.coefficient(p)
+            if got is None:
+                continue
+        compared += 1
+        want = closed.entries.get(mu, 0)
+        if got != want:
+            mismatches.append((mu, want, got))
+    return ComparisonReport(not mismatches, compared, tuple(mismatches))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from branchkit import repweights
 from branchkit.cli import SCHEMA_PATH, main
 from branchkit.errors import BranchkitError
+from branchkit.formal import ProductSum
 from branchkit.quaternionic import quaternionic_context
 from branchkit.specialcases import hermitian_data, sp1q_context
 
@@ -302,6 +303,48 @@ def test_coset_bound_checked_after_cached_plan(capsys, monkeypatch):
     assert run_cli(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["branch", "quat", "--form", "g2_2", "--cutoff", "100000000", "--lambda=-1,-2,3"],
+     "the closed table at cutoff 100000000"),
+    (["oracle-check", "quat", "--form", "g2_2", "--step-bound", "100000", "--lambda=-1,-2,3"],
+     "a Heaviside product at step bound 100000"),
+    (["oracle-check", "sp1q", "--form", "sp1_q:2", "--step-bound", "1000000", "--lambda=4,2,1"],
+     "a Heaviside product at step bound 1000000"),
+], ids=["closed-table", "quat-product", "sp1q-product"])
+def test_size_blowup_exits_3_before_allocating(capsys, monkeypatch, argv, what):
+    # the sizes are counted before anything is built, so these return at once
+    # instead of hanging or running out of memory
+    monkeypatch.delenv("BRANCHKIT_DIMENSION_BOUND", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"resource error: {what} would hold up to ")
+    assert err.endswith(" entries, above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)\n")
+
+
+@pytest.mark.parametrize("argv,sizes", [
+    # 3 su(2)-strings, 7 values of p each
+    (["branch", "sp1q", "--form", "sp1_q:2", "--cutoff", "6", "--lambda=6,4,1"],
+     [("the closed table at cutoff 6", 21)]),
+    # a 5 x 9 x 9 grid per product; 112 terms with windows of 25 points
+    (["oracle-check", "quat", "--form", "e8_m24", "--step-bound", "4",
+      "--lambda=0,1,2,3,4,5,6,23"],
+     [("a Heaviside product at step bound 4", 405),
+      ("the oracle's windows at step bound 4", 2800)]),
+], ids=["closed-table", "oracle"])
+def test_dimension_bound_admits_exactly_the_counted_sizes(capsys, monkeypatch, argv, sizes):
+    # one below a counted size refuses and names it; the size itself lets
+    # the request through to the next count
+    for what, size in sizes:
+        monkeypatch.setenv("BRANCHKIT_DIMENSION_BOUND", str(size - 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"resource error: {what} would hold up to {size} entries, "
+                       f"above the bound {size - 1} (BRANCHKIT_DIMENSION_BOUND)\n")
+    monkeypatch.setenv("BRANCHKIT_DIMENSION_BOUND", str(sizes[-1][1]))
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 ORACLE_ARGV = ["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "4"]
 
 
@@ -376,6 +419,20 @@ def test_bench_setup_builds_no_oracle_plan():
     out = subprocess.run([sys.executable, "-c", SETUP_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:-1] == ["0 0 0"] * 3
+
+
+def test_oracle_requests_never_build_the_dense_series(capsys, monkeypatch):
+    # oracle-check and --check-oracle certify, evaluate and compare only the
+    # terms' windows; the whole truncated sum and its regions are built only
+    # for their other readers (AC-3, AC-9, the tests)
+    built = []
+    for name in ("coeffs", "regions"):
+        lazy = getattr(ProductSum, name)
+        monkeypatch.setattr(ProductSum, name, property(
+            lambda series, name=name, lazy=lazy: built.append(name) or lazy.func(series)))
+    assert _golden_changes(capsys, "oracle_dense", 24) == []
+    assert _golden_changes(capsys, "oracle_wide", 12) == []
+    assert built == []
 
 
 def _golden_changes(capsys, workload, count, reverse=False):

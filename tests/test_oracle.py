@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchkit.acceptance import _AC4_PLAN, _quaternionic_parameters
 from branchkit.errors import InternalError, ResourceError
 from branchkit.formal import DeltaSeries
 from branchkit.lattice import (
@@ -26,6 +27,7 @@ from branchkit.oracle import (
     _kernel_cosets,
     check_antisymmetry,
     compact_quotient_weights,
+    compare,
     extract_multiplicities,
     mirror_maps,
     on_chart,
@@ -35,12 +37,15 @@ from branchkit.oracle import (
     verify_closed_form,
 )
 from branchkit.quaternionic import (
+    BranchingTable,
+    branching_table,
     decompose_parameter,
     quaternionic_context,
     validate_small_dominant,
 )
 from branchkit.specialcases import (
     Sp1qContext,
+    sp1q_branching_table,
     sp1q_context,
     sp1q_decompose,
     sp1q_restriction_series,
@@ -51,7 +56,10 @@ from oracle_reference import (
     coset_elements,
     coset_terms,
     kernel_roots,
+    reference_compare,
+    reference_extract,
     reference_series,
+    region_points,
     restriction_multiset,
     weyl_polynomial,
 )
@@ -405,7 +413,10 @@ def _check_against_reference(ctx, lam, step_bound):
     """Both kinds of coset sum at lam equal the Fraction reference point for
     point, with identical regions, on the plan's chart; that chart is the
     one the reference's terms span, at a multiple of its scale, so every
-    base the plan computes is on the old lattice too."""
+    base the plan computes is on the old lattice too.  At every point of
+    the reference's support and of each term's window, the per-point
+    verdict and coefficient equal those of the dense reference series, and
+    the candidate points are exactly the union of the windows."""
     sp1q = isinstance(ctx, Sp1qContext)
     (sp1q_validate if sp1q else validate_small_dominant)(ctx, lam)
     lam2 = (sp1q_decompose if sp1q else decompose_parameter)(ctx, lam)[1]
@@ -418,6 +429,13 @@ def _check_against_reference(ctx, lam, step_bound):
         assert (spanned.coords, spanned.rows) == (chart.coords, chart.rows)
         assert chart.scale % spanned.scale == 0
         coeffs, regions = reference_series(terms, chart, step_bound)
+        # per-point certification and values first, before the dense sum exists
+        reference = DeltaSeries(coeffs, regions, chart)
+        windows = set().union(*map(region_points, regions))
+        for p in windows | set(coeffs):
+            assert series.certain_at(p) == reference.certain_at(p), p
+            assert series.coefficient(p) == reference.coefficient(p), p
+        assert set(series.candidate_points()) == windows
         assert series.coeffs == coeffs
         assert series.regions == regions
 
@@ -442,3 +460,48 @@ def test_integer_plan_matches_fraction_reference(label):
 def test_integer_plan_matches_fraction_reference_property(label, coeffs, step_bound):
     ctx = quaternionic_context(label)
     _check_against_reference(ctx, _dominant(ctx, coeffs), step_bound)
+
+
+# ---------------------------------------------------------------------------
+# window-first extraction and comparison against the dense path they replaced
+
+
+_AC4_CASES = [(label, lam) for label, count in _AC4_PLAN
+              for lam in _quaternionic_parameters(label, count)[1]]
+_SP1Q_CASES = [("sp1_q:2", (4, 2, 1)), ("sp1_q:2", (6, 4, 1)),
+               ("sp1_q:3", (5, 3, 2, 1)), ("sp1_q:3", (7, 4, 2, 1))]
+
+
+def _report(report):
+    return report.agree, report.compared, report.mismatches
+
+
+@pytest.mark.parametrize("label,lam,step_bound",
+                         [(label, lam, 12) for label, lam in _AC4_CASES]
+                         + [(label, weight(lam), 10) for label, lam in _SP1Q_CASES])
+def test_extraction_and_comparison_match_dense_reference(label, lam, step_bound):
+    ctx = _context(label)
+    sp1q = isinstance(ctx, Sp1qContext)
+    series = (sp1q_restriction_series if sp1q else restriction_series)(
+        ctx, lam, OracleConfig(step_bound=step_bound))
+    chart = series.chart
+    dense = DeltaSeries(*reference_series(coset_terms(ctx, lam), chart, step_bound), chart)
+    closed = (sp1q_branching_table if sp1q else branching_table)(ctx, lam, step_bound)
+    table = extract_multiplicities(ctx, series)
+    assert table.entries == reference_extract(ctx, dense).entries
+    report = compare(ctx, series, closed)
+    assert report.agree and report.compared >= 9
+    assert _report(report) == _report(reference_compare(ctx, dense, closed))
+    # a closed table that is wrong at two weights, missing a third and
+    # carrying one more beyond its bound: the same mismatches, in weight order
+    entries = dict(closed.entries)
+    first, second, third = sorted(table.entries)[:3]
+    entries[first] += 1
+    entries[second] = 0
+    del entries[third]
+    beyond = max(closed.entries, key=lambda mu: coroot_pairing(ctx.form, mu, ctx.beta))
+    entries[tuple(2 * x for x in beyond)] = 1
+    wrong = BranchingTable(entries, closed.pairing_bound, closed.label, closed.lam)
+    report = compare(ctx, series, wrong)
+    assert len(report.mismatches) == 3
+    assert _report(report) == _report(reference_compare(ctx, dense, wrong))
