@@ -50,7 +50,6 @@ from .quaternionic import (
 )
 from .repweights import (
     CompactFactor,
-    HCParameter,
     WeightMultTable,
     freudenthal,
     hc_to_highest_weight,

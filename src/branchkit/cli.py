@@ -10,13 +10,11 @@ Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
 coordinates as coefficients over the simple roots of the form's positive
 system.  Both families (quat and sp1q) share one oracle (see ``oracle``).
-The environment variable BRANCHKIT_GROUP_ORDER_BOUND overrides the bound on
-the number of W(K2)/W_Z cosets of either family's oracle (default 10^5; a
-form with more cosets exits with status 3); a value that is not a positive
-integer exits with status 2.  BRANCHKIT_DIMENSION_BOUND (default 10^7), read
-the same way, caps the Freudenthal tables, the closed-form tables and the
-oracle's Heaviside products and windows; each size is counted before it is
-built, and a request above the bound exits with status 3.
+The environment variable BRANCHKIT_DIMENSION_BOUND (default 10^7) caps the
+Freudenthal tables, the closed-form tables and the oracle's Heaviside
+products and windows; each size is counted before it is built, and a
+request above the bound exits with status 3.  A value that is not a
+positive integer exits with status 2.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .quaternionic import (
     quaternionic_context,
 )
 from .repweights import restrict_weights
-from .rootsystems import env_bound
 from .specialcases import (
     hermitian_data,
     kss_admissible_report,
@@ -57,11 +54,6 @@ from .specialcases import (
 )
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json")
-
-
-def _oracle_config(step_bound: int) -> OracleConfig:
-    bound = env_bound("BRANCHKIT_GROUP_ORDER_BOUND", OracleConfig.coset_bound)
-    return OracleConfig(step_bound, bound)
 
 
 def _oracle_payload(report) -> dict:
@@ -158,7 +150,7 @@ def cmd_branch(args) -> int:
         "oracleChecked": False,
     }
     if args.check_oracle:
-        report = verify(ctx, lam, _oracle_config(args.step_bound))
+        report = verify(ctx, lam, OracleConfig(args.step_bound))
         payload["oracleChecked"] = True
         payload["oracle"] = _oracle_payload(report)
         if not report.agree:
@@ -249,7 +241,7 @@ def cmd_weights(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     ctx, lam, _, verify = _family(args)
-    report = verify(ctx, lam, _oracle_config(args.step_bound))
+    report = verify(ctx, lam, OracleConfig(args.step_bound))
     payload = {
         "command": "oracle-check",
         "family": args.family,

@@ -146,12 +146,6 @@ def reflection_matrix(gamma: Weight) -> Matrix:
     )
 
 
-def apply_matrix(m: Matrix, v: Weight) -> Weight:
-    return tuple(
-        sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in m
-    )
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     bt = tuple(zip(*b))
@@ -287,11 +281,6 @@ class Chart:
         values = [Fraction(fn(row)) for row in self.rows]
         den = lcm(1, *(v.denominator for v in values))
         return tuple(int(v * den) for v in values), den * self.scale
-
-    def covector(self, functional) -> tuple[int, ...]:
-        """Integer covector c with sum c_j p_j a positive multiple of
-        functional(to_weight(p)), for a linear functional on the span."""
-        return self.functional(functional)[0]
 
 
 def map_point(linear_map, p: Sequence[int]):

@@ -20,9 +20,12 @@ data (``oracle_plan``): one chart per form and kind (the projection's image:
 rank 2 for the branching series, rank 1 for the torus identity), each flip's
 multiset as chart points, and per (coset, flip) the int maps from the scaled
 parameter to the term's base point and kernel-root pairings (``CosetSum``).
-A request scales lam to ints once and runs its coset loop on ints.  The
-coset bound and every per-parameter check run on every request, so results
-do not depend on the order of requests.
+A request scales lam to ints once and runs its coset loop on ints.  Every
+per-parameter check runs on every request, so results do not depend on the
+order of requests.  The coset count needs no bound of its own: it is n
+on su2_n:n, at most 2n on so4_n:n, 2q on sp1_q:q and at most 56 on the
+exceptional forms, and the form's root data take longer to build than
+the walk.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -55,7 +58,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Protocol
 
-from .errors import DomainError, InternalError, ResourceError
+from .errors import DomainError, InternalError
 from .formal import DeltaSeries, ProductSum, convolve_multiset, product_size
 from .lattice import (
     Chart,
@@ -121,14 +124,13 @@ class OracleContext(Protocol):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation depth and the safety bound on the number of W(K2)/W_Z cosets."""
+    """Truncation depth of the Heaviside series."""
 
     step_bound: int = 12
-    coset_bound: int = 10**5
 
     def __post_init__(self):
-        if self.step_bound <= 0 or self.coset_bound <= 0:
-            raise DomainError("oracle bounds must be positive")
+        if self.step_bound <= 0:
+            raise DomainError("the oracle step bound must be positive")
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,8 +286,7 @@ def _coset_sum(ctx: OracleContext, cosets, chart: Chart, project, flips, noncomp
 
 @functools.lru_cache(maxsize=None)
 def oracle_plan(ctx: OracleContext) -> OraclePlan:
-    """The form's plan (memoized per context).  The coset bound is not
-    applied here; ``_coset_series`` checks it on every request."""
+    """The form's plan (memoized per context)."""
     dim, flipped = ctx.form.dim, _reflections(ctx.form, (ctx.beta,))
     kinds = ((ctx.q_u, (False, True), ctx.noncompact_positive), (ctx.q_u_k2, (False,), ()))
     charts = []  # (chart of the image, covectors m_c with project(v)[c] = (m_c, v))
@@ -350,11 +351,6 @@ def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
     built.  The caller validates lam.
     """
     plan = oracle_plan(ctx)
-    if len(plan.words) > cfg.coset_bound:
-        raise ResourceError(
-            f"W(K2)/W_Z coset count exceeds the oracle bound {cfg.coset_bound}; "
-            f"only the closed form is available for {ctx.rd.label}"
-        )
     kind = plan.torus if torus else plan.series
     point, den = scaled_point(lam)
     multisets = [{tuple(den * x for x in d): m for d, m in ms} for ms in kind.multisets]
@@ -388,7 +384,8 @@ def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
 
 def _side(ctx: OracleContext, chart: Chart):
     """Positive-side test on the integer points of chart."""
-    covectors = [chart.covector(lambda w, g=g: inner(ctx.form, w, g)) for g in ctx.side_roots]
+    covectors = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0]
+                 for g in ctx.side_roots]
     return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
 
 
@@ -396,12 +393,12 @@ def check_antisymmetry(ctx: QuaternionicContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
     wall, odd across it, with every mirror point on the chart lattice."""
     chart = series.chart
-    wall = chart.covector(lambda w: inner(ctx.form, w, ctx.beta))
+    wall, _ = chart.functional(lambda w: inner(ctx.form, w, ctx.beta))
     mirror, _ = mirror_maps(ctx)[0]  # S_b
     problems = [
         ("wall", chart.to_weight(p), c)
         for p, c in series.coeffs.items()
-        if not sum(map(mul, wall, p))
+        if not sum(map(mul, wall, p)) and series.certain_at(p)
     ]
     for p, c in series.coeffs.items():
         q = map_point(mirror, p)

@@ -39,7 +39,6 @@ from .lattice import (
 )
 from .repweights import (
     CompactFactor,
-    HCParameter,
     cached_freudenthal,
     check_size,
     hc_to_highest_weight,
@@ -187,10 +186,10 @@ def decompose_parameter(ctx: QuaternionicContext, lam: Weight):
     return lam1, lam2
 
 
-def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> HCParameter:
+def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> None:
     """Check lam is a discrete-series parameter dominant for the small system."""
     try:
-        return validate_hc_parameter(lam, ctx.psi)
+        validate_hc_parameter(lam, ctx.psi)
     except DomainError as exc:
         raise DomainError(
             "not a quaternionic discrete series parameter (parameter must be "

@@ -23,12 +23,13 @@ of the oracle's Heaviside products, each counted before it is built.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 
-from .errors import DimensionError, DomainError, InternalError, ResourceError
+from .errors import ConfigurationError, DimensionError, DomainError, InternalError, ResourceError
 from .lattice import (
     InnerProductForm,
     Weight,
@@ -42,13 +43,26 @@ from .lattice import (
     wneg,
     wsub,
 )
-from .rootsystems import PositiveSystem, RootDatum, env_bound, half_sum, simple_elements
+from .rootsystems import PositiveSystem, RootDatum, half_sum, simple_elements
 
 DIMENSION_BOUND = 10**7
 
 
 def dimension_bound() -> int:
-    return env_bound("BRANCHKIT_DIMENSION_BOUND", DIMENSION_BOUND)
+    """The bound from BRANCHKIT_DIMENSION_BOUND, or DIMENSION_BOUND when it is
+    unset.  Anything but a positive integer raises ConfigurationError."""
+    raw = os.environ.get("BRANCHKIT_DIMENSION_BOUND")
+    if raw is None:
+        return DIMENSION_BOUND
+    try:
+        value = int(raw)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"BRANCHKIT_DIMENSION_BOUND must be a positive integer, got {raw!r}"
+    )
 
 
 def check_size(count: int, what: str) -> None:
@@ -94,14 +108,6 @@ class CompactFactor:
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class HCParameter:
-    """A regular, integral weight, dominant for the stated positive system."""
-
-    lam: Weight
-    system: PositiveSystem
-
-
 @functools.lru_cache(maxsize=None)
 def _coroot_covectors(rd: RootDatum):
     """(g, a, 2 k, (a, a)) per positive root g, a = k g an int point, so that
@@ -132,12 +138,12 @@ def regular_integral_pairings(rd: RootDatum, lam: Weight) -> dict:
     return pairings
 
 
-def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> HCParameter:
+def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> None:
+    """Check that lam is regular, integral and dominant for the system."""
     pairings = regular_integral_pairings(system.parent, lam)
     for g in system.chosen:
         if (pairings[g] if g in pairings else -pairings[wneg(g)]) <= 0:
             raise DomainError("parameter is not dominant for the given positive system")
-    return HCParameter(lam, system)
 
 
 def hc_to_highest_weight(lam2: Weight, factor: CompactFactor) -> Weight:

@@ -24,7 +24,6 @@ pairing 1 means noncompact (applied to positive roots, extended by negation).
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -50,21 +49,6 @@ from .lattice import (
     wscale,
     zero_weight,
 )
-
-def env_bound(name: str, default: int) -> int:
-    """A safety bound read from the environment variable ``name``, or
-    ``default`` when it is unset.  Anything but a positive integer raises
-    ConfigurationError."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise ConfigurationError(f"{name} must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -176,8 +176,8 @@ def sp1q_context(q: int) -> Sp1qContext:
     )
 
 
-def sp1q_validate(ctx: Sp1qContext, lam: Weight):
-    return validate_hc_parameter(lam, ctx.sigma)
+def sp1q_validate(ctx: Sp1qContext, lam: Weight) -> None:
+    validate_hc_parameter(lam, ctx.sigma)
 
 
 def sp1q_decompose(ctx: Sp1qContext, lam: Weight):

@@ -13,13 +13,13 @@ weights with Fraction pairings.  Tests compare the package against both
 point for point.
 """
 
+from fractions import Fraction
 from itertools import product
 from operator import add, mul
 
 from branchkit.errors import InternalError
 from branchkit.formal import ValidityRegion, convolve_multiset
 from branchkit.lattice import (
-    apply_matrix,
     coroot_pairing,
     format_weight,
     identity_matrix,
@@ -32,6 +32,13 @@ from branchkit.oracle import ComparisonReport
 from branchkit.quaternionic import BranchingTable
 from branchkit.oracle import compact_quotient_weights, oracle_plan, _weyl_normalizer
 from branchkit.rootsystems import WeylElement
+
+
+def apply_matrix(m, v):
+    """The Fraction matrix m applied to the weight v, as a column vector."""
+    return tuple(
+        sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in m
+    )
 
 
 def kernel_roots(ctx):
@@ -137,7 +144,8 @@ def region_points(region):
 
 
 def _side(ctx, chart):
-    covectors = [chart.covector(lambda w, g=g: inner(ctx.form, w, g)) for g in ctx.side_roots]
+    covectors = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0]
+                 for g in ctx.side_roots]
     return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
 
 

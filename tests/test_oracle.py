@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchkit.acceptance import _AC4_PLAN, _quaternionic_parameters
-from branchkit.errors import InternalError, ResourceError
-from branchkit.formal import DeltaSeries
+from branchkit.errors import InternalError
+from branchkit.formal import DeltaSeries, ValidityRegion
 from branchkit.lattice import (
     Chart,
-    apply_matrix,
     coroot_pairing,
     inner,
     map_point,
@@ -53,6 +52,7 @@ from branchkit.specialcases import (
 )
 from branchkit.rootsystems import coset_reps, simple_elements, weyl_generate
 from oracle_reference import (
+    apply_matrix,
     coset_elements,
     coset_terms,
     kernel_roots,
@@ -158,17 +158,6 @@ def test_torus_restriction_string(g2):
             assert got == lhs.coeffs.get(x, 0)
 
 
-def test_torus_identity_checks_the_coset_bound(g2):
-    # the torus identity runs the same coset loop, and the same bound check,
-    # as the branching series; g2_2 has 2 cosets
-    lam = wadd(wscale(3, g2.fw1), g2.beta)
-    assert len(_kernel_cosets(g2)) == 2
-    with pytest.raises(ResourceError, match="exceeds the oracle bound 1; "):
-        torus_restriction_sides(g2, lam, OracleConfig(step_bound=4, coset_bound=1))
-    lhs, rhs = torus_restriction_sides(g2, lam, OracleConfig(step_bound=4, coset_bound=2))
-    assert lhs.coeffs
-
-
 def test_weyl_polynomial_reflection_invariance(su23):
     # the summand identity: the polynomial only sees the beta-orthogonal part
     lam = weight([5, 3, 1, 0, -4])
@@ -202,6 +191,21 @@ def test_check_antisymmetry_reports_off_lattice_mirror():
     assert ("mirror", chart.to_weight(p), "off the lattice") in problems
 
 
+def test_check_antisymmetry_reports_only_certified_wall_points(g2):
+    # a coefficient on the S_b wall is a problem only where the contract
+    # certifies it: base p - 2d certifies p within 2 steps of d, not within 0
+    chart = oracle_plan(g2).series.chart
+    wall, _ = chart.functional(lambda w: inner(g2.form, w, g2.beta))
+    p = (wall[1], -wall[0])
+    d = (1, 0) if wall[0] else (0, 1)
+    base = (p[0] - 2 * d[0], p[1] - 2 * d[1])
+    certified = DeltaSeries({p: 1}, (ValidityRegion(base, ((d, 1),), 2),), chart)
+    uncertified = DeltaSeries({p: 1}, (ValidityRegion(base, ((d, 1),), 0),), chart)
+    assert any(p) and certified.certain_at(p) and not uncertified.certain_at(p)
+    assert ("wall", chart.to_weight(p), 1) in check_antisymmetry(g2, certified)
+    assert not any(kind == "wall" for kind, _, _ in check_antisymmetry(g2, uncertified))
+
+
 def test_restriction_series_antisymmetry(g2):
     lam = wadd(wscale(2, g2.fw1), g2.beta)
     series = restriction_series(g2, lam, CFG)
@@ -233,13 +237,6 @@ def test_verify_closed_form_agrees(su22):
     assert report.agree
     assert report.compared > 20
     assert report.mismatches == ()
-
-
-def test_oracle_rejects_large_forms():
-    ctx = quaternionic_context("e6_2")
-    lam = ctx.psi.rho
-    with pytest.raises(ResourceError):
-        restriction_series(ctx, lam, OracleConfig(step_bound=4, coset_bound=16))
 
 
 @pytest.mark.parametrize("label,cosets", [("e6_2", 20), ("e7_m5", 32), ("e8_m24", 56)])

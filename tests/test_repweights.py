@@ -120,7 +120,7 @@ def test_freudenthal_resource_bound(monkeypatch):
 def _kostant_multiplicity(hw, nu, factor):
     """Brute-force alternating sum of partition counts over the Weyl group."""
     from branchkit.rootsystems import weyl_generate
-    from branchkit.lattice import apply_matrix
+    from oracle_reference import apply_matrix
 
     positives = list(factor.positive)
 
