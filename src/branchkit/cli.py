@@ -50,7 +50,6 @@ from .specialcases import (
     sp1q_context,
     sp1q_string_table,
     sp1q_verify,
-    sp1q_weight_table,
 )
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json")
@@ -202,27 +201,19 @@ def cmd_admissible(args) -> int:
 
 def cmd_weights(args) -> int:
     label = args.form
-    if label.startswith("sp1_q"):
-        ctx = sp1q_context(_sp1q_param(label))
-        lam = _parse_lambda(args, ctx.rd.simple)
-        if args.project == "torus":
-            strings = sp1q_string_table(ctx, lam)
-            entries = {
-                format_weight((Fraction(0), Fraction(k)) + (Fraction(0),) * (ctx.q - 1)): n
-                for k, n in strings.items()
-            }
-        else:
-            table = sp1q_weight_table(ctx, lam)
-            entries = {format_weight(v): m for v, m in table.mults.items()}
+    sp1q = label.startswith("sp1_q")
+    ctx = sp1q_context(_sp1q_param(label)) if sp1q else quaternionic_context(label)
+    lam = _parse_lambda(args, ctx.rd.simple)
+    if args.project == "torus" and sp1q:
+        strings = sp1q_string_table(ctx, lam)
+        entries = {
+            format_weight((Fraction(0), Fraction(k)) + (Fraction(0),) * (ctx.q - 1)): n
+            for k, n in strings.items()
+        }
     else:
-        ctx = quaternionic_context(label)
-        lam = _parse_lambda(args, ctx.rd.simple)
         table = lam2_weight_table(ctx, lam)
-        if args.project == "torus":
-            pushed = restrict_weights(table, ctx.q_u_k2)
-            entries = {format_weight(v): m for v, m in pushed.items()}
-        else:
-            entries = {format_weight(v): m for v, m in table.mults.items()}
+        mults = restrict_weights(table, ctx.q_u_k2) if args.project == "torus" else table.mults
+        entries = {format_weight(v): m for v, m in mults.items()}
     payload = {
         "command": "weights",
         "form": label,

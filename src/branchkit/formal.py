@@ -24,21 +24,23 @@ directions certifies a point x when either
 
 Soundness of the decomposition search relies on the direction multiset being
 pointed (no nonzero nonnegative combination sums to zero).  This is certified
-by a strictly positive linear functional on the directions; for linearly
-dependent directions the functional also bounds how many steps any
-alternative decomposition of a certified point can use, and the Heaviside
-factors are expanded far enough to cover all of them.  The search handles
-direction sets of rank at most 2.
+by an integer covector that is strictly positive on every direction, built on
+ints from the directions' coordinates over two of them (``_Cone``); a zero
+direction, a set that is not pointed and one of rank above 2 raise DomainError.
+For linearly dependent directions the functional also bounds how many steps
+any alternative decomposition of a certified point can use, and the
+Heaviside factors are expanded far enough to cover all of them.
 
 The pure integer kernels are memoized per process, keyed by their int
-inputs: one ``_Cone`` per direction tuple, its minimal step count per offset
-x - base, the Heaviside product ``convolve_multiset`` per (multiset, step
-bound), returned with read-only coefficients, and the product's window (its
-coefficients on the points its region certifies with a decomposition) per
-the same key.  None of them is built at import, and what they return
-depends on their inputs alone, so results do not depend on the order of
-requests.  Each series keeps its verdict per point; series are otherwise
-immutable and all operations are pure.
+inputs: one ``_Cone`` (pivots, covector and search data) per direction
+tuple, its minimal step count per offset x - base, the Heaviside product
+``convolve_multiset`` per (multiset, step bound), returned with read-only
+coefficients, and the product's window (its coefficients on the points its
+region certifies with a decomposition) per the same key.  None of them is
+built at import, and what they return depends on their inputs alone, so
+results do not depend on the order of requests.  Each series keeps its
+verdict per point; series are otherwise immutable and all operations are
+pure.
 
 The oracle reads ``convolve_multiset``, ``product_size`` and ``ProductSum``:
 a signed sum of memoized products translated to its terms' bases, over one
@@ -56,11 +58,11 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
 from types import MappingProxyType
 
 from .errors import DomainError, InternalError
-from .lattice import format_weight, rational_solve
+from .lattice import format_weight
 
 Point = tuple[int, ...]
 PointMultiset = dict[Point, int]
@@ -82,100 +84,24 @@ def _half(v: Point) -> Point:
     return tuple(x // 2 for x in v)
 
 
-def _independent_basis(dirs: list[Point]) -> list[Point]:
-    basis: list[Point] = []
-    for d in dirs:
-        if rational_solve(basis, d) is None:
-            basis.append(d)
-    return basis
-
-
-def _positive_functional(dirs: list[Point]) -> dict[Point, Fraction]:
-    """Values of a linear functional that is > 0 on every direction.
-
-    Existence certifies that the multiset is pointed (strict in the sense
-    needed for convolutions to be well defined).  Raises DomainError when no
-    certificate exists.
-    """
-    if not dirs:
-        return {}
-    basis = _independent_basis(dirs)
-    if len(basis) == len(dirs):
-        # Independent directions: decompositions are unique; weight all by 1.
-        return {d: Fraction(1) for d in dirs}
-    coords = {d: rational_solve(basis, d) for d in dirs}
-    if len(basis) == 1:
-        values = {d: coords[d][0] for d in dirs}
-        if any(v <= 0 for v in values.values()):
-            if all(v < 0 for v in values.values()):
-                return {d: -v for d, v in values.items()}
-            raise DomainError("multiset is not strict: opposite collinear directions")
-        return values
-    if len(basis) == 2:
-        return _planar_functional(dirs, coords)
-    raise DomainError("cannot certify strictness of the direction multiset")
-
-
-def _planar_functional(dirs, coords) -> dict[Point, Fraction]:
-    """Positive functional for dependent rank-2 direction sets.
-
-    The 2D coordinate rays are sorted by angle exactly; the set is pointed iff
-    it spans strictly less than half a turn, and then the covector
-    rot90ccw(u) + rot90cw(v) built from the extreme rays u, v is strictly
-    positive on the whole set.
-    """
-
-    def half(p):  # 0: upper half plane incl. positive x-axis; 1: the rest
-        x, y = p
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cross(p, q):
-        return p[0] * q[1] - p[1] * q[0]
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        c = cross(p, q)
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    def ray(p):  # canonical representative: positive rescale
-        scale = next(abs(x) for x in p if x)
-        return (p[0] / scale, p[1] / scale)
-
-    rays = sorted({ray(coords[d]) for d in dirs}, key=functools.cmp_to_key(cmp))
-    m = len(rays)
-    if m == 1:
-        u = v = rays[0]
-    else:
-        # cyclically sorted: pointed iff exactly one cyclic gap exceeds half a
-        # turn; the occupied arc then runs from the ray after that gap (u) to
-        # the ray before it (v)
-        wide = [i for i in range(m) if cross(rays[i], rays[(i + 1) % m]) < 0]
-        if len(wide) != 1:
-            raise DomainError("multiset is not strict: directions span a half plane")
-        i = wide[0]
-        u, v = rays[(i + 1) % m], rays[i]
-    f = (-u[1] + v[1], u[0] - v[0])
-    if f == (Fraction(0), Fraction(0)):
-        f = u
-    values = {}
-    for d in dirs:
-        val = f[0] * coords[d][0] + f[1] * coords[d][1]
-        if val <= 0:
-            raise DomainError("multiset is not strict: no positive functional")
-        values[d] = val
-    return values
+def _cross(p: Point, q: Point) -> int:
+    return p[0] * q[1] - p[1] * q[0]
 
 
 class _Cone:
     """Integer search data of one pointed set of distinct directions.
 
-    The positive functional of ``_positive_functional`` is scaled to an
-    integer covector ``f`` on the pivot coordinates, the first coordinates
-    on which the span is injective (``phi[d] = f . d`` is the functional up
-    to one positive factor).  An independent subset of ``rank`` directions
-    is solved for exactly; the other ("free") directions are enumerated,
+    Let a be the first direction and b the first one off a's line.  The
+    pivots are the first coordinates on which the span is injective, and
+    ``f`` is a gcd-reduced integer covector on them with ``phi[d] = f . d``
+    > 0 on every direction d, which certifies that the set is pointed.  On a
+    line f is the sign of a's pivot coordinate.  In a plane every d gets the
+    int coordinates (x, y) of d = (x a + y b) / |det| over (a, b), det the
+    cross product of their pivot parts; from the extreme rays u, v of these
+    coordinates the functional is w -> cross(u, w) / n_u + cross(w, v) / n_v,
+    n being the absolute value of a ray's first nonzero coordinate (two
+    independent directions get equal weights).  A decomposition is solved for
+    exactly over a (and b); the other ("free") directions are enumerated,
     each up to the functional's budget.
     """
 
@@ -183,27 +109,49 @@ class _Cone:
         self.rank = 0
         if not dirs:
             return
-        phi = _positive_functional(list(dirs))  # also certifies strictness
-        basis = _independent_basis(list(dirs))
-        self.rank = rank = len(basis)
-        if rank > 2:
-            raise DomainError("cannot certify direction sets of rank above 2")
-        dim = len(dirs[0])
-        if rank == 1:
-            self.pivots = (next(k for k in range(dim) if basis[0][k]),)
-        else:
-            a, b = basis
+        for d in dirs:
+            if not any(d):
+                raise DomainError(
+                    f"non-strict multiset: contains the zero direction ({format_weight(d)})"
+                )
+        a, dim = dirs[0], len(dirs[0])
+        self.rank, self.span = 1, (a,)
+        self.pivots = (next(k for k in range(dim) if a[k]),)
+        self.f = (1 if a[self.pivots[0]] > 0 else -1,)
+        b = next((d for d in dirs if not self._in_span(d)), None)
+        if b is not None:
+            self.rank, self.span = 2, (a, b)
             self.pivots = next((i, j) for i in range(dim) for j in range(i + 1, dim)
                                if a[i] * b[j] - a[j] * b[i])
-        self.span = basis
-        self.check_span = dim > rank
-        self.free = tuple(d for d in dirs if d not in basis)
-        self.last = tuple(self._project(d) for d in basis)
-        cov = rational_solve([tuple(g[k] for g in basis) for k in self.pivots],
-                             tuple(phi[g] for g in basis))
-        den = lcm(*(c.denominator for c in cov))
-        self.f = tuple(int(c * den) for c in cov)
+            if not all(map(self._in_span, dirs)):
+                raise DomainError("cannot certify direction sets of rank above 2")
+            self.f = self._planar_covector(dirs)
+        self.check_span = dim > self.rank
+        self.free = tuple(d for d in dirs if d not in self.span)
+        self.last = tuple(map(self._project, self.span))
         self.phi = {d: sum(map(operator.mul, self.f, self._project(d))) for d in dirs}
+        if min(self.phi.values()) <= 0:
+            raise DomainError("multiset is not strict: no linear functional is positive on it")
+
+    def _planar_covector(self, dirs: tuple[Point, ...]) -> Point:
+        pa, pb = map(self._project, self.span)
+        s = 1 if _cross(pa, pb) > 0 else -1
+        rays = set()
+        for d in dirs:
+            pd = self._project(d)
+            x, y = s * _cross(pd, pb), s * _cross(pa, pd)
+            g = gcd(x, y)
+            rays.add((x // g, y // g))
+        u = next((r for r in rays if all(_cross(r, w) >= 0 for w in rays)), None)
+        v = next((r for r in rays if all(_cross(w, r) >= 0 for w in rays)), None)
+        if u is None or v is None:
+            raise DomainError("multiset is not strict: directions span a half plane")
+        nu, nv = abs(u[0] or u[1]), abs(v[0] or v[1])
+        g0, g1 = v[1] * nu - u[1] * nv, u[0] * nv - v[0] * nu
+        (ai, aj), (bi, bj) = pa, pb
+        f0, f1 = s * (g0 * bj - g1 * aj), s * (g1 * ai - g0 * bi)
+        k = gcd(f0, f1)
+        return f0 // k, f1 // k
 
     def _project(self, v: Point) -> Point:
         return tuple(v[k] for k in self.pivots)
@@ -429,8 +377,6 @@ def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
 
 @functools.lru_cache(maxsize=None)
 def _convolve_multiset(items: tuple[tuple[Point, int], ...], n_steps: int) -> DeltaSeries:
-    if any(not any(d) for d, _ in items):
-        raise DomainError("non-strict multiset: contains the zero weight")
     dirs = tuple(d for d, _ in items)
     phi = _cone(dirs).phi  # also certifies strictness
     max_phi = max(phi.values())

@@ -199,7 +199,8 @@ def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> None:
 
 
 def lam2_weight_table(ctx: QuaternionicContext, lam: Weight):
-    """Weight table of the k2-representation attached to lam (memoized)."""
+    """Weight table of the k2-representation attached to lam (memoized).
+    It serves sp(1, q) too: there beta = 2 e0 and k2 is sp(q)."""
     _, lam2 = decompose_parameter(ctx, lam)
     return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
 

@@ -10,10 +10,10 @@ norms are integer arithmetic, and weights are mapped back to Fractions only
 for the returned table.  The resulting multiplicities are asserted integral; a
 non-integer intermediate aborts with InternalError.
 
-Every route from a parameter to a compact-factor weight table
-(``quaternionic.lam2_weight_table``, ``specialcases.sp1q_weight_table``)
-ends in ``cached_freudenthal``, one per-process memo keyed by (highest
-weight, factor).
+Every route from a parameter to a compact-factor weight table, on either
+family, goes through ``quaternionic.lam2_weight_table`` and ends in
+``cached_freudenthal``, one per-process memo keyed by (highest weight,
+factor).
 
 The dimension bound (``BRANCHKIT_DIMENSION_BOUND``) caps the size of a
 Freudenthal table, and through ``check_size`` that of a closed-form table and

@@ -41,12 +41,10 @@ from .oracle import (
     on_chart,
     require_compared,
 )
-from .quaternionic import BranchingTable
+from .quaternionic import BranchingTable, lam2_weight_table
 from .repweights import (
     CompactFactor,
-    cached_freudenthal,
     check_size,
-    hc_to_highest_weight,
     regular_integral_pairings,
     su2_string_decompose,
     validate_hc_parameter,
@@ -185,15 +183,9 @@ def sp1q_decompose(ctx: Sp1qContext, lam: Weight):
     return lam1, wsub(lam, lam1)
 
 
-def sp1q_weight_table(ctx: Sp1qContext, lam: Weight):
-    """Weight table of the sp(q)-representation attached to lam (memoized)."""
-    _, lam2 = sp1q_decompose(ctx, lam)
-    return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
-
-
 def sp1q_string_table(ctx: Sp1qContext, lam: Weight) -> dict:
     """su(2)-string content {k: N_k} of the sp(q)-representation attached to lam."""
-    return su2_string_decompose(sp1q_weight_table(ctx, lam), ctx.su2_root)
+    return su2_string_decompose(lam2_weight_table(ctx, lam), ctx.su2_root)
 
 
 def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:

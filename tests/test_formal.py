@@ -14,6 +14,7 @@ from branchkit.formal import (
     dirac,
     heaviside,
     heaviside_power,
+    product_size,
 )
 
 # Points are int tuples; G and H are the unit weights in doubled coordinates,
@@ -142,6 +143,25 @@ def test_multiset_rejects_zero_and_empty():
         convolve_multiset({}, 3)
 
 
+def test_zero_direction_raises_domain_error():
+    # a zero direction among two independent ones, and beside one direction
+    with pytest.raises(DomainError, match="zero direction"):
+        product_size({(0, 0): 1, (1, 0): 1, (0, 1): 1}, 3)
+    region = ValidityRegion((0, 0), (((0, 0), 1), ((1, 0), 1), ((0, 1), 1)), 2)
+    with pytest.raises(DomainError, match="zero direction"):
+        region.certain_at((5, 5))
+    with pytest.raises(DomainError, match="zero direction"):
+        product_size({(0, 0): 1, (1, 0): 1}, 3)
+
+
+def test_direction_off_the_plane_is_rejected():
+    dirs = {(2, 0, 0): 1, (0, 2, 0): 1, (2, 2, 0): 1, (0, 0, 2): 1}
+    with pytest.raises(DomainError):
+        product_size(dirs, 3)
+    with pytest.raises(DomainError):
+        convolve_multiset(dirs, 3)
+
+
 def test_multiset_rejects_opposite_directions():
     with pytest.raises(DomainError):
         convolve_multiset({G: 1, wscale(-1, G): 1}, 3)
@@ -236,6 +256,14 @@ def _direction_sets(draw):
     return sorted(dirs)
 
 
+# injective int maps of the plane into 3D, each with a unit vector off its
+# image; the first puts a coordinate that is no pivot first
+_EMBEDDINGS = (
+    (lambda p: (0, p[0], p[1]), (1, 0, 0)),
+    (lambda p: (p[0], p[1], p[0] - p[1]), (0, 0, 1)),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     _direction_sets(),
@@ -245,4 +273,11 @@ def _direction_sets(draw):
 def test_min_steps_matches_brute_force(dirs, counts, noise):
     v = tuple(sum(c * d[k] for c, d in zip(counts, dirs)) + noise[k] for k in range(2))
     region = ValidityRegion((0, 0), tuple((d, 1) for d in dirs), 0)
-    assert region.min_total_steps(v) == _brute_min_steps(v, dirs)
+    expected = _brute_min_steps(v, dirs)
+    assert region.min_total_steps(v) == expected
+    # the same set in 3D: the plane's image, then a point off it
+    for embed, off in _EMBEDDINGS:
+        lifted = ValidityRegion((0, 0, 0), tuple((embed(d), 1) for d in dirs), 0)
+        assert lifted.min_total_steps(embed(v)) == expected
+        assert lifted.min_total_steps(tuple(map(sum, zip(embed(v), off)))) is None
+

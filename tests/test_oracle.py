@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from branchkit.acceptance import _AC4_PLAN, _quaternionic_parameters
 from branchkit.errors import InternalError
-from branchkit.formal import DeltaSeries, ValidityRegion
+from branchkit.formal import DeltaSeries, ValidityRegion, convolve_multiset, product_size
 from branchkit.lattice import (
     Chart,
     coroot_pairing,
@@ -457,6 +457,22 @@ def test_integer_plan_matches_fraction_reference(label):
 def test_integer_plan_matches_fraction_reference_property(label, coeffs, step_bound):
     ctx = quaternionic_context(label)
     _check_against_reference(ctx, _dominant(ctx, coeffs), step_bound)
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_plan_product_sizes_are_pinned(label):
+    """At step bound 4, every Heaviside product of the plan's multisets runs
+    through product_size grid points and keeps a fixed support: (405, 149)
+    on the rank-2 series products of the quaternionic forms, (25, 25) on
+    those of sp(1,q) and (5, 5) on the rank-1 torus products.  Both numbers
+    follow from the cone's functional, through the factors' expansion bounds."""
+    ctx = _context(label)
+    plan = oracle_plan(ctx)
+    series = (25, 25) if isinstance(ctx, Sp1qContext) else (405, 149)
+    for kind, expected in ((plan.series, series), (plan.torus, (5, 5))):
+        for items in kind.multisets:
+            ms = dict(items)
+            assert (product_size(ms, 4), len(convolve_multiset(ms, 4).coeffs)) == expected, items
 
 
 # ---------------------------------------------------------------------------
