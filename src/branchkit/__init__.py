@@ -42,6 +42,7 @@ from .oracle import (
 from .quaternionic import (
     BranchingTable,
     QuaternionicContext,
+    SubgroupContext,
     admissible_system,
     branching_table,
     check_table_dominance,

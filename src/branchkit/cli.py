@@ -9,7 +9,9 @@ errors.
 Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
 coordinates as coefficients over the simple roots of the form's positive
-system.  Both families (quat and sp1q) share one oracle (see ``oracle``).
+system.  Its length is checked against the base system that the form label
+names before any root data is built.  Both families (quat and sp1q) share
+one oracle (see ``oracle``).
 The environment variable BRANCHKIT_DIMENSION_BOUND (default 10^7) caps the
 Freudenthal tables, the closed-form tables and the oracle's Heaviside
 products and windows; each size is counted before it is built, and a
@@ -42,13 +44,16 @@ from .quaternionic import (
     quaternionic_context,
 )
 from .repweights import restrict_weights
+from .rootsystems import ambient_dimension, parse_quaternionic_label
 from .specialcases import (
     hermitian_data,
     kss_admissible_report,
+    parse_hermitian_label,
     so3_admissible,
     sp1q_branching_table,
     sp1q_context,
     sp1q_string_table,
+    sp1q_system,
     sp1q_verify,
 )
 
@@ -66,16 +71,22 @@ def _oracle_payload(report) -> dict:
     }
 
 
+def _context(family: str, label: str):
+    """The base system (family, rank) that the label of a branching family
+    names, and the builder of its context."""
+    if family == "quat":
+        return parse_quaternionic_label(label), functools.partial(quaternionic_context, label)
+    q = _sp1q_param(label)
+    return sp1q_system(q), functools.partial(sp1q_context, q)
+
+
 def _family(args):
     """Context, parameter, closed-form table builder and oracle check of the
     requested family."""
+    ctx, lam = _parse_lambda(args, *_context(args.family, args.form))
     if args.family == "quat":
-        ctx = quaternionic_context(args.form)
-        closed, verify = branching_table, verify_closed_form
-    else:
-        ctx = sp1q_context(_sp1q_param(args.form))
-        closed, verify = sp1q_branching_table, sp1q_verify
-    return ctx, _parse_lambda(args, ctx.rd.simple), closed, verify
+        return ctx, lam, branching_table, verify_closed_form
+    return ctx, lam, sp1q_branching_table, sp1q_verify
 
 
 def _emit(payload: dict, output: str) -> str:
@@ -92,21 +103,24 @@ def _emit(payload: dict, output: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lambda(args, ctx_simple_roots):
+def _parse_lambda(args, system, build):
+    """(build(), lam): the length of lam is checked against the base system
+    (family, rank) that the form label names before ``build`` makes the
+    form's root data, which a simple-basis lam then reads."""
     lam = parse_weight(args.lam)
-    dim = len(ctx_simple_roots[0])
+    family, rank = system
+    dim = ambient_dimension(family, rank)
     if args.basis == "ambient" and len(lam) != dim:
         raise DomainError(f"expected {dim} coordinates in --lambda, got {len(lam)}")
+    if args.basis == "simple" and len(lam) != rank:
+        raise DomainError(f"simple-basis input needs {rank} coefficients")
+    ctx = build()
     if args.basis == "simple":
-        if len(lam) != len(ctx_simple_roots):
-            raise DomainError(
-                f"simple-basis input needs {len(ctx_simple_roots)} coefficients"
-            )
         total = zero_weight(dim)
-        for c, a in zip(lam, ctx_simple_roots):
+        for c, a in zip(lam, ctx.rd.simple):
             total = wadd(total, wscale(c, a))
-        return total
-    return lam
+        return ctx, total
+    return ctx, lam
 
 
 def _entries_json(entries: dict):
@@ -184,8 +198,8 @@ def cmd_admissible(args) -> int:
             "reason": reason,
         }
     else:
-        hd = hermitian_data(args.form)
-        lam = _parse_lambda(args, hd.rd.simple)
+        system = parse_hermitian_label(args.form)[2]
+        hd, lam = _parse_lambda(args, system, functools.partial(hermitian_data, args.form))
         admissible, reason = kss_admissible_report(hd, lam)
         payload = {
             "command": "admissible",
@@ -202,8 +216,7 @@ def cmd_admissible(args) -> int:
 def cmd_weights(args) -> int:
     label = args.form
     sp1q = label.startswith("sp1_q")
-    ctx = sp1q_context(_sp1q_param(label)) if sp1q else quaternionic_context(label)
-    lam = _parse_lambda(args, ctx.rd.simple)
+    ctx, lam = _parse_lambda(args, *_context("sp1q" if sp1q else "quat", label))
     if args.project == "torus" and sp1q:
         strings = sp1q_string_table(ctx, lam)
         entries = {

@@ -7,7 +7,7 @@ per-element multisets; antisymmetrizing in the reflection S_b and reading off
 the coefficients on the positive side recovers the branching multiplicities.
 This module evaluates that sum with exact truncation bookkeeping and extracts
 tables to compare against the closed form.  Both families run through the
-same functions; ``OracleContext`` lists what they read from a family.
+same functions on one ``quaternionic.SubgroupContext``.
 
 The cosets W_Z\\W(K2), W_Z generated by the kernel roots, are enumerated as
 the W(K2)-orbit of one vector whose stabilizer is W_Z, never as the whole
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Protocol
 
 from .errors import DomainError, InternalError
 from .formal import DeltaSeries, ProductSum, convolve_multiset, product_size
@@ -77,49 +76,15 @@ from .lattice import (
 from .quaternionic import (
     BranchingTable,
     QuaternionicContext,
+    SubgroupContext,
     _branching_table,
     decompose_parameter,
     lam2_weight_table,
     require_proper_subgroup,
     validate_small_dominant,
 )
-from .repweights import CompactFactor, check_size, restrict_weights
-from .rootsystems import RootDatum, half_sum
-
-
-class OracleContext(Protocol):
-    """What the oracle reads from a family's context.  QuaternionicContext
-    (su(2,1) subgroup) and specialcases.Sp1qContext (sp(1,1) subgroup) both
-    provide it."""
-
-    rd: RootDatum
-    beta: Weight
-    k2_factor: CompactFactor
-    kernel_positive: tuple[Weight, ...]   # positive k2 roots killed by q_u
-    mirrors: tuple   # (roots, sign): series symmetries, (S_b, -1) first
-
-    @property
-    def form(self) -> InnerProductForm: ...
-
-    @property
-    def side_roots(self) -> tuple[Weight, ...]:
-        """The multiplicities sit on the side {mu : (mu, g) > 0 for every g}
-        of the S_b wall."""
-
-    @property
-    def noncompact_positive(self) -> tuple[Weight, ...]: ...
-
-    @property
-    def h_roots(self) -> frozenset: ...   # roots of the subgroup
-
-    def q_u(self, v: Weight) -> Weight: ...   # onto the subgroup torus
-
-    def q_u_k2(self, v: Weight) -> Weight: ...   # onto the su(2) torus inside k2
-
-    def check_extracted(self, series: ProductSum, p: tuple, mu: Weight, c: int) -> None:
-        """Family check on a certified positive-side coefficient c of a
-        branching series at its point p, whose weight is mu; raises
-        InternalError on failure."""
+from .repweights import check_size, restrict_weights
+from .rootsystems import half_sum
 
 
 @dataclass(frozen=True)
@@ -134,7 +99,7 @@ class OracleConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _weyl_normalizer(ctx: OracleContext) -> Fraction:
+def _weyl_normalizer(ctx: SubgroupContext) -> Fraction:
     """The kernel-root product at rho_Z, their half-sum (memoized per context)."""
     rho_z = half_sum(ctx.form.dim, ctx.kernel_positive)
     den = Fraction(1)
@@ -143,7 +108,7 @@ def _weyl_normalizer(ctx: OracleContext) -> Fraction:
     return den
 
 
-def compact_quotient_weights(ctx: OracleContext) -> dict:
+def compact_quotient_weights(ctx: SubgroupContext) -> dict:
     """Multiset of projections of the k2 positive roots outside the kernel;
     these are the torus weights of the compact quotient directions."""
     out: dict = {}
@@ -171,7 +136,7 @@ def _reflect_scaled(v: tuple, a: tuple, aa: int) -> tuple:
     return tuple(yi // g for yi in y), d * aa // g
 
 
-def _kernel_cosets(ctx: OracleContext, vectors=()) -> tuple:
+def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     """Minimal representatives s of the right cosets W_Z\\W(K2), in order of
     length, as (reduced word, images s^T x of the vectors x, all as
     ``scaled_point`` pairs); s is the product of the word's simple
@@ -248,7 +213,7 @@ def _reflections(form: InnerProductForm, roots):
     return lambda w: functools.reduce(lambda x, g: reflect(form, x, g), roots, w)
 
 
-def _coset_sum(ctx: OracleContext, cosets, chart: Chart, project, flips, noncompact) -> CosetSum:
+def _coset_sum(ctx: SubgroupContext, cosets, chart: Chart, project, flips, noncompact) -> CosetSum:
     """The integer data of one kind of coset sum.  ``cosets`` holds per coset
     its word and, per flip, the scaled images of the flipped chart covectors,
     then of the flipped kernel roots.  A flip's directions are the quotient
@@ -285,7 +250,7 @@ def _coset_sum(ctx: OracleContext, cosets, chart: Chart, project, flips, noncomp
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_plan(ctx: OracleContext) -> OraclePlan:
+def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
     """The form's plan (memoized per context)."""
     dim, flipped = ctx.form.dim, _reflections(ctx.form, (ctx.beta,))
     kinds = ((ctx.q_u, (False, True), ctx.noncompact_positive), (ctx.q_u_k2, (False,), ()))
@@ -311,7 +276,7 @@ def oracle_plan(ctx: OracleContext) -> OraclePlan:
 
 
 @functools.lru_cache(maxsize=None)
-def mirror_maps(ctx: OracleContext) -> tuple:
+def mirror_maps(ctx: SubgroupContext) -> tuple:
     """(``Chart.linear_map``, sign) per ``ctx.mirrors`` on the plan's series
     chart, at any scale (memoized per context)."""
     chart = oracle_plan(ctx).series.chart
@@ -335,7 +300,7 @@ def on_chart(chart: Chart, mults: dict) -> DeltaSeries:
     return DeltaSeries(coeffs, (), chart)
 
 
-def _coset_series(ctx: OracleContext, lam: Weight, cfg: OracleConfig,
+def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,
                   torus: bool = False) -> ProductSum:
     """Signed distributional series of one loop over the plan's cosets s.
 
@@ -382,14 +347,14 @@ def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
     return _coset_series(ctx, lam, cfg)
 
 
-def _side(ctx: OracleContext, chart: Chart):
+def _side(ctx: SubgroupContext, chart: Chart):
     """Positive-side test on the integer points of chart."""
     covectors = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0]
                  for g in ctx.side_roots]
     return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
 
 
-def check_antisymmetry(ctx: QuaternionicContext, series: ProductSum):
+def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
     wall, odd across it, with every mirror point on the chart lattice."""
     chart = series.chart
@@ -413,7 +378,7 @@ def check_antisymmetry(ctx: QuaternionicContext, series: ProductSum):
     return problems
 
 
-def extract_multiplicities(ctx: OracleContext, series: ProductSum) -> BranchingTable:
+def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> BranchingTable:
     """Branching table read off the positive side of the antisymmetrized series.
 
     Only certified weights are reported; a negative coefficient on the
@@ -448,7 +413,7 @@ class ComparisonReport:
     mismatches: tuple
 
 
-def compare(ctx: OracleContext, series: ProductSum, closed: BranchingTable) -> ComparisonReport:
+def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) -> ComparisonReport:
     """Compare a closed-form table against the oracle extraction on the full
     certified region.  Every candidate parameter (from either side) within
     the closed table's pairing bound that the truncated series certifies

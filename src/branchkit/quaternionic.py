@@ -3,6 +3,12 @@ subalgebra: the embedding data, parameter decomposition, the closed-form
 branching table, dominance verification, and the admissibility decision for
 positive systems containing the compact one.
 
+``SubgroupContext`` is the one context the oracle reads, for both branching
+families: ``QuaternionicContext`` adds the su(2,1) data, and
+``specialcases.Sp1qContext`` the sp(1, 1) data of sp(1, q), the quaternionic
+form of type C.  Both are built by ``SubgroupContext.build``, which derives
+k2, its kernel roots and the subgroup's roots the same way for both.
+
 Conventions locked against the distributional oracle (see ``oracle``):
 
 * The su(2,1) copy is spanned by the root spaces of {a, b} where b is the
@@ -53,21 +59,52 @@ from .rootsystems import (
 )
 
 
+def _onto(form: InnerProductForm, v: Weight, g: Weight) -> Weight:
+    """Orthogonal projection of v onto the line of g; the zero coordinates of
+    g are kept as they are, with no Fraction product."""
+    c = inner(form, v, g) / inner(form, g, g)
+    return tuple(c * x if x else x for x in g)
+
+
 @dataclass(frozen=True, eq=False)
-class QuaternionicContext:
-    """Embedding data for one quaternionic real form."""
+class SubgroupContext:
+    """What the oracle reads from a branching family.  k2 is spanned by the
+    compact roots orthogonal to beta; the subgroup torus is spanned by the
+    orthogonal pair (beta, w_line), and w_line also spans the su(2) torus
+    inside k2, so one pair of projections serves every family."""
 
     rd: RootDatum
-    psi: PositiveSystem      # the small positive system
-    beta: Weight             # maximal root, compact
-    alpha: Weight            # noncompact simple root with <beta, alpha-check> = 1
-    fw1: Weight              # fundamental weight L1, (L1, alpha) = 0
-    fw2: Weight              # fundamental weight L2, L1 + L2 = beta
-    d: int                   # half the number of noncompact positive roots
-    w_line: Weight           # beta - 2 alpha, spanning the torus direction in k2
+    beta: Weight             # the maximal root, compact
+    w_line: Weight           # spans the su(2) torus inside k2
+    h_roots: frozenset       # roots of the subgroup
+    side_roots: tuple[Weight, ...]   # the multiplicities sit where every (mu, g) > 0
+    mirrors: tuple           # (roots, sign): series symmetries, (S_b, -1) first
     k2_factor: CompactFactor
-    kernel_positive: tuple[Weight, ...]   # positive compact roots killed by q_u
-    mirrors: tuple           # ((beta,), -1): the branching series is odd under S_b
+    kernel_positive: tuple[Weight, ...]   # positive k2 roots killed by q_u
+
+    @classmethod
+    def build(cls, rd: RootDatum, beta: Weight, w_line: Weight, h_positive, side_roots,
+              mirrors, **family):
+        """The context of class cls: k2 is the compact positive roots other
+        than beta orthogonal to beta, its kernel roots those orthogonal to
+        w_line too, and h_roots the h_positive roots with their negatives."""
+        form = rd.form
+        k2_positive = tuple(
+            g for g in rd.compact_positive if g != beta and inner(form, g, beta) == 0
+        )
+        if len(k2_positive) + 1 != len(rd.compact_positive):
+            raise InternalError("a compact positive root other than beta meets beta")
+        return cls(
+            rd=rd,
+            beta=beta,
+            w_line=w_line,
+            h_roots=frozenset(h_positive + tuple(map(wneg, h_positive))),
+            side_roots=side_roots,
+            mirrors=mirrors,
+            k2_factor=CompactFactor.from_positive(form, k2_positive),
+            kernel_positive=tuple(g for g in k2_positive if inner(form, g, w_line) == 0),
+            **family,
+        )
 
     @property
     def form(self) -> InnerProductForm:
@@ -77,30 +114,32 @@ class QuaternionicContext:
     def noncompact_positive(self) -> tuple[Weight, ...]:
         return self.rd.noncompact_positive
 
-    @property
-    def h_roots(self) -> frozenset:
-        pieces = (self.alpha, self.beta, wsub(self.beta, self.alpha))
-        return frozenset(list(pieces) + [wneg(g) for g in pieces])
-
     def q_u(self, v: Weight) -> Weight:
-        """Orthogonal projection onto the span of {alpha, beta}."""
-        form = self.form
-        pb = wscale(inner(form, v, self.beta) / inner(form, self.beta, self.beta), self.beta)
-        pw = wscale(inner(form, v, self.w_line) / inner(form, self.w_line, self.w_line), self.w_line)
-        return wadd(pb, pw)
+        """Orthogonal projection onto the subgroup torus."""
+        pb, pw = _onto(self.form, v, self.beta), self.q_u_k2(v)
+        # a Fraction sum only where both projections are nonzero
+        return tuple(x + y if x and y else x or y for x, y in zip(pb, pw))
 
     def q_u_k2(self, v: Weight) -> Weight:
-        """Orthogonal projection onto the line spanned by beta - 2 alpha."""
-        form = self.form
-        return wscale(inner(form, v, self.w_line) / inner(form, self.w_line, self.w_line), self.w_line)
-
-    @property
-    def side_roots(self) -> tuple[Weight, ...]:
-        """The side (mu, beta) > 0 of the S_b wall, which carries the multiplicities."""
-        return (self.beta,)
+        """Orthogonal projection onto the line spanned by w_line."""
+        return _onto(self.form, v, self.w_line)
 
     def check_extracted(self, series, p: tuple, mu: Weight, c: int) -> None:
-        """No per-entry check; ``oracle.check_antisymmetry`` covers the series."""
+        """Family check on a certified positive-side coefficient c of a
+        branching series at its point p, whose weight is mu; raises
+        InternalError on failure.  The base checks nothing here:
+        ``oracle.check_antisymmetry`` covers the series."""
+
+
+@dataclass(frozen=True, eq=False)
+class QuaternionicContext(SubgroupContext):
+    """Embedding data for one quaternionic real form: w_line = beta - 2 alpha."""
+
+    psi: PositiveSystem      # the small positive system
+    alpha: Weight            # noncompact simple root with <beta, alpha-check> = 1
+    fw1: Weight              # fundamental weight L1, (L1, alpha) = 0
+    fw2: Weight              # fundamental weight L2, L1 + L2 = beta
+    d: int                   # half the number of noncompact positive roots
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,30 +162,9 @@ def quaternionic_context(label: str) -> QuaternionicContext:
     noncompact = rd.noncompact_positive
     if len(noncompact) % 2:
         raise InternalError("odd number of noncompact positive roots")
-    d = len(noncompact) // 2
-    w_line = wsub(beta, wscale(2, alpha))
-    k2_positive = tuple(
-        g for g in rd.compact_positive if g != beta and inner(form, g, beta) == 0
-    )
-    if len(k2_positive) + 1 != len(rd.compact_positive):
-        raise InternalError("a compact positive root other than beta meets beta")
-    k2_factor = CompactFactor.from_positive(form, k2_positive)
-    kernel = tuple(
-        g for g in k2_positive
-        if inner(form, g, alpha) == 0 and inner(form, g, beta) == 0
-    )
-    ctx = QuaternionicContext(
-        rd=rd,
-        psi=psi,
-        beta=beta,
-        alpha=alpha,
-        fw1=fw1,
-        fw2=fw2,
-        d=d,
-        w_line=w_line,
-        k2_factor=k2_factor,
-        kernel_positive=kernel,
-        mirrors=(((beta,), -1),),
+    ctx = QuaternionicContext.build(
+        rd, beta, wsub(beta, wscale(2, alpha)), (alpha, beta, b_minus_a), (beta,),
+        (((beta,), -1),), psi=psi, alpha=alpha, fw1=fw1, fw2=fw2, d=len(noncompact) // 2,
     )
     _verify_projections(ctx)
     return ctx
@@ -178,10 +196,9 @@ def require_proper_subgroup(ctx: QuaternionicContext, need: str) -> None:
         )
 
 
-def decompose_parameter(ctx: QuaternionicContext, lam: Weight):
+def decompose_parameter(ctx: SubgroupContext, lam: Weight):
     """Split lam into its component along beta and the orthogonal rest."""
-    form = ctx.form
-    lam1 = wscale(inner(form, lam, ctx.beta) / inner(form, ctx.beta, ctx.beta), ctx.beta)
+    lam1 = _onto(ctx.form, lam, ctx.beta)
     lam2 = wsub(lam, lam1)
     return lam1, lam2
 
@@ -198,7 +215,7 @@ def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> None:
         ) from None
 
 
-def lam2_weight_table(ctx: QuaternionicContext, lam: Weight):
+def lam2_weight_table(ctx: SubgroupContext, lam: Weight):
     """Weight table of the k2-representation attached to lam (memoized).
     It serves sp(1, q) too: there beta = 2 e0 and k2 is sp(q)."""
     _, lam2 = decompose_parameter(ctx, lam)

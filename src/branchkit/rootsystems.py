@@ -16,9 +16,11 @@ polynomial ratios, sign tests, orthogonal projections) is invariant under
 positive rescaling of the form, so the Euclidean normalization is safe even
 where the Killing form would differ by a factor.
 
-Compactness for the quaternionic families is derived uniformly from the
-pairing with the coroot of the highest root b: pairing 0 or 2 means compact,
-pairing 1 means noncompact (applied to positive roots, extended by negation).
+Compactness for the quaternionic families, sp(1, q) among them as the one of
+type C, is derived uniformly from the pairing with the coroot of the highest
+root b: pairing 0 or 2 means compact, pairing 1 means noncompact (applied to
+positive roots, extended by negation).  A form label names its base system
+(family, rank), and so the number of coordinates, before any root is built.
 """
 
 from __future__ import annotations
@@ -311,7 +313,9 @@ def _base_system(family: str, rank: int):
     raise ConfigurationError(f"unknown family {family}")
 
 
-QUATERNIONIC_LABELS = ("su2_n", "so4_n", "e6_2", "e7_m5", "e8_m24", "f4_4", "g2_2")
+def ambient_dimension(family: str, rank: int) -> int:
+    """The number of coordinates of ``_base_system(family, rank)``."""
+    return {"A": rank + 1, "G": 3, "E": 8}.get(family, rank)
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -321,23 +325,27 @@ def _parse_int(text: str, what: str) -> int:
         raise ConfigurationError(f"bad {what} parameter {text!r}") from None
 
 
+_EXCEPTIONAL = {"g2_2": ("G", 2), "f4_4": ("F", 4), "e6_2": ("E", 6), "e7_m5": ("E", 7),
+                "e8_m24": ("E", 8)}
+
+
 def parse_quaternionic_label(label: str):
-    """Split a form label like ``su2_n:3`` into (family, parameter)."""
+    """The base system (family, rank) of a form label like ``su2_n:3``."""
     name, _, param = label.partition(":")
-    if name in ("g2_2", "f4_4", "e6_2", "e7_m5", "e8_m24"):
+    if name in _EXCEPTIONAL:
         if param:
             raise ConfigurationError(f"form {name} takes no parameter")
-        return name, None
+        return _EXCEPTIONAL[name]
     if name == "su2_n":
         n = _parse_int(param, "su2_n")
         if n < 1:
             raise ConfigurationError("su2_n requires n >= 1")
-        return name, n
+        return "A", n + 1
     if name == "so4_n":
         n = _parse_int(param, "so4_n")
         if n < 3:
             raise ConfigurationError("so4_n requires n >= 3")
-        return name, n
+        return "B" if n % 2 else "D", (4 + n) // 2
     raise ConfigurationError(f"unsupported quaternionic form label {label!r}")
 
 
@@ -346,26 +354,16 @@ def quaternionic_root_datum(label: str) -> RootDatum:
     """RootDatum for one of the quaternionic real forms.
 
     The label carries the family and parameter, e.g. ``g2_2``, ``su2_n:3``,
-    ``so4_n:4``.  Compactness is assigned by the highest-root coroot pairing
-    rule and is what realizes the stated real form.
+    ``so4_n:4``.
     """
-    name, param = parse_quaternionic_label(label)
-    if name == "g2_2":
-        roots, simples = _base_system("G", 2)
-    elif name == "f4_4":
-        roots, simples = _base_system("F", 4)
-    elif name == "e6_2":
-        roots, simples = _base_system("E", 6)
-    elif name == "e7_m5":
-        roots, simples = _base_system("E", 7)
-    elif name == "e8_m24":
-        roots, simples = _base_system("E", 8)
-    elif name == "su2_n":
-        roots, simples = _base_system("A", param + 1)
-    else:  # so4_n
-        m = (4 + param) // 2
-        family = "D" if (4 + param) % 2 == 0 else "B"
-        roots, simples = _base_system(family, m)
+    return _highest_root_datum(label, *parse_quaternionic_label(label))
+
+
+def _highest_root_datum(label: str, family: str, rank: int) -> RootDatum:
+    """The base system with compactness assigned by the highest-root coroot
+    pairing rule, which realizes the quaternionic real form: sp(1, q) is the
+    one of type C (``label`` names the datum)."""
+    roots, simples = _base_system(family, rank)
     form = identity_form(len(roots[0]))
     positive = _positive_from_simples(roots, simples)
     compactness = {}  # filled below; highest_root reads no labels

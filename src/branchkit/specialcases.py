@@ -5,9 +5,13 @@ criterion for admissibility of discrete series of Hermitian forms over the
 semisimple factor of K.
 
 The root systems come from ``rootsystems._base_system``: C_{q+1} for sp(1, q),
-and A, C, D, E_6, E_7 for the Hermitian forms.  sp(1, q) labels its compact
-roots by one explicit rule; a Hermitian form labels a root compact when it is
-orthogonal to the central direction z of K.
+and A, C, D, E_6, E_7 for the Hermitian forms.  sp(1, q) is the quaternionic
+real form of type C (Gross-Wallach, J. reine angew. Math. 481 (1996)): it
+takes its root datum, compactness by the highest-root rule included, from the
+builder of the quaternionic forms, and its context is a
+``quaternionic.SubgroupContext`` with beta = 2 e0 and w_line = 2 e1.  A
+Hermitian form labels a root compact when it is orthogonal to the central
+direction z of K.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from math import comb
 from .errors import ConfigurationError, DomainError, InternalError
 from .formal import ProductSum
 from .lattice import (
-    InnerProductForm,
     Weight,
     format_weight,
     identity_form,
@@ -41,9 +44,8 @@ from .oracle import (
     on_chart,
     require_compared,
 )
-from .quaternionic import BranchingTable, lam2_weight_table
+from .quaternionic import BranchingTable, SubgroupContext, lam2_weight_table
 from .repweights import (
-    CompactFactor,
     check_size,
     regular_integral_pairings,
     su2_string_decompose,
@@ -53,7 +55,7 @@ from .rootsystems import (
     PositiveSystem,
     RootDatum,
     _base_system,
-    _positive_from_simples,
+    _highest_root_datum,
     _vector,
     half_sum,
     positive_system,
@@ -87,41 +89,14 @@ def so3_admissible(n: int):
 
 
 @dataclass(frozen=True, eq=False)
-class Sp1qContext:
+class Sp1qContext(SubgroupContext):
     """Root data for sp(1, q) with the sp(1, 1) subalgebra on the first two
     coordinates (basis order: e0 = the sp(1) direction, then the q compact
-    coordinates)."""
+    coordinates): beta = 2 e0, w_line = 2 e1 and k2 = sp(q).  The
+    multiplicities sit on the open quadrant a > 0, k > 0 of mu = a e0 + k e1."""
 
     q: int
-    rd: RootDatum
     sigma: PositiveSystem
-    beta: Weight                    # 2 e0
-    h_roots: frozenset              # roots of the sp(1,1) subalgebra
-    k2_factor: CompactFactor        # sp(q) on coordinates 1..q
-    kernel_positive: tuple[Weight, ...]
-    su2_root: Weight                # 2 e1, the su(2) inside k2 used for strings
-    mirrors: tuple                  # (roots, sign): the four-fold antisymmetry
-
-    @property
-    def form(self) -> InnerProductForm:
-        return self.rd.form
-
-    @property
-    def noncompact_positive(self):
-        return self.rd.noncompact_positive
-
-    def q_u(self, v: Weight) -> Weight:
-        """Projection onto the sp(1,1) torus: keep coordinates 0 and 1."""
-        return tuple(x if i < 2 else Fraction(0) for i, x in enumerate(v))
-
-    def q_u_k2(self, v: Weight) -> Weight:
-        """Projection onto the su(2) torus inside k2: keep coordinate 1."""
-        return tuple(x if i == 1 else Fraction(0) for i, x in enumerate(v))
-
-    @property
-    def side_roots(self) -> tuple[Weight, ...]:
-        """The open quadrant a > 0, k > 0 of mu = a e0 + k e1."""
-        return (self.beta, self.su2_root)
 
     def check_extracted(self, series: ProductSum, p: tuple, mu: Weight, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
@@ -138,39 +113,23 @@ class Sp1qContext:
                 raise InternalError(f"four-fold antisymmetry fails at {format_weight(mu)}")
 
 
-@functools.lru_cache(maxsize=None)
-def sp1q_context(q: int) -> Sp1qContext:
-    """Build the sp(1, q) context on the C_{q+1} system of ``rootsystems``;
-    compactness is one explicit rule: the long root 2 e0 and everything
-    inside the sp(q) block are compact, the mixed short roots e0 +- ej are
-    noncompact."""
+def sp1q_system(q: int):
+    """The base system (family, rank) of sp(1, q): C_{q+1}."""
     if q < 2:
         raise ConfigurationError("sp(1, q) branching requires q >= 2")
-    roots, simples = _base_system("C", q + 1)
-    form = identity_form(q + 1)
-    compactness = {g: not g[0] or not any(g[1:]) for g in roots}
-    rd = RootDatum("sp1_q:%d" % q, form, tuple(sorted(roots)),
-                   _positive_from_simples(roots, simples), tuple(simples), compactness)
-    beta = tuple([Fraction(2)] + [Fraction(0)] * q)
-    e0 = tuple([Fraction(1)] + [Fraction(0)] * q)
-    e1 = tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * (q - 1))
-    h_pieces = [wscale(2, e0), wscale(2, e1), wadd(e0, e1), wsub(e0, e1)]
-    h_roots = frozenset(h_pieces + [wneg(g) for g in h_pieces])
-    k2_positive = tuple(
-        g for g in rd.compact_positive if g != beta and g[0] == 0
-    )
-    k2_factor = CompactFactor.from_positive(form, k2_positive)
-    kernel = tuple(g for g in k2_positive if g[0] == 0 and g[1] == 0)
-    return Sp1qContext(
-        q=q,
-        rd=rd,
-        sigma=positive_system(rd),
-        beta=beta,
-        h_roots=h_roots,
-        k2_factor=k2_factor,
-        kernel_positive=kernel,
-        su2_root=wscale(2, e1),
-        mirrors=(((beta,), -1), ((e1,), -1), ((beta, e1), 1)),
+    return "C", q + 1
+
+
+@functools.lru_cache(maxsize=None)
+def sp1q_context(q: int) -> Sp1qContext:
+    """Build the sp(1, q) context on the C_{q+1} system, the quaternionic
+    real form of type C, with its compact roots by the highest-root rule."""
+    rd = _highest_root_datum("sp1_q:%d" % q, *sp1q_system(q))
+    e0, e1 = (_vector(q + 1, {i: 1}) for i in (0, 1))
+    beta, w_line = wscale(2, e0), wscale(2, e1)
+    return Sp1qContext.build(
+        rd, beta, w_line, (beta, w_line, wadd(e0, e1), wsub(e0, e1)), (beta, w_line),
+        (((beta,), -1), ((e1,), -1), ((beta, e1), 1)), q=q, sigma=positive_system(rd),
     )
 
 
@@ -185,7 +144,7 @@ def sp1q_decompose(ctx: Sp1qContext, lam: Weight):
 
 def sp1q_string_table(ctx: Sp1qContext, lam: Weight) -> dict:
     """su(2)-string content {k: N_k} of the sp(q)-representation attached to lam."""
-    return su2_string_decompose(lam2_weight_table(ctx, lam), ctx.su2_root)
+    return su2_string_decompose(lam2_weight_table(ctx, lam), ctx.w_line)
 
 
 def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
@@ -253,9 +212,6 @@ def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig)
 # Hermitian forms: admissibility over the semisimple factor of K
 
 
-HERMITIAN_LABELS = ("sp_n_R", "so_star", "su_pq", "e6_m14", "e7_m25")
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianData:
     """Realized Hermitian form with its holomorphic system and the two root
@@ -279,10 +235,7 @@ class HermitianData:
 
 
 def _su_pq_data(p: int, q: int):
-    if p < 1 or q < 1 or p > q:
-        raise DomainError("su(p, q) certificates require 1 <= p <= q")
     n = p + q
-    roots, _ = _base_system("A", n - 1)
     gammas = []
     bs = []
     for i in range(1, p + 1):
@@ -294,24 +247,18 @@ def _su_pq_data(p: int, q: int):
             bs.append(i + t_num // t_den + p)
     cert = [_vector(n, {i: 1, gammas[i] - 1: -1}) for i in range(p)]
     conj = [_vector(n, {i: -1, bs[i] - 1: 1}) for i in range(p)]
-    return roots, weight([q] * p + [-p] * q), cert, conj, p == q
+    return weight([q] * p + [-p] * q), cert, conj, p == q
 
 
 def _sp_nr_data(n: int):
-    if n < 1:
-        raise DomainError("sp(n, R) requires n >= 1")
-    roots, _ = _base_system("C", n)
     l = n // 2
     cert = [_vector(n, {l: 2})] if n % 2 else []
     cert += [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
     conj = [wneg(g) for g in cert]
-    return roots, weight([1] * n), cert, conj, True
+    return weight([1] * n), cert, conj, True
 
 
 def _so_star_data(n: int):
-    if n < 3:
-        raise DomainError("so*(2n) requires n >= 3")
-    roots, _ = _base_system("D", n)
     l = n // 2
     cert = [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
     conj = [wneg(g) for g in cert]
@@ -319,7 +266,7 @@ def _so_star_data(n: int):
     if not tube:
         cert.append(_vector(n, {l: 1, l + 1: 1}))
         conj.append(_vector(n, {l - 1: -1, l: -1}))
-    return roots, weight([1] * n), cert, conj, tube
+    return weight([1] * n), cert, conj, tube
 
 
 def _e_vector(signs):
@@ -333,22 +280,20 @@ _ETA2 = _e_vector([-1, -1, 1, 1, -1, 1, -1, 1])
 
 
 def _e6_m14_data():
-    roots, _ = _base_system("E", 6)
     z = weight([0, 0, 0, 0, 0, -1, -1, 1])  # central direction e8 - e7 - e6
     compact = [_vector(8, {0: 1, 4: 1}), _vector(8, {1: 1, 4: 1})]  # e1 + e5, e2 + e5
     cert = [_EPS1, _EPS2] + compact
     # conjugate set: negate the noncompact members only; negating the compact
     # members would make the set unusable against any chamber
     conj = [wneg(_EPS1), wneg(_EPS2)] + compact
-    return roots, z, cert, conj, False
+    return z, cert, conj, False
 
 
 def _e7_m25_data():
-    roots, _ = _base_system("E", 7)
     z = weight([0, 0, 0, 0, 0, 2, -1, 1])  # direction orthogonal to the e6 part
     cert = [_ETA1, _ETA2, _vector(8, {0: 1, 5: 1})]  # e1 + e6
     conj = [wneg(g) for g in cert]
-    return roots, z, cert, conj, True
+    return z, cert, conj, True
 
 
 _HERMITIAN_BUILDERS = {"su_pq": _su_pq_data, "sp_n_R": _sp_nr_data, "so_star": _so_star_data,
@@ -356,30 +301,40 @@ _HERMITIAN_BUILDERS = {"su_pq": _su_pq_data, "sp_n_R": _sp_nr_data, "so_star": _
 
 
 def parse_hermitian_label(label: str):
+    """Split a form label like ``su_pq:2,3`` into (name, parameters, base
+    system (family, rank)), with the parameters' ranges checked."""
     name, _, param = label.partition(":")
     if name == "su_pq":
         try:
             p, q = (int(x) for x in param.split(","))
         except ValueError:
             raise ConfigurationError(f"bad su_pq parameters {param!r}") from None
-        return name, (p, q)
+        if p < 1 or q < 1 or p > q:
+            raise DomainError("su(p, q) certificates require 1 <= p <= q")
+        return name, (p, q), ("A", p + q - 1)
     if name in ("sp_n_R", "so_star"):
         try:
-            return name, (int(param),)
+            n = int(param)
         except ValueError:
             raise ConfigurationError(f"bad {name} parameter {param!r}") from None
+        if name == "sp_n_R" and n < 1:
+            raise DomainError("sp(n, R) requires n >= 1")
+        if name == "so_star" and n < 3:
+            raise DomainError("so*(2n) requires n >= 3")
+        return name, (n,), ("C" if name == "sp_n_R" else "D", n)
     if name in ("e6_m14", "e7_m25"):
         if param:
             raise ConfigurationError(f"form {name} takes no parameter")
-        return name, ()
+        return name, (), ("E", 6 if name == "e6_m14" else 7)
     raise ConfigurationError(f"unsupported Hermitian form label {label!r}")
 
 
 @functools.lru_cache(maxsize=None)
 def hermitian_data(label: str) -> HermitianData:
     """Assemble the realized Hermitian form and its certificate sets."""
-    name, params = parse_hermitian_label(label)
-    roots, z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
+    name, params, system = parse_hermitian_label(label)
+    roots, _ = _base_system(*system)
+    z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
     dim = len(roots[0])
     form = identity_form(dim)
     # K is the centralizer of the central direction z

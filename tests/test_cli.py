@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import repweights
+from branchkit import repweights, rootsystems, specialcases
 from branchkit.cli import SCHEMA_PATH, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
@@ -201,6 +201,37 @@ def test_wrong_length_lambda_exit_code(capsys):
     assert "expected 3 coordinates" in err
 
 
+_EARLY_ERRORS = [
+    ("weights --form su2_n:80", "expected 82 coordinates in --lambda, got 1"),
+    ("weights --form su2_n:80 --basis simple", "simple-basis input needs 81 coefficients"),
+    ("branch quat --form su2_n:80", "expected 82 coordinates in --lambda, got 1"),
+    ("oracle-check quat --form su2_n:80 --basis simple", "simple-basis input needs 81 coefficients"),
+    ("branch sp1q --form sp1_q:30", "expected 31 coordinates in --lambda, got 1"),
+    ("weights --form sp1_q:30 --basis simple", "simple-basis input needs 31 coefficients"),
+    ("admissible hermitian --form su_pq:20,20", "expected 40 coordinates in --lambda, got 1"),
+    ("admissible hermitian --form su_pq:20,20 --basis simple",
+     "simple-basis input needs 39 coefficients"),
+    # a label error still wins over the length
+    ("admissible hermitian --form su_pq:3,2", "su(p, q) certificates require 1 <= p <= q"),
+    ("admissible hermitian --form so_star:2 --basis simple", "so*(2n) requires n >= 3"),
+    ("admissible hermitian --form sp_n_R:0", "sp(n, R) requires n >= 1"),
+    ("branch sp1q --form sp1_q:1", "sp(1, q) branching requires q >= 2"),
+    ("weights --form su2_n:0", "su2_n requires n >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _EARLY_ERRORS, ids=[argv for argv, _ in _EARLY_ERRORS])
+def test_wrong_length_lambda_exits_before_root_data(capsys, monkeypatch, argv, message):
+    # the form label names the number of coordinates, so counting them must
+    # not wait on root data (seconds at these ranks)
+    def built(*args):
+        raise AssertionError(f"root data built for {args}")
+
+    monkeypatch.setattr(rootsystems, "_base_system", built)
+    monkeypatch.setattr(specialcases, "_base_system", built)
+    assert run_cli(capsys, *argv.split(), "--lambda=1") == (2, "", f"error: {message}\n")
+
+
 def test_closed_form_rejects_su21_itself(capsys):
     code, out, err = run_cli(
         capsys, "branch", "quat", "--form", "su2_n:1", "--lambda=2,0,-2", "--cutoff", "4"
@@ -340,6 +371,19 @@ def test_bench_tracer_hooks_resolve():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), (mod, attr)
+
+
+def test_bench_workloads_match_the_golden_argv(monkeypatch):
+    # bench/params.py draws every request's parameter from context attributes
+    # and the decomposition functions; bench/tests, which run it, are outside
+    # the test paths, so a context change that breaks the benchmark fails here
+    monkeypatch.syspath_prepend(str(BENCH.parent))
+    workloads = importlib.import_module("bench.workloads")
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden["workloads"]) == sorted(workloads.WORKLOADS)
+    for name in workloads.WORKLOADS:
+        argv = [row["argv"] for row in golden["workloads"][name]]
+        assert workloads.requests(name, golden["seed"]) == argv, name
 
 
 SETUP_PROBE = """

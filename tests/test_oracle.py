@@ -380,6 +380,37 @@ REFERENCE_FORMS = (
 )
 
 
+def _family_rules(ctx):
+    """Reference (q_u, q_u_k2, positive h_roots, side_roots) of each family,
+    stated in its own terms rather than by (beta, w_line): sp(1, q) keeps
+    coordinates 0 and 1, and coordinate 1; a quaternionic form projects onto
+    beta and onto the line of beta - 2 alpha."""
+    if isinstance(ctx, Sp1qContext):
+        e0, e1 = weight([1] + [0] * ctx.q), weight([0, 1] + [0] * (ctx.q - 1))
+        pieces = [wscale(2, e0), wscale(2, e1), wadd(e0, e1), wadd(e0, wneg(e1))]
+        return (lambda v: tuple(x if i < 2 else Fraction(0) for i, x in enumerate(v)),
+                lambda v: tuple(x if i == 1 else Fraction(0) for i, x in enumerate(v)),
+                pieces, (ctx.beta, wscale(2, e1)))
+
+    def onto(v, g):
+        return wscale(inner(ctx.form, v, g) / inner(ctx.form, g, g), g)
+
+    line = wadd(ctx.beta, wscale(-2, ctx.alpha))
+    pieces = [ctx.alpha, ctx.beta, wadd(ctx.beta, wneg(ctx.alpha))]
+    return (lambda v: wadd(onto(v, ctx.beta), onto(v, line)), lambda v: onto(v, line),
+            pieces, (ctx.beta,))
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_shared_context_keeps_the_family_rules(label):
+    ctx = _context(label)
+    q_u, q_u_k2, pieces, sides = _family_rules(ctx)
+    for g in ctx.rd.roots:
+        assert (ctx.q_u(g), ctx.q_u_k2(g)) == (q_u(g), q_u_k2(g)), g
+    assert ctx.h_roots == frozenset(pieces + [wneg(g) for g in pieces])
+    assert ctx.side_roots == sides
+
+
 def _system(ctx):
     """The positive system a parameter of the family must be dominant for."""
     return ctx.sigma if isinstance(ctx, Sp1qContext) else ctx.psi

@@ -20,9 +20,11 @@ from branchkit.rootsystems import (
     RootDatum,
     _base_system,
     _positive_from_simples,
+    ambient_dimension,
     coset_reps,
     half_sum,
     highest_root,
+    parse_quaternionic_label,
     positive_system,
     positive_systems_containing,
     quaternionic_root_datum,
@@ -30,7 +32,12 @@ from branchkit.rootsystems import (
     small_system,
     weyl_generate,
 )
-from branchkit.specialcases import hermitian_data, sp1q_context
+from branchkit.specialcases import (
+    hermitian_data,
+    parse_hermitian_label,
+    sp1q_context,
+    sp1q_system,
+)
 from oracle_reference import apply_matrix
 
 ALL_FORMS = ["g2_2", "f4_4", "su2_n:2", "su2_n:3", "su2_n:4", "so4_n:3",
@@ -74,6 +81,19 @@ def test_positive_closure_matches_solve(family, rank):
 def test_datum_positive_matches_solve(label):
     rd = _root_datum(label)
     assert rd.positive == _solved_positive(rd.roots, rd.simple)
+
+
+@pytest.mark.parametrize("label", ALL_FORMS + SP1Q_FORMS + HERMITIAN_FORMS)
+def test_label_names_the_coordinate_and_simple_root_counts(label):
+    # the CLI checks the length of lambda against these before any root is built
+    if label in SP1Q_FORMS:
+        family, rank = sp1q_system(int(label.partition(":")[2]))
+    elif label.startswith(("su_pq", "sp_n_R", "so_star", "e6_m14", "e7_m25")):
+        family, rank = parse_hermitian_label(label)[2]
+    else:
+        family, rank = parse_quaternionic_label(label)
+    rd = _root_datum(label)
+    assert (ambient_dimension(family, rank), rank) == (len(rd.roots[0]), len(rd.simple))
 
 
 @pytest.mark.parametrize("label", ALL_FORMS)
