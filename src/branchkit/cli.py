@@ -123,10 +123,14 @@ def _parse_lambda(args, system, build):
     return ctx, lam
 
 
-def _entries_json(entries: dict):
-    return [
-        {"mu": format_weight(mu), "mult": str(m)} for mu, m in sorted(entries.items())
-    ]
+def _entries_json(table) -> list:
+    """A closed table's entries in weight order.  Its keys' weights share one
+    positive denominator, so their int numerators sort as the weights do,
+    and each distinct numerator is formatted once."""
+    coords = table.coords
+    rows = sorted((coords.numerators(key), m) for key, m in table.by_key.items())
+    text = {n: str(Fraction(n, coords.den)) for n in {n for nums, _ in rows for n in nums}}
+    return [{"mu": ",".join([text[n] for n in nums]), "mult": str(m)} for nums, m in rows]
 
 
 def cmd_list_forms(args) -> int:
@@ -159,7 +163,7 @@ def cmd_branch(args) -> int:
         "lambda": format_weight(lam),
         "cutoff": args.cutoff,
         "completePairingBound": str(table.pairing_bound),
-        "entries": _entries_json(table.entries),
+        "entries": _entries_json(table),
         "oracleChecked": False,
     }
     if args.check_oracle:

@@ -14,7 +14,9 @@ names the dimension of that space.
 ``rational_solve`` converts int entries to ``Fraction`` on entry, so its
 answer is exact for int input too.  A ``Chart`` gives the span of finitely
 many weights integer coordinates at a chosen scale, and linear maps integer
-matrices on them; the oracle's plans and series live on them.
+matrices on them; the oracle's plans and series live on them.  An
+``IntBasis`` keys the lattice of a chosen basis by int tuples, read exactly
+off weights; the closed branching tables live on them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -281,6 +283,52 @@ class Chart:
         values = [Fraction(fn(row)) for row in self.rows]
         den = lcm(1, *(v.denominator for v in values))
         return tuple(int(v * den) for v in values), den * self.scale
+
+
+class IntBasis:
+    """Int keys on the lattice of linearly independent weights b_j: the key k
+    stands for the weight sum_j k_j b_j.  The dual weights d_j, with
+    (b_i, d_j) = 1 if i = j and 0 otherwise, read the key of a weight of the
+    span.  The basis is kept as int columns over one positive denominator,
+    so that mapping keys to weights, ordering keys by weight and mapping them
+    to a chart's points is int arithmetic.
+    """
+
+    def __init__(self, basis: Sequence[Weight], duals: Sequence[Weight]):
+        if any(sum(map(mul, b, d)) != (i == j)
+               for i, b in enumerate(basis) for j, d in enumerate(duals)):
+            raise InternalError("the dual weights are not dual to the basis")
+        self.basis, self.duals = tuple(basis), tuple(duals)
+        self.den = lcm(1, *(x.denominator for b in basis for x in b))
+        self.columns = tuple(zip(*(int_point(b, self.den) for b in basis)))
+
+    def numerators(self, key: Sequence[int]) -> tuple[int, ...]:
+        """``den`` times the weight of key: keys order by weight as these do."""
+        return tuple(sum(map(mul, key, column)) for column in self.columns)
+
+    def to_weight(self, key: Sequence[int]) -> Weight:
+        return tuple(Fraction(n, self.den) for n in self.numerators(key))
+
+    def to_key(self, w: Weight) -> tuple[int, ...]:
+        """The key of w, read exactly: InternalError when w is off the span or
+        its key is not integral."""
+        key = tuple(sum((x * y for x, y in zip(w, d) if x and y), Fraction(0))
+                    for d in self.duals)
+        if any(k.denominator != 1 for k in key) or self.to_weight(
+                [k.numerator for k in key]) != w:
+            raise InternalError(f"weight {format_weight(w)} is off the lattice of its keys")
+        return tuple(k.numerator for k in key)
+
+    def chart_map(self, chart: Chart) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(A, k) such that A key / k is the point of key's weight on chart,
+        for ``map_point``; InternalError when the basis leaves the chart's
+        span."""
+        for b in self.basis:
+            if chart.to_weight([chart.scale * b[c] for c in chart.coords]) != b:
+                raise InternalError("the table's basis leaves the chart's span")
+        a = [[chart.scale * x for x in self.columns[c]] for c in chart.coords]
+        g = gcd(self.den, *(x for row in a for x in row))
+        return tuple(tuple(x // g for x in row) for row in a), self.den // g
 
 
 def map_point(linear_map, p: Sequence[int]):

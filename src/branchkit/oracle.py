@@ -35,13 +35,15 @@ the weight table) pins this convention down empirically, and positivity of
 the extracted multiplicities confirms it on the full formula.
 
 Products, certification, evaluation, extraction and comparison run on int
-points; weights are mapped back only for extracted entries and for a
-family's check.  A request builds each term's base point and int numerator
-once and returns a ``formal.ProductSum``: the conjunction of the per-term
-truncation regions, stated per point.  A term certifies a point when the
-offset from its base lies in its product's step-bound window, where the
-term adds its value, or has no decomposition over the product's directions
-at all; the sum of a certified point is divided once, exactly.  A certified
+points: the extracted table is keyed by chart points, and a closed table
+keyed by int labels reaches them through one int map.  Weights are mapped
+back only for mismatches, errors and a family's check.  A request builds
+each term's base point and int numerator once and returns a
+``formal.ProductSum``: the conjunction of the per-term truncation regions,
+stated per point.  A term certifies a point when the offset from its base
+lies in its product's step-bound window, where the term adds its value, or
+has no decomposition over the product's directions at all; the sum of a
+certified point is divided once, exactly.  A certified
 point with a nonzero coefficient lies in some term's window, so extraction
 evaluates only the positive-side points of the union of the windows, and
 comparison adds only the closed table's entries; neither reads the dense
@@ -385,7 +387,8 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
     positive side signals an antisymmetrization failure (bug or insufficient
     truncation) and raises InternalError, as does a failed family check.
     Every certified nonzero coefficient lies in some term's window, so only
-    the windows' positive-side points are evaluated.
+    the windows' positive-side points are evaluated.  The table is keyed by
+    the series' chart points.
     """
     chart = series.chart
     positive = _side(ctx, chart)
@@ -396,14 +399,12 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
         c = series.coefficient(p)
         if not c:  # uncertified, or certified zero
             continue
-        mu = chart.to_weight(p)
-        ctx.check_extracted(series, p, mu, c)
+        ctx.check_extracted(series, p, c)
         if c < 0:
-            raise InternalError(
-                f"antisymmetrization failure at {format_weight(mu)}: coefficient {c}"
-            )
-        entries[mu] = c
-    return BranchingTable(entries, None, ctx.rd.label, None)
+            raise InternalError(f"antisymmetrization failure at "
+                                f"{format_weight(chart.to_weight(p))}: coefficient {c}")
+        entries[p] = c
+    return BranchingTable(entries, None, ctx.rd.label, None, chart)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,10 +421,11 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
     must match exactly; uncertified candidates are skipped.
 
     Candidates are the extracted entries (the windows' certified positive
-    points) and the closed table's entries, both as chart points; the
-    pairing bound is an exact integer covector test on points.  Only closed
-    entries missing from the extraction are evaluated here.  Mismatches are
-    (weight, closed, oracle) triples sorted by weight.
+    points) and the closed table's entries, both as chart points: a closed
+    table keyed by ints is mapped by one int map (``BranchingTable.points_on``).
+    The pairing bound is an exact integer covector test on points.  Only
+    closed entries missing from the extraction are evaluated here.
+    Mismatches are (weight, closed, oracle) triples sorted by weight.
     """
     chart = series.chart
     covector, den = chart.functional(lambda w: coroot_pairing(ctx.form, w, ctx.beta))
@@ -432,14 +434,13 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
     def within(p):  # <mu, beta-check> = covector . p / den <= bound
         return sum(map(mul, covector, p)) * bound.denominator <= bound.numerator * den
 
-    candidates = {chart.to_point(mu): (mu, m, None) for mu, m in closed.entries.items()}
-    for mu, got in extract_multiplicities(ctx, series).entries.items():
-        p = chart.to_point(mu)
-        candidates[p] = mu, candidates.get(p, (mu, 0, None))[1], got
+    candidates = {p: (m, None) for p, m in closed.points_on(chart).items()}
+    for p, got in extract_multiplicities(ctx, series).points_on(chart).items():
+        candidates[p] = candidates.get(p, (0,))[0], got
     positive = _side(ctx, chart)
     mismatches = []
     compared = 0
-    for p, (mu, want, got) in candidates.items():
+    for p, (want, got) in candidates.items():
         if not within(p):
             continue
         if got is None:
@@ -450,7 +451,7 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
                 continue  # not certified by the truncation
         compared += 1
         if got != want:
-            mismatches.append((mu, want, got))
+            mismatches.append((chart.to_weight(p), want, got))
     mismatches.sort()
     return ComparisonReport(not mismatches, compared, tuple(mismatches))
 

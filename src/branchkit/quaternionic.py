@@ -23,21 +23,32 @@ Conventions locked against the distributional oracle (see ``oracle``):
   lam, with multiplicity M(lam2, nu) C(p+d-2, d-2) C(q+d-2, d-2) summed over
   all (nu, p, q) landing on mu.  The (d-1)/2 offset comes from the half-sum
   base of the Heaviside powers; the oracle comparison pins it down.
+* Every such mu lies in span(a, b), so the table keys it by its doubled
+  su(2,1) labels (A1, A2) = (2<mu, a-check>, 2<mu, (b-a)-check>), two ints
+  with mu = (A1 L2 + A2 L1) / 2 (``table_coords``).  lam1 and each q(nu)
+  are read once, exactly; the offset adds (d-1, d-1) and the step (p, q)
+  adds (2q, 2p).  Dominance is the sign of A1 and A2, and weights are
+  built only for output, from int numerators over one denominator.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, InternalError
 from .lattice import (
+    Chart,
     InnerProductForm,
+    IntBasis,
     Weight,
     coroot_pairing,
+    format_weight,
     inner,
+    map_point,
     wadd,
     wneg,
     wscale,
@@ -124,11 +135,11 @@ class SubgroupContext:
         """Orthogonal projection onto the line spanned by w_line."""
         return _onto(self.form, v, self.w_line)
 
-    def check_extracted(self, series, p: tuple, mu: Weight, c: int) -> None:
+    def check_extracted(self, series, p: tuple, c: int) -> None:
         """Family check on a certified positive-side coefficient c of a
-        branching series at its point p, whose weight is mu; raises
-        InternalError on failure.  The base checks nothing here:
-        ``oracle.check_antisymmetry`` covers the series."""
+        branching series at its point p; raises InternalError on failure.
+        The base checks nothing here: ``oracle.check_antisymmetry`` covers
+        the series."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +151,14 @@ class QuaternionicContext(SubgroupContext):
     fw1: Weight              # fundamental weight L1, (L1, alpha) = 0
     fw2: Weight              # fundamental weight L2, L1 + L2 = beta
     d: int                   # half the number of noncompact positive roots
+
+    def key_basis(self):
+        """The closed table's key (A1, A2) = (2<mu, alpha-check>,
+        2<mu, (beta-alpha)-check>) stands for mu = (A1 L2 + A2 L1) / 2: the
+        basis (L2/2, L1/2) and its duals, twice the two coroots."""
+        simple = (self.alpha, wsub(self.beta, self.alpha))
+        return ((wscale(Fraction(1, 2), self.fw2), wscale(Fraction(1, 2), self.fw1)),
+                tuple(wscale(4 / inner(self.form, g, g), g) for g in simple))
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,9 +241,47 @@ def lam2_weight_table(ctx: SubgroupContext, lam: Weight):
     return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
 
 
+@functools.lru_cache(maxsize=None)
+def table_coords(ctx: SubgroupContext) -> IntBasis:
+    """The int coordinates of ctx's closed-table keys, from the context's
+    ``key_basis`` (memoized per context; built by the first table)."""
+    return IntBasis(*ctx.key_basis())
+
+
+class _WeightEntries(Mapping):
+    """The weight -> multiplicity view of a table keyed by ints: its length
+    is the table's, and the weights are built on the first lookup."""
+
+    def __init__(self, by_key: dict, to_weight):
+        self._by_key, self._to_weight = by_key, to_weight
+
+    @functools.cached_property
+    def _weights(self) -> dict:
+        return {self._to_weight(k): m for k, m in self._by_key.items()}
+
+    def __getitem__(self, mu):
+        return self._weights[mu]
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self):
+        return len(self._by_key)
+
+    def __repr__(self):
+        return repr(self._weights)
+
+
 @dataclass(frozen=True, eq=False)
 class BranchingTable:
-    """Multiplicities keyed by su(2,1)-side parameters, with a completeness bound.
+    """Multiplicities keyed by subgroup-side parameters, with a completeness bound.
+
+    ``by_key`` maps each key to its positive multiplicity.  With ``coords``
+    (an ``IntBasis`` or a ``Chart``) a key is an int tuple standing for the
+    weight ``coords.to_weight(key)``: a closed table keys its entries on
+    ``table_coords(ctx)``, an extracted one on the points of the series'
+    chart.  Without ``coords`` the keys are the weights.  ``entries`` shows
+    every table keyed by weights.
 
     The table is complete for every mu with <mu, beta-check> <= pairing_bound;
     entries beyond the bound are not reported.  Tables extracted from a
@@ -232,13 +289,38 @@ class BranchingTable:
     governed by the series contract).
     """
 
-    entries: dict  # Weight -> positive int
+    by_key: dict
     pairing_bound: Fraction | None
     label: str
     lam: Weight | None
+    coords: IntBasis | Chart | None = None
+
+    @functools.cached_property
+    def entries(self) -> Mapping:
+        """Weight -> positive int."""
+        if self.coords is None:
+            return self.by_key
+        return _WeightEntries(self.by_key, self.coords.to_weight)
 
     def sorted_entries(self):
         return sorted(self.entries.items())
+
+    def points_on(self, chart: Chart) -> dict:
+        """{point of chart: multiplicity}; InternalError for an entry off the
+        chart's lattice."""
+        if self.coords is chart:
+            return self.by_key
+        if self.coords is None:
+            return {chart.to_point(mu): m for mu, m in self.by_key.items()}
+        linear_map = self.coords.chart_map(chart)
+        points = {}
+        for key, m in self.by_key.items():
+            p = map_point(linear_map, key)
+            if p is None:
+                raise InternalError(f"weight {format_weight(self.coords.to_weight(key))} "
+                                    "is off the chart lattice")
+            points[p] = m
+        return points
 
 
 def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
@@ -256,43 +338,47 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
 
 
 def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
-    """``branching_table`` without its checks, for a caller that has made them."""
+    """``branching_table`` without its checks, for a caller that has made them.
+
+    On the keys of ``table_coords``, L1 is (0, 2) and L2 is (2, 0): lam1 and
+    each sigma are read once, exactly, and the (d-1)/2 (L1 + L2) offset and
+    the steps p L1 + q L2 are int vectors.
+    """
     lam1, _ = decompose_parameter(ctx, lam)
     sigmas = restrict_weights(lam2_weight_table(ctx, lam), ctx.q_u_k2).items()
     check_size(len(sigmas) * (cutoff + 1) * (cutoff + 2) // 2,
                f"the closed table at cutoff {cutoff}")
     d = ctx.d
-    offset = Fraction(d - 1, 2)
-    base = wadd(lam1, wadd(wscale(offset, ctx.fw1), wscale(offset, ctx.fw2)))
-    steps = [
-        (wadd(wscale(p, ctx.fw1), wscale(q, ctx.fw2)), comb(p + d - 2, d - 2) * comb(q + d - 2, d - 2))
-        for p in range(cutoff + 1) for q in range(cutoff + 1 - p)
-    ]
+    coords = table_coords(ctx)
+    a1, a2 = (x + d - 1 for x in coords.to_key(lam1))
+    binomials = [comb(p + d - 2, d - 2) for p in range(cutoff + 1)]
+    steps = [(2 * q, 2 * p, binomials[p] * binomials[q])
+             for p in range(cutoff + 1) for q in range(cutoff + 1 - p)]
     entries: dict = {}
     # mu depends on nu only through its projection sigma = q_u_k2(nu)
     for sigma, mult in sigmas:
-        shifted = wadd(base, sigma)
-        for step, c in steps:
-            mu = wadd(shifted, step)
-            entries[mu] = entries.get(mu, 0) + mult * c
+        s1, s2 = coords.to_key(sigma)
+        s1, s2 = s1 + a1, s2 + a2
+        for dq, dp, c in steps:
+            key = (s1 + dq, s2 + dp)
+            entries[key] = entries.get(key, 0) + mult * c
     bound = coroot_pairing(ctx.form, lam, ctx.beta) + (d - 1) + cutoff
-    return BranchingTable(entries, bound, ctx.rd.label, lam)
+    return BranchingTable(entries, bound, ctx.rd.label, lam, coords)
 
 
 def check_table_dominance(ctx: QuaternionicContext, table: BranchingTable):
     """Every parameter must be strictly dominant for the su(2,1) positive
-    system {b-a, a, b}; returns the (expected empty) list of violations."""
-    form = ctx.form
+    system {b-a, a, b}; returns the (expected empty) list of violations
+    (mu, (mu, alpha), (mu, beta - alpha)).  The test is the sign of the two
+    keys of ``table_coords``, read off a table keyed otherwise; the beta
+    label is their sum.  Weights are built for violations only."""
+    coords = table_coords(ctx)
+    if table.coords is coords:
+        bad = [coords.to_weight(k) for k in table.by_key if k[0] <= 0 or k[1] <= 0]
+    else:
+        bad = [mu for mu in table.entries if min(coords.to_key(mu)) <= 0]
     b_minus_a = wsub(ctx.beta, ctx.alpha)
-    violations = []
-    for mu in table.entries:
-        pa = inner(form, mu, ctx.alpha)
-        pba = inner(form, mu, b_minus_a)
-        if pa <= 0 or pba <= 0:
-            violations.append((mu, pa, pba))
-        elif inner(form, mu, ctx.beta) <= 0:
-            raise InternalError("beta pairing not implied by the simple pairings")
-    return violations
+    return [(mu, inner(ctx.form, mu, ctx.alpha), inner(ctx.form, mu, b_minus_a)) for mu in bad]
 
 
 def admissible_system(ctx: QuaternionicContext, sigma: PositiveSystem) -> bool:

@@ -44,7 +44,13 @@ from .oracle import (
     on_chart,
     require_compared,
 )
-from .quaternionic import BranchingTable, SubgroupContext, lam2_weight_table
+from .quaternionic import (
+    BranchingTable,
+    SubgroupContext,
+    decompose_parameter,
+    lam2_weight_table,
+    table_coords,
+)
 from .repweights import (
     check_size,
     regular_integral_pairings,
@@ -98,10 +104,16 @@ class Sp1qContext(SubgroupContext):
     q: int
     sigma: PositiveSystem
 
-    def check_extracted(self, series: ProductSum, p: tuple, mu: Weight, c: int) -> None:
+    def key_basis(self):
+        """The closed table's key (a, k) stands for mu = a e0 + k e1."""
+        e = (wscale(Fraction(1, 2), self.beta), wscale(Fraction(1, 2), self.w_line))
+        return e, e
+
+    def check_extracted(self, series: ProductSum, p: tuple, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
         series is odd under each sign flip of e0 and e1 and even under both,
         wherever the mirror point is certified."""
+        mu = series.chart.to_weight(p)
         if mu[0] == mu[1]:
             raise InternalError("nonzero coefficient on the singular wall a = k")
         for mirror, sign in mirror_maps(self):
@@ -161,21 +173,22 @@ def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Branchin
 
 
 def _sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
-    """``sp1q_branching_table`` without its checks, for a caller that has made them."""
+    """``sp1q_branching_table`` without its checks, for a caller that has
+    made them; its keys (a, k) are read on ``table_coords``."""
     strings = sp1q_string_table(ctx, lam)
     check_size(len(strings) * (cutoff + 1), f"the closed table at cutoff {cutoff}")
-    a0 = lam[0]
-    entries = {}
+    coords = table_coords(ctx)
+    lam1, _ = decompose_parameter(ctx, lam)
+    a = coords.to_key(lam1)[0] + ctx.q - 1
+    binomials = [comb(p + 2 * ctx.q - 3, 2 * ctx.q - 3) for p in range(cutoff + 1)]
+    entries: dict = {}
     for k, nk in strings.items():
-        for p in range(cutoff + 1):
-            mu = tuple(
-                [a0 + (ctx.q - 1) + p, Fraction(k)] + [Fraction(0)] * (ctx.q - 1)
-            )
-            entries[mu] = entries.get(mu, 0) + nk * comb(p + 2 * ctx.q - 3, 2 * ctx.q - 3)
-    for mu in entries:
-        if not (mu[0] > mu[1] > 0):
-            raise InternalError("emitted parameter is not dominant for the subgroup")
-    return BranchingTable(entries, a0 + (ctx.q - 1) + cutoff, ctx.rd.label, lam)
+        for p, c in enumerate(binomials):
+            key = (a + p, k)
+            entries[key] = entries.get(key, 0) + nk * c
+    if any(not e0 > e1 > 0 for e0, e1 in entries):
+        raise InternalError("emitted parameter is not dominant for the subgroup")
+    return BranchingTable(entries, Fraction(a + cutoff), ctx.rd.label, lam, coords)
 
 
 def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ProductSum:

@@ -1,5 +1,5 @@
-"""Fraction reference for the oracle's integer coset plan, and the dense
-extraction and comparison it replaced.
+"""Fraction reference for the oracle's integer coset plan, the dense
+extraction and comparison it replaced, and the Fraction closed tables.
 
 This is the coset loop the package ran before its plans became integer data:
 coset representatives as Fraction matrices, each term's parameter image
@@ -10,11 +10,14 @@ extraction and comparison the package ran before it evaluated only the
 terms' windows: they read every coefficient of a dense ``DeltaSeries`` and
 certify each positive-side point against all of its regions, and compare
 weights with Fraction pairings.  Tests compare the package against both
-point for point.
+point for point.  ``reference_branching_table`` and ``reference_sp1q_table``
+are the closed tables the package built before it keyed them by int labels:
+every entry a Fraction weight, one ``wadd`` per (sigma, p, q).
 """
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 from operator import add, mul
 
 from branchkit.errors import InternalError
@@ -27,10 +30,14 @@ from branchkit.lattice import (
     is_zero,
     mat_mul,
     reflection_matrix,
+    wadd,
+    wscale,
 )
 from branchkit.oracle import ComparisonReport
-from branchkit.quaternionic import BranchingTable
+from branchkit.quaternionic import BranchingTable, decompose_parameter, lam2_weight_table
 from branchkit.oracle import compact_quotient_weights, oracle_plan, _weyl_normalizer
+from branchkit.repweights import restrict_weights
+from branchkit.specialcases import sp1q_string_table
 from branchkit.rootsystems import WeylElement
 
 
@@ -159,7 +166,7 @@ def reference_extract(ctx, series):
         if not positive(p) or not series.certain_at(p):
             continue
         mu = chart.to_weight(p)
-        ctx.check_extracted(series, p, mu, c)
+        ctx.check_extracted(series, p, c)
         if c < 0:
             raise InternalError(
                 f"antisymmetrization failure at {format_weight(mu)}: coefficient {c}"
@@ -191,3 +198,37 @@ def reference_compare(ctx, series, closed):
         if got != want:
             mismatches.append((mu, want, got))
     return ComparisonReport(not mismatches, compared, tuple(mismatches))
+
+
+def reference_branching_table(ctx, lam, cutoff):
+    """The quaternionic closed table on Fraction weights:
+    mu = lam1 + sigma + ((d-1)/2 + p) L1 + ((d-1)/2 + q) L2."""
+    lam1, _ = decompose_parameter(ctx, lam)
+    sigmas = restrict_weights(lam2_weight_table(ctx, lam), ctx.q_u_k2).items()
+    d = ctx.d
+    offset = Fraction(d - 1, 2)
+    base = wadd(lam1, wadd(wscale(offset, ctx.fw1), wscale(offset, ctx.fw2)))
+    steps = [
+        (wadd(wscale(p, ctx.fw1), wscale(q, ctx.fw2)), comb(p + d - 2, d - 2) * comb(q + d - 2, d - 2))
+        for p in range(cutoff + 1) for q in range(cutoff + 1 - p)
+    ]
+    entries = {}
+    for sigma, mult in sigmas:
+        shifted = wadd(base, sigma)
+        for step, c in steps:
+            mu = wadd(shifted, step)
+            entries[mu] = entries.get(mu, 0) + mult * c
+    bound = coroot_pairing(ctx.form, lam, ctx.beta) + (d - 1) + cutoff
+    return BranchingTable(entries, bound, ctx.rd.label, lam)
+
+
+def reference_sp1q_table(ctx, lam, cutoff):
+    """The sp(1, q) closed table on Fraction weights: N_k C(p + 2q - 3, 2q - 3)
+    at (a0 + q - 1 + p) e0 + k e1."""
+    a0 = lam[0]
+    entries = {}
+    for k, nk in sp1q_string_table(ctx, lam).items():
+        for p in range(cutoff + 1):
+            mu = tuple([a0 + (ctx.q - 1) + p, Fraction(k)] + [Fraction(0)] * (ctx.q - 1))
+            entries[mu] = entries.get(mu, 0) + nk * comb(p + 2 * ctx.q - 3, 2 * ctx.q - 3)
+    return BranchingTable(entries, a0 + (ctx.q - 1) + cutoff, ctx.rd.label, lam)

@@ -394,20 +394,21 @@ for forms in workloads.SETUP_FORMS.values():
     run.fresh_setup(forms)
     memos = (sys.modules["branchkit.oracle"].oracle_plan,
              sys.modules["branchkit.oracle"].mirror_maps,
-             sys.modules["branchkit.repweights"]._coroot_covectors)
+             sys.modules["branchkit.repweights"]._coroot_covectors,
+             sys.modules["branchkit.quaternionic"].table_coords)
     print(*(memo.cache_info().currsize for memo in memos))
 """
 
 
 def test_bench_setup_builds_no_oracle_plan():
     # the benchmark's set-up_s is a fresh import plus root data: the oracle's
-    # plans and the integer coroot covectors must stay lazy, built by the
-    # first request that needs them
+    # plans, the integer coroot covectors and the closed tables' label maps
+    # must stay lazy, built by the first request that needs them
     root = BENCH.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     out = subprocess.run([sys.executable, "-c", SETUP_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:-1] == ["0 0 0"] * 3
+    assert out.split("\n")[:-1] == ["0 0 0 0"] * 3
 
 
 def _run_script(name: str) -> str:
