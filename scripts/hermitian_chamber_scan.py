@@ -23,7 +23,7 @@ def main():
     for label in FORMS:
         hd = hermitian_data(label)
         delta = positive_system(hd.rd, frozenset(hd.rd.compact_positive))
-        chambers = [s.chosen_set() for s in positive_systems_containing(hd.rd, delta)]
+        chambers = [s.signs for s in positive_systems_containing(hd.rd, delta)]
         good = sum(kss_admissible_system(hd, chamber) for chamber in chambers)
         print(f"{label:>12s} {str(hd.tube):>5s} {len(chambers):>9d} {good:>11d}")
 

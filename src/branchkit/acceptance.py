@@ -351,12 +351,12 @@ def ac8(store) -> CriterionResult:
         if kss_admissible(hd, anti) is not expected:
             return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
                            f"{label} antiholomorphic chamber: expected {expected}")
-        conjugate_is_negation = frozenset(hd.certificate_conjugate) == frozenset(
-            tuple(-x for x in g) for g in hd.certificate
-        )
+        conjugate_is_negation = set(hd.certificate_conjugate) == {
+            (i, -s) for i, s in hd.certificate
+        }
         delta = positive_system(hd.rd, frozenset(hd.rd.compact_positive))
         for psi in positive_systems_containing(hd.rd, delta):
-            chamber = psi.chosen_set()
+            chamber = psi.signs
             if validate_hermitian_parameter(hd, psi.rho) != chamber:
                 return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
                                f"{label}: rho of a chamber lies in another chamber")
@@ -366,9 +366,7 @@ def ac8(store) -> CriterionResult:
                 return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
                                f"{label}: chamber constancy fails")
             if conjugate_is_negation:
-                flipped = frozenset(
-                    g if hd.rd.is_compact(g) else tuple(-x for x in g) for g in chamber
-                )
+                flipped = tuple(s if i in hd.compact else -s for i, s in enumerate(chamber))
                 if kss_admissible_system(hd, flipped) is not a1:
                     return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0,
                                    False, f"{label}: sign-flip symmetry fails")

@@ -79,6 +79,37 @@ def scaled_point(a: Weight) -> tuple[tuple[int, ...], int]:
     return int_point(a, d), d
 
 
+def scaled_points(weights: Sequence[Weight]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, the int points d a of the weights a) for d their common denominator."""
+    d = lcm(1, *(x.denominator for a in weights for x in a))
+    return d, tuple(int_point(a, d) for a in weights)
+
+
+def sorted_weights(weights: Sequence[Weight]) -> tuple[Weight, ...]:
+    """The weights in sorted order, sorted on their int points at the common
+    denominator, which order as the Fraction tuples do."""
+    _, points = scaled_points(weights)
+    return tuple(weights[i] for i in sorted(range(len(weights)), key=points.__getitem__))
+
+
+def dual_covectors(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Positive multiples f_i of the dual basis of linearly independent int
+    points s_j, in their span: (f_i, s_j) = 0 for j != i, (f_i, s_i) > 0.
+    Fraction-free Gauss-Jordan on [G | I], G the positive definite Gram
+    matrix, keeps each row of the form (d e_i | X) with X G = d e_i, d > 0."""
+    n = len(points)
+    rows = [[sum(map(mul, a, b)) for b in points] + [int(i == j) for j in range(n)]
+            for i, a in enumerate(points)]
+    for c, pivot in enumerate(rows):
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row]
+    covectors = [[sum(map(mul, row[n:], column)) for column in zip(*points)] for row in rows]
+    return tuple(tuple(x // gcd(*f) for x in f) for f in covectors)
+
+
 def parse_weight(text: str) -> Weight:
     """Parse the textual form, e.g. ``"3/2,-1/2,0,0"``."""
     parts = [p.strip() for p in text.split(",")]

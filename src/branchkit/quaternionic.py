@@ -38,6 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add, mul, sub
 
 from .errors import DomainError, InternalError
 from .lattice import (
@@ -48,8 +49,9 @@ from .lattice import (
     coroot_pairing,
     format_weight,
     inner,
+    int_point,
     map_point,
-    wadd,
+    scaled_points,
     wneg,
     wscale,
     wsub,
@@ -99,11 +101,10 @@ class SubgroupContext:
         """The context of class cls: k2 is the compact positive roots other
         than beta orthogonal to beta, its kernel roots those orthogonal to
         w_line too, and h_roots the h_positive roots with their negatives."""
-        form = rd.form
-        k2_positive = tuple(
-            g for g in rd.compact_positive if g != beta and inner(form, g, beta) == 0
-        )
-        if len(k2_positive) + 1 != len(rd.compact_positive):
+        _, (b, w, *points) = scaled_points((beta, w_line) + rd.compact_positive)
+        k2 = [(g, p) for g, p in zip(rd.compact_positive, points)
+              if p != b and sum(map(mul, p, b)) == 0]
+        if len(k2) + 1 != len(rd.compact_positive):
             raise InternalError("a compact positive root other than beta meets beta")
         return cls(
             rd=rd,
@@ -112,8 +113,8 @@ class SubgroupContext:
             h_roots=frozenset(h_positive + tuple(map(wneg, h_positive))),
             side_roots=side_roots,
             mirrors=mirrors,
-            k2_factor=CompactFactor.from_positive(form, k2_positive),
-            kernel_positive=tuple(g for g in k2_positive if inner(form, g, w_line) == 0),
+            k2_factor=CompactFactor.from_positive(rd.form, [g for g, _ in k2]),
+            kernel_positive=tuple(g for g, p in k2 if sum(map(mul, p, w)) == 0),
             **family,
         )
 
@@ -166,24 +167,30 @@ def quaternionic_context(label: str) -> QuaternionicContext:
     """Build and verify the full embedding context for a form label (memoized)."""
     rd = quaternionic_root_datum(label)
     psi, beta, alpha = small_system(rd)
-    form = rd.form
-    if coroot_pairing(form, beta, alpha) != 1 or coroot_pairing(form, alpha, beta) != 1:
+    scale, points, _ = rd.points
+    b, a = int_point(beta, scale), int_point(alpha, scale)
+    ab = sum(map(mul, a, b))
+    if 2 * ab != sum(map(mul, a, a)) or 2 * ab != sum(map(mul, b, b)):
         raise InternalError("alpha and beta do not span an su(2,1) root system")
-    b_minus_a = wsub(beta, alpha)
-    if b_minus_a not in set(rd.roots):
+    b_minus_a = tuple(map(sub, b, a))
+    if b_minus_a not in set(points):  # beta - alpha >= 0, so it is a root if positive
         raise InternalError("beta - alpha is not a root")
-    fw1 = wscale(Fraction(1, 3), wsub(wscale(2, beta), alpha))
-    fw2 = wscale(Fraction(1, 3), wadd(alpha, beta))
-    if coroot_pairing(form, fw1, alpha) != 0 or coroot_pairing(form, fw1, b_minus_a) != 1:
+    # l1 = 3 D L1 and l2 = 3 D L2: L1 pairs to 0 with alpha-check and to 1
+    # with (beta - alpha)-check, L2 the other way round
+    l1, l2 = tuple(2 * x - y for x, y in zip(b, a)), tuple(map(add, a, b))
+    if sum(map(mul, l1, a)) or 2 * sum(map(mul, l1, b_minus_a)) != 3 * sum(
+            map(mul, b_minus_a, b_minus_a)):
         raise InternalError("fundamental weight L1 fails its defining pairings")
-    if coroot_pairing(form, fw2, alpha) != 1 or coroot_pairing(form, fw2, b_minus_a) != 0:
+    if 2 * sum(map(mul, l2, a)) != 3 * sum(map(mul, a, a)) or sum(map(mul, l2, b_minus_a)):
         raise InternalError("fundamental weight L2 fails its defining pairings")
     noncompact = rd.noncompact_positive
     if len(noncompact) % 2:
         raise InternalError("odd number of noncompact positive roots")
     ctx = QuaternionicContext.build(
-        rd, beta, wsub(beta, wscale(2, alpha)), (alpha, beta, b_minus_a), (beta,),
-        (((beta,), -1),), psi=psi, alpha=alpha, fw1=fw1, fw2=fw2, d=len(noncompact) // 2,
+        rd, beta, wsub(beta, wscale(2, alpha)), (alpha, beta, wsub(beta, alpha)), (beta,),
+        (((beta,), -1),), psi=psi, alpha=alpha,
+        fw1=tuple(Fraction(x, 3 * scale) for x in l1),
+        fw2=tuple(Fraction(x, 3 * scale) for x in l2), d=len(noncompact) // 2,
     )
     _verify_projections(ctx)
     return ctx
@@ -191,16 +198,21 @@ def quaternionic_context(label: str) -> QuaternionicContext:
 
 def _verify_projections(ctx: QuaternionicContext):
     """The involution g -> beta - g preserves the noncompact positive roots,
-    and their projections fall on the two fundamental weights."""
-    targets = {ctx.fw1, ctx.fw2}
-    special = {ctx.alpha, wsub(ctx.beta, ctx.alpha)}
-    noncompact = set(ctx.noncompact_positive)
-    for g in noncompact:
-        if wsub(ctx.beta, g) not in noncompact:
+    and their projections onto span(beta, w_line) fall on L1 or L2.  As
+    L1, L2 = (beta +- w_line / 3) / 2 lie in that span, the test compares
+    int pairings with beta and w_line, of 3 D g and of 3 D L1 and 3 D L2."""
+    scale = ctx.rd.points[0]
+    b, a, w = (int_point(v, scale) for v in (ctx.beta, ctx.alpha, ctx.w_line))
+    targets = {(sum(map(mul, l, b)), sum(map(mul, l, w)))
+               for l in (int_point(ctx.fw1, 3 * scale), int_point(ctx.fw2, 3 * scale))}
+    special = {a, tuple(map(sub, b, a))}
+    noncompact = {int_point(g, scale) for g in ctx.noncompact_positive}
+    for p in noncompact:
+        if tuple(map(sub, b, p)) not in noncompact:
             raise InternalError("beta - gamma is not a noncompact positive root")
-        if g in special:
+        if p in special:
             continue
-        if ctx.q_u(g) not in targets:
+        if (3 * sum(map(mul, p, b)), 3 * sum(map(mul, p, w))) not in targets:
             raise InternalError("projection of a noncompact root misses L1, L2")
 
 

@@ -2,13 +2,16 @@
 weight multiplicities, the Weyl dimension formula, infinitesimal-character to
 highest-weight conversion, and pushforward of weight tables along projections.
 
-Everything is exact.  Freudenthal's recursion runs over the dominant orbit
-representatives (Moody-Patera, Bull. AMS 7, 1982) on int points: every weight
-of the representation, root and the half-sum is scaled by twice the common
-denominator of the highest weight and the roots, so pairings, reflections and
-norms are integer arithmetic, and weights are mapped back to Fractions only
-for the returned table.  The resulting multiplicities are asserted integral; a
-non-integer intermediate aborts with InternalError.
+Everything is exact, and every check on a request's parameter is int
+arithmetic: a root datum's and a compact factor's positive roots are int
+points at one scale, built once on first use, and a parameter is read once as
+an int point over its denominator.  Its pairings are checked with ``divmod``,
+and a chamber is read as signs by position in the datum's positive roots.
+Freudenthal's recursion runs over the dominant orbit representatives
+(Moody-Patera, Bull. AMS 7, 1982) on int points scaled by twice the common
+denominator of the highest weight and the roots; weights are mapped back to
+Fractions only for the returned table, and a non-integral multiplicity
+aborts with InternalError.
 
 Every route from a parameter to a compact-factor weight table, on either
 family, goes through ``quaternionic.lam2_weight_table`` and ends in
@@ -34,12 +37,12 @@ from .lattice import (
     InnerProductForm,
     Weight,
     coroot_pairing,
+    dual_covectors,
     format_weight,
-    inner,
     int_point,
-    rational_solve,
     scaled_point,
-    wadd,
+    scaled_points,
+    sorted_weights,
     wneg,
     wsub,
 )
@@ -88,88 +91,86 @@ class CompactFactor:
 
     @classmethod
     def from_positive(cls, form: InnerProductForm, positive) -> "CompactFactor":
-        pos = tuple(sorted(positive))
+        pos = sorted_weights(tuple(positive))
         return cls(form, pos, simple_elements(pos, form), half_sum(form.dim, pos))
+
+    @functools.cached_property
+    def int_roots(self):
+        """(2 D, ((a, (a, a), (a, 2 D rho)), ...)): each positive root g as
+        the int point a = D g at their common denominator D, with its norm
+        and its pairing with 2 D rho; <v, g-check> = 2 D (a, v) / (a, a)."""
+        scale, points = scaled_points(self.positive)
+        two_rho = tuple(map(sum, zip(*points)))
+        return 2 * scale, tuple((a, sum(map(mul, a, a)), sum(map(mul, a, two_rho)))
+                                for a in points)
 
     @functools.cached_property
     def coweight_covectors(self) -> tuple[tuple[int, ...], ...]:
         """Int covectors, one per simple root: a positive multiple of its
-        fundamental coweight, which pairs to 1 with that simple root and to 0
-        with the others.  On the span of the simple roots, the sign of a
+        fundamental coweight.  On the span of the simple roots, the sign of a
         covector's pairing is the sign of that simple root's coefficient."""
-        columns = [tuple(inner(self.form, a, b) for b in self.simple) for a in self.simple]
-        out = []
-        for i in range(len(self.simple)):
-            coeffs = rational_solve(columns, tuple(int(i == j) for j in range(len(self.simple))))
-            coweight = [sum(c * a[k] for c, a in zip(coeffs, self.simple))
-                        for k in range(self.form.dim)]
-            den = lcm(1, *(x.denominator for x in coweight))
-            out.append(tuple(int(x * den) for x in coweight))
-        return tuple(out)
+        return dual_covectors(scaled_points(self.simple)[1])
 
 
-@functools.lru_cache(maxsize=None)
-def _coroot_covectors(rd: RootDatum):
-    """(g, a, 2 k, (a, a)) per positive root g, a = k g an int point, so that
-    <v, g-check> = 2 k (a, v) / (a, a) (memoized per root datum)."""
-    out = []
-    for g in rd.positive:
-        a, k = scaled_point(g)
-        out.append((g, a, 2 * k, sum(map(mul, a, a))))
-    return tuple(out)
-
-
-def regular_integral_pairings(rd: RootDatum, lam: Weight) -> dict:
-    """{g: <lam, g-check>} over the positive roots of rd, as ints paired on
-    lam's int point, once lam is checked regular and integral.  A failure
-    names the first failing root in the sorted order of all roots, as a scan
-    over both signs would: a root and its negative fail together."""
+def regular_integral_pairings(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
+    """<lam, g-check> per positive root g of rd, by position in rd.positive,
+    as ints paired on lam's int point, once lam is checked regular and
+    integral.  A failure names the first failing root in the sorted order of
+    all roots, as a scan over both signs would: a root and its negative fail
+    together."""
     if len(lam) != rd.form.dim:
         raise DimensionError("weight length does not match form dimension")
     point, den = scaled_point(lam)
-    pairings, bad = {}, {}
-    for g, a, m, aa in _coroot_covectors(rd):
-        pairings[g], r = divmod(m * sum(map(mul, a, point)), aa * den)
-        if r or not pairings[g]:
-            bad[g] = bad[wneg(g)] = "not integral" if r else "singular"
+    scale, points, norms = rd.points  # <lam, g-check> = 2 D (a, lam) / (a, a)
+    pairings, bad = [], {}
+    for i, (a, aa) in enumerate(zip(points, norms)):
+        c, r = divmod(2 * scale * sum(map(mul, a, point)), aa * den)
+        if r or not c:
+            bad[i] = "not integral" if r else "singular"
+        pairings.append(c)
     if bad:
-        first = min(bad)
-        raise DomainError(f"parameter is {bad[first]} against root {format_weight(first)}")
-    return pairings
+        first, i = min((h, i) for i in bad for h in (rd.positive[i], wneg(rd.positive[i])))
+        raise DomainError(f"parameter is {bad[i]} against root {format_weight(first)}")
+    return tuple(pairings)
 
 
 def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> None:
     """Check that lam is regular, integral and dominant for the system."""
     pairings = regular_integral_pairings(system.parent, lam)
-    for g in system.chosen:
-        if (pairings[g] if g in pairings else -pairings[wneg(g)]) <= 0:
-            raise DomainError("parameter is not dominant for the given positive system")
+    if any(c * s < 0 for c, s in zip(pairings, system.signs)):
+        raise DomainError("parameter is not dominant for the given positive system")
 
 
 def hc_to_highest_weight(lam2: Weight, factor: CompactFactor) -> Weight:
     """Highest weight of the irreducible with infinitesimal character lam2."""
-    for g in factor.positive:
-        p = coroot_pairing(factor.form, lam2, g)
-        if p <= 0:
+    point, den = scaled_point(lam2)
+    m, roots = factor.int_roots
+    for a, aa, _ in roots:
+        c = m * sum(map(mul, a, point))
+        if c <= 0:
             raise DomainError("infinitesimal character is not dominant regular")
-        if p.denominator != 1:
+        if c % (aa * den):
             raise DomainError("infinitesimal character is not integral")
     return wsub(lam2, factor.rho)
 
 
 def weyl_dimension(hw: Weight, factor: CompactFactor) -> int:
-    """Product formula for the dimension of the highest-weight representation."""
-    for g in factor.positive:
-        p = coroot_pairing(factor.form, hw, g)
-        if p < 0 or p.denominator != 1:
+    """Product formula for the dimension of the highest-weight representation:
+    the product over positive g of (hw + rho, g) / (rho, g), on int points."""
+    point, den = scaled_point(hw)
+    m, roots = factor.int_roots
+    num = total = 1
+    for a, aa, r in roots:
+        c = m * sum(map(mul, a, point))
+        if c < 0 or c % (aa * den):
             raise DomainError("highest weight must be dominant integral")
-    num = Fraction(1)
-    shifted = wadd(hw, factor.rho)
-    for g in factor.positive:
-        num *= inner(factor.form, shifted, g) / inner(factor.form, factor.rho, g)
-    if num.denominator != 1:
+        # (2 hw + 2 rho, g) / (2 rho, g), both at scale den D^2
+        num *= c + den * r
+        total *= den * r
+    dim, rest = divmod(num, total)
+    if rest:
         raise InternalError("Weyl dimension is not an integer")
-    return int(num)
+    return dim
 
 
 def _reflect(v: tuple, a: tuple, aa: int) -> tuple:

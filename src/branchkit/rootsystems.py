@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add, mul, sub
 
 from .errors import ConfigurationError, DomainError, InternalError, ResourceError
@@ -36,15 +35,16 @@ from .lattice import (
     InnerProductForm,
     Matrix,
     Weight,
-    coroot_pairing,
+    dual_covectors,
     format_weight,
     identity_form,
     identity_matrix,
     int_point,
     mat_mul,
-    rational_solve,
     reflect,
     reflection_matrix,
+    scaled_points,
+    sorted_weights,
     wadd,
     weight,
     wneg,
@@ -67,13 +67,20 @@ class RootDatum:
     def is_compact(self, gamma: Weight) -> bool:
         return self.compactness[gamma]
 
-    @property
+    @functools.cached_property
     def compact_positive(self) -> tuple[Weight, ...]:
         return tuple(g for g in self.positive if self.compactness[g])
 
-    @property
+    @functools.cached_property
     def noncompact_positive(self) -> tuple[Weight, ...]:
         return tuple(g for g in self.positive if not self.compactness[g])
+
+    @functools.cached_property
+    def points(self):
+        """(D, points, norms): the positive roots by position as int points
+        at their common denominator D, with their norms (built on first use)."""
+        scale, points = scaled_points(self.positive)
+        return scale, points, tuple(sum(map(mul, a, a)) for a in points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +94,17 @@ class PositiveSystem:
     def chosen_set(self) -> frozenset:
         return frozenset(self.chosen)
 
+    @functools.cached_property
+    def signs(self) -> tuple[int, ...]:
+        """The system by position: it holds s g for the root g at position i
+        of ``parent.positive`` and s = signs[i] (read on int points, once)."""
+        scale, points, _ = self.parent.points
+        chosen = {int_point(g, scale) for g in self.chosen}
+        signs = tuple(1 if a in chosen else -1 for a in points)
+        if {tuple(s * x for x in a) for a, s in zip(points, signs)} != chosen:
+            raise InternalError("not a positive system of the whole root system")
+        return signs
+
 
 def positive_system(rd: RootDatum, chosen=None) -> PositiveSystem:
     roots = tuple(sorted(chosen)) if chosen is not None else rd.positive
@@ -94,10 +112,9 @@ def positive_system(rd: RootDatum, chosen=None) -> PositiveSystem:
 
 
 def half_sum(form_dim: int, roots) -> Weight:
-    total = zero_weight(form_dim)
-    for g in roots:
-        total = wadd(total, g)
-    return wscale(Fraction(1, 2), total)
+    """Half the sum of the roots, added on int points."""
+    scale, points = scaled_points(roots)
+    return tuple(Fraction(sum(x), 2 * scale) for x in zip(*points)) or zero_weight(form_dim)
 
 
 @dataclass(frozen=True)
@@ -253,8 +270,8 @@ def _positive_from_simples(roots, simples):
     is a chain of simple roots whose partial sums are all roots (Humphreys,
     Introduction to Lie Algebras, 10.2); a root outside the span of the simple
     roots is not, and breaks the half split.  The closure runs on int points."""
-    den = lcm(1, *(x.denominator for g in roots for x in g))
-    by_point = {int_point(g, den): g for g in roots}
+    den, points = scaled_points(roots)
+    by_point = dict(zip(points, roots))
     steps = [int_point(a, den) for a in simples]
     positive = set(steps)
     level = positive
@@ -263,7 +280,7 @@ def _positive_from_simples(roots, simples):
         positive |= level
     if 2 * len(positive) != len(roots):
         raise InternalError("positive system does not split the roots in half")
-    return tuple(sorted(by_point[p] for p in positive))
+    return tuple(by_point[p] for p in sorted(positive))
 
 
 def simple_elements(positives, form: InnerProductForm):
@@ -271,23 +288,21 @@ def simple_elements(positives, form: InnerProductForm):
     that are not the sum of two of its elements.  The search runs on int
     tuples, scaled by the common denominator, and stops for each element at
     its first decomposition; ``form`` names the ambient space."""
-    den = lcm(1, *(x.denominator for g in positives for x in g))
-    points = [int_point(g, den) for g in positives]
+    _, points = scaled_points(positives)
     pos = set(points)
-    return tuple(sorted(
-        g for g, p in zip(positives, points)
-        if not any(tuple(map(sub, p, a)) in pos for a in points)
-    ))
+    return tuple(g for p, g in sorted(zip(points, positives))
+                 if not any(tuple(map(sub, p, a)) in pos for a in points))
 
 
 def highest_root(rd: RootDatum) -> Weight:
     """The positive root that no simple root raises to another root; it is
-    unique exactly when the system is irreducible (Humphreys, 10.4)."""
-    den = lcm(1, *(x.denominator for g in rd.roots for x in g))
-    roots = {int_point(g, den) for g in rd.roots}
+    unique exactly when the system is irreducible (Humphreys, 10.4).  A
+    positive root plus a simple root is positive if it is a root."""
+    den, points = scaled_points(rd.positive)
+    positive = set(points)
     steps = [int_point(a, den) for a in rd.simple]
-    top = [g for g, p in zip(rd.positive, (int_point(g, den) for g in rd.positive))
-           if all(tuple(map(add, p, a)) not in roots for a in steps)]
+    top = [g for g, p in zip(rd.positive, points)
+           if all(tuple(map(add, p, a)) not in positive for a in steps)]
     if len(top) != 1:
         raise InternalError("highest root is not unique; reducible system?")
     return top[0]
@@ -367,13 +382,13 @@ def _highest_root_datum(label: str, family: str, rank: int) -> RootDatum:
     form = identity_form(len(roots[0]))
     positive = _positive_from_simples(roots, simples)
     compactness = {}  # filled below; highest_root reads no labels
-    rd = RootDatum(label, form, tuple(sorted(roots)), positive, tuple(simples), compactness)
+    rd = RootDatum(label, form, sorted_weights(roots), positive, tuple(simples), compactness)
     beta = highest_root(rd)
-    den = lcm(1, *(x.denominator for g in positive for x in g))
+    den, points = scaled_points(positive)
     b = int_point(beta, den)
     bb = sum(map(mul, b, b))
-    for g in positive:  # n / bb = <g, beta-check>, on int points
-        n = 2 * sum(map(mul, int_point(g, den), b))
+    for g, p in zip(positive, points):  # n / bb = <g, beta-check>, on int points
+        n = 2 * sum(map(mul, p, b))
         if n not in (0, bb, 2 * bb):
             raise InternalError(
                 f"unexpected highest-root pairing {Fraction(n, bb)} for {format_weight(g)}"
@@ -388,18 +403,21 @@ def small_system(rd: RootDatum):
     Returns (PositiveSystem, beta, alpha) where beta is the maximal root and
     alpha a noncompact simple root with 2(beta, alpha)/(alpha, alpha) = 1.
     Verifies the quaternionic conditions: beta compact, the noncompact simple
-    coefficients of beta sum to 2.
+    coefficients of beta sum to 2, read on int points as (f_i, beta) / (f_i, a_i).
     """
     ps = positive_system(rd)
     beta = highest_root(rd)
     if not rd.is_compact(beta):
         raise InternalError("maximal root is not compact; wrong realization")
-    noncompact_simple = [a for a in rd.simple if not rd.is_compact(a)]
-    sol = rational_solve(list(rd.simple), beta)
-    ncoeff = sum(c for c, a in zip(sol, rd.simple) if not rd.is_compact(a))
-    if ncoeff != 2:
+    scale = rd.points[0]
+    b, simple = int_point(beta, scale), [int_point(a, scale) for a in rd.simple]
+    noncompact = [not rd.is_compact(a) for a in rd.simple]
+    coeffs = [divmod(sum(map(mul, f, b)), sum(map(mul, f, a)))
+              for f, a in zip(dual_covectors(simple), simple)]
+    if any(r for _, r in coeffs) or sum(c for (c, _), n in zip(coeffs, noncompact) if n) != 2:
         raise InternalError("noncompact simple coefficients of the maximal root do not sum to 2")
-    candidates = [a for a in noncompact_simple if coroot_pairing(rd.form, beta, a) == 1]
+    candidates = [g for g, a, n in zip(rd.simple, simple, noncompact)
+                  if n and 2 * sum(map(mul, b, a)) == sum(map(mul, a, a))]
     if not candidates:
         raise InternalError("no noncompact simple root pairs to 1 with the maximal root")
     alpha = candidates[0]  # deterministic: first in simple-root order
@@ -488,8 +506,8 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
     simple roots.  The walk starts from ``rd.positive``, first reflected into
     delta's chamber by the roots of delta.
     """
-    den = lcm(1, *(x.denominator for g in rd.roots for x in g))
-    point = {g: int_point(g, den) for g in rd.roots}
+    den, points = scaled_points(rd.roots)
+    point = dict(zip(rd.roots, points))
     if not delta.chosen_set() <= point.keys():
         return []
     norm = {p: sum(map(mul, p, p)) for p in point.values()}

@@ -29,6 +29,7 @@ from .lattice import (
     identity_form,
     inner,
     map_point,
+    sorted_weights,
     wadd,
     weight,
     wneg,
@@ -231,6 +232,10 @@ class HermitianData:
     sets whose chamber positions decide admissibility over the semisimple
     factor of K.
 
+    A chamber holds s g for the root g at position i of ``rd.positive``, the
+    holomorphic system, and s = chamber[i].  A certificate set holds
+    (position, sign) pairs; ``compact`` the compact positions.
+
     ``tube`` records whether the symmetric space is a tube domain.  For tube
     forms, containment of a certificate set in the chamber system marks the
     central ray inside the asymptotic support, so it decides *against*
@@ -242,9 +247,10 @@ class HermitianData:
     label: str
     rd: RootDatum
     psi_h: PositiveSystem
-    certificate: tuple[Weight, ...]          # the set I
-    certificate_conjugate: tuple[Weight, ...]  # the set I-tilde
+    certificate: tuple[tuple[int, int], ...]            # the set I
+    certificate_conjugate: tuple[tuple[int, int], ...]  # the set I-tilde
     tube: bool
+    compact: tuple[int, ...]
 
 
 def _su_pq_data(p: int, q: int):
@@ -350,29 +356,33 @@ def hermitian_data(label: str) -> HermitianData:
     z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
     dim = len(roots[0])
     form = identity_form(dim)
-    # K is the centralizer of the central direction z
-    compactness = {g: inner(form, g, z) == 0 for g in roots}
-    # holomorphic system: positive on the central direction for noncompact
-    # roots, a fixed generic order on the compact ones
+    # K is the centralizer of the central direction z; the holomorphic
+    # system is positive on z for noncompact roots, a fixed generic order on
+    # the compact ones
     v_reg = _compact_regular_vector(name, dim)
-    positive = []
+    compactness, positive = {}, []
     for g in roots:
         zval = inner(form, g, z)
+        compactness[g] = zval == 0
         if zval > 0 or (zval == 0 and inner(form, g, v_reg) > 0):
             positive.append(g)
     if 2 * len(positive) != len(roots):
         raise InternalError("holomorphic system does not split the roots")
-    simples = simple_elements(tuple(sorted(positive)), form)
-    rd = RootDatum(label, form, tuple(sorted(roots)), tuple(sorted(positive)),
-                   simples, compactness)
+    positive = sorted_weights(positive)
+    rd = RootDatum(label, form, sorted_weights(roots), positive,
+                   simple_elements(positive, form), compactness)
     psi_h = positive_system(rd)
-    root_set = set(roots)
-    for g in list(cert) + list(conj):
-        if g not in root_set:
-            raise InternalError(
-                f"certificate element {format_weight(g)} is not a root of {label}"
-            )
-    return HermitianData(label, rd, psi_h, tuple(cert), tuple(conj), tube)
+    position = {g: i for i, g in enumerate(positive)}
+
+    def signed_position(g):
+        for s, h in ((1, g), (-1, wneg(g))):
+            if h in position:
+                return position[h], s
+        raise InternalError(f"certificate element {format_weight(g)} is not a root of {label}")
+
+    return HermitianData(label, rd, psi_h, tuple(map(signed_position, cert)),
+                         tuple(map(signed_position, conj)), tube,
+                         tuple(i for i, g in enumerate(positive) if compactness[g]))
 
 
 def _compact_regular_vector(name: str, dim: int) -> Weight:
@@ -395,26 +405,27 @@ def antiholomorphic_chamber_parameter(hd: HermitianData) -> Weight:
     return half_sum(rd.form.dim, [g if rd.is_compact(g) else wneg(g) for g in hd.psi_h.chosen])
 
 
-def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> frozenset:
+def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> tuple[int, ...]:
     """Regular, integral, dominant for the compact part of the holomorphic
-    system; returns the chamber system of lam, from the same one pairing per
-    positive root."""
+    system; returns the chamber of lam as signs by position in
+    ``hd.rd.positive`` (see HermitianData), from the same one int pairing
+    per positive root."""
     pairings = regular_integral_pairings(hd.rd, lam)
-    if any(pairings[g] <= 0 for g in hd.rd.compact_positive):
+    if any(pairings[i] <= 0 for i in hd.compact):
         raise DomainError("parameter is not dominant for the compact positive system")
-    return frozenset(g if c > 0 else wneg(g) for g, c in pairings.items())
+    return tuple(1 if c > 0 else -1 for c in pairings)
 
 
-def kss_admissible_system(hd: HermitianData, chamber: frozenset) -> bool:
-    """Admissibility over the semisimple factor of K decided from the chamber.
+def kss_admissible_system(hd: HermitianData, chamber: tuple[int, ...]) -> bool:
+    """Admissibility over the semisimple factor of K decided from the
+    chamber, given as signs by position (``PositiveSystem.signs`` of a
+    chamber's system, or ``validate_hermitian_parameter``).
 
     Containment of a certificate set in the chamber system is an obstruction
     for tube forms and a certificate for non-tube forms; see HermitianData.
     """
-    contained = (
-        frozenset(hd.certificate) <= chamber
-        or frozenset(hd.certificate_conjugate) <= chamber
-    )
+    contained = any(all(chamber[i] == s for i, s in pairs)
+                    for pairs in (hd.certificate, hd.certificate_conjugate))
     return (not contained) if hd.tube else contained
 
 
@@ -424,7 +435,7 @@ def kss_admissible(hd: HermitianData, lam: Weight) -> bool:
 
 def kss_admissible_report(hd: HermitianData, lam: Weight):
     """(decision, reason) pair for user-facing output."""
-    admissible = kss_admissible_system(hd, validate_hermitian_parameter(hd, lam))
+    admissible = kss_admissible(hd, lam)
     contained = admissible != hd.tube
     if hd.tube:
         reason = (

@@ -13,15 +13,22 @@ weights with Fraction pairings.  Tests compare the package against both
 point for point.  ``reference_branching_table`` and ``reference_sp1q_table``
 are the closed tables the package built before it keyed them by int labels:
 every entry a Fraction weight, one ``wadd`` per (sigma, p, q).
+
+The last section holds the Fraction request checks that the package ran
+before it read them on int points: the coroot-pairing scan, the Hermitian
+chamber as a frozenset of roots and its certificate test, the compact
+factor's conversion, dimension and coweights, and the context's projection
+check.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from operator import add, mul
 
 from branchkit.errors import InternalError
 from branchkit.formal import ValidityRegion, convolve_multiset
+from branchkit.errors import DomainError
 from branchkit.lattice import (
     coroot_pairing,
     format_weight,
@@ -29,9 +36,12 @@ from branchkit.lattice import (
     inner,
     is_zero,
     mat_mul,
+    rational_solve,
     reflection_matrix,
     wadd,
+    wneg,
     wscale,
+    wsub,
 )
 from branchkit.oracle import ComparisonReport
 from branchkit.quaternionic import BranchingTable, decompose_parameter, lam2_weight_table
@@ -232,3 +242,95 @@ def reference_sp1q_table(ctx, lam, cutoff):
             mu = tuple([a0 + (ctx.q - 1) + p, Fraction(k)] + [Fraction(0)] * (ctx.q - 1))
             entries[mu] = entries.get(mu, 0) + nk * comb(p + 2 * ctx.q - 3, 2 * ctx.q - 3)
     return BranchingTable(entries, a0 + (ctx.q - 1) + cutoff, ctx.rd.label, lam)
+
+
+def fraction_pairings(rd, lam):
+    """{g: <lam, g-check>} over the positive roots, one Fraction coroot
+    pairing each; a singular or non-integral lam fails at the first failing
+    root in the sorted order of all roots."""
+    pairings = {g: coroot_pairing(rd.form, lam, g) for g in rd.positive}
+    bad = {r: c for g, c in pairings.items() if c == 0 or c.denominator != 1
+           for r in (g, wneg(g))}
+    if bad:
+        first = min(bad)
+        problem = "singular" if bad[first] == 0 else "not integral"
+        raise DomainError(f"parameter is {problem} against root {format_weight(first)}")
+    return pairings
+
+
+def reference_validate_hc_parameter(lam, system):
+    pairings = fraction_pairings(system.parent, lam)
+    for g in system.chosen:
+        if (pairings[g] if g in pairings else -pairings[wneg(g)]) <= 0:
+            raise DomainError("parameter is not dominant for the given positive system")
+
+
+def certificate_roots(hd, pairs):
+    """The roots s * g of a certificate set held as (position, sign) pairs."""
+    return frozenset(wscale(s, hd.rd.positive[i]) for i, s in pairs)
+
+
+def reference_hermitian_chamber(hd, lam) -> frozenset:
+    """The chamber system of lam as a frozenset of roots."""
+    pairings = fraction_pairings(hd.rd, lam)
+    if any(pairings[g] <= 0 for g in hd.rd.compact_positive):
+        raise DomainError("parameter is not dominant for the compact positive system")
+    return frozenset(g if c > 0 else wneg(g) for g, c in pairings.items())
+
+
+def reference_kss_admissible_system(hd, chamber: frozenset) -> bool:
+    contained = (certificate_roots(hd, hd.certificate) <= chamber
+                 or certificate_roots(hd, hd.certificate_conjugate) <= chamber)
+    return (not contained) if hd.tube else contained
+
+
+def reference_hc_to_highest_weight(lam2, factor):
+    for g in factor.positive:
+        p = coroot_pairing(factor.form, lam2, g)
+        if p <= 0:
+            raise DomainError("infinitesimal character is not dominant regular")
+        if p.denominator != 1:
+            raise DomainError("infinitesimal character is not integral")
+    return wsub(lam2, factor.rho)
+
+
+def reference_weyl_dimension(hw, factor) -> int:
+    for g in factor.positive:
+        p = coroot_pairing(factor.form, hw, g)
+        if p < 0 or p.denominator != 1:
+            raise DomainError("highest weight must be dominant integral")
+    num = Fraction(1)
+    shifted = wadd(hw, factor.rho)
+    for g in factor.positive:
+        num *= inner(factor.form, shifted, g) / inner(factor.form, factor.rho, g)
+    if num.denominator != 1:
+        raise InternalError("Weyl dimension is not an integer")
+    return int(num)
+
+
+def reference_coweight_covectors(factor):
+    """Each fundamental coweight by a Fraction solve, scaled to ints."""
+    columns = [tuple(inner(factor.form, a, b) for b in factor.simple) for a in factor.simple]
+    out = []
+    for i in range(len(factor.simple)):
+        coeffs = rational_solve(columns, tuple(int(i == j) for j in range(len(factor.simple))))
+        coweight = [sum(c * a[k] for c, a in zip(coeffs, factor.simple))
+                    for k in range(factor.form.dim)]
+        den = lcm(1, *(x.denominator for x in coweight))
+        out.append(tuple(int(x * den) for x in coweight))
+    return tuple(out)
+
+
+def reference_verify_projections(ctx):
+    """The involution g -> beta - g preserves the noncompact positive roots,
+    and their projections by the Fraction ``q_u`` fall on L1 and L2."""
+    targets = {ctx.fw1, ctx.fw2}
+    special = {ctx.alpha, wsub(ctx.beta, ctx.alpha)}
+    noncompact = set(ctx.noncompact_positive)
+    for g in noncompact:
+        if wsub(ctx.beta, g) not in noncompact:
+            raise InternalError("beta - gamma is not a noncompact positive root")
+        if g in special:
+            continue
+        if ctx.q_u(g) not in targets:
+            raise InternalError("projection of a noncompact root misses L1, L2")
