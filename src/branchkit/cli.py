@@ -43,7 +43,6 @@ from .quaternionic import (
     lam2_weight_table,
     quaternionic_context,
 )
-from .repweights import restrict_weights
 from .rootsystems import ambient_dimension, parse_quaternionic_label
 from .specialcases import (
     hermitian_data,
@@ -123,14 +122,19 @@ def _parse_lambda(args, system, build):
     return ctx, lam
 
 
+def _rows(rows, den: int, name: str = "mu") -> list:
+    """(int numerators, multiplicity) rows over one positive denominator in
+    weight order, as the numerators sort; each is formatted once."""
+    rows = sorted(rows)
+    text = {n: str(Fraction(n, den)) for n in {n for nums, _ in rows for n in nums}}
+    return [{name: ",".join([text[n] for n in nums]), "mult": str(m)} for nums, m in rows]
+
+
 def _entries_json(table) -> list:
-    """A closed table's entries in weight order.  Its keys' weights share one
-    positive denominator, so their int numerators sort as the weights do,
-    and each distinct numerator is formatted once."""
+    """A closed table's entries in weight order; its keys' weights share one
+    positive denominator."""
     coords = table.coords
-    rows = sorted((coords.numerators(key), m) for key, m in table.by_key.items())
-    text = {n: str(Fraction(n, coords.den)) for n in {n for nums, _ in rows for n in nums}}
-    return [{"mu": ",".join([text[n] for n in nums]), "mult": str(m)} for nums, m in rows]
+    return _rows(((coords.numerators(key), m) for key, m in table.by_key.items()), coords.den)
 
 
 def cmd_list_forms(args) -> int:
@@ -222,23 +226,20 @@ def cmd_weights(args) -> int:
     sp1q = label.startswith("sp1_q")
     ctx, lam = _parse_lambda(args, *_context("sp1q" if sp1q else "quat", label))
     if args.project == "torus" and sp1q:
-        strings = sp1q_string_table(ctx, lam)
-        entries = {
-            format_weight((Fraction(0), Fraction(k)) + (Fraction(0),) * (ctx.q - 1)): n
-            for k, n in strings.items()
-        }
+        zeros = (0,) * (ctx.q - 1)
+        rows, den = [((0, k) + zeros, n) for k, n in sp1q_string_table(ctx, lam).items()], 1
+    elif args.project == "torus":
+        sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
+        rows = [(tuple(n * x for x in ctx.torus_points[1]), m) for n, m in sigmas.items()]
     else:
         table = lam2_weight_table(ctx, lam)
-        mults = restrict_weights(table, ctx.q_u_k2) if args.project == "torus" else table.mults
-        entries = {format_weight(v): m for v, m in mults.items()}
+        rows, den = table.points.items(), table.scale
     payload = {
         "command": "weights",
         "form": label,
         "lambda": format_weight(lam),
         "project": args.project,
-        "entries": [
-            {"weight": k, "mult": str(entries[k])} for k in sorted(entries, key=parse_weight)
-        ],
+        "entries": _rows(rows, den, "weight"),
     }
     if args.output == "text":
         sys.stdout.write("".join(f"{row['weight']}\t{row['mult']}\n" for row in payload["entries"]))

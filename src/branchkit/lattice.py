@@ -22,6 +22,8 @@ off weights; the closed branching tables live on them.
 from __future__ import annotations
 
 import copy
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -229,7 +231,8 @@ def rational_solve(columns: Sequence[Weight], target: Weight):
 
 
 def _echelon(vectors: Sequence[Weight]):
-    """Reduced row echelon form of the vectors' span: (pivot columns, rows)."""
+    """Reduced row echelon form of the vectors' span: (pivot columns, rows),
+    in increasing pivot order, so that both depend on the span alone."""
     rows: list[list[Fraction]] = []
     pivots: list[int] = []
     for v in vectors:
@@ -248,14 +251,16 @@ def _echelon(vectors: Sequence[Weight]):
                 rows[i] = [x - f * y for x, y in zip(row, v)]
         pivots.append(lead)
         rows.append(v)
-    return tuple(pivots), tuple(map(tuple, rows))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return tuple(pivots[i] for i in order), tuple(tuple(rows[i]) for i in order)
 
 
 class Chart:
     """Integer coordinates on the span of finitely many weights.
 
     A weight w of the span has the point ``scale * w[c]`` for c in
-    ``coords``, the pivot coordinates of the span, on which it is injective:
+    ``coords``, the pivot coordinates of the span in increasing order, on
+    which it is injective:
     w = sum_j w[coords[j]] * rows[j].  ``scale`` is twice the common
     denominator of the spanning weights at the pivots, so their points are
     even and half the sum of any of them is a point.  ``at_scale`` gives the
@@ -292,6 +297,12 @@ class Chart:
         den = self.scale * self._row_den
         return tuple(Fraction(sum(map(mul, p, column)), den) for column in self._columns)
 
+    def contains(self, point: Sequence[int]) -> bool:
+        """Whether the int vector point, a weight at any scale, lies in the span."""
+        p = [point[c] for c in self.coords]
+        return all(x * self._row_den == sum(map(mul, p, column))
+                   for x, column in zip(point, self._columns))
+
     def linear_map(self, fn) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(A, k) for an int matrix A and the least k >= 1 such that A p / k
         is the point of ``fn(to_weight(p))``, for a linear map fn on weights;
@@ -320,18 +331,18 @@ class IntBasis:
     """Int keys on the lattice of linearly independent weights b_j: the key k
     stands for the weight sum_j k_j b_j.  The dual weights d_j, with
     (b_i, d_j) = 1 if i = j and 0 otherwise, read the key of a weight of the
-    span.  The basis is kept as int columns over one positive denominator,
-    so that mapping keys to weights, ordering keys by weight and mapping them
-    to a chart's points is int arithmetic.
+    span.  Both are kept as int points over one positive denominator each,
+    so that reading keys off weights, mapping keys to weights, ordering
+    keys by weight and mapping them to a chart's points is int arithmetic.
     """
 
     def __init__(self, basis: Sequence[Weight], duals: Sequence[Weight]):
-        if any(sum(map(mul, b, d)) != (i == j)
-               for i, b in enumerate(basis) for j, d in enumerate(duals)):
+        self.den, points = scaled_points(basis)
+        self._dual_den, self._duals = scaled_points(duals)
+        if any(sum(map(mul, b, d)) != (i == j) * self.den * self._dual_den
+               for i, b in enumerate(points) for j, d in enumerate(self._duals)):
             raise InternalError("the dual weights are not dual to the basis")
-        self.basis, self.duals = tuple(basis), tuple(duals)
-        self.den = lcm(1, *(x.denominator for b in basis for x in b))
-        self.columns = tuple(zip(*(int_point(b, self.den) for b in basis)))
+        self.columns = tuple(zip(*points))
 
     def numerators(self, key: Sequence[int]) -> tuple[int, ...]:
         """``den`` times the weight of key: keys order by weight as these do."""
@@ -341,25 +352,49 @@ class IntBasis:
         return tuple(Fraction(n, self.den) for n in self.numerators(key))
 
     def to_key(self, w: Weight) -> tuple[int, ...]:
-        """The key of w, read exactly: InternalError when w is off the span or
-        its key is not integral."""
-        key = tuple(sum((x * y for x, y in zip(w, d) if x and y), Fraction(0))
-                    for d in self.duals)
-        if any(k.denominator != 1 for k in key) or self.to_weight(
-                [k.numerator for k in key]) != w:
-            raise InternalError(f"weight {format_weight(w)} is off the lattice of its keys")
-        return tuple(k.numerator for k in key)
+        return self.key_of(*scaled_point(w))
+
+    def key_of(self, point: Sequence[int], den: int) -> tuple[int, ...]:
+        """The key of the weight point / den, read by the duals and rounded
+        down: InternalError unless it gives the weight back, which it does
+        exactly when the weight is on the span with an integral key."""
+        scale = den * self._dual_den
+        key = tuple(sum(map(mul, point, d)) // scale for d in self._duals)
+        if any(n * den != x * self.den for n, x in zip(self.numerators(key), point)):
+            weight = tuple(Fraction(x, den) for x in point)
+            raise InternalError(f"weight {format_weight(weight)} is off the lattice of its keys")
+        return key
 
     def chart_map(self, chart: Chart) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(A, k) such that A key / k is the point of key's weight on chart,
         for ``map_point``; InternalError when the basis leaves the chart's
         span."""
-        for b in self.basis:
-            if chart.to_weight([chart.scale * b[c] for c in chart.coords]) != b:
-                raise InternalError("the table's basis leaves the chart's span")
+        if not all(map(chart.contains, zip(*self.columns))):
+            raise InternalError("the table's basis leaves the chart's span")
         a = [[chart.scale * x for x in self.columns[c]] for c in chart.coords]
         g = gcd(self.den, *(x for row in a for x in row))
         return tuple(tuple(x // g for x in row) for row in a), self.den // g
+
+
+class WeightEntries(Mapping):
+    """The weight -> multiplicity view of a table keyed by ints: its length
+    is the table's, and the weights are built on the first lookup."""
+
+    def __init__(self, by_key: dict, to_weight):
+        self._by_key, self._to_weight = by_key, to_weight
+
+    @functools.cached_property
+    def _weights(self) -> dict:
+        return {self._to_weight(k): m for k, m in self._by_key.items()}
+
+    def __getitem__(self, mu):
+        return self._weights[mu]
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self):
+        return len(self._by_key)
 
 
 def map_point(linear_map, p: Sequence[int]):

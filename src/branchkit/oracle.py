@@ -10,22 +10,21 @@ tables to compare against the closed form.  Both families run through the
 same functions on one ``quaternionic.SubgroupContext``.
 
 The cosets W_Z\\W(K2), W_Z generated by the kernel roots, are enumerated as
-the W(K2)-orbit of one vector whose stabilizer is W_Z, never as the whole
-group, so every quaternionic family is in reach (56 cosets for e8_m24).
-W(K2) permutes the noncompact positive roots, so each flip has one term
-multiset for all cosets.
+the W(K2)-orbit of w_line, whose stabilizer is W_Z, never as the whole group,
+so every quaternionic family is in reach; the count needs no bound of its
+own (at most 56, on e8_m24).  W(K2) permutes the noncompact positive roots,
+so each flip has one term multiset for all cosets.
 
 What depends only on the form is built once per process, lazily, as integer
-data (``oracle_plan``): one chart per form and kind (the projection's image:
-rank 2 for the branching series, rank 1 for the torus identity), each flip's
-multiset as chart points, and per (coset, flip) the int maps from the scaled
-parameter to the term's base point and kernel-root pairings (``CosetSum``).
-A request scales lam to ints once and runs its coset loop on ints.  Every
-per-parameter check runs on every request, so results do not depend on the
-order of requests.  The coset count needs no bound of its own: it is n
-on su2_n:n, at most 2n on so4_n:n, 2q on sp1_q:q and at most 56 on the
-exceptional forms, and the form's root data take longer to build than
-the walk.
+data (``oracle_plan``), read on the context's torus pairings: a root projects
+onto the subgroup torus as its int pairings with beta and w_line say.  The
+plan holds one chart per kind (the projection's image: rank 2 for the
+branching series, rank 1 for the torus identity), each flip's multiset as
+chart points, and per (coset, flip) the int maps from the scaled parameter to
+the term's base point and kernel-root pairings (``CosetSum``).  A request
+scales lam to ints once and runs its coset loop on ints; it hashes no
+Fraction.  Every per-parameter check runs on every request, so results do
+not depend on the order of requests.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -35,20 +34,19 @@ the weight table) pins this convention down empirically, and positivity of
 the extracted multiplicities confirms it on the full formula.
 
 Products, certification, evaluation, extraction and comparison run on int
-points: the extracted table is keyed by chart points, and a closed table
-keyed by int labels reaches them through one int map.  Weights are mapped
-back only for mismatches, errors and a family's check.  A request builds
-each term's base point and int numerator once and returns a
+points, with the chart covectors of the positive side and of the pairing
+bound read once per context.  The extracted table is keyed by chart points,
+and a closed table keyed by int labels reaches them through one int map;
+weights are mapped back only for mismatches and errors.  A request returns a
 ``formal.ProductSum``: the conjunction of the per-term truncation regions,
 stated per point.  A term certifies a point when the offset from its base
 lies in its product's step-bound window, where the term adds its value, or
-has no decomposition over the product's directions at all; the sum of a
-certified point is divided once, exactly.  A certified
+has no decomposition over the product's directions at all.  A certified
 point with a nonzero coefficient lies in some term's window, so extraction
-evaluates only the positive-side points of the union of the windows, and
-comparison adds only the closed table's entries; neither reads the dense
-series.  The sizes of the closed table, the products and the windows are
-checked against the dimension bound before they are built.
+and comparison read only the windows' positive-side points and the closed
+table's entries, never the dense series.  The sizes of the closed table, the
+products and the windows are checked against the dimension bound before
+they are built.
 """
 
 from __future__ import annotations
@@ -56,24 +54,21 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DomainError, InternalError
 from .formal import DeltaSeries, ProductSum, convolve_multiset, product_size
 from .lattice import (
     Chart,
-    InnerProductForm,
     Weight,
     coroot_pairing,
     format_weight,
     inner,
     int_point,
-    is_zero,
     map_point,
     reflect,
     scaled_point,
-    zero_weight,
 )
 from .quaternionic import (
     BranchingTable,
@@ -85,8 +80,7 @@ from .quaternionic import (
     require_proper_subgroup,
     validate_small_dominant,
 )
-from .repweights import check_size, restrict_weights
-from .rootsystems import half_sum
+from .repweights import _reflect, check_size
 
 
 @dataclass(frozen=True)
@@ -100,32 +94,22 @@ class OracleConfig:
             raise DomainError("the oracle step bound must be positive")
 
 
-@functools.lru_cache(maxsize=None)
-def _weyl_normalizer(ctx: SubgroupContext) -> Fraction:
-    """The kernel-root product at rho_Z, their half-sum (memoized per context)."""
-    rho_z = half_sum(ctx.form.dim, ctx.kernel_positive)
-    den = Fraction(1)
-    for g in ctx.kernel_positive:
-        den *= inner(ctx.form, rho_z, g)
-    return den
-
-
 def compact_quotient_weights(ctx: SubgroupContext) -> dict:
-    """Multiset of projections of the k2 positive roots outside the kernel;
-    these are the torus weights of the compact quotient directions."""
+    """The torus weights of the compact quotient directions: the projections
+    onto the su(2) torus of the k2 positive roots outside the kernel (which
+    pair to 0 with w_line), subgroup roots removed, by torus pairing (0, t)."""
     out: dict = {}
-    kernel = set(ctx.kernel_positive)
-    h_roots = ctx.h_roots
-    for g in ctx.k2_factor.positive:
-        if g in kernel:
-            continue
-        p = ctx.q_u_k2(g)
-        if is_zero(p):
-            raise InternalError("kernel filter missed a vanishing projection")
-        if p in h_roots:
-            continue
-        out[p] = out.get(p, 0) + 1
+    h_roots = set(ctx.torus_pairings(ctx.h_roots))
+    for _, t in ctx.torus_pairings(ctx.k2_factor.positive):
+        if t and (0, t) not in h_roots:
+            out[0, t] = out.get((0, t), 0) + 1
     return out
+
+
+def _lowest(x: tuple, d: int) -> tuple:
+    """The scaled vector (x, d), x / d, in lowest terms."""
+    g = gcd(d, *x)
+    return tuple(xi // g for xi in x), d // g
 
 
 def _reflect_scaled(v: tuple, a: tuple, aa: int) -> tuple:
@@ -133,40 +117,29 @@ def _reflect_scaled(v: tuple, a: tuple, aa: int) -> tuple:
     aa = (a, a), as a scaled vector in lowest terms."""
     x, d = v
     k = 2 * sum(map(mul, x, a))
-    y = [xi * aa - k * ai for xi, ai in zip(x, a)]
-    g = gcd(d * aa, *y)
-    return tuple(yi // g for yi in y), d * aa // g
+    return _lowest([xi * aa - k * ai for xi, ai in zip(x, a)], d * aa)
 
 
 def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     """Minimal representatives s of the right cosets W_Z\\W(K2), in order of
-    length, as (reduced word, images s^T x of the vectors x, all as
-    ``scaled_point`` pairs); s is the product of the word's simple
-    reflections, left to right.
-
-    W_Z, the reflection group of the kernel roots, is the stabilizer in
-    W(K2) of v = q_u_k2(g) for a k2 root g outside the kernel (a stabilizer is
-    generated by the reflections it contains), so the cosets W_Z s are in
-    bijection with the orbit points s^T v.  A breadth-first walk over the
-    orbit by simple reflections reaches each point first along a shortest
-    word, whose inverse is the minimal representative; see Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4.  A step s -> s g reflects v and
-    every carried image in g, in int arithmetic at O(dim) each.
+    length, as (reduced word, images s^T x of the vectors x, all as scaled
+    vectors in lowest terms); s is the product of the word's simple
+    reflections, left to right.  W_Z, the reflection group of the kernel
+    roots (the k2 roots orthogonal to w_line), is the stabilizer in W(K2)
+    of w_line (a stabilizer is generated by the reflections it contains),
+    so the cosets W_Z s are in bijection with the orbit points s^T w_line.
+    A breadth-first walk over the orbit by simple reflections reaches each
+    point first along a shortest word, whose inverse is the minimal
+    representative (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).
     """
-    form = ctx.form
-    kernel = set(ctx.kernel_positive)
-    positive = ctx.k2_factor.positive
-    # with every k2 root in the kernel, v = 0 has all of W(K2) = W_Z as stabilizer
-    v = next((ctx.q_u_k2(g) for g in positive if g not in kernel), zero_weight(form.dim))
-    if {g for g in positive if inner(form, g, v) == 0} != kernel:
-        raise InternalError("the orbit vector's stabilizer is not the kernel-root group")
-    simple = [(a, sum(map(mul, a, a))) for a, _ in map(scaled_point, ctx.k2_factor.simple)]
+    scale = ctx.rd.points[0]
+    simple = [(a, sum(map(mul, a, a))) for a in (int_point(g, scale) for g in ctx.k2_factor.simple)]
     # W(K2) permutes the noncompact positive roots, so every coset of one flip
     # has the multiset of the identity
-    noncompact = set(map(scaled_point, ctx.noncompact_positive))
-    if any({_reflect_scaled(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
+    noncompact = {int_point(g, scale) for g in ctx.noncompact_positive}
+    if any({_reflect(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
         raise InternalError("a compact-factor reflection moves a noncompact positive root")
-    first = ((), (scaled_point(v), *vectors))
+    first = ((), (_lowest(ctx.torus_points[1], scale), *vectors))
     reps = [first]
     orbit = {first[1][0]}
     frontier = [first]
@@ -210,31 +183,30 @@ class OraclePlan:
     torus: CosetSum     # the quotient multiset unflipped, onto the su(2) torus in k2
 
 
-def _reflections(form: InnerProductForm, roots):
-    """The product of the reflections in roots, as a function on weights."""
-    return lambda w: functools.reduce(lambda x, g: reflect(form, x, g), roots, w)
-
-
-def _coset_sum(ctx: SubgroupContext, cosets, chart: Chart, project, flips, noncompact) -> CosetSum:
+def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
+               noncompact) -> CosetSum:
     """The integer data of one kind of coset sum.  ``cosets`` holds per coset
     its word and, per flip, the scaled images of the flipped chart covectors,
     then of the flipped kernel roots.  A flip's directions are the quotient
-    weights and the flipped noncompact roots' projections."""
-    coords, r = chart.coords, len(chart.coords)
-    h_roots = {tuple(h[c] for c in coords) for h in ctx.h_roots if project(h) == h}
-    quotient = {tuple(w[c] for c in coords): m for w, m in compact_quotient_weights(ctx).items()}
+    weights and the flipped noncompact roots' projections, read by torus
+    pairing (``noncompact``); S_b negates the pairing with beta."""
+    b, w, bb, ww = ctx.torus_points
+    h_roots, quotient = set(ctx.torus_pairings(ctx.h_roots)), compact_quotient_weights(ctx)
     multisets = []
-    for images in cosets[0][1]:
+    for flip in flips:
         ms = dict(quotient)
-        for g, k in map(scaled_point, noncompact):
-            p = tuple(Fraction(sum(map(mul, x, g)), d * k) for x, d in images[:r])
-            if not any(p):
+        for t1, t2 in noncompact:
+            p = (-t1 if flip else t1, t2)
+            if p == (0, 0):
                 raise InternalError("noncompact root projects to zero")
             if p not in h_roots:
                 ms[p] = ms.get(p, 0) + 1
-        multisets.append(ms)
+        # the pairing (t1, t2) is at chart coordinate c (t1 b_c ww + t2 w_c bb) / den
+        multisets.append({tuple(t1 * b[c] * ww + t2 * w[c] * bb for c in chart.coords): m
+                          for (t1, t2), m in ms.items()})
+    den, r = ctx.rd.points[0] * bb * ww, len(chart.coords)
     s0 = 2 * lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[:r]),
-                 *(x.denominator for ms in multisets for p in ms for x in p))
+                 den // gcd(den, *(x for ms in multisets for p in ms for x in p)))
     t = lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[r:]))
     prefactors = [(-1) ** sum(ms.values()) for ms in multisets]
     terms = tuple(
@@ -246,33 +218,40 @@ def _coset_sum(ctx: SubgroupContext, cosets, chart: Chart, project, flips, nonco
     return CosetSum(
         chart.at_scale(s0),
         terms,
-        tuple(tuple(sorted((int_point(p, s0), m) for p, m in ms.items())) for ms in multisets),
-        _weyl_normalizer(ctx) * t ** len(ctx.kernel_positive),
+        tuple(tuple(sorted((tuple(x * s0 // den for x in p), m) for p, m in ms.items()))
+              for ms in multisets),
+        normalizer * t ** len(ctx.kernel_positive),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
-    """The form's plan (memoized per context)."""
-    dim, flipped = ctx.form.dim, _reflections(ctx.form, (ctx.beta,))
-    kinds = ((ctx.q_u, (False, True), ctx.noncompact_positive), (ctx.q_u_k2, (False,), ()))
-    charts = []  # (chart of the image, covectors m_c with project(v)[c] = (m_c, v))
-    for project, _, _ in kinds:
-        images = [project(tuple(Fraction(i == j) for j in range(dim))) for i in range(dim)]
-        chart = Chart(images)
-        charts.append((chart, [tuple(img[c] for img in images) for c in chart.coords]))
-    # per kind and flip, the vectors its terms read: the chart covectors,
-    # then the kernel roots, flipped; the walk carries each distinct one once
+    """The form's plan (memoized per context), read on the torus pairings."""
+    b, w, bb, ww = ctx.torus_points
+    scale = ctx.rd.points[0]
+    kernel = [int_point(g, scale) for g in ctx.kernel_positive]
+    # the Weyl polynomial's normalizer, the kernel-root product at their
+    # half-sum rho_Z: (rho_Z, g) = (sum of the a, a) / (2 D^2) for a = D g
+    total = tuple(map(sum, zip(*kernel)))
+    normalizer = Fraction(prod(sum(map(mul, total, a)) for a in kernel),
+                          (2 * scale * scale) ** len(kernel))
+    kinds = ((Chart((ctx.beta, ctx.w_line)), (False, True),
+              ctx.torus_pairings(ctx.noncompact_positive)), (Chart((ctx.w_line,)), (False,), ()))
+    # per kind and flip, the vectors its terms read: the covectors m_c with
+    # projection(v)[c] = (v, m_c), then the kernel roots, flipped; the walk
+    # carries each distinct one once
     reads = []
-    for (_, flips, _), (_, rows) in zip(kinds, charts):
-        vs = (*rows, *ctx.kernel_positive)
-        reads.append([tuple(map(flipped, vs)) if flip else vs for flip in flips])
+    for (chart, flips, noncompact), on_beta in zip(kinds, (1, 0)):  # torus: w_line alone
+        vs = (*(_lowest(tuple(on_beta * b[c] * ww * x + w[c] * bb * y for x, y in zip(b, w)),
+                        bb * ww) for c in chart.coords), *(_lowest(a, scale) for a in kernel))
+        reads.append([tuple(_reflect_scaled(v, b, bb) for v in vs) if flip else vs
+                      for flip in flips])
     index = {v: i for i, v in enumerate(dict.fromkeys(v for kind in reads for vs in kind for v in vs))}
-    cosets = _kernel_cosets(ctx, [scaled_point(v) for v in index])
+    cosets = _kernel_cosets(ctx, list(index))
     series, torus = (
         _coset_sum(ctx, [(word, [[images[index[v]] for v in vs] for vs in kind])
-                         for word, images in cosets], chart, project, flips, noncompact)
-        for (project, flips, noncompact), (chart, _), kind in zip(kinds, charts, reads)
+                         for word, images in cosets], normalizer, *spec)
+        for spec, kind in zip(kinds, reads)
     )
     return OraclePlan(tuple(word for word, _ in cosets), series, torus)
 
@@ -280,20 +259,23 @@ def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
 @functools.lru_cache(maxsize=None)
 def mirror_maps(ctx: SubgroupContext) -> tuple:
     """(``Chart.linear_map``, sign) per ``ctx.mirrors`` on the plan's series
-    chart, at any scale (memoized per context)."""
+    chart, at any scale (memoized per context): a mirror is the product of
+    the reflections in its roots."""
     chart = oracle_plan(ctx).series.chart
-    return tuple((chart.linear_map(_reflections(ctx.form, roots)), sign)
-                 for roots, sign in ctx.mirrors)
+    return tuple((chart.linear_map(lambda w, roots=roots: functools.reduce(
+        lambda x, g: reflect(ctx.form, x, g), roots, w)), sign) for roots, sign in ctx.mirrors)
 
 
 def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig):
     """Both sides of the torus restriction identity for the k2-representation
     attached to lam: the pushed-forward weight table, and the signed coset sum
     of Heaviside convolutions."""
-    table = lam2_weight_table(ctx, lam)
+    sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
     _, lam2 = decompose_parameter(ctx, lam)
     rhs = _coset_series(ctx, lam2, cfg, torus=True)
-    return on_chart(rhs.chart, restrict_weights(table, ctx.q_u_k2)), rhs
+    w = ctx.torus_points[1]
+    return on_chart(rhs.chart, {tuple(Fraction(n * x, den) for x in w): m
+                                for n, m in sigmas.items()}), rhs
 
 
 def on_chart(chart: Chart, mults: dict) -> DeltaSeries:
@@ -349,18 +331,23 @@ def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
     return _coset_series(ctx, lam, cfg)
 
 
-def _side(ctx: SubgroupContext, chart: Chart):
-    """Positive-side test on the integer points of chart."""
-    covectors = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0]
-                 for g in ctx.side_roots]
-    return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
+@functools.lru_cache(maxsize=None)
+def _chart_covectors(ctx: SubgroupContext):
+    """(positive, (c, k)) on the plan's series chart, read once per context:
+    the positive-side test on its points at any scale, by the signs of the
+    side roots' int covectors, and c with <mu, beta-check> = c . p / (k s) at
+    chart scale s."""
+    chart = oracle_plan(ctx).series.chart
+    side = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0] for g in ctx.side_roots]
+    covector, den = chart.functional(lambda w: coroot_pairing(ctx.form, w, ctx.beta))
+    return (lambda p: all(sum(map(mul, f, p)) > 0 for f in side)), (covector, den // chart.scale)
 
 
 def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
     wall, odd across it, with every mirror point on the chart lattice."""
     chart = series.chart
-    wall, _ = chart.functional(lambda w: inner(ctx.form, w, ctx.beta))
+    _, (wall, _) = _chart_covectors(ctx)  # zero where (mu, beta) is
     mirror, _ = mirror_maps(ctx)[0]  # S_b
     problems = [
         ("wall", chart.to_weight(p), c)
@@ -369,13 +356,10 @@ def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):
     ]
     for p, c in series.coeffs.items():
         q = map_point(mirror, p)
+        cm = None if q is None else series.coefficient(q)
         if q is None:
             problems.append(("mirror", chart.to_weight(p), "off the lattice"))
-            continue
-        cm = series.coefficient(q)
-        if cm is None or not series.certain_at(p):
-            continue
-        if cm != -c:
+        elif cm is not None and series.certain_at(p) and cm != -c:
             problems.append(("mirror", chart.to_weight(p), (c, cm)))
     return problems
 
@@ -391,7 +375,7 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
     the series' chart points.
     """
     chart = series.chart
-    positive = _side(ctx, chart)
+    positive, _ = _chart_covectors(ctx)
     entries = {}
     for p in series.candidate_points():
         if not positive(p):
@@ -421,15 +405,15 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
     must match exactly; uncertified candidates are skipped.
 
     Candidates are the extracted entries (the windows' certified positive
-    points) and the closed table's entries, both as chart points: a closed
-    table keyed by ints is mapped by one int map (``BranchingTable.points_on``).
-    The pairing bound is an exact integer covector test on points.  Only
-    closed entries missing from the extraction are evaluated here.
-    Mismatches are (weight, closed, oracle) triples sorted by weight.
+    points) and the closed table's entries, both as chart points
+    (``BranchingTable.points_on``); the pairing bound and the positive side
+    are int covector tests on them (``_chart_covectors``), and only closed
+    entries missing from the extraction are evaluated here.  Mismatches are
+    (weight, closed, oracle) triples sorted by weight.
     """
     chart = series.chart
-    covector, den = chart.functional(lambda w: coroot_pairing(ctx.form, w, ctx.beta))
-    bound = closed.pairing_bound
+    positive, (covector, k) = _chart_covectors(ctx)
+    den, bound = k * chart.scale, closed.pairing_bound
 
     def within(p):  # <mu, beta-check> = covector . p / den <= bound
         return sum(map(mul, covector, p)) * bound.denominator <= bound.numerator * den
@@ -437,7 +421,6 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
     candidates = {p: (m, None) for p, m in closed.points_on(chart).items()}
     for p, got in extract_multiplicities(ctx, series).points_on(chart).items():
         candidates[p] = candidates.get(p, (0,))[0], got
-    positive = _side(ctx, chart)
     mismatches = []
     compared = 0
     for p, (want, got) in candidates.items():

@@ -7,7 +7,9 @@ positive systems containing the compact one.
 families: ``QuaternionicContext`` adds the su(2,1) data, and
 ``specialcases.Sp1qContext`` the sp(1, 1) data of sp(1, q), the quaternionic
 form of type C.  Both are built by ``SubgroupContext.build``, which derives
-k2, its kernel roots and the subgroup's roots the same way for both.
+k2, its kernel roots and the subgroup's roots the same way for both.  The
+projections onto the subgroup and su(2) tori are int pairings with beta and
+w_line (``SubgroupContext.torus_points``).
 
 Conventions locked against the distributional oracle (see ``oracle``):
 
@@ -25,16 +27,16 @@ Conventions locked against the distributional oracle (see ``oracle``):
   base of the Heaviside powers; the oracle comparison pins it down.
 * Every such mu lies in span(a, b), so the table keys it by its doubled
   su(2,1) labels (A1, A2) = (2<mu, a-check>, 2<mu, (b-a)-check>), two ints
-  with mu = (A1 L2 + A2 L1) / 2 (``table_coords``).  lam1 and each q(nu)
-  are read once, exactly; the offset adds (d-1, d-1) and the step (p, q)
-  adds (2q, 2p).  Dominance is the sign of A1 and A2, and weights are
-  built only for output, from int numerators over one denominator.
+  with mu = (A1 L2 + A2 L1) / 2 (``table_coords``).  lam1 is read once and
+  q(nu) once per value of nu's int pairing with w_line, exactly; the offset
+  adds (d-1, d-1) and the step (p, q) adds (2q, 2p).  Dominance is the sign
+  of A1 and A2, and weights are built only for output, from int numerators
+  over one denominator.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -46,11 +48,13 @@ from .lattice import (
     InnerProductForm,
     IntBasis,
     Weight,
+    WeightEntries,
     coroot_pairing,
     format_weight,
     inner,
     int_point,
     map_point,
+    scaled_point,
     scaled_points,
     wneg,
     wscale,
@@ -72,24 +76,17 @@ from .rootsystems import (
 )
 
 
-def _onto(form: InnerProductForm, v: Weight, g: Weight) -> Weight:
-    """Orthogonal projection of v onto the line of g; the zero coordinates of
-    g are kept as they are, with no Fraction product."""
-    c = inner(form, v, g) / inner(form, g, g)
-    return tuple(c * x if x else x for x in g)
-
-
 @dataclass(frozen=True, eq=False)
 class SubgroupContext:
     """What the oracle reads from a branching family.  k2 is spanned by the
     compact roots orthogonal to beta; the subgroup torus is spanned by the
     orthogonal pair (beta, w_line), and w_line also spans the su(2) torus
-    inside k2, so one pair of projections serves every family."""
+    inside k2, so one pair of int pairings serves every family."""
 
     rd: RootDatum
     beta: Weight             # the maximal root, compact
     w_line: Weight           # spans the su(2) torus inside k2
-    h_roots: frozenset       # roots of the subgroup
+    h_roots: frozenset       # roots of the subgroup, on the subgroup torus
     side_roots: tuple[Weight, ...]   # the multiplicities sit where every (mu, g) > 0
     mirrors: tuple           # (roots, sign): series symmetries, (S_b, -1) first
     k2_factor: CompactFactor
@@ -126,15 +123,28 @@ class SubgroupContext:
     def noncompact_positive(self) -> tuple[Weight, ...]:
         return self.rd.noncompact_positive
 
-    def q_u(self, v: Weight) -> Weight:
-        """Orthogonal projection onto the subgroup torus."""
-        pb, pw = _onto(self.form, v, self.beta), self.q_u_k2(v)
-        # a Fraction sum only where both projections are nonzero
-        return tuple(x + y if x and y else x or y for x, y in zip(pb, pw))
+    @functools.cached_property
+    def torus_points(self):
+        """(b, w, (b, b), (w, w)) for b, w the int points of beta, w_line in
+        the root lattice at the scale D of ``rd.points``: x / D projects onto
+        the subgroup torus as ((x, b) b / (b, b) + (x, w) w / (w, w)) / D and
+        onto the su(2) torus as the second term (built on first use)."""
+        scale = self.rd.points[0]
+        b, w = int_point(self.beta, scale), int_point(self.w_line, scale)
+        return b, w, sum(map(mul, b, b)), sum(map(mul, w, w))
 
-    def q_u_k2(self, v: Weight) -> Weight:
-        """Orthogonal projection onto the line spanned by w_line."""
-        return _onto(self.form, v, self.w_line)
+    def torus_pairings(self, roots) -> list:
+        """((x, b), (x, w)) per root g, x = D g (see ``torus_points``)."""
+        scale = self.rd.points[0]
+        b, w, _, _ = self.torus_points
+        return [(sum(map(mul, x, b)), sum(map(mul, x, w)))
+                for x in (int_point(g, scale) for g in roots)]
+
+    def su2_torus(self, table) -> tuple[dict, int]:
+        """({n: multiplicity}, E): a weight table pushed onto the su(2)
+        torus, a weight of pairing n with w projecting to n w / E."""
+        _, w, _, ww = self.torus_points
+        return restrict_weights(table, w), table.scale * ww
 
     def check_extracted(self, series, p: tuple, c: int) -> None:
         """Family check on a certified positive-side coefficient c of a
@@ -200,9 +210,9 @@ def _verify_projections(ctx: QuaternionicContext):
     """The involution g -> beta - g preserves the noncompact positive roots,
     and their projections onto span(beta, w_line) fall on L1 or L2.  As
     L1, L2 = (beta +- w_line / 3) / 2 lie in that span, the test compares
-    int pairings with beta and w_line, of 3 D g and of 3 D L1 and 3 D L2."""
-    scale = ctx.rd.points[0]
-    b, a, w = (int_point(v, scale) for v in (ctx.beta, ctx.alpha, ctx.w_line))
+    the torus pairings (``torus_points``) of 3 D g, 3 D L1 and 3 D L2."""
+    scale, (b, w, _, _) = ctx.rd.points[0], ctx.torus_points
+    a = int_point(ctx.alpha, scale)
     targets = {(sum(map(mul, l, b)), sum(map(mul, l, w)))
                for l in (int_point(ctx.fw1, 3 * scale), int_point(ctx.fw2, 3 * scale))}
     special = {a, tuple(map(sub, b, a))}
@@ -228,10 +238,12 @@ def require_proper_subgroup(ctx: QuaternionicContext, need: str) -> None:
 
 
 def decompose_parameter(ctx: SubgroupContext, lam: Weight):
-    """Split lam into its component along beta and the orthogonal rest."""
-    lam1 = _onto(ctx.form, lam, ctx.beta)
-    lam2 = wsub(lam, lam1)
-    return lam1, lam2
+    """Split lam into its component along beta and the orthogonal rest, read
+    on lam's int point x over den: lam1 = (x, b) b / (den (b, b))."""
+    (x, den), (b, _, bb, _) = scaled_point(lam), ctx.torus_points
+    c, den = sum(map(mul, x, b)), den * bb
+    return (tuple(Fraction(c * y, den) for y in b),
+            tuple(Fraction(z * bb - c * y, den) for z, y in zip(x, b)))
 
 
 def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> None:
@@ -260,30 +272,6 @@ def table_coords(ctx: SubgroupContext) -> IntBasis:
     return IntBasis(*ctx.key_basis())
 
 
-class _WeightEntries(Mapping):
-    """The weight -> multiplicity view of a table keyed by ints: its length
-    is the table's, and the weights are built on the first lookup."""
-
-    def __init__(self, by_key: dict, to_weight):
-        self._by_key, self._to_weight = by_key, to_weight
-
-    @functools.cached_property
-    def _weights(self) -> dict:
-        return {self._to_weight(k): m for k, m in self._by_key.items()}
-
-    def __getitem__(self, mu):
-        return self._weights[mu]
-
-    def __iter__(self):
-        return iter(self._weights)
-
-    def __len__(self):
-        return len(self._by_key)
-
-    def __repr__(self):
-        return repr(self._weights)
-
-
 @dataclass(frozen=True, eq=False)
 class BranchingTable:
     """Multiplicities keyed by subgroup-side parameters, with a completeness bound.
@@ -308,11 +296,11 @@ class BranchingTable:
     coords: IntBasis | Chart | None = None
 
     @functools.cached_property
-    def entries(self) -> Mapping:
+    def entries(self) -> WeightEntries | dict:
         """Weight -> positive int."""
         if self.coords is None:
             return self.by_key
-        return _WeightEntries(self.by_key, self.coords.to_weight)
+        return WeightEntries(self.by_key, self.coords.to_weight)
 
     def sorted_entries(self):
         return sorted(self.entries.items())
@@ -354,10 +342,11 @@ def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Bran
 
     On the keys of ``table_coords``, L1 is (0, 2) and L2 is (2, 0): lam1 and
     each sigma are read once, exactly, and the (d-1)/2 (L1 + L2) offset and
-    the steps p L1 + q L2 are int vectors.
+    the steps p L1 + q L2 are int vectors.  sigma = q_u_k2(nu) depends on nu
+    only through its pairing with w_line, so the weights are grouped by it.
     """
     lam1, _ = decompose_parameter(ctx, lam)
-    sigmas = restrict_weights(lam2_weight_table(ctx, lam), ctx.q_u_k2).items()
+    sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
     check_size(len(sigmas) * (cutoff + 1) * (cutoff + 2) // 2,
                f"the closed table at cutoff {cutoff}")
     d = ctx.d
@@ -366,10 +355,10 @@ def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Bran
     binomials = [comb(p + d - 2, d - 2) for p in range(cutoff + 1)]
     steps = [(2 * q, 2 * p, binomials[p] * binomials[q])
              for p in range(cutoff + 1) for q in range(cutoff + 1 - p)]
+    w = ctx.torus_points[1]
     entries: dict = {}
-    # mu depends on nu only through its projection sigma = q_u_k2(nu)
-    for sigma, mult in sigmas:
-        s1, s2 = coords.to_key(sigma)
+    for n, mult in sigmas.items():
+        s1, s2 = coords.key_of(tuple(n * x for x in w), den)
         s1, s2 = s1 + a1, s2 + a2
         for dq, dp, c in steps:
             key = (s1 + dq, s2 + dp)

@@ -1,22 +1,23 @@
 """Finite-dimensional representation data for compact factors: Freudenthal
 weight multiplicities, the Weyl dimension formula, infinitesimal-character to
-highest-weight conversion, and pushforward of weight tables along projections.
+highest-weight conversion, and pushforward of weight tables along int
+functionals.
 
 Everything is exact, and every check on a request's parameter is int
-arithmetic: a root datum's and a compact factor's positive roots are int
-points at one scale, built once on first use, and a parameter is read once as
-an int point over its denominator.  Its pairings are checked with ``divmod``,
-and a chamber is read as signs by position in the datum's positive roots.
-Freudenthal's recursion runs over the dominant orbit representatives
-(Moody-Patera, Bull. AMS 7, 1982) on int points scaled by twice the common
-denominator of the highest weight and the roots; weights are mapped back to
-Fractions only for the returned table, and a non-integral multiplicity
-aborts with InternalError.
+arithmetic: a root datum's and a compact factor's roots are int points at one
+scale, built once on first use, and a parameter is read once as an int point
+over its denominator, its pairings checked with ``divmod``.  Freudenthal's
+recursion runs over the dominant orbit representatives (Moody-Patera, Bull.
+AMS 7, 1982), found by Stembridge's walk (Adv. Math. 136, 1998), on the
+factor's int roots rescaled to twice the common denominator of the highest
+weight and the roots; the table keeps its weights as int points at that
+scale, shown as Fractions only on lookup.  A non-integral multiplicity aborts
+with InternalError.
 
 Every route from a parameter to a compact-factor weight table, on either
 family, goes through ``quaternionic.lam2_weight_table`` and ends in
-``cached_freudenthal``, one per-process memo keyed by (highest weight,
-factor).
+``cached_freudenthal``, one per-process memo keyed by (highest weight's int
+point, factor).
 
 The dimension bound (``BRANCHKIT_DIMENSION_BOUND``) caps the size of a
 Freudenthal table, and through ``check_size`` that of a closed-form table and
@@ -36,10 +37,8 @@ from .errors import ConfigurationError, DimensionError, DomainError, InternalErr
 from .lattice import (
     InnerProductForm,
     Weight,
-    coroot_pairing,
-    dual_covectors,
+    WeightEntries,
     format_weight,
-    int_point,
     scaled_point,
     scaled_points,
     sorted_weights,
@@ -96,20 +95,15 @@ class CompactFactor:
 
     @functools.cached_property
     def int_roots(self):
-        """(2 D, ((a, (a, a), (a, 2 D rho)), ...)): each positive root g as
-        the int point a = D g at their common denominator D, with its norm
-        and its pairing with 2 D rho; <v, g-check> = 2 D (a, v) / (a, a)."""
-        scale, points = scaled_points(self.positive)
-        two_rho = tuple(map(sum, zip(*points)))
-        return 2 * scale, tuple((a, sum(map(mul, a, a)), sum(map(mul, a, two_rho)))
-                                for a in points)
-
-    @functools.cached_property
-    def coweight_covectors(self) -> tuple[tuple[int, ...], ...]:
-        """Int covectors, one per simple root: a positive multiple of its
-        fundamental coweight.  On the span of the simple roots, the sign of a
-        covector's pairing is the sign of that simple root's coefficient."""
-        return dual_covectors(scaled_points(self.simple)[1])
+        """(2 D, ((a, (a, a), (a, 2 D rho)), ...), 2 D rho, simple): each
+        positive root g as the int point a = D g at their common denominator
+        D, with its norm and its pairing with 2 D rho, and the simple roots'
+        points; <v, g-check> = 2 D (a, v) / (a, a)."""
+        scale, points = scaled_points(self.positive + self.simple)
+        points, simple = points[:len(self.positive)], points[len(self.positive):]
+        two_rho = tuple(map(sum, zip(*points))) or (0,) * self.form.dim
+        return (2 * scale, tuple((a, sum(map(mul, a, a)), sum(map(mul, a, two_rho)))
+                                 for a in points), two_rho, simple)
 
 
 def regular_integral_pairings(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
@@ -144,7 +138,7 @@ def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> None:
 def hc_to_highest_weight(lam2: Weight, factor: CompactFactor) -> Weight:
     """Highest weight of the irreducible with infinitesimal character lam2."""
     point, den = scaled_point(lam2)
-    m, roots = factor.int_roots
+    m, roots, _, _ = factor.int_roots
     for a, aa, _ in roots:
         c = m * sum(map(mul, a, point))
         if c <= 0:
@@ -158,7 +152,7 @@ def weyl_dimension(hw: Weight, factor: CompactFactor) -> int:
     """Product formula for the dimension of the highest-weight representation:
     the product over positive g of (hw + rho, g) / (rho, g), on int points."""
     point, den = scaled_point(hw)
-    m, roots = factor.int_roots
+    m, roots, _, _ = factor.int_roots
     num = total = 1
     for a, aa, r in roots:
         c = m * sum(map(mul, a, point))
@@ -192,36 +186,46 @@ def _dominant_representative(v: tuple, simple) -> tuple:
             return v
 
 
-def _dominant_weights(hw: tuple, positive, simple, covectors):
-    """All dominant weights of the representation, found by walking down
-    positive-root steps through dominant representatives.  A dominant point
-    is kept when hw minus it is a nonnegative combination of simple roots:
-    its pairing with every coweight covector is nonnegative."""
-    found = {hw}
-    frontier = [hw]
+def _closure(start: tuple, neighbours) -> set:
+    """The points reached from start by repeated ``neighbours``, breadth first."""
+    seen, frontier = {start}, [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for g in positive:
-                cd = _dominant_representative(tuple(map(sub, v, g)), simple)
-                if cd in found or any(sum(map(mul, f, map(sub, hw, cd))) < 0 for f in covectors):
-                    continue
-                found.add(cd)
-                nxt.append(cd)
+            for u in neighbours(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
         frontier = nxt
-    return found
+    return seen
+
+
+def _dominant_weights(hw: tuple, positive, simple):
+    """All dominant weights of the representation: by Stembridge (Adv. Math.
+    136, 1998, Cor. 2.7) each is reached from hw by positive-root steps
+    through dominant weights, those that pair nonnegatively with every
+    simple root."""
+    return _closure(hw, lambda v: (u for u in (tuple(map(sub, v, g)) for g in positive)
+                                   if all(sum(map(mul, u, a)) >= 0 for a, _ in simple)))
 
 
 @dataclass(frozen=True, eq=False)
 class WeightMultTable:
-    """Complete weight multiplicity table of one irreducible representation."""
+    """Complete weight multiplicity table of one irreducible representation:
+    the positive multiplicity of each weight v at its int point scale * v."""
 
     highest: Weight
-    mults: dict  # Weight -> positive int
     factor: CompactFactor
+    points: dict
+    scale: int
+
+    @functools.cached_property
+    def mults(self) -> WeightEntries:
+        """Weight -> positive int, built on the first lookup; ``len`` is free."""
+        return WeightEntries(self.points, lambda p: tuple(Fraction(x, self.scale) for x in p))
 
     def dimension(self) -> int:
-        return sum(self.mults.values())
+        return sum(self.points.values())
 
 
 def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
@@ -230,12 +234,15 @@ def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
     dim = weyl_dimension(hw, factor)  # checks that hw is dominant integral
     if dim > dimension_bound():
         raise ResourceError(f"representation dimension {dim} exceeds the bound")
-    scale = 2 * lcm(1, *(x.denominator for v in (hw, *factor.positive) for x in v))
-    positive = [int_point(g, scale) for g in factor.positive]
-    simple = [(a, sum(map(mul, a, a))) for a in (int_point(g, scale) for g in factor.simple)]
-    rho = int_point(factor.rho, scale)
-    top = int_point(hw, scale)
-    dominant = _dominant_weights(top, positive, simple, factor.coweight_covectors)
+    top, den = scaled_point(hw)
+    two_d, roots, two_rho, simple = factor.int_roots  # at scale D = two_d / 2
+    scale = 2 * lcm(two_d // 2, den)
+    k = 2 * scale // two_d
+    positive = [tuple(k * x for x in a) for a, _, _ in roots]
+    simple = [(a, sum(map(mul, a, a))) for a in (tuple(k * x for x in a) for a in simple)]
+    rho = tuple(k // 2 * x for x in two_rho)
+    top = tuple(scale // den * x for x in top)
+    dominant = _dominant_weights(top, positive, simple)
 
     def norm(v):
         """|v + rho|^2, scaled by scale^2 like every pairing below."""
@@ -266,38 +273,22 @@ def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
         if r:
             raise InternalError("Freudenthal produced a non-integer multiplicity")
         mults[v] = m
-    table: dict = {}
-    for v, m in mults.items():
-        for u in _orbit(v, simple):
-            table[tuple(Fraction(x, scale) for x in u)] = m
+    table = {u: m for v, m in mults.items()
+             for u in _closure(v, lambda x: (_reflect(x, a, aa) for a, aa in simple))}
     got = sum(table.values())
     if got != dim:
         raise InternalError(f"weight table sums to {got}, Weyl dimension is {dim}")
-    return WeightMultTable(hw, table, factor)
+    return WeightMultTable(hw, factor, table, scale)
 
 
-def _orbit(v: tuple, simple):
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for a, aa in simple:
-                r = _reflect(u, a, aa)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen
-
-
-def restrict_weights(table: WeightMultTable, projection) -> dict:
-    """Pushforward of the multiplicities along a linear projection; weights
-    that collide under the projection have their multiplicities summed."""
+def restrict_weights(table: WeightMultTable, covector) -> dict:
+    """Pushforward of the multiplicities along the int functional
+    p -> (p, covector) on the table's points; weights with one value have
+    their multiplicities summed."""
     out: dict = {}
-    for v, m in table.mults.items():
-        p = projection(v)
-        out[p] = out.get(p, 0) + m
+    for p, m in table.points.items():
+        n = sum(map(mul, p, covector))
+        out[n] = out.get(n, 0) + m
     return out
 
 
@@ -308,15 +299,15 @@ def su2_string_decompose(table: WeightMultTable, root: Weight) -> dict:
     units of half the root (an irreducible of dimension k) and N_k its
     multiplicity, computed from the weight profile along the root direction.
     """
-    profile: dict = {}
-    for v, m in table.mults.items():
-        c = coroot_pairing(table.factor.form, v, root)
-        if c.denominator != 1:
+    a, d = scaled_point(root)  # <p / scale, root-check> = 2 d (p, a) / (scale (a, a))
+    profile = {}
+    for n, m in restrict_weights(table, a).items():
+        c, r = divmod(2 * d * n, table.scale * sum(map(mul, a, a)))
+        if r:
             raise InternalError("non-integral su(2) weight in string decomposition")
-        profile[int(c)] = profile.get(int(c), 0) + m
+        profile[c] = m
     out = {}
-    top = max(profile) if profile else -1
-    for k in range(1, top + 2):
+    for k in range(1, max(profile, default=-1) + 2):
         n = profile.get(k - 1, 0) - profile.get(k + 1, 0)
         if n < 0:
             raise InternalError("negative su(2) string multiplicity")
@@ -325,9 +316,13 @@ def su2_string_decompose(table: WeightMultTable, root: Weight) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def cached_freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
-    """``freudenthal``, memoized per process by (highest weight, factor).
-    A factor is keyed by identity (``CompactFactor`` has eq=False); the
-    contexts are memoized, so each form passes one factor object."""
-    return freudenthal(hw, factor)
+    """``freudenthal``, memoized per process by hw's int point, so that no
+    Fraction is hashed, and by factor, by identity (``CompactFactor`` has
+    eq=False): the contexts are memoized, so each form passes one factor."""
+    return _freudenthal_memo(*scaled_point(hw), factor)
+
+
+@functools.lru_cache(maxsize=None)
+def _freudenthal_memo(point: tuple, den: int, factor: CompactFactor) -> WeightMultTable:
+    return freudenthal(tuple(Fraction(x, den) for x in point), factor)

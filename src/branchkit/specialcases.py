@@ -113,17 +113,18 @@ class Sp1qContext(SubgroupContext):
     def check_extracted(self, series: ProductSum, p: tuple, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
         series is odd under each sign flip of e0 and e1 and even under both,
-        wherever the mirror point is certified."""
-        mu = series.chart.to_weight(p)
-        if mu[0] == mu[1]:
+        wherever the mirror point is certified.  The series chart spans e0
+        and e1, so its points are scale * (a, k); weights are built for
+        error messages only."""
+        if p[0] == p[1]:
             raise InternalError("nonzero coefficient on the singular wall a = k")
         for mirror, sign in mirror_maps(self):
             q = map_point(mirror, p)
-            if q is None:
-                raise InternalError(f"a mirror of {format_weight(mu)} is off the chart lattice")
-            got = series.coefficient(q)
-            if got is not None and got != sign * c:
-                raise InternalError(f"four-fold antisymmetry fails at {format_weight(mu)}")
+            got = None if q is None else series.coefficient(q)
+            if q is None or got is not None and got != sign * c:
+                mu = format_weight(series.chart.to_weight(p))
+                raise InternalError(f"a mirror of {mu} is off the chart lattice" if q is None
+                                    else f"four-fold antisymmetry fails at {mu}")
 
 
 def sp1q_system(q: int):
@@ -150,9 +151,7 @@ def sp1q_validate(ctx: Sp1qContext, lam: Weight) -> None:
     validate_hc_parameter(lam, ctx.sigma)
 
 
-def sp1q_decompose(ctx: Sp1qContext, lam: Weight):
-    lam1 = tuple(x if i == 0 else Fraction(0) for i, x in enumerate(lam))
-    return lam1, wsub(lam, lam1)
+sp1q_decompose = decompose_parameter  # lam1 = lam[0] e0, as beta = 2 e0
 
 
 def sp1q_string_table(ctx: Sp1qContext, lam: Weight) -> dict:
@@ -210,13 +209,10 @@ def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig)
     """Both sides of the restriction identity from sp(q) to the su(2) on the
     first compact coordinate: antisymmetrized string parameters on the left,
     the signed coset sum with the Weyl polynomial on the right."""
-    strings = sp1q_string_table(ctx, lam)
     lhs_coeffs: dict = {}
-    for k, nk in strings.items():
+    for k, nk in sp1q_string_table(ctx, lam).items():  # k >= 1: no two keys meet
         up = tuple([Fraction(0), Fraction(k)] + [Fraction(0)] * (ctx.q - 1))
-        lhs_coeffs[up] = lhs_coeffs.get(up, 0) + nk
-        down = wneg(up)
-        lhs_coeffs[down] = lhs_coeffs.get(down, 0) - nk
+        lhs_coeffs[up], lhs_coeffs[wneg(up)] = nk, -nk
     _, lam2 = sp1q_decompose(ctx, lam)
     rhs = _coset_series(ctx, lam2, cfg, torus=True)
     return on_chart(rhs.chart, lhs_coeffs), rhs

@@ -14,41 +14,52 @@ point for point.  ``reference_branching_table`` and ``reference_sp1q_table``
 are the closed tables the package built before it keyed them by int labels:
 every entry a Fraction weight, one ``wadd`` per (sigma, p, q).
 
-The last section holds the Fraction request checks that the package ran
+The next section holds the Fraction request checks that the package ran
 before it read them on int points: the coroot-pairing scan, the Hermitian
 chamber as a frozenset of roots and its certificate test, the compact
 factor's conversion, dimension and coweights, and the context's projection
 check.
+
+The last section holds the Fraction torus projections ``q_u`` and
+``q_u_k2`` and what the package built on them before it read them as int
+pairings with beta and w_line: the oracle plan, its quotient weights,
+normalizer and coset walk, the split of a parameter, the pushforward of a
+weight table and its su(2) strings, and Freudenthal's walk over dominant
+representatives with a coweight test.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
-from operator import add, mul
+from math import comb, gcd, lcm
+from operator import add, mul, sub
 
-from branchkit.errors import InternalError
+from branchkit.errors import DomainError, InternalError
 from branchkit.formal import ValidityRegion, convolve_multiset
-from branchkit.errors import DomainError
 from branchkit.lattice import (
+    Chart,
     coroot_pairing,
     format_weight,
     identity_matrix,
     inner,
+    int_point,
     is_zero,
     mat_mul,
     rational_solve,
+    reflect,
     reflection_matrix,
+    scaled_point,
     wadd,
     wneg,
     wscale,
     wsub,
+    zero_weight,
 )
-from branchkit.oracle import ComparisonReport
-from branchkit.quaternionic import BranchingTable, decompose_parameter, lam2_weight_table
-from branchkit.oracle import compact_quotient_weights, oracle_plan, _weyl_normalizer
-from branchkit.repweights import restrict_weights
+from branchkit.oracle import ComparisonReport, CosetSum, OraclePlan, oracle_plan
+from branchkit.quaternionic import BranchingTable, lam2_weight_table
+from branchkit.repweights import _dominant_representative
+from branchkit.rootsystems import WeylElement, half_sum
 from branchkit.specialcases import sp1q_string_table
-from branchkit.rootsystems import WeylElement
 
 
 def apply_matrix(m, v):
@@ -61,7 +72,7 @@ def apply_matrix(m, v):
 def kernel_roots(ctx):
     """Positive compact roots annihilated by the projection onto the su(2,1)
     torus; verified against the orthogonality characterization."""
-    by_kernel = tuple(g for g in ctx.k2_factor.positive if is_zero(ctx.q_u(g)))
+    by_kernel = tuple(g for g in ctx.k2_factor.positive if is_zero(q_u(ctx, g)))
     by_orthogonality = tuple(
         g
         for g in ctx.rd.compact_positive
@@ -77,19 +88,19 @@ def weyl_polynomial(ctx, sigma):
     num = 1
     for g in ctx.kernel_positive:
         num *= inner(ctx.form, sigma, g)
-    return num / _weyl_normalizer(ctx)
+    return num / reference_weyl_normalizer(ctx)
 
 
 def restriction_multiset(ctx, w, flip: bool) -> dict:
     """The convolution multiset of the coset term of w: quotient weights
     joined with the projections of the transformed noncompact positive
     roots, subgroup roots removed."""
-    ms = dict(compact_quotient_weights(ctx))
+    ms = dict(reference_compact_quotient_weights(ctx))
     for g in ctx.noncompact_positive:
         img = apply_matrix(w.matrix, g)
         if flip:
             img = apply_matrix(reflection_matrix(ctx.beta), img)
-        p = ctx.q_u(img)
+        p = q_u(ctx, img)
         if is_zero(p):
             raise InternalError("noncompact root projects to zero")
         if p not in ctx.h_roots:
@@ -114,8 +125,8 @@ def coset_terms(ctx, lam, torus: bool = False):
     identity's right side (lam is then the k2 part lam2)."""
     s_beta = reflection_matrix(ctx.beta)
     cosets = coset_elements(ctx)
-    project = ctx.q_u_k2 if torus else ctx.q_u
-    kinds = [(False, compact_quotient_weights(ctx))] if torus else [
+    project = functools.partial(q_u_k2 if torus else q_u, ctx)
+    kinds = [(False, reference_compact_quotient_weights(ctx))] if torus else [
         (flip, restriction_multiset(ctx, cosets[0], flip)) for flip in (False, True)
     ]
     terms = []
@@ -213,8 +224,8 @@ def reference_compare(ctx, series, closed):
 def reference_branching_table(ctx, lam, cutoff):
     """The quaternionic closed table on Fraction weights:
     mu = lam1 + sigma + ((d-1)/2 + p) L1 + ((d-1)/2 + q) L2."""
-    lam1, _ = decompose_parameter(ctx, lam)
-    sigmas = restrict_weights(lam2_weight_table(ctx, lam), ctx.q_u_k2).items()
+    lam1, _ = reference_decompose_parameter(ctx, lam)
+    sigmas = reference_restrict_weights(lam2_weight_table(ctx, lam), q_u_k2, ctx).items()
     d = ctx.d
     offset = Fraction(d - 1, 2)
     base = wadd(lam1, wadd(wscale(offset, ctx.fw1), wscale(offset, ctx.fw2)))
@@ -332,5 +343,210 @@ def reference_verify_projections(ctx):
             raise InternalError("beta - gamma is not a noncompact positive root")
         if g in special:
             continue
-        if ctx.q_u(g) not in targets:
+        if q_u(ctx, g) not in targets:
             raise InternalError("projection of a noncompact root misses L1, L2")
+
+
+def onto(ctx, v, g):
+    """Orthogonal projection of v onto the line of g."""
+    c = inner(ctx.form, v, g) / inner(ctx.form, g, g)
+    return tuple(c * x if x else x for x in g)
+
+
+def q_u(ctx, v):
+    """Orthogonal projection onto the subgroup torus span(beta, w_line)."""
+    return wadd(onto(ctx, v, ctx.beta), q_u_k2(ctx, v))
+
+
+def q_u_k2(ctx, v):
+    """Orthogonal projection onto the su(2) torus, the line of w_line."""
+    return onto(ctx, v, ctx.w_line)
+
+
+def reference_decompose_parameter(ctx, lam):
+    lam1 = onto(ctx, lam, ctx.beta)
+    return lam1, wsub(lam, lam1)
+
+
+def reference_restrict_weights(table, projection, *args) -> dict:
+    """Pushforward of the weight table's multiplicities along a projection
+    of Fraction weights, ``projection(*args, v)``."""
+    out = {}
+    for v, m in table.mults.items():
+        p = projection(*args, v)
+        out[p] = out.get(p, 0) + m
+    return out
+
+
+def reference_sigma_keys(ctx, lam, coords) -> dict:
+    """{key of sigma: summed multiplicity} over the weights nu of the k2
+    table, one Fraction projection and one ``to_key`` per weight."""
+    out = {}
+    for sigma, m in reference_restrict_weights(lam2_weight_table(ctx, lam), q_u_k2, ctx).items():
+        key = coords.to_key(sigma)
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+def reference_su2_string_decompose(table, root) -> dict:
+    """{k: N_k} from the profile of Fraction coroot pairings along root."""
+    profile = {}
+    for v, m in table.mults.items():
+        c = coroot_pairing(table.factor.form, v, root)
+        if c.denominator != 1:
+            raise InternalError("non-integral su(2) weight in string decomposition")
+        profile[int(c)] = profile.get(int(c), 0) + m
+    out = {}
+    for k in range(1, max(profile, default=-1) + 2):
+        n = profile.get(k - 1, 0) - profile.get(k + 1, 0)
+        if n:
+            out[k] = n
+    return out
+
+
+def reference_dominant_weights(hw, positive, simple, covectors):
+    """Freudenthal's dominant weights by the walk down positive-root steps
+    through dominant representatives, each kept when hw minus it pairs
+    nonnegatively with every coweight covector."""
+    found = {hw}
+    frontier = [hw]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in positive:
+                cd = _dominant_representative(tuple(map(sub, v, g)), simple)
+                if cd in found or any(sum(map(mul, f, map(sub, hw, cd))) < 0 for f in covectors):
+                    continue
+                found.add(cd)
+                nxt.append(cd)
+        frontier = nxt
+    return found
+
+
+def reference_weyl_normalizer(ctx) -> Fraction:
+    """The kernel-root product at rho_Z, their half-sum, in Fractions."""
+    rho_z = half_sum(ctx.form.dim, ctx.kernel_positive)
+    den = Fraction(1)
+    for g in ctx.kernel_positive:
+        den *= inner(ctx.form, rho_z, g)
+    return den
+
+
+def reference_compact_quotient_weights(ctx) -> dict:
+    """Multiset of the Fraction projections of the k2 positive roots outside
+    the kernel onto the su(2) torus, subgroup roots removed."""
+    out = {}
+    kernel = set(ctx.kernel_positive)
+    for g in ctx.k2_factor.positive:
+        if g in kernel:
+            continue
+        p = q_u_k2(ctx, g)
+        if is_zero(p):
+            raise InternalError("kernel filter missed a vanishing projection")
+        if p not in ctx.h_roots:
+            out[p] = out.get(p, 0) + 1
+    return out
+
+
+def _reflect_scaled(v, a, aa):
+    x, d = v
+    k = 2 * sum(map(mul, x, a))
+    y = [xi * aa - k * ai for xi, ai in zip(x, a)]
+    g = gcd(d * aa, *y)
+    return tuple(yi // g for yi in y), d * aa // g
+
+
+def reference_kernel_cosets(ctx, vectors=()):
+    """The coset walk over the orbit of v = q_u_k2(g), g the first k2 root
+    outside the kernel (v = 0 when there is none), on ``scaled_point`` pairs."""
+    kernel = set(ctx.kernel_positive)
+    positive = ctx.k2_factor.positive
+    v = next((q_u_k2(ctx, g) for g in positive if g not in kernel), zero_weight(ctx.form.dim))
+    if {g for g in positive if inner(ctx.form, g, v) == 0} != kernel:
+        raise InternalError("the orbit vector's stabilizer is not the kernel-root group")
+    simple = [(a, sum(map(mul, a, a))) for a, _ in map(scaled_point, ctx.k2_factor.simple)]
+    reps = [((), (scaled_point(v), *vectors))]
+    orbit = {reps[0][1][0]}
+    frontier = list(reps)
+    while frontier:
+        nxt = []
+        for word, images in frontier:
+            for i, (a, aa) in enumerate(simple):
+                y = _reflect_scaled(images[0], a, aa)
+                if y not in orbit:
+                    orbit.add(y)
+                    rep = (word + (i,), (y, *(_reflect_scaled(x, a, aa) for x in images[1:])))
+                    reps.append(rep)
+                    nxt.append(rep)
+        frontier = nxt
+    return tuple((word, images[1:]) for word, images in reps)
+
+
+def _reference_coset_sum(ctx, cosets, chart, project, flips, noncompact):
+    coords, r = chart.coords, len(chart.coords)
+    h_roots = {tuple(h[c] for c in coords) for h in ctx.h_roots if project(h) == h}
+    quotient = {tuple(w[c] for c in coords): m
+                for w, m in reference_compact_quotient_weights(ctx).items()}
+    multisets = []
+    for images in cosets[0][1]:
+        ms = dict(quotient)
+        for g, k in map(scaled_point, noncompact):
+            p = tuple(Fraction(sum(map(mul, x, g)), d * k) for x, d in images[:r])
+            if not any(p):
+                raise InternalError("noncompact root projects to zero")
+            if p not in h_roots:
+                ms[p] = ms.get(p, 0) + 1
+        multisets.append(ms)
+    s0 = 2 * lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[:r]),
+                 *(x.denominator for ms in multisets for p in ms for x in p))
+    t = lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[r:]))
+    prefactors = [(-1) ** sum(ms.values()) for ms in multisets]
+    terms = tuple(
+        (tuple(tuple(s0 // d * xi for xi in x) for x, d in images[:r]),
+         tuple(tuple(t // d * xi for xi in x) for x, d in images[r:]),
+         (-1) ** (len(word) + flip) * prefactors[i], i)
+        for word, per_flip in cosets for i, (flip, images) in enumerate(zip(flips, per_flip))
+    )
+    return CosetSum(
+        chart.at_scale(s0), terms,
+        tuple(tuple(sorted((int_point(p, s0), m) for p, m in ms.items())) for ms in multisets),
+        reference_weyl_normalizer(ctx) * t ** len(ctx.kernel_positive),
+    )
+
+
+def reference_oracle_plan(ctx) -> OraclePlan:
+    """The plan built on the Fraction projections: each kind's chart spans
+    the images of the unit vectors, its covectors are read off them, and
+    the coset walk carries their Fraction reflections in beta."""
+    dim = ctx.form.dim
+    flipped = lambda w: reflect(ctx.form, w, ctx.beta)  # noqa: E731
+    kinds = ((functools.partial(q_u, ctx), (False, True), ctx.noncompact_positive),
+             (functools.partial(q_u_k2, ctx), (False,), ()))
+    charts = []
+    for project, _, _ in kinds:
+        images = [project(tuple(Fraction(i == j) for j in range(dim))) for i in range(dim)]
+        chart = Chart(images)
+        charts.append((chart, [tuple(img[c] for img in images) for c in chart.coords]))
+    reads = []
+    for (_, flips, _), (_, rows) in zip(kinds, charts):
+        vs = (*rows, *ctx.kernel_positive)
+        reads.append([tuple(map(flipped, vs)) if flip else vs for flip in flips])
+    index = {v: i for i, v in enumerate(dict.fromkeys(v for kind in reads for vs in kind for v in vs))}
+    cosets = reference_kernel_cosets(ctx, [scaled_point(v) for v in index])
+    series, torus = (
+        _reference_coset_sum(ctx, [(word, [[images[index[v]] for v in vs] for vs in kind])
+                                   for word, images in cosets], chart, project, flips, noncompact)
+        for (project, flips, noncompact), (chart, _), kind in zip(kinds, charts, reads)
+    )
+    return OraclePlan(tuple(word for word, _ in cosets), series, torus)
+
+
+def same_plans(got, want) -> bool:
+    """Two plans with the same words and, per kind, the same chart, terms,
+    multisets and denominator."""
+    if got.words != want.words:
+        return False
+    return all(
+        (a.chart.coords, a.chart.rows, a.chart.scale, a.terms, a.multisets, a.denominator)
+        == (b.chart.coords, b.chart.rows, b.chart.scale, b.terms, b.multisets, b.denominator)
+        for a, b in ((got.series, want.series), (got.torus, want.torus)))

@@ -394,16 +394,19 @@ for forms in workloads.SETUP_FORMS.values():
     run.fresh_setup(forms)
     memos = (sys.modules["branchkit.oracle"].oracle_plan,
              sys.modules["branchkit.oracle"].mirror_maps,
-             sys.modules["branchkit.quaternionic"].table_coords)
+             sys.modules["branchkit.oracle"]._chart_covectors,
+             sys.modules["branchkit.quaternionic"].table_coords,
+             sys.modules["branchkit.repweights"]._freudenthal_memo)
     rootsystems = sys.modules["branchkit.rootsystems"]
     specialcases = sys.modules["branchkit.specialcases"]
     sp1q = [specialcases.sp1q_context(q) for q in forms["sp1q"]]
     hermitian = [specialcases.hermitian_data(label) for label in forms["hermitian"]]
-    # the per-datum, per-system and per-factor int caches
+    # the per-datum, per-system, per-factor and per-context int caches
     owners = ([(rootsystems.quaternionic_root_datum(label), ("points",))
                for label in forms["quat"]]
               + [(c.rd, ("points",)) for c in sp1q] + [(c.sigma, ("signs",)) for c in sp1q]
-              + [(c.k2_factor, ("int_roots", "coweight_covectors")) for c in sp1q]
+              + [(c.k2_factor, ("int_roots",)) for c in sp1q]
+              + [(c, ("torus_points",)) for c in sp1q]
               + [(h.rd, ("points",)) for h in hermitian] + [(h.psi_h, ("signs",)) for h in hermitian])
     built = sum(name in vars(owner) for owner, names in owners for name in names)
     print(*(memo.cache_info().currsize for memo in memos), built)
@@ -412,14 +415,15 @@ for forms in workloads.SETUP_FORMS.values():
 
 def test_bench_setup_builds_no_oracle_plan():
     # the benchmark's set-up_s is a fresh import plus root data: the oracle's
-    # plans, the closed tables' label maps and the int points of root data
-    # (the coroot covectors), positive systems and compact factors must stay
+    # plans and chart covectors, the closed tables' label maps, the weight
+    # tables and the int points of root data (the coroot covectors), positive
+    # systems, compact factors and contexts (the torus pairings) must stay
     # lazy, built by the first request that needs them
     root = BENCH.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     out = subprocess.run([sys.executable, "-c", SETUP_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:-1] == ["0 0 0 0"] * 3
+    assert out.split("\n")[:-1] == ["0 0 0 0 0 0"] * 3
 
 
 def _run_script(name: str) -> str:

@@ -1,9 +1,12 @@
 """The request checks on int points against their Fraction references
 (``oracle_reference``): lambda's validation, the Hermitian chamber and its
 certificate test, the compact factor's conversion, dimension and coweights,
-and the context's projection check.  The forms are the benchmark's: every
-quaternionic form of its closed tables, sp(1, 2) and sp(1, 3), and its five
-Hermitian forms, each with its seed-0 parameter."""
+and the context's projection check.  Then the int torus pairings against
+the Fraction projections they replaced: the oracle plans, the split of a
+parameter, the closed tables' grouped sigma keys, the sp(1, q) strings and
+Freudenthal's walk over dominant weights.  The forms are the benchmark's:
+every quaternionic form of its closed tables, sp(1, 2) and sp(1, 3), and its
+five Hermitian forms, each with its seed-0 parameter."""
 
 import dataclasses
 import random
@@ -15,10 +18,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchkit import cli, repweights
 from branchkit.errors import DomainError, InternalError
-from branchkit.lattice import parse_weight, weight, wadd, wscale
-from branchkit.quaternionic import _verify_projections, decompose_parameter, quaternionic_context
+from branchkit.lattice import (
+    IntBasis,
+    coroot_pairing,
+    dual_covectors,
+    inner,
+    parse_weight,
+    scaled_points,
+    wadd,
+    weight,
+    wscale,
+)
+from branchkit.oracle import OracleConfig, _chart_covectors, _coset_series, oracle_plan
+from branchkit.quaternionic import (
+    _branching_table,
+    _verify_projections,
+    decompose_parameter,
+    lam2_weight_table,
+    quaternionic_context,
+    table_coords,
+)
 from branchkit.repweights import (
+    _dominant_representative,
+    _dominant_weights,
     hc_to_highest_weight,
     regular_integral_pairings,
     validate_hc_parameter,
@@ -26,13 +50,22 @@ from branchkit.repweights import (
 )
 from branchkit.rootsystems import positive_system, positive_systems_containing
 from branchkit.specialcases import (
+    Sp1qContext,
+    _sp1q_branching_table,
     hermitian_data,
     kss_admissible_system,
     sp1q_context,
+    sp1q_string_table,
     validate_hermitian_parameter,
 )
 from oracle_reference import (
     fraction_pairings,
+    reference_decompose_parameter,
+    reference_dominant_weights,
+    reference_oracle_plan,
+    reference_sigma_keys,
+    reference_su2_string_decompose,
+    same_plans,
     reference_coweight_covectors,
     reference_hc_to_highest_weight,
     reference_hermitian_chamber,
@@ -104,7 +137,8 @@ def _same_covectors(got, want):
 def test_request_checks_match_fraction_reference(label, seed0):
     ctx, system = _context(label)
     factor = ctx.k2_factor
-    assert _same_covectors(factor.coweight_covectors, reference_coweight_covectors(factor))
+    assert _same_covectors(dual_covectors(scaled_points(factor.simple)[1]),
+                           reference_coweight_covectors(factor))
     outcomes = set()
     for lam in _nearby(seed0[label]) + _nearby(system.rho, seed=1):
         want = _outcome(reference_validate_hc_parameter, lam, system)
@@ -214,3 +248,173 @@ def test_request_checks_hash_no_fraction(seed0, monkeypatch):
         assert not calls, hd.label
     hash(Fraction(1, 3))
     assert calls  # the patch counts
+
+
+# ---------------------------------------------------------------------------
+# the torus pairings against the Fraction projections
+
+
+def _valid(ctx, system, lams):
+    """The parameters of lams that the family accepts."""
+    return [lam for lam in lams if _outcome(validate_hc_parameter, lam, system) is None]
+
+
+def _check_tables(ctx, lam):
+    """The split of lam, and the closed table's sigma keys (quaternionic) or
+    the su(2) strings (sp(1, q)), against the Fraction references."""
+    assert decompose_parameter(ctx, lam) == reference_decompose_parameter(ctx, lam)
+    if isinstance(ctx, Sp1qContext):
+        table = lam2_weight_table(ctx, lam)
+        assert sp1q_string_table(ctx, lam) == reference_su2_string_decompose(table, ctx.w_line)
+        return
+    # at cutoff 0 the table is each sigma's key plus the offset from lam1
+    coords = table_coords(ctx)
+    a1, a2 = (x + ctx.d - 1 for x in coords.to_key(decompose_parameter(ctx, lam)[0]))
+    want = {(k1 + a1, k2 + a2): m for (k1, k2), m in reference_sigma_keys(ctx, lam, coords).items()}
+    assert _branching_table(ctx, lam, 0).by_key == want
+
+
+@pytest.mark.parametrize("label", QUAT_FORMS + SP1Q_FORMS)
+def test_oracle_plan_matches_fraction_reference(label):
+    ctx, _ = _context(label)
+    assert same_plans(oracle_plan(ctx), reference_oracle_plan(ctx))
+
+
+@pytest.mark.parametrize("label", QUAT_FORMS + SP1Q_FORMS)
+def test_torus_pairings_match_fraction_reference(label, seed0):
+    ctx, system = _context(label)
+    lams = _valid(ctx, system, _nearby(seed0[label]) + _nearby(system.rho, seed=1))
+    assert len(lams) >= 2
+    for lam in lams:
+        _check_tables(ctx, lam)
+
+
+def _walk_data(factor):
+    """The factor's positive and simple roots as int points at twice their
+    common denominator, where every weight of a half-integral hw is a point."""
+    _, roots, _, simple = factor.int_roots
+    positive = [tuple(2 * x for x in a) for a, _, _ in roots]
+    simple = [(tuple(2 * x for x in a), 4 * sum(x * x for x in a)) for a in simple]
+    return positive, simple, dual_covectors([a for a, _ in simple])
+
+
+@pytest.mark.parametrize("label", QUAT_FORMS + SP1Q_FORMS + ("sp1_q:4",))
+def test_stembridge_walk_matches_reference_walk(label, seed0):
+    # every dominant weight is reached through dominant weights alone: the
+    # same set as the walk through dominant representatives, on the seed-0
+    # highest weight and the dominant points of small root combinations
+    ctx, _ = (sp1q_context(4), None) if label == "sp1_q:4" else _context(label)
+    factor = ctx.k2_factor
+    positive, simple, covectors = _walk_data(factor)
+    scale = factor.int_roots[0]  # twice the roots' denominator
+    rng = random.Random(label)
+    tops = []
+    if label in seed0:
+        hw = hc_to_highest_weight(decompose_parameter(ctx, seed0[label])[1], factor)
+        tops.append(tuple(x.numerator * scale // x.denominator for x in hw))
+    for _ in range(12):
+        v = tops[0] if tops and rng.random() < 0.5 else (0,) * ctx.form.dim
+        for a, _ in simple:
+            v = tuple(x + rng.randrange(-2, 3) * y for x, y in zip(v, a))
+        tops.append(_dominant_representative(v, simple))
+    assert len(set(tops)) > 6
+    for top in tops:
+        assert _dominant_weights(top, positive, simple) == reference_dominant_weights(
+            top, positive, simple, covectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(["g2_2", "su2_n:2", "sp1_q:2"]), den=st.sampled_from([1, 2]),
+       data=st.data())
+def test_small_parameters_match_torus_reference(label, den, data):
+    ctx, system = _context(label)
+    numerators = data.draw(st.lists(st.integers(-8, 8), min_size=ctx.form.dim,
+                                    max_size=ctx.form.dim))
+    lam = tuple(Fraction(n, den) for n in numerators)
+    if _valid(ctx, system, [lam]):
+        _check_tables(ctx, lam)
+        hw = hc_to_highest_weight(decompose_parameter(ctx, lam)[1], ctx.k2_factor)
+        positive, simple, covectors = _walk_data(ctx.k2_factor)
+        top = tuple(x.numerator * ctx.k2_factor.int_roots[0] // x.denominator for x in hw)
+        assert _dominant_weights(top, positive, simple) == reference_dominant_weights(
+            top, positive, simple, covectors)
+
+
+def _oracle_requests():
+    """One seed-0 oracle request per form of the two oracle workloads."""
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from bench import workloads
+
+    first = {}
+    for workload in ("oracle_dense", "oracle_wide"):
+        for argv in workloads.requests(workload, 0):
+            if argv[0] == "oracle-check":
+                first.setdefault(argv[argv.index("--form") + 1], argv)
+    return first
+
+
+def test_oracle_requests_hash_no_fraction(monkeypatch, capsys):
+    # with the contexts and plans built, an oracle request reads the torus
+    # projections, the charts and its tables on int points only: no Fraction
+    # is hashed, by the weight table, the closed table, the series or the
+    # comparison, even on the request that builds the per-context caches
+    requests = _oracle_requests()
+    assert len(requests) == 8
+    for label in requests:
+        oracle_plan(_context(label)[0])
+    repweights._freudenthal_memo.cache_clear()  # the weight tables are built cold
+    calls = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    for label, argv in requests.items():
+        assert cli.main(argv) == 0
+        assert not calls, label
+    hash(Fraction(1, 3))
+    assert calls  # the patch counts
+    assert capsys.readouterr().out.count('"agree": true') == 8
+
+
+@pytest.mark.parametrize("label", ["g2_2", "so4_n:4", "e6_2", "sp1_q:2"])
+def test_chart_data_match_per_request_reference(label):
+    # the covectors read once per context on the plan's chart, and the table
+    # keys' map onto a request's chart, equal what a request would read on
+    # its own chart by Fraction functionals and weights
+    ctx, system = _context(label)
+    lam = wscale(2, system.rho)  # denominators differ from the plan's base chart
+    series = _coset_series(ctx, lam, OracleConfig(step_bound=3))
+    chart = series.chart
+    positive, (covector, k) = _chart_covectors(ctx)
+    assert (covector, k * chart.scale) == chart.functional(
+        lambda w: coroot_pairing(ctx.form, w, ctx.beta))
+    sides = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0] for g in ctx.side_roots]
+    for p in series.candidate_points():
+        assert positive(p) == all(sum(x * y for x, y in zip(f, p)) > 0 for f in sides)
+    table = (_sp1q_branching_table if isinstance(ctx, Sp1qContext) else _branching_table)(
+        ctx, lam, 3)
+    assert table.points_on(chart) == {chart.to_point(mu): m for mu, m in table.entries.items()}
+    # a basis that leaves the chart's span has no map
+    off = IntBasis([tuple(Fraction(i == ctx.form.dim - 1) for i in range(ctx.form.dim))],
+                   [tuple(Fraction(i == ctx.form.dim - 1) for i in range(ctx.form.dim))])
+    with pytest.raises(InternalError, match="leaves the chart's span"):
+        off.chart_map(chart)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_sp1q_singular_wall_is_read_on_points(q):
+    # the wall a = k of the series chart, whose points are scale * (a, k):
+    # a certified coefficient there is an error, and one on a = -k is not
+    ctx = sp1q_context(q)
+    series = _coset_series(ctx, ctx.sigma.rho, OracleConfig(step_bound=3))
+    s = series.chart.scale
+    with pytest.raises(InternalError, match="singular wall"):
+        ctx.check_extracted(series, (3 * s, 3 * s), 1)
+    assert series.chart.to_weight((3 * s, 3 * s))[:2] == (3, 3)
+    p = (3 * s, -3 * s)  # on a = -k, off the wall; it and its mirrors are certified zeros
+    assert series.coefficient(p) == 0
+    ctx.check_extracted(series, p, 0)

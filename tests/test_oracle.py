@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from branchkit.lattice import (
     Chart,
     coroot_pairing,
     inner,
+    int_point,
     map_point,
     rational_solve,
     reflection_matrix,
@@ -25,7 +27,6 @@ from branchkit.oracle import (
     _coset_series,
     _kernel_cosets,
     check_antisymmetry,
-    compact_quotient_weights,
     compare,
     extract_multiplicities,
     mirror_maps,
@@ -52,6 +53,9 @@ from branchkit.specialcases import (
 )
 from branchkit.rootsystems import coset_reps, simple_elements, weyl_generate
 from oracle_reference import (
+    q_u,
+    q_u_k2,
+    reference_compact_quotient_weights,
     apply_matrix,
     coset_elements,
     coset_terms,
@@ -117,19 +121,19 @@ def test_restriction_multiset_g2(g2):
 def test_restriction_multiset_weyl_invariance(so44):
     elements = weyl_generate(so44.form, so44.k2_factor.simple)
     reference = restriction_multiset(so44, elements[0], flip=False)
-    quotient_total = sum(compact_quotient_weights(so44).values())
+    quotient_total = sum(reference_compact_quotient_weights(so44).values())
     assert sum(reference.values()) == 2 * (so44.d - 1) + quotient_total
     assert reference[so44.fw1] == so44.d - 1
     assert reference[so44.fw2] == so44.d - 1
     for e in elements:
         assert restriction_multiset(so44, e, flip=False) == reference
     assert _plan_multiset(so44, False) == reference
-    assert _plan_multiset(so44, False, torus=True) == compact_quotient_weights(so44)
+    assert _plan_multiset(so44, False, torus=True) == reference_compact_quotient_weights(so44)
 
 
 def test_quotient_weights_single_direction(su22, so44, f44):
     for ctx in (su22, so44, f44):
-        quotient = compact_quotient_weights(ctx)
+        quotient = reference_compact_quotient_weights(ctx)
         assert len(quotient) == 1  # one ray
         ((direction, mult),) = quotient.items()
         assert inner(ctx.form, direction, ctx.beta) == 0
@@ -260,7 +264,7 @@ def _coset_terms(ctx, cosets, lam):
     for w in cosets:
         wlam = apply_matrix(w.matrix, lam)
         ms = restriction_multiset(ctx, w, flip=False)
-        terms.append((ctx.q_u(wlam), w.sign * weyl_polynomial(ctx, wlam), tuple(sorted(ms.items()))))
+        terms.append((q_u(ctx, wlam), w.sign * weyl_polynomial(ctx, wlam), tuple(sorted(ms.items()))))
     return sorted(terms)
 
 
@@ -326,7 +330,7 @@ def test_chart_round_trips_series_points(label, coords):
     assert len(chart.coords) == 2
     for p in series.coeffs:
         w = chart.to_weight(p)
-        assert ctx.q_u(w) == w  # on the subgroup torus
+        assert q_u(ctx, w) == w  # on the subgroup torus
         assert chart.to_point(w) == p
     w = chart.to_weight(next(iter(series.coeffs)))
     half_step = wadd(w, wscale(Fraction(1, 2 * chart.scale), chart.rows[0]))
@@ -404,9 +408,16 @@ def _family_rules(ctx):
 @pytest.mark.parametrize("label", REFERENCE_FORMS)
 def test_shared_context_keeps_the_family_rules(label):
     ctx = _context(label)
-    q_u, q_u_k2, pieces, sides = _family_rules(ctx)
+    rule, rule_k2, pieces, sides = _family_rules(ctx)
+    # the context's int pairings (x, b), (x, w) give the same projections
+    b, w, bb, ww = ctx.torus_points
+    scale = ctx.rd.points[0]
     for g in ctx.rd.roots:
-        assert (ctx.q_u(g), ctx.q_u_k2(g)) == (q_u(g), q_u_k2(g)), g
+        x = int_point(g, scale)
+        on_w = tuple(Fraction(sum(map(mul, x, w)) * y, scale * ww) for y in w)
+        on_b = tuple(Fraction(sum(map(mul, x, b)) * y, scale * bb) for y in b)
+        assert (wadd(on_b, on_w), on_w) == (rule(g), rule_k2(g)), g
+        assert (q_u(ctx, g), q_u_k2(ctx, g)) == (rule(g), rule_k2(g)), g
     assert ctx.h_roots == frozenset(pieces + [wneg(g) for g in pieces])
     assert ctx.side_roots == sides
 

@@ -172,9 +172,13 @@ def test_freudenthal_matches_kostant(factory, hw_coeffs):
 def test_restrict_weights_identity_and_collapse():
     f = a2_factor()
     t = freudenthal(f.rho, f)
-    assert restrict_weights(t, lambda v: v) == t.mults
-    collapsed = restrict_weights(t, lambda v: zero_weight(3))
-    assert collapsed == {zero_weight(3): 8}
+    # the pushforward runs along an int covector on the table's points: one
+    # that separates them keeps every multiplicity, the zero one sums them
+    separating = (1, 100, 10000)
+    pushed = restrict_weights(t, separating)
+    assert pushed == {sum(x * c for x, c in zip(p, separating)): m for p, m in t.points.items()}
+    assert sorted(pushed.values()) == sorted(t.mults.values()) and len(pushed) == 7
+    assert restrict_weights(t, (0, 0, 0)) == {0: 8}
 
 
 def test_su2_string_decompose_vector_rep():
