@@ -11,6 +11,7 @@ exact equality at the stated scope, within its wall-clock limit.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -74,15 +75,32 @@ class CriterionResult:
         return f"{self.ident:5s} {status}  {self.seconds:7.2f}s  {self.title}: {self.detail}"
 
 
-def _result(ident, title, limit, started, passed, detail) -> CriterionResult:
-    return CriterionResult(ident, title, passed, detail, time.time() - started, limit)
+class _Failed(Exception):
+    """A criterion's failure; its message is the detail."""
 
 
-def ac1(store) -> CriterionResult:
+def _criterion(ident: str, title: str, limit: float):
+    """Make a check into a criterion: the check takes the store and returns
+    the detail of a pass or raises _Failed with the detail of a failure; the
+    criterion times it and returns its CriterionResult."""
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion(store) -> CriterionResult:
+            t0 = time.time()
+            try:
+                passed, detail = True, check(store)
+            except _Failed as exc:
+                passed, detail = False, str(exc)
+            return CriterionResult(ident, title, passed, detail, time.time() - t0, limit)
+        return criterion
+    return wrap
+
+
+@_criterion("AC-1", "Heaviside power identity", 5)
+def ac1(store) -> str:
     """Heaviside powers equal iterated convolutions, r <= 6 at 50 steps."""
     from .formal import dirac
 
-    t0 = time.time()
     gamma = (2, -2, 0)  # the root (1, -1, 0) in doubled, integral coordinates
     n = 50
     checked = 0
@@ -97,11 +115,9 @@ def ac1(store) -> CriterionResult:
             want = direct.coefficient(x)
             got = iterated.coefficient(x)
             if got is None or want is None or got != want:
-                return _result("AC-1", "Heaviside power identity", 5, t0, False,
-                               f"mismatch at r={r}, step {k}: {want} vs {got}")
+                raise _Failed(f"mismatch at r={r}, step {k}: {want} vs {got}")
             checked += 1
-    return _result("AC-1", "Heaviside power identity", 5, t0, True,
-                   f"{checked} coefficients agree for r in 0..6, 50 steps")
+    return f"{checked} coefficients agree for r in 0..6, 50 steps"
 
 
 _AC2_SYSTEMS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1xA1")
@@ -116,14 +132,15 @@ def _ac2_factor(name: str) -> CompactFactor:
     family, rank = name[0], int(name[1])
     roots, simples = _base_system(family, rank)
     form = identity_form(len(roots[0]))
-    return CompactFactor.from_positive(form, _positive_from_simples(roots, simples))
+    by_point, positive, _ = _positive_from_simples(roots, simples)
+    return CompactFactor.from_positive(form, [by_point[p] for p in positive])
 
 
-def ac2(store) -> CriterionResult:
+@_criterion("AC-2", "Freudenthal consistency", 30)
+def ac2(store) -> str:
     """Freudenthal tables: total equals the Weyl dimension, Weyl invariance."""
     from .lattice import rational_solve, wsub
 
-    t0 = time.time()
     rng = random.Random(20240811)
     runs = 0
     while runs < 50:
@@ -135,23 +152,19 @@ def ac2(store) -> CriterionResult:
             continue
         table = freudenthal(hw, factor)
         if table.dimension() != weyl_dimension(hw, factor):
-            return _result("AC-2", "Freudenthal consistency", 30, t0, False,
-                           f"dimension mismatch on {name} {coeffs}")
+            raise _Failed(f"dimension mismatch on {name} {coeffs}")
         sample = list(table.mults)[:: max(1, len(table.mults) // 12)]
         for v in sample:
             for a in factor.simple:
                 if table.mults[v] != table.mults.get(reflect(factor.form, v, a)):
-                    return _result("AC-2", "Freudenthal consistency", 30, t0, False,
-                                   f"Weyl invariance fails on {name} {coeffs}")
+                    raise _Failed(f"Weyl invariance fails on {name} {coeffs}")
             # convex hull: the dominant representative stays under hw
             dom = _dominant(factor.form, v, factor.simple)
             sol = rational_solve(list(factor.simple), wsub(hw, dom))
             if sol is None or any(c < 0 for c in sol):
-                return _result("AC-2", "Freudenthal consistency", 30, t0, False,
-                               f"hull violation on {name} {coeffs}")
+                raise _Failed(f"hull violation on {name} {coeffs}")
         runs += 1
-    return _result("AC-2", "Freudenthal consistency", 30, t0, True,
-                   f"{runs} random representations verified")
+    return f"{runs} random representations verified"
 
 
 def _dominant_with_pairings(factor: CompactFactor, coeffs):
@@ -205,9 +218,9 @@ def _quaternionic_parameters(label: str, count: int):
     return ctx, lams[:count]
 
 
-def ac3(store) -> CriterionResult:
+@_criterion("AC-3", "torus restriction identity", 120)
+def ac3(store) -> str:
     """Torus / su(2) restriction identity on four compact factors."""
-    t0 = time.time()
     checked = 0
     cfg = OracleConfig(step_bound=16)
     cases = []  # (label, context, parameters, rho of their positive system, sides)
@@ -225,14 +238,11 @@ def ac3(store) -> CriterionResult:
                 if c is None:
                     continue
                 if c != lhs.coeffs.get(w, 0):
-                    return _result("AC-3", "torus restriction identity", 120, t0, False,
-                                   f"{label}: mismatch at {format_weight(rhs.chart.to_weight(w))}")
+                    raise _Failed(f"{label}: mismatch at {format_weight(rhs.chart.to_weight(w))}")
                 checked += 1
             if any(rhs.coefficient(w) is None for w in lhs.coeffs):
-                return _result("AC-3", "torus restriction identity", 120, t0, False,
-                               f"{label}: truncation does not cover the weight table")
-    return _result("AC-3", "torus restriction identity", 120, t0, True,
-                   f"4 factors x 10 parameters, {checked} coefficients checked")
+                raise _Failed(f"{label}: truncation does not cover the weight table")
+    return f"4 factors x 10 parameters, {checked} coefficients checked"
 
 
 _AC4_PLAN = (("g2_2", 5), ("su2_n:2", 2), ("so4_n:4", 2))
@@ -254,42 +264,36 @@ def _ac4_runs(store):
     return runs
 
 
-def ac4(store) -> CriterionResult:
+@_criterion("AC-4", "closed form vs oracle", 300)
+def ac4(store) -> str:
     """Closed-form branching equals the distributional oracle at 12 steps."""
-    t0 = time.time()
     total = 0
     for label, ctx, lam, series, report, table in _ac4_runs(store):
         if not report.agree:
-            return _result("AC-4", "closed form vs oracle", 300, t0, False,
-                           f"{label} at {lam}: {len(report.mismatches)} mismatches")
+            raise _Failed(f"{label} at {lam}: {len(report.mismatches)} mismatches")
         if report.compared < 20:
-            return _result("AC-4", "closed form vs oracle", 300, t0, False,
-                           f"{label} at {lam}: only {report.compared} certified points")
+            raise _Failed(f"{label} at {lam}: only {report.compared} certified points")
         total += report.compared
-    return _result("AC-4", "closed form vs oracle", 300, t0, True,
-                   f"9 parameters, {total} certified multiplicities agree")
+    return f"9 parameters, {total} certified multiplicities agree"
 
 
-def ac5(store) -> CriterionResult:
+@_criterion("AC-5", "table dominance", 60)
+def ac5(store) -> str:
     """Every emitted parameter is dominant for the su(2,1) system."""
-    t0 = time.time()
     tables = 0
     for label, ctx, lam, series, report, table in _ac4_runs(store):
         violations = check_table_dominance(ctx, table)
         if violations:
-            return _result("AC-5", "table dominance", 60, t0, False,
-                           f"{label} at {lam}: {violations[:3]}")
+            raise _Failed(f"{label} at {lam}: {violations[:3]}")
         tables += 1
-    return _result("AC-5", "table dominance", 60, t0, True,
-                   f"zero violations over {tables} tables")
+    return f"zero violations over {tables} tables"
 
 
-def ac6(store) -> CriterionResult:
+@_criterion("AC-6", "sp(1,q) closed form vs oracle", 120)
+def ac6(store) -> str:
     """sp(1,q) closed form equals its oracle; binomial spot check at q = 2."""
-    t0 = time.time()
     if comb(0 + 1, 1) != 1 or any(comb(p + 1, 1) != p + 1 for p in range(20)):
-        return _result("AC-6", "sp(1,q) closed form vs oracle", 120, t0, False,
-                       "binomial specialization fails at q = 2")
+        raise _Failed("binomial specialization fails at q = 2")
     total = 0
     cfg = OracleConfig(step_bound=10)
     for q, lam_list in (
@@ -300,19 +304,16 @@ def ac6(store) -> CriterionResult:
         for coords in lam_list:
             rep = sp1q_verify(ctx, weight(coords), cfg)
             if not rep.agree:
-                return _result("AC-6", "sp(1,q) closed form vs oracle", 120, t0, False,
-                               f"q={q} {coords}: {rep.mismatches[:3]}")
+                raise _Failed(f"q={q} {coords}: {rep.mismatches[:3]}")
             if rep.compared < 5:
-                return _result("AC-6", "sp(1,q) closed form vs oracle", 120, t0, False,
-                               f"q={q} {coords}: only {rep.compared} certified points")
+                raise _Failed(f"q={q} {coords}: only {rep.compared} certified points")
             total += rep.compared
-    return _result("AC-6", "sp(1,q) closed form vs oracle", 120, t0, True,
-                   f"6 parameters, {total} certified multiplicities agree")
+    return f"6 parameters, {total} certified multiplicities agree"
 
 
-def ac7(store) -> CriterionResult:
+@_criterion("AC-7", "admissible chamber dichotomy", 1)
+def ac7(store) -> str:
     """Exactly the small system is admissible among chambers containing it."""
-    t0 = time.time()
     forms = (("g2_2", 3), ("su2_n:2", 6), ("su2_n:3", 10), ("so4_n:3", 6), ("so4_n:4", 12),
              ("f4_4", 12))
     for label, count in forms:
@@ -321,11 +322,9 @@ def ac7(store) -> CriterionResult:
         systems = positive_systems_containing(ctx.rd, delta)
         admissible = [s.chosen_set() for s in systems if admissible_system(ctx, s)]
         if len(systems) != count or admissible != [ctx.psi.chosen_set()]:
-            return _result("AC-7", "admissible chamber dichotomy", 1, t0, False,
-                           f"{label}: {len(admissible)} of {len(systems)} systems admissible, "
-                           f"expected the small one of {count}")
-    return _result("AC-7", "admissible chamber dichotomy", 1, t0, True,
-                   f"small system uniquely admissible on {len(forms)} forms")
+            raise _Failed(f"{label}: {len(admissible)} of {len(systems)} systems admissible, "
+                          f"expected the small one of {count}")
+    return f"small system uniquely admissible on {len(forms)} forms"
 
 
 _AC8_CASES = (
@@ -336,21 +335,19 @@ _AC8_CASES = (
 )
 
 
-def ac8(store) -> CriterionResult:
+@_criterion("AC-8", "Hermitian admissibility dichotomy", 30)
+def ac8(store) -> str:
     """Tube dichotomy at the holomorphic chamber plus chamber invariants on
     every chamber that contains the compact positive system."""
-    t0 = time.time()
     chambers = 0
     for label, expected in _AC8_CASES:
         hd = hermitian_data(label)
         lam = holomorphic_chamber_parameter(hd)
         if kss_admissible(hd, lam) is not expected:
-            return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
-                           f"{label} holomorphic chamber: expected {expected}")
+            raise _Failed(f"{label} holomorphic chamber: expected {expected}")
         anti = antiholomorphic_chamber_parameter(hd)
         if kss_admissible(hd, anti) is not expected:
-            return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
-                           f"{label} antiholomorphic chamber: expected {expected}")
+            raise _Failed(f"{label} antiholomorphic chamber: expected {expected}")
         conjugate_is_negation = set(hd.certificate_conjugate) == {
             (i, -s) for i, s in hd.certificate
         }
@@ -358,35 +355,29 @@ def ac8(store) -> CriterionResult:
         for psi in positive_systems_containing(hd.rd, delta):
             chamber = psi.signs
             if validate_hermitian_parameter(hd, psi.rho) != chamber:
-                return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
-                               f"{label}: rho of a chamber lies in another chamber")
+                raise _Failed(f"{label}: rho of a chamber lies in another chamber")
             a1 = kss_admissible_system(hd, chamber)
             # chamber constancy: any parameter with the same chamber agrees
             if kss_admissible(hd, wscale(2, psi.rho)) is not a1:
-                return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, False,
-                               f"{label}: chamber constancy fails")
+                raise _Failed(f"{label}: chamber constancy fails")
             if conjugate_is_negation:
                 flipped = tuple(s if i in hd.compact else -s for i, s in enumerate(chamber))
                 if kss_admissible_system(hd, flipped) is not a1:
-                    return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0,
-                                   False, f"{label}: sign-flip symmetry fails")
+                    raise _Failed(f"{label}: sign-flip symmetry fails")
             chambers += 1
-    return _result("AC-8", "Hermitian admissibility dichotomy", 30, t0, True,
-                   f"4 fixtures, all {chambers} chambers, invariants hold")
+    return f"4 fixtures, all {chambers} chambers, invariants hold"
 
 
-def ac9(store) -> CriterionResult:
+@_criterion("AC-9", "antisymmetry of the signed series", 60)
+def ac9(store) -> str:
     """Signed series vanish on the reflection wall and are odd across it."""
-    t0 = time.time()
     checked = 0
     for label, ctx, lam, series, report, table in _ac4_runs(store):
         problems = check_antisymmetry(ctx, series)
         if problems:
-            return _result("AC-9", "antisymmetry of the signed series", 60, t0, False,
-                           f"{label} at {lam}: {problems[:3]}")
+            raise _Failed(f"{label} at {lam}: {problems[:3]}")
         checked += len(series.coeffs)
-    return _result("AC-9", "antisymmetry of the signed series", 60, t0, True,
-                   f"{checked} coefficients checked across 9 runs")
+    return f"{checked} coefficients checked across 9 runs"
 
 
 ALL_CRITERIA = (ac1, ac2, ac3, ac4, ac5, ac6, ac7, ac8, ac9)

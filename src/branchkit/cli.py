@@ -2,9 +2,10 @@
 
 Subcommands: list-forms, branch (quat | sp1q), admissible (hermitian | so3),
 weights, oracle-check (quat | sp1q), selftest.  Output is deterministic JSON
-(sorted keys, weights ordered lexicographically by coordinates) or aligned
-text.  Exit codes: 0 success, 2 domain/configuration errors, 3 resource
-errors.
+(sorted keys, weights ordered lexicographically by coordinates), written by
+one writer as ``json.dumps(payload, indent=2, sort_keys=True)`` would write
+it, or aligned text.  Exit codes: 0 success, 2 domain/configuration errors,
+3 resource errors.
 
 Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
@@ -26,7 +27,8 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as escape
+from math import gcd
 
 from .errors import (
     BranchkitError,
@@ -43,7 +45,7 @@ from .quaternionic import (
     lam2_weight_table,
     quaternionic_context,
 )
-from .rootsystems import ambient_dimension, parse_quaternionic_label
+from .rootsystems import _parse_int, ambient_dimension, parse_quaternionic_label
 from .specialcases import (
     hermitian_data,
     kss_admissible_report,
@@ -59,14 +61,46 @@ from .specialcases import (
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json")
 
 
+class Rows(list):
+    """Rows of string values, each written as the JSON object that maps
+    ``keys`` (which hold no braces) to its values."""
+
+    def __init__(self, keys: tuple, rows=()):
+        super().__init__(rows)
+        self.keys = keys
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    """Append value's text at indentation pad to out, as
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes it: ``Rows``
+    through one template, strings by the C escape."""
+    inner = pad + "  "
+    if isinstance(value, Rows) and value:
+        fields = ",\n".join(f"{inner}  {escape(k)}: {{{i}}}"
+                            for k, i in sorted((k, i) for i, k in enumerate(value.keys)))
+        template = f"{inner}{{{{\n{fields}\n{inner}}}}}"
+        out += ["[\n", ",\n".join([template.format(*map(escape, row)) for row in value]),
+                f"\n{pad}]"]
+    elif isinstance(value, (dict, list, tuple)) and value:
+        keys = sorted(value) if isinstance(value, dict) else None
+        out.append("[{"[keys is not None])
+        for i, item in enumerate(value if keys is None else keys):
+            out.append(("," if i else "") + "\n" + inner)
+            if keys is not None:
+                out.append(escape(item) + ": ")
+                item = value[item]
+            _write_json(item, inner, out)
+        out.append("\n" + pad + "]}"[keys is not None])
+    else:
+        out.append(escape(value) if isinstance(value, str) else json.dumps(value))
+
+
 def _oracle_payload(report) -> dict:
     return {
         "agree": report.agree,
         "comparedWeights": report.compared,
-        "mismatches": [
-            {"mu": format_weight(mu), "closed": str(a), "oracle": str(b)}
-            for mu, a, b in report.mismatches
-        ],
+        "mismatches": Rows(("mu", "closed", "oracle"), [
+            (format_weight(mu), str(a), str(b)) for mu, a, b in report.mismatches]),
     }
 
 
@@ -90,13 +124,15 @@ def _family(args):
 
 def _emit(payload: dict, output: str) -> str:
     if output == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out: list = []
+        _write_json(payload, "", out)
+        return "".join(out + ["\n"])
     lines = []
     for key, value in sorted(payload.items()):
-        if isinstance(value, list) and value and isinstance(value[0], dict):
+        if isinstance(value, Rows) and value:
             lines.append(f"{key}:")
             for row in value:
-                lines.append("  " + "\t".join(f"{k}={row[k]}" for k in sorted(row)))
+                lines.append("  " + "\t".join(f"{k}={v}" for k, v in sorted(zip(value.keys, row))))
         else:
             lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
@@ -122,33 +158,28 @@ def _parse_lambda(args, system, build):
     return ctx, lam
 
 
-def _rows(rows, den: int, name: str = "mu") -> list:
+def _rows(rows, den: int, name: str = "mu") -> Rows:
     """(int numerators, multiplicity) rows over one positive denominator in
-    weight order, as the numerators sort; each is formatted once."""
+    weight order, as the numerators sort, as ``Rows`` of name and "mult";
+    each numerator is formatted once."""
     rows = sorted(rows)
-    text = {n: str(Fraction(n, den)) for n in {n for nums, _ in rows for n in nums}}
-    return [{name: ",".join([text[n] for n in nums]), "mult": str(m)} for nums, m in rows]
+    text = {n: f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // den)
+            for n in {n for nums, _ in rows for n in nums}}  # str(Fraction(n, den))
+    return Rows((name, "mult"), [(",".join([text[n] for n in nums]), str(m)) for nums, m in rows])
 
 
-def _entries_json(table) -> list:
-    """A closed table's entries in weight order; its keys' weights share one
-    positive denominator."""
-    coords = table.coords
-    return _rows(((coords.numerators(key), m) for key, m in table.by_key.items()), coords.den)
+def _entries_json(table) -> Rows:
+    """A closed table's entries in weight order; its keys (k, l) have the
+    weights (k b + l c) / den for the basis numerators b, c of its coords."""
+    columns, den = table.coords.columns, table.coords.den
+    return _rows(((tuple([k * b + l * c for b, c in columns]), m)
+                  for (k, l), m in table.by_key.items()), den)
 
 
 def cmd_list_forms(args) -> int:
     payload = {
         "command": "list-forms",
-        "quaternionic": [
-            "g2_2",
-            "f4_4",
-            "e6_2",
-            "e7_m5",
-            "e8_m24",
-            "su2_n:<n>",
-            "so4_n:<n>",
-        ],
+        "quaternionic": ["g2_2", "f4_4", "e6_2", "e7_m5", "e8_m24", "su2_n:<n>", "so4_n:<n>"],
         "sp1q": ["sp1_q:<q>"],
         "so3": ["so3:<n>"],
         "hermitian": ["su_pq:<p>,<q>", "so_star:<n>", "sp_n_R:<n>", "e6_m14", "e7_m25"],
@@ -160,6 +191,7 @@ def cmd_list_forms(args) -> int:
 def cmd_branch(args) -> int:
     ctx, lam, closed, verify = _family(args)
     table = closed(ctx, lam, args.cutoff)
+    violations = check_table_dominance(ctx, table) if args.family == "quat" else []
     payload = {
         "command": "branch",
         "family": args.family,
@@ -170,17 +202,16 @@ def cmd_branch(args) -> int:
         "entries": _entries_json(table),
         "oracleChecked": False,
     }
+    del table  # freed before printing, which holds its rows and their text at once
     if args.check_oracle:
         report = verify(ctx, lam, OracleConfig(args.step_bound))
         payload["oracleChecked"] = True
         payload["oracle"] = _oracle_payload(report)
         if not report.agree:
             raise InternalError("closed form disagrees with the oracle")
-    if args.family == "quat":
-        violations = check_table_dominance(ctx, table)
-        if violations:
-            shown = "; ".join(format_weight(mu) for mu, _, _ in violations[:3])
-            raise InternalError(f"non-dominant parameters in the table: {shown}")
+    if violations:
+        shown = "; ".join(format_weight(mu) for mu, _, _ in violations[:3])
+        raise InternalError(f"non-dominant parameters in the table: {shown}")
     sys.stdout.write(_emit(payload, args.output))
     return 0
 
@@ -189,10 +220,7 @@ def _sp1q_param(form: str) -> int:
     name, _, param = form.partition(":")
     if name != "sp1_q":
         raise ConfigurationError(f"expected an sp1_q:<q> label, got {form!r}")
-    try:
-        return int(param)
-    except ValueError:
-        raise ConfigurationError(f"bad sp1_q parameter {param!r}") from None
+    return _parse_int(param, "sp1_q")
 
 
 def cmd_admissible(args) -> int:
@@ -242,7 +270,7 @@ def cmd_weights(args) -> int:
         "entries": _rows(rows, den, "weight"),
     }
     if args.output == "text":
-        sys.stdout.write("".join(f"{row['weight']}\t{row['mult']}\n" for row in payload["entries"]))
+        sys.stdout.write("".join(f"{w}\t{m}\n" for w, m in payload["entries"]))
         return 0
     sys.stdout.write(_emit(payload, args.output))
     return 0
@@ -285,7 +313,7 @@ def cmd_selftest(args) -> int:
                 for r in results
             ],
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_emit(payload, "json"))
     else:
         for r in results:
             sys.stdout.write(r.line() + "\n")

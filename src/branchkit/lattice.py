@@ -87,13 +87,6 @@ def scaled_points(weights: Sequence[Weight]) -> tuple[int, tuple[tuple[int, ...]
     return d, tuple(int_point(a, d) for a in weights)
 
 
-def sorted_weights(weights: Sequence[Weight]) -> tuple[Weight, ...]:
-    """The weights in sorted order, sorted on their int points at the common
-    denominator, which order as the Fraction tuples do."""
-    _, points = scaled_points(weights)
-    return tuple(weights[i] for i in sorted(range(len(weights)), key=points.__getitem__))
-
-
 def dual_covectors(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Positive multiples f_i of the dual basis of linearly independent int
     points s_j, in their span: (f_i, s_j) = 0 for j != i, (f_i, s_i) > 0.
@@ -195,38 +188,16 @@ def rational_solve(columns: Sequence[Weight], target: Weight):
 
     Returns the coefficient tuple, or None when the system is inconsistent.
     When the columns are linearly dependent a particular solution is returned
-    (free variables are set to zero).
+    (free variables are set to zero): it is read off the reduced row echelon
+    form of the augmented rows (``_echelon``).
     """
-    if not columns:
-        return () if is_zero(target) else None
-    m = len(target)
     k = len(columns)
-    # augmented matrix, rows indexed by coordinates
-    rows = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][k] != 0:
-            return None
+    pivots, rows = _echelon([[c[i] for c in columns] + [t] for i, t in enumerate(target)])
+    if k in pivots:
+        return None
     sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][k]
+    for c, row in zip(pivots, rows):
+        sol[c] = row[k]
     return tuple(sol)
 
 
@@ -346,7 +317,7 @@ class IntBasis:
 
     def numerators(self, key: Sequence[int]) -> tuple[int, ...]:
         """``den`` times the weight of key: keys order by weight as these do."""
-        return tuple(sum(map(mul, key, column)) for column in self.columns)
+        return tuple([sum(map(mul, key, column)) for column in self.columns])
 
     def to_weight(self, key: Sequence[int]) -> Weight:
         return tuple(Fraction(n, self.den) for n in self.numerators(key))

@@ -98,12 +98,19 @@ def compact_quotient_weights(ctx: SubgroupContext) -> dict:
     """The torus weights of the compact quotient directions: the projections
     onto the su(2) torus of the k2 positive roots outside the kernel (which
     pair to 0 with w_line), subgroup roots removed, by torus pairing (0, t)."""
+    h_roots = _h_pairings(ctx)
     out: dict = {}
-    h_roots = set(ctx.torus_pairings(ctx.h_roots))
-    for _, t in ctx.torus_pairings(ctx.k2_factor.positive):
+    points = ctx.rd.points[1]
+    for _, t in ctx.torus_pairings(points[i] for i in ctx.k2_factor.positions):
         if t and (0, t) not in h_roots:
             out[0, t] = out.get((0, t), 0) + 1
     return out
+
+
+def _h_pairings(ctx: SubgroupContext) -> set:
+    """The torus pairings of the subgroup's roots."""
+    scale = ctx.rd.points[0]
+    return set(ctx.torus_pairings(int_point(g, scale) for g in ctx.h_roots))
 
 
 def _lowest(x: tuple, d: int) -> tuple:
@@ -132,11 +139,12 @@ def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     point first along a shortest word, whose inverse is the minimal
     representative (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).
     """
-    scale = ctx.rd.points[0]
-    simple = [(a, sum(map(mul, a, a))) for a in (int_point(g, scale) for g in ctx.k2_factor.simple)]
+    scale, points, _ = ctx.rd.points
+    simple = [(a, sum(map(mul, a, a))) for a in ctx.k2_factor.int_roots[3]]
     # W(K2) permutes the noncompact positive roots, so every coset of one flip
-    # has the multiset of the identity
-    noncompact = {int_point(g, scale) for g in ctx.noncompact_positive}
+    # has the multiset of the identity; a simple root's reflection is the same
+    # at the factor's scale, which divides D
+    noncompact = {p for p, c in zip(points, ctx.rd.compact) if not c}
     if any({_reflect(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
         raise InternalError("a compact-factor reflection moves a noncompact positive root")
     first = ((), (_lowest(ctx.torus_points[1], scale), *vectors))
@@ -191,7 +199,7 @@ def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
     weights and the flipped noncompact roots' projections, read by torus
     pairing (``noncompact``); S_b negates the pairing with beta."""
     b, w, bb, ww = ctx.torus_points
-    h_roots, quotient = set(ctx.torus_pairings(ctx.h_roots)), compact_quotient_weights(ctx)
+    h_roots, quotient = _h_pairings(ctx), compact_quotient_weights(ctx)
     multisets = []
     for flip in flips:
         ms = dict(quotient)
@@ -220,7 +228,7 @@ def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
         terms,
         tuple(tuple(sorted((tuple(x * s0 // den for x in p), m) for p, m in ms.items()))
               for ms in multisets),
-        normalizer * t ** len(ctx.kernel_positive),
+        normalizer * t ** len(ctx.kernel),
     )
 
 
@@ -228,15 +236,16 @@ def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
 def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
     """The form's plan (memoized per context), read on the torus pairings."""
     b, w, bb, ww = ctx.torus_points
-    scale = ctx.rd.points[0]
-    kernel = [int_point(g, scale) for g in ctx.kernel_positive]
+    scale, points, _ = ctx.rd.points
+    kernel = [points[i] for i in ctx.kernel]
     # the Weyl polynomial's normalizer, the kernel-root product at their
     # half-sum rho_Z: (rho_Z, g) = (sum of the a, a) / (2 D^2) for a = D g
     total = tuple(map(sum, zip(*kernel)))
     normalizer = Fraction(prod(sum(map(mul, total, a)) for a in kernel),
                           (2 * scale * scale) ** len(kernel))
     kinds = ((Chart((ctx.beta, ctx.w_line)), (False, True),
-              ctx.torus_pairings(ctx.noncompact_positive)), (Chart((ctx.w_line,)), (False,), ()))
+              ctx.torus_pairings(p for p, c in zip(points, ctx.rd.compact) if not c)),
+             (Chart((ctx.w_line,)), (False,), ()))
     # per kind and flip, the vectors its terms read: the covectors m_c with
     # projection(v)[c] = (v, m_c), then the kernel roots, flipped; the walk
     # carries each distinct one once
@@ -316,7 +325,7 @@ def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,
         terms.append((tuple(sum(map(mul, row, point)) for row in maps), num, i))
     # every term's coefficient is its numerator over this one denominator
     series = ProductSum(tuple(terms), products,
-                        kind.denominator * den ** len(ctx.kernel_positive),
+                        kind.denominator * den ** len(ctx.kernel),
                         kind.chart.at_scale(kind.chart.scale * den))
     check_size(series.window_size(), f"the oracle's windows at step bound {cfg.step_bound}")
     return series

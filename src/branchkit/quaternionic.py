@@ -6,10 +6,11 @@ positive systems containing the compact one.
 ``SubgroupContext`` is the one context the oracle reads, for both branching
 families: ``QuaternionicContext`` adds the su(2,1) data, and
 ``specialcases.Sp1qContext`` the sp(1, 1) data of sp(1, q), the quaternionic
-form of type C.  Both are built by ``SubgroupContext.build``, which derives
-k2, its kernel roots and the subgroup's roots the same way for both.  The
-projections onto the subgroup and su(2) tori are int pairings with beta and
-w_line (``SubgroupContext.torus_points``).
+form of type C.  Both are built by ``SubgroupContext.build`` on the root
+datum's int data by position: compactness, beta's position and so k2, with
+no Fraction hashed; k2's simple roots and half-sum, its kernel roots and the
+projections onto the subgroup and su(2) tori (int pairings with beta and
+w_line, ``SubgroupContext.torus_points``) are read on ``rd.points`` on first use.
 
 Conventions locked against the distributional oracle (see ``oracle``):
 
@@ -55,7 +56,6 @@ from .lattice import (
     int_point,
     map_point,
     scaled_point,
-    scaled_points,
     wneg,
     wscale,
     wsub,
@@ -86,32 +86,29 @@ class SubgroupContext:
     rd: RootDatum
     beta: Weight             # the maximal root, compact
     w_line: Weight           # spans the su(2) torus inside k2
-    h_roots: frozenset       # roots of the subgroup, on the subgroup torus
+    h_roots: tuple[Weight, ...]   # roots of the subgroup, on the subgroup torus
     side_roots: tuple[Weight, ...]   # the multiplicities sit where every (mu, g) > 0
     mirrors: tuple           # (roots, sign): series symmetries, (S_b, -1) first
     k2_factor: CompactFactor
-    kernel_positive: tuple[Weight, ...]   # positive k2 roots killed by q_u
 
     @classmethod
     def build(cls, rd: RootDatum, beta: Weight, w_line: Weight, h_positive, side_roots,
               mirrors, **family):
-        """The context of class cls: k2 is the compact positive roots other
-        than beta orthogonal to beta, its kernel roots those orthogonal to
-        w_line too, and h_roots the h_positive roots with their negatives."""
-        _, (b, w, *points) = scaled_points((beta, w_line) + rd.compact_positive)
-        k2 = [(g, p) for g, p in zip(rd.compact_positive, points)
-              if p != b and sum(map(mul, p, b)) == 0]
-        if len(k2) + 1 != len(rd.compact_positive):
-            raise InternalError("a compact positive root other than beta meets beta")
+        """The context of class cls, for beta the highest root of rd: k2 is
+        the compact positive roots other than beta, which the highest-root
+        rule puts orthogonal to beta, and h_roots the h_positive roots with
+        their negatives."""
+        if beta != rd.positive[rd.highest]:
+            raise InternalError("beta is not the highest root of its root datum")
+        k2 = tuple(i for i, c in enumerate(rd.compact) if c and i != rd.highest)
         return cls(
             rd=rd,
             beta=beta,
             w_line=w_line,
-            h_roots=frozenset(h_positive + tuple(map(wneg, h_positive))),
+            h_roots=h_positive + tuple(map(wneg, h_positive)),
             side_roots=side_roots,
             mirrors=mirrors,
-            k2_factor=CompactFactor.from_positive(rd.form, [g for g, _ in k2]),
-            kernel_positive=tuple(g for g, p in k2 if sum(map(mul, p, w)) == 0),
+            k2_factor=CompactFactor(rd.form, tuple(rd.positive[i] for i in k2), rd, k2),
             **family,
         )
 
@@ -119,9 +116,16 @@ class SubgroupContext:
     def form(self) -> InnerProductForm:
         return self.rd.form
 
+    @functools.cached_property
+    def kernel(self) -> tuple[int, ...]:
+        """The positions in ``rd.positive`` of the k2 roots orthogonal to
+        w_line, killed by the projection onto the subgroup torus."""
+        points, w = self.rd.points[1], self.torus_points[1]
+        return tuple(i for i in self.k2_factor.positions if not sum(map(mul, points[i], w)))
+
     @property
-    def noncompact_positive(self) -> tuple[Weight, ...]:
-        return self.rd.noncompact_positive
+    def kernel_positive(self) -> tuple[Weight, ...]:
+        return tuple(self.rd.positive[i] for i in self.kernel)
 
     @functools.cached_property
     def torus_points(self):
@@ -129,16 +133,15 @@ class SubgroupContext:
         the root lattice at the scale D of ``rd.points``: x / D projects onto
         the subgroup torus as ((x, b) b / (b, b) + (x, w) w / (w, w)) / D and
         onto the su(2) torus as the second term (built on first use)."""
-        scale = self.rd.points[0]
-        b, w = int_point(self.beta, scale), int_point(self.w_line, scale)
+        scale, points, _ = self.rd.points
+        b, w = points[self.rd.highest], int_point(self.w_line, scale)
         return b, w, sum(map(mul, b, b)), sum(map(mul, w, w))
 
-    def torus_pairings(self, roots) -> list:
-        """((x, b), (x, w)) per root g, x = D g (see ``torus_points``)."""
-        scale = self.rd.points[0]
+    def torus_pairings(self, points) -> list:
+        """((x, b), (x, w)) per int point x = D g of a root g (see
+        ``torus_points``)."""
         b, w, _, _ = self.torus_points
-        return [(sum(map(mul, x, b)), sum(map(mul, x, w)))
-                for x in (int_point(g, scale) for g in roots)]
+        return [(sum(map(mul, x, b)), sum(map(mul, x, w))) for x in points]
 
     def su2_torus(self, table) -> tuple[dict, int]:
         """({n: multiplicity}, E): a weight table pushed onto the su(2)
@@ -178,7 +181,7 @@ def quaternionic_context(label: str) -> QuaternionicContext:
     rd = quaternionic_root_datum(label)
     psi, beta, alpha = small_system(rd)
     scale, points, _ = rd.points
-    b, a = int_point(beta, scale), int_point(alpha, scale)
+    b, a = points[rd.highest], int_point(alpha, scale)
     ab = sum(map(mul, a, b))
     if 2 * ab != sum(map(mul, a, a)) or 2 * ab != sum(map(mul, b, b)):
         raise InternalError("alpha and beta do not span an su(2,1) root system")
@@ -193,14 +196,14 @@ def quaternionic_context(label: str) -> QuaternionicContext:
         raise InternalError("fundamental weight L1 fails its defining pairings")
     if 2 * sum(map(mul, l2, a)) != 3 * sum(map(mul, a, a)) or sum(map(mul, l2, b_minus_a)):
         raise InternalError("fundamental weight L2 fails its defining pairings")
-    noncompact = rd.noncompact_positive
-    if len(noncompact) % 2:
+    noncompact = rd.compact.count(False)
+    if noncompact % 2:
         raise InternalError("odd number of noncompact positive roots")
     ctx = QuaternionicContext.build(
         rd, beta, wsub(beta, wscale(2, alpha)), (alpha, beta, wsub(beta, alpha)), (beta,),
         (((beta,), -1),), psi=psi, alpha=alpha,
         fw1=tuple(Fraction(x, 3 * scale) for x in l1),
-        fw2=tuple(Fraction(x, 3 * scale) for x in l2), d=len(noncompact) // 2,
+        fw2=tuple(Fraction(x, 3 * scale) for x in l2), d=noncompact // 2,
     )
     _verify_projections(ctx)
     return ctx
@@ -211,12 +214,13 @@ def _verify_projections(ctx: QuaternionicContext):
     and their projections onto span(beta, w_line) fall on L1 or L2.  As
     L1, L2 = (beta +- w_line / 3) / 2 lie in that span, the test compares
     the torus pairings (``torus_points``) of 3 D g, 3 D L1 and 3 D L2."""
-    scale, (b, w, _, _) = ctx.rd.points[0], ctx.torus_points
+    scale, points, _ = ctx.rd.points
+    b, w, _, _ = ctx.torus_points
     a = int_point(ctx.alpha, scale)
     targets = {(sum(map(mul, l, b)), sum(map(mul, l, w)))
                for l in (int_point(ctx.fw1, 3 * scale), int_point(ctx.fw2, 3 * scale))}
     special = {a, tuple(map(sub, b, a))}
-    noncompact = {int_point(g, scale) for g in ctx.noncompact_positive}
+    noncompact = {p for p, c in zip(points, ctx.rd.compact) if not c}
     for p in noncompact:
         if tuple(map(sub, b, p)) not in noncompact:
             raise InternalError("beta - gamma is not a noncompact positive root")
@@ -387,8 +391,8 @@ def admissible_system(ctx: QuaternionicContext, sigma: PositiveSystem) -> bool:
     to the su(2,1) subgroup iff sigma is the small system itself.  Needs
     d >= 2, like the closed form and the oracle."""
     require_proper_subgroup(ctx, "the admissibility decision needs d >= 2 noncompact root pairs")
-    compact = frozenset(g for g in ctx.rd.roots if ctx.rd.is_compact(g))
     delta = frozenset(ctx.rd.compact_positive)
+    compact = delta | frozenset(map(wneg, delta))
     if sigma.chosen_set() & compact != delta:
         raise DomainError("positive system does not contain the compact positive system")
     return sigma.chosen_set() == ctx.psi.chosen_set()

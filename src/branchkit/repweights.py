@@ -30,7 +30,7 @@ import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import ConfigurationError, DimensionError, DomainError, InternalError, ResourceError
@@ -41,11 +41,10 @@ from .lattice import (
     format_weight,
     scaled_point,
     scaled_points,
-    sorted_weights,
     wneg,
     wsub,
 )
-from .rootsystems import PositiveSystem, RootDatum, half_sum, simple_elements
+from .rootsystems import PositiveSystem, RootDatum, simple_positions
 
 DIMENSION_BOUND = 10**7
 
@@ -81,29 +80,51 @@ def check_size(count: int, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CompactFactor:
-    """A (possibly reducible) compact root subsystem inside the ambient space."""
+    """A (possibly reducible) compact root subsystem inside the ambient space,
+    given by its positive roots in sorted order.  Its int roots, simple roots
+    and half-sum are read on int points on first use: on the points of
+    ``datum``, whose positive roots at ``positions`` are this factor's, or on
+    its own roots' points."""
 
     form: InnerProductForm
     positive: tuple[Weight, ...]
-    simple: tuple[Weight, ...]
-    rho: Weight
+    datum: RootDatum | None = None
+    positions: tuple[int, ...] = ()
 
     @classmethod
     def from_positive(cls, form: InnerProductForm, positive) -> "CompactFactor":
-        pos = sorted_weights(tuple(positive))
-        return cls(form, pos, simple_elements(pos, form), half_sum(form.dim, pos))
+        """The factor of the given positive roots, sorted on their int points."""
+        _, points = scaled_points(positive := tuple(positive))
+        order = sorted(range(len(points)), key=points.__getitem__)
+        return cls(form, tuple(positive[i] for i in order))
 
     @functools.cached_property
     def int_roots(self):
         """(2 D, ((a, (a, a), (a, 2 D rho)), ...), 2 D rho, simple): each
         positive root g as the int point a = D g at their common denominator
         D, with its norm and its pairing with 2 D rho, and the simple roots'
-        points; <v, g-check> = 2 D (a, v) / (a, a)."""
-        scale, points = scaled_points(self.positive + self.simple)
-        points, simple = points[:len(self.positive)], points[len(self.positive):]
+        points (``simple_positions``); <v, g-check> = 2 D (a, v) / (a, a)."""
+        if self.datum is None:
+            scale, points = scaled_points(self.positive)
+        else:  # the datum's points at its scale, divided down to the factor's
+            scale, points, _ = self.datum.points
+            points = [points[i] for i in self.positions]
+            g = gcd(scale, *(x for a in points for x in a))
+            scale, points = scale // g, tuple(tuple(x // g for x in a) for a in points)
         two_rho = tuple(map(sum, zip(*points))) or (0,) * self.form.dim
         return (2 * scale, tuple((a, sum(map(mul, a, a)), sum(map(mul, a, two_rho)))
-                                 for a in points), two_rho, simple)
+                                 for a in points),
+                two_rho, tuple(points[i] for i in simple_positions(points)))
+
+    @functools.cached_property
+    def simple(self) -> tuple[Weight, ...]:
+        simple = self.int_roots[3]
+        return tuple(g for g, (a, _, _) in zip(self.positive, self.int_roots[1]) if a in simple)
+
+    @functools.cached_property
+    def rho(self) -> Weight:
+        two_d, _, two_rho, _ = self.int_roots
+        return tuple(Fraction(x, two_d) for x in two_rho)
 
 
 def regular_integral_pairings(rd: RootDatum, lam: Weight) -> tuple[int, ...]:

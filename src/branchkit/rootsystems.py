@@ -6,9 +6,10 @@ as a brute-force reference.
 Every family's root system is realized here (``_base_system``): the
 quaternionic forms, sp(1, q) and the Hermitian forms all take their roots and
 simple roots from it.  A positive system is the closure of the simple roots
-under adding a simple root while the sum stays a root, and the highest root is
-the positive root that no simple root raises; both are set lookups on the
-root list, with no linear solve.
+under adding a simple root while the sum stays a root, the highest root is
+the positive root that no simple root raises, and the simple roots of a
+positive subsystem are found in height order; all are set lookups on int
+points, with no linear solve.
 
 All systems live in standard Bourbaki coordinates with the Euclidean inner
 product.  Every quantity consumed downstream (coroot pairings, Weyl
@@ -18,9 +19,10 @@ where the Killing form would differ by a factor.
 
 Compactness for the quaternionic families, sp(1, q) among them as the one of
 type C, is derived uniformly from the pairing with the coroot of the highest
-root b: pairing 0 or 2 means compact, pairing 1 means noncompact (applied to
-positive roots, extended by negation).  A form label names its base system
-(family, rank), and so the number of coordinates, before any root is built.
+root b: pairing 0 or 2 means compact, pairing 1 means noncompact.  A datum
+keeps it by position in its positive roots, with b's position, so a reader
+needs no lookup by weight.  A form label names its base system (family,
+rank), and so the number of coordinates, before any root is built.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add, mul, sub
 
 from .errors import ConfigurationError, DomainError, InternalError, ResourceError
@@ -44,7 +47,6 @@ from .lattice import (
     reflect,
     reflection_matrix,
     scaled_points,
-    sorted_weights,
     wadd,
     weight,
     wneg,
@@ -62,18 +64,21 @@ class RootDatum:
     roots: tuple[Weight, ...]
     positive: tuple[Weight, ...]
     simple: tuple[Weight, ...]
-    compactness: dict  # Weight -> bool (True = compact), defined on all roots
+    compact: tuple[bool, ...]  # by position in positive; a root and its negative agree
+    highest: int | None = None  # the highest root's position, where it labels compactness
 
     def is_compact(self, gamma: Weight) -> bool:
-        return self.compactness[gamma]
+        """Whether the root gamma is compact, found by weight in ``positive``."""
+        neg = wneg(gamma)
+        return self.compact[[g == gamma or g == neg for g in self.positive].index(True)]
 
     @functools.cached_property
     def compact_positive(self) -> tuple[Weight, ...]:
-        return tuple(g for g in self.positive if self.compactness[g])
+        return tuple(g for g, c in zip(self.positive, self.compact) if c)
 
     @functools.cached_property
     def noncompact_positive(self) -> tuple[Weight, ...]:
-        return tuple(g for g in self.positive if not self.compactness[g])
+        return tuple(g for g, c in zip(self.positive, self.compact) if not c)
 
     @functools.cached_property
     def points(self):
@@ -85,19 +90,29 @@ class RootDatum:
 
 @dataclass(frozen=True, eq=False)
 class PositiveSystem:
-    """A positive system inside a RootDatum, with its half-sum."""
+    """A positive system inside a RootDatum, with its half-sum (built on first use)."""
 
     parent: RootDatum
     chosen: tuple[Weight, ...]
-    rho: Weight
 
     def chosen_set(self) -> frozenset:
         return frozenset(self.chosen)
 
     @functools.cached_property
+    def rho(self) -> Weight:
+        """Half the sum of the chosen roots, added on the parent's int points
+        when they are its positive roots."""
+        scale, points = (self.parent.points[:2] if self.chosen is self.parent.positive
+                         else scaled_points(self.chosen))
+        return tuple(Fraction(sum(x), 2 * scale) for x in zip(*points)) or zero_weight(
+            self.parent.form.dim)
+
+    @functools.cached_property
     def signs(self) -> tuple[int, ...]:
         """The system by position: it holds s g for the root g at position i
         of ``parent.positive`` and s = signs[i] (read on int points, once)."""
+        if self.chosen is self.parent.positive:
+            return (1,) * len(self.chosen)
         scale, points, _ = self.parent.points
         chosen = {int_point(g, scale) for g in self.chosen}
         signs = tuple(1 if a in chosen else -1 for a in points)
@@ -107,14 +122,7 @@ class PositiveSystem:
 
 
 def positive_system(rd: RootDatum, chosen=None) -> PositiveSystem:
-    roots = tuple(sorted(chosen)) if chosen is not None else rd.positive
-    return PositiveSystem(rd, roots, half_sum(rd.form.dim, roots))
-
-
-def half_sum(form_dim: int, roots) -> Weight:
-    """Half the sum of the roots, added on int points."""
-    scale, points = scaled_points(roots)
-    return tuple(Fraction(sum(x), 2 * scale) for x in zip(*points)) or zero_weight(form_dim)
+    return PositiveSystem(rd, tuple(sorted(chosen)) if chosen is not None else rd.positive)
 
 
 @dataclass(frozen=True)
@@ -181,79 +189,37 @@ def _type_g2():
 
 def _type_f4():
     roots = _signed_pairs(4, singles=1)
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    roots.append(
-                        (Fraction(s1, 2), Fraction(s2, 2), Fraction(s3, 2), Fraction(s4, 2))
-                    )
-    simples = [
-        weight([0, 1, -1, 0]),
-        weight([0, 0, 1, -1]),
-        weight([0, 0, 0, 1]),
-        weight(["1/2", "-1/2", "-1/2", "-1/2"]),
-    ]
+    roots += [tuple(Fraction(x, 2) for x in signs) for signs in product((1, -1), repeat=4)]
+    simples = [weight([0, 1, -1, 0]), weight([0, 0, 1, -1]), weight([0, 0, 0, 1]),
+               weight(["1/2", "-1/2", "-1/2", "-1/2"])]
     return roots, simples
 
 
 def _half_vectors(signs_on, fixed, n=8, parity=0):
     """Half-integer E-series vectors: entries +-1/2 on signs_on with given sign
     parity (number of minus signs mod 2), fixed coordinates elsewhere."""
-    out = []
-    k = len(signs_on)
-    for mask in range(1 << k):
-        minus = bin(mask).count("1")
-        if minus % 2 != parity:
-            continue
-        v = [Fraction(0)] * n
-        for idx, coord in enumerate(signs_on):
-            v[coord] = Fraction(-1, 2) if (mask >> idx) & 1 else Fraction(1, 2)
-        for coord, val in fixed.items():
-            v[coord] = val
-        out.append(tuple(v))
-    return out
+    return [_vector(n, {**fixed, **{c: Fraction(s, 2) for c, s in zip(signs_on, signs)}})
+            for signs in product((1, -1), repeat=len(signs_on)) if signs.count(-1) % 2 == parity]
 
 
 def _type_e(rank: int):
     h = Fraction(1, 2)
-    simples8 = [
-        (h, -h, -h, -h, -h, -h, -h, h),
-        weight([1, 1, 0, 0, 0, 0, 0, 0]),
-        weight([-1, 1, 0, 0, 0, 0, 0, 0]),
-        weight([0, -1, 1, 0, 0, 0, 0, 0]),
-        weight([0, 0, -1, 1, 0, 0, 0, 0]),
-        weight([0, 0, 0, -1, 1, 0, 0, 0]),
-        weight([0, 0, 0, 0, -1, 1, 0, 0]),
-        weight([0, 0, 0, 0, 0, -1, 1, 0]),
-    ]
-    roots: list[Weight] = []
+    simples8 = [(h, -h, -h, -h, -h, -h, -h, h), _vector(8, {0: 1, 1: 1})]
+    simples8 += [_vector(8, {i: -1, i + 1: 1}) for i in range(6)]
     if rank == 8:
-        roots = _signed_pairs(8)
-        # half-integer roots: even number of minus signs
-        for mask in range(1 << 8):
-            if bin(mask).count("1") % 2 == 0:
-                roots.append(
-                    tuple(Fraction(-1, 2) if (mask >> i) & 1 else Fraction(1, 2) for i in range(8))
-                )
+        roots = _signed_pairs(8) + _half_vectors(range(8), {})  # an even number of minus signs
         simples = simples8
     elif rank == 7:
         roots = [r for r in _signed_pairs(8) if all(r[i] == 0 for i in (6, 7))]
         roots += [weight([0, 0, 0, 0, 0, 0, -1, 1]), weight([0, 0, 0, 0, 0, 0, 1, -1])]
         # +-(e8 - e7 + sum over e1..e6 with an odd number of minus signs)/...
-        for base in _half_vectors(list(range(6)), {6: Fraction(-1, 2), 7: Fraction(1, 2)}, parity=1):
-            roots.append(base)
-            roots.append(wneg(base))
+        halves = _half_vectors(range(6), {6: -h, 7: h}, parity=1)
+        roots += halves + [wneg(g) for g in halves]
         simples = simples8[:7]
     elif rank == 6:
         roots = [r for r in _signed_pairs(8) if all(r[i] == 0 for i in (5, 6, 7))]
-        for base in _half_vectors(
-            list(range(5)),
-            {5: Fraction(-1, 2), 6: Fraction(-1, 2), 7: Fraction(1, 2)},
-            parity=0,
-        ):
-            roots.append(base)
-            roots.append(wneg(base))
+        halves = _half_vectors(range(5), {5: -h, 6: -h, 7: h})
+        roots += halves + [wneg(g) for g in halves]
         simples = simples8[:6]
     else:
         raise ConfigurationError(f"unsupported E-series rank {rank}")
@@ -265,11 +231,13 @@ def _type_e(rank: int):
 
 
 def _positive_from_simples(roots, simples):
-    """Positive roots: the simple roots, closed under adding a simple root
-    while the sum is still a root.  Every positive root is reached, since it
-    is a chain of simple roots whose partial sums are all roots (Humphreys,
-    Introduction to Lie Algebras, 10.2); a root outside the span of the simple
-    roots is not, and breaks the half split.  The closure runs on int points."""
+    """The positive roots as int points at the roots' common denominator:
+    ({point: root} in sorted order, the positive roots' sorted points, the
+    simple roots' points).  The positive roots are the simple roots, closed
+    under adding a simple root while the sum is still a root.  Every positive
+    root is reached, since it is a chain of simple roots whose partial sums
+    are all roots (Humphreys, Introduction to Lie Algebras, 10.2); a root
+    outside the span of the simple roots is not, and breaks the half split."""
     den, points = scaled_points(roots)
     by_point = dict(zip(points, roots))
     steps = [int_point(a, den) for a in simples]
@@ -280,7 +248,7 @@ def _positive_from_simples(roots, simples):
         positive |= level
     if 2 * len(positive) != len(roots):
         raise InternalError("positive system does not split the roots in half")
-    return tuple(by_point[p] for p in sorted(positive))
+    return {p: by_point[p] for p in sorted(points)}, sorted(positive), steps
 
 
 def simple_elements(positives, form: InnerProductForm):
@@ -294,15 +262,26 @@ def simple_elements(positives, form: InnerProductForm):
                  if not any(tuple(map(sub, p, a)) in pos for a in points))
 
 
-def highest_root(rd: RootDatum) -> Weight:
-    """The positive root that no simple root raises to another root; it is
-    unique exactly when the system is irreducible (Humphreys, 10.4).  A
-    positive root plus a simple root is positive if it is a root."""
-    den, points = scaled_points(rd.positive)
+def simple_positions(points) -> tuple[int, ...]:
+    """The positions of the simple roots among the int points of a positive
+    system, in O(N rank) lookups: a positive root that is not simple, less
+    some simple root, is positive (Humphreys, 10.2, Corollary to Lemma A),
+    and in order of the pairing with 2 rho a sum comes after its summands."""
+    two_rho = tuple(map(sum, zip(*points)))
+    pos, simple = set(points), []
+    for i in sorted(range(len(points)), key=lambda i: sum(map(mul, points[i], two_rho))):
+        if not any(tuple(map(sub, points[i], points[j])) in pos for j in simple):
+            simple.append(i)
+    return tuple(sorted(simple))
+
+
+def _highest(points, steps) -> int:
+    """The position of the positive root that no simple root raises to
+    another root, on int points; it is unique exactly when the system is
+    irreducible (Humphreys, 10.4)."""
     positive = set(points)
-    steps = [int_point(a, den) for a in rd.simple]
-    top = [g for g, p in zip(rd.positive, points)
-           if all(tuple(map(add, p, a)) not in positive for a in steps)]
+    top = [i for i, p in enumerate(points) if all(tuple(map(add, p, a)) not in positive
+                                                  for a in steps)]
     if len(top) != 1:
         raise InternalError("highest root is not unique; reducible system?")
     return top[0]
@@ -379,39 +358,33 @@ def _highest_root_datum(label: str, family: str, rank: int) -> RootDatum:
     pairing rule, which realizes the quaternionic real form: sp(1, q) is the
     one of type C (``label`` names the datum)."""
     roots, simples = _base_system(family, rank)
-    form = identity_form(len(roots[0]))
-    positive = _positive_from_simples(roots, simples)
-    compactness = {}  # filled below; highest_root reads no labels
-    rd = RootDatum(label, form, sorted_weights(roots), positive, tuple(simples), compactness)
-    beta = highest_root(rd)
-    den, points = scaled_points(positive)
-    b = int_point(beta, den)
+    by_point, points, steps = _positive_from_simples(roots, simples)
+    top = _highest(points, steps)
+    b = points[top]
     bb = sum(map(mul, b, b))
-    for g, p in zip(positive, points):  # n / bb = <g, beta-check>, on int points
+    compact = []
+    for p in points:  # n / bb = <g, beta-check>, on int points
         n = 2 * sum(map(mul, p, b))
         if n not in (0, bb, 2 * bb):
-            raise InternalError(
-                f"unexpected highest-root pairing {Fraction(n, bb)} for {format_weight(g)}"
-            )
-        compactness[g] = compactness[wneg(g)] = n != bb
-    return rd
+            raise InternalError(f"unexpected highest-root pairing {Fraction(n, bb)} "
+                                f"for {format_weight(by_point[p])}")
+        compact.append(n != bb)
+    return RootDatum(label, identity_form(len(roots[0])), tuple(by_point.values()),
+                     tuple(map(by_point.__getitem__, points)), tuple(simples), tuple(compact), top)
 
 
 def small_system(rd: RootDatum):
     """The distinguished positive system with compact maximal root.
 
-    Returns (PositiveSystem, beta, alpha) where beta is the maximal root and
-    alpha a noncompact simple root with 2(beta, alpha)/(alpha, alpha) = 1.
-    Verifies the quaternionic conditions: beta compact, the noncompact simple
+    Returns (PositiveSystem, beta, alpha) where beta is the maximal root,
+    compact by the highest-root rule, and alpha a noncompact simple root with
+    2(beta, alpha)/(alpha, alpha) = 1.  Verifies that the noncompact simple
     coefficients of beta sum to 2, read on int points as (f_i, beta) / (f_i, a_i).
     """
-    ps = positive_system(rd)
-    beta = highest_root(rd)
-    if not rd.is_compact(beta):
-        raise InternalError("maximal root is not compact; wrong realization")
-    scale = rd.points[0]
-    b, simple = int_point(beta, scale), [int_point(a, scale) for a in rd.simple]
-    noncompact = [not rd.is_compact(a) for a in rd.simple]
+    scale, points, _ = rd.points
+    b = points[rd.highest]
+    simple = [int_point(a, scale) for a in rd.simple]
+    noncompact = [2 * sum(map(mul, a, b)) == sum(map(mul, b, b)) for a in simple]
     coeffs = [divmod(sum(map(mul, f, b)), sum(map(mul, f, a)))
               for f, a in zip(dual_covectors(simple), simple)]
     if any(r for _, r in coeffs) or sum(c for (c, _), n in zip(coeffs, noncompact) if n) != 2:
@@ -421,7 +394,7 @@ def small_system(rd: RootDatum):
     if not candidates:
         raise InternalError("no noncompact simple root pairs to 1 with the maximal root")
     alpha = candidates[0]  # deterministic: first in simple-root order
-    return ps, beta, alpha
+    return positive_system(rd), rd.positive[rd.highest], alpha
 
 
 def weyl_generate(form: InnerProductForm, generators, order_bound=10**6):
@@ -506,12 +479,12 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
     simple roots.  The walk starts from ``rd.positive``, first reflected into
     delta's chamber by the roots of delta.
     """
-    den, points = scaled_points(rd.roots)
+    _, points = scaled_points(rd.roots)
     point = dict(zip(rd.roots, points))
     if not delta.chosen_set() <= point.keys():
         return []
     norm = {p: sum(map(mul, p, p)) for p in point.values()}
-    compact = {p for g, p in point.items() if rd.is_compact(g)}
+    compact = {x for p, c in zip(rd.points[1], rd.compact) if c for x in (p, tuple(-y for y in p))}
     wanted = {point[g] for g in delta.chosen}
 
     def reflect_in(x, a):  # x pairs integrally with the coroot of a
@@ -537,5 +510,5 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
     systems = []
     for key in seen:
         chosen = tuple(sorted(g for g, p in point.items() if sum(map(mul, p, key)) > 0))
-        systems.append(PositiveSystem(rd, chosen, tuple(Fraction(x, 2 * den) for x in key)))
+        systems.append(PositiveSystem(rd, chosen))
     return sorted(systems, key=lambda ps: ps.chosen)

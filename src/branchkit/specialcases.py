@@ -20,6 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .errors import ConfigurationError, DomainError, InternalError
 from .formal import ProductSum
@@ -27,9 +28,9 @@ from .lattice import (
     Weight,
     format_weight,
     identity_form,
-    inner,
     map_point,
-    sorted_weights,
+    scaled_point,
+    scaled_points,
     wadd,
     weight,
     wneg,
@@ -64,9 +65,8 @@ from .rootsystems import (
     _base_system,
     _highest_root_datum,
     _vector,
-    half_sum,
     positive_system,
-    simple_elements,
+    simple_positions,
 )
 
 # ---------------------------------------------------------------------------
@@ -346,27 +346,26 @@ def parse_hermitian_label(label: str):
 
 @functools.lru_cache(maxsize=None)
 def hermitian_data(label: str) -> HermitianData:
-    """Assemble the realized Hermitian form and its certificate sets."""
+    """Assemble the realized Hermitian form and its certificate sets; the
+    roots are sorted and split, and the simple roots found, on int points."""
     name, params, system = parse_hermitian_label(label)
     roots, _ = _base_system(*system)
     z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
-    dim = len(roots[0])
-    form = identity_form(dim)
+    form = identity_form(len(roots[0]))
     # K is the centralizer of the central direction z; the holomorphic
     # system is positive on z for noncompact roots, a fixed generic order on
     # the compact ones
-    v_reg = _compact_regular_vector(name, dim)
-    compactness, positive = {}, []
-    for g in roots:
-        zval = inner(form, g, z)
-        compactness[g] = zval == 0
-        if zval > 0 or (zval == 0 and inner(form, g, v_reg) > 0):
-            positive.append(g)
-    if 2 * len(positive) != len(roots):
+    _, points = scaled_points(roots)
+    by_point = dict(zip(points, roots))
+    zp, vp = scaled_point(z)[0], scaled_point(_compact_regular_vector(name, form.dim))[0]
+    pairs = sorted((p, sum(map(mul, p, zp))) for p in points)
+    split = [(p, not n) for p, n in pairs if n > 0 or not n and sum(map(mul, p, vp)) > 0]
+    if 2 * len(split) != len(roots):
         raise InternalError("holomorphic system does not split the roots")
-    positive = sorted_weights(positive)
-    rd = RootDatum(label, form, sorted_weights(roots), positive,
-                   simple_elements(positive, form), compactness)
+    positive = tuple(by_point[p] for p, _ in split)
+    simple = simple_positions([p for p, _ in split])
+    rd = RootDatum(label, form, tuple(by_point[p] for p, _ in pairs), positive,
+                   tuple(positive[i] for i in simple), tuple(c for _, c in split))
     psi_h = positive_system(rd)
     position = {g: i for i, g in enumerate(positive)}
 
@@ -378,7 +377,7 @@ def hermitian_data(label: str) -> HermitianData:
 
     return HermitianData(label, rd, psi_h, tuple(map(signed_position, cert)),
                          tuple(map(signed_position, conj)), tube,
-                         tuple(i for i, g in enumerate(positive) if compactness[g]))
+                         tuple(i for i, c in enumerate(rd.compact) if c))
 
 
 def _compact_regular_vector(name: str, dim: int) -> Weight:
@@ -398,7 +397,7 @@ def holomorphic_chamber_parameter(hd: HermitianData) -> Weight:
 def antiholomorphic_chamber_parameter(hd: HermitianData) -> Weight:
     """The half-sum of the holomorphic system with its noncompact roots negated."""
     rd = hd.rd
-    return half_sum(rd.form.dim, [g if rd.is_compact(g) else wneg(g) for g in hd.psi_h.chosen])
+    return positive_system(rd, [g if c else wneg(g) for g, c in zip(rd.positive, rd.compact)]).rho
 
 
 def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> tuple[int, ...]:

@@ -25,7 +25,8 @@ The last section holds the Fraction torus projections ``q_u`` and
 pairings with beta and w_line: the oracle plan, its quotient weights,
 normalizer and coset walk, the split of a parameter, the pushforward of a
 weight table and its su(2) strings, and Freudenthal's walk over dominant
-representatives with a coweight test.
+representatives with a coweight test.  ``half_sum`` adds roots in
+Fractions: the reference for ``PositiveSystem.rho``.
 """
 
 import functools
@@ -58,8 +59,14 @@ from branchkit.lattice import (
 from branchkit.oracle import ComparisonReport, CosetSum, OraclePlan, oracle_plan
 from branchkit.quaternionic import BranchingTable, lam2_weight_table
 from branchkit.repweights import _dominant_representative
-from branchkit.rootsystems import WeylElement, half_sum
+from branchkit.rootsystems import WeylElement
 from branchkit.specialcases import sp1q_string_table
+
+
+def half_sum(form_dim: int, roots):
+    """Half the sum of the roots, added in Fractions: the reference for
+    ``PositiveSystem.rho``."""
+    return tuple(sum((g[i] for g in roots), Fraction(0)) / 2 for i in range(form_dim))
 
 
 def apply_matrix(m, v):
@@ -96,7 +103,7 @@ def restriction_multiset(ctx, w, flip: bool) -> dict:
     joined with the projections of the transformed noncompact positive
     roots, subgroup roots removed."""
     ms = dict(reference_compact_quotient_weights(ctx))
-    for g in ctx.noncompact_positive:
+    for g in ctx.rd.noncompact_positive:
         img = apply_matrix(w.matrix, g)
         if flip:
             img = apply_matrix(reflection_matrix(ctx.beta), img)
@@ -337,7 +344,7 @@ def reference_verify_projections(ctx):
     and their projections by the Fraction ``q_u`` fall on L1 and L2."""
     targets = {ctx.fw1, ctx.fw2}
     special = {ctx.alpha, wsub(ctx.beta, ctx.alpha)}
-    noncompact = set(ctx.noncompact_positive)
+    noncompact = set(ctx.rd.noncompact_positive)
     for g in noncompact:
         if wsub(ctx.beta, g) not in noncompact:
             raise InternalError("beta - gamma is not a noncompact positive root")
@@ -520,7 +527,7 @@ def reference_oracle_plan(ctx) -> OraclePlan:
     the coset walk carries their Fraction reflections in beta."""
     dim = ctx.form.dim
     flipped = lambda w: reflect(ctx.form, w, ctx.beta)  # noqa: E731
-    kinds = ((functools.partial(q_u, ctx), (False, True), ctx.noncompact_positive),
+    kinds = ((functools.partial(q_u, ctx), (False, True), ctx.rd.noncompact_positive),
              (functools.partial(q_u_k2, ctx), (False,), ()))
     charts = []
     for project, _, _ in kinds:

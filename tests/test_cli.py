@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchkit import repweights, rootsystems, specialcases
-from branchkit.cli import SCHEMA_PATH, main
+from branchkit.cli import SCHEMA_PATH, Rows, _emit, _write_json, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
 from branchkit.quaternionic import quaternionic_context
@@ -583,3 +583,63 @@ def test_cli_exits_cleanly_on_any_input(schema, argv, bound):
     assert code in (0, 2, 3), (argv, bound, err.getvalue())
     if code == 0:
         jsonschema.validate(json.loads(out.getvalue()), schema)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps(payload, indent=2, sort_keys=True)
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+_LEAVES = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é€😀", "a\"b\\c"]))
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _DOCUMENTS, max_size=6), _DOCUMENTS)
+def test_writer_matches_json_dumps(payload, document):
+    assert _emit(payload, "json") == _dumps(payload) + "\n"
+    out: list = []
+    _write_json(document, "", out)
+    assert "".join(out) == _dumps(document)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(st.characters(blacklist_characters="{}")), min_size=1, max_size=4,
+                unique=True).flatmap(lambda keys: st.tuples(
+                    st.just(tuple(keys)),
+                    st.lists(st.tuples(*[st.text()] * len(keys)), max_size=5))),
+       st.text())
+def test_rows_write_as_a_list_of_objects(keys_rows, name):
+    keys, rows = keys_rows
+    want = [dict(zip(keys, row)) for row in rows]
+    assert _emit({name: Rows(keys, rows), "n": 1}, "json") == _dumps({name: want, "n": 1}) + "\n"
+
+
+_EVERY_SUBCOMMAND = [
+    ["list-forms"],
+    ["branch", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--cutoff", "3", "--check-oracle",
+     "--step-bound", "3"],
+    ["branch", "sp1q", "--form", "sp1_q:2", "--lambda=4,2,1", "--cutoff", "3"],
+    ["admissible", "hermitian", "--form", "su_pq:2,3", "--lambda=5,4,3,-1,-2"],
+    ["admissible", "so3", "--n", "4"],
+    ["weights", "--form", "g2_2", "--lambda=-1,-2,3"],
+    ["weights", "--form", "sp1_q:3", "--lambda=5,3,2,1", "--project", "torus"],
+    ["oracle-check", "quat", "--form", "su2_n:2", "--lambda=3,1,0,-2", "--step-bound", "3"],
+    ["oracle-check", "sp1q", "--form", "sp1_q:2", "--lambda=4,2,1", "--step-bound", "4"],
+    ["selftest", "--only", "AC-1", "--output", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_every_subcommand_prints_what_json_dumps_would(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == _dumps(json.loads(out)) + "\n"

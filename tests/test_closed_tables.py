@@ -81,7 +81,7 @@ def _draw(rng, ctx, rho, fundamentals):
 
 
 def _rows(table):
-    return [{"mu": format_weight(mu), "mult": str(m)} for mu, m in table.sorted_entries()]
+    return [(format_weight(mu), str(m)) for mu, m in table.sorted_entries()]
 
 
 def _check_quat(ctx, lam, cutoff):

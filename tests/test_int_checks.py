@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import cli, repweights
+from branchkit import cli, quaternionic, repweights
 from branchkit.errors import DomainError, InternalError
 from branchkit.lattice import (
     IntBasis,
@@ -41,6 +41,7 @@ from branchkit.quaternionic import (
     table_coords,
 )
 from branchkit.repweights import (
+    CompactFactor,
     _dominant_representative,
     _dominant_weights,
     hc_to_highest_weight,
@@ -48,7 +49,15 @@ from branchkit.repweights import (
     validate_hc_parameter,
     weyl_dimension,
 )
-from branchkit.rootsystems import positive_system, positive_systems_containing
+from branchkit.rootsystems import (
+    _highest_root_datum,
+    parse_quaternionic_label,
+    positive_system,
+    positive_systems_containing,
+    quaternionic_root_datum,
+    simple_elements,
+    simple_positions,
+)
 from branchkit.specialcases import (
     Sp1qContext,
     _sp1q_branching_table,
@@ -418,3 +427,66 @@ def test_sp1q_singular_wall_is_read_on_points(q):
     p = (3 * s, -3 * s)  # on a = -k, off the wall; it and its mirrors are certified zeros
     assert series.coefficient(p) == 0
     ctx.check_extracted(series, p, 0)
+
+
+# ---------------------------------------------------------------------------
+# the subgroup contexts, built on the root data's int points by position
+
+CONTEXT_FORMS = QUAT_FORMS + ("su2_n:2", "su2_n:5", "so4_n:4", "so4_n:6")
+
+
+def _fresh_contexts():
+    """Every quaternionic form's context, and sp(1, q)'s for q = 2..4, built
+    anew by the memoized builders' own functions on fresh root data."""
+    data = {label: _highest_root_datum(label, *parse_quaternionic_label(label))
+            for label in CONTEXT_FORMS}
+    return data, lambda: ([quaternionic_context.__wrapped__(label) for label in CONTEXT_FORMS]
+                          + [sp1q_context.__wrapped__(q) for q in (2, 3, 4)])
+
+
+def test_context_builds_hash_no_fraction(monkeypatch):
+    # with the root data built and no int point read yet, building a context
+    # reads compactness, beta and the k2 roots by position in rd.positive
+    data, build = _fresh_contexts()
+    monkeypatch.setattr(quaternionic, "quaternionic_root_datum", data.__getitem__)
+    calls = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    contexts = build()
+    assert not calls
+    hash(Fraction(1, 3))
+    assert calls  # the patch counts
+    assert [ctx.rd for ctx in contexts[:len(CONTEXT_FORMS)]] == list(data.values())
+
+
+@pytest.mark.parametrize("label", CONTEXT_FORMS + ("su2_n:10", "sp1_q:2", "sp1_q:3", "sp1_q:4"))
+def test_int_built_factor_matches_from_positive(label):
+    # k2 read by position on the datum's points equals the factor built from
+    # its Fraction roots, picked by compactness and orthogonality to beta
+    if label.startswith("sp1_q:"):
+        ctx = sp1q_context(int(label.split(":")[1]))
+    else:
+        ctx = quaternionic_context(label)
+    rd, beta = ctx.rd, ctx.beta
+    k2 = [g for g in rd.positive if rd.is_compact(g) and g != beta and not inner(ctx.form, g, beta)]
+    got, want = ctx.k2_factor, CompactFactor.from_positive(rd.form, k2)
+    assert (got.positive, got.simple, got.rho, got.int_roots) == (
+        want.positive, want.simple, want.rho, want.int_roots)
+    # the search in height order finds the pairwise search's simple roots
+    assert got.simple == simple_elements(k2, rd.form)
+    assert rd.positive[rd.highest] == beta
+    assert ctx.kernel_positive == tuple(g for g in k2 if not inner(ctx.form, g, ctx.w_line))
+
+
+@pytest.mark.parametrize("label", CONTEXT_FORMS + ("su2_n:10",))
+def test_height_order_search_finds_the_simple_roots(label):
+    rd = quaternionic_root_datum(label)
+    assert {rd.positive[i] for i in simple_positions(rd.points[1])} == set(rd.simple)
+    compact = [g for g, c in zip(rd.positive, rd.compact) if c]
+    _, points = scaled_points(compact)
+    assert tuple(compact[i] for i in simple_positions(points)) == simple_elements(compact, rd.form)

@@ -35,7 +35,7 @@ def test_su21_data(g2):
     assert wadd(g2.fw1, g2.fw2) == g2.beta
     b_minus_a = wsub(g2.beta, g2.alpha)
     assert coroot_pairing(g2.form, g2.fw2, b_minus_a) == 0
-    assert {g2.alpha, g2.beta, b_minus_a} <= g2.h_roots
+    assert {g2.alpha, g2.beta, b_minus_a} <= set(g2.h_roots)
 
 
 def test_decompose_parameter_span_cases(g2):

@@ -17,13 +17,11 @@ from branchkit.lattice import (
 )
 from branchkit.quaternionic import admissible_system, quaternionic_context
 from branchkit.rootsystems import (
-    RootDatum,
     _base_system,
+    _highest,
     _positive_from_simples,
     ambient_dimension,
     coset_reps,
-    half_sum,
-    highest_root,
     parse_quaternionic_label,
     positive_system,
     positive_systems_containing,
@@ -38,7 +36,7 @@ from branchkit.specialcases import (
     sp1q_context,
     sp1q_system,
 )
-from oracle_reference import apply_matrix
+from oracle_reference import apply_matrix, half_sum
 
 ALL_FORMS = ["g2_2", "f4_4", "su2_n:2", "su2_n:3", "su2_n:4", "so4_n:3",
              "so4_n:4", "so4_n:5", "e6_2", "e7_m5", "e8_m24"]
@@ -74,7 +72,8 @@ def _solved_positive(roots, simples):
 @pytest.mark.parametrize("family,rank", BASE_SYSTEMS)
 def test_positive_closure_matches_solve(family, rank):
     roots, simples = _base_system(family, rank)
-    assert _positive_from_simples(roots, simples) == _solved_positive(roots, simples)
+    by_point, positive, _ = _positive_from_simples(roots, simples)
+    assert tuple(by_point[p] for p in positive) == _solved_positive(roots, simples)
 
 
 @pytest.mark.parametrize("label", ALL_FORMS + SP1Q_FORMS + HERMITIAN_FORMS)
@@ -101,16 +100,14 @@ def test_highest_root_has_maximal_height(label):
     rd = quaternionic_root_datum(label)
     height = {g: sum(rational_solve(list(rd.simple), g)) for g in rd.positive}
     top = max(height.values())
-    assert [g for g in rd.positive if height[g] == top] == [highest_root(rd)]
+    assert [g for g in rd.positive if height[g] == top] == [rd.positive[rd.highest]]
 
 
 def test_highest_root_rejects_reducible_datum():
     a, b = weight([1, -1, 0, 0]), weight([0, 0, 1, -1])  # A1 x A1
-    roots = (a, b, wneg(a), wneg(b))
-    positive = _positive_from_simples(roots, (a, b))
-    rd = RootDatum("a1xa1", identity_form(4), tuple(sorted(roots)), positive, (a, b), {})
+    _, positive, steps = _positive_from_simples((a, b, wneg(a), wneg(b)), (a, b))
     with pytest.raises(InternalError, match="not unique"):
-        highest_root(rd)
+        _highest(positive, steps)
 
 
 def test_positive_closure_rejects_root_outside_span():
@@ -129,7 +126,7 @@ def test_g2_noncompact_positive_set(g2):
         wadd(wscale(2, a1), a2),
         wadd(wscale(3, a1), a2),
     }
-    assert set(g2.noncompact_positive) == expected
+    assert set(g2.rd.noncompact_positive) == expected
     assert g2.d == 2
 
 
@@ -181,7 +178,7 @@ def test_beta_orthogonal_to_compact_factor(so44):
 @pytest.mark.parametrize("fixture", ["g2", "su22", "so44"])
 def test_noncompact_involution_and_weyl_stability(fixture, request):
     ctx = request.getfixturevalue(fixture)
-    psi_n = set(ctx.noncompact_positive)
+    psi_n = set(ctx.rd.noncompact_positive)
     for g in psi_n:
         assert wadd(ctx.beta, wneg(g)) in psi_n  # gamma -> beta - gamma
     elements = weyl_generate(ctx.form, ctx.k2_factor.simple)

@@ -59,7 +59,7 @@ def test_sp1q_compactness_is_the_explicit_rule(q):
     # the highest-root rule of the quaternionic forms against the explicit
     # one for sp(1, q): 2 e0 and the sp(q) block compact, e0 +- ej not
     rd = sp1q_context(q).rd
-    assert rd.compactness == {g: not g[0] or not any(g[1:]) for g in rd.roots}
+    assert {g: rd.is_compact(g) for g in rd.roots} == {g: not g[0] or not any(g[1:]) for g in rd.roots}
 
 
 def test_sp1q_kernel_contains_long_roots(sp12, sp13):
