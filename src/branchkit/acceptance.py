@@ -43,7 +43,7 @@ from .quaternionic import (
     quaternionic_context,
 )
 from .repweights import CompactFactor, freudenthal, weyl_dimension
-from .rootsystems import positive_system, positive_systems_containing
+from .rootsystems import _highest_root_datum, positive_system, positive_systems_containing
 from .specialcases import (
     antiholomorphic_chamber_parameter,
     hermitian_data,
@@ -124,16 +124,11 @@ _AC2_SYSTEMS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1xA1")
 
 
 def _ac2_factor(name: str) -> CompactFactor:
-    from .rootsystems import _base_system, _positive_from_simples
-
     if name == "A1xA1xA1":
         pos = (weight([1, -1, 0, 0]), weight([1, 1, 0, 0]), weight([0, 0, 1, -1]))
         return CompactFactor.from_positive(identity_form(4), pos)
-    family, rank = name[0], int(name[1])
-    roots, simples = _base_system(family, rank)
-    form = identity_form(len(roots[0]))
-    by_point, positive, _ = _positive_from_simples(roots, simples)
-    return CompactFactor.from_positive(form, [by_point[p] for p in positive])
+    rd = _highest_root_datum(name, name[0], int(name[1]))
+    return CompactFactor.from_positive(rd.form, rd.positive)
 
 
 @_criterion("AC-2", "Freudenthal consistency", 30)

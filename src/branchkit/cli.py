@@ -14,10 +14,10 @@ system.  Its length is checked against the base system that the form label
 names before any root data is built.  Both families (quat and sp1q) share
 one oracle (see ``oracle``).
 The environment variable BRANCHKIT_DIMENSION_BOUND (default 10^7) caps the
-Freudenthal tables, the closed-form tables and the oracle's Heaviside
-products and windows; each size is counted before it is built, and a
-request above the bound exits with status 3.  A value that is not a
-positive integer exits with status 2.
+root data (positive roots times coordinates), the Freudenthal tables, the
+closed-form tables and the oracle's Heaviside products and windows; each
+size is counted before it is built, and a request above the bound exits
+with status 3.  A value that is not a positive integer exits with status 2.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .quaternionic import (
     lam2_weight_table,
     quaternionic_context,
 )
-from .rootsystems import _parse_int, ambient_dimension, parse_quaternionic_label
+from .repweights import check_size
+from .rootsystems import _parse_int, ambient_dimension, datum_size, parse_quaternionic_label
 from .specialcases import (
     hermitian_data,
     kss_admissible_report,
@@ -140,8 +141,9 @@ def _emit(payload: dict, output: str) -> str:
 
 def _parse_lambda(args, system, build):
     """(build(), lam): the length of lam is checked against the base system
-    (family, rank) that the form label names before ``build`` makes the
-    form's root data, which a simple-basis lam then reads."""
+    (family, rank) that the form label names, and the root datum's size
+    counted against the bound, before ``build`` makes the form's root data,
+    which a simple-basis lam then reads."""
     lam = parse_weight(args.lam)
     family, rank = system
     dim = ambient_dimension(family, rank)
@@ -149,6 +151,7 @@ def _parse_lambda(args, system, build):
         raise DomainError(f"expected {dim} coordinates in --lambda, got {len(lam)}")
     if args.basis == "simple" and len(lam) != rank:
         raise DomainError(f"simple-basis input needs {rank} coefficients")
+    check_size(datum_size(family, rank), f"the root datum of {args.form}")
     ctx = build()
     if args.basis == "simple":
         total = zero_weight(dim)

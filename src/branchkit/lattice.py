@@ -6,10 +6,10 @@ terms with a positive denominator, so weights compare exactly and can be used
 as dict keys directly.  All values are immutable and all operations are pure.
 
 Weights are Euclidean: every root system is realized in orthonormal
-coordinates, so the inner product is the coordinate dot product, with no
-matrix of pairings to multiply through, and coroot pairings, reflections and
-reflection matrices are dot-product formulas.  An ``InnerProductForm`` only
-names the dimension of that space.
+coordinates, so the inner product is the coordinate dot product, and coroot
+pairings and reflections are dot-product formulas.  Root data are born as
+int points (``rootsystems``), their positive roots picked by the sign of the
+covectors ``dual_covectors`` gives; an ``InnerProductForm`` names the dimension.
 
 ``rational_solve`` converts int entries to ``Fraction`` on entry, so its
 answer is exact for int input too.  A ``Chart`` gives the span of finitely

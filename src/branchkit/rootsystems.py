@@ -3,13 +3,13 @@ the walk over the chambers that contain the compact positive system, and
 whole-group Weyl machinery (generation, minimal coset representatives) kept
 as a brute-force reference.
 
-Every family's root system is realized here (``_base_system``): the
-quaternionic forms, sp(1, q) and the Hermitian forms all take their roots and
-simple roots from it.  A positive system is the closure of the simple roots
-under adding a simple root while the sum stays a root, the highest root is
-the positive root that no simple root raises, and the simple roots of a
-positive subsystem are found in height order; all are set lookups on int
-points, with no linear solve.
+Every family's root system is realized here (``_base_system``) and born on
+int points, at scale 2 for F4 and E and 1 otherwise: the quaternionic forms,
+sp(1, q) and the Hermitian forms all take their roots from it and split them
+by the sign of int covectors (``positive_roots``), for the quaternionic
+forms the sum of the fundamental coweights (Humphreys, Introduction to Lie
+Algebras, 10.1), which also reads the highest root as the one of greatest
+height.  A datum shows its roots as Fraction weights only on first use.
 
 All systems live in standard Bourbaki coordinates with the Euclidean inner
 product.  Every quantity consumed downstream (coroot pairings, Weyl
@@ -22,7 +22,8 @@ type C, is derived uniformly from the pairing with the coroot of the highest
 root b: pairing 0 or 2 means compact, pairing 1 means noncompact.  A datum
 keeps it by position in its positive roots, with b's position, so a reader
 needs no lookup by weight.  A form label names its base system (family,
-rank), and so the number of coordinates, before any root is built.
+rank), and so the number of coordinates and the datum's size, before any
+root is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, mul, sub
+from math import lcm
+from operator import mul
 
 from .errors import ConfigurationError, DomainError, InternalError, ResourceError
 from .lattice import (
@@ -47,25 +49,46 @@ from .lattice import (
     reflect,
     reflection_matrix,
     scaled_points,
-    wadd,
-    weight,
     wneg,
-    wscale,
     zero_weight,
 )
+
+Point = tuple[int, ...]
+
+
+def _weights(points, scale: int) -> tuple[Weight, ...]:
+    """The weights p / scale of int points p, sharing a Fraction per value."""
+    value = {x: Fraction(x, scale) for x in set().union(*points)}
+    return tuple(tuple(map(value.__getitem__, p)) for p in points)
 
 
 @dataclass(frozen=True, eq=False)
 class RootDatum:
-    """A realized root system with a fixed positive system and compactness labels."""
+    """A realized root system with a fixed positive system and compactness
+    labels, held as the positive roots' int points, ``scale`` times their
+    weights, in sorted order; ``roots``, ``positive`` and ``simple`` are
+    Fraction views, built on first use."""
 
     label: str
     form: InnerProductForm
-    roots: tuple[Weight, ...]
-    positive: tuple[Weight, ...]
-    simple: tuple[Weight, ...]
+    scale: int
+    int_positive: tuple[Point, ...]
+    simple_at: tuple[int, ...]  # the simple roots' positions in int_positive, in their order
     compact: tuple[bool, ...]  # by position in positive; a root and its negative agree
     highest: int | None = None  # the highest root's position, where it labels compactness
+    covectors: tuple[Point, ...] | None = None  # dual to the simple roots, where they are given
+
+    @functools.cached_property
+    def positive(self) -> tuple[Weight, ...]:
+        return _weights(self.int_positive, self.scale)
+
+    @functools.cached_property
+    def roots(self) -> tuple[Weight, ...]:
+        return _weights(sorted([*self.int_positive, *map(wneg, self.int_positive)]), self.scale)
+
+    @functools.cached_property
+    def simple(self) -> tuple[Weight, ...]:
+        return _weights([self.int_positive[i] for i in self.simple_at], self.scale)
 
     def is_compact(self, gamma: Weight) -> bool:
         """Whether the root gamma is compact, found by weight in ``positive``."""
@@ -84,8 +107,7 @@ class RootDatum:
     def points(self):
         """(D, points, norms): the positive roots by position as int points
         at their common denominator D, with their norms (built on first use)."""
-        scale, points = scaled_points(self.positive)
-        return scale, points, tuple(sum(map(mul, a, a)) for a in points)
+        return self.scale, self.int_positive, tuple(sum(map(mul, a, a)) for a in self.int_positive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,181 +157,184 @@ class WeylElement:
 
 
 # ---------------------------------------------------------------------------
-# root collections per family, in Bourbaki coordinates
+# root collections per family, as int points in Bourbaki coordinates: each
+# builder returns (scale, roots, simple roots), each point scale times a weight
 
 
-def _vector(n: int, entries) -> Weight:
-    """The weight of length n with the given {coordinate: value} entries."""
-    v = [Fraction(0)] * n
-    for i, x in entries.items():
-        v[i] = Fraction(x)
+def basis_sum(n: int, *terms) -> Point:
+    """The int point sum of c e_i over the terms (i, c), in Z^n."""
+    v = [0] * n
+    for i, c in terms:
+        v[i] += c
     return tuple(v)
 
 
-def _chain(n: int, length: int):
-    """The simple roots e_i - e_{i+1} for i < length, in R^n."""
-    return [_vector(n, {i: 1, i + 1: -1}) for i in range(length)]
+def _steps(n: int, length: int) -> list[Point]:
+    """The simple roots e_i - e_{i+1} for i < length, in Z^n."""
+    return [basis_sum(n, (i, 1), (i + 1, -1)) for i in range(length)]
 
 
-def _signed_pairs(n: int, singles=None):
-    roots = [_vector(n, {i: si, j: sj})
-             for i in range(n) for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
-    if singles is not None:
-        roots += [_vector(n, {i: s * singles}) for i in range(n) for s in (1, -1)]
-    return roots
+def _pairs(n: int, c: int = 1) -> list[Point]:
+    """The roots c (+-e_i +- e_j) for i < j, in Z^n."""
+    return [basis_sum(n, (i, si * c), (j, sj * c))
+            for i in range(n) for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
+
+
+def _axes(n: int, c: int) -> list[Point]:
+    """The roots +-c e_i, in Z^n."""
+    return [basis_sum(n, (i, s * c)) for i in range(n) for s in (1, -1)]
 
 
 def _type_a(rank: int):
     n = rank + 1
-    roots = [_vector(n, {i: 1, j: -1}) for i in range(n) for j in range(n) if i != j]
-    return roots, _chain(n, rank)
+    roots = [basis_sum(n, (i, 1), (j, -1)) for i in range(n) for j in range(n) if i != j]
+    return 1, roots, _steps(n, rank)
 
 
-def _type_b(rank: int):
-    return _signed_pairs(rank, singles=1), _chain(rank, rank - 1) + [_vector(rank, {rank - 1: 1})]
-
-
-def _type_c(rank: int):
-    return _signed_pairs(rank, singles=2), _chain(rank, rank - 1) + [_vector(rank, {rank - 1: 2})]
+def _type_bc(rank: int, c: int):
+    """B (c = 1) or C (c = 2): the short or long roots c e_i on the axes."""
+    last = basis_sum(rank, (rank - 1, c))
+    return 1, _pairs(rank) + _axes(rank, c), _steps(rank, rank - 1) + [last]
 
 
 def _type_d(rank: int):
-    last = _vector(rank, {rank - 2: 1, rank - 1: 1})
-    return _signed_pairs(rank), _chain(rank, rank - 1) + [last]
+    last = basis_sum(rank, (rank - 2, 1), (rank - 1, 1))
+    return 1, _pairs(rank), _steps(rank, rank - 1) + [last]
 
 
-def _type_g2():
-    a1 = weight([1, -1, 0])
-    a2 = weight([-2, 1, 1])
-    pos = [a1, a2, wadd(a1, a2), wadd(wscale(2, a1), a2), wadd(wscale(3, a1), a2),
-           wadd(wscale(3, a1), wscale(2, a2))]
-    roots = pos + [wneg(g) for g in pos]
-    return roots, [a1, a2]
+def _type_g2(_rank: int):
+    a1, a2 = (1, -1, 0), (-2, 1, 1)
+    pos = [tuple(i * x + j * y for x, y in zip(a1, a2))
+           for i, j in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))]
+    return 1, pos + [wneg(g) for g in pos], [a1, a2]
 
 
-def _type_f4():
-    roots = _signed_pairs(4, singles=1)
-    roots += [tuple(Fraction(x, 2) for x in signs) for signs in product((1, -1), repeat=4)]
-    simples = [weight([0, 1, -1, 0]), weight([0, 0, 1, -1]), weight([0, 0, 0, 1]),
-               weight(["1/2", "-1/2", "-1/2", "-1/2"])]
-    return roots, simples
+def _type_f4(_rank: int):
+    roots = _pairs(4, 2) + _axes(4, 2) + list(product((1, -1), repeat=4))
+    return 2, roots, [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
 
 
-def _half_vectors(signs_on, fixed, n=8, parity=0):
-    """Half-integer E-series vectors: entries +-1/2 on signs_on with given sign
-    parity (number of minus signs mod 2), fixed coordinates elsewhere."""
-    return [_vector(n, {**fixed, **{c: Fraction(s, 2) for c, s in zip(signs_on, signs)}})
-            for signs in product((1, -1), repeat=len(signs_on)) if signs.count(-1) % 2 == parity]
+def _halves(n: int, parity: int, fixed: tuple) -> list[Point]:
+    """+-(s + fixed) for s of n entries +-1 with parity minus signs mod 2."""
+    halves = [s + fixed for s in product((1, -1), repeat=n) if s.count(-1) % 2 == parity]
+    return halves + [wneg(g) for g in halves]
 
 
 def _type_e(rank: int):
-    h = Fraction(1, 2)
-    simples8 = [(h, -h, -h, -h, -h, -h, -h, h), _vector(8, {0: 1, 1: 1})]
-    simples8 += [_vector(8, {i: -1, i + 1: 1}) for i in range(6)]
-    if rank == 8:
-        roots = _signed_pairs(8) + _half_vectors(range(8), {})  # an even number of minus signs
-        simples = simples8
-    elif rank == 7:
-        roots = [r for r in _signed_pairs(8) if all(r[i] == 0 for i in (6, 7))]
-        roots += [weight([0, 0, 0, 0, 0, 0, -1, 1]), weight([0, 0, 0, 0, 0, 0, 1, -1])]
-        # +-(e8 - e7 + sum over e1..e6 with an odd number of minus signs)/...
-        halves = _half_vectors(range(6), {6: -h, 7: h}, parity=1)
-        roots += halves + [wneg(g) for g in halves]
-        simples = simples8[:7]
-    elif rank == 6:
-        roots = [r for r in _signed_pairs(8) if all(r[i] == 0 for i in (5, 6, 7))]
-        halves = _half_vectors(range(5), {5: -h, 6: -h, 7: h})
-        roots += halves + [wneg(g) for g in halves]
-        simples = simples8[:6]
+    simples = [(1, -1, -1, -1, -1, -1, -1, 1), basis_sum(8, (0, 2), (1, 2))] + [
+        basis_sum(8, (i, -2), (i + 1, 2)) for i in range(6)]
+    pairs = [r for r in _pairs(8, 2) if not any(r[rank - 1:])] if rank < 8 else _pairs(8, 2)
+    if rank == 8:  # the halves with an even number of minus signs
+        roots = pairs + [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
+    elif rank == 7:  # +-(e8 - e7), and +-(e8 - e7 + (+-e1 ... +-e6)) / 2 with odd signs
+        roots = pairs + [basis_sum(8, (6, -2), (7, 2)), basis_sum(8, (6, 2), (7, -2))]
+        roots += _halves(6, 1, (-1, 1))
     else:
-        raise ConfigurationError(f"unsupported E-series rank {rank}")
-    return roots, simples
+        roots = pairs + _halves(5, 0, (-1, -1, 1))
+    return 2, roots, simples[:rank]
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-def _positive_from_simples(roots, simples):
-    """The positive roots as int points at the roots' common denominator:
-    ({point: root} in sorted order, the positive roots' sorted points, the
-    simple roots' points).  The positive roots are the simple roots, closed
-    under adding a simple root while the sum is still a root.  Every positive
-    root is reached, since it is a chain of simple roots whose partial sums
-    are all roots (Humphreys, Introduction to Lie Algebras, 10.2); a root
-    outside the span of the simple roots is not, and breaks the half split."""
-    den, points = scaled_points(roots)
-    by_point = dict(zip(points, roots))
-    steps = [int_point(a, den) for a in simples]
-    positive = set(steps)
-    level = positive
-    while level:
-        level = {tuple(map(add, p, a)) for p in level for a in steps} & by_point.keys()
-        positive |= level
-    if 2 * len(positive) != len(roots):
-        raise InternalError("positive system does not split the roots in half")
-    return {p: by_point[p] for p in sorted(points)}, sorted(positive), steps
+def positive_roots(roots, covectors, simples=None) -> tuple[tuple[Point, ...], tuple[int, ...]]:
+    """(the positive roots in sorted order, the simple roots' positions among
+    them), on int points: a root is positive when its first nonzero pairing
+    with the covectors is.  The simple roots are found (``simple_positions``)
+    or are ``simples``, checked against that search.  InternalError when a
+    root pairs to 0 with every covector (with one covector in the span of the
+    simple roots: a root outside that span)."""
+    positive = []
+    for p in roots:
+        for f in covectors:
+            if n := sum(map(mul, f, p)):
+                break
+        else:
+            raise InternalError("a root pairs to 0 with every covector of the positive system")
+        if n > 0:
+            positive.append(p)
+    positive.sort()
+    found = simple_positions(positive)
+    if simples is None:
+        return tuple(positive), found
+    given = tuple(map({p: i for i, p in enumerate(positive)}.__getitem__, simples))
+    if tuple(sorted(given)) != found:
+        raise InternalError("the given simple roots are not the simple roots of their chamber")
+    return tuple(positive), given
 
 
 def simple_elements(positives, form: InnerProductForm):
-    """Indecomposable elements of a positive subset (its simple roots): those
-    that are not the sum of two of its elements.  The search runs on int
-    tuples, scaled by the common denominator, and stops for each element at
-    its first decomposition; ``form`` names the ambient space."""
+    """The simple roots of a positive system in sorted order, found on its
+    int points by ``simple_positions``; ``form`` names the ambient space."""
     _, points = scaled_points(positives)
-    pos = set(points)
-    return tuple(g for p, g in sorted(zip(points, positives))
-                 if not any(tuple(map(sub, p, a)) in pos for a in points))
+    return tuple(sorted(positives[i] for i in simple_positions(points)))
 
 
 def simple_positions(points) -> tuple[int, ...]:
     """The positions of the simple roots among the int points of a positive
-    system, in O(N rank) lookups: a positive root that is not simple, less
-    some simple root, is positive (Humphreys, 10.2, Corollary to Lemma A),
-    and in order of the pairing with 2 rho a sum comes after its summands."""
+    system.  A positive root that is not simple pairs positively with some
+    simple root a, and less a it is positive (Humphreys, 10.2, Corollary to
+    Lemma A), so a comes first by the pairing with 2 rho; two simple roots
+    pair to <= 0.  Each pairing is read on the root's nonzero coordinates."""
     two_rho = tuple(map(sum, zip(*points)))
-    pos, simple = set(points), []
+    entries: dict[int, list] = {}  # coordinate -> [(k, entry)] for the k-th simple root
+    simple: list[int] = []
     for i in sorted(range(len(points)), key=lambda i: sum(map(mul, points[i], two_rho))):
-        if not any(tuple(map(sub, points[i], points[j])) in pos for j in simple):
+        support = [(c, x) for c, x in enumerate(points[i]) if x]
+        pairings = [0] * len(simple)
+        for c, x in support:
+            for k, y in entries.get(c, ()):
+                pairings[k] += x * y
+        if max(pairings, default=0) <= 0:
+            for c, x in support:
+                entries.setdefault(c, []).append((len(simple), x))
             simple.append(i)
     return tuple(sorted(simple))
 
 
-def _highest(points, steps) -> int:
-    """The position of the positive root that no simple root raises to
-    another root, on int points; it is unique exactly when the system is
-    irreducible (Humphreys, 10.4)."""
-    positive = set(points)
-    top = [i for i, p in enumerate(points) if all(tuple(map(add, p, a)) not in positive
-                                                  for a in steps)]
-    if len(top) != 1:
+def height_covector(simples, covectors) -> Point:
+    """The sum of the fundamental coweights of the simple roots, from their
+    dual covectors, times the least m that makes it int: it pairs with a
+    root to m times its height over the simple roots."""
+    norms = [sum(map(mul, f, a)) for f, a in zip(covectors, simples)]
+    m = lcm(*norms)
+    return tuple(sum(m // n * x for n, x in zip(norms, column)) for column in zip(*covectors))
+
+
+def _highest(points, height) -> int:
+    """The position of the positive root of greatest height, for ``height``
+    pairing to one positive value with every simple root: in an irreducible
+    system the highest root (Humphreys, 10.4, Lemma A); a tie means a
+    reducible system."""
+    heights = [sum(map(mul, height, p)) for p in points]
+    top = max(heights)
+    if heights.count(top) != 1:
         raise InternalError("highest root is not unique; reducible system?")
-    return top[0]
+    return heights.index(top)
 
 
-_BASE_BUILDERS = {
-    "A": _type_a,
-    "B": _type_b,
-    "C": _type_c,
-    "D": _type_d,
-}
+_BASE_BUILDERS = {"A": _type_a, "B": functools.partial(_type_bc, c=1),
+                  "C": functools.partial(_type_bc, c=2), "D": _type_d, "G": _type_g2,
+                  "F": _type_f4, "E": _type_e}
 
 
 def _base_system(family: str, rank: int):
-    if family in _BASE_BUILDERS:
-        return _BASE_BUILDERS[family](rank)
-    if family == "G":
-        return _type_g2()
-    if family == "F":
-        return _type_f4()
-    if family == "E":
-        return _type_e(rank)
-    raise ConfigurationError(f"unknown family {family}")
+    """(scale, roots, simple roots) of the base system, as int points."""
+    return _BASE_BUILDERS[family](rank)
 
 
 def ambient_dimension(family: str, rank: int) -> int:
     """The number of coordinates of ``_base_system(family, rank)``."""
     return {"A": rank + 1, "G": 3, "E": 8}.get(family, rank)
+
+
+def datum_size(family: str, rank: int) -> int:
+    """The number of positive roots times the number of coordinates of
+    ``_base_system(family, rank)``, counted without building it."""
+    positive = {"A": rank * (rank + 1) // 2, "B": rank * rank, "C": rank * rank,
+                "D": rank * (rank - 1), "G": 6, "F": 24, "E": {6: 36, 7: 63, 8: 120}.get(rank)}
+    return positive[family] * ambient_dimension(family, rank)
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -356,21 +381,25 @@ def quaternionic_root_datum(label: str) -> RootDatum:
 def _highest_root_datum(label: str, family: str, rank: int) -> RootDatum:
     """The base system with compactness assigned by the highest-root coroot
     pairing rule, which realizes the quaternionic real form: sp(1, q) is the
-    one of type C (``label`` names the datum)."""
-    roots, simples = _base_system(family, rank)
-    by_point, points, steps = _positive_from_simples(roots, simples)
-    top = _highest(points, steps)
+    one of type C (``label`` names the datum).  Its positive roots pair
+    positively with the ``height_covector`` of the simple roots' dual
+    covectors, which the datum keeps."""
+    scale, roots, simples = _base_system(family, rank)
+    covectors = dual_covectors(simples)
+    height = height_covector(simples, covectors)
+    points, simple = positive_roots(roots, [height], simples)
+    top = _highest(points, height)
     b = points[top]
     bb = sum(map(mul, b, b))
     compact = []
-    for p in points:  # n / bb = <g, beta-check>, on int points
+    for p in points:  # n / bb = <g, beta-check>
         n = 2 * sum(map(mul, p, b))
         if n not in (0, bb, 2 * bb):
             raise InternalError(f"unexpected highest-root pairing {Fraction(n, bb)} "
-                                f"for {format_weight(by_point[p])}")
+                                f"for {format_weight(_weights([p], scale)[0])}")
         compact.append(n != bb)
-    return RootDatum(label, identity_form(len(roots[0])), tuple(by_point.values()),
-                     tuple(map(by_point.__getitem__, points)), tuple(simples), tuple(compact), top)
+    return RootDatum(label, identity_form(len(b)), scale, points, simple, tuple(compact), top,
+                     covectors)
 
 
 def small_system(rd: RootDatum):
@@ -379,21 +408,21 @@ def small_system(rd: RootDatum):
     Returns (PositiveSystem, beta, alpha) where beta is the maximal root,
     compact by the highest-root rule, and alpha a noncompact simple root with
     2(beta, alpha)/(alpha, alpha) = 1.  Verifies that the noncompact simple
-    coefficients of beta sum to 2, read on int points as (f_i, beta) / (f_i, a_i).
+    coefficients of beta sum to 2, read on int points as (f_i, beta) / (f_i, a_i)
+    with the datum's covectors f_i.
     """
-    scale, points, _ = rd.points
-    b = points[rd.highest]
-    simple = [int_point(a, scale) for a in rd.simple]
+    b = rd.int_positive[rd.highest]
+    simple = [rd.int_positive[i] for i in rd.simple_at]
     noncompact = [2 * sum(map(mul, a, b)) == sum(map(mul, b, b)) for a in simple]
     coeffs = [divmod(sum(map(mul, f, b)), sum(map(mul, f, a)))
-              for f, a in zip(dual_covectors(simple), simple)]
+              for f, a in zip(rd.covectors, simple)]
     if any(r for _, r in coeffs) or sum(c for (c, _), n in zip(coeffs, noncompact) if n) != 2:
         raise InternalError("noncompact simple coefficients of the maximal root do not sum to 2")
-    candidates = [g for g, a, n in zip(rd.simple, simple, noncompact)
+    candidates = [k for k, (a, n) in enumerate(zip(simple, noncompact))
                   if n and 2 * sum(map(mul, b, a)) == sum(map(mul, a, a))]
     if not candidates:
         raise InternalError("no noncompact simple root pairs to 1 with the maximal root")
-    alpha = candidates[0]  # deterministic: first in simple-root order
+    alpha = rd.simple[candidates[0]]  # deterministic: first in simple-root order
     return positive_system(rd), rd.positive[rd.highest], alpha
 
 
@@ -474,25 +503,26 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
     Their chambers fill the convex cone where delta is dominant, so a
     breadth-first walk across noncompact walls reaches each of them once
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  A chamber Psi is
-    keyed by its 2 rho on int points and carries its simple roots: crossing
-    the wall of a noncompact simple root g gives 2 rho - 2 g and s_g of the
-    simple roots.  The walk starts from ``rd.positive``, first reflected into
-    delta's chamber by the roots of delta.
+    keyed by its 2 rho on the datum's int points and carries its simple
+    roots: crossing the wall of a noncompact simple root g gives 2 rho - 2 g
+    and s_g of the simple roots.  The walk starts from ``rd.positive``, first
+    reflected into delta's chamber by the roots of delta.
     """
-    _, points = scaled_points(rd.roots)
-    point = dict(zip(rd.roots, points))
-    if not delta.chosen_set() <= point.keys():
+    scale, points, _ = rd.points
+    negative = [tuple(-x for x in p) for p in points]
+    if any(scale % x.denominator for g in delta.chosen for x in g):
+        return []  # not a weight of the root lattice
+    wanted = {int_point(g, scale) for g in delta.chosen}
+    if not wanted <= {*points, *negative}:
         return []
-    norm = {p: sum(map(mul, p, p)) for p in point.values()}
-    compact = {x for p, c in zip(rd.points[1], rd.compact) if c for x in (p, tuple(-y for y in p))}
-    wanted = {point[g] for g in delta.chosen}
+    compact = {x for p, n, c in zip(points, negative, rd.compact) if c for x in (p, n)}
 
     def reflect_in(x, a):  # x pairs integrally with the coroot of a
-        k = 2 * sum(map(mul, x, a)) // norm[a]
+        k = 2 * sum(map(mul, x, a)) // sum(map(mul, a, a))
         return tuple(xi - k * ai for xi, ai in zip(x, a))
 
-    key = tuple(map(sum, zip(*(point[g] for g in rd.positive))))
-    simple = [point[g] for g in rd.simple]
+    key = tuple(map(sum, zip(*points)))
+    simple = [points[i] for i in rd.simple_at]
     for _ in wanted:  # enough reflections when delta is a positive system
         a = next((a for a in wanted if sum(map(mul, key, a)) < 0), None)
         if a is None:
@@ -507,8 +537,6 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
             if g not in compact and crossed not in seen:
                 seen.add(crossed)
                 queue.append((crossed, [reflect_in(b, g) for b in simple]))
-    systems = []
-    for key in seen:
-        chosen = tuple(sorted(g for g, p in point.items() if sum(map(mul, p, key)) > 0))
-        systems.append(PositiveSystem(rd, chosen))
-    return sorted(systems, key=lambda ps: ps.chosen)
+    systems = sorted(tuple(sorted(p if sum(map(mul, p, key)) > 0 else n
+                                  for p, n in zip(points, negative))) for key in seen)
+    return [PositiveSystem(rd, _weights(chosen, scale)) for chosen in systems]

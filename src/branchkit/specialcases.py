@@ -4,14 +4,15 @@ SO(3,2n), the closed-form branching from sp(1,q) to its sp(1,1) subgroup
 criterion for admissibility of discrete series of Hermitian forms over the
 semisimple factor of K.
 
-The root systems come from ``rootsystems._base_system``: C_{q+1} for sp(1, q),
-and A, C, D, E_6, E_7 for the Hermitian forms.  sp(1, q) is the quaternionic
-real form of type C (Gross-Wallach, J. reine angew. Math. 481 (1996)): it
-takes its root datum, compactness by the highest-root rule included, from the
-builder of the quaternionic forms, and its context is a
+The root systems come from ``rootsystems._base_system`` as int points: C_{q+1}
+for sp(1, q), and A, C, D, E_6, E_7 for the Hermitian forms.  sp(1, q) is the
+quaternionic real form of type C (Gross-Wallach, J. reine angew. Math. 481
+(1996)): it takes its root datum, compactness by the highest-root rule
+included, from the builder of the quaternionic forms, and its context is a
 ``quaternionic.SubgroupContext`` with beta = 2 e0 and w_line = 2 e1.  A
-Hermitian form labels a root compact when it is orthogonal to the central
-direction z of K.
+Hermitian form labels a root compact when it pairs to 0 with the central
+direction z of K; its data share the quaternionic forms' split into positive
+roots (``rootsystems.positive_roots``), and its certificates are int points.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from .lattice import (
     format_weight,
     identity_form,
     map_point,
-    scaled_point,
-    scaled_points,
     wadd,
-    weight,
     wneg,
     wscale,
     wsub,
@@ -64,9 +62,9 @@ from .rootsystems import (
     RootDatum,
     _base_system,
     _highest_root_datum,
-    _vector,
+    basis_sum,
+    positive_roots,
     positive_system,
-    simple_positions,
 )
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def sp1q_context(q: int) -> Sp1qContext:
     """Build the sp(1, q) context on the C_{q+1} system, the quaternionic
     real form of type C, with its compact roots by the highest-root rule."""
     rd = _highest_root_datum("sp1_q:%d" % q, *sp1q_system(q))
-    e0, e1 = (_vector(q + 1, {i: 1}) for i in (0, 1))
+    e0, e1 = (tuple(Fraction(int(i == k)) for i in range(q + 1)) for k in (0, 1))
     beta, w_line = wscale(2, e0), wscale(2, e1)
     return Sp1qContext.build(
         rd, beta, w_line, (beta, w_line, wadd(e0, e1), wsub(e0, e1)), (beta, w_line),
@@ -250,53 +248,42 @@ class HermitianData:
 
 
 def _su_pq_data(p: int, q: int):
-    n = p + q
-    gammas = []
-    bs = []
-    for i in range(1, p + 1):
-        gammas.append(i + (i - 1) * (q - p) // p + p)
-        t_num, t_den = i * (q - p), p
-        if t_num % t_den:
-            bs.append(i + 1 + t_num // t_den + p)
-        else:
-            bs.append(i + t_num // t_den + p)
-    cert = [_vector(n, {i: 1, gammas[i] - 1: -1}) for i in range(p)]
-    conj = [_vector(n, {i: -1, bs[i] - 1: 1}) for i in range(p)]
-    return weight([q] * p + [-p] * q), cert, conj, p == q
+    # e_i - e_j for j = i + p + floor(i (q - p) / p), and e_j - e_i for
+    # j = i + p + ceil((i + 1)(q - p) / p), for 0 <= i < p
+    n, d = p + q, q - p
+    cert = [basis_sum(n, (i, 1), (i + p + i * d // p, -1)) for i in range(p)]
+    conj = [basis_sum(n, (i, -1), (i + p - (-(i + 1) * d // p), 1)) for i in range(p)]
+    return (q,) * p + (-p,) * q, cert, conj, p == q
 
 
 def _sp_nr_data(n: int):
     l = n // 2
-    cert = [_vector(n, {l: 2})] if n % 2 else []
-    cert += [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
-    conj = [wneg(g) for g in cert]
-    return weight([1] * n), cert, conj, True
+    cert = [basis_sum(n, (l, 2))] if n % 2 else []
+    cert += [basis_sum(n, (k - 1, 1), (n - k, 1)) for k in range(1, l + 1)]
+    return (1,) * n, cert, [wneg(g) for g in cert], True
 
 
 def _so_star_data(n: int):
     l = n // 2
-    cert = [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
+    cert = [basis_sum(n, (k - 1, 1), (n - k, 1)) for k in range(1, l + 1)]
     conj = [wneg(g) for g in cert]
     tube = n % 2 == 0
     if not tube:
-        cert.append(_vector(n, {l: 1, l + 1: 1}))
-        conj.append(_vector(n, {l - 1: -1, l: -1}))
-    return weight([1] * n), cert, conj, tube
+        cert.append(basis_sum(n, (l, 1), (l + 1, 1)))
+        conj.append(basis_sum(n, (l - 1, -1), (l, -1)))
+    return (1,) * n, cert, conj, tube
 
 
-def _e_vector(signs):
-    return tuple(Fraction(s, 2) for s in signs)
-
-
-_EPS1 = _e_vector([-1, -1, -1, -1, 1, -1, -1, 1])
-_EPS2 = _e_vector([-1, -1, 1, 1, 1, -1, -1, 1])
-_ETA1 = _e_vector([-1, 1, -1, -1, 1, 1, -1, 1])
-_ETA2 = _e_vector([-1, -1, 1, 1, -1, 1, -1, 1])
+# the E-series certificates at the scale 2 of their root data
+_EPS1 = (-1, -1, -1, -1, 1, -1, -1, 1)
+_EPS2 = (-1, -1, 1, 1, 1, -1, -1, 1)
+_ETA1 = (-1, 1, -1, -1, 1, 1, -1, 1)
+_ETA2 = (-1, -1, 1, 1, -1, 1, -1, 1)
 
 
 def _e6_m14_data():
-    z = weight([0, 0, 0, 0, 0, -1, -1, 1])  # central direction e8 - e7 - e6
-    compact = [_vector(8, {0: 1, 4: 1}), _vector(8, {1: 1, 4: 1})]  # e1 + e5, e2 + e5
+    z = (0, 0, 0, 0, 0, -1, -1, 1)  # central direction e8 - e7 - e6
+    compact = [basis_sum(8, (0, 2), (4, 2)), basis_sum(8, (1, 2), (4, 2))]  # e1 + e5, e2 + e5
     cert = [_EPS1, _EPS2] + compact
     # conjugate set: negate the noncompact members only; negating the compact
     # members would make the set unusable against any chamber
@@ -305,10 +292,9 @@ def _e6_m14_data():
 
 
 def _e7_m25_data():
-    z = weight([0, 0, 0, 0, 0, 2, -1, 1])  # direction orthogonal to the e6 part
-    cert = [_ETA1, _ETA2, _vector(8, {0: 1, 5: 1})]  # e1 + e6
-    conj = [wneg(g) for g in cert]
-    return z, cert, conj, True
+    z = (0, 0, 0, 0, 0, 2, -1, 1)  # direction orthogonal to the e6 part
+    cert = [_ETA1, _ETA2, basis_sum(8, (0, 2), (5, 2))]  # e1 + e6
+    return z, cert, [wneg(g) for g in cert], True
 
 
 _HERMITIAN_BUILDERS = {"su_pq": _su_pq_data, "sp_n_R": _sp_nr_data, "so_star": _so_star_data,
@@ -346,46 +332,32 @@ def parse_hermitian_label(label: str):
 
 @functools.lru_cache(maxsize=None)
 def hermitian_data(label: str) -> HermitianData:
-    """Assemble the realized Hermitian form and its certificate sets; the
-    roots are sorted and split, and the simple roots found, on int points."""
+    """Assemble the realized Hermitian form and its certificate sets on the
+    int points of its base system.  K is the centralizer of the central
+    direction z, so a root is compact when it pairs to 0 with z; the
+    holomorphic system is positive on z for noncompact roots and on a fixed
+    vector v for the compact ones."""
     name, params, system = parse_hermitian_label(label)
-    roots, _ = _base_system(*system)
+    scale, roots, _ = _base_system(*system)
     z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
-    form = identity_form(len(roots[0]))
-    # K is the centralizer of the central direction z; the holomorphic
-    # system is positive on z for noncompact roots, a fixed generic order on
-    # the compact ones
-    _, points = scaled_points(roots)
-    by_point = dict(zip(points, roots))
-    zp, vp = scaled_point(z)[0], scaled_point(_compact_regular_vector(name, form.dim))[0]
-    pairs = sorted((p, sum(map(mul, p, zp))) for p in points)
-    split = [(p, not n) for p, n in pairs if n > 0 or not n and sum(map(mul, p, vp)) > 0]
-    if 2 * len(split) != len(roots):
-        raise InternalError("holomorphic system does not split the roots")
-    positive = tuple(by_point[p] for p, _ in split)
-    simple = simple_positions([p for p, _ in split])
-    rd = RootDatum(label, form, tuple(by_point[p] for p, _ in pairs), positive,
-                   tuple(positive[i] for i in simple), tuple(c for _, c in split))
-    psi_h = positive_system(rd)
-    position = {g: i for i, g in enumerate(positive)}
+    # regular for the compact roots; for E, huge last coordinates so that the
+    # half-integer compact roots of e7_m25 never vanish against it
+    v = (5, 4, 3, 2, 1, 0, -64, 64) if name in ("e6_m14", "e7_m25") else tuple(range(len(z), 0, -1))
+    points, simple = positive_roots(roots, (z, v))
+    rd = RootDatum(label, identity_form(len(z)), scale, points, simple,
+                   tuple(not sum(map(mul, z, p)) for p in points))
+    position = {p: (i, 1) for i, p in enumerate(points)}
+    position.update({wneg(p): (i, -1) for i, p in enumerate(points)})
 
     def signed_position(g):
-        for s, h in ((1, g), (-1, wneg(g))):
-            if h in position:
-                return position[h], s
-        raise InternalError(f"certificate element {format_weight(g)} is not a root of {label}")
+        if g not in position:
+            weight = format_weight(Fraction(x, scale) for x in g)
+            raise InternalError(f"certificate element {weight} is not a root of {label}")
+        return position[g]
 
-    return HermitianData(label, rd, psi_h, tuple(map(signed_position, cert)),
+    return HermitianData(label, rd, positive_system(rd), tuple(map(signed_position, cert)),
                          tuple(map(signed_position, conj)), tube,
                          tuple(i for i, c in enumerate(rd.compact) if c))
-
-
-def _compact_regular_vector(name: str, dim: int) -> Weight:
-    if name in ("e6_m14", "e7_m25"):
-        # regular for the compact subsystem, huge last coordinates so the
-        # half-integer compact roots of the e7 case never vanish against it
-        return weight([5, 4, 3, 2, 1, 0, -64, 64][:dim] if dim == 8 else [])
-    return weight(range(dim, 0, -1))
 
 
 def holomorphic_chamber_parameter(hd: HermitianData) -> Weight:

@@ -27,6 +27,13 @@ normalizer and coset walk, the split of a parameter, the pushforward of a
 weight table and its su(2) strings, and Freudenthal's walk over dominant
 representatives with a coweight test.  ``half_sum`` adds roots in
 Fractions: the reference for ``PositiveSystem.rho``.
+
+The final section holds the Fraction root data the package built before its
+data were born on int points: each family's roots and simple roots as
+Fraction weights, the positive roots as the closure of the simple roots
+under adding a simple root, and the Hermitian data with certificate
+positions looked up by Fraction weight.  Tests compare every datum's
+fields, and its int points, against them.
 """
 
 import functools
@@ -41,6 +48,7 @@ from branchkit.lattice import (
     Chart,
     coroot_pairing,
     format_weight,
+    identity_form,
     identity_matrix,
     inner,
     int_point,
@@ -50,7 +58,9 @@ from branchkit.lattice import (
     reflect,
     reflection_matrix,
     scaled_point,
+    scaled_points,
     wadd,
+    weight,
     wneg,
     wscale,
     wsub,
@@ -60,7 +70,7 @@ from branchkit.oracle import ComparisonReport, CosetSum, OraclePlan, oracle_plan
 from branchkit.quaternionic import BranchingTable, lam2_weight_table
 from branchkit.repweights import _dominant_representative
 from branchkit.rootsystems import WeylElement
-from branchkit.specialcases import sp1q_string_table
+from branchkit.specialcases import parse_hermitian_label, sp1q_string_table
 
 
 def half_sum(form_dim: int, roots):
@@ -557,3 +567,187 @@ def same_plans(got, want) -> bool:
         (a.chart.coords, a.chart.rows, a.chart.scale, a.terms, a.multisets, a.denominator)
         == (b.chart.coords, b.chart.rows, b.chart.scale, b.terms, b.multisets, b.denominator)
         for a, b in ((got.series, want.series), (got.torus, want.torus)))
+
+
+# ---------------------------------------------------------------------------
+# Fraction root data: the builders the package ran before its root data were
+# born on int points, with the positive roots as the closure of the simple
+# roots and the Hermitian certificates as Fraction weights
+
+
+def _vector(n: int, entries):
+    """The weight of length n with the given {coordinate: value} entries."""
+    v = [Fraction(0)] * n
+    for i, x in entries.items():
+        v[i] = Fraction(x)
+    return tuple(v)
+
+
+def _chain(n: int, length: int):
+    """The simple roots e_i - e_{i+1} for i < length, in R^n."""
+    return [_vector(n, {i: 1, i + 1: -1}) for i in range(length)]
+
+
+def _signed_pairs(n: int, singles=None):
+    roots = [_vector(n, {i: si, j: sj})
+             for i in range(n) for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
+    if singles is not None:
+        roots += [_vector(n, {i: s * singles}) for i in range(n) for s in (1, -1)]
+    return roots
+
+
+def _half_vectors(signs_on, fixed, n=8, parity=0):
+    """Half-integer E-series vectors: entries +-1/2 on signs_on with given sign
+    parity (number of minus signs mod 2), fixed coordinates elsewhere."""
+    return [_vector(n, {**fixed, **{c: Fraction(s, 2) for c, s in zip(signs_on, signs)}})
+            for signs in product((1, -1), repeat=len(signs_on)) if signs.count(-1) % 2 == parity]
+
+
+def _type_e(rank: int):
+    h = Fraction(1, 2)
+    simples8 = [(h, -h, -h, -h, -h, -h, -h, h), _vector(8, {0: 1, 1: 1})]
+    simples8 += [_vector(8, {i: -1, i + 1: 1}) for i in range(6)]
+    if rank == 8:
+        return _signed_pairs(8) + _half_vectors(range(8), {}), simples8
+    if rank == 7:
+        roots = [r for r in _signed_pairs(8) if all(r[i] == 0 for i in (6, 7))]
+        roots += [_vector(8, {6: -1, 7: 1}), _vector(8, {6: 1, 7: -1})]
+        halves = _half_vectors(range(6), {6: -h, 7: h}, parity=1)
+    else:
+        roots = [r for r in _signed_pairs(8) if all(r[i] == 0 for i in (5, 6, 7))]
+        halves = _half_vectors(range(5), {5: -h, 6: -h, 7: h})
+    return roots + halves + [wneg(g) for g in halves], simples8[:rank]
+
+
+def reference_base_system(family: str, rank: int):
+    """(roots, simple roots) of the base system as Fraction weights."""
+    if family == "A":
+        n = rank + 1
+        roots = [_vector(n, {i: 1, j: -1}) for i in range(n) for j in range(n) if i != j]
+        return roots, _chain(n, rank)
+    if family in ("B", "C"):
+        c = 1 if family == "B" else 2
+        return _signed_pairs(rank, singles=c), _chain(rank, rank - 1) + [_vector(rank, {rank - 1: c})]
+    if family == "D":
+        return _signed_pairs(rank), _chain(rank, rank - 1) + [_vector(rank, {rank - 2: 1, rank - 1: 1})]
+    if family == "G":
+        a1, a2 = _vector(3, {0: 1, 1: -1}), _vector(3, {0: -2, 1: 1, 2: 1})
+        pos = [a1, a2, wadd(a1, a2), wadd(wscale(2, a1), a2), wadd(wscale(3, a1), a2),
+               wadd(wscale(3, a1), wscale(2, a2))]
+        return pos + [wneg(g) for g in pos], [a1, a2]
+    if family == "F":
+        roots = _signed_pairs(4, singles=1)
+        roots += [tuple(Fraction(x, 2) for x in signs) for signs in product((1, -1), repeat=4)]
+        h = Fraction(1, 2)
+        return roots, [_vector(4, {1: 1, 2: -1}), _vector(4, {2: 1, 3: -1}), _vector(4, {3: 1}),
+                       (h, -h, -h, -h)]
+    return _type_e(rank)
+
+
+def reference_positive_from_simples(roots, simples):
+    """The positive roots in sorted order: the simple roots, closed under
+    adding a simple root while the sum is still a root (Humphreys, 10.2).  A
+    root outside the span of the simple roots is never reached, and breaks
+    the half split."""
+    den = lcm(1, *(x.denominator for g in roots for x in g))
+    by_point = {int_point(g, den): g for g in roots}
+    steps = [int_point(a, den) for a in simples]
+    positive = level = set(steps)
+    while level:
+        level = {tuple(map(add, p, a)) for p in level for a in steps} & by_point.keys()
+        positive |= level
+    if 2 * len(positive) != len(roots):
+        raise InternalError("positive system does not split the roots in half")
+    return tuple(by_point[p] for p in sorted(positive))
+
+
+def _datum_view(roots, positive, simple, compact, highest=None, **rest):
+    """The Fraction fields of a root datum, with ``points`` as the datum
+    reads them: (D, D g, (D g, D g)) at the common denominator D."""
+    den = lcm(1, *(x.denominator for g in positive for x in g))
+    points = tuple(int_point(g, den) for g in positive)
+    return dict(roots=tuple(sorted(roots)), positive=positive, simple=tuple(simple),
+                compact=tuple(compact), highest=highest,
+                points=(den, points, tuple(sum(map(mul, a, a)) for a in points)), **rest)
+
+
+def reference_highest_root_datum(family: str, rank: int) -> dict:
+    """The quaternionic datum of the base system: the closure's positive
+    roots, the root of greatest height over the simple roots (by a linear
+    solve) and compactness by the pairing with its coroot."""
+    roots, simples = reference_base_system(family, rank)
+    positive = reference_positive_from_simples(roots, simples)
+    height = [sum(rational_solve(list(simples), g)) for g in positive]
+    top = height.index(max(height))
+    b = positive[top]
+    compact = [coroot_pairing(identity_form(len(b)), g, b) != 1 for g in positive]
+    return _datum_view(roots, positive, simples, compact, top)
+
+
+def _reference_hermitian_sets(name, params):
+    """(z, certificate, conjugate certificate) as Fraction weights."""
+    if name == "su_pq":
+        p, q = params
+        n = p + q
+        gammas = [i + (i - 1) * (q - p) // p + p for i in range(1, p + 1)]
+        bs = [i + 1 + i * (q - p) // p + p if i * (q - p) % p else i + i * (q - p) // p + p
+              for i in range(1, p + 1)]
+        cert = [_vector(n, {i: 1, gammas[i] - 1: -1}) for i in range(p)]
+        conj = [_vector(n, {i: -1, bs[i] - 1: 1}) for i in range(p)]
+        return _vector(n, {i: q if i < p else -p for i in range(n)}), cert, conj
+    if name in ("sp_n_R", "so_star"):
+        (n,) = params
+        l = n // 2
+        cert = [_vector(n, {l: 2})] if name == "sp_n_R" and n % 2 else []
+        cert += [_vector(n, {k - 1: 1, n - k: 1}) for k in range(1, l + 1)]
+        conj = [wneg(g) for g in cert]
+        if name == "so_star" and n % 2:
+            cert.append(_vector(n, {l: 1, l + 1: 1}))
+            conj.append(_vector(n, {l - 1: -1, l: -1}))
+        return _vector(n, {i: 1 for i in range(n)}), cert, conj
+    h = Fraction(1, 2)
+    eta = [tuple(s * h for s in signs) for signs in
+           ((-1, -1, -1, -1, 1, -1, -1, 1), (-1, -1, 1, 1, 1, -1, -1, 1),
+            (-1, 1, -1, -1, 1, 1, -1, 1), (-1, -1, 1, 1, -1, 1, -1, 1))]
+    if name == "e6_m14":
+        compact = [_vector(8, {0: 1, 4: 1}), _vector(8, {1: 1, 4: 1})]
+        return (_vector(8, {5: -1, 6: -1, 7: 1}), eta[:2] + compact,
+                [wneg(g) for g in eta[:2]] + compact)
+    cert = eta[2:] + [_vector(8, {0: 1, 5: 1})]
+    return _vector(8, {5: 2, 6: -1, 7: 1}), cert, [wneg(g) for g in cert]
+
+
+def reference_simple_elements(positives):
+    """The indecomposable elements of a positive system (its simple roots),
+    those that are not the sum of two of its elements, in sorted order: the
+    pairwise search the package ran before its search in height order."""
+    _, points = scaled_points(positives)
+    pos = set(points)
+    return tuple(g for p, g in sorted(zip(points, positives))
+                 if not any(tuple(map(sub, p, a)) in pos for a in points))
+
+
+def reference_hermitian_data(label: str) -> dict:
+    """The Hermitian datum as the package built it on Fraction weights: the
+    holomorphic system positive on z, then on a compact-regular vector,
+    the simple roots by the pairwise search and certificate positions
+    looked up by Fraction weight."""
+    name, params, system = parse_hermitian_label(label)
+    roots, _ = reference_base_system(*system)
+    z, cert, conj = _reference_hermitian_sets(name, params)
+    form = identity_form(len(z))
+    v = weight([5, 4, 3, 2, 1, 0, -64, 64] if name in ("e6_m14", "e7_m25")
+               else range(form.dim, 0, -1))
+    positive = tuple(sorted(g for g in roots if inner(form, g, z) > 0
+                            or not inner(form, g, z) and inner(form, g, v) > 0))
+    if 2 * len(positive) != len(roots):
+        raise InternalError("holomorphic system does not split the roots")
+    position = {g: i for i, g in enumerate(positive)}
+
+    def signed_position(g):
+        return (position[g], 1) if g in position else (position[wneg(g)], -1)
+
+    return _datum_view(roots, positive, reference_simple_elements(positive),
+                       [not inner(form, g, z) for g in positive],
+                       certificate=tuple(map(signed_position, cert)),
+                       certificate_conjugate=tuple(map(signed_position, conj)))

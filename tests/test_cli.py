@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import repweights, rootsystems, specialcases
+from branchkit import repweights, rootsystems
 from branchkit.cli import SCHEMA_PATH, Rows, _emit, _write_json, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
@@ -224,12 +224,28 @@ _EARLY_ERRORS = [
 def test_wrong_length_lambda_exits_before_root_data(capsys, monkeypatch, argv, message):
     # the form label names the number of coordinates, so counting them must
     # not wait on root data (seconds at these ranks)
-    def built(*args):
-        raise AssertionError(f"root data built for {args}")
-
-    monkeypatch.setattr(rootsystems, "_base_system", built)
-    monkeypatch.setattr(specialcases, "_base_system", built)
+    _forbid_base_builders(monkeypatch)
     assert run_cli(capsys, *argv.split(), "--lambda=1") == (2, "", f"error: {message}\n")
+
+
+def _forbid_base_builders(monkeypatch):
+    """Make every base system's builder raise, whichever module calls it."""
+    for family in rootsystems._BASE_BUILDERS:
+        def built(*args, family=family):
+            raise AssertionError(f"root data of type {family} built for {args}")
+
+        monkeypatch.setitem(rootsystems._BASE_BUILDERS, family, built)
+
+
+def test_datum_size_exits_3_before_root_data(capsys, monkeypatch):
+    # su2_n:320 would hold 51,681 positive roots of 322 coordinates: counted
+    # from the label, before any root is built
+    _forbid_base_builders(monkeypatch)
+    monkeypatch.delenv("BRANCHKIT_DIMENSION_BOUND", raising=False)
+    lam = ",".join(str(x) for x in range(322, 0, -1))
+    assert run_cli(capsys, "weights", "--form", "su2_n:320", f"--lambda={lam}") == (
+        3, "", "resource error: the root datum of su2_n:320 would hold up to 16641282 entries, "
+        "above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)\n")
 
 
 def test_closed_form_rejects_su21_itself(capsys):
@@ -309,14 +325,16 @@ def test_size_blowup_exits_3_before_allocating(capsys, monkeypatch, argv, what):
 
 
 @pytest.mark.parametrize("argv,sizes", [
-    # 3 su(2)-strings, 7 values of p each
-    (["branch", "sp1q", "--form", "sp1_q:2", "--cutoff", "6", "--lambda=6,4,1"],
-     [("the closed table at cutoff 6", 21)]),
-    # a 5 x 9 x 9 grid per product; 112 terms with windows of 25 points
-    (["oracle-check", "quat", "--form", "e8_m24", "--step-bound", "4",
+    # 9 positive roots of 3 coordinates; 3 su(2)-strings, 10 values of p each
+    (["branch", "sp1q", "--form", "sp1_q:2", "--cutoff", "9", "--lambda=6,4,1"],
+     [("the root datum of sp1_q:2", 27), ("the closed table at cutoff 9", 30)]),
+    # 120 positive roots of 8 coordinates; a 7 x 13 x 13 grid per product;
+    # 112 terms with windows of 49 points
+    (["oracle-check", "quat", "--form", "e8_m24", "--step-bound", "6",
       "--lambda=0,1,2,3,4,5,6,23"],
-     [("a Heaviside product at step bound 4", 405),
-      ("the oracle's windows at step bound 4", 2800)]),
+     [("the root datum of e8_m24", 960),
+      ("a Heaviside product at step bound 6", 1183),
+      ("the oracle's windows at step bound 6", 5488)]),
 ], ids=["closed-table", "oracle"])
 def test_dimension_bound_admits_exactly_the_counted_sizes(capsys, monkeypatch, argv, sizes):
     # one below a counted size refuses and names it; the size itself lets

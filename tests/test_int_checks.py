@@ -51,11 +51,9 @@ from branchkit.repweights import (
 )
 from branchkit.rootsystems import (
     _highest_root_datum,
-    parse_quaternionic_label,
     positive_system,
     positive_systems_containing,
     quaternionic_root_datum,
-    simple_elements,
     simple_positions,
 )
 from branchkit.specialcases import (
@@ -65,6 +63,7 @@ from branchkit.specialcases import (
     kss_admissible_system,
     sp1q_context,
     sp1q_string_table,
+    sp1q_system,
     validate_hermitian_parameter,
 )
 from oracle_reference import (
@@ -73,6 +72,7 @@ from oracle_reference import (
     reference_dominant_weights,
     reference_oracle_plan,
     reference_sigma_keys,
+    reference_simple_elements,
     reference_su2_string_decompose,
     same_plans,
     reference_coweight_covectors,
@@ -435,20 +435,11 @@ def test_sp1q_singular_wall_is_read_on_points(q):
 CONTEXT_FORMS = QUAT_FORMS + ("su2_n:2", "su2_n:5", "so4_n:4", "so4_n:6")
 
 
-def _fresh_contexts():
-    """Every quaternionic form's context, and sp(1, q)'s for q = 2..4, built
-    anew by the memoized builders' own functions on fresh root data."""
-    data = {label: _highest_root_datum(label, *parse_quaternionic_label(label))
-            for label in CONTEXT_FORMS}
-    return data, lambda: ([quaternionic_context.__wrapped__(label) for label in CONTEXT_FORMS]
-                          + [sp1q_context.__wrapped__(q) for q in (2, 3, 4)])
-
-
 def test_context_builds_hash_no_fraction(monkeypatch):
-    # with the root data built and no int point read yet, building a context
-    # reads compactness, beta and the k2 roots by position in rd.positive
-    data, build = _fresh_contexts()
-    monkeypatch.setattr(quaternionic, "quaternionic_root_datum", data.__getitem__)
+    # a root datum is born on int points, with the Hermitian certificates
+    # looked up by int point; then, with no int point read yet, building a
+    # context reads compactness, beta and the k2 roots by position in
+    # rd.positive.  The memoized builders' own functions build all anew.
     calls = []
     original = Fraction.__hash__
 
@@ -457,7 +448,15 @@ def test_context_builds_hash_no_fraction(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Fraction, "__hash__", counting)
-    contexts = build()
+    data = {label: quaternionic_root_datum.__wrapped__(label) for label in CONTEXT_FORMS}
+    for q in (2, 3, 4):
+        _highest_root_datum(f"sp1_q:{q}", *sp1q_system(q))
+    for label in HERMITIAN_FORMS:
+        hermitian_data.__wrapped__(label)
+    assert not calls
+    monkeypatch.setattr(quaternionic, "quaternionic_root_datum", data.__getitem__)
+    contexts = ([quaternionic_context.__wrapped__(label) for label in CONTEXT_FORMS]
+                + [sp1q_context.__wrapped__(q) for q in (2, 3, 4)])
     assert not calls
     hash(Fraction(1, 3))
     assert calls  # the patch counts
@@ -478,7 +477,7 @@ def test_int_built_factor_matches_from_positive(label):
     assert (got.positive, got.simple, got.rho, got.int_roots) == (
         want.positive, want.simple, want.rho, want.int_roots)
     # the search in height order finds the pairwise search's simple roots
-    assert got.simple == simple_elements(k2, rd.form)
+    assert got.simple == reference_simple_elements(k2)
     assert rd.positive[rd.highest] == beta
     assert ctx.kernel_positive == tuple(g for g in k2 if not inner(ctx.form, g, ctx.w_line))
 
@@ -489,4 +488,4 @@ def test_height_order_search_finds_the_simple_roots(label):
     assert {rd.positive[i] for i in simple_positions(rd.points[1])} == set(rd.simple)
     compact = [g for g, c in zip(rd.positive, rd.compact) if c]
     _, points = scaled_points(compact)
-    assert tuple(compact[i] for i in simple_positions(points)) == simple_elements(compact, rd.form)
+    assert tuple(compact[i] for i in simple_positions(points)) == reference_simple_elements(compact)

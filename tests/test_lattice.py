@@ -19,12 +19,13 @@ from branchkit.lattice import (
     wscale,
     wsub,
 )
-from branchkit.rootsystems import _type_g2
+from branchkit.rootsystems import quaternionic_root_datum
 from oracle_reference import apply_matrix
 
 # G2 in the plane x + y + z = 0 of Q^3, with the Euclidean inner product:
 # short simple root norm 2, long simple root norm 6
-G2_ROOTS, (A1_SHORT, A2_LONG) = _type_g2()
+_G2_DATUM = quaternionic_root_datum("g2_2")
+G2_ROOTS, (A1_SHORT, A2_LONG) = _G2_DATUM.roots, _G2_DATUM.simple
 G2 = identity_form(3)
 BETA = weight([-1, -1, 2])  # highest root 3 a1 + 2 a2
 

@@ -5,6 +5,7 @@ import pytest
 from branchkit.errors import ConfigurationError, DomainError, InternalError, ResourceError
 from branchkit.lattice import (
     coroot_pairing,
+    dual_covectors,
     identity_form,
     inner,
     rational_solve,
@@ -19,10 +20,12 @@ from branchkit.quaternionic import admissible_system, quaternionic_context
 from branchkit.rootsystems import (
     _base_system,
     _highest,
-    _positive_from_simples,
     ambient_dimension,
     coset_reps,
+    datum_size,
+    height_covector,
     parse_quaternionic_label,
+    positive_roots,
     positive_system,
     positive_systems_containing,
     quaternionic_root_datum,
@@ -36,7 +39,15 @@ from branchkit.specialcases import (
     sp1q_context,
     sp1q_system,
 )
-from oracle_reference import apply_matrix, half_sum
+from oracle_reference import (
+    apply_matrix,
+    half_sum,
+    reference_base_system,
+    reference_hermitian_data,
+    reference_highest_root_datum,
+    reference_positive_from_simples,
+    reference_simple_elements,
+)
 
 ALL_FORMS = ["g2_2", "f4_4", "su2_n:2", "su2_n:3", "su2_n:4", "so4_n:3",
              "so4_n:4", "so4_n:5", "e6_2", "e7_m5", "e8_m24"]
@@ -49,10 +60,13 @@ BASE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C"
                 ("D", 4), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
 
 
+HERMITIAN_PREFIXES = ("su_pq", "sp_n_R", "so_star", "e6_m14", "e7_m25")
+
+
 def _root_datum(label):
     if label in SP1Q_FORMS:
         return sp1q_context(int(label.partition(":")[2])).rd
-    if label.startswith(("su_pq", "sp_n_R", "so_star", "e6_m14", "e7_m25")):
+    if label.startswith(HERMITIAN_PREFIXES):
         return hermitian_data(label).rd
     return quaternionic_root_datum(label)
 
@@ -69,11 +83,24 @@ def _solved_positive(roots, simples):
     return tuple(sorted(positive))
 
 
+def _covector_split(family, rank, extra=()):
+    """The positive roots of a base system, extra int roots added, as the
+    quaternionic data split them: by the sign of the height."""
+    _, roots, simples = _base_system(family, rank)
+    covector = height_covector(simples, dual_covectors(simples))
+    return positive_roots(roots + list(extra), [covector], simples)[0]
+
+
 @pytest.mark.parametrize("family,rank", BASE_SYSTEMS)
 def test_positive_closure_matches_solve(family, rank):
-    roots, simples = _base_system(family, rank)
-    by_point, positive, _ = _positive_from_simples(roots, simples)
-    assert tuple(by_point[p] for p in positive) == _solved_positive(roots, simples)
+    # the covector's sign, the closure of the simple roots and a linear
+    # solve pick the same positive roots
+    scale, _, _ = _base_system(family, rank)
+    points = _covector_split(family, rank)
+    roots, simples = reference_base_system(family, rank)
+    positive = tuple(tuple(Fraction(x, scale) for x in p) for p in points)
+    assert positive == reference_positive_from_simples(roots, simples)
+    assert positive == _solved_positive(roots, simples)
 
 
 @pytest.mark.parametrize("label", ALL_FORMS + SP1Q_FORMS + HERMITIAN_FORMS)
@@ -87,12 +114,13 @@ def test_label_names_the_coordinate_and_simple_root_counts(label):
     # the CLI checks the length of lambda against these before any root is built
     if label in SP1Q_FORMS:
         family, rank = sp1q_system(int(label.partition(":")[2]))
-    elif label.startswith(("su_pq", "sp_n_R", "so_star", "e6_m14", "e7_m25")):
+    elif label.startswith(HERMITIAN_PREFIXES):
         family, rank = parse_hermitian_label(label)[2]
     else:
         family, rank = parse_quaternionic_label(label)
     rd = _root_datum(label)
-    assert (ambient_dimension(family, rank), rank) == (len(rd.roots[0]), len(rd.simple))
+    assert (ambient_dimension(family, rank), rank, datum_size(family, rank)) == (
+        len(rd.roots[0]), len(rd.simple), len(rd.positive) * len(rd.roots[0]))
 
 
 @pytest.mark.parametrize("label", ALL_FORMS)
@@ -104,17 +132,48 @@ def test_highest_root_has_maximal_height(label):
 
 
 def test_highest_root_rejects_reducible_datum():
-    a, b = weight([1, -1, 0, 0]), weight([0, 0, 1, -1])  # A1 x A1
-    _, positive, steps = _positive_from_simples((a, b, wneg(a), wneg(b)), (a, b))
+    a, b = (1, -1, 0, 0), (0, 0, 1, -1)  # A1 x A1
+    points, _ = positive_roots([a, b, (-1, 1, 0, 0), (0, 0, -1, 1)], [(1, -1, 1, -1)], [a, b])
     with pytest.raises(InternalError, match="not unique"):
-        _highest(positive, steps)
+        _highest(points, (1, -1, 1, -1))
 
 
 def test_positive_closure_rejects_root_outside_span():
-    roots, simples = _base_system("A", 2)
-    stray = weight([1, 1, 1])
-    with pytest.raises(InternalError, match="half"):
-        _positive_from_simples(roots + [stray, wneg(stray)], simples)
+    # (1, 1, 1) pairs to 0 with every covector in the span of A2's simple roots
+    with pytest.raises(InternalError, match="pairs to 0"):
+        _covector_split("A", 2, [(1, 1, 1), (-1, -1, -1)])
+
+
+def test_given_simple_roots_must_be_the_chambers():
+    # e1 - e3 is positive for the covector of (e1 - e2, e2 - e3), not simple
+    _, roots, simples = _base_system("A", 2)
+    covector = height_covector(simples, dual_covectors(simples))
+    with pytest.raises(InternalError, match="not the simple roots"):
+        positive_roots(roots, [covector], [(1, 0, -1), (0, 1, -1)])
+
+
+REFERENCE_FORMS = (ALL_FORMS + ["su2_n:1"] + [f"sp1_q:{q}" for q in range(2, 7)]
+                   + HERMITIAN_FORMS + ["su_pq:1,2"])
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_int_datum_equals_fraction_reference(label):
+    # every field of the int-born datum, and its int points, as the Fraction
+    # builders, the closure and the Fraction certificate lookup gave them
+    if label.startswith(HERMITIAN_PREFIXES):
+        hd = hermitian_data(label)
+        rd, want = hd.rd, reference_hermitian_data(label)
+        assert (hd.certificate, hd.certificate_conjugate) == (
+            want["certificate"], want["certificate_conjugate"])
+    elif label.startswith("sp1_q:"):
+        q = int(label.partition(":")[2])
+        rd, want = sp1q_context(q).rd, reference_highest_root_datum(*sp1q_system(q))
+    else:
+        rd = quaternionic_root_datum(label)
+        want = reference_highest_root_datum(*parse_quaternionic_label(label))
+    got = dict(roots=rd.roots, positive=rd.positive, simple=rd.simple, compact=rd.compact,
+               highest=rd.highest, points=rd.points)
+    assert got == {key: want[key] for key in got}
 
 
 def test_g2_noncompact_positive_set(g2):
@@ -352,6 +411,7 @@ def test_chamber_walk_from_another_compact_chamber(so44):
 
 def test_simple_elements_of_k2(so44):
     simples = simple_elements(so44.k2_factor.positive, so44.form)
+    assert simples == reference_simple_elements(so44.k2_factor.positive)
     assert len(simples) == 3  # three orthogonal su(2) factors
     for a in simples:
         for b in simples:
