@@ -3,9 +3,10 @@
 A ``DeltaSeries`` stores integer coefficients on finitely many points plus a
 truncation contract.  Points, region bases and directions are tuples of
 ``int``.  The oracle builds its series on one integer chart per form and
-kind (``lattice.Chart``, kept as ``DeltaSeries.chart``): the r <= 2 pivot
-coordinates of the projection's image, at a scale that makes every point and
-every half-sum base integral.  Weights are mapped back only where reported.
+kind (``lattice.Chart``, kept as ``DeltaSeries.chart``): a weight's r <= 2
+pairings with the int points of beta and w_line, or of w_line alone, at a
+scale that makes every point and every half-sum base integral.  Weights are
+mapped back only where reported.
 
 The contract is a conjunction of ``ValidityRegion``s; the series is
 guaranteed to agree with the untruncated distribution at every point

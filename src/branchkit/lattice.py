@@ -12,17 +12,19 @@ int points (``rootsystems``), their positive roots picked by the sign of the
 covectors ``dual_covectors`` gives; an ``InnerProductForm`` names the dimension.
 
 ``rational_solve`` converts int entries to ``Fraction`` on entry, so its
-answer is exact for int input too.  A ``Chart`` gives the span of finitely
-many weights integer coordinates at a chosen scale, and linear maps integer
-matrices on them; the oracle's plans and series live on them.  An
-``IntBasis`` keys the lattice of a chosen basis by int tuples, read exactly
-off weights; the closed branching tables live on them.
+answer is exact for int input too.  A ``Chart`` gives the span of pairwise
+orthogonal int points integer coordinates: a weight's pairings with them, at
+a chosen scale; the oracle's plans and series live on them.  An ``IntBasis``
+keys the lattice of a chosen basis by int tuples, read exactly off weights;
+the closed branching tables live on them, and reach a chart's points through
+one int matrix.  ``reflect_point`` is the one reflection on int points.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,11 +107,43 @@ def dual_covectors(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
     return tuple(tuple(x // gcd(*f) for x in f) for f in covectors)
 
 
+def reflect_point(v: Sequence[int], a: Sequence[int], aa: int) -> tuple[int, ...]:
+    """Reflection of the int point v in the int root a, with aa = (a, a).
+    Exact when v pairs integrally with the coroot of a: 2 (v, a) / (a, a)."""
+    k = 2 * sum(map(mul, v, a)) // aa
+    return tuple(x - k * y for x, y in zip(v, a))
+
+
+def _written_digits(part: str) -> int:
+    """The most digits of the ints that ``Fraction(part)`` builds before it
+    reduces them: the numerator and denominator as written, or a decimal's
+    digits shifted by its exponent, read before ten is raised to it (an
+    exponent of more than 19 digits counts as its first 19)."""
+    part = part.replace("_", "").lower()
+    if "/" in part:
+        return max(map(len, part.split("/")))
+    mantissa, _, exponent = part.partition("e")
+    whole, _, decimal = mantissa.lstrip("+-").partition(".")
+    digits = exponent.lstrip("+-").lstrip("0")
+    shift = int(digits[:19]) if digits.isdecimal() else 0
+    if exponent.startswith("-"):
+        shift = -shift
+    return max(len(whole) + len(decimal) + max(shift, 0), len(decimal) - min(shift, 0) + 1)
+
+
 def parse_weight(text: str) -> Weight:
-    """Parse the textual form, e.g. ``"3/2,-1/2,0,0"``."""
+    """Parse the textual form, e.g. ``"3/2,-1/2,0,0"``.  A coordinate whose
+    numerator or denominator would have more digits than ints convert to
+    and from text (``sys.get_int_max_str_digits()``) is rejected before it
+    is built."""
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(p == "" for p in parts):
         raise DomainError(f"cannot parse weight {text!r}")
+    limit = sys.get_int_max_str_digits()
+    for i, part in enumerate(parts, 1):
+        if limit and _written_digits(part) > limit:
+            raise DomainError(f"weight coordinate {i} has a numerator or denominator "
+                              f"of more than {limit} digits")
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -227,25 +261,23 @@ def _echelon(vectors: Sequence[Weight]):
 
 
 class Chart:
-    """Integer coordinates on the span of finitely many weights.
-
-    A weight w of the span has the point ``scale * w[c]`` for c in
-    ``coords``, the pivot coordinates of the span in increasing order, on
-    which it is injective:
-    w = sum_j w[coords[j]] * rows[j].  ``scale`` is twice the common
-    denominator of the spanning weights at the pivots, so their points are
-    even and half the sum of any of them is a point.  ``at_scale`` gives the
-    span another scale, for a caller that knows which points it needs.  The
-    rows are also kept as ints over one denominator, so that mapping a point
-    to its weight and back is int arithmetic.
+    """Integer coordinates on the span of pairwise orthogonal int points v_j,
+    with norms n_j = (v_j, v_j): a weight mu of the span is the sum of
+    (mu, v_j) v_j / n_j, and its point is ``scale`` times its pairings
+    (mu, v_j).  The scale is chosen by the caller so that the points it
+    needs are integral; ``at_scale`` gives the span another scale.  The
+    basis v_j / n_j is kept as ints over one denominator, so that mapping a
+    point to its weight and back is int arithmetic.
     """
 
-    def __init__(self, vectors: Sequence[Weight]):
-        self.coords, self.rows = _echelon(vectors)
-        den = lcm(1, *(Fraction(v[c]).denominator for v in vectors for c in self.coords))
-        self.scale = 2 * den
-        self._row_den = lcm(1, *(x.denominator for row in self.rows for x in row))
-        self._columns = tuple(zip(*((int(x * self._row_den) for x in row) for row in self.rows)))
+    def __init__(self, points: Sequence[Sequence[int]], scale: int):
+        self.points, self.scale = tuple(points), scale
+        if any(sum(map(mul, u, v)) for i, u in enumerate(self.points) for v in self.points[:i]):
+            raise InternalError("the chart's points are not orthogonal")
+        self.norms = tuple(sum(map(mul, v, v)) for v in self.points)
+        self._den = lcm(*self.norms)
+        self._columns = tuple(zip(*([x * (self._den // n) for x in v]
+                                    for v, n in zip(self.points, self.norms))))
 
     def at_scale(self, scale: int) -> Chart:
         """The chart of the same span with the given scale."""
@@ -253,49 +285,26 @@ class Chart:
         chart.scale = scale
         return chart
 
+    def _pairings(self, x: Sequence[int]):
+        """The pairings (x, v_j) of the int vector x, or None when x, a
+        weight at any scale, is off the span."""
+        t = [sum(map(mul, x, v)) for v in self.points]
+        if all(xi * self._den == sum(map(mul, t, column)) for xi, column in zip(x, self._columns)):
+            return t
+        return None
+
     def to_point(self, w: Weight) -> tuple[int, ...]:
         """Integer coordinates of w; InternalError when w is off the lattice."""
-        scale, den = self.scale, self.scale * self._row_den
-        p = tuple(w[c].numerator * scale // w[c].denominator for c in self.coords)
-        # p is the point of w exactly when p maps back to w
-        if all(x.numerator * den == sum(map(mul, p, column)) * x.denominator
-               for x, column in zip(w, self._columns)):
-            return p
-        raise InternalError(f"weight {format_weight(w)} is off the chart lattice")
+        x, d = scaled_point(w)
+        t = self._pairings(x)
+        if t is None or any(ti * self.scale % d for ti in t):
+            raise InternalError(f"weight {format_weight(w)} is off the chart lattice")
+        return tuple(ti * self.scale // d for ti in t)
 
     def to_weight(self, p: Sequence) -> Weight:
         """The weight with integer coordinates p."""
-        den = self.scale * self._row_den
+        den = self.scale * self._den
         return tuple(Fraction(sum(map(mul, p, column)), den) for column in self._columns)
-
-    def contains(self, point: Sequence[int]) -> bool:
-        """Whether the int vector point, a weight at any scale, lies in the span."""
-        p = [point[c] for c in self.coords]
-        return all(x * self._row_den == sum(map(mul, p, column))
-                   for x, column in zip(point, self._columns))
-
-    def linear_map(self, fn) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(A, k) for an int matrix A and the least k >= 1 such that A p / k
-        is the point of ``fn(to_weight(p))``, for a linear map fn on weights;
-        neither depends on the scale.  InternalError when the map leaves the
-        span."""
-        columns = []
-        for row in self.rows:
-            image = fn(row)
-            column = [image[c] for c in self.coords]
-            if self.to_weight([x * self.scale for x in column]) != image:
-                raise InternalError("the linear map leaves the chart's span")
-            columns.append(column)
-        k = lcm(1, *(x.denominator for column in columns for x in column))
-        return tuple(tuple(int(x * k) for x in row) for row in zip(*columns)), k
-
-    def functional(self, fn) -> tuple[tuple[int, ...], int]:
-        """(c, D) for an integer covector c and an int D > 0 with
-        fn(to_weight(p)) = sum c_j p_j / D, for a linear functional fn on the
-        span; D depends on the scale."""
-        values = [Fraction(fn(row)) for row in self.rows]
-        den = lcm(1, *(v.denominator for v in values))
-        return tuple(int(v * den) for v in values), den * self.scale
 
 
 class IntBasis:
@@ -338,11 +347,12 @@ class IntBasis:
 
     def chart_map(self, chart: Chart) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(A, k) such that A key / k is the point of key's weight on chart,
-        for ``map_point``; InternalError when the basis leaves the chart's
-        span."""
-        if not all(map(chart.contains, zip(*self.columns))):
+        for ``map_point``: A holds the scaled pairings of the basis with the
+        chart's points.  InternalError when the basis leaves the chart's span."""
+        pairings = [chart._pairings(b) for b in zip(*self.columns)]
+        if None in pairings:
             raise InternalError("the table's basis leaves the chart's span")
-        a = [[chart.scale * x for x in self.columns[c]] for c in chart.coords]
+        a = [[chart.scale * x for x in row] for row in zip(*pairings)]
         g = gcd(self.den, *(x for row in a for x in row))
         return tuple(tuple(x // g for x in row) for row in a), self.den // g
 
@@ -369,8 +379,8 @@ class WeightEntries(Mapping):
 
 
 def map_point(linear_map, p: Sequence[int]):
-    """The point A p / k of a ``Chart.linear_map`` (A, k) at p, or None when
-    k does not divide A p: the image is then off the chart lattice."""
+    """The point A p / k of an ``IntBasis.chart_map`` (A, k) at p, or None
+    when k does not divide A p: the image is then off the chart lattice."""
     a, k = linear_map
     q = tuple(sum(map(mul, row, p)) for row in a)
     if k > 1:

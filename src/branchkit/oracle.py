@@ -16,15 +16,17 @@ own (at most 56, on e8_m24).  W(K2) permutes the noncompact positive roots,
 so each flip has one term multiset for all cosets.
 
 What depends only on the form is built once per process, lazily, as integer
-data (``oracle_plan``), read on the context's torus pairings: a root projects
-onto the subgroup torus as its int pairings with beta and w_line say.  The
-plan holds one chart per kind (the projection's image: rank 2 for the
-branching series, rank 1 for the torus identity), each flip's multiset as
-chart points, and per (coset, flip) the int maps from the scaled parameter to
-the term's base point and kernel-root pairings (``CosetSum``).  A request
-scales lam to ints once and runs its coset loop on ints; it hashes no
-Fraction.  Every per-parameter check runs on every request, so results do
-not depend on the order of requests.
+data (``oracle_plan``), read on the context's torus pairings: with b, w the
+orthogonal int points of beta and w_line (``SubgroupContext.torus_points``),
+a weight mu of the subgroup torus has the point s ((mu, b), (mu, w)), and one
+of the su(2) torus the point s (mu, w), for a scale s that makes every point
+and every half-sum base integral (``lattice.Chart``).  The plan holds one
+chart per kind (rank 2 for the branching series, rank 1 for the torus
+identity), each flip's multiset as chart points, and per (coset, flip) the
+int maps from the scaled parameter to the term's base point and kernel-root
+pairings (``CosetSum``).  A request scales lam to ints once and runs its
+coset loop on ints; it hashes no Fraction.  Every per-parameter check runs
+on every request, so results do not depend on the order of requests.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -34,8 +36,10 @@ the weight table) pins this convention down empirically, and positivity of
 the extracted multiplicities confirms it on the full formula.
 
 Products, certification, evaluation, extraction and comparison run on int
-points, with the chart covectors of the positive side and of the pairing
-bound read once per context.  The extracted table is keyed by chart points,
+points.  Every series symmetry is a sign flip of the two coordinates
+(``SubgroupContext.mirrors``: S_b negates the pairing with b), <mu, beta-check>
+is read on the first coordinate, and the positive side is the sign of the
+side roots' int covectors.  The extracted table is keyed by chart points,
 and a closed table keyed by int labels reaches them through one int map;
 weights are mapped back only for mismatches and errors.  A request returns a
 ``formal.ProductSum``: the conjunction of the per-term truncation regions,
@@ -59,17 +63,7 @@ from operator import mul
 
 from .errors import DomainError, InternalError
 from .formal import DeltaSeries, ProductSum, convolve_multiset, product_size
-from .lattice import (
-    Chart,
-    Weight,
-    coroot_pairing,
-    format_weight,
-    inner,
-    int_point,
-    map_point,
-    reflect,
-    scaled_point,
-)
+from .lattice import Chart, Weight, format_weight, int_point, reflect_point, scaled_point
 from .quaternionic import (
     BranchingTable,
     QuaternionicContext,
@@ -80,7 +74,7 @@ from .quaternionic import (
     require_proper_subgroup,
     validate_small_dominant,
 )
-from .repweights import _reflect, check_size
+from .repweights import check_size
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,7 @@ def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     # has the multiset of the identity; a simple root's reflection is the same
     # at the factor's scale, which divides D
     noncompact = {p for p, c in zip(points, ctx.rd.compact) if not c}
-    if any({_reflect(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
+    if any({reflect_point(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
         raise InternalError("a compact-factor reflection moves a noncompact positive root")
     first = ((), (_lowest(ctx.torus_points[1], scale), *vectors))
     reps = [first]
@@ -191,14 +185,14 @@ class OraclePlan:
     torus: CosetSum     # the quotient multiset unflipped, onto the su(2) torus in k2
 
 
-def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
-               noncompact) -> CosetSum:
-    """The integer data of one kind of coset sum.  ``cosets`` holds per coset
-    its word and, per flip, the scaled images of the flipped chart covectors,
-    then of the flipped kernel roots.  A flip's directions are the quotient
-    weights and the flipped noncompact roots' projections, read by torus
-    pairing (``noncompact``); S_b negates the pairing with beta."""
-    b, w, bb, ww = ctx.torus_points
+def _coset_sum(ctx: SubgroupContext, cosets, normalizer, points, flips, noncompact) -> CosetSum:
+    """The integer data of one kind of coset sum, on the chart of ``points``
+    (b and w, or w alone).  ``cosets`` holds per coset its word and, per
+    flip, the scaled images of the flipped chart points, then of the kernel
+    roots.  A flip's directions are the quotient weights and the flipped
+    noncompact roots' projections, read by torus pairing (``noncompact``);
+    S_b negates the pairing with b."""
+    scale, r = ctx.rd.points[0], len(points)
     h_roots, quotient = _h_pairings(ctx), compact_quotient_weights(ctx)
     multisets = []
     for flip in flips:
@@ -209,12 +203,11 @@ def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
                 raise InternalError("noncompact root projects to zero")
             if p not in h_roots:
                 ms[p] = ms.get(p, 0) + 1
-        # the pairing (t1, t2) is at chart coordinate c (t1 b_c ww + t2 w_c bb) / den
-        multisets.append({tuple(t1 * b[c] * ww + t2 * w[c] * bb for c in chart.coords): m
-                          for (t1, t2), m in ms.items()})
-    den, r = ctx.rd.points[0] * bb * ww, len(chart.coords)
+        # the torus chart, on w alone, reads the pairing with w
+        multisets.append({p[-r:]: m for p, m in ms.items()})
+    # a root g pairs to t / D with the chart's points, for t the pairings of D g
     s0 = 2 * lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[:r]),
-                 den // gcd(den, *(x for ms in multisets for p in ms for x in p)))
+                 scale // gcd(scale, *(x for ms in multisets for p in ms for x in p)))
     t = lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[r:]))
     prefactors = [(-1) ** sum(ms.values()) for ms in multisets]
     terms = tuple(
@@ -224,9 +217,9 @@ def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
         for word, per_flip in cosets for i, (flip, images) in enumerate(zip(flips, per_flip))
     )
     return CosetSum(
-        chart.at_scale(s0),
+        Chart(points, s0),
         terms,
-        tuple(tuple(sorted((tuple(x * s0 // den for x in p), m) for p, m in ms.items()))
+        tuple(tuple(sorted((tuple(x * s0 // scale for x in p), m) for p, m in ms.items()))
               for ms in multisets),
         normalizer * t ** len(ctx.kernel),
     )
@@ -235,7 +228,7 @@ def _coset_sum(ctx: SubgroupContext, cosets, normalizer, chart: Chart, flips,
 @functools.lru_cache(maxsize=None)
 def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
     """The form's plan (memoized per context), read on the torus pairings."""
-    b, w, bb, ww = ctx.torus_points
+    b, w, _, _ = ctx.torus_points
     scale, points, _ = ctx.rd.points
     kernel = [points[i] for i in ctx.kernel]
     # the Weyl polynomial's normalizer, the kernel-root product at their
@@ -243,18 +236,15 @@ def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
     total = tuple(map(sum, zip(*kernel)))
     normalizer = Fraction(prod(sum(map(mul, total, a)) for a in kernel),
                           (2 * scale * scale) ** len(kernel))
-    kinds = ((Chart((ctx.beta, ctx.w_line)), (False, True),
+    kinds = (((b, w), (False, True),
               ctx.torus_pairings(p for p, c in zip(points, ctx.rd.compact) if not c)),
-             (Chart((ctx.w_line,)), (False,), ()))
-    # per kind and flip, the vectors its terms read: the covectors m_c with
-    # projection(v)[c] = (v, m_c), then the kernel roots, flipped; the walk
-    # carries each distinct one once
-    reads = []
-    for (chart, flips, noncompact), on_beta in zip(kinds, (1, 0)):  # torus: w_line alone
-        vs = (*(_lowest(tuple(on_beta * b[c] * ww * x + w[c] * bb * y for x, y in zip(b, w)),
-                        bb * ww) for c in chart.coords), *(_lowest(a, scale) for a in kernel))
-        reads.append([tuple(_reflect_scaled(v, b, bb) for v in vs) if flip else vs
-                      for flip in flips])
+             ((w,), (False,), ()))
+    # per kind and flip, the vectors its terms read: the chart's points, then
+    # the kernel roots, flipped; S_b negates b and fixes w and the kernel
+    # roots, which are orthogonal to b.  The walk carries each distinct one once
+    on_kernel = tuple(_lowest(a, scale) for a in kernel)
+    reads = [[(*((tuple(-x for x in v) if flip and v is b else v, 1) for v in vectors), *on_kernel)
+              for flip in flips] for vectors, flips, _ in kinds]
     index = {v: i for i, v in enumerate(dict.fromkeys(v for kind in reads for vs in kind for v in vs))}
     cosets = _kernel_cosets(ctx, list(index))
     series, torus = (
@@ -263,16 +253,6 @@ def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
         for spec, kind in zip(kinds, reads)
     )
     return OraclePlan(tuple(word for word, _ in cosets), series, torus)
-
-
-@functools.lru_cache(maxsize=None)
-def mirror_maps(ctx: SubgroupContext) -> tuple:
-    """(``Chart.linear_map``, sign) per ``ctx.mirrors`` on the plan's series
-    chart, at any scale (memoized per context): a mirror is the product of
-    the reflections in its roots."""
-    chart = oracle_plan(ctx).series.chart
-    return tuple((chart.linear_map(lambda w, roots=roots: functools.reduce(
-        lambda x, g: reflect(ctx.form, x, g), roots, w)), sign) for roots, sign in ctx.mirrors)
 
 
 def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig):
@@ -340,35 +320,31 @@ def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
     return _coset_series(ctx, lam, cfg)
 
 
-@functools.lru_cache(maxsize=None)
-def _chart_covectors(ctx: SubgroupContext):
-    """(positive, (c, k)) on the plan's series chart, read once per context:
-    the positive-side test on its points at any scale, by the signs of the
-    side roots' int covectors, and c with <mu, beta-check> = c . p / (k s) at
-    chart scale s."""
-    chart = oracle_plan(ctx).series.chart
-    side = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0] for g in ctx.side_roots]
-    covector, den = chart.functional(lambda w: coroot_pairing(ctx.form, w, ctx.beta))
-    return (lambda p: all(sum(map(mul, f, p)) > 0 for f in side)), (covector, den // chart.scale)
+def _positive_side(ctx: SubgroupContext):
+    """The test of a series point p, at any scale s, for the side where
+    (mu, g) > 0 for every side root g: as mu = (p1 b / (b, b) + p2 w / (w, w)) / s,
+    (mu, g) has the sign of ((x, b) (w, w), (x, w) (b, b)) . p for x = D g."""
+    _, _, bb, ww = ctx.torus_points
+    scale = ctx.rd.points[0]
+    side = [(tb * ww, tw * bb)
+            for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots)]
+    return lambda p: all(f1 * p[0] + f2 * p[1] > 0 for f1, f2 in side)
 
 
 def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
-    wall, odd across it, with every mirror point on the chart lattice."""
+    wall, where the pairing with b is 0, and odd across it; S_b is the sign
+    flip ``ctx.mirrors[0]``."""
     chart = series.chart
-    _, (wall, _) = _chart_covectors(ctx)  # zero where (mu, beta) is
-    mirror, _ = mirror_maps(ctx)[0]  # S_b
+    signs, _ = ctx.mirrors[0]
     problems = [
         ("wall", chart.to_weight(p), c)
         for p, c in series.coeffs.items()
-        if not sum(map(mul, wall, p)) and series.certain_at(p)
+        if not p[0] and series.certain_at(p)
     ]
     for p, c in series.coeffs.items():
-        q = map_point(mirror, p)
-        cm = None if q is None else series.coefficient(q)
-        if q is None:
-            problems.append(("mirror", chart.to_weight(p), "off the lattice"))
-        elif cm is not None and series.certain_at(p) and cm != -c:
+        cm = series.coefficient(tuple(map(mul, signs, p)))
+        if cm is not None and series.certain_at(p) and cm != -c:
             problems.append(("mirror", chart.to_weight(p), (c, cm)))
     return problems
 
@@ -384,7 +360,7 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
     the series' chart points.
     """
     chart = series.chart
-    positive, _ = _chart_covectors(ctx)
+    positive = _positive_side(ctx)
     entries = {}
     for p in series.candidate_points():
         if not positive(p):
@@ -416,16 +392,17 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
     Candidates are the extracted entries (the windows' certified positive
     points) and the closed table's entries, both as chart points
     (``BranchingTable.points_on``); the pairing bound and the positive side
-    are int covector tests on them (``_chart_covectors``), and only closed
+    are int tests on them, and only closed
     entries missing from the extraction are evaluated here.  Mismatches are
     (weight, closed, oracle) triples sorted by weight.
     """
     chart = series.chart
-    positive, (covector, k) = _chart_covectors(ctx)
-    den, bound = k * chart.scale, closed.pairing_bound
+    positive, bound = _positive_side(ctx), closed.pairing_bound
+    # <mu, beta-check> = 2 (mu, b) / (D (beta, beta)) = 2 D p[0] / (s (b, b))
+    den, k = chart.scale * ctx.torus_points[2], 2 * ctx.rd.points[0]
 
-    def within(p):  # <mu, beta-check> = covector . p / den <= bound
-        return sum(map(mul, covector, p)) * bound.denominator <= bound.numerator * den
+    def within(p):
+        return k * p[0] * bound.denominator <= bound.numerator * den
 
     candidates = {p: (m, None) for p, m in closed.points_on(chart).items()}
     for p, got in extract_multiplicities(ctx, series).points_on(chart).items():

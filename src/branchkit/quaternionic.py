@@ -11,6 +11,8 @@ datum's int data by position: compactness, beta's position and so k2, with
 no Fraction hashed; k2's simple roots and half-sum, its kernel roots and the
 projections onto the subgroup and su(2) tori (int pairings with beta and
 w_line, ``SubgroupContext.torus_points``) are read on ``rd.points`` on first use.
+The oracle's series live on those pairings, so every series symmetry the
+context names (``mirrors``) is a sign flip of them.
 
 Conventions locked against the distributional oracle (see ``oracle``):
 
@@ -81,14 +83,18 @@ class SubgroupContext:
     """What the oracle reads from a branching family.  k2 is spanned by the
     compact roots orthogonal to beta; the subgroup torus is spanned by the
     orthogonal pair (beta, w_line), and w_line also spans the su(2) torus
-    inside k2, so one pair of int pairings serves every family."""
+    inside k2, so one pair of int pairings serves every family.  A series
+    point is s ((mu, b), (mu, w)) for b, w the int points of beta, w_line
+    (``torus_points``): a mirror (signs, sign) says that the series at the
+    point with its coordinates multiplied by signs is sign times the series
+    at the point.  S_b, first, negates the pairing with b."""
 
     rd: RootDatum
     beta: Weight             # the maximal root, compact
     w_line: Weight           # spans the su(2) torus inside k2
     h_roots: tuple[Weight, ...]   # roots of the subgroup, on the subgroup torus
     side_roots: tuple[Weight, ...]   # the multiplicities sit where every (mu, g) > 0
-    mirrors: tuple           # (roots, sign): series symmetries, (S_b, -1) first
+    mirrors: tuple           # (signs, sign): series symmetries, (S_b, -1) first
     k2_factor: CompactFactor
 
     @classmethod
@@ -201,7 +207,7 @@ def quaternionic_context(label: str) -> QuaternionicContext:
         raise InternalError("odd number of noncompact positive roots")
     ctx = QuaternionicContext.build(
         rd, beta, wsub(beta, wscale(2, alpha)), (alpha, beta, wsub(beta, alpha)), (beta,),
-        (((beta,), -1),), psi=psi, alpha=alpha,
+        (((-1, 1), -1),), psi=psi, alpha=alpha,
         fw1=tuple(Fraction(x, 3 * scale) for x in l1),
         fw2=tuple(Fraction(x, 3 * scale) for x in l2), d=noncompact // 2,
     )
@@ -284,8 +290,9 @@ class BranchingTable:
     (an ``IntBasis`` or a ``Chart``) a key is an int tuple standing for the
     weight ``coords.to_weight(key)``: a closed table keys its entries on
     ``table_coords(ctx)``, an extracted one on the points of the series'
-    chart.  Without ``coords`` the keys are the weights.  ``entries`` shows
-    every table keyed by weights.
+    chart, and ``points_on`` maps the first to the second by one int
+    matrix.  Without ``coords`` the keys are the weights.  ``entries``
+    shows every table keyed by weights.
 
     The table is complete for every mu with <mu, beta-check> <= pairing_bound;
     entries beyond the bound are not reported.  Tables extracted from a

@@ -30,7 +30,7 @@ import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from operator import add, mul, sub
 
 from .errors import ConfigurationError, DimensionError, DomainError, InternalError, ResourceError
@@ -39,6 +39,7 @@ from .lattice import (
     Weight,
     WeightEntries,
     format_weight,
+    reflect_point,
     scaled_point,
     scaled_points,
     wneg,
@@ -66,6 +67,15 @@ def dimension_bound() -> int:
     )
 
 
+def _decimal(n: int) -> str:
+    """The positive int n in decimal, or as "about 10^k" when it has more
+    digits than ints convert to text."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{int(log10(n))}"
+
+
 def check_size(count: int, what: str) -> None:
     """Raise ResourceError when ``what`` could hold more than the dimension
     bound allows; ``count``, an upper bound on its size, is counted before
@@ -73,7 +83,7 @@ def check_size(count: int, what: str) -> None:
     bound = dimension_bound()
     if count > bound:
         raise ResourceError(
-            f"{what} would hold up to {count} entries, above the bound {bound} "
+            f"{what} would hold up to {_decimal(count)} entries, above the bound {bound} "
             "(BRANCHKIT_DIMENSION_BOUND)"
         )
 
@@ -188,20 +198,12 @@ def weyl_dimension(hw: Weight, factor: CompactFactor) -> int:
     return dim
 
 
-def _reflect(v: tuple, a: tuple, aa: int) -> tuple:
-    """Reflection of the int point v in the int root a, with aa = (a, a).
-    Exact for a weight integral for the factor: 2 (v, a) / (a, a) is its
-    coroot pairing."""
-    k = 2 * sum(map(mul, v, a)) // aa
-    return tuple(x - k * y for x, y in zip(v, a))
-
-
 def _dominant_representative(v: tuple, simple) -> tuple:
     """The dominant point of the Weyl orbit of v; ``simple`` holds (a, (a, a))."""
     while True:
         for a, aa in simple:
             if sum(map(mul, v, a)) < 0:
-                v = _reflect(v, a, aa)
+                v = reflect_point(v, a, aa)
                 break
         else:
             return v
@@ -254,7 +256,7 @@ def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
     orbits.  Dimension above the configured bound raises ResourceError."""
     dim = weyl_dimension(hw, factor)  # checks that hw is dominant integral
     if dim > dimension_bound():
-        raise ResourceError(f"representation dimension {dim} exceeds the bound")
+        raise ResourceError(f"representation dimension {_decimal(dim)} exceeds the bound")
     top, den = scaled_point(hw)
     two_d, roots, two_rho, simple = factor.int_roots  # at scale D = two_d / 2
     scale = 2 * lcm(two_d // 2, den)
@@ -295,7 +297,7 @@ def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
             raise InternalError("Freudenthal produced a non-integer multiplicity")
         mults[v] = m
     table = {u: m for v, m in mults.items()
-             for u in _closure(v, lambda x: (_reflect(x, a, aa) for a, aa in simple))}
+             for u in _closure(v, lambda x: (reflect_point(x, a, aa) for a, aa in simple))}
     got = sum(table.values())
     if got != dim:
         raise InternalError(f"weight table sums to {got}, Weyl dimension is {dim}")

@@ -47,6 +47,7 @@ from .lattice import (
     int_point,
     mat_mul,
     reflect,
+    reflect_point,
     reflection_matrix,
     scaled_points,
     wneg,
@@ -517,17 +518,14 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
         return []
     compact = {x for p, n, c in zip(points, negative, rd.compact) if c for x in (p, n)}
 
-    def reflect_in(x, a):  # x pairs integrally with the coroot of a
-        k = 2 * sum(map(mul, x, a)) // sum(map(mul, a, a))
-        return tuple(xi - k * ai for xi, ai in zip(x, a))
-
     key = tuple(map(sum, zip(*points)))
     simple = [points[i] for i in rd.simple_at]
     for _ in wanted:  # enough reflections when delta is a positive system
         a = next((a for a in wanted if sum(map(mul, key, a)) < 0), None)
         if a is None:
             break
-        key, simple = reflect_in(key, a), [reflect_in(b, a) for b in simple]
+        aa = sum(map(mul, a, a))
+        key, simple = reflect_point(key, a, aa), [reflect_point(b, a, aa) for b in simple]
     if {p for p in compact if sum(map(mul, p, key)) > 0} != wanted:
         return []
     queue, seen = [(key, simple)], {key}
@@ -536,7 +534,8 @@ def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
             crossed = tuple(x - 2 * y for x, y in zip(key, g))
             if g not in compact and crossed not in seen:
                 seen.add(crossed)
-                queue.append((crossed, [reflect_in(b, g) for b in simple]))
+                gg = sum(map(mul, g, g))
+                queue.append((crossed, [reflect_point(b, g, gg) for b in simple]))
     systems = sorted(tuple(sorted(p if sum(map(mul, p, key)) > 0 else n
                                   for p, n in zip(points, negative))) for key in seen)
     return [PositiveSystem(rd, _weights(chosen, scale)) for chosen in systems]

@@ -9,7 +9,9 @@ for sp(1, q), and A, C, D, E_6, E_7 for the Hermitian forms.  sp(1, q) is the
 quaternionic real form of type C (Gross-Wallach, J. reine angew. Math. 481
 (1996)): it takes its root datum, compactness by the highest-root rule
 included, from the builder of the quaternionic forms, and its context is a
-``quaternionic.SubgroupContext`` with beta = 2 e0 and w_line = 2 e1.  A
+``quaternionic.SubgroupContext`` with beta = 2 e0 and w_line = 2 e1, so the
+oracle's series points are twice a scale times (a, k) for mu = a e0 + k e1,
+and its mirrors are the sign flips of e0 and e1.  A
 Hermitian form labels a root compact when it pairs to 0 with the central
 direction z of K; its data share the quaternionic forms' split into positive
 roots (``rootsystems.positive_roots``), and its certificates are int points.
@@ -29,7 +31,6 @@ from .lattice import (
     Weight,
     format_weight,
     identity_form,
-    map_point,
     wadd,
     wneg,
     wscale,
@@ -40,7 +41,6 @@ from .oracle import (
     OracleConfig,
     _coset_series,
     compare,
-    mirror_maps,
     on_chart,
     require_compared,
 )
@@ -111,18 +111,16 @@ class Sp1qContext(SubgroupContext):
     def check_extracted(self, series: ProductSum, p: tuple, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
         series is odd under each sign flip of e0 and e1 and even under both,
-        wherever the mirror point is certified.  The series chart spans e0
-        and e1, so its points are scale * (a, k); weights are built for
-        error messages only."""
+        wherever the mirror point is certified.  The series chart pairs with
+        b = 2 e0 and w = 2 e1, so its points are 2 scale (a, k) and each flip
+        negates a coordinate; weights are built for error messages only."""
         if p[0] == p[1]:
             raise InternalError("nonzero coefficient on the singular wall a = k")
-        for mirror, sign in mirror_maps(self):
-            q = map_point(mirror, p)
-            got = None if q is None else series.coefficient(q)
-            if q is None or got is not None and got != sign * c:
+        for signs, sign in self.mirrors:
+            got = series.coefficient(tuple(map(mul, signs, p)))
+            if got is not None and got != sign * c:
                 mu = format_weight(series.chart.to_weight(p))
-                raise InternalError(f"a mirror of {mu} is off the chart lattice" if q is None
-                                    else f"four-fold antisymmetry fails at {mu}")
+                raise InternalError(f"four-fold antisymmetry fails at {mu}")
 
 
 def sp1q_system(q: int):
@@ -141,7 +139,7 @@ def sp1q_context(q: int) -> Sp1qContext:
     beta, w_line = wscale(2, e0), wscale(2, e1)
     return Sp1qContext.build(
         rd, beta, w_line, (beta, w_line, wadd(e0, e1), wsub(e0, e1)), (beta, w_line),
-        (((beta,), -1), ((e1,), -1), ((beta, e1), 1)), q=q, sigma=positive_system(rd),
+        (((-1, 1), -1), ((1, -1), -1), ((-1, -1), 1)), q=q, sigma=positive_system(rd),
     )
 
 

@@ -189,9 +189,9 @@ def region_points(region):
 
 
 def _side(ctx, chart):
-    covectors = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0]
-                 for g in ctx.side_roots]
-    return lambda p: all(sum(map(mul, f, p)) > 0 for f in covectors)
+    """The positive side by Fraction pairings of the point's weight with the
+    side roots."""
+    return lambda p: all(inner(ctx.form, chart.to_weight(p), g) > 0 for g in ctx.side_roots)
 
 
 def reference_extract(ctx, series):
@@ -499,16 +499,21 @@ def reference_kernel_cosets(ctx, vectors=()):
     return tuple((word, images[1:]) for word, images in reps)
 
 
-def _reference_coset_sum(ctx, cosets, chart, project, flips, noncompact):
-    coords, r = chart.coords, len(chart.coords)
-    h_roots = {tuple(h[c] for c in coords) for h in ctx.h_roots if project(h) == h}
-    quotient = {tuple(w[c] for c in coords): m
-                for w, m in reference_compact_quotient_weights(ctx).items()}
+def _reference_coset_sum(ctx, cosets, vectors, project, flips, noncompact):
+    """One kind of coset sum on the Fraction pairings of the projected
+    weights with ``vectors``, D beta and D w_line or D w_line alone."""
+    r = len(vectors)
+
+    def pairings(v):
+        return tuple(inner(ctx.form, v, u) for u in vectors)
+
+    h_roots = {pairings(h) for h in ctx.h_roots if project(h) == h}
+    quotient = {pairings(w): m for w, m in reference_compact_quotient_weights(ctx).items()}
     multisets = []
-    for images in cosets[0][1]:
+    for flip in flips:
         ms = dict(quotient)
-        for g, k in map(scaled_point, noncompact):
-            p = tuple(Fraction(sum(map(mul, x, g)), d * k) for x, d in images[:r])
+        for g in noncompact:
+            p = pairings(q_u(ctx, reflect(ctx.form, g, ctx.beta) if flip else g))
             if not any(p):
                 raise InternalError("noncompact root projects to zero")
             if p not in h_roots:
@@ -525,35 +530,33 @@ def _reference_coset_sum(ctx, cosets, chart, project, flips, noncompact):
         for word, per_flip in cosets for i, (flip, images) in enumerate(zip(flips, per_flip))
     )
     return CosetSum(
-        chart.at_scale(s0), terms,
+        Chart([int_point(v, 1) for v in vectors], s0), terms,
         tuple(tuple(sorted((int_point(p, s0), m) for p, m in ms.items())) for ms in multisets),
         reference_weyl_normalizer(ctx) * t ** len(ctx.kernel_positive),
     )
 
 
 def reference_oracle_plan(ctx) -> OraclePlan:
-    """The plan built on the Fraction projections: each kind's chart spans
-    the images of the unit vectors, its covectors are read off them, and
-    the coset walk carries their Fraction reflections in beta."""
-    dim = ctx.form.dim
-    flipped = lambda w: reflect(ctx.form, w, ctx.beta)  # noqa: E731
-    kinds = ((functools.partial(q_u, ctx), (False, True), ctx.rd.noncompact_positive),
-             (functools.partial(q_u_k2, ctx), (False,), ()))
-    charts = []
-    for project, _, _ in kinds:
-        images = [project(tuple(Fraction(i == j) for j in range(dim))) for i in range(dim)]
-        chart = Chart(images)
-        charts.append((chart, [tuple(img[c] for img in images) for c in chart.coords]))
+    """The plan built on Fraction pairings: a projected weight's series
+    coordinates are its pairings with D beta and D w_line, for D the least
+    common denominator of the roots, its torus coordinate the pairing with
+    D w_line, and the coset walk carries each flip's vectors as Fraction
+    reflections in beta."""
+    d = lcm(1, *(x.denominator for g in ctx.rd.roots for x in g))
+    b, w = wscale(d, ctx.beta), wscale(d, ctx.w_line)
+    kinds = (((b, w), functools.partial(q_u, ctx), (False, True), ctx.rd.noncompact_positive),
+             ((w,), functools.partial(q_u_k2, ctx), (False,), ()))
     reads = []
-    for (_, flips, _), (_, rows) in zip(kinds, charts):
-        vs = (*rows, *ctx.kernel_positive)
-        reads.append([tuple(map(flipped, vs)) if flip else vs for flip in flips])
+    for vectors, _, flips, _ in kinds:
+        vs = (*vectors, *ctx.kernel_positive)
+        reads.append([tuple(reflect(ctx.form, v, ctx.beta) for v in vs) if flip else vs
+                      for flip in flips])
     index = {v: i for i, v in enumerate(dict.fromkeys(v for kind in reads for vs in kind for v in vs))}
     cosets = reference_kernel_cosets(ctx, [scaled_point(v) for v in index])
     series, torus = (
         _reference_coset_sum(ctx, [(word, [[images[index[v]] for v in vs] for vs in kind])
-                                   for word, images in cosets], chart, project, flips, noncompact)
-        for (project, flips, noncompact), (chart, _), kind in zip(kinds, charts, reads)
+                                   for word, images in cosets], *spec)
+        for spec, kind in zip(kinds, reads)
     )
     return OraclePlan(tuple(word for word, _ in cosets), series, torus)
 
@@ -564,8 +567,8 @@ def same_plans(got, want) -> bool:
     if got.words != want.words:
         return False
     return all(
-        (a.chart.coords, a.chart.rows, a.chart.scale, a.terms, a.multisets, a.denominator)
-        == (b.chart.coords, b.chart.rows, b.chart.scale, b.terms, b.multisets, b.denominator)
+        (a.chart.points, a.chart.scale, a.terms, a.multisets, a.denominator)
+        == (b.chart.points, b.chart.scale, b.terms, b.multisets, b.denominator)
         for a, b in ((got.series, want.series), (got.torus, want.torus)))
 
 

@@ -324,6 +324,45 @@ def test_size_blowup_exits_3_before_allocating(capsys, monkeypatch, argv, what):
     assert err.endswith(" entries, above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)\n")
 
 
+_LONG = "1" + "0" * 4000  # 10^4000 prints, but the sizes it leads to do not
+_LONG_LAMBDA = "--lambda=" + ",".join(str(10**1500 * x) for x in (4, 2, 1, -2, -5))
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["branch", "quat", "--form", "su2_n:3", "--cutoff", _LONG, "--lambda=4,2,1,-2,-5"],
+     f"the closed table at cutoff {_LONG} would hold up to about 10^8000 entries, "
+     "above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)"),
+    (["oracle-check", "quat", "--form", "su2_n:3", "--step-bound", _LONG,
+      "--lambda=4,2,1,-2,-5"],
+     f"a Heaviside product at step bound {_LONG} would hold up to about 10^12000 entries, "
+     "above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)"),
+    (["weights", "--form", "su2_n:3", _LONG_LAMBDA],
+     "representation dimension about 10^4500 exceeds the bound"),
+], ids=["closed-table", "product", "dimension"])
+def test_unprintable_sizes_exit_3_in_one_line(capsys, monkeypatch, argv, what):
+    # a count with more digits than ints convert to text is named by its
+    # order of magnitude, not printed (which raised ValueError, exit 1)
+    monkeypatch.delenv("BRANCHKIT_DIMENSION_BOUND", raising=False)
+    assert run_cli(capsys, *argv) == (3, "", f"resource error: {what}\n")
+
+
+@pytest.mark.parametrize("argv,coordinate", [
+    (["admissible", "hermitian", "--form", "su_pq:1,2", "--lambda=1e5000,1,-1"], 1),
+    (["weights", "--form", "g2_2", "--lambda=1e5000,-2,3"], 1),
+    (["branch", "sp1q", "--form", "sp1_q:2", "--lambda=1e5000,2,1"], 1),
+    (["weights", "--form", "g2_2", "--lambda=1,1e-100000000,3"], 2),
+    (["oracle-check", "quat", "--form", "g2_2",
+      "--lambda=-2,-3," + "5" * (sys.get_int_max_str_digits() + 1)], 3),
+], ids=["hermitian", "weights", "sp1q", "exponent", "digits"])
+def test_lambda_too_long_to_print_exits_2(capsys, argv, coordinate):
+    # rejected while parsing, before the int is built: 10^100000000 alone
+    # would take minutes to build
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: weight coordinate {coordinate} has a numerator or denominator "
+        f"of more than {limit} digits\n")
+
+
 @pytest.mark.parametrize("argv,sizes", [
     # 9 positive roots of 3 coordinates; 3 su(2)-strings, 10 values of p each
     (["branch", "sp1q", "--form", "sp1_q:2", "--cutoff", "9", "--lambda=6,4,1"],
@@ -411,8 +450,6 @@ from bench import run, workloads
 for forms in workloads.SETUP_FORMS.values():
     run.fresh_setup(forms)
     memos = (sys.modules["branchkit.oracle"].oracle_plan,
-             sys.modules["branchkit.oracle"].mirror_maps,
-             sys.modules["branchkit.oracle"]._chart_covectors,
              sys.modules["branchkit.quaternionic"].table_coords,
              sys.modules["branchkit.repweights"]._freudenthal_memo)
     rootsystems = sys.modules["branchkit.rootsystems"]
@@ -433,7 +470,7 @@ for forms in workloads.SETUP_FORMS.values():
 
 def test_bench_setup_builds_no_oracle_plan():
     # the benchmark's set-up_s is a fresh import plus root data: the oracle's
-    # plans and chart covectors, the closed tables' label maps, the weight
+    # plans, the closed tables' label maps, the weight
     # tables and the int points of root data (the coroot covectors), positive
     # systems, compact factors and contexts (the torus pairings) must stay
     # lazy, built by the first request that needs them
@@ -441,7 +478,7 @@ def test_bench_setup_builds_no_oracle_plan():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     out = subprocess.run([sys.executable, "-c", SETUP_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:-1] == ["0 0 0 0 0 0"] * 3
+    assert out.split("\n")[:-1] == ["0 0 0 0"] * 3
 
 
 def _run_script(name: str) -> str:

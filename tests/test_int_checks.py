@@ -22,7 +22,6 @@ from branchkit import cli, quaternionic, repweights
 from branchkit.errors import DomainError, InternalError
 from branchkit.lattice import (
     IntBasis,
-    coroot_pairing,
     dual_covectors,
     inner,
     parse_weight,
@@ -31,7 +30,7 @@ from branchkit.lattice import (
     weight,
     wscale,
 )
-from branchkit.oracle import OracleConfig, _chart_covectors, _coset_series, oracle_plan
+from branchkit.oracle import OracleConfig, _coset_series, _positive_side, oracle_plan
 from branchkit.quaternionic import (
     _branching_table,
     _verify_projections,
@@ -391,19 +390,17 @@ def test_oracle_requests_hash_no_fraction(monkeypatch, capsys):
 
 @pytest.mark.parametrize("label", ["g2_2", "so4_n:4", "e6_2", "sp1_q:2"])
 def test_chart_data_match_per_request_reference(label):
-    # the covectors read once per context on the plan's chart, and the table
-    # keys' map onto a request's chart, equal what a request would read on
-    # its own chart by Fraction functionals and weights
+    # the positive side, read by the side roots' int covectors, and the
+    # table keys' map onto a request's chart, equal what a request would
+    # read on its own chart by Fraction pairings and weights
     ctx, system = _context(label)
     lam = wscale(2, system.rho)  # denominators differ from the plan's base chart
     series = _coset_series(ctx, lam, OracleConfig(step_bound=3))
     chart = series.chart
-    positive, (covector, k) = _chart_covectors(ctx)
-    assert (covector, k * chart.scale) == chart.functional(
-        lambda w: coroot_pairing(ctx.form, w, ctx.beta))
-    sides = [chart.functional(lambda w, g=g: inner(ctx.form, w, g))[0] for g in ctx.side_roots]
+    positive = _positive_side(ctx)
     for p in series.candidate_points():
-        assert positive(p) == all(sum(x * y for x, y in zip(f, p)) > 0 for f in sides)
+        mu = chart.to_weight(p)
+        assert positive(p) == all(inner(ctx.form, mu, g) > 0 for g in ctx.side_roots)
     table = (_sp1q_branching_table if isinstance(ctx, Sp1qContext) else _branching_table)(
         ctx, lam, 3)
     assert table.points_on(chart) == {chart.to_point(mu): m for mu, m in table.entries.items()}
@@ -416,14 +413,14 @@ def test_chart_data_match_per_request_reference(label):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_sp1q_singular_wall_is_read_on_points(q):
-    # the wall a = k of the series chart, whose points are scale * (a, k):
+    # the wall a = k of the series chart, whose points are 2 scale (a, k):
     # a certified coefficient there is an error, and one on a = -k is not
     ctx = sp1q_context(q)
     series = _coset_series(ctx, ctx.sigma.rho, OracleConfig(step_bound=3))
     s = series.chart.scale
     with pytest.raises(InternalError, match="singular wall"):
         ctx.check_extracted(series, (3 * s, 3 * s), 1)
-    assert series.chart.to_weight((3 * s, 3 * s))[:2] == (3, 3)
+    assert series.chart.to_weight((3 * s, 3 * s))[:2] == (Fraction(3, 2), Fraction(3, 2))
     p = (3 * s, -3 * s)  # on a = -k, off the wall; it and its mirrors are certified zeros
     assert series.coefficient(p) == 0
     ctx.check_extracted(series, p, 0)

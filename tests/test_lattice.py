@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from branchkit.lattice import (
     parse_weight,
     rational_solve,
     reflect,
+    reflect_point,
     reflection_matrix,
     wadd,
     weight,
@@ -131,6 +134,31 @@ def test_parse_weight_text_form():
     )
     with pytest.raises(DomainError):
         parse_weight("1,,2")
+
+
+def test_parse_weight_rejects_coordinates_too_long_to_print():
+    # a numerator or denominator with more digits than ints convert to text
+    # is rejected before it is built, so a huge exponent returns at once;
+    # the longest accepted ones round-trip
+    limit = sys.get_int_max_str_digits()
+    start = time.process_time()
+    for text in ("1e100000000", "1,-1e-100000000", "0e100000000", "1e" + "9" * 40,
+                 f"1e{limit}", f"1e-{limit}", "1" * (limit + 1), "1/" + "3" * (limit + 1)):
+        with pytest.raises(DomainError, match=f"more than {limit} digits"):
+            parse_weight(text)
+    assert time.process_time() - start < 1
+    for text in (f"1e{limit - 1}", f"-1e-{limit - 1}", "7" * limit, "2.5e3"):
+        w = parse_weight(text)
+        assert parse_weight(format_weight(w)) == w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-9, 9), st.integers(-9, 9), st.sampled_from(G2_ROOTS))
+def test_reflect_point_matches_reflect(c1, c2, g):
+    # on the root lattice, where 2 (v, g) / (g, g) is an int
+    lam = wadd(wscale(c1, A1_SHORT), wscale(c2, A2_LONG))
+    point, root = tuple(map(int, lam)), tuple(map(int, g))
+    assert weight(reflect_point(point, root, int(inner(G2, g, g)))) == reflect(G2, lam, g)
 
 
 def test_weight_equality_as_keys():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
@@ -10,12 +11,11 @@ from branchkit.acceptance import _AC4_PLAN, _quaternionic_parameters
 from branchkit.errors import InternalError
 from branchkit.formal import DeltaSeries, ValidityRegion, convolve_multiset, product_size
 from branchkit.lattice import (
-    Chart,
     coroot_pairing,
     inner,
     int_point,
-    map_point,
     rational_solve,
+    reflect,
     reflection_matrix,
     weight,
     wadd,
@@ -29,7 +29,6 @@ from branchkit.oracle import (
     check_antisymmetry,
     compare,
     extract_multiplicities,
-    mirror_maps,
     on_chart,
     oracle_plan,
     restriction_series,
@@ -184,24 +183,13 @@ def test_check_antisymmetry_e6_2():
     assert check_antisymmetry(ctx, series) == []
 
 
-def test_check_antisymmetry_reports_off_lattice_mirror():
-    # a point whose S_b image the chart's k = 2 does not divide
-    ctx = quaternionic_context("e6_2")
-    mirror, _ = mirror_maps(ctx)[0]
-    assert mirror[1] == 2
-    chart = oracle_plan(ctx).series.chart
-    p = next(p for p in ((1, 0), (0, 1), (1, 1)) if map_point(mirror, p) is None)
-    problems = check_antisymmetry(ctx, DeltaSeries({p: 1}, (), chart))
-    assert ("mirror", chart.to_weight(p), "off the lattice") in problems
-
-
 def test_check_antisymmetry_reports_only_certified_wall_points(g2):
-    # a coefficient on the S_b wall is a problem only where the contract
-    # certifies it: base p - 2d certifies p within 2 steps of d, not within 0
+    # a coefficient on the S_b wall, where the pairing with beta is 0, is a
+    # problem only where the contract certifies it: base p - 2d certifies p
+    # within 2 steps of d, not within 0
     chart = oracle_plan(g2).series.chart
-    wall, _ = chart.functional(lambda w: inner(g2.form, w, g2.beta))
-    p = (wall[1], -wall[0])
-    d = (1, 0) if wall[0] else (0, 1)
+    p, d = (0, 1), (1, 0)
+    assert inner(g2.form, chart.to_weight(p), g2.beta) == 0
     base = (p[0] - 2 * d[0], p[1] - 2 * d[1])
     certified = DeltaSeries({p: 1}, (ValidityRegion(base, ((d, 1),), 2),), chart)
     uncertified = DeltaSeries({p: 1}, (ValidityRegion(base, ((d, 1),), 0),), chart)
@@ -228,7 +216,7 @@ def test_extract_multiplicities_synthetic():
     ctx = quaternionic_context("g2_2")
     mu = wadd(wscale(2, ctx.beta), ctx.fw1)
     mirror = apply_matrix(reflection_matrix(ctx.beta), mu)
-    chart = Chart([mu, mirror])
+    chart = oracle_plan(ctx).series.chart
     series = on_chart(chart, {mu: 1, mirror: -1})
     table = extract_multiplicities(ctx, series)
     assert table.entries == {mu: 1}
@@ -319,61 +307,6 @@ def _series(label, coords):
     return ctx, restriction_series(ctx, lam, CFG)
 
 
-@pytest.mark.parametrize("label,coords", [
-    ("g2_2", None),
-    ("so4_n:4", (5, 3, 2, 1)),
-    ("sp1_q:2", (5, 2, 1)),
-])
-def test_chart_round_trips_series_points(label, coords):
-    ctx, series = _series(label, coords)
-    chart = series.chart
-    assert len(chart.coords) == 2
-    for p in series.coeffs:
-        w = chart.to_weight(p)
-        assert q_u(ctx, w) == w  # on the subgroup torus
-        assert chart.to_point(w) == p
-    w = chart.to_weight(next(iter(series.coeffs)))
-    half_step = wadd(w, wscale(Fraction(1, 2 * chart.scale), chart.rows[0]))
-    with pytest.raises(InternalError):
-        chart.to_point(half_step)  # non-integral chart coordinate
-    off = next(k for k in range(len(w)) if k not in chart.coords)
-    off_plane = tuple(x + (k == off) for k, x in enumerate(w))
-    with pytest.raises(InternalError):
-        chart.to_point(off_plane)  # same chart coordinates, off the span
-
-
-@pytest.mark.parametrize("label,coords", [("g2_2", None), ("so4_n:4", (5, 3, 2, 1))])
-def test_chart_linear_map_matches_fraction_path(label, coords):
-    ctx, series = _series(label, coords)
-    chart = series.chart
-    s_beta = reflection_matrix(ctx.beta)
-    mirror = chart.linear_map(lambda w: apply_matrix(s_beta, w))
-    assert mirror[1] == 1
-    for p in series.coeffs:
-        want = chart.to_point(apply_matrix(s_beta, chart.to_weight(p)))
-        assert tuple(sum(a * x for a, x in zip(row, p)) for row in mirror[0]) == want
-        assert map_point(mirror, p) == want
-    assert mirror_maps(ctx)[0] == (mirror, -1)
-    half = tuple(tuple(x / 2 for x in row) for row in s_beta)
-    halved = chart.linear_map(lambda w: apply_matrix(half, w))
-    assert halved == (mirror[0], 2)  # s_beta / 2: the same matrix over k = 2
-    for p in list(series.coeffs) + [(1, 0), (0, 1)]:
-        image = apply_matrix(half, chart.to_weight(p))
-        if all(x % 2 == 0 for x in map_point(mirror, p)):
-            assert map_point(halved, p) == chart.to_point(image)
-        else:
-            assert map_point(halved, p) is None  # off the chart lattice
-            with pytest.raises(InternalError):
-                chart.to_point(image)
-    dim = ctx.form.dim
-    unit = [tuple(Fraction(i == k) for i in range(dim)) for k in range(dim)]
-    k = next(k for k in range(dim) if rational_solve(list(chart.rows), unit[k]) is None)
-    c = chart.coords[0]
-    off = tuple(tuple(Fraction(i == k and j == c) for j in range(dim)) for i in range(dim))
-    with pytest.raises(InternalError):
-        chart.linear_map(lambda w: apply_matrix(off, w))  # w -> w[c] e_k sends the first chart row off the span
-
-
 # ---------------------------------------------------------------------------
 # the integer coset plan against the Fraction coset loop it replaced
 
@@ -422,6 +355,73 @@ def test_shared_context_keeps_the_family_rules(label):
     assert ctx.side_roots == sides
 
 
+def _torus_vectors(ctx):
+    """D beta and D w_line, for D the least common denominator of the roots:
+    a weight's series point is the chart's scale times its pairings with
+    them, and its torus point with the second alone."""
+    d = lcm(1, *(x.denominator for g in ctx.rd.roots for x in g))
+    return wscale(d, ctx.beta), wscale(d, ctx.w_line)
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_pairing_chart_round_trips_plan_points(label):
+    # every direction of the plan's multisets is the chart's scale times the
+    # Fraction pairings of its weight with the kind's vectors, the weight lies
+    # on the kind's torus, and to_point takes it back; half a step off the
+    # lattice, or a step off the span, raises
+    ctx = _context(label)
+    rule, rule_k2, _, _ = _family_rules(ctx)
+    b, w = _torus_vectors(ctx)
+    plan = oracle_plan(ctx)
+    dim = ctx.form.dim
+    units = [tuple(Fraction(i == k) for i in range(dim)) for k in range(dim)]
+    for kind, project, vectors in ((plan.series, rule, (b, w)), (plan.torus, rule_k2, (w,))):
+        chart = kind.chart
+        for items in kind.multisets:
+            for p, _ in items:
+                mu = chart.to_weight(p)
+                assert project(mu) == mu
+                assert tuple(chart.scale * inner(ctx.form, mu, v) for v in vectors) == p
+                assert chart.to_point(mu) == p
+        mu = chart.to_weight(kind.multisets[0][0][0])
+        for v in vectors:
+            half = wscale(Fraction(1, 2 * chart.scale * inner(ctx.form, v, v)), v)
+            with pytest.raises(InternalError, match="off the chart lattice"):
+                chart.to_point(wadd(mu, half))  # a half-integral coordinate
+        off = next(u for u in units if project(u) != u)
+        with pytest.raises(InternalError, match="off the chart lattice"):
+            chart.to_point(wadd(mu, off))  # off the span
+
+
+def _family_mirrors(ctx):
+    """The series symmetries of each family as products of Fraction
+    reflections: S_b, and for sp(1, q) also the sign flip of e1 and both."""
+    if isinstance(ctx, Sp1qContext):
+        e1 = weight([0, 1] + [0] * (ctx.q - 1))
+        return [(ctx.beta,), (e1,), (ctx.beta, e1)]
+    return [(ctx.beta,)]
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_mirror_sign_flips_match_fraction_reflections(label):
+    # each mirror of the context, a sign flip of the series coordinates, is
+    # the product of its family's reflections on the weights of the series
+    # chart, with the sign (-1)^(number of reflections); S_b comes first
+    ctx = _context(label)
+    chart = oracle_plan(ctx).series.chart
+    mirrors = _family_mirrors(ctx)
+    assert len(ctx.mirrors) == len(mirrors) and ctx.mirrors[0] == ((-1, 1), -1)
+    points = [(1, 0), (0, 1), (3, -2)] + [p for items in oracle_plan(ctx).series.multisets
+                                          for p, _ in items]
+    for (signs, sign), roots in zip(ctx.mirrors, mirrors):
+        assert sign == (-1) ** len(roots)
+        for p in points:
+            image = chart.to_weight(p)
+            for g in roots:
+                image = reflect(ctx.form, image, g)
+            assert chart.to_point(image) == tuple(map(mul, signs, p)), (roots, p)
+
+
 def _system(ctx):
     """The positive system a parameter of the family must be dominant for."""
     return ctx.sigma if isinstance(ctx, Sp1qContext) else ctx.psi
@@ -450,9 +450,9 @@ def _dominant(ctx, coeffs):
 
 def _check_against_reference(ctx, lam, step_bound):
     """Both kinds of coset sum at lam equal the Fraction reference point for
-    point, with identical regions, on the plan's chart; that chart is the
-    one the reference's terms span, at a multiple of its scale, so every
-    base the plan computes is on the old lattice too.  At every point of
+    point, with identical regions, on the plan's chart; the reference's
+    terms span that chart's span, and each of their bases and directions is
+    one of its points (``reference_series``).  At every point of
     the reference's support and of each term's window, the per-point
     verdict and coefficient equal those of the dense reference series, and
     the candidate points are exactly the union of the windows."""
@@ -463,10 +463,10 @@ def _check_against_reference(ctx, lam, step_bound):
         series = _coset_series(ctx, mu, OracleConfig(step_bound=step_bound), torus=torus)
         terms = coset_terms(ctx, mu, torus)
         chart = series.chart
-        spanned = Chart(list(dict.fromkeys(
-            [base for _, base, _ in terms] + [d for _, _, ms in terms for d in ms])))
-        assert (spanned.coords, spanned.rows) == (chart.coords, chart.rows)
-        assert chart.scale % spanned.scale == 0
+        spanned = list(dict.fromkeys(
+            [base for _, base, _ in terms] + [d for _, _, ms in terms for d in ms]))
+        vectors = _torus_vectors(ctx)[1:] if torus else _torus_vectors(ctx)
+        assert all(rational_solve(spanned, v) is not None for v in vectors)
         coeffs, regions = reference_series(terms, chart, step_bound)
         # per-point certification and values first, before the dense sum exists
         reference = DeltaSeries(coeffs, regions, chart)
