@@ -45,10 +45,15 @@ pure.
 
 The oracle reads ``convolve_multiset``, ``product_size`` and ``ProductSum``:
 a signed sum of memoized products translated to its terms' bases, over one
-denominator.  A ``ProductSum`` certifies and evaluates one point at a time,
-from the terms' windows, and reports the union of the windows as the only
-points where a certified coefficient can be nonzero; its dense coefficients
-and translated regions, a ``DeltaSeries``'s two fields, are built only when
+denominator.  A ``ProductSum`` sweeps once through the terms' windows, on
+first read, and keeps per point its window total and the set of terms whose
+window holds it.  A query reads the total there and certifies each other
+term by its cone's covector (a decomposition off the window takes more than
+the step bound's steps, and each step raises the covector by at least its
+least value on a direction), searching only the offsets that this bound
+leaves open.  The points with a nonzero window total are the only ones
+where a certified coefficient can be nonzero.  Its dense coefficients and
+translated regions, a ``DeltaSeries``'s two fields, are built only when
 read.  ``convolve`` with its contract merge, ``dirac``, ``heaviside`` and
 ``heaviside_power`` build the products and serve AC-1 and the tests.
 """
@@ -83,6 +88,10 @@ def _half(v: Point) -> Point:
             f"half of ({format_weight(v)}) is not an integer point; double the points"
         )
     return tuple(x // 2 for x in v)
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def _cross(p: Point, q: Point) -> int:
@@ -130,7 +139,7 @@ class _Cone:
         self.check_span = dim > self.rank
         self.free = tuple(d for d in dirs if d not in self.span)
         self.last = tuple(map(self._project, self.span))
-        self.phi = {d: sum(map(operator.mul, self.f, self._project(d))) for d in dirs}
+        self.phi = {d: _dot(self.f, self._project(d)) for d in dirs}
         if min(self.phi.values()) <= 0:
             raise DomainError("multiset is not strict: no linear functional is positive on it")
 
@@ -191,7 +200,7 @@ class _Cone:
         t = self._project(v)
         if not self.free:
             return self._solve_last(t)
-        budget = sum(map(operator.mul, self.f, t))
+        budget = _dot(self.f, t)
         if budget < 0:
             return None
         best = None
@@ -266,7 +275,7 @@ class DeltaSeries:
             return None
         return self.coeffs.get(x, 0)
 
-    def candidate_points(self):
+    def nonzero_points(self):
         """The points where a certified coefficient can be nonzero: the support."""
         return iter(self.coeffs)
 
@@ -407,7 +416,8 @@ def _window(items: tuple[tuple[Point, int], ...], n_steps: int):
 
 class ProductSum:
     """The series sum_t num_t * P_t(x - b_t) / denominator of translated
-    Heaviside products P_t = ``convolve_multiset``, evaluated per point.
+    Heaviside products P_t = ``convolve_multiset``, read from one sweep over
+    the terms' windows.
 
     ``terms`` holds (b_t, num_t, index into ``products``) with int bases and
     numerators; the denominator is a positive Fraction.  Its contract is the
@@ -415,11 +425,21 @@ class ProductSum:
     stated per point: a term certifies x when x - b_t lies in its product's
     window, where it adds num_t * P_t(x - b_t), or has no decomposition over
     the product's directions at all, where the product is 0 and known to be.
-    So ``certain_at`` and ``coefficient`` evaluate one point, divide its sum
-    once (exactly, or InternalError) and keep the verdict.  A certified
-    point with a nonzero coefficient lies in some term's window, so
-    ``candidate_points`` yields every point a reader of certified values
-    needs.
+
+    The sweep, built on first read, runs once through every term's window
+    and maps each point, in first-seen order, to its window total and the
+    bitmask of the terms whose window holds it.  ``coefficient`` reads the
+    total there and visits only the terms that do not cover x.  Such a term
+    first gets an int test: with g its product's cone covector (``_Cone.f``
+    on the pivots), B the product's base and n its step bound,
+    g . x < g . (b_t + B) + (n + 1) min phi certifies it with no search,
+    because a decomposition of x - b_t - B outside the window takes at least
+    n + 1 steps and each step adds at least min phi to g.  Only when the test
+    fails is the offset searched (``_min_steps``).  The total is divided
+    once (exactly, or InternalError) and the verdict kept.  A certified
+    point with a nonzero coefficient has a nonzero window total, so
+    ``nonzero_points`` yields every point a reader of certified nonzero
+    values needs; ``candidate_points`` yields every point of the windows.
     ``coeffs`` (the whole truncated sum) and ``regions`` are built on first
     access, for readers of the dense series.
     """
@@ -435,35 +455,67 @@ class ProductSum:
 
     def window_size(self) -> int:
         """The total size of the terms' windows, counted with repeats: what
-        ``candidate_points`` runs through."""
+        the sweep runs through."""
         return sum(len(self._windows[i]) for _, _, i in self.terms)
 
+    @functools.cached_property
+    def _sweep(self) -> dict:
+        """{point: [window total, bitmask of the terms covering it]}, in
+        first-seen order over the terms and their windows."""
+        sweep: dict = {}
+        get, plus = sweep.get, operator.add
+        for k, (b, num, i) in enumerate(self.terms):
+            bit = 1 << k
+            for o, c in self._windows[i].items():
+                p = tuple(map(plus, o, b))
+                entry = get(p)
+                if entry is None:
+                    sweep[p] = [num * c, bit]
+                else:
+                    entry[0] += num * c
+                    entry[1] |= bit
+        return sweep
+
+    @functools.cached_property
+    def _bounds(self) -> tuple:
+        """(per product its covector g on the pivots, per term (index into
+        the products, g . (b_t + B) + (n + 1) min phi))."""
+        covectors, offsets = [], []
+        for p in self.products:
+            region = p.regions[0]
+            cone = _cone(tuple(d for d, _ in region.directions))
+            g = [0] * len(region.base)
+            for k, f in zip(cone.pivots, cone.f):
+                g[k] = f
+            covectors.append(tuple(g))
+            offsets.append(_dot(g, region.base)
+                           + (region.step_bound + 1) * min(cone.phi.values()))
+        return tuple(covectors), tuple((i, _dot(covectors[i], b) + offsets[i])
+                                       for b, _, i in self.terms)
+
     def candidate_points(self):
+        """Every point of the terms' windows, once each, in first-seen order."""
+        return iter(self._sweep)
+
+    def nonzero_points(self):
         """The points where a certified coefficient can be nonzero: the
-        union of the terms' windows, once each."""
-        seen = set()
-        for b, _, i in self.terms:
-            for o in self._windows[i]:
-                p = tuple(map(operator.add, o, b))
-                if p not in seen:
-                    seen.add(p)
-                    yield p
+        windows' points with a nonzero total, in first-seen order."""
+        return (p for p, (total, _) in self._sweep.items() if total)
 
     def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""
         values = self._values
         if x in values:
             return values[x]
-        total = 0
-        sub = operator.sub
-        for b, num, i in self.terms:
-            o = tuple(map(sub, x, b))
-            c = self._windows[i].get(o)
-            if c is not None:
-                total += num * c
+        total, mask = self._sweep.get(x, (0, 0))
+        covectors, bounds = self._bounds
+        levels = [_dot(g, x) for g in covectors]
+        for k, (i, bound) in enumerate(bounds):
+            if mask >> k & 1 or levels[i] < bound:
                 continue
+            b, _, _ = self.terms[k]
             region = self.products[i].regions[0]
-            if _min_steps(region.directions, _psub(o, region.base)) is not None:
+            if _min_steps(region.directions, _psub(_psub(x, b), region.base)) is not None:
                 values[x] = None
                 return None
         values[x] = got = self._divide(total)

@@ -45,10 +45,11 @@ weights are mapped back only for mismatches and errors.  A request returns a
 ``formal.ProductSum``: the conjunction of the per-term truncation regions,
 stated per point.  A term certifies a point when the offset from its base
 lies in its product's step-bound window, where the term adds its value, or
-has no decomposition over the product's directions at all.  A certified
-point with a nonzero coefficient lies in some term's window, so extraction
-and comparison read only the windows' positive-side points and the closed
-table's entries, never the dense series.  The sizes of the closed table, the
+has no decomposition over the product's directions at all.  One sweep over
+the windows gives each point its window total; a certified point with a
+nonzero coefficient has a nonzero total, so extraction certifies only the
+positive-side points with one, and comparison adds only the closed table's
+entries, never reading the dense series.  The sizes of the closed table, the
 products and the windows are checked against the dimension bound before
 they are built.
 """
@@ -355,18 +356,18 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
     Only certified weights are reported; a negative coefficient on the
     positive side signals an antisymmetrization failure (bug or insufficient
     truncation) and raises InternalError, as does a failed family check.
-    Every certified nonzero coefficient lies in some term's window, so only
-    the windows' positive-side points are evaluated.  The table is keyed by
-    the series' chart points.
+    Every certified nonzero coefficient has a nonzero window total, so only
+    the positive-side points among ``nonzero_points`` are certified and
+    evaluated.  The table is keyed by the series' chart points.
     """
     chart = series.chart
     positive = _positive_side(ctx)
     entries = {}
-    for p in series.candidate_points():
+    for p in series.nonzero_points():
         if not positive(p):
             continue
         c = series.coefficient(p)
-        if not c:  # uncertified, or certified zero
+        if c is None:
             continue
         ctx.check_extracted(series, p, c)
         if c < 0:
@@ -389,12 +390,12 @@ def compare(ctx: SubgroupContext, series: ProductSum, closed: BranchingTable) ->
     the closed table's pairing bound that the truncated series certifies
     must match exactly; uncertified candidates are skipped.
 
-    Candidates are the extracted entries (the windows' certified positive
-    points) and the closed table's entries, both as chart points
-    (``BranchingTable.points_on``); the pairing bound and the positive side
-    are int tests on them, and only closed
-    entries missing from the extraction are evaluated here.  Mismatches are
-    (weight, closed, oracle) triples sorted by weight.
+    Candidates are the extracted entries (the certified positive points
+    with a nonzero window total) and the closed table's entries, both as
+    chart points (``BranchingTable.points_on``); the pairing bound and the
+    positive side are int tests on them, and only closed entries missing
+    from the extraction are evaluated here.  Mismatches are (weight,
+    closed, oracle) triples sorted by weight.
     """
     chart = series.chart
     positive, bound = _positive_side(ctx), closed.pairing_bound

@@ -227,9 +227,34 @@ def _dominant_weights(hw: tuple, positive, simple):
     """All dominant weights of the representation: by Stembridge (Adv. Math.
     136, 1998, Cor. 2.7) each is reached from hw by positive-root steps
     through dominant weights, those that pair nonnegatively with every
-    simple root."""
-    return _closure(hw, lambda v: (u for u in (tuple(map(sub, v, g)) for g in positive)
-                                   if all(sum(map(mul, u, a)) >= 0 for a, _ in simple)))
+    simple root.  From a dominant v, v - g is dominant exactly when
+    (v, a) >= (g, a) for the few simple a with (g, a) > 0; those pairings
+    are read once, like v's with the simple roots, on nonzero coordinates."""
+    entries: dict[int, list] = {}  # coordinate -> [(k, entry)] for the k-th simple root
+    for k, (a, _) in enumerate(simple):
+        for c, x in enumerate(a):
+            if x:
+                entries.setdefault(c, []).append((k, x))
+    steps = []
+    for g in positive:
+        pairings: dict[int, int] = {}
+        for c, x in enumerate(g):
+            if x:
+                for k, y in entries.get(c, ()):
+                    pairings[k] = pairings.get(k, 0) + x * y
+        steps.append((g, [(k, m) for k, m in pairings.items() if m > 0]))
+
+    def neighbours(v):
+        on_simple = [0] * len(simple)
+        for c, pairs in entries.items():
+            x = v[c]
+            if x:
+                for k, y in pairs:
+                    on_simple[k] += x * y
+        return (tuple(map(sub, v, g)) for g, needs in steps
+                if all(on_simple[k] >= m for k, m in needs))
+
+    return _closure(hw, neighbours)
 
 
 @dataclass(frozen=True, eq=False)

@@ -440,6 +440,23 @@ def reference_dominant_weights(hw, positive, simple, covectors):
     return found
 
 
+def reference_dense_dominant_weights(hw, positive, simple):
+    """Stembridge's walk down positive-root steps through dominant weights,
+    each candidate v - g paired with every simple root on every coordinate."""
+    found = {hw}
+    frontier = [hw]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in positive:
+                u = tuple(map(sub, v, g))
+                if u not in found and all(sum(map(mul, u, a)) >= 0 for a, _ in simple):
+                    found.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return found
+
+
 def reference_weyl_normalizer(ctx) -> Fraction:
     """The kernel-root product at rho_Z, their half-sum, in Fractions."""
     rho_z = half_sum(ctx.form.dim, ctx.kernel_positive)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import cli, quaternionic, repweights
+from branchkit import cli, formal, quaternionic, repweights
 from branchkit.errors import DomainError, InternalError
 from branchkit.lattice import (
     IntBasis,
@@ -68,6 +68,7 @@ from branchkit.specialcases import (
 from oracle_reference import (
     fraction_pairings,
     reference_decompose_parameter,
+    reference_dense_dominant_weights,
     reference_dominant_weights,
     reference_oracle_plan,
     reference_sigma_keys,
@@ -306,14 +307,10 @@ def _walk_data(factor):
     return positive, simple, dual_covectors([a for a, _ in simple])
 
 
-@pytest.mark.parametrize("label", QUAT_FORMS + SP1Q_FORMS + ("sp1_q:4",))
-def test_stembridge_walk_matches_reference_walk(label, seed0):
-    # every dominant weight is reached through dominant weights alone: the
-    # same set as the walk through dominant representatives, on the seed-0
-    # highest weight and the dominant points of small root combinations
-    ctx, _ = (sp1q_context(4), None) if label == "sp1_q:4" else _context(label)
+def _walk_tops(label, ctx, simple, seed0):
+    """Highest weights for the walk: the seed-0 one when the benchmark draws
+    the form, and the dominant points of small random root combinations."""
     factor = ctx.k2_factor
-    positive, simple, covectors = _walk_data(factor)
     scale = factor.int_roots[0]  # twice the roots' denominator
     rng = random.Random(label)
     tops = []
@@ -326,9 +323,34 @@ def test_stembridge_walk_matches_reference_walk(label, seed0):
             v = tuple(x + rng.randrange(-2, 3) * y for x, y in zip(v, a))
         tops.append(_dominant_representative(v, simple))
     assert len(set(tops)) > 6
-    for top in tops:
+    return tops
+
+
+@pytest.mark.parametrize("label", QUAT_FORMS + SP1Q_FORMS + ("sp1_q:4",))
+def test_stembridge_walk_matches_reference_walk(label, seed0):
+    # every dominant weight is reached through dominant weights alone: the
+    # same set as the walk through dominant representatives, on the seed-0
+    # highest weight and the dominant points of small root combinations
+    ctx, _ = (sp1q_context(4), None) if label == "sp1_q:4" else _context(label)
+    positive, simple, covectors = _walk_data(ctx.k2_factor)
+    for top in _walk_tops(label, ctx, simple, seed0):
         assert _dominant_weights(top, positive, simple) == reference_dominant_weights(
             top, positive, simple, covectors)
+
+
+@pytest.mark.parametrize("label", [
+    "g2_2", "f4_4", "e6_2", "e7_m5", "e8_m24", "su2_n:2", "su2_n:3", "su2_n:5", "su2_n:7",
+    "so4_n:3", "so4_n:4", "so4_n:7", "so4_n:10", "sp1_q:2", "sp1_q:3", "sp1_q:6"])
+def test_sparse_dominance_matches_dense_test(label, seed0):
+    # the walk's dominance test, read on the simple roots a step pairs
+    # positively with, keeps the same weights as pairing every candidate
+    # with every simple root on every coordinate, on the k2 factor of each
+    # quaternionic and sp(1, q) family of ``list-forms``
+    ctx, _ = _context(label)
+    positive, simple, _ = _walk_data(ctx.k2_factor)
+    for top in _walk_tops(label, ctx, simple, seed0):
+        assert _dominant_weights(top, positive, simple) == reference_dense_dominant_weights(
+            top, positive, simple)
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,6 +408,35 @@ def test_oracle_requests_hash_no_fraction(monkeypatch, capsys):
     hash(Fraction(1, 3))
     assert calls  # the patch counts
     assert capsys.readouterr().out.count('"agree": true') == 8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_searches_only_decomposable_offsets(seed, monkeypatch, capsys):
+    # the benchmark's dense oracle requests on g2_2 (step bound 5) and
+    # sp1_q:2 (step bound 10): every term off its window that the cone's
+    # covector bound does not certify has a decomposition, so no search
+    # is spent on an offset the bound rules out (a count, not a timing)
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from bench import workloads
+
+    requests = [argv for argv in workloads.requests("oracle_dense", seed)
+                if argv[argv.index("--form") + 1] in ("g2_2", "sp1_q:2")]
+    assert len(requests) == 9
+    formal._min_steps.cache_clear()
+    results = []
+    original = formal._Cone.min_steps
+
+    def recording(self, v):
+        got = original(self, v)
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(formal._Cone, "min_steps", recording)
+    for argv in requests:
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count('"agree": true') == 9
+    assert results and None not in results
 
 
 @pytest.mark.parametrize("label", ["g2_2", "so4_n:4", "e6_2", "sp1_q:2"])

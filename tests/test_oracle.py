@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import product
+from math import gcd, lcm
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from branchkit.acceptance import _AC4_PLAN, _quaternionic_parameters
 from branchkit.errors import InternalError
-from branchkit.formal import DeltaSeries, ValidityRegion, convolve_multiset, product_size
+from branchkit.formal import (
+    DeltaSeries,
+    ProductSum,
+    ValidityRegion,
+    convolve_multiset,
+    product_size,
+)
 from branchkit.lattice import (
     coroot_pairing,
     inner,
@@ -50,6 +57,7 @@ from branchkit.specialcases import (
     sp1q_restriction_series,
     sp1q_validate,
 )
+from branchkit.repweights import hc_to_highest_weight, weyl_dimension
 from branchkit.rootsystems import coset_reps, simple_elements, weyl_generate
 from oracle_reference import (
     q_u,
@@ -448,19 +456,41 @@ def _dominant(ctx, coeffs):
     return lam
 
 
+def _off_window_points(points, rng, count=300):
+    """Up to count points, drawn by rng, of the lattice of the points' gcd
+    stride in their bounding box widened by a quarter of its width on each
+    side: most of them lie off every window."""
+    stride = gcd(*(x for p in points for x in p))
+    ranges = []
+    for k in range(len(next(iter(points)))):
+        low, high = min(p[k] for p in points), max(p[k] for p in points)
+        reach = (high - low) // 4 + 2 * stride
+        ranges.append(range((low - reach) // stride, (high + reach) // stride + 1))
+    box = [tuple(stride * i for i in q) for q in product(*ranges)]
+    return set(rng.sample(box, min(count, len(box))))
+
+
 def _check_against_reference(ctx, lam, step_bound):
     """Both kinds of coset sum at lam equal the Fraction reference point for
     point, with identical regions, on the plan's chart; the reference's
     terms span that chart's span, and each of their bases and directions is
-    one of its points (``reference_series``).  At every point of
-    the reference's support and of each term's window, the per-point
-    verdict and coefficient equal those of the dense reference series, and
-    the candidate points are exactly the union of the windows."""
+    one of its points (``reference_series``).  At every point of the
+    reference's support and of each term's window, at points off the
+    windows drawn from a box around them, and on the branching series at
+    every mirror of those (the points ``check_extracted`` and
+    ``check_antisymmetry`` query), the per-point verdict and coefficient
+    equal those of the dense reference series; the candidate points are
+    exactly the union of the windows, and the nonzero points those of them
+    with a nonzero window sum.  Extraction, and comparison with the closed
+    table where its k2-type has dimension at most 2000, equal the dense
+    reference's, on a series read cold."""
     sp1q = isinstance(ctx, Sp1qContext)
     (sp1q_validate if sp1q else validate_small_dominant)(ctx, lam)
     lam2 = (sp1q_decompose if sp1q else decompose_parameter)(ctx, lam)[1]
+    cfg = OracleConfig(step_bound=step_bound)
+    rng = random.Random(repr((ctx.rd.label, lam, step_bound)))
     for torus, mu in ((False, lam), (True, lam2)):
-        series = _coset_series(ctx, mu, OracleConfig(step_bound=step_bound), torus=torus)
+        series = _coset_series(ctx, mu, cfg, torus=torus)
         terms = coset_terms(ctx, mu, torus)
         chart = series.chart
         spanned = list(dict.fromkeys(
@@ -468,13 +498,34 @@ def _check_against_reference(ctx, lam, step_bound):
         vectors = _torus_vectors(ctx)[1:] if torus else _torus_vectors(ctx)
         assert all(rational_solve(spanned, v) is not None for v in vectors)
         coeffs, regions = reference_series(terms, chart, step_bound)
-        # per-point certification and values first, before the dense sum exists
         reference = DeltaSeries(coeffs, regions, chart)
+        if not torus:
+            cold = _coset_series(ctx, mu, cfg)
+            assert (extract_multiplicities(ctx, cold).entries
+                    == reference_extract(ctx, reference).entries)
+        if not torus and weyl_dimension(hc_to_highest_weight(lam2, ctx.k2_factor),
+                                        ctx.k2_factor) <= 2000:
+            closed = (sp1q_branching_table if sp1q else branching_table)(ctx, lam, step_bound)
+            assert _report(compare(ctx, _coset_series(ctx, mu, cfg), closed)) == _report(
+                reference_compare(ctx, reference, closed))
+        # per-point certification and values, before the dense sum exists
         windows = set().union(*map(region_points, regions))
-        for p in windows | set(coeffs):
+        points = windows | set(coeffs) | _off_window_points(windows, rng)
+        if not torus:
+            points |= {tuple(map(mul, signs, p)) for p in points for signs, _ in ctx.mirrors}
+        for p in points:
             assert series.certain_at(p) == reference.certain_at(p), p
             assert series.coefficient(p) == reference.coefficient(p), p
         assert set(series.candidate_points()) == windows
+        window_sums = {}
+        for (coeff, base, ms), region in zip(terms, regions):
+            b = chart.to_point(base)
+            values = convolve_multiset({chart.to_point(d): m for d, m in ms.items()},
+                                       step_bound).coeffs
+            for p in region_points(region):
+                window_sums[p] = window_sums.get(p, 0) + coeff * values[tuple(map(sub, p, b))]
+        assert list(series.nonzero_points()) == [
+            p for p in series.candidate_points() if window_sums[p]]
         assert series.coeffs == coeffs
         assert series.regions == regions
 
@@ -515,6 +566,70 @@ def test_plan_product_sizes_are_pinned(label):
         for items in kind.multisets:
             ms = dict(items)
             assert (product_size(ms, 4), len(convolve_multiset(ms, 4).coeffs)) == expected, items
+
+
+# ---------------------------------------------------------------------------
+# the covector bound that certifies a term off its window without a search
+
+
+def _plan_products(label):
+    """The plan's multisets of both kinds, as sorted items of chart points."""
+    plan = oracle_plan(_context(label))
+    return [items for kind in (plan.series, plan.torus) for items in kind.multisets]
+
+
+def _check_covector_bound(items, step_bound, offsets):
+    """On a sum of one term, the product of items based at the origin, at
+    each offset x: x is in the term's window exactly when its minimal step
+    count over the product's directions is at most the step bound, and
+    where the covector bound lets the term skip x, x has no decomposition
+    at all.  Returns the number of offsets the bound skipped."""
+    dim = len(items[0][0])
+    heaviside = convolve_multiset(dict(items), step_bound)
+    series = ProductSum((((0,) * dim, 1, 0),), (heaviside,), Fraction(1), None)
+    region = heaviside.regions[0]
+    (g,), ((_, bound),) = series._bounds
+    window = set(series.candidate_points())
+    skipped = 0
+    for x in offsets:
+        steps = region.min_total_steps(x)
+        assert (x in window) == (steps is not None and steps <= step_bound), (items, x)
+        if x not in window and sum(map(mul, g, x)) < bound:
+            assert steps is None, (items, x)
+            skipped += 1
+    return skipped
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_covector_bound_is_sound_on_plan_products(label):
+    # every product of the plan at step bounds 1 to 6 (sp(1,q): to 10), on
+    # the lattice of the directions' gcd stride through the base, in the
+    # window's bounding box widened by two direction lengths on each side
+    top = 10 if label.startswith("sp1_q") else 6
+    for items in _plan_products(label):
+        stride = gcd(*(x for d, _ in items for x in d))
+        reach = 2 * max(abs(x) for d, _ in items for x in d)
+        for n in range(1, top + 1):
+            region = convolve_multiset(dict(items), n).regions[0]
+            base, window = region.base, region_points(region)
+            ranges = [range((min(p[k] for p in window) - reach - b) // stride,
+                            (max(p[k] for p in window) + reach - b) // stride + 1)
+                      for k, b in enumerate(base)]
+            box = [tuple(b + stride * i for b, i in zip(base, q)) for q in product(*ranges)]
+            assert window < set(box)
+            assert _check_covector_bound(items, n, box) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(["g2_2", "su2_n:2", "sp1_q:2"]), data=st.data())
+def test_covector_bound_is_sound_at_random_offsets(label, data):
+    items = data.draw(st.sampled_from(_plan_products(label)))
+    n = data.draw(st.integers(1, 10))
+    reach = (n + 2) * max(abs(x) for d, m in items for x in d) * max(m for _, m in items)
+    coordinate = st.integers(-reach, reach)
+    offsets = data.draw(st.lists(st.tuples(*[coordinate] * len(items[0][0])),
+                                 min_size=1, max_size=40))
+    _check_covector_bound(items, n, offsets)
 
 
 # ---------------------------------------------------------------------------
