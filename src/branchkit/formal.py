@@ -34,35 +34,43 @@ Heaviside factors are expanded far enough to cover all of them.
 
 The pure integer kernels are memoized per process, keyed by their int
 inputs: one ``_Cone`` (pivots, covector and search data) per direction
-tuple, its minimal step count per offset x - base, the Heaviside product
-``convolve_multiset`` per (multiset, step bound), returned with read-only
-coefficients, and the product's window (its coefficients on the points its
-region certifies with a decomposition) per the same key.  None of them is
+tuple, its minimal step count per offset x - base, and per product region
+(``product_region``: half-sum base, multiset, step bound) the product's
+window (``_window``: its coefficients on the points the region certifies
+with a decomposition) and the dense Heaviside product
+(``convolve_multiset``), both read-only.  A window is enumerated directly,
+as values of a vector partition function (Brion-Vergne, JAMS 10 (1997)):
+over the decompositions whose level under the cone's covector stays within
+the window's top level, never through the dense product.  None of them is
 built at import, and what they return depends on their inputs alone, so
 results do not depend on the order of requests.  Each series keeps its
 verdict per point; series are otherwise immutable and all operations are
 pure.
 
-The oracle reads ``convolve_multiset``, ``product_size`` and ``ProductSum``:
-a signed sum of memoized products translated to its terms' bases, over one
-denominator.  A ``ProductSum`` sweeps once through the terms' windows, on
-first read, and keeps per point its window total and the set of terms whose
-window holds it.  A query reads the total there and certifies each other
-term by its cone's covector (a decomposition off the window takes more than
-the step bound's steps, and each step raises the covector by at least its
-least value on a direction), searching only the offsets that this bound
-leaves open.  The points with a nonzero window total are the only ones
-where a certified coefficient can be nonzero.  Its dense coefficients and
-translated regions, a ``DeltaSeries``'s two fields, are built only when
-read.  ``convolve`` with its contract merge, ``dirac``, ``heaviside`` and
-``heaviside_power`` build the products and serve AC-1 and the tests.
+The oracle reads ``product_size``, ``product_region`` and ``ProductSum``:
+a signed sum of products translated to its terms' bases, over one
+denominator, which holds the products' regions and windows.  A
+``ProductSum`` sweeps once through the terms' windows, on first read, and
+keeps per point its window total and the set of terms whose window holds
+it.  A query reads the total there and certifies each other term by its
+cone's covector (a decomposition off the window takes more than the step
+bound's steps, and each step raises the covector by at least its least
+value on a direction), searching only the offsets that this bound leaves
+open; the terms it can leave open are found by bisecting their bounds.
+The points with a nonzero window total are the only ones where a certified
+coefficient can be nonzero.  The dense products, and with them its dense
+coefficients and translated regions, a ``DeltaSeries``'s two fields, are
+built only when read.  ``convolve`` with its contract merge, ``dirac``,
+``heaviside``, ``heaviside_power`` and ``convolve_multiset`` build the dense
+products and serve the self-test, the antisymmetry check and the tests.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd
 from types import MappingProxyType
@@ -361,13 +369,23 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
 def product_size(ms: PointMultiset, n_steps: int) -> int:
     """The number of points of the grid of factor steps that
     ``convolve_multiset`` runs through for ms at n_steps: an upper bound on
-    the product's support, and so on its window, counted without building
-    either."""
+    the product's support and on the states ``_window`` enumerates, so on
+    the window too, counted without building either."""
     if not ms:
         raise DomainError("empty multiset")
     phi = _cone(tuple(sorted(ms))).phi  # also certifies strictness
     top = max(phi.values())
     return functools.reduce(operator.mul, (n_steps * top // f + 1 for f in phi.values()))
+
+
+def product_region(ms: PointMultiset, n_steps: int) -> ValidityRegion:
+    """The region of ``convolve_multiset(ms, n_steps)``, built without the
+    product: base the half-sum of ms, its sorted items, the step bound."""
+    if not ms:
+        raise DomainError("empty multiset")
+    items = tuple(sorted(ms.items()))
+    base = _half(tuple(sum(m * d[k] for d, m in items) for k in range(len(items[0][0]))))
+    return ValidityRegion(base, items, n_steps)
 
 
 def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
@@ -380,68 +398,87 @@ def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
     point is covered.  Memoized per (multiset, n_steps); the coefficients of
     the returned series are read-only.
     """
-    if not ms:
-        raise DomainError("empty multiset")
-    return _convolve_multiset(tuple(sorted(ms.items())), n_steps)
+    return _convolve_multiset(product_region(ms, n_steps))
 
 
 @functools.lru_cache(maxsize=None)
-def _convolve_multiset(items: tuple[tuple[Point, int], ...], n_steps: int) -> DeltaSeries:
-    dirs = tuple(d for d, _ in items)
-    phi = _cone(dirs).phi  # also certifies strictness
+def _convolve_multiset(region: ValidityRegion) -> DeltaSeries:
+    phi = _cone(tuple(d for d, _ in region.directions)).phi  # also certifies strictness
     max_phi = max(phi.values())
 
     result = None
-    for d, m in items:
-        factor = heaviside_power(d, m, n_steps * max_phi // phi[d])
+    for d, m in region.directions:
+        factor = heaviside_power(d, m, region.step_bound * max_phi // phi[d])
         result = factor if result is None else convolve(result, factor)
-    base = _half(tuple(sum(m * d[k] for d, m in items) for k in range(len(dirs[0]))))
-    region = ValidityRegion(base, items, n_steps)
     return DeltaSeries(MappingProxyType(result.coeffs), (region,))
 
 
 @functools.lru_cache(maxsize=None)
-def _window(items: tuple[tuple[Point, int], ...], n_steps: int):
-    """{offset: coefficient} of the product over items at n_steps on its
-    window {half-sum + sum c_g g : c_g in Z>=0, sum c_g <= n_steps}, the
-    points its region certifies with a decomposition (memoized, read-only)."""
-    product = _convolve_multiset(items, n_steps)
-    level = {product.regions[0].base}
-    window = set(level)
-    for _ in range(n_steps):
-        level = {_padd(p, d) for p in level for d, _ in items} - window
-        window |= level
-    return MappingProxyType({p: product.coeffs[p] for p in window})
+def _window(region: ValidityRegion):
+    """{point: coefficient} of the product of ``region`` on its window
+    {base + sum c_g g : c_g in Z>=0, sum c_g <= step bound}, the points it
+    certifies with a decomposition (memoized, read-only).
+
+    The coefficient at a point is the sum, over its decompositions
+    sum c_d d on the distinct directions, of prod C(c_d + m_d - 1, m_d - 1):
+    a value of a vector partition function.  With phi the cone's covector,
+    every decomposition of a window point has level sum c_d phi_d at most
+    n max phi, so the decompositions are enumerated one direction at a time
+    up to that level, and per point the weights and the least step count
+    accumulate; the points with at most n steps are the window."""
+    phi = _cone(tuple(d for d, _ in region.directions)).phi  # also certifies strictness
+    top = region.step_bound * max(phi.values())
+    states = {region.base: (0, 1, 0)}  # point: (level, weight, least steps)
+    for d, m in region.directions:
+        step, nxt = phi[d], {}
+        get, plus = nxt.get, operator.add
+        weights = [comb(c + m - 1, m - 1) for c in range(top // step + 1)]
+        for p, (level, w, s) in states.items():
+            for c in range((top - level) // step + 1):
+                got = get(p)
+                if got is None:
+                    nxt[p] = (level, w * weights[c], s + c)
+                else:
+                    nxt[p] = (level, got[1] + w * weights[c], min(got[2], s + c))
+                p, level = tuple(map(plus, p, d)), level + step
+        states = nxt
+    n = region.step_bound
+    return MappingProxyType({p: w for p, (_, w, s) in states.items() if s <= n})
 
 
 class ProductSum:
     """The series sum_t num_t * P_t(x - b_t) / denominator of translated
-    Heaviside products P_t = ``convolve_multiset``, read from one sweep over
-    the terms' windows.
+    Heaviside products P_t, read from one sweep over the terms' windows.
 
-    ``terms`` holds (b_t, num_t, index into ``products``) with int bases and
-    numerators; the denominator is a positive Fraction.  Its contract is the
-    conjunction of the products' regions translated to the terms' bases,
-    stated per point: a term certifies x when x - b_t lies in its product's
-    window, where it adds num_t * P_t(x - b_t), or has no decomposition over
-    the product's directions at all, where the product is 0 and known to be.
+    ``products`` holds each product's region (``product_region``: the
+    half-sum base B, the multiset's items and the step bound n), not the
+    product.  ``terms`` holds (b_t, num_t, index into ``products``) with int
+    bases and numerators; the denominator is a positive Fraction.  Its
+    contract is the conjunction of the products' regions translated to the
+    terms' bases, stated per point: a term certifies x when x - b_t lies in
+    its product's window (``_window``), where it adds num_t * P_t(x - b_t),
+    or has no decomposition over the product's directions at all, where the
+    product is 0 and known to be.  The windows are enumerated when the sum
+    is built, so the products' sizes (``product_size``) are checked first.
 
     The sweep, built on first read, runs once through every term's window
     and maps each point, in first-seen order, to its window total and the
-    bitmask of the terms whose window holds it.  ``coefficient`` reads the
-    total there and visits only the terms that do not cover x.  Such a term
-    first gets an int test: with g its product's cone covector (``_Cone.f``
-    on the pivots), B the product's base and n its step bound,
-    g . x < g . (b_t + B) + (n + 1) min phi certifies it with no search,
+    bitmask of the terms whose window holds it; ``window_size`` bounds it
+    before it is built.  ``coefficient`` reads the total there and visits
+    only the terms that do not cover x and whose covector bound x reaches.
+    With g a product's cone covector (``_Cone.f`` on the pivots),
+    g . x < g . (b_t + B) + (n + 1) min phi certifies a term with no search,
     because a decomposition of x - b_t - B outside the window takes at least
-    n + 1 steps and each step adds at least min phi to g.  Only when the test
-    fails is the offset searched (``_min_steps``).  The total is divided
-    once (exactly, or InternalError) and the verdict kept.  A certified
-    point with a nonzero coefficient has a nonzero window total, so
+    n + 1 steps and each step adds at least min phi to g; the terms' bounds
+    are sorted once per product, so the others are found by bisection.
+    Only those are searched (``_min_steps``).  The total is divided once
+    (exactly, or InternalError) and the verdict kept.  A certified point
+    with a nonzero coefficient has a nonzero window total, so
     ``nonzero_points`` yields every point a reader of certified nonzero
     values needs; ``candidate_points`` yields every point of the windows.
-    ``coeffs`` (the whole truncated sum) and ``regions`` are built on first
-    access, for readers of the dense series.
+    The dense products, and with them ``coeffs`` (the whole truncated sum),
+    and ``regions`` are built only when read, for readers of the dense
+    series.
     """
 
     def __init__(self, terms: tuple, products: tuple, denominator: Fraction, chart):
@@ -449,8 +486,7 @@ class ProductSum:
         self.products = products
         self.denominator = denominator
         self.chart = chart
-        self._windows = [_window(p.regions[0].directions, p.regions[0].step_bound)
-                         for p in products]
+        self._windows = [_window(r) for r in products]
         self._values: dict = {}
 
     def window_size(self) -> int:
@@ -463,11 +499,15 @@ class ProductSum:
         """{point: [window total, bitmask of the terms covering it]}, in
         first-seen order over the terms and their windows."""
         sweep: dict = {}
-        get, plus = sweep.get, operator.add
+        get = sweep.get
         for k, (b, num, i) in enumerate(self.terms):
-            bit = 1 << k
-            for o, c in self._windows[i].items():
-                p = tuple(map(plus, o, b))
+            bit, window = 1 << k, self._windows[i]
+            if len(b) == 2:
+                b0, b1 = b
+                moved = [(x + b0, y + b1) for x, y in window]
+            else:
+                moved = [_padd(o, b) for o in window]
+            for p, c in zip(moved, window.values()):
                 entry = get(p)
                 if entry is None:
                     sweep[p] = [num * c, bit]
@@ -478,20 +518,19 @@ class ProductSum:
 
     @functools.cached_property
     def _bounds(self) -> tuple:
-        """(per product its covector g on the pivots, per term (index into
-        the products, g . (b_t + B) + (n + 1) min phi))."""
-        covectors, offsets = [], []
-        for p in self.products:
-            region = p.regions[0]
+        """Per product (its covector g on the pivots, the sorted bounds
+        g . (b_t + B) + (n + 1) min phi of its terms, those terms' indices)."""
+        out = []
+        for i, region in enumerate(self.products):
             cone = _cone(tuple(d for d, _ in region.directions))
             g = [0] * len(region.base)
             for k, f in zip(cone.pivots, cone.f):
                 g[k] = f
-            covectors.append(tuple(g))
-            offsets.append(_dot(g, region.base)
-                           + (region.step_bound + 1) * min(cone.phi.values()))
-        return tuple(covectors), tuple((i, _dot(covectors[i], b) + offsets[i])
-                                       for b, _, i in self.terms)
+            offset = _dot(g, region.base) + (region.step_bound + 1) * min(cone.phi.values())
+            ranked = sorted((_dot(g, b) + offset, k)
+                            for k, (b, _, j) in enumerate(self.terms) if j == i)
+            out.append((tuple(g), [bound for bound, _ in ranked], [k for _, k in ranked]))
+        return tuple(out)
 
     def candidate_points(self):
         """Every point of the terms' windows, once each, in first-seen order."""
@@ -508,16 +547,14 @@ class ProductSum:
         if x in values:
             return values[x]
         total, mask = self._sweep.get(x, (0, 0))
-        covectors, bounds = self._bounds
-        levels = [_dot(g, x) for g in covectors]
-        for k, (i, bound) in enumerate(bounds):
-            if mask >> k & 1 or levels[i] < bound:
-                continue
-            b, _, _ = self.terms[k]
-            region = self.products[i].regions[0]
-            if _min_steps(region.directions, _psub(_psub(x, b), region.base)) is not None:
-                values[x] = None
-                return None
+        for region, (g, bounds, ks) in zip(self.products, self._bounds):
+            for k in ks[:bisect_right(bounds, _dot(g, x))]:
+                if mask >> k & 1:
+                    continue
+                offset = _psub(_psub(x, self.terms[k][0]), region.base)
+                if _min_steps(region.directions, offset) is not None:
+                    values[x] = None
+                    return None
         values[x] = got = self._divide(total)
         return got
 
@@ -533,17 +570,18 @@ class ProductSum:
 
     @functools.cached_property
     def coeffs(self) -> dict:
-        """Every nonzero coefficient of the truncated sum, certified or not."""
+        """Every nonzero coefficient of the truncated sum, certified or not,
+        read off the dense products."""
         acc: dict = {}
-        get, plus = acc.get, operator.add
+        get = acc.get
         for b, num, i in self.terms:
-            for p, c in self.products[i].coeffs.items():
-                p = tuple(map(plus, p, b))
+            for p, c in _convolve_multiset(self.products[i]).coeffs.items():
+                p = _padd(p, b)
                 acc[p] = get(p, 0) + num * c
         return {p: q for p, q in ((p, self._divide(c)) for p, c in acc.items()) if q}
 
     @functools.cached_property
     def regions(self) -> tuple[ValidityRegion, ...]:
         """The contract as regions: each term's product region at its base."""
-        return tuple(ValidityRegion(_padd(r.base, b), r.directions, r.step_bound)
-                     for b, _, i in self.terms for r in self.products[i].regions)
+        return tuple(replace(r, base=_padd(r.base, b))
+                     for b, _, i in self.terms for r in (self.products[i],))

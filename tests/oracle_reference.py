@@ -10,9 +10,13 @@ extraction and comparison the package ran before it evaluated only the
 terms' windows: they read every coefficient of a dense ``DeltaSeries`` and
 certify each positive-side point against all of its regions, and compare
 weights with Fraction pairings.  Tests compare the package against both
-point for point.  ``reference_branching_table`` and ``reference_sp1q_table``
-are the closed tables the package built before it keyed them by int labels:
-every entry a Fraction weight, one ``wadd`` per (sigma, p, q).
+point for point.  ``reference_window`` is a product's window as the package
+read it off the dense Heaviside product before it enumerated windows, and
+``reference_positive_side`` the positive side as it tested it, with every
+side root's covector, before it kept their extreme rays.
+``reference_branching_table`` and ``reference_sp1q_table`` are the closed
+tables the package built before it keyed them by int labels: every entry a
+Fraction weight, one ``wadd`` per (sigma, p, q).
 
 The next section holds the Fraction request checks that the package ran
 before it read them on int points: the coroot-pairing scan, the Hermitian
@@ -186,6 +190,28 @@ def region_points(region):
         tuple(b + sum(c * d[k] for c, d in zip(counts, dirs)) for k, b in enumerate(region.base))
         for counts in product(range(n + 1), repeat=len(dirs)) if sum(counts) <= n
     }
+
+
+def reference_window(region):
+    """{point: coefficient} of the dense product of region on the points that
+    at most step-bound steps reach, found breadth first."""
+    product = convolve_multiset(dict(region.directions), region.step_bound)
+    level = {region.base}
+    window = set(level)
+    for _ in range(region.step_bound):
+        level = {tuple(map(add, p, d)) for p in level for d, _ in region.directions} - window
+        window |= level
+    return {p: product.coeffs[p] for p in window}
+
+
+def reference_positive_side(ctx):
+    """The test of a series point for the positive side by every side root's
+    int covector ((x, b) (w, w), (x, w) (b, b)), x = D g."""
+    _, _, bb, ww = ctx.torus_points
+    scale = ctx.rd.points[0]
+    side = [(tb * ww, tw * bb)
+            for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots)]
+    return lambda p: all(f1 * p[0] + f2 * p[1] > 0 for f1, f2 in side)
 
 
 def _side(ctx, chart):

@@ -481,6 +481,31 @@ def test_bench_setup_builds_no_oracle_plan():
     assert out.split("\n")[:-1] == ["0 0 0 0"] * 3
 
 
+COLD_ORACLE_PROBE = """
+import io
+from contextlib import redirect_stdout
+from bench import workloads
+from branchkit import cli, formal
+
+requests = workloads.requests("oracle_dense", workloads.DEFAULT_SEED)
+for family in ("quat", "sp1q"):
+    argv = next(r for r in requests if r[:2] == ["oracle-check", family])
+    with redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    print(code, out.getvalue().count('"agree": true'))
+print(formal._convolve_multiset.cache_info().currsize, formal._window.cache_info().currsize > 0)
+"""
+
+
+def test_cold_oracle_requests_build_no_dense_product():
+    # a cold oracle-check of either family enumerates its products' windows
+    # and builds no dense Heaviside product
+    root = BENCH.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-c", COLD_ORACLE_PROBE], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:-1] == ["0 1", "0 1", "0 True"]
+
 def _run_script(name: str) -> str:
     root = BENCH.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import mul, sub
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchkit import formal
 from branchkit.acceptance import _AC4_PLAN, _quaternionic_parameters
 from branchkit.errors import InternalError
 from branchkit.formal import (
@@ -15,6 +17,7 @@ from branchkit.formal import (
     ProductSum,
     ValidityRegion,
     convolve_multiset,
+    product_region,
     product_size,
 )
 from branchkit.lattice import (
@@ -33,6 +36,7 @@ from branchkit.oracle import (
     OracleConfig,
     _coset_series,
     _kernel_cosets,
+    _positive_side,
     check_antisymmetry,
     compare,
     extract_multiplicities,
@@ -69,7 +73,9 @@ from oracle_reference import (
     kernel_roots,
     reference_compare,
     reference_extract,
+    reference_positive_side,
     reference_series,
+    reference_window,
     region_points,
     restriction_multiset,
     weyl_polynomial,
@@ -586,9 +592,9 @@ def _check_covector_bound(items, step_bound, offsets):
     at all.  Returns the number of offsets the bound skipped."""
     dim = len(items[0][0])
     heaviside = convolve_multiset(dict(items), step_bound)
-    series = ProductSum((((0,) * dim, 1, 0),), (heaviside,), Fraction(1), None)
     region = heaviside.regions[0]
-    (g,), ((_, bound),) = series._bounds
+    series = ProductSum((((0,) * dim, 1, 0),), (region,), Fraction(1), None)
+    ((g, (bound,), _),) = series._bounds
     window = set(series.candidate_points())
     skipped = 0
     for x in offsets:
@@ -630,6 +636,100 @@ def test_covector_bound_is_sound_at_random_offsets(label, data):
     offsets = data.draw(st.lists(st.tuples(*[coordinate] * len(items[0][0])),
                                  min_size=1, max_size=40))
     _check_covector_bound(items, n, offsets)
+
+
+# ---------------------------------------------------------------------------
+# windows enumerated to a covector level against the dense product
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_windows_equal_dense_reference_on_plan_products(label):
+    # every product of the plan at step bounds 1 to 6 (sp(1,q): to 10)
+    top = 10 if label.startswith("sp1_q") else 6
+    for items in _plan_products(label):
+        for n in range(1, top + 1):
+            region = product_region(dict(items), n)
+            assert formal._window(region) == reference_window(region), (items, n)
+
+
+@st.composite
+def _pointed_multisets(draw):
+    """(multiset, step bound): distinct even directions, all positive on one
+    covector, with multiplicities 1 to 4: of rank 1, 2 or 3 positive
+    multiples of one vector in 1 or 2 coordinates, or of rank 2, 2 to 4 of
+    them (mostly linearly dependent) in 2 coordinates or in 3, the third a
+    fixed combination of the first two.  The step bound is lowered until
+    the dense product stays small."""
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        u = draw(st.lists(small.filter(bool), min_size=1, max_size=2))
+        dirs = [tuple(k * x for x in u)
+                for k in draw(st.sets(st.integers(1, 3), min_size=2, max_size=3))]
+    else:
+        f = draw(st.tuples(small, small).filter(any))
+        box = [d for d in product(range(-2, 3), repeat=2) if d[0] * f[0] + d[1] * f[1] > 0]
+        first = draw(st.sampled_from(box))
+        second = draw(st.sampled_from([d for d in box if d[0] * first[1] != d[1] * first[0]]))
+        dirs = list(dict.fromkeys([first, second] + draw(st.lists(st.sampled_from(box),
+                                                                  min_size=1, max_size=2))))
+        if draw(st.booleans()):
+            a, b = draw(small), draw(small)
+            dirs = [(x, y, a * x + b * y) for x, y in dirs]
+    ms = {tuple(2 * x for x in d): draw(st.integers(1, 4)) for d in dirs}
+    n = draw(st.integers(1, 6))
+    while n > 1 and product_size(ms, n) > 4000:
+        n -= 1
+    return ms, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_pointed_multisets())
+def test_windows_equal_dense_reference_on_random_multisets(case):
+    region = product_region(*case)
+    assert formal._window(region) == reference_window(region)
+
+
+# ---------------------------------------------------------------------------
+# the positive side by the side covectors' extreme rays
+
+
+_BOX = list(product(range(-12, 13), repeat=2))
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS)
+def test_positive_side_equals_all_side_roots_test(label):
+    ctx = _context(label)
+    positive, reference = _positive_side(ctx), reference_positive_side(ctx)
+    assert positive is _positive_side(ctx)  # once per context
+    assert any(map(positive, _BOX))
+    assert [positive(p) for p in _BOX] == [reference(p) for p in _BOX]
+
+
+class _SideRootsOnly:
+    """The fields ``_positive_side`` reads, with the side roots' torus
+    pairings the roots themselves: covectors (g1, g2)."""
+
+    torus_points = (None, None, 1, 1)
+    rd = SimpleNamespace(points=(1,))
+
+    def __init__(self, side):
+        self.side_roots = tuple(weight(g) for g in side)
+
+    @staticmethod
+    def torus_pairings(points):
+        return list(points)
+
+
+@pytest.mark.parametrize("side", [
+    [], [(1, 0)], [(2, 0), (1, 0)], [(1, 0), (1, 1), (0, 1), (-1, 3)], [(3, -1), (-3, 2)],
+    # in no open half-plane: the side is empty
+    [(1, 0), (-1, 0)], [(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 0)], [(0, 0)],
+    [(1, 0), (0, 1), (-1, 0)], [(1, 2), (-2, -4)],
+])
+def test_positive_side_reduces_to_extreme_rays(side):
+    ctx = _SideRootsOnly(side)
+    positive, reference = _positive_side(ctx), reference_positive_side(ctx)
+    assert [positive(p) for p in _BOX] == [reference(p) for p in _BOX]
 
 
 # ---------------------------------------------------------------------------
