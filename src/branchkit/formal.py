@@ -35,13 +35,8 @@ Heaviside factors are expanded far enough to cover all of them.
 The pure integer kernels are memoized per process, keyed by their int
 inputs: one ``_Cone`` (pivots, covector and search data) per direction
 tuple, its minimal step count per offset x - base, and per product region
-(``product_region``: half-sum base, multiset, step bound) the product's
-window (``_window``: its coefficients on the points the region certifies
-with a decomposition) and the dense Heaviside product
-(``convolve_multiset``), both read-only.  A window is enumerated directly,
-as values of a vector partition function (Brion-Vergne, JAMS 10 (1997)):
-over the decompositions whose level under the cone's covector stays within
-the window's top level, never through the dense product.  None of them is
+(``product_region``) the product's window ``_window`` and the dense
+Heaviside product ``convolve_multiset``, both read-only.  None of them is
 built at import, and what they return depends on their inputs alone, so
 results do not depend on the order of requests.  Each series keeps its
 verdict per point; series are otherwise immutable and all operations are
@@ -49,20 +44,18 @@ pure.
 
 The oracle reads ``product_size``, ``product_region`` and ``ProductSum``:
 a signed sum of products translated to its terms' bases, over one
-denominator, which holds the products' regions and windows.  A
-``ProductSum`` sweeps once through the terms' windows, on first read, and
-keeps per point its window total and the set of terms whose window holds
-it.  A query reads the total there and certifies each other term by its
-cone's covector (a decomposition off the window takes more than the step
-bound's steps, and each step raises the covector by at least its least
-value on a direction), searching only the offsets that this bound leaves
-open; the terms it can leave open are found by bisecting their bounds.
-The points with a nonzero window total are the only ones where a certified
-coefficient can be nonzero.  The dense products, and with them its dense
-coefficients and translated regions, a ``DeltaSeries``'s two fields, are
-built only when read.  ``convolve`` with its contract merge, ``dirac``,
-``heaviside``, ``heaviside_power`` and ``convolve_multiset`` build the dense
-products and serve the self-test, the antisymmetry check and the tests.
+denominator.  A ``ProductSum`` sweeps once through the terms' windows, on
+first read, and keeps per point its window total and the set of terms whose
+window holds it.  A query reads the total there and certifies each other
+term by its cone's covector (a decomposition off the window takes more than
+the step bound's steps, and each step raises the covector by at least its
+least value on a direction), searching only the offsets that this bound
+leaves open.  The points with a nonzero window total are the only ones
+where a certified coefficient can be nonzero.  The dense products, and with
+them a ``DeltaSeries``'s two fields, are built only when read.
+``convolve`` with its contract merge, ``dirac``, ``heaviside``,
+``heaviside_power`` and ``convolve_multiset`` serve the self-test and the
+tests.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 from types import MappingProxyType
@@ -369,8 +362,8 @@ def convolve(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
 def product_size(ms: PointMultiset, n_steps: int) -> int:
     """The number of points of the grid of factor steps that
     ``convolve_multiset`` runs through for ms at n_steps: an upper bound on
-    the product's support and on the states ``_window`` enumerates, so on
-    the window too, counted without building either."""
+    the product's support and on the states ``_window`` enumerates, counted
+    without building either."""
     if not ms:
         raise DomainError("empty multiset")
     phi = _cone(tuple(sorted(ms))).phi  # also certifies strictness
@@ -458,27 +451,24 @@ class ProductSum:
     terms' bases, stated per point: a term certifies x when x - b_t lies in
     its product's window (``_window``), where it adds num_t * P_t(x - b_t),
     or has no decomposition over the product's directions at all, where the
-    product is 0 and known to be.  The windows are enumerated when the sum
-    is built, so the products' sizes (``product_size``) are checked first.
+    product is 0 and known to be.
 
     The sweep, built on first read, runs once through every term's window
     and maps each point, in first-seen order, to its window total and the
-    bitmask of the terms whose window holds it; ``window_size`` bounds it
-    before it is built.  ``coefficient`` reads the total there and visits
-    only the terms that do not cover x and whose covector bound x reaches.
-    With g a product's cone covector (``_Cone.f`` on the pivots),
-    g . x < g . (b_t + B) + (n + 1) min phi certifies a term with no search,
-    because a decomposition of x - b_t - B outside the window takes at least
-    n + 1 steps and each step adds at least min phi to g; the terms' bounds
-    are sorted once per product, so the others are found by bisection.
-    Only those are searched (``_min_steps``).  The total is divided once
-    (exactly, or InternalError) and the verdict kept.  A certified point
-    with a nonzero coefficient has a nonzero window total, so
-    ``nonzero_points`` yields every point a reader of certified nonzero
+    bitmask of the terms whose window holds it.  ``coefficient`` reads the
+    total there and visits only the terms that do not cover x and whose
+    covector bound x reaches.  With g a product's cone covector (``_Cone.f``
+    on the pivots), g . x < g . (b_t + B) + (n + 1) min phi certifies a term
+    with no search, because a decomposition of x - b_t - B outside the
+    window takes at least n + 1 steps and each step adds at least min phi to
+    g; the terms' bounds are sorted once per product, so the others are
+    found by bisection.  Only those are searched (``_min_steps``).  The
+    total is divided once (exactly, or InternalError) and the verdict kept.
+    A certified point with a nonzero coefficient has a nonzero window total,
+    so ``nonzero_points`` yields every point a reader of certified nonzero
     values needs; ``candidate_points`` yields every point of the windows.
-    The dense products, and with them ``coeffs`` (the whole truncated sum),
-    and ``regions`` are built only when read, for readers of the dense
-    series.
+    ``coeffs`` (the whole truncated sum, off the dense products) and
+    ``regions`` are built on first access, for readers of the dense series.
     """
 
     def __init__(self, terms: tuple, products: tuple, denominator: Fraction, chart):
@@ -583,5 +573,5 @@ class ProductSum:
     @functools.cached_property
     def regions(self) -> tuple[ValidityRegion, ...]:
         """The contract as regions: each term's product region at its base."""
-        return tuple(replace(r, base=_padd(r.base, b))
-                     for b, _, i in self.terms for r in (self.products[i],))
+        return tuple(ValidityRegion(_padd(self.products[i].base, b), self.products[i].directions,
+                                    self.products[i].step_bound) for b, _, i in self.terms)

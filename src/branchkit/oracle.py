@@ -46,17 +46,14 @@ weights are mapped back only for mismatches and errors.  A request returns a
 stated per point.  A term certifies a point when the offset from its base
 lies in its product's step-bound window, where the term adds its value, or
 has no decomposition over the product's directions at all.  Each window is
-enumerated from its product's region, and no request builds a dense
-Heaviside product: the products are built only when read, by the
-self-test (``acceptance``) and ``check_antisymmetry``.  One sweep over the
-windows gives each point its window total; a certified point with a
-nonzero coefficient has a nonzero total, so extraction certifies only the
+enumerated from its product's region; the dense products are built only
+when read, by the self-test and ``check_antisymmetry``.  One sweep over the
+windows gives each point its window total; a certified point with a nonzero
+coefficient has a nonzero total, so extraction certifies only the
 positive-side points with one, and comparison adds only the closed table's
-entries, never reading the dense series.  The positive side is read once
-per context.  Against the dimension bound, the closed table's size is
-checked before it is built, each product's grid size (which bounds its
-window's enumeration) before its window is enumerated, and the windows'
-total size before the sweep over them is built.
+entries, never reading the dense series.  The sizes of the closed table,
+the products' grids (which bound the windows) and the windows are checked
+against the dimension bound before what they bound is built.
 """
 
 from __future__ import annotations
@@ -290,10 +287,9 @@ def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,
     right side of the torus identity.  On the plan's integer data, each
     term's base point and int numerator are computed once; the returned
     ``ProductSum`` evaluates the memoized windows at the points it is asked
-    for, over one denominator.  Against the dimension bound, each product's
-    grid size, which bounds the enumeration of its window, is checked
-    before the windows are enumerated, and the windows' total size before
-    the sweep over them is built.  The caller validates lam.
+    for, over one denominator.  Each product's grid size, which bounds the
+    enumeration of its window, is checked before the windows are built, and
+    their total size before the sweep over them.  The caller validates lam.
     """
     plan = oracle_plan(ctx)
     kind = plan.torus if torus else plan.series
@@ -332,23 +328,12 @@ def _positive_side(ctx: SubgroupContext):
     """The test of a series point p, at any scale s, for the side where
     (mu, g) > 0 for every side root g (memoized per context): as
     mu = (p1 b / (b, b) + p2 w / (w, w)) / s, (mu, g) has the sign of
-    ((x, b) (w, w), (x, w) (b, b)) . p for x = D g.  Only the extreme rays
-    u, v of these covectors are tested: the cone they span holds the others.
-    Covectors that lie in no open half-plane leave the side empty."""
+    ((x, b) (w, w), (x, w) (b, b)) . p for x = D g."""
     _, _, bb, ww = ctx.torus_points
     scale = ctx.rd.points[0]
-    rays = set()
-    for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots):
-        k = gcd(tb * ww, tw * bb) or 1
-        rays.add((tb * ww // k, tw * bb // k))
-    if not rays:
-        return lambda p: True
-    # u has every other covector strictly counterclockwise within a half-turn
-    u = next((r for r in rays if all(r[0] * w[1] > r[1] * w[0] or w == r for w in rays)), None)
-    if u is None:
-        return lambda p: False
-    (u1, u2), (v1, v2) = u, next(r for r in rays if all(w[0] * r[1] >= w[1] * r[0] for w in rays))
-    return lambda p: u1 * p[0] + u2 * p[1] > 0 < v1 * p[0] + v2 * p[1]
+    side = [(tb * ww, tw * bb)
+            for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots)]
+    return lambda p: all(f1 * p[0] + f2 * p[1] > 0 for f1, f2 in side)
 
 
 def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):

@@ -12,8 +12,8 @@ certify each positive-side point against all of its regions, and compare
 weights with Fraction pairings.  Tests compare the package against both
 point for point.  ``reference_window`` is a product's window as the package
 read it off the dense Heaviside product before it enumerated windows, and
-``reference_positive_side`` the positive side as it tested it, with every
-side root's covector, before it kept their extreme rays.
+``reference_side`` the positive side by Fraction pairings with the side
+roots.
 ``reference_branching_table`` and ``reference_sp1q_table`` are the closed
 tables the package built before it keyed them by int labels: every entry a
 Fraction weight, one ``wadd`` per (sigma, p, q).
@@ -204,17 +204,7 @@ def reference_window(region):
     return {p: product.coeffs[p] for p in window}
 
 
-def reference_positive_side(ctx):
-    """The test of a series point for the positive side by every side root's
-    int covector ((x, b) (w, w), (x, w) (b, b)), x = D g."""
-    _, _, bb, ww = ctx.torus_points
-    scale = ctx.rd.points[0]
-    side = [(tb * ww, tw * bb)
-            for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots)]
-    return lambda p: all(f1 * p[0] + f2 * p[1] > 0 for f1, f2 in side)
-
-
-def _side(ctx, chart):
+def reference_side(ctx, chart):
     """The positive side by Fraction pairings of the point's weight with the
     side roots."""
     return lambda p: all(inner(ctx.form, chart.to_weight(p), g) > 0 for g in ctx.side_roots)
@@ -224,7 +214,7 @@ def reference_extract(ctx, series):
     """The branching table on the positive side of a dense series: every
     stored coefficient there that all regions certify."""
     chart = series.chart
-    positive = _side(ctx, chart)
+    positive = reference_side(ctx, chart)
     entries = {}
     for p, c in series.coeffs.items():
         if not positive(p) or not series.certain_at(p):
@@ -243,7 +233,7 @@ def reference_compare(ctx, series, closed):
     """The closed table against the extraction of a dense series, over the
     sorted union of both sides' weights, with Fraction pairings."""
     extracted = reference_extract(ctx, series).entries
-    positive = _side(ctx, series.chart)
+    positive = reference_side(ctx, series.chart)
     mismatches = []
     compared = 0
     for mu in sorted(set(closed.entries) | set(extracted)):

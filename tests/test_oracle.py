@@ -3,7 +3,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import mul, sub
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -73,7 +72,7 @@ from oracle_reference import (
     kernel_roots,
     reference_compare,
     reference_extract,
-    reference_positive_side,
+    reference_side,
     reference_series,
     reference_window,
     region_points,
@@ -690,7 +689,7 @@ def test_windows_equal_dense_reference_on_random_multisets(case):
 
 
 # ---------------------------------------------------------------------------
-# the positive side by the side covectors' extreme rays
+# the positive side, once per context
 
 
 _BOX = list(product(range(-12, 13), repeat=2))
@@ -699,36 +698,10 @@ _BOX = list(product(range(-12, 13), repeat=2))
 @pytest.mark.parametrize("label", REFERENCE_FORMS)
 def test_positive_side_equals_all_side_roots_test(label):
     ctx = _context(label)
-    positive, reference = _positive_side(ctx), reference_positive_side(ctx)
+    positive = _positive_side(ctx)
+    reference = reference_side(ctx, oracle_plan(ctx).series.chart)
     assert positive is _positive_side(ctx)  # once per context
     assert any(map(positive, _BOX))
-    assert [positive(p) for p in _BOX] == [reference(p) for p in _BOX]
-
-
-class _SideRootsOnly:
-    """The fields ``_positive_side`` reads, with the side roots' torus
-    pairings the roots themselves: covectors (g1, g2)."""
-
-    torus_points = (None, None, 1, 1)
-    rd = SimpleNamespace(points=(1,))
-
-    def __init__(self, side):
-        self.side_roots = tuple(weight(g) for g in side)
-
-    @staticmethod
-    def torus_pairings(points):
-        return list(points)
-
-
-@pytest.mark.parametrize("side", [
-    [], [(1, 0)], [(2, 0), (1, 0)], [(1, 0), (1, 1), (0, 1), (-1, 3)], [(3, -1), (-3, 2)],
-    # in no open half-plane: the side is empty
-    [(1, 0), (-1, 0)], [(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 0)], [(0, 0)],
-    [(1, 0), (0, 1), (-1, 0)], [(1, 2), (-2, -4)],
-])
-def test_positive_side_reduces_to_extreme_rays(side):
-    ctx = _SideRootsOnly(side)
-    positive, reference = _positive_side(ctx), reference_positive_side(ctx)
     assert [positive(p) for p in _BOX] == [reference(p) for p in _BOX]
 
 
