@@ -16,17 +16,18 @@ own (at most 56, on e8_m24).  W(K2) permutes the noncompact positive roots,
 so each flip has one term multiset for all cosets.
 
 What depends only on the form is built once per process, lazily, as integer
-data (``oracle_plan``), read on the context's torus pairings: with b, w the
-orthogonal int points of beta and w_line (``SubgroupContext.torus_points``),
-a weight mu of the subgroup torus has the point s ((mu, b), (mu, w)), and one
-of the su(2) torus the point s (mu, w), for a scale s that makes every point
-and every half-sum base integral (``lattice.Chart``).  The plan holds one
-chart per kind (rank 2 for the branching series, rank 1 for the torus
-identity), each flip's multiset as chart points, and per (coset, flip) the
-int maps from the scaled parameter to the term's base point and kernel-root
-pairings (``CosetSum``).  A request scales lam to ints once and runs its
-coset loop on ints; it hashes no Fraction.  Every per-parameter check runs
-on every request, so results do not depend on the order of requests.
+data (``oracle_plan``) on the datum's int points at its scale D: the walk
+carries b, w (the orthogonal int points of beta and w_line,
+``SubgroupContext.torus_points``) and the kernel roots once each.  A weight
+mu of the subgroup torus has the point s ((mu, b), (mu, w)), and one of the
+su(2) torus the point s (mu, w), for a scale s that makes every point and
+every half-sum base integral (``lattice.Chart``).  The plan holds one chart
+per kind (rank 2 for the branching series, rank 1 for the torus identity),
+each flip's multiset as chart points, and per (coset, flip) the int maps
+from the scaled parameter to the term's base point and kernel-root pairings
+(``CosetSum``).  A request scales lam to ints once and runs its coset loop
+on ints; it hashes no Fraction.  Every per-parameter check runs on every
+request, so results do not depend on the order of requests.
 
 Sign normalization: expanding each factor 1/(e^{x/2} - e^{-x/2}) of a Weyl
 denominator into an ascending Heaviside series contributes one factor of -1,
@@ -59,6 +60,7 @@ against the dimension bound before what they bound is built.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -91,52 +93,19 @@ class OracleConfig:
             raise DomainError("the oracle step bound must be positive")
 
 
-def compact_quotient_weights(ctx: SubgroupContext) -> dict:
-    """The torus weights of the compact quotient directions: the projections
-    onto the su(2) torus of the k2 positive roots outside the kernel (which
-    pair to 0 with w_line), subgroup roots removed, by torus pairing (0, t)."""
-    h_roots = _h_pairings(ctx)
-    out: dict = {}
-    points = ctx.rd.points[1]
-    for _, t in ctx.torus_pairings(points[i] for i in ctx.k2_factor.positions):
-        if t and (0, t) not in h_roots:
-            out[0, t] = out.get((0, t), 0) + 1
-    return out
-
-
-def _h_pairings(ctx: SubgroupContext) -> set:
-    """The torus pairings of the subgroup's roots."""
-    scale = ctx.rd.points[0]
-    return set(ctx.torus_pairings(int_point(g, scale) for g in ctx.h_roots))
-
-
-def _lowest(x: tuple, d: int) -> tuple:
-    """The scaled vector (x, d), x / d, in lowest terms."""
-    g = gcd(d, *x)
-    return tuple(xi // g for xi in x), d // g
-
-
-def _reflect_scaled(v: tuple, a: tuple, aa: int) -> tuple:
-    """The reflection of the scaled vector v = (X, D) in the int root a, with
-    aa = (a, a), as a scaled vector in lowest terms."""
-    x, d = v
-    k = 2 * sum(map(mul, x, a))
-    return _lowest([xi * aa - k * ai for xi, ai in zip(x, a)], d * aa)
-
-
 def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     """Minimal representatives s of the right cosets W_Z\\W(K2), in order of
-    length, as (reduced word, images s^T x of the vectors x, all as scaled
-    vectors in lowest terms); s is the product of the word's simple
+    length, as (reduced word, images s^T x of w and of the vectors x, int
+    points at the datum's scale D); s is the product of the word's simple
     reflections, left to right.  W_Z, the reflection group of the kernel
     roots (the k2 roots orthogonal to w_line), is the stabilizer in W(K2)
     of w_line (a stabilizer is generated by the reflections it contains),
-    so the cosets W_Z s are in bijection with the orbit points s^T w_line.
+    so the cosets W_Z s are in bijection with the orbit points s^T w.
     A breadth-first walk over the orbit by simple reflections reaches each
     point first along a shortest word, whose inverse is the minimal
     representative (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).
     """
-    scale, points, _ = ctx.rd.points
+    points = ctx.rd.points[1]
     simple = [(a, sum(map(mul, a, a))) for a in ctx.k2_factor.int_roots[3]]
     # W(K2) permutes the noncompact positive roots, so every coset of one flip
     # has the multiset of the identity; a simple root's reflection is the same
@@ -144,23 +113,19 @@ def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     noncompact = {p for p, c in zip(points, ctx.rd.compact) if not c}
     if any({reflect_point(x, a, aa) for x in noncompact} != noncompact for a, aa in simple):
         raise InternalError("a compact-factor reflection moves a noncompact positive root")
-    first = ((), (_lowest(ctx.torus_points[1], scale), *vectors))
-    reps = [first]
-    orbit = {first[1][0]}
-    frontier = [first]
-    while frontier:
-        nxt = []
-        for word, images in frontier:
-            for i, (a, aa) in enumerate(simple):
-                y = _reflect_scaled(images[0], a, aa)
-                if y in orbit:
-                    continue
+    # a reflection changes each 2 (x, a) / (a, a) by an int multiple of a
+    # Cartan integer, so when these are ints every image is an int point
+    reps = [((), (ctx.torus_points[1], *vectors))]
+    if any(2 * sum(map(mul, x, a)) % aa for x in reps[0][1] for a, aa in simple):
+        raise InternalError("a carried vector pairs non-integrally with a compact-factor coroot")
+    orbit = {reps[0][1][0]}
+    for word, images in reps:  # the breadth-first queue, read as it grows
+        for i, (a, aa) in enumerate(simple):
+            y = reflect_point(images[0], a, aa)
+            if y not in orbit:
                 orbit.add(y)
-                rep = (word + (i,), (y, *(_reflect_scaled(x, a, aa) for x in images[1:])))
-                reps.append(rep)
-                nxt.append(rep)
-        frontier = nxt
-    return tuple((word, images[1:]) for word, images in reps)
+                reps.append((word + (i,), (y, *(reflect_point(x, a, aa) for x in images[1:]))))
+    return tuple(reps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +134,10 @@ class CosetSum:
     denominator den and L = den * lam, the term of a coset s and a flip has
     its base at the point A L of ``chart`` rescaled by den, and coefficient
     factor * prod(c . L) / (denominator * den**len(c's)) over its kernel
-    covectors c.  ``factor`` is the sign of s, negated for the flip, times
+    covectors c: A is the chart's scale s0 times the int images s^T b
+    (negated for the flip) and s^T w, or s^T w alone, and c is t s^T x / D
+    for a kernel root's int point x, t those weights' least common
+    denominator.  ``factor`` is the sign of s, negated for the flip, times
     the Heaviside prefactor; ``multisets`` hold each flip's directions as
     sorted (point, multiplicity) items of ``chart``."""
 
@@ -188,49 +156,31 @@ class OraclePlan:
     torus: CosetSum     # the quotient multiset unflipped, onto the su(2) torus in k2
 
 
-def _coset_sum(ctx: SubgroupContext, cosets, normalizer, points, flips, noncompact) -> CosetSum:
-    """The integer data of one kind of coset sum, on the chart of ``points``
-    (b and w, or w alone).  ``cosets`` holds per coset its word and, per
-    flip, the scaled images of the flipped chart points, then of the kernel
-    roots.  A flip's directions are the quotient weights and the flipped
-    noncompact roots' projections, read by torus pairing (``noncompact``);
-    S_b negates the pairing with b."""
-    scale, r = ctx.rd.points[0], len(points)
-    h_roots, quotient = _h_pairings(ctx), compact_quotient_weights(ctx)
-    multisets = []
-    for flip in flips:
-        ms = dict(quotient)
-        for t1, t2 in noncompact:
-            p = (-t1 if flip else t1, t2)
-            if p == (0, 0):
-                raise InternalError("noncompact root projects to zero")
-            if p not in h_roots:
-                ms[p] = ms.get(p, 0) + 1
-        # the torus chart, on w alone, reads the pairing with w
-        multisets.append({p[-r:]: m for p, m in ms.items()})
-    # a root g pairs to t / D with the chart's points, for t the pairings of D g
-    s0 = 2 * lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[:r]),
-                 scale // gcd(scale, *(x for ms in multisets for p in ms for x in p)))
-    t = lcm(1, *(d for _, per_flip in cosets for images in per_flip for _, d in images[r:]))
+def _coset_sum(scale: int, cosets, points, multisets, denominator: Fraction) -> CosetSum:
+    """The integer data of one kind of coset sum on the chart of ``points``
+    (b and w, or w alone), with each flip's directions as torus pairings in
+    ``multisets``, the unflipped first.  ``cosets`` holds per coset its
+    word, the int images of w and b and its kernel covectors.  S_b negates
+    b and fixes w and the kernel roots, which are orthogonal to b, so a
+    flipped term reads the negated image of b.  The scale s0 makes every
+    direction and every half-sum base integral."""
+    s0 = 2 * (scale // gcd(scale, *(x for ms in multisets for p in ms for x in p)))
+    r = len(points)
     prefactors = [(-1) ** sum(ms.values()) for ms in multisets]
     terms = tuple(
-        (tuple(tuple(s0 // d * xi for xi in x) for x, d in images[:r]),
-         tuple(tuple(t // d * xi for xi in x) for x, d in images[r:]),
-         (-1) ** (len(word) + flip) * prefactors[i], i)
-        for word, per_flip in cosets for i, (flip, images) in enumerate(zip(flips, per_flip))
+        (tuple(tuple(k * x for x in v) for k, v in ((-s0 if flip else s0, b), (s0, w))[-r:]),
+         kernel, (-1) ** (len(word) + flip) * prefactor, flip)
+        for word, w, b, kernel in cosets for flip, prefactor in enumerate(prefactors)
     )
-    return CosetSum(
-        Chart(points, s0),
-        terms,
-        tuple(tuple(sorted((tuple(x * s0 // scale for x in p), m) for p, m in ms.items()))
-              for ms in multisets),
-        normalizer * t ** len(ctx.kernel),
-    )
+    items = tuple(tuple(sorted((tuple(x * s0 // scale for x in p), m) for p, m in ms.items()))
+                  for ms in multisets)
+    return CosetSum(Chart(points, s0), terms, items, denominator)
 
 
 @functools.lru_cache(maxsize=None)
 def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
-    """The form's plan (memoized per context), read on the torus pairings."""
+    """The form's plan (memoized per context): one coset walk, and the torus
+    pairings of the subgroup roots and the directions read once for both kinds."""
     b, w, _, _ = ctx.torus_points
     scale, points, _ = ctx.rd.points
     kernel = [points[i] for i in ctx.kernel]
@@ -239,23 +189,29 @@ def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
     total = tuple(map(sum, zip(*kernel)))
     normalizer = Fraction(prod(sum(map(mul, total, a)) for a in kernel),
                           (2 * scale * scale) ** len(kernel))
-    kinds = (((b, w), (False, True),
-              ctx.torus_pairings(p for p, c in zip(points, ctx.rd.compact) if not c)),
-             ((w,), (False,), ()))
-    # per kind and flip, the vectors its terms read: the chart's points, then
-    # the kernel roots, flipped; S_b negates b and fixes w and the kernel
-    # roots, which are orthogonal to b.  The walk carries each distinct one once
-    on_kernel = tuple(_lowest(a, scale) for a in kernel)
-    reads = [[(*((tuple(-x for x in v) if flip and v is b else v, 1) for v in vectors), *on_kernel)
-              for flip in flips] for vectors, flips, _ in kinds]
-    index = {v: i for i, v in enumerate(dict.fromkeys(v for kind in reads for vs in kind for v in vs))}
-    cosets = _kernel_cosets(ctx, list(index))
-    series, torus = (
-        _coset_sum(ctx, [(word, [[images[index[v]] for v in vs] for vs in kind])
-                         for word, images in cosets], normalizer, *spec)
-        for spec, kind in zip(kinds, reads)
+    walk = _kernel_cosets(ctx, (b, *kernel))
+    # the kernel images x / D as weights over their least common denominator t
+    t = lcm(1, *(scale // gcd(scale, *x) for _, images in walk for x in images[2:]))
+    cosets = [(word, w1, b1, tuple(tuple(t * xi // scale for xi in x) for x in xs))
+              for word, (w1, b1, *xs) in walk]
+    # the directions: the k2 positive roots outside the kernel (which pair to
+    # 0 with w) and the noncompact roots, S_b negating their pairing with b,
+    # without the subgroup's roots
+    h_roots = set(ctx.torus_pairings(int_point(g, scale) for g in ctx.h_roots))
+    quotient = Counter((0, tw) for _, tw in ctx.torus_pairings(
+        points[i] for i in ctx.k2_factor.positions) if tw and (0, tw) not in h_roots)
+    noncompact = ctx.torus_pairings(p for p, c in zip(points, ctx.rd.compact) if not c)
+    if (0, 0) in noncompact:
+        raise InternalError("noncompact root projects to zero")
+    flips = [quotient + Counter(p for p in ((sign * t1, t2) for t1, t2 in noncompact)
+                                if p not in h_roots) for sign in (1, -1)]
+    denominator = normalizer * t ** len(kernel)
+    return OraclePlan(
+        tuple(word for word, *_ in cosets),
+        _coset_sum(scale, cosets, (b, w), flips, denominator),
+        _coset_sum(scale, cosets, (w,), [{(tw,): m for (_, tw), m in quotient.items()}],
+                   denominator),
     )
-    return OraclePlan(tuple(word for word, _ in cosets), series, torus)
 
 
 def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig):
@@ -333,7 +289,14 @@ def _positive_side(ctx: SubgroupContext):
     scale = ctx.rd.points[0]
     side = [(tb * ww, tw * bb)
             for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots)]
-    return lambda p: all(f1 * p[0] + f2 * p[1] > 0 for f1, f2 in side)
+
+    def positive(p):
+        for f1, f2 in side:
+            if f1 * p[0] + f2 * p[1] <= 0:
+                return False
+        return True
+
+    return positive
 
 
 def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):

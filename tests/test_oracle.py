@@ -284,6 +284,19 @@ def test_kernel_cosets_match_group_partition(label):
     assert _coset_terms(ctx, orbit, lam) == _coset_terms(ctx, reference, lam)
 
 
+def test_kernel_cosets_reject_an_inexact_vector():
+    # on f4_4 (D = 2) the int point (1, 0, 0, 0) is e1 / 2, which pairs to a
+    # half with a simple coroot of k2, so its images would leave the int
+    # points; e1 itself pairs integrally and is carried
+    ctx = quaternionic_context("f4_4")
+    assert ctx.rd.points[0] == 2
+    with pytest.raises(InternalError, match="non-integrally"):
+        _kernel_cosets(ctx, ((1, 0, 0, 0),))
+    cosets = _kernel_cosets(ctx, ((2, 0, 0, 0),))
+    assert len(cosets) == len(_kernel_cosets(ctx))
+    assert all(len(images) == 2 for _, images in cosets)
+
+
 def test_verify_closed_form_odd_orthogonal_realization():
     # so(4,3) realizes in type B with a short compact root; both integral and
     # half-integral parameters go through
