@@ -228,7 +228,8 @@ def ac3(store) -> str:
     for label, ctx, lams, rho, sides in cases:
         for lam in lams + [wadd(l, rho) for l in lams[:4]]:
             lhs, rhs = sides(ctx, lam, cfg)
-            for w in set(lhs.coeffs) | set(rhs.coeffs):
+            # a certified nonzero coefficient of rhs has a nonzero window total
+            for w in set(lhs.coeffs) | set(rhs.nonzero_points()):
                 c = rhs.coefficient(w)
                 if c is None:
                     continue
@@ -371,8 +372,8 @@ def ac9(store) -> str:
         problems = check_antisymmetry(ctx, series)
         if problems:
             raise _Failed(f"{label} at {lam}: {problems[:3]}")
-        checked += len(series.coeffs)
-    return f"{checked} coefficients checked across 9 runs"
+        checked += sum(1 for p in series.nonzero_points() if series.coefficient(p))
+    return f"{checked} certified nonzero coefficients checked across 9 runs"
 
 
 ALL_CRITERIA = (ac1, ac2, ac3, ac4, ac5, ac6, ac7, ac8, ac9)

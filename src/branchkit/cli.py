@@ -172,8 +172,8 @@ def _rows(rows, den: int, name: str = "mu") -> Rows:
 
 
 def _entries_json(table) -> Rows:
-    """A closed table's entries in weight order; its keys (k, l) have the
-    weights (k b + l c) / den for the basis numerators b, c of its coords."""
+    """A closed table's entries in weight order; its chart points (k, l) have
+    the weights (k b + l c) / den for the chart's int columns (b, c)."""
     columns, den = table.coords.columns, table.coords.den
     return _rows(((tuple([k * b + l * c for b, c in columns]), m)
                   for (k, l), m in table.by_key.items()), den)

@@ -14,10 +14,8 @@ covectors ``dual_covectors`` gives; an ``InnerProductForm`` names the dimension.
 ``rational_solve`` converts int entries to ``Fraction`` on entry, so its
 answer is exact for int input too.  A ``Chart`` gives the span of pairwise
 orthogonal int points integer coordinates: a weight's pairings with them, at
-a chosen scale; the oracle's plans and series live on them.  An ``IntBasis``
-keys the lattice of a chosen basis by int tuples, read exactly off weights;
-the closed branching tables live on them, and reach a chart's points through
-one int matrix.  ``reflect_point`` is the one reflection on int points.
+a chosen scale; the oracle's plans and series and the closed branching
+tables live on them.  ``reflect_point`` is the one reflection on int points.
 """
 
 from __future__ import annotations
@@ -266,8 +264,8 @@ class Chart:
     (mu, v_j) v_j / n_j, and its point is ``scale`` times its pairings
     (mu, v_j).  The scale is chosen by the caller so that the points it
     needs are integral; ``at_scale`` gives the span another scale.  The
-    basis v_j / n_j is kept as ints over one denominator, so that mapping a
-    point to its weight and back is int arithmetic.
+    basis v_j / n_j is kept as int ``columns`` over one denominator, so that
+    mapping a point to its weight and back is int arithmetic.
     """
 
     def __init__(self, points: Sequence[Sequence[int]], scale: int):
@@ -276,8 +274,8 @@ class Chart:
             raise InternalError("the chart's points are not orthogonal")
         self.norms = tuple(sum(map(mul, v, v)) for v in self.points)
         self._den = lcm(*self.norms)
-        self._columns = tuple(zip(*([x * (self._den // n) for x in v]
-                                    for v, n in zip(self.points, self.norms))))
+        self.columns = tuple(zip(*([x * (self._den // n) for x in v]
+                                   for v, n in zip(self.points, self.norms))))
 
     def at_scale(self, scale: int) -> Chart:
         """The chart of the same span with the given scale."""
@@ -285,76 +283,26 @@ class Chart:
         chart.scale = scale
         return chart
 
-    def _pairings(self, x: Sequence[int]):
-        """The pairings (x, v_j) of the int vector x, or None when x, a
-        weight at any scale, is off the span."""
-        t = [sum(map(mul, x, v)) for v in self.points]
-        if all(xi * self._den == sum(map(mul, t, column)) for xi, column in zip(x, self._columns)):
-            return t
-        return None
+    @property
+    def den(self) -> int:
+        """The positive denominator of the weights: the weight of a point p
+        has the numerators p . column over the ``columns``."""
+        return self.scale * self._den
 
     def to_point(self, w: Weight) -> tuple[int, ...]:
-        """Integer coordinates of w; InternalError when w is off the lattice."""
+        """Integer coordinates of w; InternalError when w is off the span or
+        off the lattice."""
         x, d = scaled_point(w)
-        t = self._pairings(x)
-        if t is None or any(ti * self.scale % d for ti in t):
+        t = [sum(map(mul, x, v)) for v in self.points]
+        if (any(xi * self._den != sum(map(mul, t, column)) for xi, column in zip(x, self.columns))
+                or any(ti * self.scale % d for ti in t)):
             raise InternalError(f"weight {format_weight(w)} is off the chart lattice")
         return tuple(ti * self.scale // d for ti in t)
 
-    def to_weight(self, p: Sequence) -> Weight:
+    def to_weight(self, p: Sequence[int]) -> Weight:
         """The weight with integer coordinates p."""
-        den = self.scale * self._den
-        return tuple(Fraction(sum(map(mul, p, column)), den) for column in self._columns)
-
-
-class IntBasis:
-    """Int keys on the lattice of linearly independent weights b_j: the key k
-    stands for the weight sum_j k_j b_j.  The dual weights d_j, with
-    (b_i, d_j) = 1 if i = j and 0 otherwise, read the key of a weight of the
-    span.  Both are kept as int points over one positive denominator each,
-    so that reading keys off weights, mapping keys to weights, ordering
-    keys by weight and mapping them to a chart's points is int arithmetic.
-    """
-
-    def __init__(self, basis: Sequence[Weight], duals: Sequence[Weight]):
-        self.den, points = scaled_points(basis)
-        self._dual_den, self._duals = scaled_points(duals)
-        if any(sum(map(mul, b, d)) != (i == j) * self.den * self._dual_den
-               for i, b in enumerate(points) for j, d in enumerate(self._duals)):
-            raise InternalError("the dual weights are not dual to the basis")
-        self.columns = tuple(zip(*points))
-
-    def numerators(self, key: Sequence[int]) -> tuple[int, ...]:
-        """``den`` times the weight of key: keys order by weight as these do."""
-        return tuple([sum(map(mul, key, column)) for column in self.columns])
-
-    def to_weight(self, key: Sequence[int]) -> Weight:
-        return tuple(Fraction(n, self.den) for n in self.numerators(key))
-
-    def to_key(self, w: Weight) -> tuple[int, ...]:
-        return self.key_of(*scaled_point(w))
-
-    def key_of(self, point: Sequence[int], den: int) -> tuple[int, ...]:
-        """The key of the weight point / den, read by the duals and rounded
-        down: InternalError unless it gives the weight back, which it does
-        exactly when the weight is on the span with an integral key."""
-        scale = den * self._dual_den
-        key = tuple(sum(map(mul, point, d)) // scale for d in self._duals)
-        if any(n * den != x * self.den for n, x in zip(self.numerators(key), point)):
-            weight = tuple(Fraction(x, den) for x in point)
-            raise InternalError(f"weight {format_weight(weight)} is off the lattice of its keys")
-        return key
-
-    def chart_map(self, chart: Chart) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(A, k) such that A key / k is the point of key's weight on chart,
-        for ``map_point``: A holds the scaled pairings of the basis with the
-        chart's points.  InternalError when the basis leaves the chart's span."""
-        pairings = [chart._pairings(b) for b in zip(*self.columns)]
-        if None in pairings:
-            raise InternalError("the table's basis leaves the chart's span")
-        a = [[chart.scale * x for x in row] for row in zip(*pairings)]
-        g = gcd(self.den, *(x for row in a for x in row))
-        return tuple(tuple(x // g for x in row) for row in a), self.den // g
+        den = self.den
+        return tuple(Fraction(sum(map(mul, p, column)), den) for column in self.columns)
 
 
 class WeightEntries(Mapping):
@@ -376,13 +324,3 @@ class WeightEntries(Mapping):
 
     def __len__(self):
         return len(self._by_key)
-
-
-def map_point(linear_map, p: Sequence[int]):
-    """The point A p / k of an ``IntBasis.chart_map`` (A, k) at p, or None
-    when k does not divide A p: the image is then off the chart lattice."""
-    a, k = linear_map
-    q = tuple(sum(map(mul, row, p)) for row in a)
-    if k > 1:
-        q = None if any(x % k for x in q) else tuple(x // k for x in q)
-    return q

@@ -41,20 +41,22 @@ points.  Every series symmetry is a sign flip of the two coordinates
 (``SubgroupContext.mirrors``: S_b negates the pairing with b), <mu, beta-check>
 is read on the first coordinate, and the positive side is the sign of the
 side roots' int covectors.  The extracted table is keyed by chart points,
-and a closed table keyed by int labels reaches them through one int map;
+and a closed table, keyed by the same coordinates at its own scale
+(``SubgroupContext.table_chart``), reaches them by one exact int rescale;
 weights are mapped back only for mismatches and errors.  A request returns a
 ``formal.ProductSum``: the conjunction of the per-term truncation regions,
 stated per point.  A term certifies a point when the offset from its base
 lies in its product's step-bound window, where the term adds its value, or
 has no decomposition over the product's directions at all.  Each window is
 enumerated from its product's region; the dense products are built only
-when read, by the self-test and ``check_antisymmetry``.  One sweep over the
-windows gives each point its window total; a certified point with a nonzero
-coefficient has a nonzero total, so extraction certifies only the
-positive-side points with one, and comparison adds only the closed table's
-entries, never reading the dense series.  The sizes of the closed table,
-the products' grids (which bound the windows) and the windows are checked
-against the dimension bound before what they bound is built.
+when read, by the tests: no request and no self-test criterion reads them.
+One sweep over the windows gives each point its window total; a certified
+point with a nonzero coefficient has a nonzero total, so extraction
+certifies only the positive-side points with one, and comparison adds only
+the closed table's entries, never reading the dense series.  The sizes of
+the closed table, the products' grids (which bound the windows) and the
+windows are checked against the dimension bound before what they bound is
+built.
 """
 
 from __future__ import annotations
@@ -281,38 +283,24 @@ def restriction_series(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig)
 
 @functools.lru_cache(maxsize=None)
 def _positive_side(ctx: SubgroupContext):
-    """The test of a series point p, at any scale s, for the side where
-    (mu, g) > 0 for every side root g (memoized per context): as
-    mu = (p1 b / (b, b) + p2 w / (w, w)) / s, (mu, g) has the sign of
-    ((x, b) (w, w), (x, w) (b, b)) . p for x = D g."""
-    _, _, bb, ww = ctx.torus_points
-    scale = ctx.rd.points[0]
-    side = [(tb * ww, tw * bb)
-            for tb, tw in ctx.torus_pairings(int_point(g, scale) for g in ctx.side_roots)]
-
-    def positive(p):
-        for f1, f2 in side:
-            if f1 * p[0] + f2 * p[1] <= 0:
-                return False
-        return True
-
-    return positive
+    """The test of a series point for the side where (mu, g) > 0 for every
+    side root g (``SubgroupContext.sign_test``, memoized per context)."""
+    return ctx.sign_test(ctx.side_roots)
 
 
 def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
     wall, where the pairing with b is 0, and odd across it; S_b is the sign
-    flip ``ctx.mirrors[0]``."""
+    flip ``ctx.mirrors[0]``.  Only the certified nonzero coefficients are
+    read, among ``nonzero_points``: S_b is an involution, so a certified zero
+    whose mirror is certified and nonzero is caught from the mirror."""
     chart = series.chart
     signs, _ = ctx.mirrors[0]
-    problems = [
-        ("wall", chart.to_weight(p), c)
-        for p, c in series.coeffs.items()
-        if not p[0] and series.certain_at(p)
-    ]
-    for p, c in series.coeffs.items():
+    nonzero = [(p, c) for p in series.nonzero_points() if (c := series.coefficient(p))]
+    problems = [("wall", chart.to_weight(p), c) for p, c in nonzero if not p[0]]
+    for p, c in nonzero:
         cm = series.coefficient(tuple(map(mul, signs, p)))
-        if cm is not None and series.certain_at(p) and cm != -c:
+        if cm is not None and cm != -c:
             problems.append(("mirror", chart.to_weight(p), (c, cm)))
     return problems
 

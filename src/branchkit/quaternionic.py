@@ -28,12 +28,15 @@ Conventions locked against the distributional oracle (see ``oracle``):
   lam, with multiplicity M(lam2, nu) C(p+d-2, d-2) C(q+d-2, d-2) summed over
   all (nu, p, q) landing on mu.  The (d-1)/2 offset comes from the half-sum
   base of the Heaviside powers; the oracle comparison pins it down.
-* Every such mu lies in span(a, b), so the table keys it by its doubled
-  su(2,1) labels (A1, A2) = (2<mu, a-check>, 2<mu, (b-a)-check>), two ints
-  with mu = (A1 L2 + A2 L1) / 2 (``table_coords``).  lam1 is read once and
-  q(nu) once per value of nu's int pairing with w_line, exactly; the offset
-  adds (d-1, d-1) and the step (p, q) adds (2q, 2p).  Dominance is the sign
-  of A1 and A2, and weights are built only for output, from int numerators
+* Every such mu lies in span(a, b), the subgroup torus, so the table keys
+  it by its point on the oracle's coordinates s_t ((mu, b), (mu, w)), at
+  the least scale s_t that makes L1 / 2 and L2 / 2 integral
+  (``SubgroupContext.table_chart``): there L1 = (u, u) and L2 = (u, -u).
+  lam1 is read once, as (lam, b) on lam's int point, and q(nu) once per
+  value of nu's int pairing with w_line, exactly; the offset adds
+  ((d-1) u, 0) and the step (p, q) adds ((p+q) u, (p-q) u).  Dominance,
+  (mu, a) > 0 and (mu, b-a) > 0, is p0 > |p1|, a sign test of int
+  covectors, and weights are built only for output, from int numerators
   over one denominator.
 """
 
@@ -49,14 +52,12 @@ from .errors import DomainError, InternalError
 from .lattice import (
     Chart,
     InnerProductForm,
-    IntBasis,
     Weight,
     WeightEntries,
     coroot_pairing,
     format_weight,
     inner,
     int_point,
-    map_point,
     scaled_point,
     wneg,
     wscale,
@@ -87,7 +88,8 @@ class SubgroupContext:
     point is s ((mu, b), (mu, w)) for b, w the int points of beta, w_line
     (``torus_points``): a mirror (signs, sign) says that the series at the
     point with its coordinates multiplied by signs is sign times the series
-    at the point.  S_b, first, negates the pairing with b."""
+    at the point.  S_b, first, negates the pairing with b.  The closed
+    tables key their entries on the same coordinates (``table_chart``)."""
 
     rd: RootDatum
     beta: Weight             # the maximal root, compact
@@ -149,6 +151,33 @@ class SubgroupContext:
         b, w, _, _ = self.torus_points
         return [(sum(map(mul, x, b)), sum(map(mul, x, w))) for x in points]
 
+    @functools.cached_property
+    def table_chart(self) -> Chart:
+        """The closed tables' chart: (b, w) at the least scale s_t that makes
+        beta / 4, the point (s_t (b, b) / (4 D), 0), integral (built on first
+        use).  Then so are L1 / 2 and L2 / 2 = (beta +- w_line / 3) / 4 of a
+        quaternionic form, (b, b) / (4 D) times (1, 1) and (1, -1), and e0 =
+        beta / 2 and e1 = w_line / 2 of sp(1, q), where (w, w) = (b, b)."""
+        b, w, bb, _ = self.torus_points
+        return Chart((b, w), Fraction(bb, 4 * self.rd.points[0]).denominator)
+
+    def sign_test(self, roots):
+        """The test of a point p on (b, w), at any scale s, for (mu, g) > 0
+        at every root g of roots: as mu = (p1 b / (b, b) + p2 w / (w, w)) / s,
+        (mu, g) has the sign of ((x, b) (w, w), (x, w) (b, b)) . p for x = D g."""
+        _, _, bb, ww = self.torus_points
+        scale = self.rd.points[0]
+        covectors = [(tb * ww, tw * bb)
+                     for tb, tw in self.torus_pairings(int_point(g, scale) for g in roots)]
+
+        def positive(p):
+            for f1, f2 in covectors:
+                if f1 * p[0] + f2 * p[1] <= 0:
+                    return False
+            return True
+
+        return positive
+
     def su2_torus(self, table) -> tuple[dict, int]:
         """({n: multiplicity}, E): a weight table pushed onto the su(2)
         torus, a weight of pairing n with w projecting to n w / E."""
@@ -171,14 +200,6 @@ class QuaternionicContext(SubgroupContext):
     fw1: Weight              # fundamental weight L1, (L1, alpha) = 0
     fw2: Weight              # fundamental weight L2, L1 + L2 = beta
     d: int                   # half the number of noncompact positive roots
-
-    def key_basis(self):
-        """The closed table's key (A1, A2) = (2<mu, alpha-check>,
-        2<mu, (beta-alpha)-check>) stands for mu = (A1 L2 + A2 L1) / 2: the
-        basis (L2/2, L1/2) and its duals, twice the two coroots."""
-        simple = (self.alpha, wsub(self.beta, self.alpha))
-        return ((wscale(Fraction(1, 2), self.fw2), wscale(Fraction(1, 2), self.fw1)),
-                tuple(wscale(4 / inner(self.form, g, g), g) for g in simple))
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,11 +296,17 @@ def lam2_weight_table(ctx: SubgroupContext, lam: Weight):
     return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
 
 
-@functools.lru_cache(maxsize=None)
-def table_coords(ctx: SubgroupContext) -> IntBasis:
-    """The int coordinates of ctx's closed-table keys, from the context's
-    ``key_basis`` (memoized per context; built by the first table)."""
-    return IntBasis(*ctx.key_basis())
+def table_base(ctx: SubgroupContext, lam: Weight, shift: int) -> tuple[int, int]:
+    """(a, u) for the points (a, 0) of lam1 + shift beta / 2 and (u, 0) of
+    beta / 2 on ``ctx.table_chart``: lam1's is (s_t (lam, b), 0), read on
+    lam's int point, and u = s_t (b, b) / (2 D).  InternalError unless a is an int."""
+    chart, (b, _, bb, _) = ctx.table_chart, ctx.torus_points
+    x, den = scaled_point(lam)
+    a, r = divmod(chart.scale * sum(map(mul, x, b)), den)
+    if r:
+        raise InternalError(f"the base of {format_weight(lam)} is off the chart lattice")
+    u = chart.scale * bb // (2 * ctx.rd.points[0])
+    return a + shift * u, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,12 +314,13 @@ class BranchingTable:
     """Multiplicities keyed by subgroup-side parameters, with a completeness bound.
 
     ``by_key`` maps each key to its positive multiplicity.  With ``coords``
-    (an ``IntBasis`` or a ``Chart``) a key is an int tuple standing for the
-    weight ``coords.to_weight(key)``: a closed table keys its entries on
-    ``table_coords(ctx)``, an extracted one on the points of the series'
-    chart, and ``points_on`` maps the first to the second by one int
-    matrix.  Without ``coords`` the keys are the weights.  ``entries``
-    shows every table keyed by weights.
+    (a ``Chart``) a key is an int point standing for the weight
+    ``coords.to_weight(key)``: a closed table keys its entries on
+    ``ctx.table_chart``, an extracted one on the series' chart, the same
+    points (b, w) at a multiple of its scale, and ``points_on`` maps the
+    first to the second by one exact int rescale.  Without ``coords``
+    the keys are the weights.  ``entries`` shows every table keyed by
+    weights.
 
     The table is complete for every mu with <mu, beta-check> <= pairing_bound;
     entries beyond the bound are not reported.  Tables extracted from a
@@ -304,7 +332,7 @@ class BranchingTable:
     pairing_bound: Fraction | None
     label: str
     lam: Weight | None
-    coords: IntBasis | Chart | None = None
+    coords: Chart | None = None
 
     @functools.cached_property
     def entries(self) -> WeightEntries | dict:
@@ -318,20 +346,17 @@ class BranchingTable:
 
     def points_on(self, chart: Chart) -> dict:
         """{point of chart: multiplicity}; InternalError for an entry off the
-        chart's lattice."""
-        if self.coords is chart:
+        chart's lattice, or for a table chart with other points or a scale
+        that does not divide the chart's."""
+        coords = self.coords
+        if coords is chart:
             return self.by_key
-        if self.coords is None:
+        if coords is None:
             return {chart.to_point(mu): m for mu, m in self.by_key.items()}
-        linear_map = self.coords.chart_map(chart)
-        points = {}
-        for key, m in self.by_key.items():
-            p = map_point(linear_map, key)
-            if p is None:
-                raise InternalError(f"weight {format_weight(self.coords.to_weight(key))} "
-                                    "is off the chart lattice")
-            points[p] = m
-        return points
+        k, r = divmod(chart.scale, coords.scale)
+        if r or coords.points != chart.points:
+            raise InternalError("the table's chart is not the chart at a divisor of its scale")
+        return {tuple([k * x for x in p]): m for p, m in self.by_key.items()}
 
 
 def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
@@ -351,45 +376,45 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
 def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
     """``branching_table`` without its checks, for a caller that has made them.
 
-    On the keys of ``table_coords``, L1 is (0, 2) and L2 is (2, 0): lam1 and
-    each sigma are read once, exactly, and the (d-1)/2 (L1 + L2) offset and
-    the steps p L1 + q L2 are int vectors.  sigma = q_u_k2(nu) depends on nu
-    only through its pairing with w_line, so the weights are grouped by it.
+    On ``ctx.table_chart``, L1 is (u, u) and L2 is (u, -u): lam1 and each
+    sigma are read once, exactly, and the (d-1)/2 (L1 + L2) offset and the
+    steps p L1 + q L2 are int vectors.  sigma = q_u_k2(nu) depends on nu
+    only through its pairing n with w_line, so the weights are grouped by
+    it; sigma = n w / E (``su2_torus``) has the point (0, s_t n (w, w) / E).
     """
-    lam1, _ = decompose_parameter(ctx, lam)
     sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
     check_size(len(sigmas) * (cutoff + 1) * (cutoff + 2) // 2,
                f"the closed table at cutoff {cutoff}")
-    d = ctx.d
-    coords = table_coords(ctx)
-    a1, a2 = (x + d - 1 for x in coords.to_key(lam1))
+    d, chart = ctx.d, ctx.table_chart
+    _, w, _, ww = ctx.torus_points
+    a, u = table_base(ctx, lam, d - 1)  # beta / 2 = (u, 0), so L1 = (u, u)
     binomials = [comb(p + d - 2, d - 2) for p in range(cutoff + 1)]
-    steps = [(2 * q, 2 * p, binomials[p] * binomials[q])
+    steps = [((p + q) * u, (p - q) * u, binomials[p] * binomials[q])
              for p in range(cutoff + 1) for q in range(cutoff + 1 - p)]
-    w = ctx.torus_points[1]
     entries: dict = {}
     for n, mult in sigmas.items():
-        s1, s2 = coords.key_of(tuple(n * x for x in w), den)
-        s1, s2 = s1 + a1, s2 + a2
-        for dq, dp, c in steps:
-            key = (s1 + dq, s2 + dp)
+        s, r = divmod(chart.scale * n * ww, den)
+        if r:
+            sigma = format_weight(Fraction(n * x, den) for x in w)
+            raise InternalError(f"weight {sigma} is off the chart lattice")
+        for dp, dq, c in steps:
+            key = (a + dp, s + dq)
             entries[key] = entries.get(key, 0) + mult * c
     bound = coroot_pairing(ctx.form, lam, ctx.beta) + (d - 1) + cutoff
-    return BranchingTable(entries, bound, ctx.rd.label, lam, coords)
+    return BranchingTable(entries, bound, ctx.rd.label, lam, chart)
 
 
 def check_table_dominance(ctx: QuaternionicContext, table: BranchingTable):
     """Every parameter must be strictly dominant for the su(2,1) positive
     system {b-a, a, b}; returns the (expected empty) list of violations
-    (mu, (mu, alpha), (mu, beta - alpha)).  The test is the sign of the two
-    keys of ``table_coords``, read off a table keyed otherwise; the beta
-    label is their sum.  Weights are built for violations only."""
-    coords = table_coords(ctx)
-    if table.coords is coords:
-        bad = [coords.to_weight(k) for k in table.by_key if k[0] <= 0 or k[1] <= 0]
-    else:
-        bad = [mu for mu in table.entries if min(coords.to_key(mu)) <= 0]
+    (mu, (mu, alpha), (mu, beta - alpha)).  The test is the sign test of
+    alpha and beta - alpha, whose sum is beta, on the table's chart points:
+    p0 > |p1| on ``table_chart``, where a table keyed by weights is read.
+    Weights are built for violations only."""
     b_minus_a = wsub(ctx.beta, ctx.alpha)
+    dominant = ctx.sign_test((ctx.alpha, b_minus_a))
+    chart = table.coords or ctx.table_chart
+    bad = [chart.to_weight(p) for p in table.points_on(chart) if not dominant(p)]
     return [(mu, inner(ctx.form, mu, ctx.alpha), inner(ctx.form, mu, b_minus_a)) for mu in bad]
 
 

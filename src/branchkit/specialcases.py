@@ -10,8 +10,9 @@ quaternionic real form of type C (Gross-Wallach, J. reine angew. Math. 481
 (1996)): it takes its root datum, compactness by the highest-root rule
 included, from the builder of the quaternionic forms, and its context is a
 ``quaternionic.SubgroupContext`` with beta = 2 e0 and w_line = 2 e1, so the
-oracle's series points are twice a scale times (a, k) for mu = a e0 + k e1,
-and its mirrors are the sign flips of e0 and e1.  A
+oracle's series points and the closed table's points (on the table chart,
+at scale 1) are twice a scale times (a, k) for mu = a e0 + k e1, and its
+mirrors are the sign flips of e0 and e1.  A
 Hermitian form labels a root compact when it pairs to 0 with the central
 direction z of K; its data share the quaternionic forms' split into positive
 roots (``rootsystems.positive_roots``), and its certificates are int points.
@@ -49,7 +50,7 @@ from .quaternionic import (
     SubgroupContext,
     decompose_parameter,
     lam2_weight_table,
-    table_coords,
+    table_base,
 )
 from .repweights import (
     check_size,
@@ -102,11 +103,6 @@ class Sp1qContext(SubgroupContext):
 
     q: int
     sigma: PositiveSystem
-
-    def key_basis(self):
-        """The closed table's key (a, k) stands for mu = a e0 + k e1."""
-        e = (wscale(Fraction(1, 2), self.beta), wscale(Fraction(1, 2), self.w_line))
-        return e, e
 
     def check_extracted(self, series: ProductSum, p: tuple, c: int) -> None:
         """A certified coefficient is off the singular wall a = k, and the
@@ -170,21 +166,22 @@ def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Branchin
 
 def _sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
     """``sp1q_branching_table`` without its checks, for a caller that has
-    made them; its keys (a, k) are read on ``table_coords``."""
+    made them.  On ``ctx.table_chart`` mu = a e0 + k e1 is the point v (a, k)
+    for v the first coordinate of e0 = beta / 2, so lam1 is read once and the
+    steps are int vectors; a > k > 0 is the sign test of 2 (e0 - e1) and
+    2 e1."""
     strings = sp1q_string_table(ctx, lam)
     check_size(len(strings) * (cutoff + 1), f"the closed table at cutoff {cutoff}")
-    coords = table_coords(ctx)
-    lam1, _ = decompose_parameter(ctx, lam)
-    a = coords.to_key(lam1)[0] + ctx.q - 1
+    a, v = table_base(ctx, lam, ctx.q - 1)
     binomials = [comb(p + 2 * ctx.q - 3, 2 * ctx.q - 3) for p in range(cutoff + 1)]
     entries: dict = {}
     for k, nk in strings.items():
         for p, c in enumerate(binomials):
-            key = (a + p, k)
+            key = (a + p * v, k * v)
             entries[key] = entries.get(key, 0) + nk * c
-    if any(not e0 > e1 > 0 for e0, e1 in entries):
+    if not all(map(ctx.sign_test((wsub(ctx.beta, ctx.w_line), ctx.w_line)), entries)):
         raise InternalError("emitted parameter is not dominant for the subgroup")
-    return BranchingTable(entries, Fraction(a + cutoff), ctx.rd.label, lam, coords)
+    return BranchingTable(entries, Fraction(a, v) + cutoff, ctx.rd.label, lam, ctx.table_chart)
 
 
 def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ProductSum:

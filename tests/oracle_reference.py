@@ -411,13 +411,13 @@ def reference_restrict_weights(table, projection, *args) -> dict:
     return out
 
 
-def reference_sigma_keys(ctx, lam, coords) -> dict:
-    """{key of sigma: summed multiplicity} over the weights nu of the k2
-    table, one Fraction projection and one ``to_key`` per weight."""
+def reference_sigma_points(ctx, lam, chart) -> dict:
+    """{point of sigma: summed multiplicity} over the weights nu of the k2
+    table, one Fraction projection and one ``to_point`` per weight."""
     out = {}
     for sigma, m in reference_restrict_weights(lam2_weight_table(ctx, lam), q_u_k2, ctx).items():
-        key = coords.to_key(sigma)
-        out[key] = out.get(key, 0) + m
+        p = chart.to_point(sigma)
+        out[p] = out.get(p, 0) + m
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import repweights, rootsystems
+from branchkit import formal, repweights, rootsystems
 from branchkit.cli import SCHEMA_PATH, Rows, _emit, _write_json, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
@@ -450,7 +450,6 @@ from bench import run, workloads
 for forms in workloads.SETUP_FORMS.values():
     run.fresh_setup(forms)
     memos = (sys.modules["branchkit.oracle"].oracle_plan,
-             sys.modules["branchkit.quaternionic"].table_coords,
              sys.modules["branchkit.repweights"]._freudenthal_memo)
     rootsystems = sys.modules["branchkit.rootsystems"]
     specialcases = sys.modules["branchkit.specialcases"]
@@ -461,7 +460,7 @@ for forms in workloads.SETUP_FORMS.values():
                for label in forms["quat"]]
               + [(c.rd, ("points",)) for c in sp1q] + [(c.sigma, ("signs",)) for c in sp1q]
               + [(c.k2_factor, ("int_roots",)) for c in sp1q]
-              + [(c, ("torus_points",)) for c in sp1q]
+              + [(c, ("torus_points", "table_chart")) for c in sp1q]
               + [(h.rd, ("points",)) for h in hermitian] + [(h.psi_h, ("signs",)) for h in hermitian])
     built = sum(name in vars(owner) for owner, names in owners for name in names)
     print(*(memo.cache_info().currsize for memo in memos), built)
@@ -470,15 +469,15 @@ for forms in workloads.SETUP_FORMS.values():
 
 def test_bench_setup_builds_no_oracle_plan():
     # the benchmark's set-up_s is a fresh import plus root data: the oracle's
-    # plans, the closed tables' label maps, the weight
-    # tables and the int points of root data (the coroot covectors), positive
-    # systems, compact factors and contexts (the torus pairings) must stay
-    # lazy, built by the first request that needs them
+    # plans, the weight tables and the int points of root data (the coroot
+    # covectors), positive systems, compact factors and contexts (the torus
+    # pairings and the closed tables' chart) must stay lazy, built by the
+    # first request that needs them
     root = BENCH.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     out = subprocess.run([sys.executable, "-c", SETUP_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:-1] == ["0 0 0 0"] * 3
+    assert out.split("\n")[:-1] == ["0 0 0"] * 3
 
 
 COLD_ORACLE_PROBE = """
@@ -505,6 +504,50 @@ def test_cold_oracle_requests_build_no_dense_product():
     out = subprocess.run([sys.executable, "-c", COLD_ORACLE_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:-1] == ["0 1", "0 1", "0 True"]
+
+def test_selftest_oracle_criteria_build_no_dense_product(capsys):
+    # AC-4 compares on the windows, and AC-9 reads the series only at its
+    # certified nonzero coefficients: neither builds a dense Heaviside product
+    formal._convolve_multiset.cache_clear()
+    code, out, _ = run_cli(capsys, "selftest", "--only", "AC-4,AC-9")
+    assert code == 0 and out.count("PASS") == 2
+    assert formal._convolve_multiset.cache_info().currsize == 0
+
+
+# CLI paths that the benchmark's golden set does not reach: cutoffs 0 and
+# 40, text output, the simple basis, an sp(1,q) oracle check at step bound
+# 10 and e6_2 at parameters of denominators 2 and 6.  The SHA-256 digests
+# were recorded before the closed tables were keyed on the table chart.
+UNCOVERED_DIGESTS = [
+    ("branch quat --form g2_2 --lambda=-1,-2,3 --cutoff 0",
+     "187b744e81d7b293cc66220c6a694b55953704bb71753e95fb00e48f4e044c0a"),
+    ("branch quat --form g2_2 --lambda=-1,-2,3 --cutoff 40",
+     "69d28a3eac3f1bd5648b877974a19e6d95e7fc9e9e5c7528052f8c152b9d9f44"),
+    ("branch quat --form g2_2 --lambda=-1,-2,3 --cutoff 3 --output text",
+     "8f4acb57832280b0c038e0608c7b035d1b5cca3b836e8020ea61bed6f85c4b78"),
+    ("branch quat --form su2_n:3 --lambda=2,1,0,-1,-2 --cutoff 2 --output text",
+     "494d3fa32219455bb392abb726a510bb78b298e439ca8ffea15160db0dbf6528"),
+    ("branch sp1q --form sp1_q:2 --lambda=4,2,1 --cutoff 3 --output text",
+     "6f7cf1fa4053617e64bdeb386fea77d057a159f17153e405309ecb846ce019f2"),
+    ("branch quat --form g2_2 --lambda=5,3 --basis simple --cutoff 2",
+     "af7caa300760b4f96dcaf827a6ce6ddba22220aba96b6df152e692e22fb75177"),
+    ("branch quat --form so4_n:4 --lambda=3,2,1,0 --cutoff 0",
+     "9a9e2be7de5067ceb238ddc4bd27fedd38963873d1bb0119ace5cd05b2a120a8"),
+    ("branch sp1q --form sp1_q:3 --lambda=5,3,2,1 --check-oracle --step-bound 10",
+     "6691b1ddbe9442a4b500e403eaa3b17cd3df7923cf38320fa08aff9b3f9e1264"),
+    ("branch quat --form e6_2 --lambda=1/2,3/2,5/2,7/2,9/2,-9/2,-9/2,9/2",
+     "3213f69944d384e6dc479c57dcbf217cc4b574e6ff56373a0125eee1c8400ecf"),
+    ("branch quat --form e6_2 --lambda=-1/2,3/2,5/2,7/2,9/2,-29/6,-29/6,29/6 --cutoff 2",
+     "e08d022464f3fd0c5207e5339d24597b1b78d196aaf256600dbda03fa94b61a7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", UNCOVERED_DIGESTS)
+def test_uncovered_paths_print_the_recorded_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def _run_script(name: str) -> str:
     root = BENCH.parent

@@ -1,6 +1,7 @@
-"""The closed tables keyed by int labels against the Fraction tables they
-replaced (``oracle_reference``): the same entries, the same bound, the same
-printed rows, and labels that are read exactly or not at all."""
+"""The closed tables keyed by points of the context's table chart against
+the Fraction tables they replaced (``oracle_reference``): the same entries,
+the same bound, the same printed rows, and points that are read exactly or
+not at all."""
 
 import random
 from fractions import Fraction
@@ -9,17 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import quaternionic
 from branchkit.cli import _entries_json
 from branchkit.errors import InternalError
-from branchkit.lattice import coroot_pairing, format_weight, inner, rational_solve, wadd, wscale
+from branchkit.lattice import (
+    coroot_pairing,
+    format_weight,
+    inner,
+    rational_solve,
+    wadd,
+    wscale,
+    wsub,
+)
 from branchkit.quaternionic import (
+    BranchingTable,
+    SubgroupContext,
     _branching_table,
     branching_table,
     check_table_dominance,
     decompose_parameter,
     quaternionic_context,
-    table_coords,
+    table_base,
 )
 from branchkit.rootsystems import simple_elements
 from branchkit.specialcases import sp1q_branching_table, sp1q_context
@@ -132,28 +142,69 @@ def test_int_tables_match_fraction_reference_on_small_parameters(label, scale, c
 
 
 def test_labels_are_read_exactly(g2):
-    """A weight off span(alpha, beta), or with a label that is not a
-    half-integer, has no key: truncating it would move the entry."""
-    coords = table_coords(g2)
-    assert coords.to_key(g2.fw1) == (0, 2) and coords.to_key(g2.fw2) == (2, 0)
-    assert coords.to_key(wscale(Fraction(1, 2), g2.beta)) == (1, 1)
-    quarter = wscale(Fraction(1, 4), g2.fw1)     # labels (0, 1/4)
+    """On the table chart (scale 2 on g2_2) L1 is (u, u) and L2 is (u, -u)
+    with u even, so L1 / 2, L2 / 2 and beta / 2 are points.  A weight off
+    span(alpha, beta), or a quarter of L1, has no point: truncating it would
+    move the entry."""
+    chart = g2.table_chart
+    _, u = table_base(g2, g2.psi.rho, 0)  # beta / 2 is (u, 0)
+    assert (chart.scale, u) == (2, 6)
+    assert chart.to_point(g2.fw1) == (u, u) and chart.to_point(g2.fw2) == (u, -u)
+    assert chart.to_point(wscale(Fraction(1, 2), g2.beta)) == (u, 0)
+    quarter = wscale(Fraction(1, 4), g2.fw1)     # the point (u / 4, u / 4), u = 6
     off_span = wadd(g2.beta, wscale(1, (Fraction(1),) * 3))  # plus the normal (1, 1, 1)
     for w in (quarter, off_span):
-        with pytest.raises(InternalError, match="off the lattice of its keys"):
-            coords.to_key(w)
+        with pytest.raises(InternalError, match="off the chart lattice"):
+            chart.to_point(w)
 
 
-def test_closed_table_rejects_an_inexact_base(g2, monkeypatch):
-    """The table reads lam1 through the exact key: a base a quarter of L1 off
-    the label lattice raises instead of losing the quarter."""
-    lam = g2.psi.rho
-    good = quaternionic.decompose_parameter
-
-    def shifted(ctx, w):
-        lam1, lam2 = good(ctx, w)
-        return wadd(lam1, wscale(Fraction(1, 4), ctx.fw1)), lam2
-
-    monkeypatch.setattr(quaternionic, "decompose_parameter", shifted)
-    with pytest.raises(InternalError, match="off the lattice of its keys"):
+def test_closed_table_rejects_an_inexact_base(g2):
+    """The table reads lam1 exactly, as (lam, b) on lam's int point: a base
+    an eighth of beta off the chart lattice, the point (3/2, 0), raises
+    instead of losing the eighth.  The shift leaves lam2, and so the k2
+    table, those of rho."""
+    lam = wadd(g2.psi.rho, wscale(Fraction(1, 8), g2.beta))
+    with pytest.raises(InternalError, match="off the chart lattice"):
         _branching_table(g2, lam, 2)
+
+
+def test_closed_table_rejects_an_inexact_sigma(g2, monkeypatch):
+    """Each sigma is read exactly too: a torus weight w / (8 E), of pairing
+    1 / (8 s) with w_line for a table at scale s, is off the table chart
+    at scale 2 and raises."""
+    su2_torus = SubgroupContext.su2_torus
+    monkeypatch.setattr(SubgroupContext, "su2_torus",
+                        lambda ctx, table: ({1: 1}, 8 * su2_torus(ctx, table)[1]))
+    with pytest.raises(InternalError, match="off the chart lattice"):
+        _branching_table(g2, g2.psi.rho, 2)
+
+
+GRID = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+
+
+@pytest.mark.parametrize("label", ["g2_2", "su2_n:3", "so4_n:4", "f4_4", "e6_2"])
+def test_quaternionic_dominance_is_a_sign_test_on_the_table_chart(label):
+    """(mu, alpha) > 0 and (mu, beta - alpha) > 0 is p0 > |p1| on the table
+    chart, and ``check_table_dominance`` reports exactly the other points."""
+    ctx = quaternionic_context(label)
+    chart = ctx.table_chart
+    b_minus_a = wsub(ctx.beta, ctx.alpha)
+    for p in GRID:
+        mu = chart.to_weight(p)
+        assert (inner(ctx.form, mu, ctx.alpha) > 0 and inner(ctx.form, mu, b_minus_a) > 0) == (
+            p[0] > abs(p[1]))
+    table = BranchingTable(dict.fromkeys(GRID, 1), None, label, None, chart)
+    bad = {mu for mu, _, _ in check_table_dominance(ctx, table)}
+    assert bad == {chart.to_weight(p) for p in GRID if not p[0] > abs(p[1])}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sp1q_dominance_is_a_sign_test_on_the_table_chart(q):
+    """a > k > 0 for mu = a e0 + k e1 is p0 > p1 > 0 on the table chart, the
+    sign test of 2 (e0 - e1) and 2 e1 that the closed table runs."""
+    ctx = sp1q_context(q)
+    chart = ctx.table_chart
+    dominant = ctx.sign_test((wsub(ctx.beta, ctx.w_line), ctx.w_line))
+    for p in GRID:
+        a, k = chart.to_weight(p)[:2]
+        assert dominant(p) == (a > k > 0) == (p[0] > p[1] > 0)

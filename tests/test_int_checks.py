@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from branchkit import cli, formal, quaternionic, repweights
 from branchkit.errors import DomainError, InternalError
 from branchkit.lattice import (
-    IntBasis,
+    Chart,
     dual_covectors,
     inner,
     parse_weight,
@@ -32,12 +32,12 @@ from branchkit.lattice import (
 )
 from branchkit.oracle import OracleConfig, _coset_series, _positive_side, oracle_plan
 from branchkit.quaternionic import (
+    BranchingTable,
     _branching_table,
     _verify_projections,
     decompose_parameter,
     lam2_weight_table,
     quaternionic_context,
-    table_coords,
 )
 from branchkit.repweights import (
     CompactFactor,
@@ -71,7 +71,7 @@ from oracle_reference import (
     reference_dense_dominant_weights,
     reference_dominant_weights,
     reference_oracle_plan,
-    reference_sigma_keys,
+    reference_sigma_points,
     reference_simple_elements,
     reference_su2_string_decompose,
     same_plans,
@@ -269,17 +269,20 @@ def _valid(ctx, system, lams):
 
 
 def _check_tables(ctx, lam):
-    """The split of lam, and the closed table's sigma keys (quaternionic) or
+    """The split of lam, and the closed table's sigma points (quaternionic) or
     the su(2) strings (sp(1, q)), against the Fraction references."""
     assert decompose_parameter(ctx, lam) == reference_decompose_parameter(ctx, lam)
     if isinstance(ctx, Sp1qContext):
         table = lam2_weight_table(ctx, lam)
         assert sp1q_string_table(ctx, lam) == reference_su2_string_decompose(table, ctx.w_line)
         return
-    # at cutoff 0 the table is each sigma's key plus the offset from lam1
-    coords = table_coords(ctx)
-    a1, a2 = (x + ctx.d - 1 for x in coords.to_key(decompose_parameter(ctx, lam)[0]))
-    want = {(k1 + a1, k2 + a2): m for (k1, k2), m in reference_sigma_keys(ctx, lam, coords).items()}
+    # at cutoff 0 the table is each sigma's point plus lam1 and the offset
+    # (d - 1) / 2 (L1 + L2) = (d - 1) beta / 2
+    chart = ctx.table_chart
+    base = wadd(decompose_parameter(ctx, lam)[0], wscale(Fraction(ctx.d - 1, 2), ctx.beta))
+    a1, a2 = chart.to_point(base)
+    want = {(k1 + a1, k2 + a2): m
+            for (k1, k2), m in reference_sigma_points(ctx, lam, chart).items()}
     assert _branching_table(ctx, lam, 0).by_key == want
 
 
@@ -442,8 +445,8 @@ def test_oracle_searches_only_decomposable_offsets(seed, monkeypatch, capsys):
 @pytest.mark.parametrize("label", ["g2_2", "so4_n:4", "e6_2", "sp1_q:2"])
 def test_chart_data_match_per_request_reference(label):
     # the positive side, read by the side roots' int covectors, and the
-    # table keys' map onto a request's chart, equal what a request would
-    # read on its own chart by Fraction pairings and weights
+    # table points' rescale onto a request's chart, equal what a request
+    # would read on its own chart by Fraction pairings and weights
     ctx, system = _context(label)
     lam = wscale(2, system.rho)  # denominators differ from the plan's base chart
     series = _coset_series(ctx, lam, OracleConfig(step_bound=3))
@@ -455,11 +458,18 @@ def test_chart_data_match_per_request_reference(label):
     table = (_sp1q_branching_table if isinstance(ctx, Sp1qContext) else _branching_table)(
         ctx, lam, 3)
     assert table.points_on(chart) == {chart.to_point(mu): m for mu, m in table.entries.items()}
-    # a basis that leaves the chart's span has no map
-    off = IntBasis([tuple(Fraction(i == ctx.form.dim - 1) for i in range(ctx.form.dim))],
-                   [tuple(Fraction(i == ctx.form.dim - 1) for i in range(ctx.form.dim))])
-    with pytest.raises(InternalError, match="leaves the chart's span"):
-        off.chart_map(chart)
+    assert chart.scale % ctx.table_chart.scale == 0
+    # a table on the chart of other points (off the span), or at a scale
+    # that the chart's is not a multiple of, has no points here; nor has a
+    # weight off the chart's lattice, half a step from a point
+    other = BranchingTable(table.by_key, None, ctx.rd.label, lam, Chart(chart.points[::-1], 1))
+    fine = BranchingTable({(1, 1): 1}, None, ctx.rd.label, lam, chart.at_scale(2 * chart.scale))
+    for wrong in (other, fine):
+        with pytest.raises(InternalError, match="not the chart at a divisor"):
+            wrong.points_on(chart)
+    half = BranchingTable({fine.coords.to_weight((1, 1)): 1}, None, ctx.rd.label, lam)
+    with pytest.raises(InternalError, match="off the chart lattice"):
+        half.points_on(chart)
 
 
 @pytest.mark.parametrize("q", [2, 3])
