@@ -51,7 +51,6 @@ from .specialcases import (
     kss_admissible,
     kss_admissible_system,
     sp1q_context,
-    sp1q_su2_restriction_sides,
     sp1q_verify,
     validate_hermitian_parameter,
 )
@@ -218,16 +217,15 @@ def ac3(store) -> str:
     """Torus / su(2) restriction identity on four compact factors."""
     checked = 0
     cfg = OracleConfig(step_bound=16)
-    cases = []  # (label, context, parameters, rho of their positive system, sides)
+    cases = []  # (label, context, parameters, rho of their positive system)
     for label in ("g2_2", "su2_n:2", "so4_n:4"):
         ctx, lams = _quaternionic_parameters(label, 6)
-        cases.append((label, ctx, lams, ctx.psi.rho, torus_restriction_sides))
+        cases.append((label, ctx, lams, ctx.psi.rho))
     sp12 = sp1q_context(2)
-    cases.append(("sp(1,2)", sp12, _sp1q_parameters(6), sp12.sigma.rho,
-                  sp1q_su2_restriction_sides))
-    for label, ctx, lams, rho, sides in cases:
+    cases.append(("sp(1,2)", sp12, _sp1q_parameters(6), sp12.sigma.rho))
+    for label, ctx, lams, rho in cases:
         for lam in lams + [wadd(l, rho) for l in lams[:4]]:
-            lhs, rhs = sides(ctx, lam, cfg)
+            lhs, rhs = torus_restriction_sides(ctx, lam, cfg)
             # a certified nonzero coefficient of rhs has a nonzero window total
             for w in set(lhs.coeffs) | set(rhs.nonzero_points()):
                 c = rhs.coefficient(w)

@@ -39,12 +39,7 @@ from .errors import (
 )
 from .lattice import format_weight, parse_weight, wadd, wscale, zero_weight
 from .oracle import OracleConfig, verify_closed_form
-from .quaternionic import (
-    branching_table,
-    check_table_dominance,
-    lam2_weight_table,
-    quaternionic_context,
-)
+from .quaternionic import branching_table, lam2_weight_table, quaternionic_context
 from .repweights import check_size
 from .rootsystems import _parse_int, ambient_dimension, datum_size, parse_quaternionic_label
 from .specialcases import (
@@ -54,7 +49,6 @@ from .specialcases import (
     so3_admissible,
     sp1q_branching_table,
     sp1q_context,
-    sp1q_string_table,
     sp1q_system,
     sp1q_verify,
 )
@@ -194,7 +188,6 @@ def cmd_list_forms(args) -> int:
 def cmd_branch(args) -> int:
     ctx, lam, closed, verify = _family(args)
     table = closed(ctx, lam, args.cutoff)
-    violations = check_table_dominance(ctx, table) if args.family == "quat" else []
     payload = {
         "command": "branch",
         "family": args.family,
@@ -212,9 +205,6 @@ def cmd_branch(args) -> int:
         payload["oracle"] = _oracle_payload(report)
         if not report.agree:
             raise InternalError("closed form disagrees with the oracle")
-    if violations:
-        shown = "; ".join(format_weight(mu) for mu, _, _ in violations[:3])
-        raise InternalError(f"non-dominant parameters in the table: {shown}")
     sys.stdout.write(_emit(payload, args.output))
     return 0
 
@@ -254,14 +244,11 @@ def cmd_admissible(args) -> int:
 
 def cmd_weights(args) -> int:
     label = args.form
-    sp1q = label.startswith("sp1_q")
-    ctx, lam = _parse_lambda(args, *_context("sp1q" if sp1q else "quat", label))
-    if args.project == "torus" and sp1q:
-        zeros = (0,) * (ctx.q - 1)
-        rows, den = [((0, k) + zeros, n) for k, n in sp1q_string_table(ctx, lam).items()], 1
-    elif args.project == "torus":
-        sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
-        rows = [(tuple(n * x for x in ctx.torus_points[1]), m) for n, m in sigmas.items()]
+    ctx, lam = _parse_lambda(args, *_context("sp1q" if label.startswith("sp1_q") else "quat",
+                                             label))
+    if args.project == "torus":  # the closed form's fibre: the weights n w / den
+        fibre, den = ctx.fibre(lam)
+        rows = [(tuple(n * x for x in ctx.torus_points[1]), m) for n, m in fibre.items()]
     else:
         table = lam2_weight_table(ctx, lam)
         rows, den = table.points.items(), table.scale

@@ -77,7 +77,6 @@ from .quaternionic import (
     SubgroupContext,
     _branching_table,
     decompose_parameter,
-    lam2_weight_table,
     require_proper_subgroup,
     validate_small_dominant,
 )
@@ -216,22 +215,22 @@ def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
     )
 
 
-def torus_restriction_sides(ctx: QuaternionicContext, lam: Weight, cfg: OracleConfig):
+def torus_restriction_sides(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig):
     """Both sides of the torus restriction identity for the k2-representation
-    attached to lam: the pushed-forward weight table, and the signed coset sum
-    of Heaviside convolutions."""
-    sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
+    attached to lam: the closed form's fibre (``ctx.fibre``), antisymmetrized
+    where w_line is a subgroup root (sp(1, q): the strings' characters), and
+    the signed coset sum of Heaviside convolutions, both on its chart."""
+    fibre, den = ctx.fibre(lam)
     _, lam2 = decompose_parameter(ctx, lam)
     rhs = _coset_series(ctx, lam2, cfg, torus=True)
-    w = ctx.torus_points[1]
-    return on_chart(rhs.chart, {tuple(Fraction(n * x, den) for x in w): m
-                                for n, m in sigmas.items()}), rhs
-
-
-def on_chart(chart: Chart, mults: dict) -> DeltaSeries:
-    """Finite exact series sum_w mults[w] * delta_w on the points of chart."""
-    coeffs = {chart.to_point(w): m for w, m in mults.items() if m}
-    return DeltaSeries(coeffs, (), chart)
+    signs = (1, -1) if ctx.w_line in ctx.h_roots else (1,)  # strings k >= 1: no points meet
+    lhs: dict = {}
+    for n, m in fibre.items():
+        x, r = divmod(rhs.chart.scale * n * ctx.torus_points[3], den)
+        if r:
+            raise InternalError(f"a fibre weight of {format_weight(lam)} is off the chart lattice")
+        lhs.update({(sign * x,): sign * m for sign in signs})
+    return DeltaSeries(lhs, (), rhs.chart), rhs
 
 
 def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,

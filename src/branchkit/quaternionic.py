@@ -32,12 +32,14 @@ Conventions locked against the distributional oracle (see ``oracle``):
   it by its point on the oracle's coordinates s_t ((mu, b), (mu, w)), at
   the least scale s_t that makes L1 / 2 and L2 / 2 integral
   (``SubgroupContext.table_chart``): there L1 = (u, u) and L2 = (u, -u).
-  lam1 is read once, as (lam, b) on lam's int point, and q(nu) once per
-  value of nu's int pairing with w_line, exactly; the offset adds
-  ((d-1) u, 0) and the step (p, q) adds ((p+q) u, (p-q) u).  Dominance,
-  (mu, a) > 0 and (mu, b-a) > 0, is p0 > |p1|, a sign test of int
-  covectors, and weights are built only for output, from int numerators
-  over one denominator.
+
+Both families state their closed form as data on that chart: a fibre (the
+k2 weights on the su(2) torus, or sp(q)'s su(2) strings) and a multiset of
+Heaviside directions (``SubgroupContext.fibre`` and ``heaviside``).  One
+builder, ``_branching_table``, makes every closed table from it, with one
+size count, one completeness bound and one dominance test, the sign test of
+the subgroup's positive roots on int points; weights are built only for
+output, from int numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ from .lattice import (
     InnerProductForm,
     Weight,
     WeightEntries,
-    coroot_pairing,
     format_weight,
-    inner,
     int_point,
     scaled_point,
     wneg,
@@ -161,6 +161,23 @@ class SubgroupContext:
         b, w, bb, _ = self.torus_points
         return Chart((b, w), Fraction(bb, 4 * self.rd.points[0]).denominator)
 
+    @property
+    def half_beta(self) -> int:
+        """u, for the point (u, 0) of beta / 2 on ``table_chart``: s_t (b, b) / (2 D)."""
+        return self.table_chart.scale * self.torus_points[2] // (2 * self.rd.points[0])
+
+    def fibre(self, lam: Weight) -> tuple[dict, int]:
+        """The closed form's K2-fibre of lam on the su(2) torus: ({n:
+        multiplicity}, E) for the weights n w / E (``torus_points``)."""
+        raise NotImplementedError
+
+    @property
+    def heaviside(self) -> tuple:
+        """The closed form's Heaviside directions, ((point on ``table_chart``,
+        power), ...): each direction pairs to 1 with beta-check, its point
+        (u, .) for u = ``half_beta``."""
+        raise NotImplementedError
+
     def sign_test(self, roots):
         """The test of a point p on (b, w), at any scale s, for (mu, g) > 0
         at every root g of roots: as mu = (p1 b / (b, b) + p2 w / (w, w)) / s,
@@ -178,11 +195,11 @@ class SubgroupContext:
 
         return positive
 
-    def su2_torus(self, table) -> tuple[dict, int]:
-        """({n: multiplicity}, E): a weight table pushed onto the su(2)
-        torus, a weight of pairing n with w projecting to n w / E."""
-        _, w, _, ww = self.torus_points
-        return restrict_weights(table, w), table.scale * ww
+    @functools.cached_property
+    def dominant(self):
+        """The sign test of the subgroup's positive roots, the first half of
+        ``h_roots``: strict dominance for the subgroup (built on first use)."""
+        return self.sign_test(self.h_roots[:len(self.h_roots) // 2])
 
     def check_extracted(self, series, p: tuple, c: int) -> None:
         """Family check on a certified positive-side coefficient c of a
@@ -200,6 +217,19 @@ class QuaternionicContext(SubgroupContext):
     fw1: Weight              # fundamental weight L1, (L1, alpha) = 0
     fw2: Weight              # fundamental weight L2, L1 + L2 = beta
     d: int                   # half the number of noncompact positive roots
+
+    def fibre(self, lam: Weight) -> tuple[dict, int]:
+        """The k2 weight table of lam pushed onto the su(2) torus: a weight
+        of int point p at the table's scale has n = (p, w) and E = scale (w, w)."""
+        _, w, _, ww = self.torus_points
+        table = lam2_weight_table(self, lam)
+        return restrict_weights(table, w), table.scale * ww
+
+    @functools.cached_property
+    def heaviside(self) -> tuple:
+        """L1 = (u, u) and L2 = (u, -u), each d - 1 times."""
+        u = self.half_beta
+        return ((u, u), self.d - 1), ((u, -u), self.d - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,19 +326,6 @@ def lam2_weight_table(ctx: SubgroupContext, lam: Weight):
     return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
 
 
-def table_base(ctx: SubgroupContext, lam: Weight, shift: int) -> tuple[int, int]:
-    """(a, u) for the points (a, 0) of lam1 + shift beta / 2 and (u, 0) of
-    beta / 2 on ``ctx.table_chart``: lam1's is (s_t (lam, b), 0), read on
-    lam's int point, and u = s_t (b, b) / (2 D).  InternalError unless a is an int."""
-    chart, (b, _, bb, _) = ctx.table_chart, ctx.torus_points
-    x, den = scaled_point(lam)
-    a, r = divmod(chart.scale * sum(map(mul, x, b)), den)
-    if r:
-        raise InternalError(f"the base of {format_weight(lam)} is off the chart lattice")
-    u = chart.scale * bb // (2 * ctx.rd.points[0])
-    return a + shift * u, u
-
-
 @dataclass(frozen=True, eq=False)
 class BranchingTable:
     """Multiplicities keyed by subgroup-side parameters, with a completeness bound.
@@ -373,49 +390,62 @@ def branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> Branc
     return _branching_table(ctx, lam, cutoff)
 
 
-def _branching_table(ctx: QuaternionicContext, lam: Weight, cutoff: int) -> BranchingTable:
-    """``branching_table`` without its checks, for a caller that has made them.
+def _branching_table(ctx: SubgroupContext, lam: Weight, cutoff: int) -> BranchingTable:
+    """The closed table of either family, without the checks of lam, for a
+    caller that has made them (``branching_table``,
+    ``specialcases.sp1q_branching_table``, the oracle checks).
 
-    On ``ctx.table_chart``, L1 is (u, u) and L2 is (u, -u): lam1 and each
-    sigma are read once, exactly, and the (d-1)/2 (L1 + L2) offset and the
-    steps p L1 + q L2 are int vectors.  sigma = q_u_k2(nu) depends on nu
-    only through its pairing n with w_line, so the weights are grouped by
-    it; sigma = n w / E (``su2_torus``) has the point (0, s_t n (w, w) / E).
+    On ``ctx.table_chart`` an entry sits at lam1 + h / 2 + sigma + sum c_i h_i
+    for h_i the directions of ``ctx.heaviside`` with powers m_i, h their sum
+    with multiplicity, sigma a fibre point and c_i >= 0 with sum c_i <= cutoff,
+    with the fibre's multiplicity times prod C(c_i + m_i - 1, m_i - 1), the
+    coefficient of c_i h_i in the m_i-th Heaviside power.  lam1 is the point
+    (s_t (lam, b), 0), read on lam's int point, and a fibre weight n w / E
+    the point (0, s_t n (w, w) / E), both exactly.  Each direction has first
+    coordinate u (``half_beta``), so the table is complete up to
+    <mu, beta-check> = a / u + cutoff for (a, 0) the base lam1 + h / 2.
+    InternalError for a point off the chart lattice or an entry that is not
+    dominant for the subgroup (``check_table_dominance``).
     """
-    sigmas, den = ctx.su2_torus(lam2_weight_table(ctx, lam))
-    check_size(len(sigmas) * (cutoff + 1) * (cutoff + 2) // 2,
+    fibre, den = ctx.fibre(lam)
+    check_size(len(fibre) * comb(cutoff + len(ctx.heaviside), cutoff),
                f"the closed table at cutoff {cutoff}")
-    d, chart = ctx.d, ctx.table_chart
-    _, w, _, ww = ctx.torus_points
-    a, u = table_base(ctx, lam, d - 1)  # beta / 2 = (u, 0), so L1 = (u, u)
-    binomials = [comb(p + d - 2, d - 2) for p in range(cutoff + 1)]
-    steps = [((p + q) * u, (p - q) * u, binomials[p] * binomials[q])
-             for p in range(cutoff + 1) for q in range(cutoff + 1 - p)]
+    chart, (b, w, _, ww) = ctx.table_chart, ctx.torus_points
+    point, lam_den = scaled_point(lam)
+    a, r = divmod(chart.scale * sum(map(mul, point, b)), lam_den)
+    h0, h1 = (sum(p[i] * m for p, m in ctx.heaviside) for i in (0, 1))
+    if r or h0 % 2 or h1 % 2:
+        raise InternalError(f"the base of {format_weight(lam)} is off the chart lattice")
+    a, base = a + h0 // 2, h1 // 2
+    steps = [(0, 0, 0, 1)]  # (steps taken, point, coefficient)
+    for (d0, d1), m in ctx.heaviside:
+        steps = [(n + c, p0 + c * d0, p1 + c * d1, k * comb(c + m - 1, m - 1))
+                 for n, p0, p1, k in steps for c in range(cutoff + 1 - n)]
     entries: dict = {}
-    for n, mult in sigmas.items():
+    for n, mult in fibre.items():
         s, r = divmod(chart.scale * n * ww, den)
         if r:
             sigma = format_weight(Fraction(n * x, den) for x in w)
             raise InternalError(f"weight {sigma} is off the chart lattice")
-        for dp, dq, c in steps:
-            key = (a + dp, s + dq)
-            entries[key] = entries.get(key, 0) + mult * c
-    bound = coroot_pairing(ctx.form, lam, ctx.beta) + (d - 1) + cutoff
-    return BranchingTable(entries, bound, ctx.rd.label, lam, chart)
+        for _, p0, p1, k in steps:
+            key = (a + p0, base + s + p1)
+            entries[key] = entries.get(key, 0) + mult * k
+    table = BranchingTable(entries, Fraction(a, ctx.half_beta) + cutoff, ctx.rd.label, lam, chart)
+    violations = check_table_dominance(ctx, table)
+    if violations:
+        shown = "; ".join(map(format_weight, violations[:3]))
+        raise InternalError(f"non-dominant parameters in the table: {shown}")
+    return table
 
 
-def check_table_dominance(ctx: QuaternionicContext, table: BranchingTable):
-    """Every parameter must be strictly dominant for the su(2,1) positive
-    system {b-a, a, b}; returns the (expected empty) list of violations
-    (mu, (mu, alpha), (mu, beta - alpha)).  The test is the sign test of
-    alpha and beta - alpha, whose sum is beta, on the table's chart points:
-    p0 > |p1| on ``table_chart``, where a table keyed by weights is read.
-    Weights are built for violations only."""
-    b_minus_a = wsub(ctx.beta, ctx.alpha)
-    dominant = ctx.sign_test((ctx.alpha, b_minus_a))
+def check_table_dominance(ctx: SubgroupContext, table: BranchingTable) -> list:
+    """The (expected empty) list of the table's parameters that are not
+    strictly dominant for the subgroup's positive system, the sign test
+    ``ctx.dominant`` of its points on the table's chart, or on
+    ``table_chart`` for a table keyed by weights.  Weights are built for
+    violations only."""
     chart = table.coords or ctx.table_chart
-    bad = [chart.to_weight(p) for p in table.points_on(chart) if not dominant(p)]
-    return [(mu, inner(ctx.form, mu, ctx.alpha), inner(ctx.form, mu, b_minus_a)) for mu in bad]
+    return [chart.to_weight(p) for p in table.points_on(chart) if not ctx.dominant(p)]
 
 
 def admissible_system(ctx: QuaternionicContext, sigma: PositiveSystem) -> bool:

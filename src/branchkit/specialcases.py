@@ -12,7 +12,9 @@ included, from the builder of the quaternionic forms, and its context is a
 ``quaternionic.SubgroupContext`` with beta = 2 e0 and w_line = 2 e1, so the
 oracle's series points and the closed table's points (on the table chart,
 at scale 1) are twice a scale times (a, k) for mu = a e0 + k e1, and its
-mirrors are the sign flips of e0 and e1.  A
+mirrors are the sign flips of e0 and e1.  Its closed form is the shared
+builder's (``quaternionic._branching_table``) on the su(2) strings of the
+sp(q) factor and the direction e0.  A
 Hermitian form labels a root compact when it pairs to 0 with the central
 direction z of K; its data share the quaternionic forms' split into positive
 roots (``rootsystems.positive_roots``), and its certificates are int points.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from operator import mul
 
 from .errors import ConfigurationError, DomainError, InternalError
@@ -42,18 +43,16 @@ from .oracle import (
     OracleConfig,
     _coset_series,
     compare,
-    on_chart,
     require_compared,
 )
 from .quaternionic import (
     BranchingTable,
     SubgroupContext,
+    _branching_table,
     decompose_parameter,
     lam2_weight_table,
-    table_base,
 )
 from .repweights import (
-    check_size,
     regular_integral_pairings,
     su2_string_decompose,
     validate_hc_parameter,
@@ -118,6 +117,16 @@ class Sp1qContext(SubgroupContext):
                 mu = format_weight(series.chart.to_weight(p))
                 raise InternalError(f"four-fold antisymmetry fails at {mu}")
 
+    def fibre(self, lam: Weight) -> tuple[dict, int]:
+        """The su(2) strings {k: N_k} of lam's sp(q)-representation
+        (``sp1q_string_table``), at k e1 = k w / (2 D)."""
+        return sp1q_string_table(self, lam), 2 * self.rd.points[0]
+
+    @functools.cached_property
+    def heaviside(self) -> tuple:
+        """e0 = (u, 0), 2q - 2 times."""
+        return ((self.half_beta, 0), 2 * self.q - 2),
+
 
 def sp1q_system(q: int):
     """The base system (family, rank) of sp(1, q): C_{q+1}."""
@@ -161,27 +170,7 @@ def sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> Branchin
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
     sp1q_validate(ctx, lam)
-    return _sp1q_branching_table(ctx, lam, cutoff)
-
-
-def _sp1q_branching_table(ctx: Sp1qContext, lam: Weight, cutoff: int) -> BranchingTable:
-    """``sp1q_branching_table`` without its checks, for a caller that has
-    made them.  On ``ctx.table_chart`` mu = a e0 + k e1 is the point v (a, k)
-    for v the first coordinate of e0 = beta / 2, so lam1 is read once and the
-    steps are int vectors; a > k > 0 is the sign test of 2 (e0 - e1) and
-    2 e1."""
-    strings = sp1q_string_table(ctx, lam)
-    check_size(len(strings) * (cutoff + 1), f"the closed table at cutoff {cutoff}")
-    a, v = table_base(ctx, lam, ctx.q - 1)
-    binomials = [comb(p + 2 * ctx.q - 3, 2 * ctx.q - 3) for p in range(cutoff + 1)]
-    entries: dict = {}
-    for k, nk in strings.items():
-        for p, c in enumerate(binomials):
-            key = (a + p * v, k * v)
-            entries[key] = entries.get(key, 0) + nk * c
-    if not all(map(ctx.sign_test((wsub(ctx.beta, ctx.w_line), ctx.w_line)), entries)):
-        raise InternalError("emitted parameter is not dominant for the subgroup")
-    return BranchingTable(entries, Fraction(a, v) + cutoff, ctx.rd.label, lam, ctx.table_chart)
+    return _branching_table(ctx, lam, cutoff)
 
 
 def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ProductSum:
@@ -194,21 +183,8 @@ def sp1q_restriction_series(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) ->
 def sp1q_verify(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ComparisonReport:
     """Closed form at cutoff = step bound vs oracle extraction on the certified region."""
     series = sp1q_restriction_series(ctx, lam, cfg)  # validates lam
-    report = compare(ctx, series, _sp1q_branching_table(ctx, lam, cfg.step_bound))
+    report = compare(ctx, series, _branching_table(ctx, lam, cfg.step_bound))
     return require_compared(report, cfg)
-
-
-def sp1q_su2_restriction_sides(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig):
-    """Both sides of the restriction identity from sp(q) to the su(2) on the
-    first compact coordinate: antisymmetrized string parameters on the left,
-    the signed coset sum with the Weyl polynomial on the right."""
-    lhs_coeffs: dict = {}
-    for k, nk in sp1q_string_table(ctx, lam).items():  # k >= 1: no two keys meet
-        up = tuple([Fraction(0), Fraction(k)] + [Fraction(0)] * (ctx.q - 1))
-        lhs_coeffs[up], lhs_coeffs[wneg(up)] = nk, -nk
-    _, lam2 = sp1q_decompose(ctx, lam)
-    rhs = _coset_series(ctx, lam2, cfg, torus=True)
-    return on_chart(rhs.chart, lhs_coeffs), rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,31 @@
+import importlib
+import pkgutil
+import sys
+
 import pytest
 
+import branchkit
 from branchkit.quaternionic import quaternionic_context
 from branchkit.specialcases import sp1q_context
+
+# Every module of the package, as the tests here import it.  The benchmark's
+# own tests import the package afresh (``bench/run.fresh_setup``), which
+# leaves these tests holding the old modules while ``sys.modules`` holds the
+# new ones; the fixture below puts the old ones back, so the tests pass in
+# any file order.
+for _info in pkgutil.iter_modules(branchkit.__path__):
+    importlib.import_module(f"branchkit.{_info.name}")
+PACKAGE_MODULES = {name: module for name, module in sys.modules.items()
+                   if name == "branchkit" or name.startswith("branchkit.")}
+
+
+@pytest.fixture(autouse=True)
+def package_modules():
+    """The package modules these tests imported, back in ``sys.modules``."""
+    if any(sys.modules.get(name) is not module for name, module in PACKAGE_MODULES.items()):
+        for name in [n for n in sys.modules if n == "branchkit" or n.startswith("branchkit.")]:
+            del sys.modules[name]
+        sys.modules.update(PACKAGE_MODULES)
 
 
 @pytest.fixture(scope="session")

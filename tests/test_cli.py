@@ -18,8 +18,8 @@ from branchkit import formal, repweights, rootsystems
 from branchkit.cli import SCHEMA_PATH, Rows, _emit, _write_json, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
-from branchkit.quaternionic import quaternionic_context
-from branchkit.specialcases import hermitian_data, sp1q_context
+from branchkit.quaternionic import QuaternionicContext, quaternionic_context
+from branchkit.specialcases import Sp1qContext, hermitian_data, sp1q_context
 
 
 @pytest.fixture(scope="module")
@@ -432,8 +432,8 @@ def test_bench_tracer_hooks_resolve():
 
 def test_bench_workloads_match_the_golden_argv(monkeypatch):
     # bench/params.py draws every request's parameter from context attributes
-    # and the decomposition functions; bench/tests, which run it, are outside
-    # the test paths, so a context change that breaks the benchmark fails here
+    # and the decomposition functions: a context change that breaks the
+    # benchmark fails here, next to the CLI paths it exercises
     monkeypatch.syspath_prepend(str(BENCH.parent))
     workloads = importlib.import_module("bench.workloads")
     golden = json.loads(GOLDEN.read_text())
@@ -515,9 +515,11 @@ def test_selftest_oracle_criteria_build_no_dense_product(capsys):
 
 
 # CLI paths that the benchmark's golden set does not reach: cutoffs 0 and
-# 40, text output, the simple basis, an sp(1,q) oracle check at step bound
-# 10 and e6_2 at parameters of denominators 2 and 6.  The SHA-256 digests
-# were recorded before the closed tables were keyed on the table chart.
+# 40, text output, the simple basis, sp(1,q) oracle checks at q = 3, 4 and 5,
+# e6_2 at parameters of denominators 2 and 6, and sp(1,q)'s torus weights.
+# The SHA-256 digests were recorded before the closed tables were keyed on
+# the table chart, and those of the last five paths before both families'
+# closed forms were built by one builder.
 UNCOVERED_DIGESTS = [
     ("branch quat --form g2_2 --lambda=-1,-2,3 --cutoff 0",
      "187b744e81d7b293cc66220c6a694b55953704bb71753e95fb00e48f4e044c0a"),
@@ -539,6 +541,16 @@ UNCOVERED_DIGESTS = [
      "3213f69944d384e6dc479c57dcbf217cc4b574e6ff56373a0125eee1c8400ecf"),
     ("branch quat --form e6_2 --lambda=-1/2,3/2,5/2,7/2,9/2,-29/6,-29/6,29/6 --cutoff 2",
      "e08d022464f3fd0c5207e5339d24597b1b78d196aaf256600dbda03fa94b61a7"),
+    ("weights --form sp1_q:2 --lambda=5,3,1 --project torus",
+     "e215326ccf457aa71375fefc00ae4b940574ea0d47a5c6fd91a021632552cc82"),
+    ("weights --form sp1_q:2 --lambda=5,3,1 --project torus --output text",
+     "7141b2978af5055b12e16519ac914f160dc600ab6b231e5deeeb0888c0ce3794"),
+    ("weights --form sp1_q:4 --lambda=9,5,3,2,1 --project torus",
+     "7ea615a4a0af3518df7e32f4423d497f90ea73168b87b288ac6fdbb611021261"),
+    ("branch sp1q --form sp1_q:4 --lambda=9,5,3,2,1 --cutoff 5 --check-oracle --step-bound 12",
+     "d058ad9e82515ccb4f10db5519f045261180bc9fd9bde030bc5601ded42c07da"),
+    ("branch sp1q --form sp1_q:5 --lambda=11,6,4,3,2,1 --cutoff 4 --check-oracle --step-bound 10",
+     "f6854ef51d8c171cc38da98334276f93f96a0665974f0723710ef4b6ec93b75e"),
 ]
 
 
@@ -547,6 +559,19 @@ def test_uncovered_paths_print_the_recorded_bytes(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,context", [
+    ("branch quat --form g2_2 --lambda=-1,-2,3", QuaternionicContext),
+    ("branch sp1q --form sp1_q:2 --lambda=4,2,1 --check-oracle --step-bound 6", Sp1qContext),
+], ids=["quat", "sp1q"])
+def test_non_dominant_closed_table_exits_1(capsys, monkeypatch, argv, context):
+    # a fibre weight far along w_line puts the table off the dominant cone:
+    # the closed form's one dominance test fails the request on both families
+    monkeypatch.setattr(context, "fibre", lambda ctx, lam: ({10**6: 1}, 1))
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert "non-dominant parameters in the table" in err
 
 
 def _run_script(name: str) -> str:

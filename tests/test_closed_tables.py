@@ -1,7 +1,8 @@
 """The closed tables keyed by points of the context's table chart against
 the Fraction tables they replaced (``oracle_reference``): the same entries,
 the same bound, the same printed rows, and points that are read exactly or
-not at all."""
+not at all.  Both families state their closed form as a fibre and a
+Heaviside multiset, and one builder makes, bounds and checks both."""
 
 import random
 from fractions import Fraction
@@ -23,13 +24,12 @@ from branchkit.lattice import (
 )
 from branchkit.quaternionic import (
     BranchingTable,
-    SubgroupContext,
+    QuaternionicContext,
     _branching_table,
     branching_table,
     check_table_dominance,
     decompose_parameter,
     quaternionic_context,
-    table_base,
 )
 from branchkit.rootsystems import simple_elements
 from branchkit.specialcases import sp1q_branching_table, sp1q_context
@@ -109,6 +109,7 @@ def _check_sp1q(ctx, lam, cutoff):
     assert table.entries == ref.entries
     assert table.pairing_bound == ref.pairing_bound
     assert _entries_json(table) == _rows(ref)
+    assert check_table_dominance(ctx, table) == []
 
 
 @pytest.mark.parametrize("label", QUAT_FORMS)
@@ -147,7 +148,7 @@ def test_labels_are_read_exactly(g2):
     span(alpha, beta), or a quarter of L1, has no point: truncating it would
     move the entry."""
     chart = g2.table_chart
-    _, u = table_base(g2, g2.psi.rho, 0)  # beta / 2 is (u, 0)
+    u = g2.half_beta  # beta / 2 is (u, 0)
     assert (chart.scale, u) == (2, 6)
     assert chart.to_point(g2.fw1) == (u, u) and chart.to_point(g2.fw2) == (u, -u)
     assert chart.to_point(wscale(Fraction(1, 2), g2.beta)) == (u, 0)
@@ -172,9 +173,9 @@ def test_closed_table_rejects_an_inexact_sigma(g2, monkeypatch):
     """Each sigma is read exactly too: a torus weight w / (8 E), of pairing
     1 / (8 s) with w_line for a table at scale s, is off the table chart
     at scale 2 and raises."""
-    su2_torus = SubgroupContext.su2_torus
-    monkeypatch.setattr(SubgroupContext, "su2_torus",
-                        lambda ctx, table: ({1: 1}, 8 * su2_torus(ctx, table)[1]))
+    fibre = QuaternionicContext.fibre
+    monkeypatch.setattr(QuaternionicContext, "fibre",
+                        lambda ctx, lam: ({1: 1}, 8 * fibre(ctx, lam)[1]))
     with pytest.raises(InternalError, match="off the chart lattice"):
         _branching_table(g2, g2.psi.rho, 2)
 
@@ -194,17 +195,38 @@ def test_quaternionic_dominance_is_a_sign_test_on_the_table_chart(label):
         assert (inner(ctx.form, mu, ctx.alpha) > 0 and inner(ctx.form, mu, b_minus_a) > 0) == (
             p[0] > abs(p[1]))
     table = BranchingTable(dict.fromkeys(GRID, 1), None, label, None, chart)
-    bad = {mu for mu, _, _ in check_table_dominance(ctx, table)}
+    bad = set(check_table_dominance(ctx, table))
     assert bad == {chart.to_weight(p) for p in GRID if not p[0] > abs(p[1])}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_sp1q_dominance_is_a_sign_test_on_the_table_chart(q):
     """a > k > 0 for mu = a e0 + k e1 is p0 > p1 > 0 on the table chart, the
-    sign test of 2 (e0 - e1) and 2 e1 that the closed table runs."""
+    sign test of the subgroup's positive roots that the closed table runs,
+    and ``check_table_dominance`` reports exactly the other points."""
     ctx = sp1q_context(q)
     chart = ctx.table_chart
-    dominant = ctx.sign_test((wsub(ctx.beta, ctx.w_line), ctx.w_line))
     for p in GRID:
         a, k = chart.to_weight(p)[:2]
-        assert dominant(p) == (a > k > 0) == (p[0] > p[1] > 0)
+        assert ctx.dominant(p) == (a > k > 0) == (p[0] > p[1] > 0)
+    table = BranchingTable(dict.fromkeys(GRID, 1), None, ctx.rd.label, None, chart)
+    bad = set(check_table_dominance(ctx, table))
+    assert bad == {chart.to_weight(p) for p in GRID if not p[0] > p[1] > 0}
+
+
+@pytest.mark.parametrize("label", QUAT_FORMS + ("sp1_q:2", "sp1_q:3", "sp1_q:4"))
+def test_each_context_states_its_heaviside_directions_on_the_table_chart(label):
+    """L1 and L2, each d - 1 times, or e0 = beta / 2, 2q - 2 times: every
+    direction pairs to 1 with beta-check, so its first coordinate is u."""
+    if label.startswith("sp1_q:"):
+        ctx = sp1q_context(int(label[-1]))
+        want = {ctx.table_chart.to_point(wscale(Fraction(1, 2), ctx.beta)): 2 * ctx.q - 2}
+    else:
+        ctx = quaternionic_context(label)
+        want = {ctx.table_chart.to_point(ctx.fw1): ctx.d - 1,
+                ctx.table_chart.to_point(ctx.fw2): ctx.d - 1}
+    assert dict(ctx.heaviside) == want
+    assert all(p[0] == ctx.half_beta for p, _ in ctx.heaviside)
+    for p, _ in ctx.heaviside:
+        assert coroot_pairing(ctx.form, ctx.table_chart.to_weight(p), ctx.beta) == 1
+

@@ -57,7 +57,6 @@ from branchkit.rootsystems import (
 )
 from branchkit.specialcases import (
     Sp1qContext,
-    _sp1q_branching_table,
     hermitian_data,
     kss_admissible_system,
     sp1q_context,
@@ -455,8 +454,7 @@ def test_chart_data_match_per_request_reference(label):
     for p in series.candidate_points():
         mu = chart.to_weight(p)
         assert positive(p) == all(inner(ctx.form, mu, g) > 0 for g in ctx.side_roots)
-    table = (_sp1q_branching_table if isinstance(ctx, Sp1qContext) else _branching_table)(
-        ctx, lam, 3)
+    table = _branching_table(ctx, lam, 3)
     assert table.points_on(chart) == {chart.to_point(mu): m for mu, m in table.entries.items()}
     assert chart.scale % ctx.table_chart.scale == 0
     # a table on the chart of other points (off the span), or at a scale

@@ -39,7 +39,6 @@ from branchkit.oracle import (
     check_antisymmetry,
     compare,
     extract_multiplicities,
-    on_chart,
     oracle_plan,
     restriction_series,
     torus_restriction_sides,
@@ -230,7 +229,7 @@ def test_extract_multiplicities_synthetic():
     mu = wadd(wscale(2, ctx.beta), ctx.fw1)
     mirror = apply_matrix(reflection_matrix(ctx.beta), mu)
     chart = oracle_plan(ctx).series.chart
-    series = on_chart(chart, {mu: 1, mirror: -1})
+    series = DeltaSeries({chart.to_point(mu): 1, chart.to_point(mirror): -1}, (), chart)
     table = extract_multiplicities(ctx, series)
     assert table.entries == {mu: 1}
     empty = extract_multiplicities(ctx, DeltaSeries({}, (), chart))

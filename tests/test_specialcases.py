@@ -4,7 +4,7 @@ import pytest
 
 from branchkit.errors import ConfigurationError, DomainError
 from branchkit.lattice import inner, weight, wneg, wscale
-from branchkit.oracle import OracleConfig, extract_multiplicities
+from branchkit.oracle import OracleConfig, extract_multiplicities, torus_restriction_sides
 from branchkit.specialcases import (
     antiholomorphic_chamber_parameter,
     hermitian_data,
@@ -17,7 +17,6 @@ from branchkit.specialcases import (
     sp1q_context,
     sp1q_restriction_series,
     sp1q_string_table,
-    sp1q_su2_restriction_sides,
     sp1q_verify,
 )
 from oracle_reference import certificate_roots, weyl_polynomial
@@ -148,7 +147,7 @@ def test_sp1q_extract_antisymmetry(sp12):
 
 def test_sp1q_su2_restriction_sides(sp12, sp13):
     for ctx, coords in [(sp12, (6, 4, 1)), (sp13, (7, 4, 2, 1))]:
-        lhs, rhs = sp1q_su2_restriction_sides(ctx, weight(coords), OracleConfig(step_bound=14))
+        lhs, rhs = torus_restriction_sides(ctx, weight(coords), OracleConfig(step_bound=14))
         assert lhs.coeffs  # antisymmetrized string parameters
         for x in set(lhs.coeffs) | set(rhs.coeffs):
             got = rhs.coefficient(x)
