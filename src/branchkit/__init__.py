@@ -63,9 +63,9 @@ from .rootsystems import (
     PositiveSystem,
     RootDatum,
     WeylElement,
+    chambers,
     coset_reps,
     positive_system,
-    positive_systems_containing,
     quaternionic_root_datum,
     small_system,
     weyl_generate,

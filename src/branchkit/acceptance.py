@@ -43,7 +43,7 @@ from .quaternionic import (
     quaternionic_context,
 )
 from .repweights import CompactFactor, freudenthal, weyl_dimension
-from .rootsystems import _highest_root_datum, positive_system, positive_systems_containing
+from .rootsystems import _highest_root_datum, chambers
 from .specialcases import (
     antiholomorphic_chamber_parameter,
     hermitian_data,
@@ -312,10 +312,9 @@ def ac7(store) -> str:
              ("f4_4", 12))
     for label, count in forms:
         ctx = quaternionic_context(label)
-        delta = positive_system(ctx.rd, frozenset(ctx.rd.compact_positive))
-        systems = positive_systems_containing(ctx.rd, delta)
-        admissible = [s.chosen_set() for s in systems if admissible_system(ctx, s)]
-        if len(systems) != count or admissible != [ctx.psi.chosen_set()]:
+        systems = chambers(ctx.rd)
+        admissible = [s.signs for s in systems if admissible_system(ctx, s)]
+        if len(systems) != count or admissible != [ctx.psi.signs]:
             raise _Failed(f"{label}: {len(admissible)} of {len(systems)} systems admissible, "
                           f"expected the small one of {count}")
     return f"small system uniquely admissible on {len(forms)} forms"
@@ -333,7 +332,7 @@ _AC8_CASES = (
 def ac8(store) -> str:
     """Tube dichotomy at the holomorphic chamber plus chamber invariants on
     every chamber that contains the compact positive system."""
-    chambers = 0
+    walked = 0
     for label, expected in _AC8_CASES:
         hd = hermitian_data(label)
         lam = holomorphic_chamber_parameter(hd)
@@ -345,8 +344,7 @@ def ac8(store) -> str:
         conjugate_is_negation = set(hd.certificate_conjugate) == {
             (i, -s) for i, s in hd.certificate
         }
-        delta = positive_system(hd.rd, frozenset(hd.rd.compact_positive))
-        for psi in positive_systems_containing(hd.rd, delta):
+        for psi in chambers(hd.rd):
             chamber = psi.signs
             if validate_hermitian_parameter(hd, psi.rho) != chamber:
                 raise _Failed(f"{label}: rho of a chamber lies in another chamber")
@@ -355,11 +353,11 @@ def ac8(store) -> str:
             if kss_admissible(hd, wscale(2, psi.rho)) is not a1:
                 raise _Failed(f"{label}: chamber constancy fails")
             if conjugate_is_negation:
-                flipped = tuple(s if i in hd.compact else -s for i, s in enumerate(chamber))
+                flipped = tuple(s if c else -s for s, c in zip(chamber, hd.rd.compact))
                 if kss_admissible_system(hd, flipped) is not a1:
                     raise _Failed(f"{label}: sign-flip symmetry fails")
-            chambers += 1
-    return f"4 fixtures, all {chambers} chambers, invariants hold"
+            walked += 1
+    return f"4 fixtures, all {walked} chambers, invariants hold"
 
 
 @_criterion("AC-9", "antisymmetry of the signed series", 60)

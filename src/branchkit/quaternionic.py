@@ -453,8 +453,6 @@ def admissible_system(ctx: QuaternionicContext, sigma: PositiveSystem) -> bool:
     to the su(2,1) subgroup iff sigma is the small system itself.  Needs
     d >= 2, like the closed form and the oracle."""
     require_proper_subgroup(ctx, "the admissibility decision needs d >= 2 noncompact root pairs")
-    delta = frozenset(ctx.rd.compact_positive)
-    compact = delta | frozenset(map(wneg, delta))
-    if sigma.chosen_set() & compact != delta:
+    if any(s < 0 for s, c in zip(sigma.signs, ctx.rd.compact) if c):
         raise DomainError("positive system does not contain the compact positive system")
-    return sigma.chosen_set() == ctx.psi.chosen_set()
+    return sigma.signs == ctx.psi.signs

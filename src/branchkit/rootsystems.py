@@ -44,7 +44,6 @@ from .lattice import (
     format_weight,
     identity_form,
     identity_matrix,
-    int_point,
     mat_mul,
     reflect,
     reflect_point,
@@ -113,39 +112,30 @@ class RootDatum:
 
 @dataclass(frozen=True, eq=False)
 class PositiveSystem:
-    """A positive system inside a RootDatum, with its half-sum (built on first use)."""
+    """A positive system inside a RootDatum, held by position: it holds s g
+    for the root g at position i of ``parent.positive`` and s = signs[i].
+    Its half-sum and roots are views, built on first use."""
 
     parent: RootDatum
-    chosen: tuple[Weight, ...]
-
-    def chosen_set(self) -> frozenset:
-        return frozenset(self.chosen)
+    signs: tuple[int, ...]
 
     @functools.cached_property
     def rho(self) -> Weight:
-        """Half the sum of the chosen roots, added on the parent's int points
-        when they are its positive roots."""
-        scale, points = (self.parent.points[:2] if self.chosen is self.parent.positive
-                         else scaled_points(self.chosen))
-        return tuple(Fraction(sum(x), 2 * scale) for x in zip(*points)) or zero_weight(
-            self.parent.form.dim)
+        """Half the signed sum of the parent's int points."""
+        scale, points, _ = self.parent.points
+        return tuple(Fraction(sum(map(mul, self.signs, x)), 2 * scale)
+                     for x in zip(*points)) or zero_weight(self.parent.form.dim)
 
     @functools.cached_property
-    def signs(self) -> tuple[int, ...]:
-        """The system by position: it holds s g for the root g at position i
-        of ``parent.positive`` and s = signs[i] (read on int points, once)."""
-        if self.chosen is self.parent.positive:
-            return (1,) * len(self.chosen)
-        scale, points, _ = self.parent.points
-        chosen = {int_point(g, scale) for g in self.chosen}
-        signs = tuple(1 if a in chosen else -1 for a in points)
-        if {tuple(s * x for x in a) for a, s in zip(points, signs)} != chosen:
-            raise InternalError("not a positive system of the whole root system")
-        return signs
+    def chosen(self) -> tuple[Weight, ...]:
+        """The system's roots as weights, in sorted order."""
+        return tuple(sorted(g if s > 0 else wneg(g)
+                            for g, s in zip(self.parent.positive, self.signs)))
 
 
-def positive_system(rd: RootDatum, chosen=None) -> PositiveSystem:
-    return PositiveSystem(rd, tuple(sorted(chosen)) if chosen is not None else rd.positive)
+def positive_system(rd: RootDatum) -> PositiveSystem:
+    """The datum's own positive system ``rd.positive``."""
+    return PositiveSystem(rd, (1,) * len(rd.int_positive))
 
 
 @dataclass(frozen=True)
@@ -497,45 +487,29 @@ def coset_reps(elements, subsystem_positive, form: InnerProductForm):
     return tuple(reps)
 
 
-def positive_systems_containing(rd: RootDatum, delta: PositiveSystem):
+def chambers(rd: RootDatum) -> list[PositiveSystem]:
     """All positive systems of the full root system whose compact part is
-    delta, sorted by their roots; [] when delta is the compact part of none.
+    that of ``rd.positive``, in the order of a walk that starts there.
 
-    Their chambers fill the convex cone where delta is dominant, so a
-    breadth-first walk across noncompact walls reaches each of them once
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  A chamber Psi is
-    keyed by its 2 rho on the datum's int points and carries its simple
-    roots: crossing the wall of a noncompact simple root g gives 2 rho - 2 g
-    and s_g of the simple roots.  The walk starts from ``rd.positive``, first
-    reflected into delta's chamber by the roots of delta.
+    Their chambers fill the convex cone where the compact positive system is
+    dominant, so a breadth-first walk across noncompact walls reaches each
+    of them once (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  A
+    chamber is its sign vector and carries its simple roots as int points:
+    crossing the wall of a noncompact simple root g flips g's sign and
+    reflects the simple roots by s_g.  Any other compact chamber is
+    W_K-conjugate to that of ``rd.positive``, so no other start is needed.
     """
-    scale, points, _ = rd.points
-    negative = [tuple(-x for x in p) for p in points]
-    if any(scale % x.denominator for g in delta.chosen for x in g):
-        return []  # not a weight of the root lattice
-    wanted = {int_point(g, scale) for g in delta.chosen}
-    if not wanted <= {*points, *negative}:
-        return []
-    compact = {x for p, n, c in zip(points, negative, rd.compact) if c for x in (p, n)}
-
-    key = tuple(map(sum, zip(*points)))
-    simple = [points[i] for i in rd.simple_at]
-    for _ in wanted:  # enough reflections when delta is a positive system
-        a = next((a for a in wanted if sum(map(mul, key, a)) < 0), None)
-        if a is None:
-            break
-        aa = sum(map(mul, a, a))
-        key, simple = reflect_point(key, a, aa), [reflect_point(b, a, aa) for b in simple]
-    if {p for p in compact if sum(map(mul, p, key)) > 0} != wanted:
-        return []
-    queue, seen = [(key, simple)], {key}
-    for key, simple in queue:  # breadth first: the queue grows as it is read
+    _, points, _ = rd.points
+    position = {p: i for i, p in enumerate(points)}
+    position.update({wneg(p): i for i, p in enumerate(points)})
+    start = (1,) * len(points)
+    queue, seen = [(start, [points[i] for i in rd.simple_at])], {start}
+    for signs, simple in queue:  # breadth first: the queue grows as it is read
         for g in simple:
-            crossed = tuple(x - 2 * y for x, y in zip(key, g))
-            if g not in compact and crossed not in seen:
+            i = position[g]
+            crossed = (*signs[:i], -signs[i], *signs[i + 1:])
+            if not rd.compact[i] and crossed not in seen:
                 seen.add(crossed)
                 gg = sum(map(mul, g, g))
                 queue.append((crossed, [reflect_point(b, g, gg) for b in simple]))
-    systems = sorted(tuple(sorted(p if sum(map(mul, p, key)) > 0 else n
-                                  for p, n in zip(points, negative))) for key in seen)
-    return [PositiveSystem(rd, _weights(chosen, scale)) for chosen in systems]
+    return [PositiveSystem(rd, signs) for signs, _ in queue]

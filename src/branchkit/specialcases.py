@@ -198,8 +198,9 @@ class HermitianData:
     factor of K.
 
     A chamber holds s g for the root g at position i of ``rd.positive``, the
-    holomorphic system, and s = chamber[i].  A certificate set holds
-    (position, sign) pairs; ``compact`` the compact positions.
+    holomorphic system, and s = chamber[i] (``PositiveSystem.signs``).  A
+    certificate set holds (position, sign) pairs; ``rd.compact`` marks the
+    compact positions.
 
     ``tube`` records whether the symmetric space is a tube domain.  For tube
     forms, containment of a certificate set in the chamber system marks the
@@ -215,7 +216,6 @@ class HermitianData:
     certificate: tuple[tuple[int, int], ...]            # the set I
     certificate_conjugate: tuple[tuple[int, int], ...]  # the set I-tilde
     tube: bool
-    compact: tuple[int, ...]
 
 
 def _su_pq_data(p: int, q: int):
@@ -327,8 +327,7 @@ def hermitian_data(label: str) -> HermitianData:
         return position[g]
 
     return HermitianData(label, rd, positive_system(rd), tuple(map(signed_position, cert)),
-                         tuple(map(signed_position, conj)), tube,
-                         tuple(i for i, c in enumerate(rd.compact) if c))
+                         tuple(map(signed_position, conj)), tube)
 
 
 def holomorphic_chamber_parameter(hd: HermitianData) -> Weight:
@@ -339,8 +338,7 @@ def holomorphic_chamber_parameter(hd: HermitianData) -> Weight:
 
 def antiholomorphic_chamber_parameter(hd: HermitianData) -> Weight:
     """The half-sum of the holomorphic system with its noncompact roots negated."""
-    rd = hd.rd
-    return positive_system(rd, [g if c else wneg(g) for g, c in zip(rd.positive, rd.compact)]).rho
+    return PositiveSystem(hd.rd, tuple(1 if c else -1 for c in hd.rd.compact)).rho
 
 
 def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> tuple[int, ...]:
@@ -349,7 +347,7 @@ def validate_hermitian_parameter(hd: HermitianData, lam: Weight) -> tuple[int, .
     ``hd.rd.positive`` (see HermitianData), from the same one int pairing
     per positive root."""
     pairings = regular_integral_pairings(hd.rd, lam)
-    if any(pairings[i] <= 0 for i in hd.compact):
+    if any(c <= 0 for c, k in zip(pairings, hd.rd.compact) if k):
         raise DomainError("parameter is not dominant for the compact positive system")
     return tuple(1 if c > 0 else -1 for c in pairings)
 

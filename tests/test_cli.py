@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +415,34 @@ def test_selftest_single_criterion(capsys):
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = BENCH / "golden.json"
+README = BENCH.parent / "README.md"
+
+
+def _readme_examples():
+    """The ``branchkit ...`` lines of README.md's fenced sh blocks, as argv
+    lists with any trailing ``# ...`` comment stripped."""
+    examples, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("branchkit "):
+            examples.append(shlex.split(line, comments=True)[1:])
+    return examples
+
+
+def test_readme_examples_cover_every_subcommand():
+    commands = {argv[0] for argv in _readme_examples()}
+    assert commands == {"selftest", "list-forms", "branch", "weights", "oracle-check",
+                        "admissible"}
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples_run(capsys, schema, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # every command prints JSON by default but selftest, which prints text
+    if "--output" not in argv and argv[0] != "selftest":
+        jsonschema.validate(json.loads(out), schema)
 
 
 def test_bench_tracer_hooks_resolve():
@@ -458,10 +487,10 @@ for forms in workloads.SETUP_FORMS.values():
     # the per-datum, per-system, per-factor and per-context int caches
     owners = ([(rootsystems.quaternionic_root_datum(label), ("points",))
                for label in forms["quat"]]
-              + [(c.rd, ("points",)) for c in sp1q] + [(c.sigma, ("signs",)) for c in sp1q]
+              + [(c.rd, ("points",)) for c in sp1q] + [(c.sigma, ("rho",)) for c in sp1q]
               + [(c.k2_factor, ("int_roots",)) for c in sp1q]
               + [(c, ("torus_points", "table_chart")) for c in sp1q]
-              + [(h.rd, ("points",)) for h in hermitian] + [(h.psi_h, ("signs",)) for h in hermitian])
+              + [(h.rd, ("points",)) for h in hermitian] + [(h.psi_h, ("rho",)) for h in hermitian])
     built = sum(name in vars(owner) for owner, names in owners for name in names)
     print(*(memo.cache_info().currsize for memo in memos), built)
 """
@@ -551,6 +580,16 @@ UNCOVERED_DIGESTS = [
      "d058ad9e82515ccb4f10db5519f045261180bc9fd9bde030bc5601ded42c07da"),
     ("branch sp1q --form sp1_q:5 --lambda=11,6,4,3,2,1 --cutoff 4 --check-oracle --step-bound 10",
      "f6854ef51d8c171cc38da98334276f93f96a0665974f0723710ef4b6ec93b75e"),
+    ("admissible hermitian --form su_pq:1,2 --lambda=-1,1,0",
+     "9baa6d5b9db5ea39aeb68a8abf7f3b49df73bce7001e191680f072843be0d43a"),
+    ("admissible hermitian --form su_pq:2,2 --lambda=3/2,-3/2,1/2,-1/2",
+     "6c417fbcd2e275a72089376b53b63bcaffe0bb560c2181846ebf55215e2d3c74"),
+    ("admissible hermitian --form sp_n_R:2 --lambda=2,1",
+     "678c3eea6ce2b50f568d9c847af532b27a035c4af514189962c912481e21e875"),
+    ("admissible hermitian --form so_star:4 --lambda=3,0,-1,-2",
+     "88291b9d9b3232ac73cf1aa7ffd29978f33f2c70d0d7e54b70cc5a5021bf3451"),
+    ("admissible hermitian --form su_pq:3,4 --lambda=-1,-2,-3,3,2,1,0 --output text",
+     "95cc8489fd21d5bef3b023aed2af4d958e3933ebc5f60a244d042fdafd195b41"),
 ]
 
 

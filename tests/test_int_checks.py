@@ -50,8 +50,7 @@ from branchkit.repweights import (
 )
 from branchkit.rootsystems import (
     _highest_root_datum,
-    positive_system,
-    positive_systems_containing,
+    chambers,
     quaternionic_root_datum,
     simple_positions,
 )
@@ -171,8 +170,7 @@ def test_dominance_on_every_chamber_matches_fraction_reference(label):
     # every chamber's rho against every chamber's system: dominant on the
     # diagonal only
     rd = _context(label)[0].rd
-    systems = positive_systems_containing(
-        rd, positive_system(rd, frozenset(rd.compact_positive)))
+    systems = chambers(rd)
     assert len(systems) > 1
     for lam in [s.rho for s in systems]:
         outcomes = [_outcome(validate_hc_parameter, lam, s) for s in systems]
@@ -194,13 +192,12 @@ def test_projection_check_matches_fraction_reference(label):
 @pytest.mark.parametrize("label", HERMITIAN_FORMS)
 def test_hermitian_chambers_match_fraction_reference(label, seed0):
     hd = hermitian_data(label)
-    delta = positive_system(hd.rd, frozenset(hd.rd.compact_positive))
     decisions = set()
-    for psi in positive_systems_containing(hd.rd, delta):
+    for psi in chambers(hd.rd):
         assert validate_hermitian_parameter(hd, psi.rho) == psi.signs
-        assert reference_hermitian_chamber(hd, psi.rho) == psi.chosen_set()
+        assert reference_hermitian_chamber(hd, psi.rho) == frozenset(psi.chosen)
         decision = kss_admissible_system(hd, psi.signs)
-        assert decision is reference_kss_admissible_system(hd, psi.chosen_set())
+        assert decision is reference_kss_admissible_system(hd, frozenset(psi.chosen))
         decisions.add(decision)
     assert decisions == {True, False}
     for lam in _nearby(seed0[label]) + _nearby(hd.psi_h.rho, seed=1):

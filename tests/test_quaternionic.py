@@ -21,7 +21,7 @@ from branchkit.quaternionic import (
     decompose_parameter,
     quaternionic_context,
 )
-from branchkit.rootsystems import positive_system, positive_systems_containing
+from branchkit.rootsystems import PositiveSystem, chambers
 
 
 def g2_lambda(a, b, ctx):
@@ -143,25 +143,27 @@ def test_half_integral_parameters_supported(su23):
     assert check_table_dominance(su23, table) == []
 
 
+def _flip(ctx, gamma):
+    """The small system with the sign of the positive root gamma flipped."""
+    i = ctx.rd.positive.index(gamma)
+    return PositiveSystem(ctx.rd, tuple(-s if j == i else s for j, s in enumerate(ctx.psi.signs)))
+
+
 def test_prop_admissibility_dichotomy(g2):
-    delta = positive_system(g2.rd, frozenset(g2.rd.compact_positive))
-    systems = positive_systems_containing(g2.rd, delta)
+    systems = chambers(g2.rd)
     outcomes = {admissible_system(g2, s) for s in systems}
     assert outcomes == {True, False}
     assert admissible_system(g2, g2.psi) is True
     # flipping one noncompact root of the small system breaks admissibility
-    flipped = set(g2.psi.chosen_set())
-    flipped.remove(g2.alpha)
-    flipped.add(wneg(g2.alpha))
-    assert admissible_system(g2, positive_system(g2.rd, frozenset(flipped))) is False
+    flipped = _flip(g2, g2.alpha)
+    assert admissible_system(g2, flipped) is False
 
 
 def test_admissible_system_rejects_su21_itself():
     # d = 1: the subgroup is the whole group, so no chamber is decided, as the
     # closed form and the oracle decide nothing there either
     ctx = quaternionic_context("su2_n:1")
-    delta = positive_system(ctx.rd, frozenset(ctx.rd.compact_positive))
-    systems = positive_systems_containing(ctx.rd, delta)
+    systems = chambers(ctx.rd)
     assert len(systems) == 3
     for sigma in systems:
         with pytest.raises(DomainError, match="su2_n:1 has d = 1"):
@@ -169,9 +171,8 @@ def test_admissible_system_rejects_su21_itself():
 
 
 def test_admissible_system_requires_compact_part(g2):
-    bad = {wneg(g) if g == g2.beta else g for g in g2.psi.chosen_set()}
     with pytest.raises(DomainError):
-        admissible_system(g2, positive_system(g2.rd, frozenset(bad)))
+        admissible_system(g2, _flip(g2, g2.beta))  # beta is compact
 
 
 def test_exceptional_closed_form_binomial_lattice():

@@ -9,7 +9,6 @@ from branchkit.lattice import (
     identity_form,
     inner,
     rational_solve,
-    reflect,
     reflection_matrix,
     weight,
     wneg,
@@ -17,17 +16,18 @@ from branchkit.lattice import (
     wscale,
 )
 from branchkit.quaternionic import admissible_system, quaternionic_context
+from branchkit.repweights import validate_hc_parameter
 from branchkit.rootsystems import (
     _base_system,
     _highest,
     ambient_dimension,
+    chambers,
     coset_reps,
     datum_size,
     height_covector,
     parse_quaternionic_label,
     positive_roots,
     positive_system,
-    positive_systems_containing,
     quaternionic_root_datum,
     simple_elements,
     small_system,
@@ -38,6 +38,7 @@ from branchkit.specialcases import (
     parse_hermitian_label,
     sp1q_context,
     sp1q_system,
+    validate_hermitian_parameter,
 )
 from oracle_reference import (
     apply_matrix,
@@ -317,47 +318,45 @@ def test_coset_reps_nonclosed_rejected(so44):
         coset_reps(elements, bad, so44.form)
 
 
-def test_positive_systems_containing_g2(g2):
-    delta = positive_system(g2.rd, frozenset(g2.rd.compact_positive))
-    systems = positive_systems_containing(g2.rd, delta)
+def test_chambers_g2(g2):
+    systems = chambers(g2.rd)
     assert len(systems) == 3
-    assert any(s.chosen_set() == g2.psi.chosen_set() for s in systems)
+    assert systems[0].signs == g2.psi.signs  # the walk starts at the small system
     for s in systems:
-        assert frozenset(g2.rd.compact_positive) <= s.chosen_set()
+        assert frozenset(g2.rd.compact_positive) <= frozenset(s.chosen)
     flags = [admissible_system(g2, s) for s in systems]
     assert sum(flags) == 1
 
 
-def _compact_part(rd):
-    return positive_system(rd, frozenset(rd.compact_positive))
-
-
-def _systems_by_enumeration(rd, delta):
-    """The chambers containing delta, found by mapping the positive system
-    through every element of the whole Weyl group."""
+def _systems_by_enumeration(rd):
+    """The chambers with the compact part of ``rd.positive``, found by
+    mapping the positive system through every element of the whole Weyl
+    group, as sign vectors in sorted order."""
     compact = frozenset(g for g in rd.roots if rd.is_compact(g))
+    delta = frozenset(rd.compact_positive)
     seen, out = set(), []
     for e in weyl_generate(rd.form, rd.simple):
         chosen = frozenset(apply_matrix(e.matrix, g) for g in rd.positive)
         if chosen not in seen:
             seen.add(chosen)
-            if chosen & compact == delta.chosen_set():
-                out.append(positive_system(rd, chosen))
-    out.sort(key=lambda ps: ps.chosen)
-    return out
+            if chosen & compact == delta:
+                out.append(tuple(1 if g in chosen else -1 for g in rd.positive))
+    return sorted(out)
 
 
 @pytest.mark.parametrize("label", [
-    "g2_2", "su2_n:1", "su2_n:2", "su2_n:3", "so4_n:3", "so4_n:4",
+    "g2_2", "su2_n:1", "su2_n:2", "su2_n:3", "so4_n:3", "so4_n:4", "su_pq:1,1", "sp_n_R:1",
     "su_pq:1,2", "su_pq:2,2", "su_pq:2,3", "sp_n_R:2", "sp_n_R:3", "so_star:4",
 ])
 def test_chamber_walk_matches_group_enumeration(label):
     rd = _root_datum(label)
-    delta = _compact_part(rd)
-    walked = positive_systems_containing(rd, delta)
-    reference = _systems_by_enumeration(rd, delta)
-    assert [s.chosen for s in walked] == [s.chosen for s in reference]
-    assert [s.rho for s in walked] == [s.rho for s in reference]
+    walked = chambers(rd)
+    reference = _systems_by_enumeration(rd)
+    assert sorted(s.signs for s in walked) == reference
+    for s in walked:
+        assert s.rho == half_sum(rd.form.dim, s.chosen)
+    if not any(rd.compact):  # su_pq:1,1 and sp_n_R:1: every root is noncompact
+        assert len(walked) == 2
 
 
 @pytest.mark.parametrize("label,count", [
@@ -366,47 +365,48 @@ def test_chamber_walk_matches_group_enumeration(label):
     ("f4_4", 12), ("e6_2", 36), ("e7_m5", 63), ("e8_m24", 120),
 ])
 def test_quaternionic_chambers_and_small_system(label, count):
-    # |W| / |W_K| chambers, and the small system is the only admissible one
+    # |W| / |W_K| chambers, each holding its own rho, and the small system is
+    # the only admissible one
     ctx = quaternionic_context(label)
-    systems = positive_systems_containing(ctx.rd, _compact_part(ctx.rd))
+    systems = chambers(ctx.rd)
     assert len(systems) == count
-    admissible = [s.chosen_set() for s in systems if admissible_system(ctx, s)]
-    assert admissible == [ctx.psi.chosen_set()]
+    for s in systems:
+        validate_hc_parameter(s.rho, s)
+    admissible = [s.signs for s in systems if admissible_system(ctx, s)]
+    assert admissible == [ctx.psi.signs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sp1q_chambers(q):
+    # |W(C_{q+1})| / |W(C_1 x C_q)| = q + 1 chambers, each keeping the
+    # compact signs and holding its own rho
+    rd = sp1q_context(q).rd
+    systems = chambers(rd)
+    assert len(systems) == q + 1
+    for s in systems:
+        assert all(x > 0 for x, c in zip(s.signs, rd.compact) if c)
+        validate_hc_parameter(s.rho, s)
 
 
 @pytest.mark.parametrize("label,count", [
-    ("su_pq:2,4", 15), ("sp_n_R:3", 8), ("so_star:5", 16), ("e6_m14", 27), ("e7_m25", 56),
+    # non-tube, then tube
+    ("su_pq:1,2", 3), ("su_pq:1,3", 4), ("su_pq:2,3", 10), ("su_pq:2,4", 15),
+    ("su_pq:3,4", 35), ("so_star:5", 16), ("so_star:7", 64), ("e6_m14", 27),
+    ("su_pq:2,2", 6), ("su_pq:3,3", 20), ("sp_n_R:2", 4), ("sp_n_R:3", 8),
+    ("so_star:4", 8), ("so_star:6", 32), ("e7_m25", 56),
 ])
 def test_hermitian_chamber_counts(label, count):
-    rd = hermitian_data(label).rd
-    systems = positive_systems_containing(rd, _compact_part(rd))
+    # every chamber is distinct, keeps the compact positive system and holds
+    # its own rho, read by the validation every Hermitian request goes through
+    hd = hermitian_data(label)
+    rd = hd.rd
+    systems = chambers(rd)
     assert len(systems) == count
     assert len({s.chosen for s in systems}) == count
     for s in systems:
         assert s.rho == half_sum(rd.form.dim, s.chosen)
-        assert frozenset(rd.compact_positive) <= s.chosen_set()
-
-
-def test_chamber_walk_rejects_a_delta_that_is_no_compact_part():
-    rd = hermitian_data("su_pq:2,3").rd
-    compact = frozenset(rd.compact_positive)
-    nonsimple = next(g for g in sorted(compact) if g not in rd.simple)
-    not_closed = (compact - {nonsimple}) | {wneg(nonsimple)}
-    assert positive_systems_containing(rd, positive_system(rd, not_closed)) == []
-    assert positive_systems_containing(rd, positive_system(rd)) == []  # noncompact roots
-
-
-def test_chamber_walk_from_another_compact_chamber(so44):
-    # delta moved by a compact simple reflection: the walk first moves 2 rho
-    # into delta's dominant chamber
-    rd = so44.rd
-    a = next(g for g in rd.simple if rd.is_compact(g))
-    moved = positive_system(rd, frozenset(reflect(rd.form, g, a) for g in rd.compact_positive))
-    walked = positive_systems_containing(rd, moved)
-    reference = _systems_by_enumeration(rd, moved)
-    assert len(walked) == 12
-    assert [s.chosen for s in walked] == [s.chosen for s in reference]
-    assert [s.rho for s in walked] == [s.rho for s in reference]
+        assert frozenset(rd.compact_positive) <= frozenset(s.chosen)
+        assert validate_hermitian_parameter(hd, s.rho) == s.signs
 
 
 def test_simple_elements_of_k2(so44):

@@ -295,7 +295,7 @@ def test_sign_flip_swaps_certificates():
         hd = hermitian_data(label)
         assert set(hd.certificate_conjugate) == {(i, -s) for i, s in hd.certificate}
         chamber = hd.psi_h.signs  # the holomorphic chamber
-        flipped = tuple(s if i in hd.compact else -s for i, s in enumerate(chamber))
+        flipped = tuple(s if c else -s for s, c in zip(chamber, hd.rd.compact))
         assert kss_admissible_system(hd, flipped) == kss_admissible_system(hd, chamber)
 
 
