@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: list-forms, branch (quat | sp1q), admissible (hermitian | so3),
-weights, oracle-check (quat | sp1q), selftest.  Output is deterministic JSON
-(sorted keys, weights ordered lexicographically by coordinates), written by
-one writer as ``json.dumps(payload, indent=2, sort_keys=True)`` would write
-it, or aligned text.  Exit codes: 0 success, 2 domain/configuration errors,
-3 resource errors.
+``COMMANDS`` declares each command and its arguments; ``parse_args`` reads
+argv through it as argparse did, and ``--help`` prints from it.  Output is
+deterministic JSON (sorted keys, weights ordered lexicographically by
+coordinates), written as ``json.dumps(payload, indent=2, sort_keys=True)``
+would write it, or ``key: value`` text.  Exit codes: 0 success, 2 command-line,
+domain and configuration errors, 3 resource errors.
 
 Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
@@ -22,13 +22,15 @@ with status 3.  A value that is not a positive integer exits with status 2.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as escape
 from math import gcd
+from types import SimpleNamespace
 
 from .errors import (
     BranchkitError,
@@ -117,19 +119,23 @@ def _family(args):
     return ctx, lam, sp1q_branching_table, sp1q_verify
 
 
-def _emit(payload: dict, output: str) -> str:
+def _emit(payload: dict, output: str, prefix: str = "") -> str:
+    """The payload as JSON, or as ``key: value`` lines (``key.sub: value`` in a dict)."""
     if output == "json":
         out: list = []
         _write_json(payload, "", out)
         return "".join(out + ["\n"])
     lines = []
     for key, value in sorted(payload.items()):
-        if isinstance(value, Rows) and value:
-            lines.append(f"{key}:")
+        if isinstance(value, dict):
+            lines += _emit(value, output, f"{prefix}{key}.").splitlines()
+        elif isinstance(value, Rows):
+            lines.append(f"{prefix}{key}:")
             for row in value:
                 lines.append("  " + "\t".join(f"{k}={v}" for k, v in sorted(zip(value.keys, row))))
         else:
-            lines.append(f"{key}: {value}")
+            text = ", ".join(map(str, value)) if isinstance(value, list) else value
+            lines.append(f"{prefix}{key}: {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,26 +224,13 @@ def _sp1q_param(form: str) -> int:
 
 def cmd_admissible(args) -> int:
     if args.kind == "so3":
-        admissible, reason = so3_admissible(args.n)
-        payload = {
-            "command": "admissible",
-            "kind": "so3",
-            "n": args.n,
-            "admissible": admissible,
-            "reason": reason,
-        }
+        payload, (admissible, reason) = {"n": args.n}, so3_admissible(args.n)
     else:
         system = parse_hermitian_label(args.form)[2]
         hd, lam = _parse_lambda(args, system, functools.partial(hermitian_data, args.form))
+        payload = {"form": args.form, "lambda": format_weight(lam)}
         admissible, reason = kss_admissible_report(hd, lam)
-        payload = {
-            "command": "admissible",
-            "kind": "hermitian",
-            "form": args.form,
-            "lambda": format_weight(lam),
-            "admissible": admissible,
-            "reason": reason,
-        }
+    payload.update(command="admissible", kind=args.kind, admissible=admissible, reason=reason)
     sys.stdout.write(_emit(payload, args.output))
     return 0
 
@@ -259,10 +252,8 @@ def cmd_weights(args) -> int:
         "project": args.project,
         "entries": _rows(rows, den, "weight"),
     }
-    if args.output == "text":
-        sys.stdout.write("".join(f"{w}\t{m}\n" for w, m in payload["entries"]))
-        return 0
-    sys.stdout.write(_emit(payload, args.output))
+    sys.stdout.write("".join(f"{w}\t{m}\n" for w, m in payload["entries"])
+                     if args.output == "text" else _emit(payload, "json"))
     return 0
 
 
@@ -311,74 +302,119 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="branchkit",
-        description="Exact branching laws and admissibility tests for discrete series restrictions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# A long option or a positional (a name without dashes) of kind str, int, a tuple
+# of choices or bool (a flag, True when given); one without a default is required.
+Option = namedtuple("Option", "flag kind default help", defaults=(str, None, ""))
 
-    def common(p, lam=True):
-        p.add_argument("--output", choices=("json", "text"), default="json")
-        if lam:
-            p.add_argument("--lambda", dest="lam", required=True,
-                           help="parameter coordinates, e.g. '5,3,2,1'")
-            p.add_argument("--basis", choices=("ambient", "simple"), default="ambient")
+_FORM, _OUTPUT = Option("--form"), Option("--output", ("json", "text"), "json")
+_FAMILY, _STEP_BOUND = (Option("family", ("quat", "sp1q")), _FORM), Option("--step-bound", int, 12)
+_COMMON = (_OUTPUT, Option("--lambda", help="parameter coordinates, e.g. '5,3,2,1'"),
+           Option("--basis", ("ambient", "simple"), "ambient"))
 
-    p = sub.add_parser("list-forms", help="enumerate supported form labels")
-    common(p, lam=False)
-    p.set_defaults(fn=cmd_list_forms)
-
-    p = sub.add_parser("branch", help="closed-form branching table")
-    p.add_argument("family", choices=("quat", "sp1q"))
-    p.add_argument("--form", required=True)
-    p.add_argument("--cutoff", type=int, default=8)
-    p.add_argument("--check-oracle", action="store_true")
-    p.add_argument("--step-bound", type=int, default=12)
-    common(p)
-    p.set_defaults(fn=cmd_branch)
-
-    p = sub.add_parser("admissible", help="admissibility decisions")
-    kind = p.add_subparsers(dest="kind", required=True)
-    ph = kind.add_parser("hermitian", help="restriction to the semisimple factor of K")
-    ph.add_argument("--form", required=True)
-    common(ph)
-    ph.set_defaults(fn=cmd_admissible)
-    ps = kind.add_parser("so3", help="restriction of SO(3, n) to SO(3)")
-    ps.add_argument("--n", type=int, required=True, help="the n of SO(3, n)")
-    common(ps, lam=False)
-    ps.set_defaults(fn=cmd_admissible)
-
-    p = sub.add_parser("weights", help="weight multiplicity table of the compact factor")
-    p.add_argument("--form", required=True)
-    p.add_argument("--project", choices=("none", "torus"), default="none")
-    common(p)
-    p.set_defaults(fn=cmd_weights)
-
-    p = sub.add_parser("oracle-check", help="closed form vs truncated distributional series")
-    p.add_argument("family", choices=("quat", "sp1q"))
-    p.add_argument("--form", required=True)
-    p.add_argument("--step-bound", type=int, default=12)
-    common(p)
-    p.set_defaults(fn=cmd_oracle_check)
-
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", default="", help="comma-separated ids, e.g. AC-1,AC-7")
-    p.add_argument("--output", choices=("json", "text"), default="text")
-    p.set_defaults(fn=cmd_selftest)
-
-    return parser
+# The command table that ``parse_args`` and the help read: each path's handler (None
+# for a group, whose positional is the next word of a path), help and arguments.
+COMMANDS = {
+    (): (None, "Exact branching laws and admissibility tests for discrete series restrictions.",
+         (Option("command", ("list-forms", "branch", "admissible", "weights", "oracle-check",
+                             "selftest")),)),
+    ("list-forms",): (cmd_list_forms, "enumerate supported form labels", (_OUTPUT,)),
+    ("branch",): (cmd_branch, "closed-form branching table", (*_FAMILY, Option("--cutoff", int, 8),
+                  Option("--check-oracle", bool, False), _STEP_BOUND, *_COMMON)),
+    ("admissible",): (None, "admissibility decisions", (Option("kind", ("hermitian", "so3")),)),
+    ("admissible", "hermitian"): (cmd_admissible, "restriction to the semisimple factor of K",
+                                  (_FORM, *_COMMON)),
+    ("admissible", "so3"): (cmd_admissible, "restriction of SO(3, n) to SO(3)",
+                            (Option("--n", int, help="the n of SO(3, n)"), _OUTPUT)),
+    ("weights",): (cmd_weights, "weight multiplicity table of the compact factor",
+                   (_FORM, Option("--project", ("none", "torus"), "none"), *_COMMON)),
+    ("oracle-check",): (cmd_oracle_check, "closed form vs truncated distributional series",
+                        (*_FAMILY, _STEP_BOUND, *_COMMON)),
+    ("selftest",): (cmd_selftest, "run the acceptance criteria", (
+        Option("--only", default="", help="comma-separated ids, e.g. AC-1,AC-7"),
+        Option("--output", ("json", "text"), "text"))),
+}
+_HELP = Option("--help", bool, False, "show this help and exit (also -h)")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # positionals, as argparse reads them
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: parsing leaves no state
-    in it, so every call parses as a fresh parser would."""
-    return build_parser()
+def _help(path: tuple) -> str:
+    _, about, arguments = COMMANDS[path]
+    words = ["usage: branchkit", *path]
+    for a in arguments:  # FLAG VALUE, FLAG for a flag or {choices} for a positional
+        value = "{%s}" % ",".join(a.kind) if isinstance(a.kind, tuple) else a.flag[2:].upper()
+        word = " ".join([a.flag] * (a.flag[0] == "-") + [value] * (a.kind is not bool))
+        words.append(word if a.default is None else f"[{word}]")
+    rows = [(a.flag, a.help) for a in (*arguments, _HELP) if a.help]
+    rows += [(" ".join(p), c[1]) for p, c in COMMANDS.items() if p[:len(path)] == path != p]
+    return "\n".join([" ".join(words), "", about, ""] + [f"  {a:<30} {b}" for a, b in rows]) + "\n"
+
+
+def _fail(path: tuple, message: str):
+    sys.stderr.write(_help(path).partition("\n")[0] + f"\nbranchkit: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(path: tuple, flags: dict, arg: str):
+    """None for a positional, else arg's option (None if unknown) and the value after
+    "=" or None, as argparse reads them (-hh is -h twice), but "--" is unknown."""
+    name, eq, value = arg.partition("=")
+    if name not in flags and arg[:2] == "--" != arg:  # a unique prefix names its option
+        matches = [f for f in flags if f.startswith(name)]
+        if len(matches) > 1:
+            _fail(path, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        name = matches[0] if matches else name
+    if name in flags:
+        return flags[name], value if eq else None
+    if arg.startswith("-h"):
+        return _HELP, arg[2:].lstrip("h") or None
+    return None if arg[:1] != "-" or arg == "-" or _NEGATIVE.match(arg) or " " in arg else (
+        None, None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """argv read through ``COMMANDS`` level by level as argparse read it; help (exit 0)
+    and errors (exit 2) act when reached, and unknown arguments fail at the end."""
+    path, values, extras, args = (), {}, [], list(argv)
+    while True:
+        fn, _, arguments = COMMANDS[path]
+        flags = {"-h": _HELP, "--help": _HELP, **{a.flag: a for a in arguments if a.flag[0] == "-"}}
+        positionals = [a for a in arguments if a.flag[0] != "-"]
+        values.update({a.flag: a.default for a in arguments})
+        # a command's arguments are classified first, for argparse's ambiguity errors
+        kinds, i = [_classify(path, flags, arg) for arg in args] if fn else [], 0
+        while i < len(args) and (fn or positionals):  # a group stops after its word
+            kind = kinds[i] if fn else _classify(path, flags, args[i])
+            (a, text), i = kind or (positionals.pop(0) if positionals else None, args[i]), i + 1
+            if a is None:  # an unknown option or an extra positional
+                extras.append(args[i - 1])
+                continue
+            if a.kind is not bool and text is None and kinds[i:i + 1] == [None]:
+                text, i = args[i], i + 1
+            if a is _HELP and text is None:
+                sys.stdout.write(_help(path))
+                raise SystemExit(0)
+            if (a.kind is bool) != (text is None):
+                _fail(path, f"argument {a.flag}: " + ("expected one argument" if text is None
+                                                      else f"ignored explicit argument {text!r}"))
+            try:
+                values[a.flag] = True if a.kind is bool else int(text) if a.kind is int else text
+            except ValueError:
+                _fail(path, f"argument {a.flag}: invalid int value: {text!r}")
+            if isinstance(a.kind, tuple) and text not in a.kind:
+                _fail(path, f"argument {a.flag}: invalid choice: {text!r}")
+        if missing := [a.flag for a in arguments if a.default is None and values[a.flag] is None]:
+            _fail(path, "the following arguments are required: " + ", ".join(missing))
+        if fn:
+            break
+        path, args = path + (args[i - 1],), args[i:]
+    if extras:
+        _fail(path, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(fn=fn, **{"lam" if f == "--lambda" else f.lstrip("-").replace("-", "_"):
+                                     v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (DomainError, ConfigurationError) as exc:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .errors import DimensionError, DomainError, InternalError
 
 Weight = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+_PLAIN = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # a weight coordinate that int() reads
 
 
 def weight(coords: Iterable) -> Weight:
@@ -138,12 +140,14 @@ def parse_weight(text: str) -> Weight:
     if not parts or any(p == "" for p in parts):
         raise DomainError(f"cannot parse weight {text!r}")
     limit = sys.get_int_max_str_digits()
-    for i, part in enumerate(parts, 1):
-        if limit and _written_digits(part) > limit:
+    plain = [(not limit or len(p) <= limit) and _PLAIN.fullmatch(p) for p in parts]
+    for i, (part, m) in enumerate(zip(parts, plain), 1):
+        if not m and limit and _written_digits(part) > limit:
             raise DomainError(f"weight coordinate {i} has a numerator or denominator "
                               f"of more than {limit} digits")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(Fraction(*map(int, m.groups("1"))) if m else Fraction(p)
+                     for p, m in zip(parts, plain))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse weight {text!r}: {exc}") from None
 

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchkit import formal, repweights, rootsystems
+from branchkit import cli, formal, repweights, rootsystems
 from branchkit.cli import SCHEMA_PATH, Rows, _emit, _write_json, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
 from branchkit.quaternionic import QuaternionicContext, quaternionic_context
 from branchkit.specialcases import Sp1qContext, hermitian_data, sp1q_context
+from cli_reference import build_parser
 
 
 @pytest.fixture(scope="module")
@@ -276,8 +277,8 @@ def test_oracle_rejects_su21_itself(capsys):
 
 
 def test_parser_reuse_leaks_no_state(capsys):
-    # the parser is built once per process; a call that fails to parse must
-    # not change what the next call prints
+    # the command table is built once per process and read by every call; a
+    # call that fails to parse must not change what the next call prints
     argv = ["branch", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--cutoff", "2"]
     code, alone, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -723,7 +724,7 @@ def _lambda(draw, label):
 
 
 @st.composite
-def _argv(draw):
+def _request(draw):
     label = draw(st.sampled_from(_LABELS))
     lam = draw(_lambda(label))
     basis = draw(st.sampled_from([[], [], ["--basis", "simple"]]))
@@ -748,6 +749,25 @@ def _argv(draw):
     return ["admissible", "so3", "--n", str(draw(st.integers(-1, 12)))]
 
 
+# command-line faults that the parser rejects with exit 2 wherever they land:
+# a bad int, a bad choice, an unknown option, an ambiguous or value-less
+# option, a flag given a value, a missing value and an extra positional
+_PARSE_FAULTS = [["--cutoff=x"], ["--output", "xml"], ["--zzz"], ["--c"], ["--lambda"],
+                 ["--check-oracle=1"], ["--basis", "-1,2"], ["--form", "--form"], ["extra"]]
+
+
+@st.composite
+def _argv(draw):
+    """A request, half the time with a parse fault inserted somewhere after
+    its command word, or with one of its strings dropped."""
+    argv = draw(_request())
+    edit = draw(st.sampled_from(["none", "none", "fault", "drop"]))
+    at = draw(st.integers(1, len(argv)))
+    if edit == "fault":
+        return argv[:at] + draw(st.sampled_from(_PARSE_FAULTS)) + argv[at:]
+    return argv[:at - 1] + argv[at:] if edit == "drop" else argv
+
+
 @settings(max_examples=60, deadline=None)
 @given(_argv(), st.sampled_from([None, "50", "abc", "0"]))
 def test_cli_exits_cleanly_on_any_input(schema, argv, bound):
@@ -761,7 +781,7 @@ def test_cli_exits_cleanly_on_any_input(schema, argv, bound):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejects the command line
+            except SystemExit as exc:  # the parser rejects the command line
                 code = exc.code
     finally:
         os.environ.pop("BRANCHKIT_DIMENSION_BOUND", None)
@@ -770,6 +790,112 @@ def test_cli_exits_cleanly_on_any_input(schema, argv, bound):
     assert code in (0, 2, 3), (argv, bound, err.getvalue())
     if code == 0:
         jsonschema.validate(json.loads(out.getvalue()), schema)
+
+
+# ---------------------------------------------------------------------------
+# the command table's parser against the argparse parser it replaced
+
+REFERENCE_PARSER = build_parser()
+_FLAGS = sorted({a.flag for _, _, arguments in cli.COMMANDS.values() for a in arguments
+                 if a.flag.startswith("--")} | {"--help"})
+# strings a command line may hold besides a request's own: negative and
+# dash-led values, help at every level and -h run together with more,
+# unknown, ambiguous and unique prefixes, values with spaces, positionals of
+# every level, bad ints and choices
+_EXTRAS = ["-3", "-.5", "-1,2", "-", "-h", "--help", "--he", "-hx", "-h=1", "--help=", "--=x",
+           "-hh", "-hhx", "-hh=1", "--zzz", "-x", "", "a b", "-h x", "--cut 3", "x", "3", "quat",
+           "sp1q", "hermitian", "so3", "list-forms", "admissible", "selftest", "--n=٣", "--only=",
+           "text", "xml", "--c", "--o", "--s", "--ou", "--lam", "--lambda=", "--check",
+           "--check-oracle=", "--cutoff=x", "--output=xml", "1_0", "--step-bound=-2", "simple",
+           "--project=torus"]
+
+
+def _differs(arg: str) -> bool:
+    """The one string the two parsers read differently on purpose: "--",
+    which argparse reads as the end of the options and the table's parser
+    as an unknown option."""
+    return arg == "--"
+
+
+@st.composite
+def _command_line(draw):
+    """A request or a bare command, edited a few times: an --opt=value split
+    or an --opt value joined, a long option cut to a prefix, a string
+    duplicated, dropped, moved or inserted."""
+    argv = draw(st.one_of(_request(), st.sampled_from(
+        [["list-forms"], ["selftest", "--only", "AC-1"], ["admissible", "so3", "--n", "3"], []])))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["split", "join", "prefix", "copy", "drop", "swap", "insert",
+                                     "insert"]))
+        i = draw(st.integers(0, len(argv)))
+        arg = argv[i] if i < len(argv) else ""
+        name, eq, value = arg.partition("=")
+        if edit == "split" and name.startswith("--") and eq:
+            argv[i:i + 1] = [name, value]
+        elif edit == "join" and arg.startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{arg}={argv[i + 1]}"]
+        elif edit == "prefix" and len(name) > 3 and name.startswith("--"):
+            argv[i] = name[:draw(st.integers(3, len(name)))] + eq + value
+        elif edit == "copy" and i < len(argv):
+            argv.insert(draw(st.integers(0, len(argv))), *argv[i:i + 1])
+        elif edit == "drop" and i < len(argv):
+            del argv[i]
+        elif edit == "swap" and i < len(argv):
+            j = draw(st.integers(0, len(argv) - 1))
+            argv[i], argv[j] = argv[j], argv[i]
+        elif edit == "insert":
+            argv.insert(i, draw(st.sampled_from(_EXTRAS + _FLAGS)))
+    return argv
+
+
+def _parsed(parse, argv):
+    """The namespace's fields but ``fn``, or the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = dict(vars(parse(argv)))
+        except SystemExit as exc:
+            return exc.code
+    del fields["fn"]
+    return fields
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_command_line().filter(lambda argv: not any(map(_differs, argv))))
+def test_parser_reads_what_argparse_read(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(REFERENCE_PARSER.parse_args, argv)
+
+
+def test_parse_errors_print_usage_and_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "quat", "--form", "g2_2", "--lambda=1", "--cut", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: branchkit branch {quat,sp1q} --form FORM [--cutoff CUTOFF]")
+    assert err.endswith("\nbranchkit: error: argument --cutoff: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("path", list(cli.COMMANDS), ids=lambda path: " ".join(path) or "top")
+def test_help_names_every_argument(capsys, path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*path, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: branchkit {' '.join(path)}".rstrip())
+    for argument in cli.COMMANDS[path][2]:
+        names = [argument.flag] if argument.flag.startswith("--") else argument.kind
+        assert all(name in out for name in names), (argument, out)
+    assert all(cli.COMMANDS[p][1] in out for p in cli.COMMANDS if p[:len(path)] == path)
+
+
+def test_cli_imports_no_argparse():
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    # a fresh interpreter: argparse would be in sys.modules had the CLI imported it
+    probe = ("import sys, branchkit.cli; "
+             "print(sorted({'argparse', 'branchkit.cli'} & {*sys.modules}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out == "['branchkit.cli']\n"
 
 
 # ---------------------------------------------------------------------------
@@ -830,3 +956,13 @@ def test_every_subcommand_prints_what_json_dumps_would(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == _dumps(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_text_output_prints_no_python_reprs(capsys, argv):
+    # a nested dict prints as key.sub lines, a list comma-joined
+    code, out, _ = run_cli(capsys, *argv, "--output", "text")
+    assert code == 0
+    assert "{'" not in out and "['" not in out and "'" not in out
+    if "--check-oracle" in argv:
+        assert "\noracle.agree: True\noracle.comparedWeights: " in out

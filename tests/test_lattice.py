@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchkit.errors import DimensionError, DomainError
 from branchkit.lattice import (
+    _written_digits,
     coroot_pairing,
     format_weight,
     identity_form,
@@ -150,6 +151,52 @@ def test_parse_weight_rejects_coordinates_too_long_to_print():
     for text in (f"1e{limit - 1}", f"-1e-{limit - 1}", "7" * limit, "2.5e3"):
         w = parse_weight(text)
         assert parse_weight(format_weight(w)) == w
+
+
+def _reference_parse_weight(text):
+    """``parse_weight`` before its int fast path: every coordinate's digits
+    counted, then every coordinate read by ``Fraction``."""
+    parts = [p.strip() for p in text.split(",")]
+    if not parts or any(p == "" for p in parts):
+        raise DomainError(f"cannot parse weight {text!r}")
+    limit = sys.get_int_max_str_digits()
+    for i, part in enumerate(parts, 1):
+        if limit and _written_digits(part) > limit:
+            raise DomainError(f"weight coordinate {i} has a numerator or denominator "
+                              f"of more than {limit} digits")
+    try:
+        return tuple(Fraction(p) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse weight {text!r}: {exc}") from None
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except DomainError as exc:
+        return "error", str(exc)
+    return [(type(c), c) for c in value]
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_TOKENS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1/0", "-1/0", "0/0", "3/-2", "+-5", "-+5", "1_0", "1/1_0", "٣",
+                     "-٣/٤", "１２", "+7", "+3/4", "-0", "1/2/3", "/2", "2/",
+                     "1.5", "1e3", " 4 ", "x", "", "-", "+", "9" * _LIMIT, "9" * (_LIMIT + 1),
+                     "-" + "9" * _LIMIT, "1/" + "9" * _LIMIT, "-" + "9" * _LIMIT + "/2",
+                     "1/" + "9" * (_LIMIT + 1)]),
+    st.tuples(st.integers(-50, 50), st.integers(-5, 50)).map(lambda ab: f"{ab[0]}/{ab[1]}"),
+    st.text(st.sampled_from("0123456789+-/_. e٣"), max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=5))
+def test_parse_weight_fast_path_matches_fraction(tokens):
+    # ints and plain a/b are built from int(), everything else by Fraction:
+    # the same values, the same errors and the same coordinate in each error
+    text = ",".join(tokens)
+    assert _outcome(parse_weight, text) == _outcome(_reference_parse_weight, text)
 
 
 @settings(max_examples=40, deadline=None)
