@@ -14,12 +14,14 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import InternalError
-from .formal import convolve, heaviside, heaviside_power
+from .formal import _window, product_region
 from .lattice import (
     format_weight,
     identity_form,
@@ -97,25 +99,27 @@ def _criterion(ident: str, title: str, limit: float):
 
 @_criterion("AC-1", "Heaviside power identity", 5)
 def ac1(store) -> str:
-    """Heaviside powers equal iterated convolutions, r <= 6 at 50 steps."""
-    from .formal import dirac
-
+    """The oracle's window of the r-th Heaviside power equals r iterated
+    point-by-point convolutions of the Heaviside series, r <= 6 at 50 steps;
+    r = 0 is the unit point mass."""
     gamma = (2, -2, 0)  # the root (1, -1, 0) in doubled, integral coordinates
     n = 50
     checked = 0
-    base = heaviside(gamma, n)
+    steps = [tuple((1 + 2 * k) * g // 2 for g in gamma) for k in range(n + 1)]
+    iterated = {(0, 0, 0): 1}
     for r in range(7):
-        direct = heaviside_power(gamma, r, n)
-        iterated = dirac((0, 0, 0))
-        for _ in range(r):
-            iterated = convolve(iterated, base)
+        window = _window(product_region({gamma: r}, n)) if r else {(0, 0, 0): 1}
         for k in range(n + 1):
             x = tuple((r + 2 * k) * g // 2 for g in gamma)
-            want = direct.coefficient(x)
-            got = iterated.coefficient(x)
-            if got is None or want is None or got != want:
+            want, got = window.get(x, 0), iterated.get(x, 0)
+            if got != want:
                 raise _Failed(f"mismatch at r={r}, step {k}: {want} vs {got}")
             checked += 1
+        product = Counter()  # one more convolution with the Heaviside series
+        for p, c in iterated.items():
+            for s in steps:
+                product[tuple(map(add, p, s))] += c
+        iterated = product
     return f"{checked} coefficients agree for r in 0..6, 50 steps"
 
 
@@ -227,14 +231,14 @@ def ac3(store) -> str:
         for lam in lams + [wadd(l, rho) for l in lams[:4]]:
             lhs, rhs = torus_restriction_sides(ctx, lam, cfg)
             # a certified nonzero coefficient of rhs has a nonzero window total
-            for w in set(lhs.coeffs) | set(rhs.nonzero_points()):
+            for w in set(lhs) | set(rhs.nonzero_points()):
                 c = rhs.coefficient(w)
                 if c is None:
                     continue
-                if c != lhs.coeffs.get(w, 0):
+                if c != lhs.get(w, 0):
                     raise _Failed(f"{label}: mismatch at {format_weight(rhs.chart.to_weight(w))}")
                 checked += 1
-            if any(rhs.coefficient(w) is None for w in lhs.coeffs):
+            if any(rhs.coefficient(w) is None for w in lhs):
                 raise _Failed(f"{label}: truncation does not cover the weight table")
     return f"4 factors x 10 parameters, {checked} coefficients checked"
 

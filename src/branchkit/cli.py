@@ -10,9 +10,12 @@ domain and configuration errors, 3 resource errors.
 Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
 coordinates as coefficients over the simple roots of the form's positive
-system.  Its length is checked against the base system that the form label
-names before any root data is built.  Both families (quat and sp1q) share
-one oracle (see ``oracle``).
+system.  Form labels are read through ``rootsystems.FORMS`` alone: a
+command names the kinds it takes (the branching families quat and sp1q,
+hermitian), the label's kind picks its builders, and the length of lambda
+is checked against the base system that the label names before any root
+data is built.  ``list-forms`` prints the table.  Both branching families
+share one oracle (see ``oracle``).
 The environment variable BRANCHKIT_DIMENSION_BOUND (default 10^7) caps the
 root data (positive roots times coordinates), the Freudenthal tables, the
 closed-form tables and the oracle's Heaviside products and windows; each
@@ -43,15 +46,13 @@ from .lattice import format_weight, parse_weight, wadd, wscale, zero_weight
 from .oracle import OracleConfig, verify_closed_form
 from .quaternionic import branching_table, lam2_weight_table, quaternionic_context
 from .repweights import check_size
-from .rootsystems import _parse_int, ambient_dimension, datum_size, parse_quaternionic_label
+from .rootsystems import FORMS, ambient_dimension, datum_size, parse_label
 from .specialcases import (
     hermitian_data,
     kss_admissible_report,
-    parse_hermitian_label,
     so3_admissible,
     sp1q_branching_table,
     sp1q_context,
-    sp1q_system,
     sp1q_verify,
 )
 
@@ -101,22 +102,24 @@ def _oracle_payload(report) -> dict:
     }
 
 
-def _context(family: str, label: str):
-    """The base system (family, rank) that the label of a branching family
-    names, and the builder of its context."""
-    if family == "quat":
-        return parse_quaternionic_label(label), functools.partial(quaternionic_context, label)
-    q = _sp1q_param(label)
-    return sp1q_system(q), functools.partial(sp1q_context, q)
+# Per kind of form label, from (label, parameters): the builder of its context,
+# its closed-form table builder and its oracle check, each read from this
+# module's names when called, so that a wrapper bound in a name's place is used
+_KINDS = {
+    "quat": lambda label, _: (functools.partial(quaternionic_context, label),
+                              branching_table, verify_closed_form),
+    "sp1q": lambda _, params: (functools.partial(sp1q_context, *params),
+                               sp1q_branching_table, sp1q_verify),
+    "hermitian": lambda label, _: (functools.partial(hermitian_data, label), None, None),
+}
 
 
-def _family(args):
-    """Context, parameter, closed-form table builder and oracle check of the
-    requested family."""
-    ctx, lam = _parse_lambda(args, *_context(args.family, args.form))
-    if args.family == "quat":
-        return ctx, lam, branching_table, verify_closed_form
-    return ctx, lam, sp1q_branching_table, sp1q_verify
+def _context(args, *kinds):
+    """(context, lam, its closed-form table builder, its oracle check) for the
+    form label of one of ``kinds`` in ``args.form``, read once."""
+    name, params, system = parse_label(args.form, *kinds)
+    build, closed, verify = _KINDS[FORMS[name].kind](args.form, params)
+    return (*_parse_lambda(args, system, build), closed, verify)
 
 
 def _emit(payload: dict, output: str, prefix: str = "") -> str:
@@ -180,19 +183,16 @@ def _entries_json(table) -> Rows:
 
 
 def cmd_list_forms(args) -> int:
-    payload = {
-        "command": "list-forms",
-        "quaternionic": ["g2_2", "f4_4", "e6_2", "e7_m5", "e8_m24", "su2_n:<n>", "so4_n:<n>"],
-        "sp1q": ["sp1_q:<q>"],
-        "so3": ["so3:<n>"],
-        "hermitian": ["su_pq:<p>,<q>", "so_star:<n>", "sp_n_R:<n>", "e6_m14", "e7_m25"],
-    }
+    payload = {"command": "list-forms", "so3": ["so3:<n>"]}  # SO(3, n) takes --n, not a label
+    for name, form in FORMS.items():
+        key = "quaternionic" if form.kind == "quat" else form.kind
+        payload.setdefault(key, []).append(f"{name}:{form.placeholder}".rstrip(":"))
     sys.stdout.write(_emit(payload, args.output))
     return 0
 
 
 def cmd_branch(args) -> int:
-    ctx, lam, closed, verify = _family(args)
+    ctx, lam, closed, verify = _context(args, args.family)
     table = closed(ctx, lam, args.cutoff)
     payload = {
         "command": "branch",
@@ -215,19 +215,11 @@ def cmd_branch(args) -> int:
     return 0
 
 
-def _sp1q_param(form: str) -> int:
-    name, _, param = form.partition(":")
-    if name != "sp1_q":
-        raise ConfigurationError(f"expected an sp1_q:<q> label, got {form!r}")
-    return _parse_int(param, "sp1_q")
-
-
 def cmd_admissible(args) -> int:
     if args.kind == "so3":
         payload, (admissible, reason) = {"n": args.n}, so3_admissible(args.n)
     else:
-        system = parse_hermitian_label(args.form)[2]
-        hd, lam = _parse_lambda(args, system, functools.partial(hermitian_data, args.form))
+        hd, lam, _, _ = _context(args, "hermitian")
         payload = {"form": args.form, "lambda": format_weight(lam)}
         admissible, reason = kss_admissible_report(hd, lam)
     payload.update(command="admissible", kind=args.kind, admissible=admissible, reason=reason)
@@ -236,9 +228,7 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    label = args.form
-    ctx, lam = _parse_lambda(args, *_context("sp1q" if label.startswith("sp1_q") else "quat",
-                                             label))
+    ctx, lam, _, _ = _context(args, "quat", "sp1q")
     if args.project == "torus":  # the closed form's fibre: the weights n w / den
         fibre, den = ctx.fibre(lam)
         rows = [(tuple(n * x for x in ctx.torus_points[1]), m) for n, m in fibre.items()]
@@ -247,7 +237,7 @@ def cmd_weights(args) -> int:
         rows, den = table.points.items(), table.scale
     payload = {
         "command": "weights",
-        "form": label,
+        "form": args.form,
         "lambda": format_weight(lam),
         "project": args.project,
         "entries": _rows(rows, den, "weight"),
@@ -258,7 +248,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    ctx, lam, _, verify = _family(args)
+    ctx, lam, _, verify = _context(args, args.family)
     report = verify(ctx, lam, OracleConfig(args.step_bound))
     payload = {
         "command": "oracle-check",

@@ -69,7 +69,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DomainError, InternalError
-from .formal import DeltaSeries, ProductSum, product_region, product_size
+from .formal import ProductSum, product_region, product_size
 from .lattice import Chart, Weight, format_weight, int_point, reflect_point, scaled_point
 from .quaternionic import (
     BranchingTable,
@@ -217,9 +217,10 @@ def oracle_plan(ctx: SubgroupContext) -> OraclePlan:
 
 def torus_restriction_sides(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig):
     """Both sides of the torus restriction identity for the k2-representation
-    attached to lam: the closed form's fibre (``ctx.fibre``), antisymmetrized
-    where w_line is a subgroup root (sp(1, q): the strings' characters), and
-    the signed coset sum of Heaviside convolutions, both on its chart."""
+    attached to lam, on the chart of the right side: the closed form's fibre
+    (``ctx.fibre``) as {point: multiplicity}, antisymmetrized where w_line is
+    a subgroup root (sp(1, q): the strings' characters), and the signed
+    coset sum of Heaviside convolutions."""
     fibre, den = ctx.fibre(lam)
     _, lam2 = decompose_parameter(ctx, lam)
     rhs = _coset_series(ctx, lam2, cfg, torus=True)
@@ -230,7 +231,7 @@ def torus_restriction_sides(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig
         if r:
             raise InternalError(f"a fibre weight of {format_weight(lam)} is off the chart lattice")
         lhs.update({(sign * x,): sign * m for sign in signs})
-    return DeltaSeries(lhs, (), rhs.chart), rhs
+    return lhs, rhs
 
 
 def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,

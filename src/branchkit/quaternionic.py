@@ -204,8 +204,12 @@ class SubgroupContext:
     def check_extracted(self, series, p: tuple, c: int) -> None:
         """Family check on a certified positive-side coefficient c of a
         branching series at its point p; raises InternalError on failure.
-        The base checks nothing here: ``oracle.check_antisymmetry`` covers
-        the series."""
+        The base, which a quaternionic request runs, checks no mirror per
+        point: the series is odd under S_b by the plan's construction (each
+        flipped term of ``oracle.oracle_plan`` is the S_b mirror of an
+        unflipped one, which a test pins), and AC-9 checks that antisymmetry
+        end to end (``oracle.check_antisymmetry``).  sp(1, q) checks its
+        three flips at each extracted point (``specialcases.Sp1qContext``)."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -280,8 +280,7 @@ def freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
     """Weight multiplicities by Freudenthal's recursion, extended over Weyl
     orbits.  Dimension above the configured bound raises ResourceError."""
     dim = weyl_dimension(hw, factor)  # checks that hw is dominant integral
-    if dim > dimension_bound():
-        raise ResourceError(f"representation dimension {_decimal(dim)} exceeds the bound")
+    check_size(dim, "a representation's weight table")
     top, den = scaled_point(hw)
     two_d, roots, two_rho, simple = factor.int_roots  # at scale D = two_d / 2
     scale = 2 * lcm(two_d // 2, den)

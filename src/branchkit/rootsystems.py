@@ -21,14 +21,19 @@ Compactness for the quaternionic families, sp(1, q) among them as the one of
 type C, is derived uniformly from the pairing with the coroot of the highest
 root b: pairing 0 or 2 means compact, pairing 1 means noncompact.  A datum
 keeps it by position in its positive roots, with b's position, so a reader
-needs no lookup by weight.  A form label names its base system (family,
-rank), and so the number of coordinates and the datum's size, before any
-root is built.
+needs no lookup by weight.
+
+Every form label is one row of ``FORMS``: its kind, its parameters and their
+rule, and its base system (family, rank), and so the number of coordinates
+and the datum's size before any root is built.  ``parse_label`` reads it for
+the CLI, the datum builders and ``list-forms``; a new form is one row plus
+its builder.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -328,45 +333,56 @@ def datum_size(family: str, rank: int) -> int:
     return positive[family] * ambient_dimension(family, rank)
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(f"bad {what} parameter {text!r}") from None
+# A label ``name:<params>`` (``name`` with no parameter): kind ``quat``, ``sp1q`` or
+# ``hermitian``; the rule on the int parameters is (test, error class, text).
+Form = namedtuple("Form", "kind placeholder system rule", defaults=((),))
+
+FORMS = {
+    "g2_2": Form("quat", "", lambda: ("G", 2)),
+    "f4_4": Form("quat", "", lambda: ("F", 4)),
+    "e6_2": Form("quat", "", lambda: ("E", 6)),
+    "e7_m5": Form("quat", "", lambda: ("E", 7)),
+    "e8_m24": Form("quat", "", lambda: ("E", 8)),
+    "su2_n": Form("quat", "<n>", lambda n: ("A", n + 1),
+                  (lambda n: n >= 1, ConfigurationError, "su2_n requires n >= 1")),
+    "so4_n": Form("quat", "<n>", lambda n: ("B" if n % 2 else "D", (4 + n) // 2),
+                  (lambda n: n >= 3, ConfigurationError, "so4_n requires n >= 3")),
+    "sp1_q": Form("sp1q", "<q>", lambda q: ("C", q + 1),
+                  (lambda q: q >= 2, ConfigurationError, "sp(1, q) branching requires q >= 2")),
+    "su_pq": Form("hermitian", "<p>,<q>", lambda p, q: ("A", p + q - 1), (
+        lambda p, q: 1 <= p <= q, DomainError, "su(p, q) certificates require 1 <= p <= q")),
+    "so_star": Form("hermitian", "<n>", lambda n: ("D", n),
+                    (lambda n: n >= 3, DomainError, "so*(2n) requires n >= 3")),
+    "sp_n_R": Form("hermitian", "<n>", lambda n: ("C", n),
+                   (lambda n: n >= 1, DomainError, "sp(n, R) requires n >= 1")),
+    "e6_m14": Form("hermitian", "", lambda: ("E", 6)),
+    "e7_m25": Form("hermitian", "", lambda: ("E", 7)),
+}
 
 
-_EXCEPTIONAL = {"g2_2": ("G", 2), "f4_4": ("F", 4), "e6_2": ("E", 6), "e7_m5": ("E", 7),
-                "e8_m24": ("E", 8)}
-
-
-def parse_quaternionic_label(label: str):
-    """The base system (family, rank) of a form label like ``su2_n:3``."""
+def parse_label(label: str, *kinds: str):
+    """(name, int parameters, base system (family, rank)) of a form label of
+    one of ``kinds``, its parameters checked against its ``FORMS`` rule."""
     name, _, param = label.partition(":")
-    if name in _EXCEPTIONAL:
-        if param:
-            raise ConfigurationError(f"form {name} takes no parameter")
-        return _EXCEPTIONAL[name]
-    if name == "su2_n":
-        n = _parse_int(param, "su2_n")
-        if n < 1:
-            raise ConfigurationError("su2_n requires n >= 1")
-        return "A", n + 1
-    if name == "so4_n":
-        n = _parse_int(param, "so4_n")
-        if n < 3:
-            raise ConfigurationError("so4_n requires n >= 3")
-        return "B" if n % 2 else "D", (4 + n) // 2
-    raise ConfigurationError(f"unsupported quaternionic form label {label!r}")
+    form = FORMS.get(name)
+    if form is None or form.kind not in kinds:
+        raise ConfigurationError(f"unsupported {' or '.join(kinds)} form label {label!r}")
+    try:
+        params = tuple(map(int, param.split(","))) if param else ()
+    except ValueError:
+        params = None
+    if params is None or len(params) != form.placeholder.count("<"):
+        raise ConfigurationError(f"bad {name} parameter {param!r}")
+    if form.rule and not form.rule[0](*params):
+        raise form.rule[1](form.rule[2])
+    return name, params, form.system(*params)
 
 
 @functools.lru_cache(maxsize=None)
 def quaternionic_root_datum(label: str) -> RootDatum:
-    """RootDatum for one of the quaternionic real forms.
-
-    The label carries the family and parameter, e.g. ``g2_2``, ``su2_n:3``,
-    ``so4_n:4``.
-    """
-    return _highest_root_datum(label, *parse_quaternionic_label(label))
+    """RootDatum for one of the quaternionic real forms, by a label of
+    kind ``quat`` in ``FORMS``, e.g. ``g2_2``, ``su2_n:3``, ``so4_n:4``."""
+    return _highest_root_datum(label, *parse_label(label, "quat")[2])
 
 
 def _highest_root_datum(label: str, family: str, rank: int) -> RootDatum:

@@ -63,6 +63,7 @@ from .rootsystems import (
     _base_system,
     _highest_root_datum,
     basis_sum,
+    parse_label,
     positive_roots,
     positive_system,
 )
@@ -128,18 +129,12 @@ class Sp1qContext(SubgroupContext):
         return ((self.half_beta, 0), 2 * self.q - 2),
 
 
-def sp1q_system(q: int):
-    """The base system (family, rank) of sp(1, q): C_{q+1}."""
-    if q < 2:
-        raise ConfigurationError("sp(1, q) branching requires q >= 2")
-    return "C", q + 1
-
-
 @functools.lru_cache(maxsize=None)
 def sp1q_context(q: int) -> Sp1qContext:
     """Build the sp(1, q) context on the C_{q+1} system, the quaternionic
     real form of type C, with its compact roots by the highest-root rule."""
-    rd = _highest_root_datum("sp1_q:%d" % q, *sp1q_system(q))
+    label = "sp1_q:%d" % q
+    rd = _highest_root_datum(label, *parse_label(label, "sp1q")[2])
     e0, e1 = (tuple(Fraction(int(i == k)) for i in range(q + 1)) for k in (0, 1))
     beta, w_line = wscale(2, e0), wscale(2, e1)
     return Sp1qContext.build(
@@ -272,35 +267,6 @@ _HERMITIAN_BUILDERS = {"su_pq": _su_pq_data, "sp_n_R": _sp_nr_data, "so_star": _
                        "e6_m14": _e6_m14_data, "e7_m25": _e7_m25_data}
 
 
-def parse_hermitian_label(label: str):
-    """Split a form label like ``su_pq:2,3`` into (name, parameters, base
-    system (family, rank)), with the parameters' ranges checked."""
-    name, _, param = label.partition(":")
-    if name == "su_pq":
-        try:
-            p, q = (int(x) for x in param.split(","))
-        except ValueError:
-            raise ConfigurationError(f"bad su_pq parameters {param!r}") from None
-        if p < 1 or q < 1 or p > q:
-            raise DomainError("su(p, q) certificates require 1 <= p <= q")
-        return name, (p, q), ("A", p + q - 1)
-    if name in ("sp_n_R", "so_star"):
-        try:
-            n = int(param)
-        except ValueError:
-            raise ConfigurationError(f"bad {name} parameter {param!r}") from None
-        if name == "sp_n_R" and n < 1:
-            raise DomainError("sp(n, R) requires n >= 1")
-        if name == "so_star" and n < 3:
-            raise DomainError("so*(2n) requires n >= 3")
-        return name, (n,), ("C" if name == "sp_n_R" else "D", n)
-    if name in ("e6_m14", "e7_m25"):
-        if param:
-            raise ConfigurationError(f"form {name} takes no parameter")
-        return name, (), ("E", 6 if name == "e6_m14" else 7)
-    raise ConfigurationError(f"unsupported Hermitian form label {label!r}")
-
-
 @functools.lru_cache(maxsize=None)
 def hermitian_data(label: str) -> HermitianData:
     """Assemble the realized Hermitian form and its certificate sets on the
@@ -308,7 +274,7 @@ def hermitian_data(label: str) -> HermitianData:
     direction z, so a root is compact when it pairs to 0 with z; the
     holomorphic system is positive on z for noncompact roots and on a fixed
     vector v for the compact ones."""
-    name, params, system = parse_hermitian_label(label)
+    name, params, system = parse_label(label, "hermitian")
     scale, roots, _ = _base_system(*system)
     z, cert, conj, tube = _HERMITIAN_BUILDERS[name](*params)
     # regular for the compact roots; for E, huge last coordinates so that the

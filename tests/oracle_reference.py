@@ -73,8 +73,8 @@ from branchkit.lattice import (
 from branchkit.oracle import ComparisonReport, CosetSum, OraclePlan, oracle_plan
 from branchkit.quaternionic import BranchingTable, lam2_weight_table
 from branchkit.repweights import _dominant_representative
-from branchkit.rootsystems import WeylElement
-from branchkit.specialcases import parse_hermitian_label, sp1q_string_table
+from branchkit.rootsystems import WeylElement, parse_label
+from branchkit.specialcases import sp1q_string_table
 
 
 def half_sum(form_dim: int, roots):
@@ -768,7 +768,7 @@ def reference_hermitian_data(label: str) -> dict:
     holomorphic system positive on z, then on a compact-regular vector,
     the simple roots by the pairwise search and certificate positions
     looked up by Fraction weight."""
-    name, params, system = parse_hermitian_label(label)
+    name, params, system = parse_label(label, "hermitian")
     roots, _ = reference_base_system(*system)
     z, cert, conj = _reference_hermitian_sets(name, params)
     form = identity_form(len(z))

@@ -43,6 +43,11 @@ def test_list_forms(capsys, schema):
     jsonschema.validate(payload, schema)
     assert "g2_2" in payload["quaternionic"]
     assert len(payload["quaternionic"]) == 7
+    # each kind lists exactly its rows of the form table, in table order
+    for key, kind in (("quaternionic", "quat"), ("sp1q", "sp1q"), ("hermitian", "hermitian")):
+        names = [name for name, form in rootsystems.FORMS.items() if form.kind == kind]
+        assert [label.partition(":")[0] for label in payload[key]] == names
+    assert payload["so3"] == ["so3:<n>"]
 
 
 def test_branch_deterministic_and_valid(capsys, schema):
@@ -219,6 +224,12 @@ _EARLY_ERRORS = [
     ("admissible hermitian --form sp_n_R:0", "sp(n, R) requires n >= 1"),
     ("branch sp1q --form sp1_q:1", "sp(1, q) branching requires q >= 2"),
     ("weights --form su2_n:0", "su2_n requires n >= 1"),
+    # a label of another kind, on every command
+    ("branch quat --form sp1_q:2", "unsupported quat form label 'sp1_q:2'"),
+    ("branch sp1q --form g2_2", "unsupported sp1q form label 'g2_2'"),
+    ("oracle-check sp1q --form su_pq:2,3", "unsupported sp1q form label 'su_pq:2,3'"),
+    ("weights --form su_pq:2,3", "unsupported quat or sp1q form label 'su_pq:2,3'"),
+    ("admissible hermitian --form g2_2", "unsupported hermitian form label 'g2_2'"),
 ]
 
 
@@ -339,7 +350,8 @@ _LONG_LAMBDA = "--lambda=" + ",".join(str(10**1500 * x) for x in (4, 2, 1, -2, -
      f"a Heaviside product at step bound {_LONG} would hold up to about 10^12000 entries, "
      "above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)"),
     (["weights", "--form", "su2_n:3", _LONG_LAMBDA],
-     "representation dimension about 10^4500 exceeds the bound"),
+     "a representation's weight table would hold up to about 10^4500 entries, "
+     "above the bound 10000000 (BRANCHKIT_DIMENSION_BOUND)"),
 ], ids=["closed-table", "product", "dimension"])
 def test_unprintable_sizes_exit_3_in_one_line(capsys, monkeypatch, argv, what):
     # a count with more digits than ints convert to text is named by its
@@ -591,6 +603,9 @@ UNCOVERED_DIGESTS = [
      "88291b9d9b3232ac73cf1aa7ffd29978f33f2c70d0d7e54b70cc5a5021bf3451"),
     ("admissible hermitian --form su_pq:3,4 --lambda=-1,-2,-3,3,2,1,0 --output text",
      "95cc8489fd21d5bef3b023aed2af4d958e3933ebc5f60a244d042fdafd195b41"),
+    ("list-forms", "611196378bde3720f0a2d56799824be920eca5e6f4e62c7258dbb1a7330e183e"),
+    ("list-forms --output text",
+     "c40a347b12b9957ef31191c4b1f89e5b158a7ed45021ceaac4126ae8076d0711"),
 ]
 
 

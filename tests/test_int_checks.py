@@ -51,6 +51,7 @@ from branchkit.repweights import (
 from branchkit.rootsystems import (
     _highest_root_datum,
     chambers,
+    parse_label,
     quaternionic_root_datum,
     simple_positions,
 )
@@ -60,7 +61,6 @@ from branchkit.specialcases import (
     kss_admissible_system,
     sp1q_context,
     sp1q_string_table,
-    sp1q_system,
     validate_hermitian_parameter,
 )
 from oracle_reference import (
@@ -503,7 +503,7 @@ def test_context_builds_hash_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting)
     data = {label: quaternionic_root_datum.__wrapped__(label) for label in CONTEXT_FORMS}
     for q in (2, 3, 4):
-        _highest_root_datum(f"sp1_q:{q}", *sp1q_system(q))
+        _highest_root_datum(f"sp1_q:{q}", *parse_label(f"sp1_q:{q}", "sp1q")[2])
     for label in HERMITIAN_FORMS:
         hermitian_data.__wrapped__(label)
     assert not calls

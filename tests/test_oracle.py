@@ -154,7 +154,7 @@ def test_torus_restriction_trivial_rep(g2):
     lam = wadd(g2.fw1, g2.beta)  # trivial k2 representation
     lhs, rhs = torus_restriction_sides(g2, lam, CFG)
     zero = rhs.chart.to_point(weight([0, 0, 0]))
-    assert lhs.coeffs == {zero: 1}
+    assert lhs == {zero: 1}
     assert rhs.coefficient(zero) == 1
     for x in rhs.coeffs:
         if x != zero and rhs.certain_at(x):
@@ -166,11 +166,11 @@ def test_torus_restriction_string(g2):
     lhs, rhs = torus_restriction_sides(g2, lam, OracleConfig(step_bound=10))
     a1 = weight([1, -1, 0])
     point = rhs.chart.to_point
-    assert lhs.coeffs == {point(wneg(a1)): 1, point(weight([0, 0, 0])): 1, point(a1): 1}
-    for x in set(lhs.coeffs) | set(rhs.coeffs):
+    assert lhs == {point(wneg(a1)): 1, point(weight([0, 0, 0])): 1, point(a1): 1}
+    for x in set(lhs) | set(rhs.coeffs):
         got = rhs.coefficient(x)
         if got is not None:
-            assert got == lhs.coeffs.get(x, 0)
+            assert got == lhs.get(x, 0)
 
 
 def test_weyl_polynomial_reflection_invariance(su23):
@@ -445,6 +445,29 @@ def test_mirror_sign_flips_match_fraction_reflections(label):
             for g in roots:
                 image = reflect(ctx.form, image, g)
             assert chart.to_point(image) == tuple(map(mul, signs, p)), (roots, p)
+
+
+@pytest.mark.parametrize("label", REFERENCE_FORMS + ("sp1_q:5",))
+def test_plan_flipped_terms_are_the_s_b_mirrors(label):
+    # no request checks S_b antisymmetry per point: it holds by the plan's
+    # construction.  Per coset the unflipped term comes first, then its S_b
+    # mirror, which negates the b-row of the map and the factor and keeps the
+    # w-row and the kernel covectors; the flipped multiset is the unflipped
+    # one with its first coordinate negated
+    ctx = _context(label)
+    series = oracle_plan(ctx).series
+    assert series.terms and len(series.terms) % 2 == 0
+    for (maps, kernel, factor, i), flipped in zip(series.terms[::2], series.terms[1::2]):
+        assert i == 0
+        assert flipped == ((tuple(-x for x in maps[0]), maps[1]), kernel, -factor, 1)
+    unflipped = dict(series.multisets[0])
+    assert dict(series.multisets[1]) == {(-p0, p1): m for (p0, p1), m in unflipped.items()}
+    # the closed form's Heaviside directions, rescaled to the series chart,
+    # are directions of the unflipped multiset with at least their powers
+    k, r = divmod(series.chart.scale, ctx.table_chart.scale)
+    assert r == 0
+    for (d0, d1), power in ctx.heaviside:
+        assert unflipped[(k * d0, k * d1)] >= power
 
 
 def _system(ctx):

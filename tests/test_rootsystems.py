@@ -25,7 +25,7 @@ from branchkit.rootsystems import (
     coset_reps,
     datum_size,
     height_covector,
-    parse_quaternionic_label,
+    parse_label,
     positive_roots,
     positive_system,
     quaternionic_root_datum,
@@ -35,9 +35,7 @@ from branchkit.rootsystems import (
 )
 from branchkit.specialcases import (
     hermitian_data,
-    parse_hermitian_label,
     sp1q_context,
-    sp1q_system,
     validate_hermitian_parameter,
 )
 from oracle_reference import (
@@ -113,12 +111,7 @@ def test_datum_positive_matches_solve(label):
 @pytest.mark.parametrize("label", ALL_FORMS + SP1Q_FORMS + HERMITIAN_FORMS)
 def test_label_names_the_coordinate_and_simple_root_counts(label):
     # the CLI checks the length of lambda against these before any root is built
-    if label in SP1Q_FORMS:
-        family, rank = sp1q_system(int(label.partition(":")[2]))
-    elif label.startswith(HERMITIAN_PREFIXES):
-        family, rank = parse_hermitian_label(label)[2]
-    else:
-        family, rank = parse_quaternionic_label(label)
+    family, rank = parse_label(label, "quat", "sp1q", "hermitian")[2]
     rd = _root_datum(label)
     assert (ambient_dimension(family, rank), rank, datum_size(family, rank)) == (
         len(rd.roots[0]), len(rd.simple), len(rd.positive) * len(rd.roots[0]))
@@ -168,10 +161,10 @@ def test_int_datum_equals_fraction_reference(label):
             want["certificate"], want["certificate_conjugate"])
     elif label.startswith("sp1_q:"):
         q = int(label.partition(":")[2])
-        rd, want = sp1q_context(q).rd, reference_highest_root_datum(*sp1q_system(q))
+        rd, want = sp1q_context(q).rd, reference_highest_root_datum(*parse_label(label, "sp1q")[2])
     else:
         rd = quaternionic_root_datum(label)
-        want = reference_highest_root_datum(*parse_quaternionic_label(label))
+        want = reference_highest_root_datum(*parse_label(label, "quat")[2])
     got = dict(roots=rd.roots, positive=rd.positive, simple=rd.simple, compact=rd.compact,
                highest=rd.highest, points=rd.points)
     assert got == {key: want[key] for key in got}

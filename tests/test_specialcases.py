@@ -5,7 +5,9 @@ import pytest
 from branchkit.errors import ConfigurationError, DomainError
 from branchkit.lattice import inner, weight, wneg, wscale
 from branchkit.oracle import OracleConfig, extract_multiplicities, torus_restriction_sides
+from branchkit.rootsystems import FORMS
 from branchkit.specialcases import (
+    _HERMITIAN_BUILDERS,
     antiholomorphic_chamber_parameter,
     hermitian_data,
     holomorphic_chamber_parameter,
@@ -148,12 +150,12 @@ def test_sp1q_extract_antisymmetry(sp12):
 def test_sp1q_su2_restriction_sides(sp12, sp13):
     for ctx, coords in [(sp12, (6, 4, 1)), (sp13, (7, 4, 2, 1))]:
         lhs, rhs = torus_restriction_sides(ctx, weight(coords), OracleConfig(step_bound=14))
-        assert lhs.coeffs  # antisymmetrized string parameters
-        for x in set(lhs.coeffs) | set(rhs.coeffs):
+        assert lhs  # antisymmetrized string parameters
+        for x in set(lhs) | set(rhs.coeffs):
             got = rhs.coefficient(x)
             if got is not None:
-                assert got == lhs.coeffs.get(x, 0)
-        assert all(rhs.coefficient(x) is not None for x in lhs.coeffs)
+                assert got == lhs.get(x, 0)
+        assert all(rhs.coefficient(x) is not None for x in lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +191,12 @@ def test_hermitian_compact_root_counts(label, expected):
 def test_sp1q_compact_root_count(q):
     rd = sp1q_context(q).rd
     assert sum(rd.is_compact(g) for g in rd.roots) == 2 * q * q + 2
+
+
+def test_hermitian_builders_are_the_hermitian_forms():
+    # a Hermitian form is one FORMS row plus its builder, under the same name
+    assert set(_HERMITIAN_BUILDERS) == {
+        name for name, form in FORMS.items() if form.kind == "hermitian"}
 
 
 def test_su_pq_index_formulas():
