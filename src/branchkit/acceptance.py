@@ -15,7 +15,6 @@ import functools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -26,6 +25,7 @@ from .lattice import (
     format_weight,
     identity_form,
     inner,
+    record,
     reflect,
     wadd,
     weight,
@@ -58,7 +58,7 @@ from .specialcases import (
 )
 
 
-@dataclass
+@record
 class CriterionResult:
     ident: str
     title: str

@@ -63,13 +63,12 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 from types import MappingProxyType
 
 from .errors import DomainError, InternalError
-from .lattice import format_weight
+from .lattice import format_weight, record
 
 Point = tuple[int, ...]
 PointMultiset = dict[Point, int]
@@ -236,7 +235,7 @@ def _min_steps(directions: tuple[tuple[Point, int], ...], v: Point):
     return _cone(tuple(d for d, _ in directions)).min_steps(v)
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class ValidityRegion:
     """Truncated cone {base + sum c_g g : c_g in Z>=0, sum c_g <= step_bound}."""
 
@@ -257,7 +256,7 @@ class ValidityRegion:
 EXACT: tuple[ValidityRegion, ...] = ()  # empty conjunction: exact everywhere
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class DeltaSeries:
     """Finitely supported integer-coefficient distribution with a validity contract.
 
@@ -268,7 +267,11 @@ class DeltaSeries:
     coeffs: dict  # Point -> int, no zero entries
     regions: tuple[ValidityRegion, ...] = EXACT
     chart: object = None
-    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _verdicts(self) -> dict:
+        """certain_at's answer per point asked."""
+        return {}
 
     def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""

@@ -16,6 +16,10 @@ answer is exact for int input too.  A ``Chart`` gives the span of pairwise
 orthogonal int points integer coordinates: a weight's pairings with them, at
 a chosen scale; the oracle's plans and series and the closed branching
 tables live on them.  ``reflect_point`` is the one reflection on int points.
+
+Every frozen value class of the package is made by ``record``: shared
+functions give it ``__init__``, ``__repr__``, read-only attributes and, on
+request, value equality, so that making a class compiles no code.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ import copy
 import functools
 import re
 import sys
+from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, InternalError
@@ -156,7 +160,79 @@ def format_weight(w: Weight) -> str:
     return ",".join(str(c) for c in w)
 
 
-@dataclass(frozen=True)
+_consume = deque(maxlen=0).extend  # runs an iterator to its end
+_setter = object.__setattr__.__get__  # object.__setattr__ bound to an instance
+
+
+def record(cls=None, *, eq=False):
+    """Make cls a frozen record from shared functions, compiling no code
+    for it.  Its fields (``__match_args__``) are its bases' fields, then
+    its own annotated names; a field's class attribute is its default.
+    ``__init__`` takes the fields by position or keyword and stores them
+    with ``object.__setattr__`` in field order, so that the instances of a
+    class share one attribute layout, then runs ``__post_init__`` where the
+    class has one.  Assigning or deleting an attribute raises
+    AttributeError, while a ``functools.cached_property`` still caches.
+    With eq, two records of one class are equal, and hash alike, when their
+    fields are; without, a record equals only itself."""
+    if cls is None:
+        return functools.partial(record, eq=eq)
+    cls.__match_args__ = tuple(dict.fromkeys([*getattr(cls, "__match_args__", ()),
+                                              *cls.__annotations__]))
+    cls.__init__ = _init_post if hasattr(cls, "__post_init__") else _init
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__repr__ = _repr
+    if eq:
+        cls._values = attrgetter(*cls.__match_args__)
+        cls.__eq__, cls.__hash__ = _eq, _hash
+    return cls
+
+
+def _init(self, *args, **kwargs):
+    names = self.__match_args__
+    if kwargs or len(args) != len(names):
+        args = _bind(type(self), args, kwargs)
+    _consume(map(_setter(self), names, args))
+
+
+def _init_post(self, *args, **kwargs):
+    _init(self, *args, **kwargs)
+    self.__post_init__()
+
+
+def _bind(cls, args, kwargs) -> list:
+    """The field values of a call with keywords, defaults or a wrong count."""
+    names = cls.__match_args__
+    values = dict(zip(names, args))
+    if len(args) > len(names) or any(k not in names or k in values for k in kwargs):
+        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each once")
+    values.update(kwargs)
+    missing = [n for n in names if n not in values and not hasattr(cls, n)]
+    if missing:
+        raise TypeError(f"{cls.__name__}() misses the fields {', '.join(missing)}")
+    return [values[n] if n in values else getattr(cls, n) for n in names]
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._values(self) == self._values(other)
+
+
+def _hash(self) -> int:
+    return hash(self._values(self))
+
+
+@record(eq=True)
 class InnerProductForm:
     """The Euclidean inner product on the ambient space Q^dim.
 

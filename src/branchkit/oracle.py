@@ -63,14 +63,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DomainError, InternalError
 from .formal import ProductSum, product_region, product_size
-from .lattice import Chart, Weight, format_weight, int_point, reflect_point, scaled_point
+from .lattice import Chart, Weight, format_weight, int_point, record, reflect_point, scaled_point
 from .quaternionic import (
     BranchingTable,
     QuaternionicContext,
@@ -83,7 +82,7 @@ from .quaternionic import (
 from .repweights import check_size
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class OracleConfig:
     """Truncation depth of the Heaviside series."""
 
@@ -129,7 +128,7 @@ def _kernel_cosets(ctx: SubgroupContext, vectors=()) -> tuple:
     return tuple(reps)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class CosetSum:
     """One kind of coset sum as integer data.  For lam with common
     denominator den and L = den * lam, the term of a coset s and a flip has
@@ -148,7 +147,7 @@ class CosetSum:
     denominator: Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class OraclePlan:
     """What the coset sums of one form read besides the parameter."""
 
@@ -332,7 +331,7 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
     return BranchingTable(entries, None, ctx.rd.label, None, chart)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ComparisonReport:
     agree: bool
     compared: int

@@ -45,7 +45,6 @@ output, from int numerators over one denominator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add, mul, sub
@@ -58,6 +57,7 @@ from .lattice import (
     WeightEntries,
     format_weight,
     int_point,
+    record,
     scaled_point,
     wneg,
     wscale,
@@ -79,7 +79,7 @@ from .rootsystems import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SubgroupContext:
     """What the oracle reads from a branching family.  k2 is spanned by the
     compact roots orthogonal to beta; the subgroup torus is spanned by the
@@ -212,7 +212,7 @@ class SubgroupContext:
         three flips at each extracted point (``specialcases.Sp1qContext``)."""
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class QuaternionicContext(SubgroupContext):
     """Embedding data for one quaternionic real form: w_line = beta - 2 alpha."""
 
@@ -330,7 +330,7 @@ def lam2_weight_table(ctx: SubgroupContext, lam: Weight):
     return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class BranchingTable:
     """Multiplicities keyed by subgroup-side parameters, with a completeness bound.
 

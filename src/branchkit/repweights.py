@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log10
 from operator import add, mul, sub
@@ -39,6 +38,7 @@ from .lattice import (
     Weight,
     WeightEntries,
     format_weight,
+    record,
     reflect_point,
     scaled_point,
     scaled_points,
@@ -88,7 +88,7 @@ def check_size(count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class CompactFactor:
     """A (possibly reducible) compact root subsystem inside the ambient space,
     given by its positive roots in sorted order.  Its int roots, simple roots
@@ -257,7 +257,7 @@ def _dominant_weights(hw: tuple, positive, simple):
     return _closure(hw, neighbours)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class WeightMultTable:
     """Complete weight multiplicity table of one irreducible representation:
     the positive multiplicity of each weight v at its int point scale * v."""

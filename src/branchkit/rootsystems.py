@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -50,6 +49,7 @@ from .lattice import (
     identity_form,
     identity_matrix,
     mat_mul,
+    record,
     reflect,
     reflect_point,
     reflection_matrix,
@@ -67,7 +67,7 @@ def _weights(points, scale: int) -> tuple[Weight, ...]:
     return tuple(tuple(map(value.__getitem__, p)) for p in points)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RootDatum:
     """A realized root system with a fixed positive system and compactness
     labels, held as the positive roots' int points, ``scale`` times their
@@ -115,7 +115,7 @@ class RootDatum:
         return self.scale, self.int_positive, tuple(sum(map(mul, a, a)) for a in self.int_positive)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PositiveSystem:
     """A positive system inside a RootDatum, held by position: it holds s g
     for the root g at position i of ``parent.positive`` and s = signs[i].
@@ -143,7 +143,7 @@ def positive_system(rd: RootDatum) -> PositiveSystem:
     return PositiveSystem(rd, (1,) * len(rd.int_positive))
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class WeylElement:
     """Group element with a reduced word in the supplied generators."""
 

@@ -23,7 +23,6 @@ roots (``rootsystems.positive_roots``), and its certificates are int points.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -33,6 +32,7 @@ from .lattice import (
     Weight,
     format_weight,
     identity_form,
+    record,
     wadd,
     wneg,
     wscale,
@@ -94,7 +94,7 @@ def so3_admissible(n: int):
 # sp(1, q) -> sp(1, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Sp1qContext(SubgroupContext):
     """Root data for sp(1, q) with the sp(1, 1) subalgebra on the first two
     coordinates (basis order: e0 = the sp(1) direction, then the q compact
@@ -186,7 +186,7 @@ def sp1q_verify(ctx: Sp1qContext, lam: Weight, cfg: OracleConfig) -> ComparisonR
 # Hermitian forms: admissibility over the semisimple factor of K
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class HermitianData:
     """Realized Hermitian form with its holomorphic system and the two root
     sets whose chamber positions decide admissibility over the semisimple

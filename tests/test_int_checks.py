@@ -8,7 +8,6 @@ Freudenthal's walk over dominant weights.  The forms are the benchmark's:
 every quaternionic form of its closed tables, sp(1, 2) and sp(1, 3), and its
 five Hermitian forms, each with its seed-0 parameter."""
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -183,7 +182,8 @@ def test_projection_check_matches_fraction_reference(label):
     ctx = quaternionic_context(label)
     _verify_projections(ctx)
     reference_verify_projections(ctx)
-    broken = dataclasses.replace(ctx, fw1=ctx.fw2)  # every root meant for L1 misses
+    fields = {name: getattr(ctx, name) for name in type(ctx).__match_args__}
+    broken = type(ctx)(**{**fields, "fw1": ctx.fw2})  # every root meant for L1 misses
     for check in (_verify_projections, reference_verify_projections):
         with pytest.raises(InternalError, match="misses L1, L2"):
             check(broken)

@@ -1,3 +1,6 @@
+import functools
+import importlib
+import pkgutil
 import sys
 import time
 from fractions import Fraction
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import branchkit
 from branchkit.errors import DimensionError, DomainError
+from branchkit.formal import _window, product_region
 from branchkit.lattice import (
     _written_digits,
     coroot_pairing,
@@ -23,7 +28,10 @@ from branchkit.lattice import (
     wscale,
     wsub,
 )
-from branchkit.rootsystems import quaternionic_root_datum
+from branchkit.oracle import OracleConfig
+from branchkit.quaternionic import QuaternionicContext, SubgroupContext
+from branchkit.rootsystems import positive_system, quaternionic_root_datum
+from branchkit.specialcases import Sp1qContext
 from oracle_reference import apply_matrix
 
 # G2 in the plane x + y + z = 0 of Q^3, with the Euclidean inner product:
@@ -223,3 +231,107 @@ def test_rational_solve_is_exact_on_int_input():
     sol = rational_solve([(2, 0), (0, 3)], (1, 1))
     assert sol == (Fraction(1, 2), Fraction(1, 3))
     assert all(isinstance(x, Fraction) for x in sol)
+
+
+# every class of the package made by ``lattice.record``: the classes that
+# define ``__match_args__``, named tuples aside
+RECORDS = sorted(
+    (cls for info in pkgutil.iter_modules(branchkit.__path__)
+     for cls in vars(importlib.import_module(f"branchkit.{info.name}")).values()
+     if isinstance(cls, type) and cls.__module__ == f"branchkit.{info.name}"
+     and "__match_args__" in vars(cls) and not issubclass(cls, tuple)),
+    key=lambda cls: cls.__qualname__)
+VALUE_RECORDS = {"DeltaSeries", "InnerProductForm", "OracleConfig", "ValidityRegion",
+                 "WeylElement"}
+
+
+def _fields(cls, first=1) -> dict:
+    """A value per field, distinct ints from first on."""
+    return {name: first + i for i, name in enumerate(cls.__match_args__)}
+
+
+def test_every_record_is_found():
+    assert len(RECORDS) == 18
+    assert VALUE_RECORDS < {cls.__name__ for cls in RECORDS}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_fields_are_read_only(cls):
+    fields = _fields(cls)
+    rec = cls(*fields.values())
+    for name in [*fields, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert {name: getattr(rec, name) for name in fields} == fields
+    assert list(vars(rec)) == list(fields)  # stored in field order
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_arguments(cls):
+    fields = _fields(cls)
+    values = list(fields.values())
+    first = cls.__match_args__[0]
+    assert vars(cls(**fields)) == vars(cls(*values)) == fields
+    for bad in [lambda: cls(*values, 0), lambda: cls(*values, other=0),
+                lambda: cls(*values, **{first: 0}), lambda: cls(**fields, other=0)]:
+        with pytest.raises(TypeError):
+            bad()
+    required = [name for name in fields if not hasattr(cls, name)]
+    for name in required:
+        with pytest.raises(TypeError, match=name):
+            cls(**{k: v for k, v in fields.items() if k != name})
+    defaults = {name: getattr(cls, name) for name in fields if name not in required}
+    assert vars(cls(*values[:len(required)])) == {**fields, **defaults}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_repr_names_every_field(cls):
+    fields = {**_fields(cls), cls.__match_args__[-1]: Fraction(1, 2)}
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_equality(cls):
+    a, b, c = cls(**_fields(cls)), cls(**_fields(cls)), cls(**_fields(cls, first=2))
+    assert a == a and a != c
+    if cls.__name__ in VALUE_RECORDS:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, c}) == 2
+    else:
+        assert a != b and hash(a) == object.__hash__(a)
+        assert len({a, b, c}) == 3
+
+
+def test_record_fields_follow_the_base_fields():
+    base = SubgroupContext.__match_args__
+    for cls in (QuaternionicContext, Sp1qContext):
+        assert cls.__match_args__[:len(base)] == base
+    assert QuaternionicContext.__match_args__[len(base):] == ("psi", "alpha", "fw1", "fw2", "d")
+
+
+def test_record_post_init_checks_the_fields():
+    assert OracleConfig() == OracleConfig(12) == OracleConfig(step_bound=12)
+    for bad in (lambda: OracleConfig(0), lambda: OracleConfig(step_bound=-1)):
+        with pytest.raises(DomainError, match="must be positive"):
+            bad()
+
+
+def test_cached_property_on_a_frozen_record():
+    psi = positive_system(_G2_DATUM)
+    rho = wscale(Fraction(1, 2), functools.reduce(wadd, _G2_DATUM.positive))
+    assert psi.rho == rho and psi.rho is psi.rho
+    with pytest.raises(AttributeError):
+        psi.rho = rho
+
+
+def test_equal_regions_share_one_window():
+    ms = {(2, -2): 2, (-2, 4): 1}
+    a, b = product_region(ms, 3), product_region(dict(reversed(ms.items())), 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    before = _window.cache_info()
+    assert _window(a) is _window(b)
+    after = _window.cache_info()
+    assert after.currsize - before.currsize <= 1 and after.hits - before.hits >= 1
