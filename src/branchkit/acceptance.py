@@ -372,7 +372,7 @@ def ac9(store) -> str:
         problems = check_antisymmetry(ctx, series)
         if problems:
             raise _Failed(f"{label} at {lam}: {problems[:3]}")
-        checked += sum(1 for p in series.nonzero_points() if series.coefficient(p))
+        checked += sum(1 for _ in series.certified(lambda p: True))
     return f"{checked} certified nonzero coefficients checked across 9 runs"
 
 

@@ -23,20 +23,25 @@ directions certifies a point x when either
 * x has no such decomposition at all (the untruncated series vanishes there,
   and the truncation knows it).
 
-Soundness of the decomposition search relies on the direction multiset being
+Soundness of the membership search relies on the direction multiset being
 pointed (no nonzero nonnegative combination sums to zero).  This is certified
 by an integer covector that is strictly positive on every direction, built on
 ints from the directions' coordinates over two of them (``_Cone``); a zero
 direction, a set that is not pointed and one of rank above 2 raise DomainError.
 For linearly dependent directions the functional also bounds how many steps
 any alternative decomposition of a certified point can use, and the
-Heaviside factors are expanded far enough to cover all of them.
+Heaviside factors are expanded far enough to cover all of them.  A region
+certifies x when x lies in its window (``_window``) or ``_Cone.member``
+finds no decomposition of x - base: a search that stops at the first one.
 
 The pure integer kernels are memoized per process, keyed by their int
 inputs: one ``_Cone`` (pivots, covector and search data) per direction
-tuple, its minimal step count per offset x - base, and per product region
+tuple, with its membership verdict per offset x - base, per product region
 (``product_region``) the product's window ``_window`` and the dense
-Heaviside product ``convolve_multiset``, both read-only.  None of them is
+Heaviside product ``convolve_multiset``, both read-only, and per window
+shape (the directions over their gcd, each coordinate signed so that the
+directions sum to at least 0) the enumerated offsets ``_offsets``, which
+both S_b flips of an oracle product share.  None of them is
 built at import, and what they return depends on their inputs alone, so
 results do not depend on the order of requests.  Each series keeps its
 verdict per point; series are otherwise immutable and all operations are
@@ -49,10 +54,11 @@ first read, and keeps per point its window total and the set of terms whose
 window holds it.  A query reads the total there and certifies each other
 term by its cone's covector (a decomposition off the window takes more than
 the step bound's steps, and each step raises the covector by at least its
-least value on a direction), searching only the offsets that this bound
-leaves open.  The points with a nonzero window total are the only ones
-where a certified coefficient can be nonzero.  The dense products, and with
-them a ``DeltaSeries``'s two fields, are built only when read.
+least value on a direction), testing membership only at the offsets that
+this bound leaves open.  The points with a nonzero window total are the
+only ones where a certified coefficient can be nonzero, and ``certified``
+walks them once.  The dense products, and with them a ``DeltaSeries``'s
+two fields, are built only when read.
 ``convolve`` with its contract merge, ``dirac``, ``heaviside``,
 ``heaviside_power`` and ``convolve_multiset`` serve the self-test and the
 tests.
@@ -112,7 +118,9 @@ class _Cone:
     n being the absolute value of a ray's first nonzero coordinate (two
     independent directions get equal weights).  A decomposition is solved for
     exactly over a (and b); the other ("free") directions are enumerated,
-    each up to the functional's budget.
+    each up to the functional's budget, except those that decompose over a
+    and b, which add no decomposition (the quaternionic a + b: then no
+    direction is free).
     """
 
     def __init__(self, dirs: tuple[Point, ...]):
@@ -137,11 +145,13 @@ class _Cone:
                 raise DomainError("cannot certify direction sets of rank above 2")
             self.f = self._planar_covector(dirs)
         self.check_span = dim > self.rank
-        self.free = tuple(d for d in dirs if d not in self.span)
         self.last = tuple(map(self._project, self.span))
         self.phi = {d: _dot(self.f, self._project(d)) for d in dirs}
         if min(self.phi.values()) <= 0:
             raise DomainError("multiset is not strict: no linear functional is positive on it")
+        # a direction that decomposes over the span pair adds no decomposition
+        self.free = tuple(d for d in dirs if self._solve_last(self._project(d)) is None)
+        self.members: dict = {}
 
     def _planar_covector(self, dirs: tuple[Point, ...]) -> Point:
         pa, pb = map(self._project, self.span)
@@ -191,48 +201,29 @@ class _Cone:
             return None
         return ca + cb
 
-    def min_steps(self, v: Point):
-        """Minimal sum of a nonnegative integer decomposition of v, or None."""
-        if not self.rank:
-            return None if any(v) else 0
-        if self.check_span and not self._in_span(v):
-            return None
-        t = self._project(v)
-        if not self.free:
-            return self._solve_last(t)
-        budget = _dot(self.f, t)
-        if budget < 0:
-            return None
-        best = None
-        stack = [(0, t, budget, 0)]  # (free directions used, rest, its budget, steps)
-        while stack:
-            idx, t, budget, total = stack.pop()
-            if best is not None and total >= best:
-                continue
-            if idx == len(self.free):
-                got = self._solve_last(t)
-                if got is not None and (best is None or total + got < best):
-                    best = total + got
-                continue
-            d = self.free[idx]
-            dp, pd = self._project(d), self.phi[d]
-            for c in range(budget // pd + 1):
-                stack.append((idx + 1, tuple(x - c * y for x, y in zip(t, dp)),
-                              budget - c * pd, total + c))
-        return best
+    def member(self, v: Point) -> bool:
+        """Whether v has a nonnegative integer decomposition (memoized per v)."""
+        got = self.members.get(v)
+        if got is None:
+            got = self.members[v] = (not self.check_span or self._in_span(v)) and self._reaches(
+                self._project(v), 0)
+        return got
+
+    def _reaches(self, t: Point, idx: int) -> bool:
+        """Whether t (on the pivots) decomposes over the free directions from
+        idx on, each within the covector's budget, and then the span pair."""
+        if idx == len(self.free):
+            return self._solve_last(t) is not None
+        d = self.free[idx]
+        dp, pd = self._project(d), self.phi[d]
+        return any(self._reaches(tuple(x - c * y for x, y in zip(t, dp)), idx + 1)
+                   for c in range(_dot(self.f, t) // pd + 1))
 
 
 @functools.lru_cache(maxsize=None)
 def _cone(dirs: tuple[Point, ...]) -> _Cone:
     """The search data of a pointed set of distinct directions (memoized)."""
     return _Cone(dirs)
-
-
-@functools.lru_cache(maxsize=None)
-def _min_steps(directions: tuple[tuple[Point, int], ...], v: Point):
-    """Minimal step count of the offset v over the directions of a region
-    (memoized): ``_Cone.min_steps`` of its distinct directions."""
-    return _cone(tuple(d for d, _ in directions)).min_steps(v)
 
 
 @record(eq=True)
@@ -243,14 +234,10 @@ class ValidityRegion:
     directions: tuple[tuple[Point, int], ...]  # sorted (direction, multiplicity)
     step_bound: int
 
-    def min_total_steps(self, x: Point):
-        """Minimal total step count decomposing x, or None if x is outside the cone."""
-        return _min_steps(self.directions, _psub(x, self.base))
-
     def certain_at(self, x: Point) -> bool:
         """True when the truncated series is known exact at x (value or known 0)."""
-        mt = self.min_total_steps(x)
-        return mt is None or mt <= self.step_bound
+        return (not self.directions or x in _window(self)
+                or not _cone(tuple(d for d, _ in self.directions)).member(_psub(x, self.base)))
 
 
 EXACT: tuple[ValidityRegion, ...] = ()  # empty conjunction: exact everywhere
@@ -282,6 +269,10 @@ class DeltaSeries:
     def nonzero_points(self):
         """The points where a certified coefficient can be nonzero: the support."""
         return iter(self.coeffs)
+
+    def certified(self, test):
+        """(x, coefficient) for each certified x of the support that passes test."""
+        return ((x, c) for x, c in self.coeffs.items() if test(x) and self.certain_at(x))
 
     def certain_at(self, x: Point) -> bool:
         verdicts = self._verdicts
@@ -413,19 +404,34 @@ def _convolve_multiset(region: ValidityRegion) -> DeltaSeries:
 def _window(region: ValidityRegion):
     """{point: coefficient} of the product of ``region`` on its window
     {base + sum c_g g : c_g in Z>=0, sum c_g <= step bound}, the points it
-    certifies with a decomposition (memoized, read-only).
+    certifies with a decomposition (memoized, read-only): ``_offsets`` of
+    the directions divided by their gcd, with each coordinate whose sum over
+    them is negative negated, mapped back to the base."""
+    items = region.directions
+    g = gcd(*(x for d, _ in items for x in d)) or 1
+    signs = [-g if sum(d[k] for d, _ in items) < 0 else g for k in range(len(region.base))]
+    offsets = _offsets(tuple(sorted((tuple(map(operator.floordiv, d, signs)), m)
+                                    for d, m in items)), region.step_bound)
+    return MappingProxyType({tuple(b + s * x for b, s, x in zip(region.base, signs, o)): c
+                             for o, c in offsets.items()})
 
-    The coefficient at a point is the sum, over its decompositions
+
+@functools.lru_cache(maxsize=None)
+def _offsets(items: tuple, n: int) -> dict:
+    """{offset: coefficient} of the product of the sorted items on the
+    offsets with a decomposition of at most n steps (memoized, read-only).
+
+    The coefficient at an offset is the sum, over its decompositions
     sum c_d d on the distinct directions, of prod C(c_d + m_d - 1, m_d - 1):
     a value of a vector partition function.  With phi the cone's covector,
-    every decomposition of a window point has level sum c_d phi_d at most
+    every decomposition of a window offset has level sum c_d phi_d at most
     n max phi, so the decompositions are enumerated one direction at a time
-    up to that level, and per point the weights and the least step count
-    accumulate; the points with at most n steps are the window."""
-    phi = _cone(tuple(d for d, _ in region.directions)).phi  # also certifies strictness
-    top = region.step_bound * max(phi.values())
-    states = {region.base: (0, 1, 0)}  # point: (level, weight, least steps)
-    for d, m in region.directions:
+    up to that level, and per offset the weights and the least step count
+    accumulate."""
+    phi = _cone(tuple(d for d, _ in items)).phi  # also certifies strictness
+    top = n * max(phi.values())
+    states = {(0,) * len(items[0][0]): (0, 1, 0)}  # offset: (level, weight, least steps)
+    for d, m in items:
         step, nxt = phi[d], {}
         get, plus = nxt.get, operator.add
         weights = [comb(c + m - 1, m - 1) for c in range(top // step + 1)]
@@ -438,8 +444,7 @@ def _window(region: ValidityRegion):
                     nxt[p] = (level, got[1] + w * weights[c], min(got[2], s + c))
                 p, level = tuple(map(plus, p, d)), level + step
         states = nxt
-    n = region.step_bound
-    return MappingProxyType({p: w for p, (_, w, s) in states.items() if s <= n})
+    return {p: w for p, (_, w, s) in states.items() if s <= n}
 
 
 class ProductSum:
@@ -465,11 +470,13 @@ class ProductSum:
     with no search, because a decomposition of x - b_t - B outside the
     window takes at least n + 1 steps and each step adds at least min phi to
     g; the terms' bounds are sorted once per product, so the others are
-    found by bisection.  Only those are searched (``_min_steps``).  The
-    total is divided once (exactly, or InternalError) and the verdict kept.
-    A certified point with a nonzero coefficient has a nonzero window total,
-    so ``nonzero_points`` yields every point a reader of certified nonzero
-    values needs; ``candidate_points`` yields every point of the windows.
+    found by bisection.  Only those are tested for a decomposition
+    (``_Cone.member``, memoized per offset).  The total is divided once
+    (exactly, or InternalError) and the verdict kept.  A certified point
+    with a nonzero coefficient has a nonzero window total, so ``certified``
+    yields every certified nonzero value from one walk over the sweep, and
+    ``nonzero_points`` every point a reader of them needs;
+    ``candidate_points`` yields every point of the windows.
     ``coeffs`` (the whole truncated sum, off the dense products) and
     ``regions`` are built on first access, for readers of the dense series.
     """
@@ -512,17 +519,18 @@ class ProductSum:
     @functools.cached_property
     def _bounds(self) -> tuple:
         """Per product (its covector g on the pivots, the sorted bounds
-        g . (b_t + B) + (n + 1) min phi of its terms, those terms' indices)."""
+        g . (b_t + B) + (n + 1) min phi of its terms, those terms' (bit,
+        b_t + B), its cone's ``member``)."""
         out = []
         for i, region in enumerate(self.products):
             cone = _cone(tuple(d for d, _ in region.directions))
             g = [0] * len(region.base)
             for k, f in zip(cone.pivots, cone.f):
                 g[k] = f
-            offset = _dot(g, region.base) + (region.step_bound + 1) * min(cone.phi.values())
-            ranked = sorted((_dot(g, b) + offset, k)
-                            for k, (b, _, j) in enumerate(self.terms) if j == i)
-            out.append((tuple(g), [bound for bound, _ in ranked], [k for _, k in ranked]))
+            low = (region.step_bound + 1) * min(cone.phi.values())
+            ranked = sorted((_dot(g, shift) + low, 1 << k, shift) for k, shift in (
+                (k, _padd(b, region.base)) for k, (b, _, j) in enumerate(self.terms) if j == i))
+            out.append((tuple(g), [r[0] for r in ranked], [r[1:] for r in ranked], cone.member))
         return tuple(out)
 
     def candidate_points(self):
@@ -534,22 +542,28 @@ class ProductSum:
         windows' points with a nonzero total, in first-seen order."""
         return (p for p, (total, _) in self._sweep.items() if total)
 
+    def certified(self, test):
+        """(x, coefficient) for each certified x with a nonzero window
+        total that passes test, in one walk over the sweep."""
+        for x, (total, mask) in self._sweep.items():
+            if total and test(x) and self._certifies(x, mask):
+                yield x, self._divide(total)
+
     def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""
         values = self._values
-        if x in values:
-            return values[x]
-        total, mask = self._sweep.get(x, (0, 0))
-        for region, (g, bounds, ks) in zip(self.products, self._bounds):
-            for k in ks[:bisect_right(bounds, _dot(g, x))]:
-                if mask >> k & 1:
-                    continue
-                offset = _psub(_psub(x, self.terms[k][0]), region.base)
-                if _min_steps(region.directions, offset) is not None:
-                    values[x] = None
-                    return None
-        values[x] = got = self._divide(total)
-        return got
+        if x not in values:
+            total, mask = self._sweep.get(x, (0, 0))
+            values[x] = self._divide(total) if self._certifies(x, mask) else None
+        return values[x]
+
+    def _certifies(self, x: Point, mask: int) -> bool:
+        """Whether every term whose window (bits in mask) misses x certifies x."""
+        for g, bounds, shifts, member in self._bounds:
+            for bit, shift in shifts[:bisect_right(bounds, _dot(g, x))]:
+                if not mask & bit and member(_psub(x, shift)):
+                    return False
+        return True
 
     def certain_at(self, x: Point) -> bool:
         return self.coefficient(x) is not None

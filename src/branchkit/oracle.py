@@ -51,11 +51,13 @@ has no decomposition over the product's directions at all.  Each window is
 enumerated from its product's region; the dense products are built only
 when read, by the tests: no request and no self-test criterion reads them.
 One sweep over the windows gives each point its window total; a certified
-point with a nonzero coefficient has a nonzero total, so extraction
-certifies only the positive-side points with one, and comparison adds only
-the closed table's entries, never reading the dense series.  The sizes of
-the closed table, the products' grids (which bound the windows) and the
-windows are checked against the dimension bound before what they bound is
+point with a nonzero coefficient has a nonzero total, so extraction walks
+the sweep once and certifies only the positive-side points with one, each
+term off its window by a memoized semigroup-membership test
+(``ProductSum.certified``), and comparison adds only the closed table's
+entries, never reading the dense series.  The sizes of the closed table,
+the products' grids (which bound the windows) and the windows are checked
+against the dimension bound on every request before what they bound is
 built.
 """
 
@@ -233,6 +235,16 @@ def torus_restriction_sides(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig
     return lhs, rhs
 
 
+@functools.lru_cache(maxsize=None)
+def _products(kind: CosetSum, den: int, n: int) -> tuple:
+    """The regions of kind's products at step bound n for parameters of
+    denominator den, and their ``product_size`` counts (memoized; the
+    caller checks the counts on every request)."""
+    multisets = [{tuple(den * x for x in d): m for d, m in ms} for ms in kind.multisets]
+    return (tuple(product_region(ms, n) for ms in multisets),
+            tuple(product_size(ms, n) for ms in multisets))
+
+
 def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,
                   torus: bool = False) -> ProductSum:
     """Signed distributional series of one loop over the plan's cosets s.
@@ -244,18 +256,18 @@ def _coset_series(ctx: SubgroupContext, lam: Weight, cfg: OracleConfig,
     right side of the torus identity.  On the plan's integer data, each
     term's base point and int numerator are computed once; the returned
     ``ProductSum`` evaluates the memoized windows at the points it is asked
-    for, over one denominator.  Each product's grid size, which bounds the
-    enumeration of its window, is checked before the windows are built, and
-    their total size before the sweep over them.  The caller validates lam.
+    for, over one denominator.  The products' regions and grid sizes are
+    memoized per (kind, denominator, step bound) (``_products``); each grid
+    size, which bounds the enumeration of its window, is checked on every
+    request before the windows are built, and their total size before the
+    sweep over them.  The caller validates lam.
     """
     plan = oracle_plan(ctx)
     kind = plan.torus if torus else plan.series
     point, den = scaled_point(lam)
-    multisets = [{tuple(den * x for x in d): m for d, m in ms} for ms in kind.multisets]
-    for ms in multisets:
-        check_size(product_size(ms, cfg.step_bound),
-                   f"a Heaviside product at step bound {cfg.step_bound}")
-    products = tuple(product_region(ms, cfg.step_bound) for ms in multisets)
+    products, sizes = _products(kind, den, cfg.step_bound)
+    for size in sizes:
+        check_size(size, f"a Heaviside product at step bound {cfg.step_bound}")
     terms = []
     for maps, kernel, num, i in kind.terms:
         for c in kernel:
@@ -291,11 +303,11 @@ def check_antisymmetry(ctx: SubgroupContext, series: ProductSum):
     """On the certified region of a branching series of ctx: zero on the S_b
     wall, where the pairing with b is 0, and odd across it; S_b is the sign
     flip ``ctx.mirrors[0]``.  Only the certified nonzero coefficients are
-    read, among ``nonzero_points``: S_b is an involution, so a certified zero
-    whose mirror is certified and nonzero is caught from the mirror."""
+    read (``certified``): S_b is an involution, so a certified zero whose
+    mirror is certified and nonzero is caught from the mirror."""
     chart = series.chart
     signs, _ = ctx.mirrors[0]
-    nonzero = [(p, c) for p in series.nonzero_points() if (c := series.coefficient(p))]
+    nonzero = list(series.certified(lambda p: True))
     problems = [("wall", chart.to_weight(p), c) for p, c in nonzero if not p[0]]
     for p, c in nonzero:
         cm = series.coefficient(tuple(map(mul, signs, p)))
@@ -310,19 +322,14 @@ def extract_multiplicities(ctx: SubgroupContext, series: ProductSum) -> Branchin
     Only certified weights are reported; a negative coefficient on the
     positive side signals an antisymmetrization failure (bug or insufficient
     truncation) and raises InternalError, as does a failed family check.
-    Every certified nonzero coefficient has a nonzero window total, so only
-    the positive-side points among ``nonzero_points`` are certified and
-    evaluated.  The table is keyed by the series' chart points.
+    Every certified nonzero coefficient has a nonzero window total, so one
+    walk over the sweep (``certified``) certifies and evaluates only the
+    positive-side points with one.  The table is keyed by the series' chart
+    points.
     """
     chart = series.chart
-    positive = _positive_side(ctx)
     entries = {}
-    for p in series.nonzero_points():
-        if not positive(p):
-            continue
-        c = series.coefficient(p)
-        if c is None:
-            continue
+    for p, c in series.certified(_positive_side(ctx)):
         ctx.check_extracted(series, p, c)
         if c < 0:
             raise InternalError(f"antisymmetrization failure at "

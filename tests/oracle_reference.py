@@ -13,7 +13,8 @@ weights with Fraction pairings.  Tests compare the package against both
 point for point.  ``reference_window`` is a product's window as the package
 read it off the dense Heaviside product before it enumerated windows, and
 ``reference_side`` the positive side by Fraction pairings with the side
-roots.
+roots, and ``reference_min_steps`` the least step count of an offset, the
+search the package ran before it tested membership alone.
 ``reference_branching_table`` and ``reference_sp1q_table`` are the closed
 tables the package built before it keyed them by int labels: every entry a
 Fraction weight, one ``wadd`` per (sigma, p, q).
@@ -47,7 +48,7 @@ from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 from branchkit.errors import DomainError, InternalError
-from branchkit.formal import ValidityRegion, convolve_multiset
+from branchkit.formal import ValidityRegion, _cone, convolve_multiset
 from branchkit.lattice import (
     Chart,
     coroot_pairing,
@@ -202,6 +203,33 @@ def reference_window(region):
         level = {tuple(map(add, p, d)) for p in level for d, _ in region.directions} - window
         window |= level
     return {p: product.coeffs[p] for p in window}
+
+
+def reference_min_steps(directions, v):
+    """Minimal sum of a nonnegative integer decomposition of v over the
+    distinct directions, or None: a depth-first search on their cone's
+    pivots and covector that solves for the span pair exactly and enumerates
+    every other direction up to the covector's budget."""
+    cone = _cone(tuple(directions))
+    if cone.check_span and not cone._in_span(v):
+        return None
+    free = [d for d in directions if d not in cone.span]
+    best = None
+    stack = [(0, cone._project(v), 0)]  # (free directions used, rest, steps)
+    while stack:
+        idx, t, total = stack.pop()
+        if best is not None and total >= best:
+            continue
+        if idx == len(free):
+            got = cone._solve_last(t)
+            if got is not None and (best is None or total + got < best):
+                best = total + got
+            continue
+        d = free[idx]
+        dp, pd = cone._project(d), cone.phi[d]
+        for c in range(sum(map(mul, cone.f, t)) // pd + 1):
+            stack.append((idx + 1, tuple(x - c * y for x, y in zip(t, dp)), total + c))
+    return best
 
 
 def reference_side(ctx, chart):

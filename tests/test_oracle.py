@@ -71,6 +71,7 @@ from oracle_reference import (
     kernel_roots,
     reference_compare,
     reference_extract,
+    reference_min_steps,
     reference_side,
     reference_series,
     reference_window,
@@ -628,11 +629,11 @@ def _check_covector_bound(items, step_bound, offsets):
     heaviside = convolve_multiset(dict(items), step_bound)
     region = heaviside.regions[0]
     series = ProductSum((((0,) * dim, 1, 0),), (region,), Fraction(1), None)
-    ((g, (bound,), _),) = series._bounds
+    ((g, (bound,), _, _),) = series._bounds
     window = set(series.candidate_points())
     skipped = 0
     for x in offsets:
-        steps = region.min_total_steps(x)
+        steps = reference_min_steps([d for d, _ in items], tuple(map(sub, x, region.base)))
         assert (x in window) == (steps is not None and steps <= step_bound), (items, x)
         if x not in window and sum(map(mul, g, x)) < bound:
             assert steps is None, (items, x)
@@ -670,6 +671,61 @@ def test_covector_bound_is_sound_at_random_offsets(label, data):
     offsets = data.draw(st.lists(st.tuples(*[coordinate] * len(items[0][0])),
                                  min_size=1, max_size=40))
     _check_covector_bound(items, n, offsets)
+
+
+# ---------------------------------------------------------------------------
+# semigroup membership, and one window enumeration per shape
+
+
+_PLAN_FORMS = REFERENCE_FORMS + ("sp1_q:5",)
+
+
+@pytest.mark.parametrize("label", _PLAN_FORMS)
+def test_only_flipped_quaternionic_cones_keep_a_free_direction(label):
+    # a direction that decomposes over the span pair adds no decomposition
+    # (the quaternionic u + v), so membership in every other plan cone is
+    # one exact solve
+    ctx = _context(label)
+    flipped = () if isinstance(ctx, Sp1qContext) else oracle_plan(ctx).series.multisets[1:]
+    for items in _plan_products(label):
+        free = formal._cone(tuple(d for d, _ in items)).free
+        assert len(free) == (items in flipped), items
+
+
+@pytest.mark.parametrize("label", _PLAN_FORMS)
+def test_member_matches_reference_around_plan_windows(label):
+    # at step bound 3, on the window's bounding box widened by two steps of
+    # the longest direction, at half the directions' gcd stride, so that
+    # points off their lattice are asked too
+    for items in _plan_products(label):
+        dirs = [d for d, _ in items]
+        cone = formal._cone(tuple(dirs))
+        region = product_region(dict(items), 3)
+        offsets = [tuple(map(sub, p, region.base)) for p in formal._window(region)]
+        stride = max(1, gcd(*(x for d in dirs for x in d)) // 2)
+        reach = 2 * max(abs(x) for d in dirs for x in d)
+        box = product(*(range(min(o[k] for o in offsets) - reach,
+                              max(o[k] for o in offsets) + reach + 1, stride)
+                        for k in range(len(dirs[0]))))
+        verdicts = [(v, cone.member(v), reference_min_steps(dirs, v) is not None) for v in box]
+        assert [v for v, got, want in verdicts if got != want] == [], items
+        assert {got for _, got, _ in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("label", _PLAN_FORMS)
+def test_both_flips_share_one_offsets_enumeration(label):
+    # each flip's products, at two denominators, map one enumeration of the
+    # shape (the directions over their gcd, coordinates signed to a
+    # nonnegative sum) back to the reference window exactly
+    flips = oracle_plan(_context(label)).series.multisets
+    formal._window.cache_clear()
+    formal._offsets.cache_clear()
+    for n in (1, 4):
+        for den in (1, 2):
+            for items in flips:
+                region = product_region({tuple(den * x for x in d): m for d, m in items}, n)
+                assert formal._window(region) == reference_window(region), (items, den, n)
+        assert formal._offsets.cache_info().currsize == 1 + (n == 4)
 
 
 # ---------------------------------------------------------------------------
