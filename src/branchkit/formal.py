@@ -33,6 +33,8 @@ any alternative decomposition of a certified point can use, and the
 Heaviside factors are expanded far enough to cover all of them.  A region
 certifies x when x lies in its window (``_window``) or ``_Cone.member``
 finds no decomposition of x - base: a search that stops at the first one.
+``ValidityRegion.certain_at`` is the one place this rule is written; every
+series, the oracle's included, certifies a point through it.
 
 The pure integer kernels are memoized per process, keyed by their int
 inputs: one ``_Cone`` (pivots, covector and search data) per direction
@@ -43,22 +45,22 @@ shape (the directions over their gcd, each coordinate signed so that the
 directions sum to at least 0) the enumerated offsets ``_offsets``, which
 both S_b flips of an oracle product share.  None of them is
 built at import, and what they return depends on their inputs alone, so
-results do not depend on the order of requests.  Each series keeps its
-verdict per point; series are otherwise immutable and all operations are
+results do not depend on the order of requests.  A region keeps its
+window and cone once read; series are immutable and all operations are
 pure.
 
 The oracle reads ``product_size``, ``product_region`` and ``ProductSum``:
 a signed sum of products translated to its terms' bases, over one
 denominator.  A ``ProductSum`` sweeps once through the terms' windows, on
-first read, and keeps per point its window total and the set of terms whose
-window holds it.  A query reads the total there and certifies each other
-term by its cone's covector (a decomposition off the window takes more than
-the step bound's steps, and each step raises the covector by at least its
-least value on a direction), testing membership only at the offsets that
-this bound leaves open.  The points with a nonzero window total are the
-only ones where a certified coefficient can be nonzero, and ``certified``
-walks them once.  The dense products, and with them a ``DeltaSeries``'s
-two fields, are built only when read.
+first read, and keeps one int per point: its window total.  A query reads
+the total there, passes each term whose cone's covector rules out a
+decomposition (one off the window takes more than the step bound's steps,
+and each step raises the covector by at least its least value on a
+direction) and certifies the others by their region's ``certain_at``.
+The points with a nonzero window total are the only ones where a certified
+coefficient can be nonzero, and ``certified`` walks them once.  The dense
+products, and with them a ``DeltaSeries``'s two fields, are built only
+when read.
 ``convolve`` with its contract merge, ``dirac``, ``heaviside``,
 ``heaviside_power`` and ``convolve_multiset`` serve the self-test and the
 tests.
@@ -228,7 +230,11 @@ def _cone(dirs: tuple[Point, ...]) -> _Cone:
 
 @record(eq=True)
 class ValidityRegion:
-    """Truncated cone {base + sum c_g g : c_g in Z>=0, sum c_g <= step_bound}."""
+    """Truncated cone {base + sum c_g g : c_g in Z>=0, sum c_g <= step_bound}.
+
+    ``certain_at`` states the one certification rule (see the module
+    docstring); the window and the cone it reads are kept on first use.
+    """
 
     base: Point
     directions: tuple[tuple[Point, int], ...]  # sorted (direction, multiplicity)
@@ -236,8 +242,18 @@ class ValidityRegion:
 
     def certain_at(self, x: Point) -> bool:
         """True when the truncated series is known exact at x (value or known 0)."""
-        return (not self.directions or x in _window(self)
-                or not _cone(tuple(d for d, _ in self.directions)).member(_psub(x, self.base)))
+        return (not self.directions or x in self.window
+                or not self.cone.member(_psub(x, self.base)))
+
+    @functools.cached_property
+    def window(self):
+        """``_window(self)``: the certified points with a decomposition."""
+        return _window(self)
+
+    @functools.cached_property
+    def cone(self) -> _Cone:
+        """``_cone`` of the distinct directions."""
+        return _cone(tuple(d for d, _ in self.directions))
 
 
 EXACT: tuple[ValidityRegion, ...] = ()  # empty conjunction: exact everywhere
@@ -255,11 +271,6 @@ class DeltaSeries:
     regions: tuple[ValidityRegion, ...] = EXACT
     chart: object = None
 
-    @functools.cached_property
-    def _verdicts(self) -> dict:
-        """certain_at's answer per point asked."""
-        return {}
-
     def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""
         if not self.certain_at(x):
@@ -275,11 +286,7 @@ class DeltaSeries:
         return ((x, c) for x, c in self.coeffs.items() if test(x) and self.certain_at(x))
 
     def certain_at(self, x: Point) -> bool:
-        verdicts = self._verdicts
-        got = verdicts.get(x)
-        if got is None:
-            got = verdicts[x] = all(r.certain_at(x) for r in self.regions)
-        return got
+        return all(r.certain_at(x) for r in self.regions)
 
 
 def dirac(gamma: Point) -> DeltaSeries:
@@ -390,7 +397,7 @@ def convolve_multiset(ms: PointMultiset, n_steps: int) -> DeltaSeries:
 
 @functools.lru_cache(maxsize=None)
 def _convolve_multiset(region: ValidityRegion) -> DeltaSeries:
-    phi = _cone(tuple(d for d, _ in region.directions)).phi  # also certifies strictness
+    phi = region.cone.phi  # also certifies strictness
     max_phi = max(phi.values())
 
     result = None
@@ -456,26 +463,25 @@ class ProductSum:
     product.  ``terms`` holds (b_t, num_t, index into ``products``) with int
     bases and numerators; the denominator is a positive Fraction.  Its
     contract is the conjunction of the products' regions translated to the
-    terms' bases, stated per point: a term certifies x when x - b_t lies in
-    its product's window (``_window``), where it adds num_t * P_t(x - b_t),
-    or has no decomposition over the product's directions at all, where the
-    product is 0 and known to be.
+    terms' bases: a term certifies x when its product's region certifies
+    x - b_t (``ValidityRegion.certain_at``), that is when x - b_t lies in
+    the window, where the term adds num_t * P_t(x - b_t), or has no
+    decomposition over the product's directions at all, where the product
+    is 0 and known to be.
 
     The sweep, built on first read, runs once through every term's window
-    and maps each point, in first-seen order, to its window total and the
-    bitmask of the terms whose window holds it.  ``coefficient`` reads the
-    total there and visits only the terms that do not cover x and whose
-    covector bound x reaches.  With g a product's cone covector (``_Cone.f``
-    on the pivots), g . x < g . (b_t + B) + (n + 1) min phi certifies a term
-    with no search, because a decomposition of x - b_t - B outside the
-    window takes at least n + 1 steps and each step adds at least min phi to
-    g; the terms' bounds are sorted once per product, so the others are
-    found by bisection.  Only those are tested for a decomposition
-    (``_Cone.member``, memoized per offset).  The total is divided once
-    (exactly, or InternalError) and the verdict kept.  A certified point
-    with a nonzero coefficient has a nonzero window total, so ``certified``
-    yields every certified nonzero value from one walk over the sweep, and
-    ``nonzero_points`` every point a reader of them needs;
+    and maps each point, in first-seen order, to one int: its window total.
+    ``certain_at`` visits only the terms whose covector bound x reaches.
+    With g a product's cone covector (``_Cone.f`` on the pivots),
+    g . x < g . (b_t + B) + (n + 1) min phi certifies a term with no
+    search, because a decomposition of x - b_t - B outside the window takes
+    at least n + 1 steps and each step adds at least min phi to g; the
+    terms' bounds are sorted once per product, so the others are found by
+    bisection, and only those ask their region.  ``coefficient`` divides the
+    total exactly (or raises InternalError) where x is certified.  A
+    certified point with a nonzero coefficient has a nonzero window total,
+    so ``certified`` yields every certified nonzero value from one walk over
+    the sweep, and ``nonzero_points`` every point a reader of them needs;
     ``candidate_points`` yields every point of the windows.
     ``coeffs`` (the whole truncated sum, off the dense products) and
     ``regions`` are built on first access, for readers of the dense series.
@@ -486,51 +492,45 @@ class ProductSum:
         self.products = products
         self.denominator = denominator
         self.chart = chart
-        self._windows = [_window(r) for r in products]
-        self._values: dict = {}
 
     def window_size(self) -> int:
         """The total size of the terms' windows, counted with repeats: what
         the sweep runs through."""
-        return sum(len(self._windows[i]) for _, _, i in self.terms)
+        return sum(len(self.products[i].window) for _, _, i in self.terms)
 
     @functools.cached_property
     def _sweep(self) -> dict:
-        """{point: [window total, bitmask of the terms covering it]}, in
-        first-seen order over the terms and their windows."""
+        """{point: window total}, in first-seen order over the terms and
+        their windows."""
         sweep: dict = {}
         get = sweep.get
-        for k, (b, num, i) in enumerate(self.terms):
-            bit, window = 1 << k, self._windows[i]
+        for b, num, i in self.terms:
+            window = self.products[i].window
             if len(b) == 2:
                 b0, b1 = b
-                moved = [(x + b0, y + b1) for x, y in window]
+                for (x, y), c in window.items():
+                    p = x + b0, y + b1
+                    sweep[p] = get(p, 0) + num * c
             else:
-                moved = [_padd(o, b) for o in window]
-            for p, c in zip(moved, window.values()):
-                entry = get(p)
-                if entry is None:
-                    sweep[p] = [num * c, bit]
-                else:
-                    entry[0] += num * c
-                    entry[1] |= bit
+                for o, c in window.items():
+                    p = _padd(o, b)
+                    sweep[p] = get(p, 0) + num * c
         return sweep
 
     @functools.cached_property
     def _bounds(self) -> tuple:
         """Per product (its covector g on the pivots, the sorted bounds
-        g . (b_t + B) + (n + 1) min phi of its terms, those terms' (bit,
-        b_t + B), its cone's ``member``)."""
+        g . (b_t + B) + (n + 1) min phi of its terms, those terms' bases
+        b_t, its region)."""
         out = []
         for i, region in enumerate(self.products):
-            cone = _cone(tuple(d for d, _ in region.directions))
+            cone = region.cone
             g = [0] * len(region.base)
             for k, f in zip(cone.pivots, cone.f):
                 g[k] = f
-            low = (region.step_bound + 1) * min(cone.phi.values())
-            ranked = sorted((_dot(g, shift) + low, 1 << k, shift) for k, shift in (
-                (k, _padd(b, region.base)) for k, (b, _, j) in enumerate(self.terms) if j == i))
-            out.append((tuple(g), [r[0] for r in ranked], [r[1:] for r in ranked], cone.member))
+            low = _dot(g, region.base) + (region.step_bound + 1) * min(cone.phi.values())
+            ranked = sorted((_dot(g, b) + low, b) for b, _, j in self.terms if j == i)
+            out.append((tuple(g), [r[0] for r in ranked], [r[1] for r in ranked], region))
         return tuple(out)
 
     def candidate_points(self):
@@ -540,33 +540,26 @@ class ProductSum:
     def nonzero_points(self):
         """The points where a certified coefficient can be nonzero: the
         windows' points with a nonzero total, in first-seen order."""
-        return (p for p, (total, _) in self._sweep.items() if total)
+        return (p for p, total in self._sweep.items() if total)
 
     def certified(self, test):
         """(x, coefficient) for each certified x with a nonzero window
         total that passes test, in one walk over the sweep."""
-        for x, (total, mask) in self._sweep.items():
-            if total and test(x) and self._certifies(x, mask):
+        for x, total in self._sweep.items():
+            if total and test(x) and self.certain_at(x):
                 yield x, self._divide(total)
 
     def coefficient(self, x: Point):
         """Exact coefficient at x, or None when x is outside the contract."""
-        values = self._values
-        if x not in values:
-            total, mask = self._sweep.get(x, (0, 0))
-            values[x] = self._divide(total) if self._certifies(x, mask) else None
-        return values[x]
-
-    def _certifies(self, x: Point, mask: int) -> bool:
-        """Whether every term whose window (bits in mask) misses x certifies x."""
-        for g, bounds, shifts, member in self._bounds:
-            for bit, shift in shifts[:bisect_right(bounds, _dot(g, x))]:
-                if not mask & bit and member(_psub(x, shift)):
-                    return False
-        return True
+        return self._divide(self._sweep.get(x, 0)) if self.certain_at(x) else None
 
     def certain_at(self, x: Point) -> bool:
-        return self.coefficient(x) is not None
+        """Whether every term that the covector bound leaves open certifies x."""
+        for g, bounds, bases, region in self._bounds:
+            for b in bases[:bisect_right(bounds, _dot(g, x))]:
+                if not region.certain_at(_psub(x, b)):
+                    return False
+        return True
 
     def _divide(self, total: int) -> int:
         den = self.denominator

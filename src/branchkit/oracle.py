@@ -44,18 +44,18 @@ side roots' int covectors.  The extracted table is keyed by chart points,
 and a closed table, keyed by the same coordinates at its own scale
 (``SubgroupContext.table_chart``), reaches them by one exact int rescale;
 weights are mapped back only for mismatches and errors.  A request returns a
-``formal.ProductSum``: the conjunction of the per-term truncation regions,
-stated per point.  A term certifies a point when the offset from its base
-lies in its product's step-bound window, where the term adds its value, or
-has no decomposition over the product's directions at all.  Each window is
-enumerated from its product's region; the dense products are built only
-when read, by the tests: no request and no self-test criterion reads them.
-One sweep over the windows gives each point its window total; a certified
-point with a nonzero coefficient has a nonzero total, so extraction walks
-the sweep once and certifies only the positive-side points with one, each
-term off its window by a memoized semigroup-membership test
-(``ProductSum.certified``), and comparison adds only the closed table's
-entries, never reading the dense series.  The sizes of the closed table,
+``formal.ProductSum``: the conjunction of the per-term truncation regions.
+A term certifies a point when its product's region certifies the offset
+from the term's base (``formal.ValidityRegion.certain_at``, the one rule):
+the offset lies in the product's step-bound window, where the term adds its
+value, or has no decomposition over the product's directions at all.  Each
+window is enumerated from its product's region; the dense products are
+built only when read, by the tests: no request and no self-test criterion
+reads them.  One sweep over the windows gives each point one int, its
+window total; a certified point with a nonzero coefficient has a nonzero
+total, so extraction walks the sweep once and certifies only the
+positive-side points with one (``ProductSum.certified``), and comparison
+adds only the closed table's entries, never reading the dense series.  The sizes of the closed table,
 the products' grids (which bound the windows) and the windows are checked
 against the dimension bound on every request before what they bound is
 built.

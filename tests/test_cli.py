@@ -559,6 +559,36 @@ def test_cold_oracle_requests_build_no_dense_product():
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:-1] == ["0 1", "0 1", "0 True"]
 
+TRACED_CERTIFICATION_PROBE = """
+import io
+from contextlib import redirect_stdout
+from bench.run import fresh_setup
+from bench.tracer import Tracer
+
+cli, _ = fresh_setup({"quat": ["g2_2"], "sp1q": [], "hermitian": []})
+tracer = Tracer()
+tracer.install()
+with redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["oracle-check", "quat", "--form", "g2_2", "--lambda=-1,-2,3",
+                     "--step-bound", "5"])
+calls = tracer.counts["ValidityRegion.certain_at.calls"]
+print(code, out.getvalue().count('"agree": true'), calls)
+"""
+
+
+def test_traced_oracle_check_books_certification_to_formal():
+    # the oracle certifies every term through ValidityRegion.certain_at,
+    # which the benchmark's tracer wraps, so a traced oracle-check counts
+    # its certification in the formal layer
+    root = BENCH.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-c", TRACED_CERTIFICATION_PROBE], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    code, agreed, calls = map(int, out.split())
+    assert (code, agreed) == (0, 1)
+    assert calls > 0
+
+
 def test_python_m_branchkit_runs_the_cli(capsys):
     # ``python -m branchkit`` prints what cli.main prints, with its exit code
     root = BENCH.parent
@@ -671,6 +701,43 @@ def test_hermitian_chamber_scan_script_runs():
     assert chambers["su_pq:2,3"] == 10
     assert chambers["e6_m14"] == 27
     assert chambers["e7_m25"] == 56
+
+
+def _ab_pairs():
+    path = BENCH.parent / "scripts" / "ab_pairs.py"
+    spec = importlib.util.spec_from_file_location("ab_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_summary_on_fixed_numbers():
+    # medians and inclusive quartiles per side, the median's move, and the
+    # pairs the change reads better in, ties counting for neither side
+    pairs = [({"pass_s": 1.0, "rate": 5}, {"pass_s": 0.9, "rate": 5}),
+             ({"pass_s": 1.2, "rate": 4}, {"pass_s": 1.2, "rate": 6}),
+             ({"pass_s": 1.1, "rate": 6}, {"pass_s": 1.3, "rate": 7})]
+    end_to_end = [{"name": "pass_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    assert _ab_pairs().summarize("oracle_dense", 0, pairs, end_to_end) == [
+        "| `oracle_dense` (0, 3) | `pass_s` | 1.1 [1.05, 1.15] | 1.2 [1.05, 1.25] | +9.1% | 1/3 |",
+        "| `oracle_dense` (0, 3) | `rate` | 5 [4.5, 5.5] | 6 [5.5, 6.5] | +20.0% | 2/3 |",
+    ]
+
+
+@pytest.mark.parametrize("report", [
+    {"correct": False, "attempted": 4, "failed": 0, "metrics": {}},
+    {"correct": True, "attempted": 4, "failed": 1, "metrics": {}},
+], ids=["incorrect", "failed"])
+def test_ab_pairs_exits_1_on_a_failed_run(tmp_path, capsys, report):
+    # a stand-in bench/run.py that reports a failure: no table is printed
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(f"print({json.dumps(json.dumps(report))})\n")
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+    assert _ab_pairs().main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
 
 
 def test_oracle_requests_never_build_the_dense_series(capsys, monkeypatch):

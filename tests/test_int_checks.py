@@ -29,7 +29,7 @@ from branchkit.lattice import (
     weight,
     wscale,
 )
-from branchkit.oracle import OracleConfig, _coset_series, _positive_side, oracle_plan
+from branchkit.oracle import OracleConfig, _coset_series, _positive_side, _products, oracle_plan
 from branchkit.quaternionic import (
     BranchingTable,
     _branching_table,
@@ -422,7 +422,10 @@ def test_oracle_searches_only_decomposable_offsets(seed, monkeypatch, capsys):
     requests = [argv for argv in workloads.requests("oracle_dense", seed)
                 if argv[argv.index("--form") + 1] in ("g2_2", "sp1_q:2")]
     assert len(requests) == 9
-    formal._cone.cache_clear()  # fresh cones: no membership verdict is kept
+    # fresh cones: no membership verdict is kept, in the regions of the
+    # memoized products either
+    formal._cone.cache_clear()
+    _products.cache_clear()
     results = []
     original = formal._Cone.member
 

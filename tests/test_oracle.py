@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -710,6 +710,12 @@ def test_member_matches_reference_around_plan_windows(label):
         verdicts = [(v, cone.member(v), reference_min_steps(dirs, v) is not None) for v in box]
         assert [v for v, got, want in verdicts if got != want] == [], items
         assert {got for _, got, _ in verdicts} == {True, False}
+        # the one certification rule that ProductSum and DeltaSeries read:
+        # in the brute-force window, or no decomposition at all
+        window = region_points(region)
+        points = [(tuple(map(add, region.base, v)), want) for v, _, want in verdicts]
+        assert [p for p, want in points
+                if region.certain_at(p) != (p in window or not want)] == [], items
 
 
 @pytest.mark.parametrize("label", _PLAN_FORMS)
