@@ -3,9 +3,9 @@
 ``COMMANDS`` declares each command and its arguments; ``parse_args`` reads
 argv through it as argparse did, and ``--help`` prints from it.  Output is
 deterministic JSON (sorted keys, weights ordered lexicographically by
-coordinates), written as ``json.dumps(payload, indent=2, sort_keys=True)``
-would write it, or ``key: value`` text.  Exit codes: 0 success, 2 command-line,
-domain and configuration errors, 3 resource errors.
+coordinates) or ``key: value`` text, written to stdout in chunks by
+``output`` once every check has passed.  Exit codes: 0 success, 2
+command-line, domain and configuration errors, 3 resource errors.
 
 Weights are entered in ambient coordinates matching the realizations used
 throughout (``--lambda "5,3,2,1"``); ``--basis simple`` instead reads the
@@ -26,13 +26,10 @@ with status 3.  A value that is not a positive integer exits with status 2.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import re
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as escape
-from math import gcd
 from types import SimpleNamespace
 
 from .errors import (
@@ -44,6 +41,7 @@ from .errors import (
 )
 from .lattice import format_weight, parse_weight, wadd, wscale, zero_weight
 from .oracle import OracleConfig, verify_closed_form
+from .output import Rows, emit, table_rows, weight_rows
 from .quaternionic import branching_table, lam2_weight_table, quaternionic_context
 from .repweights import check_size
 from .rootsystems import FORMS, ambient_dimension, datum_size, parse_label
@@ -57,40 +55,6 @@ from .specialcases import (
 )
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json")
-
-
-class Rows(list):
-    """Rows of string values, each written as the JSON object that maps
-    ``keys`` (which hold no braces) to its values."""
-
-    def __init__(self, keys: tuple, rows=()):
-        super().__init__(rows)
-        self.keys = keys
-
-
-def _write_json(value, pad: str, out: list) -> None:
-    """Append value's text at indentation pad to out, as
-    ``json.dumps(value, indent=2, sort_keys=True)`` writes it: ``Rows``
-    through one template, strings by the C escape."""
-    inner = pad + "  "
-    if isinstance(value, Rows) and value:
-        fields = ",\n".join(f"{inner}  {escape(k)}: {{{i}}}"
-                            for k, i in sorted((k, i) for i, k in enumerate(value.keys)))
-        template = f"{inner}{{{{\n{fields}\n{inner}}}}}"
-        out += ["[\n", ",\n".join([template.format(*map(escape, row)) for row in value]),
-                f"\n{pad}]"]
-    elif isinstance(value, (dict, list, tuple)) and value:
-        keys = sorted(value) if isinstance(value, dict) else None
-        out.append("[{"[keys is not None])
-        for i, item in enumerate(value if keys is None else keys):
-            out.append(("," if i else "") + "\n" + inner)
-            if keys is not None:
-                out.append(escape(item) + ": ")
-                item = value[item]
-            _write_json(item, inner, out)
-        out.append("\n" + pad + "]}"[keys is not None])
-    else:
-        out.append(escape(value) if isinstance(value, str) else json.dumps(value))
 
 
 def _oracle_payload(report) -> dict:
@@ -122,26 +86,6 @@ def _context(args, *kinds):
     return (*_parse_lambda(args, system, build), closed, verify)
 
 
-def _emit(payload: dict, output: str, prefix: str = "") -> str:
-    """The payload as JSON, or as ``key: value`` lines (``key.sub: value`` in a dict)."""
-    if output == "json":
-        out: list = []
-        _write_json(payload, "", out)
-        return "".join(out + ["\n"])
-    lines = []
-    for key, value in sorted(payload.items()):
-        if isinstance(value, dict):
-            lines += _emit(value, output, f"{prefix}{key}.").splitlines()
-        elif isinstance(value, Rows):
-            lines.append(f"{prefix}{key}:")
-            for row in value:
-                lines.append("  " + "\t".join(f"{k}={v}" for k, v in sorted(zip(value.keys, row))))
-        else:
-            text = ", ".join(map(str, value)) if isinstance(value, list) else value
-            lines.append(f"{prefix}{key}: {text}")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_lambda(args, system, build):
     """(build(), lam): the length of lam is checked against the base system
     (family, rank) that the form label names, and the root datum's size
@@ -164,30 +108,12 @@ def _parse_lambda(args, system, build):
     return ctx, lam
 
 
-def _rows(rows, den: int, name: str = "mu") -> Rows:
-    """(int numerators, multiplicity) rows over one positive denominator in
-    weight order, as the numerators sort, as ``Rows`` of name and "mult";
-    each numerator is formatted once."""
-    rows = sorted(rows)
-    text = {n: f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // den)
-            for n in {n for nums, _ in rows for n in nums}}  # str(Fraction(n, den))
-    return Rows((name, "mult"), [(",".join([text[n] for n in nums]), str(m)) for nums, m in rows])
-
-
-def _entries_json(table) -> Rows:
-    """A closed table's entries in weight order; its chart points (k, l) have
-    the weights (k b + l c) / den for the chart's int columns (b, c)."""
-    columns, den = table.coords.columns, table.coords.den
-    return _rows(((tuple([k * b + l * c for b, c in columns]), m)
-                  for (k, l), m in table.by_key.items()), den)
-
-
 def cmd_list_forms(args) -> int:
     payload = {"command": "list-forms", "so3": ["so3:<n>"]}  # SO(3, n) takes --n, not a label
     for name, form in FORMS.items():
         key = "quaternionic" if form.kind == "quat" else form.kind
         payload.setdefault(key, []).append(f"{name}:{form.placeholder}".rstrip(":"))
-    sys.stdout.write(_emit(payload, args.output))
+    emit(payload, args.output, sys.stdout.write)
     return 0
 
 
@@ -201,17 +127,16 @@ def cmd_branch(args) -> int:
         "lambda": format_weight(lam),
         "cutoff": args.cutoff,
         "completePairingBound": str(table.pairing_bound),
-        "entries": _entries_json(table),
+        "entries": table_rows(table),  # its rows are made as they are written
         "oracleChecked": False,
     }
-    del table  # freed before printing, which holds its rows and their text at once
     if args.check_oracle:
         report = verify(ctx, lam, OracleConfig(args.step_bound))
         payload["oracleChecked"] = True
         payload["oracle"] = _oracle_payload(report)
         if not report.agree:
             raise InternalError("closed form disagrees with the oracle")
-    sys.stdout.write(_emit(payload, args.output))
+    emit(payload, args.output, sys.stdout.write)
     return 0
 
 
@@ -223,7 +148,7 @@ def cmd_admissible(args) -> int:
         payload = {"form": args.form, "lambda": format_weight(lam)}
         admissible, reason = kss_admissible_report(hd, lam)
     payload.update(command="admissible", kind=args.kind, admissible=admissible, reason=reason)
-    sys.stdout.write(_emit(payload, args.output))
+    emit(payload, args.output, sys.stdout.write)
     return 0
 
 
@@ -240,10 +165,12 @@ def cmd_weights(args) -> int:
         "form": args.form,
         "lambda": format_weight(lam),
         "project": args.project,
-        "entries": _rows(rows, den, "weight"),
+        "entries": weight_rows(rows, den),
     }
-    sys.stdout.write("".join(f"{w}\t{m}\n" for w, m in payload["entries"])
-                     if args.output == "text" else _emit(payload, "json"))
+    if args.output == "text":
+        sys.stdout.write("".join(f"{w}\t{m}\n" for w, m in payload["entries"].rows))
+    else:
+        emit(payload, "json", sys.stdout.write)
     return 0
 
 
@@ -258,7 +185,7 @@ def cmd_oracle_check(args) -> int:
         "stepBound": args.step_bound,
         **_oracle_payload(report),
     }
-    sys.stdout.write(_emit(payload, args.output))
+    emit(payload, args.output, sys.stdout.write)
     return 0
 
 
@@ -284,7 +211,7 @@ def cmd_selftest(args) -> int:
                 for r in results
             ],
         }
-        sys.stdout.write(_emit(payload, "json"))
+        emit(payload, "json", sys.stdout.write)
     else:
         for r in results:
             sys.stdout.write(r.line() + "\n")

@@ -35,17 +35,23 @@ Conventions locked against the distributional oracle (see ``oracle``):
 
 Both families state their closed form as data on that chart: a fibre (the
 k2 weights on the su(2) torus, or sp(q)'s su(2) strings) and a multiset of
-Heaviside directions (``SubgroupContext.fibre`` and ``heaviside``).  One
-builder, ``_branching_table``, makes every closed table from it, with one
-size count, one completeness bound and one dominance test, the sign test of
-the subgroup's positive roots on int points; weights are built only for
-output, from int numerators over one denominator.
+Heaviside directions (``SubgroupContext.fibre`` and ``heaviside``).  The
+fibre is read on lam's int point alone, from lam's k2 part through its
+highest weight to the memoized weight table, and is itself memoized per
+(context, lam's int point).  One builder, ``_branching_table``, makes every
+closed table from it in one int pass, with one size count, one completeness
+bound and one dominance test: the sign covectors of the subgroup's positive
+roots read at the table's corners, the fibre's extremes plus the vertices
+of the steps' simplex, with the entries scanned only to name a failure.
+Weights are built only for output, from int numerators over one
+denominator, and the CLI writes them row by row from the int table.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from operator import add, mul, sub
 
@@ -67,7 +73,7 @@ from .repweights import (
     CompactFactor,
     cached_freudenthal,
     check_size,
-    hc_to_highest_weight,
+    highest_point,
     restrict_weights,
     validate_hc_parameter,
 )
@@ -168,7 +174,12 @@ class SubgroupContext:
 
     def fibre(self, lam: Weight) -> tuple[dict, int]:
         """The closed form's K2-fibre of lam on the su(2) torus: ({n:
-        multiplicity}, E) for the weights n w / E (``torus_points``)."""
+        multiplicity}, E) for the weights n w / E (``torus_points``),
+        memoized per (context, lam's int point) (``_fibre``)."""
+        return _fibre(self, *scaled_point(lam))
+
+    def fibre_of(self, table) -> tuple[dict, int]:
+        """The family's fibre of a k2 weight table (``lam2_weight_table``)."""
         raise NotImplementedError
 
     @property
@@ -178,28 +189,31 @@ class SubgroupContext:
         (u, .) for u = ``half_beta``."""
         raise NotImplementedError
 
-    def sign_test(self, roots):
-        """The test of a point p on (b, w), at any scale s, for (mu, g) > 0
-        at every root g of roots: as mu = (p1 b / (b, b) + p2 w / (w, w)) / s,
-        (mu, g) has the sign of ((x, b) (w, w), (x, w) (b, b)) . p for x = D g."""
+    def sign_covectors(self, roots) -> list:
+        """The covectors of the test of a point p on (b, w), at any scale s,
+        for (mu, g) > 0 at every root g of roots: as mu = (p1 b / (b, b) +
+        p2 w / (w, w)) / s, (mu, g) has the sign of ((x, b) (w, w), (x, w)
+        (b, b)) . p for x = D g."""
         _, _, bb, ww = self.torus_points
         scale = self.rd.points[0]
-        covectors = [(tb * ww, tw * bb)
-                     for tb, tw in self.torus_pairings(int_point(g, scale) for g in roots)]
+        return [(tb * ww, tw * bb)
+                for tb, tw in self.torus_pairings(int_point(g, scale) for g in roots)]
 
-        def positive(p):
-            for f1, f2 in covectors:
-                if f1 * p[0] + f2 * p[1] <= 0:
-                    return False
-            return True
+    def sign_test(self, roots):
+        """The test of a point p for (mu, g) > 0 at every root g of roots."""
+        return _sign_test(self.sign_covectors(roots))
 
-        return positive
+    @functools.cached_property
+    def dominant_covectors(self) -> list:
+        """The sign covectors of the subgroup's positive roots, the first
+        half of ``h_roots`` (built on first use)."""
+        return self.sign_covectors(self.h_roots[:len(self.h_roots) // 2])
 
     @functools.cached_property
     def dominant(self):
-        """The sign test of the subgroup's positive roots, the first half of
-        ``h_roots``: strict dominance for the subgroup (built on first use)."""
-        return self.sign_test(self.h_roots[:len(self.h_roots) // 2])
+        """The sign test of ``dominant_covectors``: strict dominance for the
+        subgroup (built on first use)."""
+        return _sign_test(self.dominant_covectors)
 
     def check_extracted(self, series, p: tuple, c: int) -> None:
         """Family check on a certified positive-side coefficient c of a
@@ -212,6 +226,18 @@ class SubgroupContext:
         three flips at each extracted point (``specialcases.Sp1qContext``)."""
 
 
+def _sign_test(covectors):
+    """The test of a point p for f . p > 0 at every covector f."""
+
+    def positive(p):
+        for f1, f2 in covectors:
+            if f1 * p[0] + f2 * p[1] <= 0:
+                return False
+        return True
+
+    return positive
+
+
 @record
 class QuaternionicContext(SubgroupContext):
     """Embedding data for one quaternionic real form: w_line = beta - 2 alpha."""
@@ -222,11 +248,10 @@ class QuaternionicContext(SubgroupContext):
     fw2: Weight              # fundamental weight L2, L1 + L2 = beta
     d: int                   # half the number of noncompact positive roots
 
-    def fibre(self, lam: Weight) -> tuple[dict, int]:
-        """The k2 weight table of lam pushed onto the su(2) torus: a weight
-        of int point p at the table's scale has n = (p, w) and E = scale (w, w)."""
+    def fibre_of(self, table) -> tuple[dict, int]:
+        """The k2 weight table pushed onto the su(2) torus: a weight of int
+        point p at the table's scale has n = (p, w) and E = scale (w, w)."""
         _, w, _, ww = self.torus_points
-        table = lam2_weight_table(self, lam)
         return restrict_weights(table, w), table.scale * ww
 
     @functools.cached_property
@@ -326,8 +351,25 @@ def validate_small_dominant(ctx: QuaternionicContext, lam: Weight) -> None:
 def lam2_weight_table(ctx: SubgroupContext, lam: Weight):
     """Weight table of the k2-representation attached to lam (memoized).
     It serves sp(1, q) too: there beta = 2 e0 and k2 is sp(q)."""
-    _, lam2 = decompose_parameter(ctx, lam)
-    return cached_freudenthal(hc_to_highest_weight(lam2, ctx.k2_factor), ctx.k2_factor)
+    return _k2_table(ctx, *scaled_point(lam))
+
+
+def _k2_table(ctx: SubgroupContext, point: tuple, den: int):
+    """``lam2_weight_table`` of lam = point / den, on int points only: lam2
+    = lam - (lam, b) b / (b, b) has the numerators (b, b) x - (x, b) b over
+    den (b, b) (``decompose_parameter``), and its highest weight is read on
+    them (``highest_point``)."""
+    b, _, bb, _ = ctx.torus_points
+    c = sum(map(mul, point, b))
+    return cached_freudenthal(*highest_point([bb * x - c * y for x, y in zip(point, b)],
+                                             den * bb, ctx.k2_factor), ctx.k2_factor)
+
+
+@functools.lru_cache(maxsize=None)
+def _fibre(ctx: SubgroupContext, point: tuple, den: int) -> tuple[dict, int]:
+    """``ctx.fibre`` of the parameter point / den (memoized): the caller
+    reads it and changes nothing."""
+    return ctx.fibre_of(_k2_table(ctx, point, den))
 
 
 @record
@@ -409,7 +451,12 @@ def _branching_table(ctx: SubgroupContext, lam: Weight, cutoff: int) -> Branchin
     coordinate u (``half_beta``), so the table is complete up to
     <mu, beta-check> = a / u + cutoff for (a, 0) the base lam1 + h / 2.
     InternalError for a point off the chart lattice or an entry that is not
-    dominant for the subgroup (``check_table_dominance``).
+    dominant for the subgroup.  Every (sigma, sum c_i h_i) is an entry, so
+    the least value of a sign covector f of ``ctx.dominant_covectors`` over
+    the table is f . (a, 0) plus its least value over the sigma points plus
+    cutoff times its least value over the directions, or plus 0; only when
+    one is not positive are the entries scanned (``check_table_dominance``),
+    to name them.
     """
     fibre, den = ctx.fibre(lam)
     check_size(len(fibre) * comb(cutoff + len(ctx.heaviside), cutoff),
@@ -421,23 +468,35 @@ def _branching_table(ctx: SubgroupContext, lam: Weight, cutoff: int) -> Branchin
     if r or h0 % 2 or h1 % 2:
         raise InternalError(f"the base of {format_weight(lam)} is off the chart lattice")
     a, base = a + h0 // 2, h1 // 2
-    steps = [(0, 0, 0, 1)]  # (steps taken, point, coefficient)
-    for (d0, d1), m in ctx.heaviside:
-        steps = [(n + c, p0 + c * d0, p1 + c * d1, k * comb(c + m - 1, m - 1))
-                 for n, p0, p1, k in steps for c in range(cutoff + 1 - n)]
-    entries: dict = {}
+    sigmas = []  # (second coordinate of the base plus sigma, multiplicity)
     for n, mult in fibre.items():
         s, r = divmod(chart.scale * n * ww, den)
         if r:
             sigma = format_weight(Fraction(n * x, den) for x in w)
             raise InternalError(f"weight {sigma} is off the chart lattice")
-        for _, p0, p1, k in steps:
-            key = (a + p0, base + s + p1)
-            entries[key] = entries.get(key, 0) + mult * k
+        sigmas.append((base + s, mult))
+    # the steps over all directions but the last, (steps taken, point,
+    # coefficient), each followed by the last direction's c steps
+    *first, ((d0, d1), m) = ctx.heaviside
+    steps = [(0, a, 0, 1)]
+    for (e0, e1), k in first:
+        steps = [(n + c, p0 + c * e0, p1 + c * e1, q * comb(c + k - 1, k - 1))
+                 for n, p0, p1, q in steps for c in range(cutoff + 1 - n)]
+    last = [(c * d0, c * d1, comb(c + m - 1, m - 1)) for c in range(cutoff + 1)]
+    entries: dict = {}
+    get = entries.get
+    for s, mult in sigmas:
+        for n, p0, p1, q in steps:
+            p1, q = p1 + s, q * mult
+            for c0, c1, k in islice(last, cutoff + 1 - n):
+                key = (p0 + c0, p1 + c1)
+                entries[key] = get(key, 0) + q * k
     table = BranchingTable(entries, Fraction(a, ctx.half_beta) + cutoff, ctx.rd.label, lam, chart)
-    violations = check_table_dominance(ctx, table)
-    if violations:
-        shown = "; ".join(map(format_weight, violations[:3]))
+    if sigmas and any(
+            f1 * a + min(f2 * s for s, _ in sigmas)
+            + min(0, cutoff * min(f1 * d0 + f2 * d1 for (d0, d1), _ in ctx.heaviside)) <= 0
+            for f1, f2 in ctx.dominant_covectors):
+        shown = "; ".join(map(format_weight, check_table_dominance(ctx, table)[:3]))
         raise InternalError(f"non-dominant parameters in the table: {shown}")
     return table
 

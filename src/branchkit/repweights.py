@@ -6,7 +6,8 @@ functionals.
 Everything is exact, and every check on a request's parameter is int
 arithmetic: a root datum's and a compact factor's roots are int points at one
 scale, built once on first use, and a parameter is read once as an int point
-over its denominator, its pairings checked with ``divmod``.  Freudenthal's
+over its denominator, its pairings checked with ``divmod``: on the simple
+coroots alone, which decide regular, integral and dominant.  Freudenthal's
 recursion runs over the dominant orbit representatives (Moody-Patera, Bull.
 AMS 7, 1982), found by Stembridge's walk (Adv. Math. 136, 1998), on the
 factor's int roots rescaled to twice the common denominator of the highest
@@ -15,9 +16,9 @@ scale, shown as Fractions only on lookup.  A non-integral multiplicity aborts
 with InternalError.
 
 Every route from a parameter to a compact-factor weight table, on either
-family, goes through ``quaternionic.lam2_weight_table`` and ends in
-``cached_freudenthal``, one per-process memo keyed by (highest weight's int
-point, factor).
+family, goes through ``quaternionic._k2_table`` on the parameter's int point
+(``highest_point`` builds no Fraction) and ends in ``cached_freudenthal``,
+one per-process memo keyed by (highest weight's int point, factor).
 
 The dimension bound (``BRANCHKIT_DIMENSION_BOUND``) caps the size of a
 Freudenthal table, and through ``check_size`` that of a closed-form table and
@@ -43,7 +44,6 @@ from .lattice import (
     scaled_point,
     scaled_points,
     wneg,
-    wsub,
 )
 from .rootsystems import PositiveSystem, RootDatum, simple_positions
 
@@ -113,18 +113,23 @@ class CompactFactor:
         """(2 D, ((a, (a, a), (a, 2 D rho)), ...), 2 D rho, simple): each
         positive root g as the int point a = D g at their common denominator
         D, with its norm and its pairing with 2 D rho, and the simple roots'
-        points (``simple_positions``); <v, g-check> = 2 D (a, v) / (a, a)."""
+        points.  A datum-backed factor is the roots orthogonal to the
+        datum's dominant highest root, so its simple roots are the datum's
+        simple roots among them; a factor of its own roots finds them
+        (``simple_positions``).  <v, g-check> = 2 D (a, v) / (a, a)."""
         if self.datum is None:
             scale, points = scaled_points(self.positive)
+            simple = simple_positions(points)
         else:  # the datum's points at its scale, divided down to the factor's
             scale, points, _ = self.datum.points
             points = [points[i] for i in self.positions]
             g = gcd(scale, *(x for a in points for x in a))
             scale, points = scale // g, tuple(tuple(x // g for x in a) for a in points)
+            simple = [j for j, i in enumerate(self.positions) if i in self.datum.simple_at]
         two_rho = tuple(map(sum, zip(*points))) or (0,) * self.form.dim
         return (2 * scale, tuple((a, sum(map(mul, a, a)), sum(map(mul, a, two_rho)))
                                  for a in points),
-                two_rho, tuple(points[i] for i in simple_positions(points)))
+                two_rho, tuple(points[j] for j in simple))
 
     @functools.cached_property
     def simple(self) -> tuple[Weight, ...]:
@@ -160,23 +165,49 @@ def regular_integral_pairings(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
 
 
 def validate_hc_parameter(lam: Weight, system: PositiveSystem) -> None:
-    """Check that lam is regular, integral and dominant for the system."""
-    pairings = regular_integral_pairings(system.parent, lam)
+    """Check that lam is regular, integral and dominant for the system: it
+    is exactly when lam pairs to a positive int with every simple coroot,
+    as each positive coroot is a nonnegative int combination of them.  A
+    failure is worded by the scan over every root
+    (``regular_integral_pairings``)."""
+    rd = system.parent
+    if len(lam) == rd.form.dim:
+        point, den = scaled_point(lam)
+        scale, points, norms = rd.points
+        for i in system.simple_at:  # <lam, g-check> = 2 D (a, lam) / (a, a)
+            c, r = divmod(2 * scale * system.signs[i] * sum(map(mul, points[i], point)),
+                          norms[i] * den)
+            if r or c <= 0:
+                break
+        else:
+            return
+    pairings = regular_integral_pairings(rd, lam)
     if any(c * s < 0 for c, s in zip(pairings, system.signs)):
         raise DomainError("parameter is not dominant for the given positive system")
+    raise InternalError("a simple coroot pairing fails where no root's does")
 
 
-def hc_to_highest_weight(lam2: Weight, factor: CompactFactor) -> Weight:
-    """Highest weight of the irreducible with infinitesimal character lam2."""
-    point, den = scaled_point(lam2)
-    m, roots, _, _ = factor.int_roots
+def highest_point(point: tuple, den: int, factor: CompactFactor) -> tuple[tuple, int]:
+    """The highest weight of the irreducible with infinitesimal character
+    point / den, as its int point over its least denominator, the pair
+    that ``scaled_point`` gives; DomainError unless the character is
+    dominant regular and integral."""
+    m, roots, two_rho, _ = factor.int_roots
     for a, aa, _ in roots:
         c = m * sum(map(mul, a, point))
         if c <= 0:
             raise DomainError("infinitesimal character is not dominant regular")
         if c % (aa * den):
             raise DomainError("infinitesimal character is not integral")
-    return wsub(lam2, factor.rho)
+    hw = [m * x - den * r for x, r in zip(point, two_rho)]  # over m den, as rho = 2 D rho / m
+    g = gcd(m * den, *hw)
+    return tuple(x // g for x in hw), m * den // g
+
+
+def hc_to_highest_weight(lam2: Weight, factor: CompactFactor) -> Weight:
+    """Highest weight of the irreducible with infinitesimal character lam2."""
+    hw, den = highest_point(*scaled_point(lam2), factor)
+    return tuple(Fraction(x, den) for x in hw)
 
 
 def weyl_dimension(hw: Weight, factor: CompactFactor) -> int:
@@ -363,11 +394,13 @@ def su2_string_decompose(table: WeightMultTable, root: Weight) -> dict:
     return out
 
 
-def cached_freudenthal(hw: Weight, factor: CompactFactor) -> WeightMultTable:
-    """``freudenthal``, memoized per process by hw's int point, so that no
-    Fraction is hashed, and by factor, by identity (``CompactFactor`` has
-    eq=False): the contexts are memoized, so each form passes one factor."""
-    return _freudenthal_memo(*scaled_point(hw), factor)
+def cached_freudenthal(point: tuple, den: int, factor: CompactFactor) -> WeightMultTable:
+    """``freudenthal`` of the highest weight point / den, given as
+    ``highest_point`` gives it, memoized per process by that int point, so
+    that no Fraction is hashed, and by factor, by identity
+    (``CompactFactor`` has eq=False): the contexts are memoized, so each
+    form passes one factor."""
+    return _freudenthal_memo(point, den, factor)
 
 
 @functools.lru_cache(maxsize=None)

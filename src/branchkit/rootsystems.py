@@ -132,6 +132,15 @@ class PositiveSystem:
                      for x in zip(*points)) or zero_weight(self.parent.form.dim)
 
     @functools.cached_property
+    def simple_at(self) -> tuple[int, ...]:
+        """The positions of the system's simple roots: the parent's where
+        every sign is positive, else found on the signed int points."""
+        if min(self.signs, default=1) > 0:
+            return self.parent.simple_at
+        return simple_positions([tuple(s * x for x in p)
+                                 for s, p in zip(self.signs, self.parent.int_positive)])
+
+    @functools.cached_property
     def chosen(self) -> tuple[Weight, ...]:
         """The system's roots as weights, in sorted order."""
         return tuple(sorted(g if s > 0 else wneg(g)

@@ -118,10 +118,10 @@ class Sp1qContext(SubgroupContext):
                 mu = format_weight(series.chart.to_weight(p))
                 raise InternalError(f"four-fold antisymmetry fails at {mu}")
 
-    def fibre(self, lam: Weight) -> tuple[dict, int]:
-        """The su(2) strings {k: N_k} of lam's sp(q)-representation
-        (``sp1q_string_table``), at k e1 = k w / (2 D)."""
-        return sp1q_string_table(self, lam), 2 * self.rd.points[0]
+    def fibre_of(self, table) -> tuple[dict, int]:
+        """The su(2) strings {k: N_k} of an sp(q) weight table, as
+        ``sp1q_string_table`` reads them, at k e1 = k w / (2 D)."""
+        return su2_string_decompose(table, self.w_line), 2 * self.rd.points[0]
 
     @functools.cached_property
     def heaviside(self) -> tuple:

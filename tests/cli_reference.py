@@ -76,3 +76,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_selftest)
 
     return parser
+
+
+class ReferenceRows(list):
+    """The writer's rows as they were: a list of string tuples with keys."""
+
+    def __init__(self, keys: tuple, rows=()):
+        super().__init__(rows)
+        self.keys = keys
+
+
+def reference_text(payload: dict, prefix: str = "") -> str:
+    """The ``--output text`` writer the package had before it streamed its
+    rows, kept verbatim but for ``ReferenceRows`` in its ``Rows`` place."""
+    lines = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, dict):
+            lines += reference_text(value, f"{prefix}{key}.").splitlines()
+        elif isinstance(value, ReferenceRows):
+            lines.append(f"{prefix}{key}:")
+            for row in value:
+                lines.append("  " + "\t".join(f"{k}={v}" for k, v in sorted(zip(value.keys, row))))
+        else:
+            text = ", ".join(map(str, value)) if isinstance(value, list) else value
+            lines.append(f"{prefix}{key}: {text}")
+    return "\n".join(lines) + "\n"

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchkit import cli, formal, repweights, rootsystems
-from branchkit.cli import SCHEMA_PATH, Rows, _emit, _write_json, main
+from branchkit.cli import SCHEMA_PATH, main
 from branchkit.errors import BranchkitError
 from branchkit.formal import ProductSum
+from branchkit.output import Rows, emit, write_json
 from branchkit.quaternionic import QuaternionicContext, quaternionic_context
 from branchkit.specialcases import Sp1qContext, hermitian_data, sp1q_context
 from cli_reference import build_parser
@@ -680,11 +681,11 @@ def test_non_dominant_closed_table_exits_1(capsys, monkeypatch, argv, context):
     assert "non-dominant parameters in the table" in err
 
 
-def _run_script(name: str) -> str:
+def _run_script(name: str, *args: str) -> str:
     root = BENCH.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, str(root / "scripts" / name)], env=env, cwd=root,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, str(root / "scripts" / name), *args], env=env,
+                          cwd=root, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -701,6 +702,22 @@ def test_hermitian_chamber_scan_script_runs():
     assert chambers["su_pq:2,3"] == 10
     assert chambers["e6_m14"] == 27
     assert chambers["e7_m25"] == 56
+
+
+def test_big_tables_script_reports_the_cli_bytes(capsys):
+    # one row per cutoff: the entries, the child's CPU and peak RSS, and the
+    # size and SHA-256 of exactly what the CLI prints in process
+    header, *rows = [line.split("\t") for line in
+                     _run_script("big_tables.py", "--cutoffs", "10,0").splitlines()]
+    assert header == ["cutoff", "entries", "cpu_s", "peak_rss_mib", "stdout_bytes",
+                      "stdout_sha256"]
+    assert [row[:2] for row in rows] == [["10", "66"], ["0", "1"]]
+    for cutoff, _, cpu, rss, size, sha in rows:
+        code, out, _ = run_cli(capsys, "branch", "quat", "--form", "g2_2", "--lambda=-1,-2,3",
+                               "--cutoff", cutoff)
+        assert code == 0
+        assert (int(size), sha) == (len(out.encode()), hashlib.sha256(out.encode()).hexdigest())
+        assert float(cpu) > 0 and float(rss) > 0
 
 
 def _ab_pairs():
@@ -1021,9 +1038,9 @@ _DOCUMENTS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.text(), _DOCUMENTS, max_size=6), _DOCUMENTS)
 def test_writer_matches_json_dumps(payload, document):
-    assert _emit(payload, "json") == _dumps(payload) + "\n"
+    assert emit(payload, "json") == _dumps(payload) + "\n"
     out: list = []
-    _write_json(document, "", out)
+    write_json(document, "", out.append)
     assert "".join(out) == _dumps(document)
 
 
@@ -1036,7 +1053,7 @@ def test_writer_matches_json_dumps(payload, document):
 def test_rows_write_as_a_list_of_objects(keys_rows, name):
     keys, rows = keys_rows
     want = [dict(zip(keys, row)) for row in rows]
-    assert _emit({name: Rows(keys, rows), "n": 1}, "json") == _dumps({name: want, "n": 1}) + "\n"
+    assert emit({name: Rows(keys, rows), "n": 1}, "json") == _dumps({name: want, "n": 1}) + "\n"
 
 
 _EVERY_SUBCOMMAND = [

@@ -392,7 +392,8 @@ def test_oracle_requests_hash_no_fraction(monkeypatch, capsys):
     assert len(requests) == 8
     for label in requests:
         oracle_plan(_context(label)[0])
-    repweights._freudenthal_memo.cache_clear()  # the weight tables are built cold
+    repweights._freudenthal_memo.cache_clear()  # the weight tables are built cold,
+    quaternionic._fibre.cache_clear()  # and so are the fibres read off them
     calls = []
     original = Fraction.__hash__
 
@@ -536,6 +537,56 @@ def test_int_built_factor_matches_from_positive(label):
     assert got.simple == reference_simple_elements(k2)
     assert rd.positive[rd.highest] == beta
     assert ctx.kernel_positive == tuple(g for g in k2 if not inner(ctx.form, g, ctx.w_line))
+
+
+# every quaternionic form, and sp(1, q) for q up to 5
+EVERY_CONTEXT_FORM = CONTEXT_FORMS + ("su2_n:4", "so4_n:3", "sp1_q:2", "sp1_q:3", "sp1_q:4",
+                                      "sp1_q:5")
+
+
+@pytest.mark.parametrize("label", EVERY_CONTEXT_FORM)
+def test_k2_simple_roots_read_off_the_datum_are_the_search(label):
+    # k2 is the roots orthogonal to the dominant beta, so its simple roots
+    # are the datum's simple roots among them, as the search finds them
+    factor = _context(label)[0].k2_factor
+    points = [a for a, _, _ in factor.int_roots[1]]
+    assert factor.datum is not None
+    assert factor.int_roots[3] == tuple(points[j] for j in simple_positions(points))
+
+
+def _full_scan(lam, system):
+    """The check of lam against every root, as ``validate_hc_parameter``
+    ran it before it read the simple coroots."""
+    pairings = regular_integral_pairings(system.parent, lam)
+    if any(c * s < 0 for c, s in zip(pairings, system.signs)):
+        raise DomainError("parameter is not dominant for the given positive system")
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=st.sampled_from(EVERY_CONTEXT_FORM),
+       kind=st.sampled_from(["singular", "non-integral", "non-dominant", "any"]), data=st.data())
+def test_simple_coroot_validation_words_failures_as_the_full_scan(label, kind, data):
+    # rho times a positive int, moved onto a root's wall, by a third to a
+    # fifth of the root (a pairing of 2/3 to 2/5 with its coroot), or
+    # through its wall by its reflection; or a small parameter with
+    # denominator 1, 2 or 3
+    ctx, system = _context(label)
+    rd = system.parent
+    g = data.draw(st.sampled_from(rd.positive))
+    lam = wscale(data.draw(st.integers(1, 3)), system.rho)
+    if kind == "singular":
+        lam = wadd(lam, wscale(-inner(ctx.form, lam, g) / inner(ctx.form, g, g), g))
+    elif kind == "non-integral":
+        lam = wadd(lam, wscale(Fraction(1, data.draw(st.sampled_from([3, 4, 5]))), g))
+    elif kind == "non-dominant":
+        lam = wadd(lam, wscale(-2 * inner(ctx.form, lam, g) / inner(ctx.form, g, g), g))
+    else:
+        den = data.draw(st.sampled_from([1, 2, 3]))
+        lam = tuple(Fraction(data.draw(st.integers(-9, 9)), den) for _ in range(rd.form.dim))
+    want = _outcome(_full_scan, lam, system)
+    assert _outcome(validate_hc_parameter, lam, system) == want
+    if kind != "any":
+        assert isinstance(want, str)
 
 
 @pytest.mark.parametrize("label", CONTEXT_FORMS + ("su2_n:10",))
